@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"sebdb/internal/auth"
 	"sebdb/internal/cache"
@@ -21,28 +22,42 @@ import (
 // NumBlocks returns the chain height.
 func (e *Engine) NumBlocks() int { return e.store.Count() }
 
+// Cache keys are "b:<bid>" and "t:<bid>:<pos>", built into a stack
+// buffer only once a cache is known to exist; the string conversion on
+// the Get does not allocate, the one on a miss's Put must.
+const cacheKeyLen = 2 + 20 + 1 + 10
+
+func blockKey(buf []byte, bid uint64) []byte {
+	return strconv.AppendUint(append(buf, "b:"...), bid, 10)
+}
+
+func txKey(buf []byte, bid uint64, pos uint32) []byte {
+	buf = strconv.AppendUint(append(buf, "t:"...), bid, 10)
+	return strconv.AppendUint(append(buf, ':'), uint64(pos), 10)
+}
+
 // Block reads a block, serving and populating the block cache when the
 // engine runs in CacheBlocks mode.
 func (e *Engine) Block(bid uint64) (*types.Block, error) {
-	key := fmt.Sprintf("b:%d", bid)
-	if e.blockCache != nil {
-		if v, ok := e.blockCache.Get(key); ok {
-			return v.(*types.Block), nil
-		}
+	if e.blockCache == nil {
+		return e.store.Block(bid)
+	}
+	var kb [cacheKeyLen]byte
+	key := blockKey(kb[:0], bid)
+	if v, ok := e.blockCache.Get(string(key)); ok {
+		return v.(*types.Block), nil
 	}
 	b, err := e.store.Block(bid)
 	if err != nil {
 		return nil, err
 	}
-	if e.blockCache != nil {
-		// The store knows the block's encoded length; re-serializing the
-		// block just to size the cache entry would double the miss cost.
-		size, err := e.store.BodyLen(bid)
-		if err != nil {
-			return nil, err
-		}
-		e.blockCache.Put(key, b, size)
+	// The store knows the block's encoded length; re-serializing the
+	// block just to size the cache entry would double the miss cost.
+	size, err := e.store.BodyLen(bid)
+	if err != nil {
+		return nil, err
 	}
+	e.blockCache.Put(string(key), b, size)
 	return b, nil
 }
 
@@ -50,9 +65,11 @@ func (e *Engine) Block(bid uint64) (*types.Block, error) {
 // individual transaction is cached — the paper's transaction cache,
 // which §VII-H shows beating the block cache for index-driven queries.
 func (e *Engine) Tx(bid uint64, pos uint32) (*types.Transaction, error) {
-	key := fmt.Sprintf("t:%d:%d", bid, pos)
+	var kb [cacheKeyLen]byte
+	var key []byte
 	if e.txCache != nil {
-		if v, ok := e.txCache.Get(key); ok {
+		key = txKey(kb[:0], bid, pos)
+		if v, ok := e.txCache.Get(string(key)); ok {
 			return v.(*types.Transaction), nil
 		}
 	}
@@ -77,7 +94,7 @@ func (e *Engine) Tx(bid uint64, pos uint32) (*types.Transaction, error) {
 		}
 	}
 	if e.txCache != nil {
-		e.txCache.Put(key, tx, int64(tx.Size()))
+		e.txCache.Put(string(key), tx, int64(tx.Size()))
 	}
 	return tx, nil
 }

@@ -44,10 +44,7 @@ func (e *Engine) explainSelect(s *sqlparser.Select) (*Result, error) {
 	}
 	n := v.NumBlocks()
 	k := v.TableBlocks(tbl.Name).Count()
-	p, hasLayered := v.estimateLayered(tbl, s.Where)
-	if !hasLayered {
-		p = -1
-	}
+	p, _ := v.estimateLayered(tbl, s.Where)
 	ch := plan.Choose(plan.DefaultCostModel(), n, k, p)
 	cost := func(c float64) types.Value {
 		if c < 0 {

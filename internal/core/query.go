@@ -198,16 +198,18 @@ func (e *Engine) execSelect(ctx context.Context, s *sqlparser.Select) (*Result, 
 	_, planSp := obs.StartSpan(ctx, "plan")
 	n := v.NumBlocks()
 	k := v.TableBlocks(tbl.Name).Count()
-	p, hasLayered := v.estimateLayered(tbl, s.Where)
-	if !hasLayered {
-		p = -1
-	}
+	p, probe := v.estimateLayered(tbl, s.Where)
 	choice := plan.Choose(plan.DefaultCostModel(), n, k, p)
 	planSp.SetCounter("blocks", int64(n))
 	planSp.SetCounter("table_blocks", int64(k))
 	planSp.SetCounter("est_rows", int64(p))
 	planSp.Finish()
-	txs, _, err := exec.SelectCtx(ctx, v, tbl.Name, s.Where, s.Window, choice.Method)
+	var txs []*types.Transaction
+	if choice.Method == exec.MethodLayered {
+		txs, _, err = exec.SelectProbed(ctx, v, tbl.Name, s.Where, s.Window, probe)
+	} else {
+		txs, _, err = exec.SelectCtx(ctx, v, tbl.Name, s.Where, s.Window, choice.Method)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -502,7 +504,8 @@ func (e *Engine) projectOnOff(v *View, onName, offName string, rows []exec.OnOff
 }
 
 // execGetBlock implements GET BLOCK ID|TID|TS=? (Q7) through the
-// pinned view's block-level index.
+// pinned view's block-level index; every field it prints lives in the
+// block header, which the store keeps in memory.
 func (e *Engine) execGetBlock(ctx context.Context, s *sqlparser.GetBlock) (*Result, error) {
 	// Block ids and Tids are unsigned; a negative literal would wrap to
 	// a huge id under the uint64 conversion instead of failing.
@@ -524,11 +527,10 @@ func (e *Engine) execGetBlock(ctx context.Context, s *sqlparser.GetBlock) (*Resu
 	if !ok {
 		return nil, fmt.Errorf("core: no block for %v", s.Val)
 	}
-	b, err := v.Block(bid)
+	h, err := v.Header(bid)
 	if err != nil {
 		return nil, err
 	}
-	h := b.Header
 	hash := h.Hash()
 	prev := h.PrevHash
 	return &Result{

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"sebdb/internal/auth"
 	"sebdb/internal/contract"
+	"sebdb/internal/exec"
 	"sebdb/internal/index/bitmap"
 	"sebdb/internal/index/blockindex"
 	"sebdb/internal/index/layered"
@@ -156,6 +158,15 @@ func (v *View) Block(bid uint64) (*types.Block, error) {
 	return v.e.Block(bid)
 }
 
+// Header returns the header of a block inside the view from the store's
+// in-memory header list: no segment read, no decode.
+func (v *View) Header(bid uint64) (types.BlockHeader, error) {
+	if bid >= v.height {
+		return types.BlockHeader{}, fmt.Errorf("core: block %d beyond view height %d", bid, v.height)
+	}
+	return v.e.store.Header(bid)
+}
+
 // Tx reads one transaction by (block, position) inside the view.
 func (v *View) Tx(bid uint64, pos uint32) (*types.Transaction, error) {
 	if bid >= v.height {
@@ -226,9 +237,13 @@ const estimateCap = 200_000
 
 // estimateLayered estimates the result size p of driving the layered
 // index with one of preds, by counting second-level matches inside the
-// view (index-only, no transaction reads), capped at estimateCap.
-func (v *View) estimateLayered(tbl *schema.Table, preds []sqlparser.Pred) (int, bool) {
-	for _, p := range preds {
+// view (index-only, no transaction reads), capped at estimateCap; p is
+// -1 when no predicate can drive an index. The walk it counts with is
+// the walk the layered operator would make, so unless the cap cut it
+// short it is returned as a probe for exec.SelectProbed: a statement
+// that goes on to run the layered method walks the second level once.
+func (v *View) estimateLayered(tbl *schema.Table, preds []sqlparser.Pred) (int, *exec.Probe) {
+	for i, p := range preds {
 		idx := v.Layered(tbl.Name, p.Col)
 		if idx == nil {
 			continue
@@ -237,17 +252,24 @@ func (v *View) estimateLayered(tbl *schema.Table, preds []sqlparser.Pred) (int, 
 		if !exact {
 			continue
 		}
-		total := 0
+		pr := &exec.Probe{Index: idx, Drive: i}
 		cand := idx.CandidateBlocks(lo, hi)
 		cand.And(v.mask)
 		cand.ForEach(func(bid int) bool {
-			idx.BlockRange(uint64(bid), lo, hi, func(types.Value, uint32) bool {
-				total++
-				return total < estimateCap
+			start := len(pr.Pos)
+			idx.BlockRange(uint64(bid), lo, hi, func(_ types.Value, pos uint32) bool {
+				pr.Pos = append(pr.Pos, pos)
+				return len(pr.Pos) < estimateCap
 			})
-			return total < estimateCap
+			slices.Sort(pr.Pos[start:])
+			pr.Blocks = append(pr.Blocks, uint64(bid))
+			pr.Ends = append(pr.Ends, len(pr.Pos))
+			return len(pr.Pos) < estimateCap
 		})
-		return total, true
+		if len(pr.Pos) >= estimateCap {
+			return len(pr.Pos), nil
+		}
+		return len(pr.Pos), pr
 	}
-	return -1, false
+	return -1, nil
 }

@@ -10,7 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sebdb/internal/index/bitmap"
 	"sebdb/internal/index/blockindex"
@@ -187,14 +187,54 @@ func Select(c Chain, table string, preds []sqlparser.Pred, win *sqlparser.Window
 // "exec.select.<method>" stage carrying its Stats; either way the
 // Stats fold into the registry's exec counters.
 func SelectCtx(ctx context.Context, c Chain, table string, preds []sqlparser.Pred, win *sqlparser.Window, m Method) ([]*types.Transaction, Stats, error) {
+	return selectTraced(ctx, c, table, preds, win, m, nil)
+}
+
+// Probe is second-level index work done ahead of the layered operator —
+// by the planner, which walks the index to count a statement's matches
+// before Equations 1-3 can price the layered method — kept in the form
+// layeredSelect would otherwise produce again: every first-level
+// candidate block of Index for the bounds of preds[Drive], in ascending
+// order, each with the positions its B+-tree returned, sorted.
+type Probe struct {
+	Index *layered.Index
+	// Drive is the position in the statement's predicate list of the
+	// predicate whose bounds were probed.
+	Drive int
+	// Blocks are the candidate block ids; block Blocks[i] matched at
+	// positions Pos[Ends[i-1]:Ends[i]] (from 0 for i == 0), which may be
+	// none: the first level is coarser than the second.
+	Blocks []uint64
+	Pos    []uint32
+	Ends   []int
+}
+
+// positions returns the matched positions of candidate block i.
+func (p *Probe) positions(i int) []uint32 {
+	start := 0
+	if i > 0 {
+		start = p.Ends[i-1]
+	}
+	return p.Pos[start:p.Ends[i]]
+}
+
+// SelectProbed is SelectCtx with MethodLayered, walking the second
+// level through probe instead of a second time. The probe is used only
+// if it was taken on the index and predicate the operator itself picks;
+// rows, order and Stats equal SelectCtx's either way.
+func SelectProbed(ctx context.Context, c Chain, table string, preds []sqlparser.Pred, win *sqlparser.Window, probe *Probe) ([]*types.Transaction, Stats, error) {
+	return selectTraced(ctx, c, table, preds, win, MethodLayered, probe)
+}
+
+func selectTraced(ctx context.Context, c Chain, table string, preds []sqlparser.Pred, win *sqlparser.Window, m Method, probe *Probe) ([]*types.Transaction, Stats, error) {
 	_, sp := obs.StartSpan(ctx, "exec.select."+m.String())
-	out, st, err := selectImpl(c, table, preds, win, m)
+	out, st, err := selectImpl(c, table, preds, win, m, probe)
 	finishStats(sp, st)
 	recordStats(c, "select", m, st)
 	return out, st, err
 }
 
-func selectImpl(c Chain, table string, preds []sqlparser.Pred, win *sqlparser.Window, m Method) ([]*types.Transaction, Stats, error) {
+func selectImpl(c Chain, table string, preds []sqlparser.Pred, win *sqlparser.Window, m Method, probe *Probe) ([]*types.Transaction, Stats, error) {
 	var st Stats
 	tbl, err := c.Table(table)
 	if err != nil {
@@ -212,7 +252,10 @@ func selectImpl(c Chain, table string, preds []sqlparser.Pred, win *sqlparser.Wi
 		if idx == nil {
 			return nil, st, fmt.Errorf("%w: table %q", ErrNoIndex, table)
 		}
-		return layeredSelect(c, tbl, idx, drive, preds, win, blocks)
+		if probe != nil && (probe.Index != idx || probe.Drive >= len(preds) || &preds[probe.Drive] != drive) {
+			probe = nil
+		}
+		return layeredSelect(c, tbl, idx, drive, preds, win, blocks, probe)
 	default:
 		return nil, st, fmt.Errorf("exec: unknown method %v", m)
 	}
@@ -279,14 +322,27 @@ func pickLayered(c Chain, tbl *schema.Table, preds []sqlparser.Pred) (*layered.I
 // predicate evaluation on the fetched transactions. The per-block
 // probes fan across the worker pool; each block's matched positions are
 // sorted before fetching so the merged result preserves chain order
-// (the B+-tree iterates in key order, not position order).
+// (the B+-tree iterates in key order, not position order). A probe
+// taken on idx and drive ahead of time stands in for both index levels;
+// a candidate block still counts as one index probe.
 func layeredSelect(c Chain, tbl *schema.Table, idx *layered.Index, drive *sqlparser.Pred,
-	preds []sqlparser.Pred, win *sqlparser.Window, blocks *bitmap.Bitmap) ([]*types.Transaction, Stats, error) {
+	preds []sqlparser.Pred, win *sqlparser.Window, blocks *bitmap.Bitmap, probe *Probe) ([]*types.Transaction, Stats, error) {
 	var st Stats
 	lo, hi, _ := predBounds(*drive)
-	cand := idx.CandidateBlocks(lo, hi)
-	cand.And(blocks)
-	ids := blockIDs(cand)
+	var ids []uint64
+	var found [][]uint32 // with a probe: the sorted matches of block ids[i]
+	if probe != nil {
+		for i, bid := range probe.Blocks {
+			if blocks.Get(int(bid)) {
+				ids = append(ids, bid)
+				found = append(found, probe.positions(i))
+			}
+		}
+	} else {
+		cand := idx.CandidateBlocks(lo, hi)
+		cand.And(blocks)
+		ids = blockIDs(cand)
+	}
 
 	var out []*types.Transaction
 	err := parallel.Ordered(workersOf(c), len(ids),
@@ -294,11 +350,15 @@ func layeredSelect(c Chain, tbl *schema.Table, idx *layered.Index, drive *sqlpar
 			bid := ids[i]
 			p := blockMatches{st: Stats{IndexProbes: 1}}
 			var poss []uint32
-			idx.BlockRange(bid, lo, hi, func(_ types.Value, pos uint32) bool {
-				poss = append(poss, pos)
-				return true
-			})
-			sort.Slice(poss, func(a, b int) bool { return poss[a] < poss[b] })
+			if probe != nil {
+				poss = found[i]
+			} else {
+				idx.BlockRange(bid, lo, hi, func(_ types.Value, pos uint32) bool {
+					poss = append(poss, pos)
+					return true
+				})
+				slices.Sort(poss)
+			}
 			for _, pos := range poss {
 				tx, err := c.Tx(bid, pos)
 				if err != nil {

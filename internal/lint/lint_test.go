@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -175,5 +176,43 @@ func TestReasonClausePolicy(t *testing.T) {
 		if got := reasonAccepted(tc.analyzer, tc.reason); got != tc.ok {
 			t.Errorf("reasonAccepted(%q, %q) = %v, want %v", tc.analyzer, tc.reason, got, tc.ok)
 		}
+	}
+}
+
+// TestLoadAllSkipsNestedModules checks "./..." stops at a nested
+// go.mod, as the go tool's pattern does: the nested module's packages
+// import the outer module's internals and would otherwise be analysed
+// as part of it.
+func TestLoadAllSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":            "module outer\n\ngo 1.22\n",
+		"a/a.go":            "package a\n",
+		"nested/go.mod":     "module outer/nested\n\ngo 1.22\n",
+		"nested/main.go":    "package main\n\nfunc main() {}\n",
+		"nested/sub/sub.go": "package sub\n",
+	} {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loader, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 || pkgs[0].Path != "outer/a" {
+		var paths []string
+		for _, p := range pkgs {
+			paths = append(paths, p.Path)
+		}
+		t.Errorf("loaded %v, want [outer/a]", paths)
 	}
 }

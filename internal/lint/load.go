@@ -92,7 +92,9 @@ func findModule(dir string) (root, path string, err error) {
 }
 
 // LoadAll loads every package under the module root (the "./..."
-// pattern), skipping testdata and hidden directories.
+// pattern), skipping testdata and hidden directories and, as the go
+// tool's pattern does, nested modules: a directory with its own go.mod
+// (benchmark/) is another module's code, vetted from inside it.
 func (l *Loader) LoadAll() ([]*Package, error) {
 	var paths []string
 	err := filepath.WalkDir(l.moduleRoot, func(p string, d os.DirEntry, err error) error {
@@ -105,6 +107,11 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 		name := d.Name()
 		if p != l.moduleRoot && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
 			return filepath.SkipDir
+		}
+		if p != l.moduleRoot {
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		ents, err := os.ReadDir(p)
 		if err != nil {

@@ -6,69 +6,290 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
+	"sync"
 )
 
-// maxRawBodyLen caps the raw length a compressed record may claim, so a
-// corrupt rawLen prefix cannot make inflateBody allocate gigabytes
-// before the stream is even opened.
-const maxRawBodyLen = 1 << 30
+// The two constants of the cold tier, chosen from the chunk-size × level
+// table in DESIGN.md "Storage tiers" (measured on the benchmark's base
+// chain); they are not options.
+const (
+	// chunkTarget is the raw size compressed records are cut into. Each
+	// chunk is an independent DEFLATE stream, so a tuple read inflates
+	// one chunk instead of the whole body; smaller chunks read faster
+	// but compress worse.
+	chunkTarget = 8 << 10
+	// compressLevel is the DEFLATE level of every chunk: at 5, 8 KiB
+	// chunks store ~13 % fewer bytes than the whole-body BestSpeed
+	// stream they replace. Inflate cost falls as the level rises; only
+	// the background rewrite pays for it.
+	compressLevel = 5
+)
 
-// deflateBody compresses a raw block body into the compressed-record
-// payload: a 4-byte big-endian raw length followed by the DEFLATE
-// stream (flate.BestSpeed — recompression is a background pass, but the
-// read path pays the inflate cost on every cold access, so the fast
-// level is the right trade). ok is false when compression does not
-// shrink the body; such blocks stay plain in the rewritten segment.
-func deflateBody(body []byte) (payload []byte, ok bool) {
-	if int64(len(body)) > maxRawBodyLen {
-		return nil, false
-	}
-	var buf bytes.Buffer
-	buf.Grow(len(body)/2 + 8)
-	var raw [4]byte
-	binary.BigEndian.PutUint32(raw[:], uint32(len(body)))
-	buf.Write(raw[:])
-	w, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		return nil, false
-	}
-	if _, err := w.Write(body); err != nil {
-		return nil, false
-	}
-	if err := w.Close(); err != nil {
-		return nil, false
-	}
-	if buf.Len() >= len(body) {
-		return nil, false
-	}
-	return buf.Bytes(), true
+const (
+	// maxRawBodyLen caps the raw length a compressed record may claim
+	// when the store has no length of its own to hold it to (the
+	// recovery scan).
+	maxRawBodyLen = 1 << 30
+	// maxInflateRatio is DEFLATE's hard expansion limit (a 258-byte
+	// match costs at least two bits): a record claiming more raw bytes
+	// per stored byte is lying, whatever its checksum says.
+	maxInflateRatio = 1032
+
+	chunkedFixed = 6 // rawLen u32 + nChunks u16
+	chunkEntry   = 8 // rawEnd u32 + storedEnd u32
+)
+
+// compressedMagic reports whether magic marks a compressed record of
+// either framing.
+func compressedMagic(magic uint32) bool {
+	return magic == recordMagicC || magic == recordMagicZ
 }
 
-// inflateBody decodes a compressed-record payload back to the raw body,
-// verifying that the stream produces exactly the declared length.
-func inflateBody(payload []byte) ([]byte, error) {
-	if len(payload) < 4 {
-		return nil, fmt.Errorf("storage: compressed payload of %d bytes has no length prefix", len(payload))
+// chunked is a compressed record's payload with its framing parsed: the
+// declared raw length and a table of chunks, each an independent
+// DEFLATE stream. Entry i holds the exclusive end of chunk i in the raw
+// body and in the payload; chunk 0 starts at raw offset 0 and payload
+// offset first. A legacy recordMagicZ payload (rawLen + one stream over
+// the whole body) is the one-chunk case with no table on disk.
+type chunked struct {
+	payload   []byte
+	table     []byte // n × chunkEntry bytes; nil for a legacy record
+	n         int
+	rawLen    uint32
+	storedLen uint32 // len(payload)
+	first     uint32
+}
+
+// entry returns the raw and stored end offsets of chunk i.
+func (z *chunked) entry(i int) (rawEnd, storedEnd uint32) {
+	if z.table == nil {
+		return z.rawLen, z.storedLen
 	}
-	rawLen := binary.BigEndian.Uint32(payload)
-	if int64(rawLen) > maxRawBodyLen {
-		return nil, fmt.Errorf("storage: compressed record claims %d raw bytes", rawLen)
+	e := z.table[i*chunkEntry:]
+	return binary.BigEndian.Uint32(e), binary.BigEndian.Uint32(e[4:])
+}
+
+// parseChunked validates a compressed payload's framing against itself:
+// the table fits, both columns rise strictly, the last chunk ends where
+// the body and the payload end, and the claimed raw length is one the
+// stored bytes could inflate to. Nothing is allocated.
+func parseChunked(magic uint32, payload []byte) (chunked, error) {
+	if int64(len(payload)) > math.MaxUint32 {
+		return chunked{}, fmt.Errorf("compressed payload of %d bytes exceeds the record length prefix", len(payload))
 	}
-	body := make([]byte, rawLen)
-	r := flate.NewReader(bytes.NewReader(payload[4:]))
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("storage: inflating record: %w", err)
+	z := chunked{payload: payload, n: 1, storedLen: uint32(len(payload)), first: 4}
+	if magic == recordMagicC {
+		z.first = chunkedFixed
 	}
-	var one [1]byte
-	if n, _ := r.Read(one[:]); n != 0 { //sebdb:ignore-err probing for trailing garbage; any error here means no extra byte, which is the success condition
-		return nil, fmt.Errorf("storage: compressed record longer than its declared %d bytes", rawLen)
+	if len(payload) < int(z.first) {
+		return chunked{}, fmt.Errorf("compressed payload of %d bytes has no length prefix", len(payload))
 	}
-	if err := r.Close(); err != nil {
-		return nil, fmt.Errorf("storage: inflating record: %w", err)
+	z.rawLen = binary.BigEndian.Uint32(payload)
+	if int64(z.rawLen) > maxRawBodyLen || int64(z.rawLen) > maxInflateRatio*int64(len(payload)) {
+		return chunked{}, fmt.Errorf("compressed record of %d bytes claims %d raw bytes", len(payload), z.rawLen)
 	}
-	return body, nil
+	if magic == recordMagicC {
+		z.n = int(binary.BigEndian.Uint16(payload[4:]))
+		end := chunkedFixed + z.n*chunkEntry
+		if z.n == 0 || end > len(payload) {
+			return chunked{}, fmt.Errorf("compressed record of %d bytes claims %d chunks", len(payload), z.n)
+		}
+		z.table, z.first = payload[chunkedFixed:end], uint32(end)
+	}
+	prevRaw, prevStored := uint32(0), z.first
+	for i := 0; i < z.n; i++ {
+		rawEnd, storedEnd := z.entry(i)
+		if rawEnd <= prevRaw || storedEnd <= prevStored {
+			return chunked{}, fmt.Errorf("chunk %d of %d ends at raw %d, stored %d: table does not rise", i, z.n, rawEnd, storedEnd)
+		}
+		prevRaw, prevStored = rawEnd, storedEnd
+	}
+	if prevRaw != z.rawLen || prevStored != z.storedLen {
+		return chunked{}, fmt.Errorf("last chunk ends at raw %d of %d, stored %d of %d", prevRaw, z.rawLen, prevStored, len(payload))
+	}
+	return z, nil
+}
+
+// check holds the record to what the store knows about the block from
+// the chain itself: its raw body length and transaction offsets (with
+// the final sentinel). Every chunk must end on a transaction boundary —
+// the writer cuts nowhere else, and ReadTx relies on a tuple never
+// straddling two chunks.
+func (z *chunked) check(rawLen int64, txOffs []uint32) error {
+	if int64(z.rawLen) != rawLen {
+		return fmt.Errorf("compressed record claims %d raw bytes, block has %d", z.rawLen, rawLen)
+	}
+	if z.n > len(txOffs) {
+		return fmt.Errorf("compressed record claims %d chunks, block has %d transactions", z.n, len(txOffs)-1)
+	}
+	for i := 0; i < z.n; i++ {
+		rawEnd, _ := z.entry(i)
+		j := sort.Search(len(txOffs), func(j int) bool { return txOffs[j] >= rawEnd })
+		if j == len(txOffs) || txOffs[j] != rawEnd {
+			return fmt.Errorf("chunk %d ends at raw offset %d, inside a transaction", i, rawEnd)
+		}
+	}
+	return nil
+}
+
+// openChunked parses a compressed payload and holds it to the block's
+// known shape, in that order; nothing is inflated or sized before both
+// pass.
+func openChunked(magic uint32, payload []byte, rawLen int64, txOffs []uint32) (chunked, error) {
+	z, err := parseChunked(magic, payload)
+	if err == nil {
+		err = z.check(rawLen, txOffs)
+	}
+	return z, err
+}
+
+// inflater is the read side's reusable state: the stored-record input
+// buffer, the inflate scratch and the flate reader, reset per call
+// rather than allocated (a fresh flate reader alone is ~44 KB). Bodies
+// it returns alias its buffers and are valid until it goes back to the
+// pool; that is safe because DecodeBlock and DecodeTransaction copy
+// every string and blob out of the buffer they decode.
+type inflater struct {
+	in  []byte
+	raw []byte
+	src bytes.Reader
+	fr  resettableReader
+}
+
+// resettableReader is what flate.NewReader returns.
+type resettableReader interface {
+	io.Reader
+	flate.Resetter
+}
+
+func newInflater() *inflater {
+	c := new(inflater)
+	c.fr = flate.NewReader(&c.src).(resettableReader)
+	return c
+}
+
+var inflaters = sync.Pool{New: func() any { return newInflater() }}
+
+// sized returns buf resized to n bytes, reallocating only to grow.
+func sized(buf []byte, n int) []byte {
+	if cap(buf) < n {
+		return make([]byte, n)
+	}
+	return buf[:n]
+}
+
+// inflate is the store's one inflate routine: it returns raw bytes
+// [from, to) of the body, inflating only the chunks that cover them
+// into the scratch buffer. Each chunk's stream must produce exactly its
+// declared raw length and consume exactly its stored bytes.
+func (c *inflater) inflate(z *chunked, from, to uint32) ([]byte, error) {
+	if from >= to || to > z.rawLen {
+		return nil, fmt.Errorf("raw range [%d, %d) outside the record's %d bytes", from, to, z.rawLen)
+	}
+	// Chunks [lo, hi) cover the range: chunk lo starts at raw offset
+	// base and payload offset storedStart, chunk hi-1 ends at limit.
+	lo, hi := 0, 0
+	base, storedStart, limit := uint32(0), z.first, uint32(0)
+	for i := 0; i < z.n; i++ {
+		rawEnd, storedEnd := z.entry(i)
+		if rawEnd <= from {
+			lo, base, storedStart = i+1, rawEnd, storedEnd
+		} else if rawEnd >= to {
+			hi, limit = i+1, rawEnd
+			break
+		}
+	}
+	c.raw = sized(c.raw, int(limit-base))
+	rawStart := base
+	for i := lo; i < hi; i++ {
+		rawEnd, storedEnd := z.entry(i)
+		c.src.Reset(z.payload[storedStart:storedEnd])
+		if err := c.fr.Reset(&c.src, nil); err != nil {
+			return nil, fmt.Errorf("inflating chunk %d: %w", i, err)
+		}
+		if _, err := io.ReadFull(c.fr, c.raw[rawStart-base:rawEnd-base]); err != nil {
+			return nil, fmt.Errorf("inflating chunk %d: %w", i, err)
+		}
+		var one [1]byte
+		if n, err := c.fr.Read(one[:]); n != 0 || err != io.EOF || c.src.Len() != 0 {
+			return nil, fmt.Errorf("chunk %d does not end with its declared %d raw and %d stored bytes",
+				i, rawEnd-rawStart, storedEnd-storedStart)
+		}
+		rawStart, storedStart = rawEnd, storedEnd
+	}
+	return c.raw[from-base : to-base], nil
+}
+
+// deflater is the rewrite side's reusable state.
+type deflater struct {
+	fw  *flate.Writer
+	buf bytes.Buffer
+}
+
+var deflaters = sync.Pool{New: func() any {
+	fw, err := flate.NewWriter(io.Discard, compressLevel)
+	if err != nil {
+		panic(err) // compressLevel is a valid constant
+	}
+	return &deflater{fw: fw}
+}}
+
+// deflateBody compresses a raw block body into a chunk-framed payload
+// (recordMagicC):
+//
+//	u32 rawLen | u16 nChunks | nChunks × (u32 rawEnd, u32 storedEnd) | streams
+//
+// The body is cut into ceil(len/chunkTarget) chunks of near-equal size,
+// each cut moved up to the next transaction boundary in txOffs, and
+// every chunk is its own DEFLATE stream. ok is false when the payload
+// is not smaller than the body (or the body is too large to frame);
+// such blocks stay plain in the rewritten segment. The payload aliases
+// the deflater's buffer.
+func (d *deflater) deflateBody(body []byte, txOffs []uint32) (payload []byte, ok bool) {
+	if len(body) == 0 || int64(len(body)) > maxRawBodyLen {
+		return nil, false
+	}
+	n := (len(body) + chunkTarget - 1) / chunkTarget
+	per := uint32((len(body) + n - 1) / n)
+	var cuts []uint32
+	for start, i := uint32(0), 0; i < len(txOffs)-1; i++ {
+		if txOffs[i] >= start+per {
+			cuts = append(cuts, txOffs[i])
+			start = txOffs[i]
+		}
+	}
+	cuts = append(cuts, uint32(len(body)))
+	if len(cuts) > math.MaxUint16 {
+		return nil, false
+	}
+
+	hdr := make([]byte, chunkedFixed+len(cuts)*chunkEntry)
+	binary.BigEndian.PutUint32(hdr, uint32(len(body)))
+	binary.BigEndian.PutUint16(hdr[4:], uint16(len(cuts)))
+	for i, end := range cuts {
+		binary.BigEndian.PutUint32(hdr[chunkedFixed+i*chunkEntry:], end)
+	}
+	d.buf.Reset()
+	d.buf.Write(hdr)
+	start := uint32(0)
+	for i, end := range cuts {
+		d.fw.Reset(&d.buf)
+		if _, err := d.fw.Write(body[start:end]); err != nil {
+			return nil, false
+		}
+		if err := d.fw.Close(); err != nil {
+			return nil, false
+		}
+		if d.buf.Len() >= len(body) {
+			return nil, false
+		}
+		binary.BigEndian.PutUint32(d.buf.Bytes()[chunkedFixed+i*chunkEntry+4:], uint32(d.buf.Len()))
+		start = end
+	}
+	return d.buf.Bytes(), true
 }
 
 // segRangeLocked returns the half-open index range [lo, hi) of blocks
@@ -222,15 +443,19 @@ func (s *Store) writeRewrite(tmp string, lo, hi uint64) (rewriteResult, error) {
 		stored: make([]int64, 0, n),
 		comp:   make([]bool, 0, n),
 	}
+	c := inflaters.Get().(*inflater)
+	defer inflaters.Put(c)
+	d := deflaters.Get().(*deflater)
+	defer deflaters.Put(d)
 	var off int64
 	for h := lo; h < hi; h++ {
-		body, _, err := s.readBody(h)
+		body, ref, _, err := s.readBody(c, h)
 		if err != nil {
 			f.Close() //sebdb:ignore-err the read error is what matters; the temporary is deleted by the caller
 			return rewriteResult{}, err
 		}
-		payload, compressed := deflateBody(body)
-		magic := uint32(recordMagicZ)
+		payload, compressed := d.deflateBody(body, ref.txOffs)
+		magic := uint32(recordMagicC)
 		if !compressed {
 			payload, magic = body, recordMagic
 		}

@@ -189,11 +189,8 @@ func (s *Store) verifyAnchor(m *Meta, i int) error {
 	if _, err := f.ReadAt(hdr, loc.Offset); err != nil {
 		return fmt.Errorf("%w: reading anchor record: %v", ErrMetaMismatch, err)
 	}
-	magic, want := binary.BigEndian.Uint32(hdr), uint32(recordMagic)
-	if m.Comp[i] {
-		want = recordMagicZ
-	}
-	if magic != want {
+	magic := binary.BigEndian.Uint32(hdr)
+	if (m.Comp[i] && !compressedMagic(magic)) || (!m.Comp[i] && magic != recordMagic) {
 		return fmt.Errorf("%w: bad magic at anchor (height %d)", ErrMetaMismatch, i)
 	}
 	n := binary.BigEndian.Uint32(hdr[4:])
@@ -209,7 +206,13 @@ func (s *Store) verifyAnchor(m *Meta, i int) error {
 		return fmt.Errorf("%w: anchor CRC mismatch", ErrMetaMismatch)
 	}
 	if m.Comp[i] {
-		if body, err = inflateBody(body); err != nil {
+		c := inflaters.Get().(*inflater)
+		defer inflaters.Put(c)
+		z, err := openChunked(magic, body, m.Lens[i], m.TxOffs[i])
+		if err == nil {
+			body, err = c.inflate(&z, 0, z.rawLen)
+		}
+		if err != nil {
 			return fmt.Errorf("%w: %v", ErrMetaMismatch, err)
 		}
 	}

@@ -10,9 +10,10 @@
 // sealed segments may be served from a read-only memory map when
 // Options.Mmap is set, falling back to pread transparently. Sealed
 // segments can also be recompressed in place (CompressSegment): each
-// record's body is deflated block-by-block into a rewritten segment
-// file swapped in with tmp+sync+rename, so a chain that has gone cold
-// costs less disk without giving up record-level random access.
+// record's body is deflated in ~8 KiB chunks cut on transaction
+// boundaries into a rewritten segment file swapped in with
+// tmp+sync+rename, so a chain that has gone cold costs less disk and a
+// tuple read still inflates only the chunk that holds the tuple.
 package storage
 
 import (
@@ -36,11 +37,16 @@ import (
 
 const (
 	recordMagic = 0x5EBD_B10C
-	// recordMagicZ marks a compressed record: its payload is the raw
-	// body length (4 bytes, big-endian) followed by the DEFLATE stream
-	// of the body. The CRC trailer covers the stored payload, so torn
-	// and corrupt tails are detected without inflating anything.
+	// recordMagicZ marks a legacy compressed record: its payload is the
+	// raw body length (4 bytes, big-endian) followed by one DEFLATE
+	// stream of the whole body. Nothing writes it any more; it is read
+	// as the one-chunk case of recordMagicC.
 	recordMagicZ = 0x5EBD_B10D
+	// recordMagicC marks a chunk-framed compressed record: a chunk table
+	// followed by one independent DEFLATE stream per chunk (layout at
+	// deflateBody). The CRC trailer covers the stored payload, so torn
+	// and corrupt tails are detected without inflating anything.
+	recordMagicC = 0x5EBD_B10E
 	// DefaultSegmentSize is the paper's default block-file size.
 	DefaultSegmentSize = 256 << 20
 	// DefaultMaxOpenSegments bounds the per-segment read-handle cache:
@@ -353,12 +359,15 @@ func (s *Store) recover() error {
 func (s *Store) scanSegment(r io.Reader, seg uint32, base int64) (int64, error) {
 	off := base
 	hdr := make([]byte, headerSize)
+	c := inflaters.Get().(*inflater)
+	defer inflaters.Put(c)
 	for {
 		if _, err := io.ReadFull(r, hdr); err != nil {
 			return off, nil // clean EOF or torn header: stop here
 		}
 		magic := binary.BigEndian.Uint32(hdr)
-		if magic != recordMagic && magic != recordMagicZ {
+		compressed := compressedMagic(magic)
+		if magic != recordMagic && !compressed {
 			return off, nil
 		}
 		n := binary.BigEndian.Uint32(hdr[4:])
@@ -371,16 +380,24 @@ func (s *Store) scanSegment(r io.Reader, seg uint32, base int64) (int64, error) 
 		if crc32.ChecksumIEEE(stored) != want {
 			return off, nil // corrupt tail
 		}
+		// A compressed record whose CRC passed but whose framing or
+		// streams are malformed is treated as an invalid tail too.
 		body := stored
-		compressed := magic == recordMagicZ
+		var z chunked
 		if compressed {
 			var err error
-			if body, err = inflateBody(stored); err != nil {
-				return off, nil // CRC passed but the stream is malformed: treat as invalid tail
+			if z, err = parseChunked(magic, stored); err != nil {
+				return off, nil
+			}
+			if body, err = c.inflate(&z, 0, z.rawLen); err != nil {
+				return off, nil
 			}
 		}
 		b, offs, err := decodeBlockOffsets(body)
 		if err != nil {
+			return off, nil
+		}
+		if compressed && z.check(int64(len(body)), offs) != nil {
 			return off, nil
 		}
 		if err := s.checkLinkage(&b.Header); err != nil {
@@ -599,11 +616,14 @@ func (s *Store) FirstTid(height uint64) (uint64, error) {
 }
 
 // recordRef is a snapshot of one block's on-disk coordinates plus the
-// segment generation they belong to.
+// segment generation they belong to, and the chain-derived shape of its
+// body (raw length, transaction offsets) a compressed record is held to.
 type recordRef struct {
 	loc    Location
 	stored int64
 	comp   bool
+	rawLen int64
+	txOffs []uint32
 	gen    uint64
 	sealed bool
 }
@@ -622,6 +642,8 @@ func (s *Store) resolve(height uint64) (recordRef, error) {
 		loc:    loc,
 		stored: s.stored[height],
 		comp:   s.comp[height],
+		rawLen: s.lens[height],
+		txOffs: s.txOffs[height],
 		gen:    s.gens[loc.Segment],
 		sealed: loc.Segment != s.curSeg,
 	}, nil
@@ -653,62 +675,73 @@ func (s *Store) acquireRef(ref recordRef) (h *segHandle, stale bool, err error) 
 	return h, false, nil
 }
 
-// readRecordBody reads the record at off with ONE contiguous positional
-// read — header and payload together, sized from the in-memory stored
-// length — then validates the header against expectations and inflates
-// compressed payloads. Half the syscalls of the old header-then-body
-// sequence on the pread tier, and a single bounds-checked copy on mmap.
-func readRecordBody(r SegmentReader, off, stored int64, comp bool) ([]byte, error) {
-	buf := make([]byte, headerSize+stored)
-	if _, err := r.ReadAt(buf, off); err != nil {
-		return nil, fmt.Errorf("storage: %w", err)
+// read returns raw bytes [from, to) of the record's body. It reads the
+// stored record with ONE contiguous positional read — header and
+// payload together, sized from the in-memory stored length — validates
+// the header against expectations, and for a compressed record holds
+// the chunk table to the block's known shape before inflating the
+// chunks that cover the range. The result aliases c's buffers.
+func (c *inflater) read(r SegmentReader, ref *recordRef, from, to uint32) ([]byte, error) {
+	c.in = sized(c.in, int(headerSize+ref.stored))
+	if _, err := r.ReadAt(c.in, ref.loc.Offset); err != nil {
+		return nil, err
 	}
-	magic, want := binary.BigEndian.Uint32(buf), uint32(recordMagic)
-	if comp {
-		want = recordMagicZ
+	magic := binary.BigEndian.Uint32(c.in)
+	if (ref.comp && !compressedMagic(magic)) || (!ref.comp && magic != recordMagic) {
+		return nil, fmt.Errorf("bad magic %#x", magic)
 	}
-	if magic != want {
-		return nil, fmt.Errorf("storage: bad magic %#x at offset %d", magic, off)
+	if n := binary.BigEndian.Uint32(c.in[4:]); int64(n) != ref.stored {
+		return nil, fmt.Errorf("record length %d != expected %d", n, ref.stored)
 	}
-	if n := binary.BigEndian.Uint32(buf[4:]); int64(n) != stored {
-		return nil, fmt.Errorf("storage: record length %d != expected %d at offset %d", n, stored, off)
+	payload := c.in[headerSize:]
+	if !ref.comp {
+		return payload[from:to], nil
 	}
-	payload := buf[headerSize:]
-	if comp {
-		return inflateBody(payload)
+	z, err := openChunked(magic, payload, ref.rawLen, ref.txOffs)
+	if err != nil {
+		return nil, err
 	}
-	return payload, nil
+	return c.inflate(&z, from, to)
 }
 
-// readBody returns the raw (decompressed) body of the block at height,
-// plus the tier that served it.
-func (s *Store) readBody(height uint64) ([]byte, string, error) {
+// readErr names the segment file and record offset a failed read was
+// aimed at.
+func (s *Store) readErr(loc Location, err error) error {
+	return fmt.Errorf("storage: %s: record at offset %d: %w", s.segPath(loc.Segment), loc.Offset, err)
+}
+
+// readBody returns the raw (decompressed) body of the block at height —
+// aliasing c's buffers — plus the coordinates it was read at and the
+// tier that served it.
+func (s *Store) readBody(c *inflater, height uint64) ([]byte, recordRef, string, error) {
 	for range [maxReadRetries]struct{}{} {
 		ref, err := s.resolve(height)
 		if err != nil {
-			return nil, "", err
+			return nil, ref, "", err
 		}
 		h, stale, err := s.acquireRef(ref)
 		if err != nil {
-			return nil, "", err
+			return nil, ref, "", err
 		}
 		if stale {
 			continue
 		}
-		body, err := readRecordBody(h.r, ref.loc.Offset, ref.stored, ref.comp)
+		body, err := c.read(h.r, &ref, 0, uint32(ref.rawLen))
 		tier := h.r.Tier()
 		h.release()
 		if err != nil {
-			return nil, "", err
+			return nil, ref, "", s.readErr(ref.loc, err)
 		}
-		return body, tier, nil
+		return body, ref, tier, nil
 	}
-	return nil, "", errSegSwapped
+	return nil, recordRef{}, "", errSegSwapped
 }
 
 // Block reads the full block at the given height from disk.
 func (s *Store) Block(height uint64) (*types.Block, error) {
-	body, tier, err := s.readBody(height)
+	c := inflaters.Get().(*inflater)
+	defer inflaters.Put(c)
+	body, _, tier, err := s.readBody(c, height)
 	if err != nil {
 		return nil, err
 	}
@@ -805,10 +838,13 @@ func (s *Store) OpenHandles() int { return s.handles.Len() }
 // recompression swap cannot disturb the iterator (its handles pin the
 // pre-swap files), it only delays handle reclamation until Close.
 type Iter struct {
+	s       *Store
 	lo, hi  uint64
 	locs    []Location
 	stored  []int64
 	comp    []bool
+	lens    []int64
+	txOffs  [][]uint32
 	handles map[uint32]*segHandle
 	closed  bool
 }
@@ -837,13 +873,15 @@ func (s *Store) tryBlocks(lo, hi uint64) (it *Iter, stale bool, err error) {
 	if lo > hi {
 		lo = hi
 	}
-	it = &Iter{lo: lo, hi: hi, handles: make(map[uint32]*segHandle)}
+	it = &Iter{s: s, lo: lo, hi: hi, handles: make(map[uint32]*segHandle)}
 	gens := make(map[uint32]uint64)
 	sealed := make(map[uint32]bool)
 	if lo < hi {
 		it.locs = append([]Location(nil), s.locs[lo:hi]...)
 		it.stored = append([]int64(nil), s.stored[lo:hi]...)
 		it.comp = append([]bool(nil), s.comp[lo:hi]...)
+		it.lens = append([]int64(nil), s.lens[lo:hi]...)
+		it.txOffs = append([][]uint32(nil), s.txOffs[lo:hi]...)
 		for _, loc := range it.locs {
 			gens[loc.Segment] = s.gens[loc.Segment]
 			sealed[loc.Segment] = loc.Segment != s.curSeg
@@ -887,11 +925,13 @@ func (it *Iter) Read(height uint64) (*types.Block, error) {
 		return nil, ErrNoBlock
 	}
 	i := height - it.lo
-	loc := it.locs[i]
-	h := it.handles[loc.Segment]
-	body, err := readRecordBody(h.r, loc.Offset, it.stored[i], it.comp[i])
+	ref := recordRef{loc: it.locs[i], stored: it.stored[i], comp: it.comp[i], rawLen: it.lens[i], txOffs: it.txOffs[i]}
+	h := it.handles[ref.loc.Segment]
+	c := inflaters.Get().(*inflater)
+	defer inflaters.Put(c)
+	body, err := c.read(h.r, &ref, 0, uint32(ref.rawLen))
 	if err != nil {
-		return nil, err
+		return nil, it.s.readErr(ref.loc, err)
 	}
 	mBlockReads.Inc()
 	mBlockBytes.Add(uint64(len(body)))
@@ -915,26 +955,21 @@ func (it *Iter) Close() {
 // ReadTx reads a single transaction with one tuple-sized random read —
 // the access pattern of the layered index's second level (Equation 3),
 // as opposed to Block's whole-block transfer (Equations 1 and 2). For a
-// compressed record the whole payload is read and inflated first:
-// random access within a DEFLATE stream is not possible, which is why
-// only cold segments are recompressed.
+// compressed record the stored payload is read in one contiguous read
+// and only the chunk holding the tuple is inflated: chunks are cut on
+// transaction boundaries, so a tuple never straddles two.
 func (s *Store) ReadTx(height uint64, pos uint32) (*types.Transaction, error) {
-	s.mu.RLock()
-	if height >= uint64(len(s.locs)) {
-		s.mu.RUnlock()
-		return nil, ErrNoBlock
-	}
-	offs := s.txOffs[height]
-	s.mu.RUnlock()
-	if int(pos)+1 >= len(offs) {
-		return nil, fmt.Errorf("storage: block %d has no tx at %d", height, pos)
-	}
-	start, end := offs[pos], offs[pos+1]
+	c := inflaters.Get().(*inflater)
+	defer inflaters.Put(c)
 	for range [maxReadRetries]struct{}{} {
 		ref, err := s.resolve(height)
 		if err != nil {
 			return nil, err
 		}
+		if int(pos)+1 >= len(ref.txOffs) {
+			return nil, fmt.Errorf("storage: block %d has no tx at %d", height, pos)
+		}
+		start, end := ref.txOffs[pos], ref.txOffs[pos+1]
 		h, stale, err := s.acquireRef(ref)
 		if err != nil {
 			return nil, err
@@ -944,22 +979,16 @@ func (s *Store) ReadTx(height uint64, pos uint32) (*types.Transaction, error) {
 		}
 		var buf []byte
 		if ref.comp {
-			body, err := readRecordBody(h.r, ref.loc.Offset, ref.stored, true)
-			if err == nil {
-				buf = body[start:end]
-			} else {
-				h.release()
-				return nil, err
-			}
+			buf, err = c.read(h.r, &ref, start, end)
 		} else {
 			buf = make([]byte, end-start)
-			if _, err := h.r.ReadAt(buf, ref.loc.Offset+headerSize+int64(start)); err != nil {
-				h.release()
-				return nil, fmt.Errorf("storage: %w", err)
-			}
+			_, err = h.r.ReadAt(buf, ref.loc.Offset+headerSize+int64(start))
 		}
 		tier := h.r.Tier()
 		h.release()
+		if err != nil {
+			return nil, s.readErr(ref.loc, err)
+		}
 		mTxReads.Inc()
 		mTxBytes.Add(uint64(len(buf)))
 		tierCounter(tier).Inc()

@@ -73,6 +73,12 @@ echo "== replication stress (-race) =="
 go test -race -run 'Replica|Follower|Tampered|Forged|Stream|Call' \
     ./internal/replica ./internal/network ./internal/thinclient
 
+echo "== benchmark module =="
+# benchmark/ is its own module (replace sebdb => ../), so the root
+# ./... patterns above never reach it: without this step an internal/
+# signature change can break the measuring stick unnoticed.
+go -C benchmark vet ./... && go -C benchmark test -short ./...
+
 echo "== bchainbench -json smoke =="
 json_out=$(mktemp)
 trap 'rm -f "$json_out"' EXIT
