@@ -14,6 +14,7 @@ import (
 	"sebdb/internal/bench"
 	"sebdb/internal/core"
 	"sebdb/internal/exec"
+	"sebdb/internal/mbtree"
 	"sebdb/internal/types"
 )
 
@@ -54,32 +55,58 @@ func BenchmarkAblationHistogramDepth(b *testing.B) {
 // more per-leaf digests in each VO; narrow pages do the opposite.
 // VO-bytes is reported per variant.
 func BenchmarkAblationMBTreeFanout(b *testing.B) {
+	e, err := core.Open(core.Config{
+		Dir: b.TempDir(), HistogramDepth: 100, DefaultSender: "bench",
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	err = bench.LoadAuth(e, bench.GenConfig{
+		Blocks: 50, TxPerBlock: 50, ResultSize: 250,
+		Dist: bench.Uniform, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The engine builds its ALIs at mbtree.DefaultFanout; the sweep
+	// borrows that ALI's sampled histogram and builds one ALI per fanout
+	// directly from the engine's blocks.
+	if err := e.CreateAuthIndex("donate", "amount"); err != nil {
+		b.Fatal(err)
+	}
+	v := e.CurrentView()
+	hist := v.AuthIndex("donate", "amount").Histogram()
+	tbl, err := v.Table("donate")
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, fanout := range []int{4, 16, 100, 400} {
 		b.Run(fmt.Sprintf("Fanout%d", fanout), func(b *testing.B) {
-			e, err := core.Open(core.Config{
-				Dir: b.TempDir(), HistogramDepth: 100,
-				MBTreeFanout: fanout, DefaultSender: "bench",
-			})
-			if err != nil {
-				b.Fatal(err)
+			ali := auth.NewContinuous("amount", hist, fanout)
+			for bid := uint64(0); bid < v.Height(); bid++ {
+				blk, err := v.Block(bid)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var recs []mbtree.Record
+				for _, tx := range blk.Txs {
+					if tx.Tname != tbl.Name {
+						continue
+					}
+					amount, err := tbl.Value(tx, "amount")
+					if err != nil {
+						b.Fatal(err)
+					}
+					recs = append(recs, mbtree.Record{Key: amount, Payload: tx.EncodeBytes()})
+				}
+				ali.AppendBlock(bid, recs)
 			}
-			defer e.Close()
-			err = bench.LoadAuth(e, bench.GenConfig{
-				Blocks: 50, TxPerBlock: 50, ResultSize: 250,
-				Dist: bench.Uniform, Seed: 1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := e.CreateAuthIndex("donate", "amount"); err != nil {
-				b.Fatal(err)
-			}
-			ali := e.AuthIndex("donate", "amount")
 			lo, hi := types.Dec(bench.RangeLo), types.Dec(bench.RangeHi)
 			var voBytes int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ans := auth.Serve(ali, e.Height(), nil, lo, hi)
+				ans := auth.Serve(ali, v.Height(), nil, lo, hi)
 				voBytes = ans.Size()
 				if _, _, err := auth.VerifyAnswer(ans, lo, hi); err != nil {
 					b.Fatal(err)

@@ -358,7 +358,7 @@ func authEngine(b *testing.B) *core.Engine {
 // ship-all-blocks baseline (Fig. 17) as custom metrics.
 func BenchmarkFig17VOSize(b *testing.B) {
 	e := authEngine(b)
-	ali := e.AuthIndex("donate", "amount")
+	ali := e.CurrentView().AuthIndex("donate", "amount")
 	lo, hi := types.Dec(bench.RangeLo), types.Dec(bench.RangeHi)
 	b.Run("ALI", func(b *testing.B) {
 		var size int
@@ -388,7 +388,7 @@ func BenchmarkFig17VOSize(b *testing.B) {
 // time, ALI vs baseline (Fig. 18).
 func BenchmarkFig18AuthServer(b *testing.B) {
 	e := authEngine(b)
-	ali := e.AuthIndex("donate", "amount")
+	ali := e.CurrentView().AuthIndex("donate", "amount")
 	lo, hi := types.Dec(bench.RangeLo), types.Dec(bench.RangeHi)
 	b.Run("ALI", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -412,7 +412,7 @@ func BenchmarkFig18AuthServer(b *testing.B) {
 // ALI vs baseline (Fig. 19).
 func BenchmarkFig19AuthClient(b *testing.B) {
 	e := authEngine(b)
-	ali := e.AuthIndex("donate", "amount")
+	ali := e.CurrentView().AuthIndex("donate", "amount")
 	lo, hi := types.Dec(bench.RangeLo), types.Dec(bench.RangeHi)
 	ans := auth.Serve(ali, e.Height(), nil, lo, hi)
 	basic := &auth.BasicAnswer{Height: e.Height()}

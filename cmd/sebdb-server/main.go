@@ -7,7 +7,7 @@
 //	sebdb-server -dir ./data -listen 127.0.0.1:7070 \
 //	    [-peer host:port]... [-signer node0] [-auth table.col]... \
 //	    [-parallel N] [-sync] [-checkpoint-interval N] [-fast-sync] \
-//	    [-mmap] [-compress-after N] [-cache-shards N] \
+//	    [-mmap] [-compress-after N] \
 //	    [-follow host:port] [-call-timeout 5s] [-call-retries 1] \
 //	    [-trace-sample N] [-slow-query-micros N] [-log-level info]
 //
@@ -71,7 +71,6 @@ func main() {
 	sync := flag.Bool("sync", false, "fsync block segments on commit; batched commits (consensus, flush) sync once per batch")
 	mmap := flag.Bool("mmap", false, "serve reads from sealed block segments through memory maps (the active tail always uses pread; unsupported platforms fall back transparently)")
 	compressAfter := flag.Int("compress-after", 0, "recompress sealed block segments at least N segments behind the active tail in the background (0 = disabled)")
-	cacheShards := flag.Int("cache-shards", 0, "lock stripes for the block/tx cache, rounded up to a power of two (0 = default)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/traces, /debug/log and /debug/pprof on this address (empty = disabled)")
 	ckptInterval := flag.Int("checkpoint-interval", 0, "write a derived-state checkpoint every N blocks (0 = disabled)")
 	fastSync := flag.Bool("fast-sync", false, "bootstrap an empty data directory from the first reachable peer's checkpoint")
@@ -154,7 +153,7 @@ func main() {
 
 	engine, err := core.Open(core.Config{Dir: *dir, Signer: *signer, CacheMode: mode, Parallelism: *par,
 		Sync: *sync, CheckpointInterval: *ckptInterval, DisableCheckpointLoad: *noCkptLoad,
-		Mmap: *mmap, CompressAfter: *compressAfter, CacheShards: *cacheShards,
+		Mmap: *mmap, CompressAfter: *compressAfter,
 		Recorder: recorder, Log: logger})
 	if err != nil {
 		log.Error("engine open failed", "dir", *dir, "err", err)

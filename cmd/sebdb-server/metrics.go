@@ -54,6 +54,4 @@ func registerEngineMetrics(reg *obs.Registry, e *core.Engine) {
 		func() int64 { return int64(e.CacheStats().Entries) })
 	reg.RegisterFunc("sebdb_cache_shard_contention_total", obs.TypeCounter,
 		func() int64 { return int64(e.CacheStats().Contention) })
-	reg.RegisterFunc("sebdb_cache_shards", obs.TypeGauge,
-		func() int64 { return int64(len(e.CacheShardStats())) })
 }

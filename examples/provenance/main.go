@@ -82,7 +82,7 @@ func main() {
 	// sent, any day (Algorithm 1 with both global indexes).
 	q := &sqlparser.Trace{Operator: "processor-x", HasOperator: true,
 		Operation: "shipment", HasOperation: true}
-	txs, stats, err := exec.Track(engine, q, exec.MethodLayered)
+	txs, stats, err := exec.Track(engine.CurrentView(), q, exec.MethodLayered)
 	must(err)
 	fmt.Printf("\nprocessor-x sent %d shipments (examined %d txs via %d index probes)\n",
 		len(txs), stats.TxsExamined, stats.IndexProbes)

@@ -62,7 +62,7 @@ type authMetrics struct {
 // runs per phase, like the other harnesses).
 func runALI(e *core.Engine, table, col string, lo, hi types.Value) (authMetrics, error) {
 	var m authMetrics
-	ali := e.AuthIndex(table, col)
+	ali := e.CurrentView().AuthIndex(table, col)
 	if ali == nil {
 		return m, fmt.Errorf("bench: no ALI on %s.%s", table, col)
 	}

@@ -100,7 +100,7 @@ func storageRow(dir string, blocks int, mmap, compress bool) ([]string, string, 
 	// Cold scan: every block through the store with the cache off,
 	// folding the encoded bytes into the cross-tier digest.
 	h := sha256.New()
-	n := e.NumBlocks()
+	n := int(e.Height())
 	txs := make([]int, n) // per-block tx counts (DDL blocks are short)
 	start := time.Now()
 	for bid := 0; bid < n; bid++ {

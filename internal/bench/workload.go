@@ -59,7 +59,7 @@ func Q1Tx(e *core.Engine, rng *rand.Rand, sender string) (*types.Transaction, er
 // Q2 tracks all transactions of an operator.
 func Q2(e *core.Engine, operator string, m exec.Method) (int, error) {
 	q := &sqlparser.Trace{Operator: operator, HasOperator: true}
-	txs, _, err := exec.Track(e, q, m)
+	txs, _, err := exec.Track(e.CurrentView(), q, m)
 	return len(txs), err
 }
 
@@ -74,13 +74,13 @@ func Q3(e *core.Engine, operator, operation string, win *sqlparser.Window, twoIn
 			Operation: operation, HasOperation: true,
 			Window: win,
 		}
-		txs, _, err := exec.Track(e, q, exec.MethodLayered)
+		txs, _, err := exec.Track(e.CurrentView(), q, exec.MethodLayered)
 		return len(txs), err
 	}
 	// Single index: track the operator, then filter the operation
 	// client-side on the fetched transactions.
 	q := &sqlparser.Trace{Operator: operator, HasOperator: true, Window: win}
-	txs, _, err := exec.Track(e, q, exec.MethodLayered)
+	txs, _, err := exec.Track(e.CurrentView(), q, exec.MethodLayered)
 	if err != nil {
 		return 0, err
 	}
@@ -99,20 +99,20 @@ func Q4(e *core.Engine, lo, hi float64, m exec.Method) (int, error) {
 		Col: "amount", Op: sqlparser.OpBetween,
 		Val: types.Dec(lo), Hi: types.Dec(hi),
 	}}
-	txs, _, err := exec.Select(e, "donate", preds, nil, m)
+	txs, _, err := exec.Select(e.CurrentView(), "donate", preds, nil, m)
 	return len(txs), err
 }
 
 // Q5 joins transfer and distribute on organization.
 func Q5(e *core.Engine, m exec.Method) (int, error) {
-	rows, _, err := exec.OnChainJoin(e, "transfer", "distribute",
+	rows, _, err := exec.OnChainJoin(e.CurrentView(), "transfer", "distribute",
 		"organization", "organization", nil, m)
 	return len(rows), err
 }
 
 // Q6 joins on-chain distribute with off-chain doneeinfo on donee.
 func Q6(e *core.Engine, m exec.Method) (int, error) {
-	rows, _, err := exec.OnOffJoin(e, e.OffChain(), "distribute", "donee",
+	rows, _, err := exec.OnOffJoin(e.CurrentView(), e.OffChain(), "distribute", "donee",
 		"doneeinfo", "donee", nil, m)
 	return len(rows), err
 }

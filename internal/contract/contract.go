@@ -167,10 +167,14 @@ func (r *Registry) Register(c *Contract) error {
 		if same(old, c) {
 			return nil
 		}
-		return fmt.Errorf("contract: %q already deployed with a different body", c.Name)
+		return errConflict(c)
 	}
 	r.contracts[c.Name] = c
 	return nil
+}
+
+func errConflict(c *Contract) error {
+	return fmt.Errorf("contract: %q already deployed with a different body", c.Name)
 }
 
 func same(a, b *Contract) bool {
@@ -229,16 +233,38 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// ApplyTx registers contracts deployed through replayed transactions.
-func (r *Registry) ApplyTx(tname string, args []types.Value) error {
-	if tname != MetaTable {
-		return nil
+// Resolve decodes the deployment transactions among txs and returns, in
+// order, the contracts they deploy that the registry does not hold yet,
+// without changing the registry (mirrors schema.Catalog.Resolve: other
+// transactions are ignored, identical re-deployments skipped, and a
+// malformed payload or a body conflicting with the registry's or an
+// earlier transaction's is an error).
+func (r *Registry) Resolve(txs []*types.Transaction) ([]*Contract, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	var out []*Contract
+	for _, tx := range txs {
+		if tx.Tname != MetaTable {
+			continue
+		}
+		c, err := DecodeDeploy(tx.Args)
+		if err != nil {
+			return nil, err
+		}
+		old, ok := r.contracts[c.Name]
+		for i := 0; !ok && i < len(out); i++ {
+			if out[i].Name == c.Name {
+				old, ok = out[i], true
+			}
+		}
+		switch {
+		case !ok:
+			out = append(out, c)
+		case !same(old, c):
+			return nil, errConflict(c)
+		}
 	}
-	c, err := DecodeDeploy(args)
-	if err != nil {
-		return err
-	}
-	return r.Register(c)
+	return out, nil
 }
 
 // Invoke runs the contract as sender with the given arguments,

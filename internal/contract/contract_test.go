@@ -103,19 +103,33 @@ func TestRegistry(t *testing.T) {
 	if n := r.Names(); len(n) != 1 {
 		t.Errorf("Names = %v", n)
 	}
-	// ApplyTx ignores unrelated transactions, registers deployments.
-	if err := r.ApplyTx("donate", nil); err != nil {
-		t.Errorf("unrelated tx: %v", err)
-	}
+	// Resolve ignores unrelated transactions and returns the new
+	// deployments without registering them.
 	c3, _ := Parse("b", []string{`SELECT * FROM t`})
-	if err := r.ApplyTx(MetaTable, c3.EncodeDeploy()); err != nil {
+	deploy := &types.Transaction{Tname: MetaTable, Args: c3.EncodeDeploy()}
+	got, err := r.Resolve([]*types.Transaction{{Tname: "donate"}, deploy, deploy})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Get("b"); err != nil {
-		t.Error("replayed deployment not registered")
+	if len(got) != 1 || got[0].Name != "b" {
+		t.Fatalf("Resolve = %v", got)
 	}
-	if err := r.ApplyTx(MetaTable, []types.Value{types.Int(1)}); err == nil {
+	if _, err := r.Get("b"); err == nil {
+		t.Error("Resolve registered the deployment")
+	}
+	if _, err := r.Resolve([]*types.Transaction{{Tname: MetaTable, Args: []types.Value{types.Int(1)}}}); err == nil {
 		t.Error("malformed deployment accepted")
+	}
+	// A different body conflicts with the registry ("a" above) and with
+	// an earlier transaction of the same batch.
+	clashA := &types.Transaction{Tname: MetaTable, Args: c2.EncodeDeploy()}
+	if _, err := r.Resolve([]*types.Transaction{clashA}); err == nil {
+		t.Error("deployment conflicting with the registry resolved")
+	}
+	c4, _ := Parse("b", []string{`SELECT * FROM other`})
+	clashB := &types.Transaction{Tname: MetaTable, Args: c4.EncodeDeploy()}
+	if _, err := r.Resolve([]*types.Transaction{deploy, clashB}); err == nil {
+		t.Error("two conflicting deployments in one batch resolved")
 	}
 }
 

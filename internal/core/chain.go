@@ -6,21 +6,16 @@ import (
 
 	"sebdb/internal/auth"
 	"sebdb/internal/cache"
-	"sebdb/internal/index/bitmap"
-	"sebdb/internal/index/blockindex"
 	"sebdb/internal/index/layered"
 	"sebdb/internal/mbtree"
 	"sebdb/internal/parallel"
-	"sebdb/internal/schema"
 	"sebdb/internal/types"
 )
 
-// The methods in this file implement exec.Chain: the read surface the
-// query operators run against, with the configured cache policy
-// interposed between them and the block files.
-
-// NumBlocks returns the chain height.
-func (e *Engine) NumBlocks() int { return e.store.Count() }
+// Block and Tx are the engine's physical read: the configured cache
+// policy interposed between the callers — View (the read surface the
+// query operators run against), the node and the replica layers — and
+// the block files. Neither takes an engine lock.
 
 // Cache keys are "b:<bid>" and "t:<bid>:<pos>", built into a stack
 // buffer only once a cache is known to exist; the string conversion on
@@ -99,29 +94,6 @@ func (e *Engine) Tx(bid uint64, pos uint32) (*types.Transaction, error) {
 	return tx, nil
 }
 
-// BlockIdx returns the live block-level index (reads that need pinned
-// semantics go through CurrentView().BlockIdx() instead).
-func (e *Engine) BlockIdx() blockindex.Reader { return e.blockIdx }
-
-// TableBlocks returns the table-level bitmap for a table name or a
-// "senid:<id>" key.
-func (e *Engine) TableBlocks(name string) *bitmap.Bitmap {
-	return e.tableIdx.Blocks(name)
-}
-
-// Layered returns the layered index on table.col (or the global system
-// index for table == ""), or nil when absent. It answers from the
-// current view's immutable map — no engine lock — so the engine's
-// exec.Chain surface is as contention-free as the view's.
-func (e *Engine) Layered(table, col string) *layered.Index {
-	return e.CurrentView().Layered(table, col)
-}
-
-// Table resolves a table schema.
-func (e *Engine) Table(name string) (*schema.Table, error) {
-	return e.catalog.Lookup(name)
-}
-
 // CacheStats snapshots the active cache's counters: cumulative hits,
 // misses, evictions and lock contention plus current occupancy,
 // aggregated over every shard — the same shape the unsharded cache
@@ -134,19 +106,6 @@ func (e *Engine) CacheStats() cache.Counters {
 		return e.txCache.Counters()
 	}
 	return cache.Counters{}
-}
-
-// CacheShardStats returns the active cache's per-shard counters in
-// stripe order (nil for a CacheNone engine), exposing occupancy skew
-// and which stripes actually contend.
-func (e *Engine) CacheShardStats() []cache.Counters {
-	switch {
-	case e.blockCache != nil:
-		return e.blockCache.ShardCounters()
-	case e.txCache != nil:
-		return e.txCache.ShardCounters()
-	}
-	return nil
 }
 
 // sampleColumn collects up to limit values of table.col from the chain
@@ -204,72 +163,12 @@ func (e *Engine) CreateIndex(table, col string) error {
 	if err != nil {
 		return err
 	}
-	spec := indexSpec{table: tbl.Name, col: col}
-	e.mu.RLock()
-	_, exists := e.lidx[spec.key()]
-	e.mu.RUnlock()
-	if exists {
-		return nil
-	}
-
-	var idx *layered.Index
-	if kind == types.KindInt || kind == types.KindDecimal || kind == types.KindTimestamp {
-		sample, err := e.sampleColumn(spec, 100_000)
-		if err != nil {
-			return err
-		}
-		idx = layered.NewContinuous(col, layered.NewEqualDepth(sample, e.cfg.HistogramDepth))
-	} else {
-		idx = layered.NewDiscrete(col)
-	}
-	// Backfill without holding e.mu so commits keep flowing, then close
-	// the gap under the lock: blocks committed after the snapshot are
-	// indexed before the map registration makes the index visible
-	// (commits take e.mu too), so no committed block is ever missed.
-	done := uint64(e.store.Count())
-	if err := e.backfillLayered(spec, idx, 0, done); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	if _, exists := e.lidx[spec.key()]; exists {
-		e.mu.Unlock()
-		return nil
-	}
-	if err := e.backfillLayered(spec, idx, done, uint64(e.store.Count())); err != nil {
-		e.mu.Unlock()
-		return err
-	}
-	e.lidx[spec.key()] = idx
-	// Republish so the registration reaches readers: views snapshot the
-	// index maps, so without a new view the index would stay invisible.
-	e.publishViewLocked()
-	e.mu.Unlock()
-	return e.saveIndexMeta()
-}
-
-// backfillLayered feeds the blocks of [lo, hi) to idx, decoding ahead
-// with the worker pool; AppendBlock runs on this goroutine in height
-// order, as the layered index requires.
-func (e *Engine) backfillLayered(spec indexSpec, idx *layered.Index, lo, hi uint64) error {
-	if lo >= hi {
-		return nil
-	}
-	it, err := e.store.Blocks(lo, hi)
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	return parallel.Ordered(e.Parallelism(), it.Len(),
-		func(i int) ([]layered.Entry, error) {
-			b, err := it.Read(lo + uint64(i))
-			if err != nil {
-				return nil, err
+	return createIndex(e, e.lidxLocked, indexSpec{table: tbl.Name, col: col}, kind, e.layeredFeed,
+		func(hist *layered.Histogram) *layered.Index {
+			if hist != nil {
+				return layered.NewContinuous(col, hist)
 			}
-			return e.entriesFor(spec.key(), b)
-		},
-		func(i int, entries []layered.Entry) error {
-			idx.AppendBlock(lo+uint64(i), entries)
-			return nil
+			return layered.NewDiscrete(col)
 		})
 }
 
@@ -295,50 +194,74 @@ func (e *Engine) CreateAuthIndex(table, col string) error {
 	} else if _, err := types.SystemColumnKind(col); err != nil {
 		return err
 	}
+	return createIndex(e, e.alisLocked, spec, kind, e.aliFeed,
+		func(hist *layered.Histogram) *auth.ALI {
+			if hist != nil {
+				return auth.NewContinuous(col, hist, mbtree.DefaultFanout)
+			}
+			return auth.NewDiscrete(col, mbtree.DefaultFanout)
+		})
+}
+
+// lidxLocked and alisLocked name the two index families for createIndex.
+// Callers hold e.mu.
+func (e *Engine) lidxLocked() map[string]*layered.Index { return e.lidx }
+func (e *Engine) alisLocked() map[string]*auth.ALI      { return e.alis }
+
+// createIndex is the one index-creation protocol, shared by the layered
+// indexes and the ALIs: sample a histogram for a continuous column,
+// backfill without holding e.mu so commits keep flowing, then close the
+// gap under the lock — blocks committed after the first pass are fed
+// before the registration makes the index visible (commits take e.mu
+// too), so no committed block is ever missed — register, republish and
+// persist the definition. family returns the engine map the index
+// registers in and is only called under e.mu; build constructs the
+// empty index, hist being nil for a discrete column.
+func createIndex[I any](e *Engine, family func() map[string]I, spec indexSpec, kind types.Kind,
+	feedOf func(key string, idx I) blockFeed, build func(hist *layered.Histogram) I) error {
+	key := spec.key()
 	e.mu.RLock()
-	_, exists := e.alis[spec.key()]
+	_, exists := family()[key]
 	e.mu.RUnlock()
 	if exists {
 		return nil
 	}
 
-	var ali *auth.ALI
+	var hist *layered.Histogram
 	if kind == types.KindInt || kind == types.KindDecimal || kind == types.KindTimestamp {
 		sample, err := e.sampleColumn(spec, 100_000)
 		if err != nil {
 			return err
 		}
-		ali = auth.NewContinuous(col,
-			layered.NewEqualDepth(sample, e.cfg.HistogramDepth), e.cfg.MBTreeFanout)
-	} else {
-		ali = auth.NewDiscrete(col, e.cfg.MBTreeFanout)
+		hist = layered.NewEqualDepth(sample, e.cfg.HistogramDepth)
 	}
-	// Same registration protocol as CreateIndex: lock-free backfill,
-	// then close the commit gap under e.mu before going visible.
+	idx := build(hist)
+	feed := feedOf(key, idx)
 	done := uint64(e.store.Count())
-	if err := e.backfillALI(spec, ali, 0, done); err != nil {
+	if err := e.backfill(feed, 0, done); err != nil {
 		return err
 	}
 	e.mu.Lock()
-	if _, exists := e.alis[spec.key()]; exists {
+	if _, exists := family()[key]; exists {
 		e.mu.Unlock()
 		return nil
 	}
-	if err := e.backfillALI(spec, ali, done, uint64(e.store.Count())); err != nil {
+	if err := e.backfill(feed, done, uint64(e.store.Count())); err != nil {
 		e.mu.Unlock()
 		return err
 	}
-	e.alis[spec.key()] = ali
-	// Republish for the same reason as CreateIndex: view membership is
-	// pinned at publish time.
+	family()[key] = idx
+	// Republish so the registration reaches readers: views snapshot the
+	// index maps, so without a new view the index would stay invisible.
 	e.publishViewLocked()
 	e.mu.Unlock()
 	return e.saveIndexMeta()
 }
 
-// backfillALI feeds the blocks of [lo, hi) to ali, decoding ahead with
-// the worker pool and appending in height order.
-func (e *Engine) backfillALI(spec indexSpec, ali *auth.ALI, lo, hi uint64) error {
+// backfill feeds the blocks of [lo, hi) to an index, decoding and
+// extracting ahead with the worker pool; the appends run on this
+// goroutine in height order, as the indexes require.
+func (e *Engine) backfill(feed blockFeed, lo, hi uint64) error {
 	if lo >= hi {
 		return nil
 	}
@@ -348,21 +271,15 @@ func (e *Engine) backfillALI(spec indexSpec, ali *auth.ALI, lo, hi uint64) error
 	}
 	defer it.Close()
 	return parallel.Ordered(e.Parallelism(), it.Len(),
-		func(i int) ([]mbtree.Record, error) {
+		func(i int) (func(), error) {
 			b, err := it.Read(lo + uint64(i))
 			if err != nil {
 				return nil, err
 			}
-			return e.recordsFor(spec.key(), b)
+			return feed(b)
 		},
-		func(i int, recs []mbtree.Record) error {
-			ali.AppendBlock(lo+uint64(i), recs)
+		func(_ int, appendIt func()) error {
+			appendIt()
 			return nil
 		})
-}
-
-// AuthIndex returns the ALI on table.col, or nil. Like Layered it
-// answers from the current view's immutable map, lock-free.
-func (e *Engine) AuthIndex(table, col string) *auth.ALI {
-	return e.CurrentView().AuthIndex(table, col)
 }

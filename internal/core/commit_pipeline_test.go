@@ -3,11 +3,15 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"sebdb/internal/clock"
+	"sebdb/internal/contract"
 	"sebdb/internal/faultfs"
+	"sebdb/internal/obs"
+	"sebdb/internal/schema"
 	"sebdb/internal/types"
 )
 
@@ -29,13 +33,15 @@ func donateTx(t testing.TB, e *Engine, i int) *types.Transaction {
 
 // TestCommitPipelineEquivalence is the pipeline's correctness anchor: a
 // serial engine (Parallelism 1) and a pipelined engine (Parallelism 8)
-// fed the identical transaction stream must produce byte-identical
-// blocks, identical header hashes, and identical answers from every
-// index family including the ALIs' verified results.
+// fed the identical transaction stream, and a third engine that receives
+// the serial engine's blocks through ApplyBlock, must produce
+// byte-identical blocks, identical header hashes, identical answers
+// from every index family including the ALIs' verified results, the
+// same checkpoints on disk, and — both doors sharing one install stage —
+// one observation per block in every commit-stage histogram.
 func TestCommitPipelineEquivalence(t *testing.T) {
-	build := func(par int) *Engine {
-		e := testEngine(t, Config{BlockMaxTxs: 4, Parallelism: par, Clock: clock.Fixed(1)})
-		seedDonation(t, e, 60, 4)
+	const nonBlockPublishes = 4 // Open, then one per index creation
+	indexes := func(e *Engine) {
 		if err := e.CreateIndex("donate", "amount"); err != nil {
 			t.Fatal(err)
 		}
@@ -45,6 +51,17 @@ func TestCommitPipelineEquivalence(t *testing.T) {
 		if err := e.CreateAuthIndex("donate", "donor"); err != nil {
 			t.Fatal(err)
 		}
+	}
+	open := func(par int) *Engine {
+		return testEngine(t, Config{BlockMaxTxs: 4, Parallelism: par, Clock: clock.Fixed(1),
+			CheckpointInterval: 5, Obs: obs.NewRegistry(clock.Fixed(1))})
+	}
+	var indexedAt uint64
+	build := func(par int) *Engine {
+		e := open(par)
+		seedDonation(t, e, 60, 4)
+		indexedAt = e.Height()
+		indexes(e)
 		// A post-index tail so index maintenance (not only backfill) runs
 		// on both engines.
 		for i := 60; i < 84; i += 4 {
@@ -59,28 +76,75 @@ func TestCommitPipelineEquivalence(t *testing.T) {
 		return e
 	}
 	serial, piped := build(1), build(8)
-
-	if serial.Height() != piped.Height() {
-		t.Fatalf("heights diverge: serial %d vs pipelined %d", serial.Height(), piped.Height())
-	}
+	applied := open(8)
 	for h := uint64(0); h < serial.Height(); h++ {
-		bs, err := serial.store.Block(h)
+		if h == indexedAt {
+			indexes(applied)
+		}
+		b, err := serial.store.Block(h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bp, err := piped.store.Block(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bs.Header.Hash() != bp.Header.Hash() {
-			t.Fatalf("block %d: header hashes diverge", h)
-		}
-		if !bytes.Equal(bs.EncodeBytes(), bp.EncodeBytes()) {
-			t.Fatalf("block %d: encodings diverge", h)
+		if err := applied.ApplyBlock(b); err != nil {
+			t.Fatalf("apply block %d: %v", h, err)
 		}
 	}
-	if fs, fp := recoveryFingerprint(t, serial), recoveryFingerprint(t, piped); fs != fp {
-		t.Errorf("query answers diverge:\n--- serial ---\n%s--- pipelined ---\n%s", fs, fp)
+
+	snaps := func(e *Engine) string {
+		names, err := filepath.Glob(filepath.Join(e.snapDir.Path(), "*.snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range names {
+			names[i] = filepath.Base(names[i])
+		}
+		return fmt.Sprint(names)
+	}
+	for name, e := range map[string]*Engine{"pipelined": piped, "applied": applied} {
+		if serial.Height() != e.Height() {
+			t.Fatalf("heights diverge: serial %d vs %s %d", serial.Height(), name, e.Height())
+		}
+		for h := uint64(0); h < serial.Height(); h++ {
+			bs, err := serial.store.Block(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bp, err := e.store.Block(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bs.Header.Hash() != bp.Header.Hash() {
+				t.Fatalf("%s block %d: header hashes diverge", name, h)
+			}
+			if !bytes.Equal(bs.EncodeBytes(), bp.EncodeBytes()) {
+				t.Fatalf("%s block %d: encodings diverge", name, h)
+			}
+		}
+		if fs, fp := recoveryFingerprint(t, serial), recoveryFingerprint(t, e); fs != fp {
+			t.Errorf("query answers diverge:\n--- serial ---\n%s--- %s ---\n%s", fs, name, fp)
+		}
+		if ss, se := snaps(serial), snaps(e); ss == "[]" || ss != se {
+			t.Errorf("checkpoints on disk diverge: serial %s vs %s %s", ss, name, se)
+		}
+	}
+	// Every block, through either door, is one observation in each stage
+	// histogram and one view publish. The two local CREATEs additionally
+	// publish once each when they register, which a follower never runs.
+	for name, e := range map[string]*Engine{"serial": serial, "pipelined": piped, "applied": applied} {
+		blocks := e.Height()
+		for _, stage := range []string{"commit.prepare", "commit.append", "commit.index"} {
+			h := e.cfg.Obs.Histogram(`sebdb_stage_micros{stage="` + stage + `"}`)
+			if got := h.Snapshot().Count; got != blocks {
+				t.Errorf("%s: %d %s observations for %d blocks", name, got, stage, blocks)
+			}
+		}
+		want := blocks + nonBlockPublishes
+		if e != applied {
+			want += 2
+		}
+		if got := e.cfg.Obs.Histogram("sebdb_view_swap_micros").Snapshot().Count; got != want {
+			t.Errorf("%s: %d view publishes, want %d", name, got, want)
+		}
 	}
 }
 
@@ -341,5 +405,122 @@ func TestGroupFsyncCrashMatrix(t *testing.T) {
 				t.Fatalf("crash at op %d: recovery paths diverge:\n--- checkpoint ---\n%s--- full ---\n%s", k, ff, fu)
 			}
 		})
+	}
+}
+
+// TestBadDDLBlockRefused delivers blocks whose meta-transactions cannot
+// be applied — a table or contract redefined differently, an
+// undecodable payload, two definitions of one block contradicting each
+// other — through both doors of the install stage. The block must be
+// refused before anything is written: the consensus entry point used to
+// append it and fail while indexing, leaving a block on disk that no
+// later Open could replay.
+func TestBadDDLBlockRefused(t *testing.T) {
+	meta := func(tname string, args []types.Value) *types.Transaction {
+		return &types.Transaction{Ts: 1, SenID: "mallory", Tname: tname, Args: args}
+	}
+	table := func(name string, cols ...schema.Column) *types.Transaction {
+		tbl, err := schema.NewTable(name, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return meta(schema.MetaTable, tbl.EncodeDDL())
+	}
+	deploy := func(name, stmt string) *types.Transaction {
+		c, err := contract.Parse(name, []string{stmt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return meta(contract.MetaTable, c.EncodeDeploy())
+	}
+	intCol := schema.Column{Name: "x", Kind: types.KindInt}
+	bad := map[string]func(e *Engine) []*types.Transaction{
+		"table conflicts with catalog": func(e *Engine) []*types.Transaction {
+			return []*types.Transaction{donateTx(t, e, 100), table("donate", intCol)}
+		},
+		"undecodable schema payload": func(e *Engine) []*types.Transaction {
+			return []*types.Transaction{meta(schema.MetaTable, []types.Value{types.Int(1)})}
+		},
+		"two tables conflict within the block": func(e *Engine) []*types.Transaction {
+			return []*types.Transaction{table("fresh", intCol), table("fresh", intCol, schema.Column{Name: "y", Kind: types.KindInt})}
+		},
+		"contract conflicts with registry": func(e *Engine) []*types.Transaction {
+			return []*types.Transaction{deploy("give", `SELECT * FROM transfer`)}
+		},
+		"undecodable deploy payload": func(e *Engine) []*types.Transaction {
+			return []*types.Transaction{meta(contract.MetaTable, []types.Value{types.Int(1)})}
+		},
+	}
+	doors := map[string]func(e *Engine, txs []*types.Transaction, ts int64) error{
+		"CommitBlock": func(e *Engine, txs []*types.Transaction, ts int64) error {
+			_, err := e.CommitBlock(txs, ts)
+			return err
+		},
+		// A foreign block: well-formed, signed and linked to the tip, as
+		// a peer would deliver it.
+		"ApplyBlock": func(e *Engine, txs []*types.Transaction, ts int64) error {
+			return e.ApplyBlock(e.prepareBlock(txs, ts))
+		},
+	}
+	for door, deliver := range doors {
+		for name, txs := range bad {
+			t.Run(door+"/"+name, func(t *testing.T) {
+				cfg := Config{Dir: t.TempDir(), BlockMaxTxs: 4, Clock: clock.Fixed(1)}
+				e, err := Open(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() { e.Close() }()
+				seedDonation(t, e, 16, 4)
+				if err := e.DeployContract("org1", "give", []string{`INSERT INTO donate ($sender, $1, $2)`}); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.FlushAt(20_000); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.CreateIndex("donate", "amount"); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.CreateAuthIndex("donate", "donor"); err != nil {
+					t.Fatal(err)
+				}
+				height, epoch, want := e.Height(), e.CurrentView().Epoch(), recoveryFingerprint(t, e)
+
+				if err := deliver(e, txs(e), 30_000); err == nil {
+					t.Fatal("block with an inapplicable meta-transaction was accepted")
+				}
+				if e.Height() != height || uint64(e.store.Count()) != height {
+					t.Fatalf("refused block moved the chain: height %d, store %d, want %d", e.Height(), e.store.Count(), height)
+				}
+				if got := e.CurrentView().Epoch(); got != epoch {
+					t.Errorf("refused block published a view: epoch %d -> %d", epoch, got)
+				}
+				if e.catalog.Has("fresh") {
+					t.Error("refused block left a table behind")
+				}
+				if got := recoveryFingerprint(t, e); got != want {
+					t.Errorf("refused block changed query answers:\n--- before ---\n%s--- after ---\n%s", want, got)
+				}
+
+				// The node is not wedged: the next good block lands through
+				// the same door, and the directory reopens.
+				if err := deliver(e, []*types.Transaction{donateTx(t, e, 101)}, 40_000); err != nil {
+					t.Fatalf("good block after the refused one: %v", err)
+				}
+				if e.Height() != height+1 {
+					t.Fatalf("height = %d after the good block, want %d", e.Height(), height+1)
+				}
+				want = recoveryFingerprint(t, e)
+				if err := e.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if e, err = Open(cfg); err != nil {
+					t.Fatalf("reopen after a refused block: %v", err)
+				}
+				if got := recoveryFingerprint(t, e); got != want {
+					t.Errorf("reopened engine answers differently:\n--- before ---\n%s--- after ---\n%s", want, got)
+				}
+			})
+		}
 	}
 }

@@ -59,13 +59,10 @@ type Config struct {
 	// Zero means 200 (the paper's write-benchmark setting).
 	BlockMaxTxs int
 	// CacheMode selects the cache policy; CacheBytes its capacity
-	// (default 2 GB, the paper's §VII-H setting). CacheShards stripes
-	// the cache over independently locked shards (rounded up to a power
-	// of two; zero means cache.DefaultShards) so view reads on
-	// different keys stop contending on one mutex.
-	CacheMode   CacheMode
-	CacheBytes  int64
-	CacheShards int
+	// (default 2 GB, the paper's §VII-H setting). The cache is striped
+	// over cache.DefaultShards independently locked shards.
+	CacheMode  CacheMode
+	CacheBytes int64
 	// Mmap serves sealed (read-only) segments from memory maps where
 	// the platform supports it; the active tail segment and any failed
 	// map fall back to positional reads. See storage.Options.Mmap.
@@ -75,15 +72,9 @@ type Config struct {
 	// are rewritten with per-record compression. Zero disables the
 	// pass; CompressSealed still works for explicit sweeps.
 	CompressAfter int
-	// MaxOpenSegments bounds the store's per-segment read handles
-	// (descriptors or mappings). Zero means
-	// storage.DefaultMaxOpenSegments.
-	MaxOpenSegments int
 	// HistogramDepth is the first-level equal-depth histogram height for
 	// continuous layered indexes (default 100, §VII-D).
 	HistogramDepth int
-	// MBTreeFanout is the ALI page fanout (default mbtree.DefaultFanout).
-	MBTreeFanout int
 	// Parallelism bounds the worker pool of both the read pipeline
 	// (parallel scans, chain replay on Open, index backfill) and the
 	// commit pipeline (transaction sealing and Merkle hashing in the
@@ -292,8 +283,7 @@ func Open(cfg Config) (*Engine, error) {
 func openTraced(ctx context.Context, cfg Config) (*Engine, error) {
 	snapDir := snapshot.NewDir(cfg.FS, cfg.Dir)
 	sopts := storage.Options{SegmentSize: cfg.SegmentSize, Sync: cfg.Sync, FS: cfg.FS,
-		Mmap: cfg.Mmap, MaxOpenSegments: cfg.MaxOpenSegments,
-		Log: cfg.Log.With("storage")}
+		Mmap: cfg.Mmap, Log: cfg.Log.With("storage")}
 
 	// Phase 1: checkpoint. Load the pinned checkpoint, verify its anchor
 	// against the segment store by fast-opening with the embedded
@@ -388,7 +378,9 @@ func openTraced(ctx context.Context, cfg Config) (*Engine, error) {
 	// Publish the recovered state as the first real view: replay does not
 	// publish per block (nobody can read mid-recovery), so this is where
 	// readers first see the chain.
-	e.publishView()
+	e.mu.Lock()
+	e.publishViewLocked()
+	e.mu.Unlock()
 	return e, nil
 }
 
@@ -417,9 +409,9 @@ func newEngine(cfg Config, st *storage.Store, snapDir *snapshot.Dir) *Engine {
 	e.par.Store(int32(cfg.Parallelism))
 	switch cfg.CacheMode {
 	case CacheBlocks:
-		e.blockCache = cache.NewSharded(cfg.CacheBytes, cfg.CacheShards)
+		e.blockCache = cache.NewSharded(cfg.CacheBytes, cache.DefaultShards)
 	case CacheTxs:
-		e.txCache = cache.NewSharded(cfg.CacheBytes, cfg.CacheShards)
+		e.txCache = cache.NewSharded(cfg.CacheBytes, cache.DefaultShards)
 	}
 	// The global track-trace indexes on the system columns are always
 	// present (§V-A: "the layered indices on column SenID and Tname are
@@ -480,7 +472,7 @@ func (e *Engine) Height() uint64 { return uint64(e.store.Count()) }
 func (e *Engine) Recorder() *obs.Recorder { return e.cfg.Recorder }
 
 // Parallelism returns the read and commit pipelines' worker bound
-// (>= 1); the engine satisfies exec.ParallelChain with it.
+// (>= 1); views hand it to the operators (View.Parallelism).
 func (e *Engine) Parallelism() int {
 	if n := int(e.par.Load()); n > 1 {
 		return n
@@ -505,9 +497,9 @@ func (e *Engine) Headers() []types.BlockHeader { return e.store.Headers() }
 // microseconds.
 func (e *Engine) nowMicro() int64 { return e.cfg.Clock() }
 
-// Obs returns the engine's metrics registry; the engine satisfies
-// exec.ObsChain with it, so the operators report into the same
-// registry the server exposes.
+// Obs returns the engine's metrics registry — the one views hand to the
+// operators (View.Obs), so they report into the same registry the
+// server exposes.
 func (e *Engine) Obs() *obs.Registry { return e.cfg.Obs }
 
 // EventLog returns the engine's base event logger (Config.Log, untagged;
@@ -644,29 +636,48 @@ func (e *Engine) FlushAt(ts int64) error {
 	if len(pending) == 0 {
 		return nil
 	}
-	// All blocks of one flush run through the pipeline back to back with
-	// the per-block fsync deferred; a single group fsync at the end makes
-	// the whole batch durable (see syncCommitted for why a crash in
-	// between cannot corrupt the chain).
+	// All blocks of one flush run through the pipeline back to back; the
+	// single group fsync at the end makes the whole batch durable.
+	return e.writePipeline(func() (ck *snapshot.Checkpoint, err error) {
+		for len(pending) > 0 && err == nil {
+			n := len(pending)
+			if n > e.cfg.BlockMaxTxs {
+				n = e.cfg.BlockMaxTxs
+			}
+			var c *snapshot.Checkpoint
+			_, c, err = e.commitOne(pending[:n], ts)
+			if c != nil {
+				ck = c
+			}
+			pending = pending[n:]
+		}
+		return ck, err
+	})
+}
+
+// writePipeline is the one writer critical section FlushAt, CommitBlock
+// and ApplyBlock share: run the commits under commitMu, make whatever
+// they appended durable, and persist the checkpoint the last of them
+// built once every lock is released, so neither reads nor the next
+// commit stall behind checkpoint I/O.
+//
+// Durability is one group fsync covering every block appended with
+// AppendNoSync since the last one. It runs outside e.mu (readers
+// proceed; commitMu still serialises writers), which is safe because a
+// crash before the fsync can only lose an unsynced suffix of appended
+// blocks — recovery's torn-tail truncate restores the last durable
+// prefix, never a chain with a gap. A sync failure is reported to the
+// committer; the blocks stay applied in memory, since they are valid
+// chain state that consensus has already replicated.
+func (e *Engine) writePipeline(commits func() (*snapshot.Checkpoint, error)) error {
 	e.commitMu.Lock()
-	var ck *snapshot.Checkpoint
-	var err error
-	for len(pending) > 0 && err == nil {
-		n := len(pending)
-		if n > e.cfg.BlockMaxTxs {
-			n = e.cfg.BlockMaxTxs
+	//sebdb:ignore-lockio reason: commitMu is the writer-pipeline lock; it exists to serialise the append+fsync pipeline, and readers never take it
+	ck, err := commits()
+	if e.cfg.Sync {
+		//sebdb:ignore-lockio reason: the group fsync runs under commitMu by design — writers queue behind durability, readers never take commitMu
+		if serr := e.store.SyncBatch(); err == nil {
+			err = serr
 		}
-		var c *snapshot.Checkpoint
-		//sebdb:ignore-lockio reason: commitMu is the writer-pipeline lock; it exists to serialise the append+fsync pipeline, and readers never take it
-		_, c, err = e.commitOne(pending[:n], ts, false)
-		if c != nil {
-			ck = c
-		}
-		pending = pending[n:]
-	}
-	//sebdb:ignore-lockio reason: the batch group fsync runs under commitMu by design — writers queue behind durability, readers never take commitMu
-	if serr := e.syncCommitted(); err == nil {
-		err = serr
 	}
 	e.commitMu.Unlock()
 	e.finishCheckpoint(ck)
@@ -680,62 +691,92 @@ func (e *Engine) FlushAt(ts int64) error {
 // The commit is a staged pipeline. The prepare stage — timestamp clamp,
 // Tid assignment, sealing and Merkle-hashing every transaction with the
 // worker pool, header chain and signature — runs under commitMu only,
-// so concurrent readers are never stalled behind hashing. The commit
-// and index stages take e.mu for the segment append and the fanned-out
-// index maintenance. When the commit lands on a checkpoint-interval
-// boundary the state is snapshotted under the lock, but the
-// checkpoint's encode and fsync+rename happen after every lock is
-// released, so neither reads nor the next commit stall behind
-// checkpoint I/O.
-func (e *Engine) CommitBlock(txs []*types.Transaction, ts int64) (*types.Block, error) {
+// so concurrent readers are never stalled behind hashing. The install
+// stage then takes e.mu for the DDL pre-check, the segment append and
+// the fanned-out index maintenance; see install.
+func (e *Engine) CommitBlock(txs []*types.Transaction, ts int64) (b *types.Block, err error) {
 	if e.follower.Load() {
 		return nil, ErrFollower
 	}
-	e.commitMu.Lock()
-	//sebdb:ignore-lockio reason: commitMu serialises the writer pipeline including the block fsync; readers never take it, and checkpoint I/O is outside it
-	b, ck, err := e.commitOne(txs, ts, true)
-	e.commitMu.Unlock()
+	err = e.writePipeline(func() (ck *snapshot.Checkpoint, err error) {
+		b, ck, err = e.commitOne(txs, ts)
+		return ck, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	e.finishCheckpoint(ck)
 	return b, nil
 }
 
-// commitOne runs one block through the pipeline. Callers hold commitMu.
-// syncNow makes the block durable before returning; batch callers pass
-// false and issue one group fsync for the whole batch instead.
-func (e *Engine) commitOne(txs []*types.Transaction, ts int64, syncNow bool) (*types.Block, *snapshot.Checkpoint, error) {
+// commitOne is the local door into the install stage: prepare, then
+// install. Callers hold commitMu.
+func (e *Engine) commitOne(txs []*types.Transaction, ts int64) (*types.Block, *snapshot.Checkpoint, error) {
 	start := e.cfg.Obs.Now()
 	b := e.prepareBlock(txs, ts)
+	ck, err := e.install(b, start, "block committed")
+	return b, ck, err
+}
+
+// ApplyBlock validates and installs a block produced elsewhere
+// (received via consensus, gossip or the replication stream): the same
+// pipeline as CommitBlock with validation — the foreign-block
+// equivalent of prepare — fanned out off the engine lock.
+func (e *Engine) ApplyBlock(b *types.Block) error {
+	return e.writePipeline(func() (*snapshot.Checkpoint, error) { return e.applyOne(b) })
+}
+
+// applyOne is the foreign door into the install stage: validate, then
+// install. Callers hold commitMu.
+func (e *Engine) applyOne(b *types.Block) (*snapshot.Checkpoint, error) {
+	start := e.cfg.Obs.Now()
+	if err := b.ValidateWorkers(e.Parallelism()); err != nil {
+		return nil, err
+	}
+	return e.install(b, start, "block applied")
+}
+
+// install is the write path's one install stage: every block, locally
+// prepared or foreign and validated, becomes chain state here and
+// nowhere else. Callers hold commitMu; start is when the block's
+// prepare/validate stage began.
+//
+// The block's catalog and contract effects are resolved before the
+// append: a __schema__ or contract-deploy transaction that fails to
+// decode or conflicts with an existing definition refuses the whole
+// block while the segment store, the indexes and the published view are
+// still untouched; a block appended first and refused while indexing
+// would stay on disk and fail every later Open's replay. When the
+// commit lands on a checkpoint-interval boundary the state is
+// snapshotted under the lock and handed back for writePipeline to
+// persist outside it.
+func (e *Engine) install(b *types.Block, start int64, event string) (*snapshot.Checkpoint, error) {
 	prepared := e.cfg.Obs.Now()
 	e.mPrepare.Observe(prepared - start)
 
 	e.mu.Lock()
+	tables, contracts, err := e.resolveDDL(b)
+	if err != nil {
+		e.mu.Unlock()
+		return nil, err
+	}
 	//sebdb:ignore-lockio reason: AppendNoSync is a buffered segment append — it fsyncs only on segment roll, an audited rarity; the per-block fsync is outside e.mu
 	if _, err := e.store.AppendNoSync(b); err != nil {
 		e.mu.Unlock()
-		return nil, nil, err
+		return nil, err
 	}
 	appended := e.cfg.Obs.Now()
-	if err := e.indexBlockLocked(b); err != nil {
+	if err := e.indexBlockLocked(b, tables, contracts); err != nil {
 		e.mu.Unlock()
-		return nil, nil, err
+		return nil, err
 	}
 	ck := e.maybeBuildCheckpointLocked()
 	e.publishViewLocked()
 	e.mu.Unlock()
 	e.mAppend.Observe(appended - prepared)
 	e.mIndex.Observe(e.cfg.Obs.Now() - appended)
-	e.log.Debug("block committed",
-		"height", b.Header.Height, "txs", len(b.Txs), "first_tid", b.Header.FirstTid)
-
-	if syncNow {
-		if err := e.syncCommitted(); err != nil {
-			return nil, ck, err
-		}
-	}
-	return b, ck, nil
+	e.log.Debug(event, "height", b.Header.Height, "txs", len(b.Txs),
+		"first_tid", b.Header.FirstTid, "signer", b.Header.Signer)
+	return ck, nil
 }
 
 // prepareBlock is the pipeline's lock-free stage: it stamps the batch
@@ -768,87 +809,47 @@ func (e *Engine) prepareBlock(txs []*types.Transaction, ts int64) *types.Block {
 	return b
 }
 
-// syncCommitted is the pipeline's group fsync, covering every block
-// appended with AppendNoSync since the last one. It runs outside e.mu
-// (readers proceed; commitMu still serialises writers), which is safe
-// because a crash before the fsync can only lose an unsynced suffix of
-// appended blocks — recovery's torn-tail truncate restores the last
-// durable prefix, never a chain with a gap. A sync failure is reported
-// to the committer; the blocks stay applied in memory, since they are
-// valid chain state that consensus has already replicated.
-func (e *Engine) syncCommitted() error {
-	if !e.cfg.Sync {
-		return nil
-	}
-	return e.store.SyncBatch()
-}
-
-// ApplyBlock validates and appends a block produced elsewhere (received
-// via consensus/gossip), then indexes it. It runs the same staged
-// pipeline as CommitBlock with validation — the foreign-block
-// equivalent of prepare — fanned out off the engine lock; any due
-// checkpoint is built under the lock and persisted outside it.
-func (e *Engine) ApplyBlock(b *types.Block) error {
-	e.commitMu.Lock()
-	//sebdb:ignore-lockio reason: commitMu serialises the foreign-block pipeline including its fsync; readers never take it
-	ck, err := e.applyOne(b)
-	e.commitMu.Unlock()
-	if err != nil {
-		return err
-	}
-	e.finishCheckpoint(ck)
-	return nil
-}
-
-// applyOne runs a foreign block through the pipeline. Callers hold
-// commitMu.
-func (e *Engine) applyOne(b *types.Block) (*snapshot.Checkpoint, error) {
-	start := e.cfg.Obs.Now()
-	if err := b.ValidateWorkers(e.Parallelism()); err != nil {
-		return nil, err
-	}
-	prepared := e.cfg.Obs.Now()
-	e.mPrepare.Observe(prepared - start)
-
-	e.mu.Lock()
-	//sebdb:ignore-lockio reason: AppendNoSync is a buffered segment append — it fsyncs only on segment roll, an audited rarity; the per-block fsync is outside e.mu
-	if _, err := e.store.AppendNoSync(b); err != nil {
-		e.mu.Unlock()
-		return nil, err
-	}
-	appended := e.cfg.Obs.Now()
-	if err := e.indexBlockLocked(b); err != nil {
-		e.mu.Unlock()
-		return nil, err
-	}
-	ck := e.maybeBuildCheckpointLocked()
-	e.publishViewLocked()
-	e.mu.Unlock()
-	e.mAppend.Observe(appended - prepared)
-	e.mIndex.Observe(e.cfg.Obs.Now() - appended)
-	e.log.Debug("block applied",
-		"height", b.Header.Height, "txs", len(b.Txs), "signer", b.Header.Signer)
-	return ck, e.syncCommitted()
-}
-
 // indexBlock locks and indexes (used during replay).
 func (e *Engine) indexBlock(b *types.Block) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.indexBlockLocked(b)
+	tables, contracts, err := e.resolveDDL(b)
+	if err != nil {
+		return err
+	}
+	return e.indexBlockLocked(b, tables, contracts)
 }
 
-// indexBlockLocked updates catalog, counters and all indexes for a
-// newly appended block. Callers hold e.mu.
-func (e *Engine) indexBlockLocked(b *types.Block) error {
+// resolveDDL decodes b's schema and contract-deploy transactions and
+// checks them against the catalog, the registry and each other without
+// changing either, returning the tables and contracts the block newly
+// defines. Callers hold e.mu exclusively — every catalog and registry
+// mutation happens under it — so what resolves here cannot conflict
+// when indexBlockLocked applies it.
+func (e *Engine) resolveDDL(b *types.Block) ([]*schema.Table, []*contract.Contract, error) {
+	tables, err := e.catalog.Resolve(b.Txs)
+	if err != nil {
+		return nil, nil, err
+	}
+	contracts, err := e.contracts.Resolve(b.Txs)
+	return tables, contracts, err
+}
+
+// indexBlockLocked applies a newly appended block's resolved DDL and
+// updates counters and all indexes. Callers hold e.mu.
+func (e *Engine) indexBlockLocked(b *types.Block, tables []*schema.Table, contracts []*contract.Contract) error {
 	bid := b.Header.Height
+	for _, t := range tables {
+		if err := e.catalog.Define(t); err != nil {
+			return err
+		}
+	}
+	for _, c := range contracts {
+		if err := e.contracts.Register(c); err != nil {
+			return err
+		}
+	}
 	for _, tx := range b.Txs {
-		if err := e.catalog.ApplyTx(tx); err != nil {
-			return err
-		}
-		if err := e.contracts.ApplyTx(tx.Tname, tx.Args); err != nil {
-			return err
-		}
 		if tx.Tid > e.lastTid {
 			e.lastTid = tx.Tid
 		}
@@ -876,64 +877,65 @@ func (e *Engine) indexBlockLocked(b *types.Block) error {
 	// crash/replay fingerprints are identical to the serial walk. Keys
 	// are sorted so a failure is always reported for the same index
 	// regardless of scheduling.
-	tasks := make([]func() error, 0, len(e.lidx)+len(e.alis))
+	feeds := make([]blockFeed, 0, len(e.lidx)+len(e.alis))
 	for _, key := range sortedKeys(e.lidx) {
-		idx := e.lidx[key]
-		tasks = append(tasks, func() error {
-			entries, err := e.entriesFor(key, b)
-			if err != nil {
-				return err
-			}
-			idx.AppendBlock(bid, entries)
-			return nil
-		})
+		feeds = append(feeds, e.layeredFeed(key, e.lidx[key]))
 	}
 	for _, key := range sortedKeys(e.alis) {
-		ali := e.alis[key]
-		tasks = append(tasks, func() error {
-			recs, err := e.recordsFor(key, b)
-			if err != nil {
-				return err
-			}
-			ali.AppendBlock(bid, recs)
-			return nil
-		})
+		feeds = append(feeds, e.aliFeed(key, e.alis[key]))
 	}
-	return parallel.Ordered(e.Parallelism(), len(tasks),
-		func(i int) (struct{}, error) { return struct{}{}, tasks[i]() },
+	return parallel.Ordered(e.Parallelism(), len(feeds),
+		func(i int) (struct{}, error) {
+			appendIt, err := feeds[i](b)
+			if err == nil {
+				appendIt()
+			}
+			return struct{}{}, err
+		},
 		func(int, struct{}) error { return nil })
 }
 
-// entriesFor extracts the layered-index entries of one block for the
-// index identified by key ("table.col" or ".senid"/".tname").
-func (e *Engine) entriesFor(key string, b *types.Block) ([]layered.Entry, error) {
+// blockFeed is the write side every index family shares: extract one
+// block's input for the index — the fallible, order-free half, safe to
+// run ahead on the worker pool — and return the append that installs it
+// under the block's height, which must run in height order.
+type blockFeed func(b *types.Block) (appendIt func(), err error)
+
+// layeredFeed feeds the layered index registered under key ("table.col"
+// or ".senid"/".tname").
+func (e *Engine) layeredFeed(key string, idx *layered.Index) blockFeed {
+	return func(b *types.Block) (func(), error) {
+		entries, err := extract(e, key, b, func(v types.Value, pos int, _ *types.Transaction) layered.Entry {
+			return layered.Entry{Key: v, Pos: uint32(pos)}
+		})
+		return func() { idx.AppendBlock(b.Header.Height, entries) }, err
+	}
+}
+
+// aliFeed feeds the ALI registered under key. Transactions sealed by
+// the commit pipeline contribute their cached encoding as the payload —
+// the same bytes an unsealed re-encode would produce.
+func (e *Engine) aliFeed(key string, ali *auth.ALI) blockFeed {
+	return func(b *types.Block) (func(), error) {
+		recs, err := extract(e, key, b, func(v types.Value, _ int, tx *types.Transaction) mbtree.Record {
+			return mbtree.Record{Key: v, Payload: tx.EncodeBytes()}
+		})
+		return func() { ali.AppendBlock(b.Header.Height, recs) }, err
+	}
+}
+
+// extract collects, for the index identified by key, one item per
+// transaction of b that carries the indexed column.
+func extract[T any](e *Engine, key string, b *types.Block, item func(v types.Value, pos int, tx *types.Transaction) T) ([]T, error) {
 	value := e.extractorFor(key)
-	var out []layered.Entry
+	var out []T
 	for pos, tx := range b.Txs {
 		v, ok, err := value(tx)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			out = append(out, layered.Entry{Key: v, Pos: uint32(pos)})
-		}
-	}
-	return out, nil
-}
-
-// recordsFor extracts the ALI records of one block. Transactions sealed
-// by the commit pipeline contribute their cached encoding as the
-// payload — the same bytes an unsealed re-encode would produce.
-func (e *Engine) recordsFor(key string, b *types.Block) ([]mbtree.Record, error) {
-	value := e.extractorFor(key)
-	var out []mbtree.Record
-	for _, tx := range b.Txs {
-		v, ok, err := value(tx)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, mbtree.Record{Key: v, Payload: tx.EncodeBytes()})
+			out = append(out, item(v, pos, tx))
 		}
 	}
 	return out, nil

@@ -263,7 +263,7 @@ func TestCreateIndexAndLayeredSelect(t *testing.T) {
 	if err := e.CreateIndex("donate", "amount"); err != nil {
 		t.Fatal(err)
 	}
-	if e.Layered("donate", "amount") == nil {
+	if e.CurrentView().Layered("donate", "amount") == nil {
 		t.Fatal("index not registered")
 	}
 	res := mustExec(t, e, `SELECT * FROM donate WHERE amount BETWEEN 40 AND 49`)
@@ -502,7 +502,7 @@ func TestCreateAuthIndexOnEngine(t *testing.T) {
 		if err := e.CreateAuthIndex(spec[0], spec[1]); err != nil {
 			t.Errorf("idempotent CreateAuthIndex: %v", err)
 		}
-		if e.AuthIndex(spec[0], spec[1]) == nil {
+		if e.CurrentView().AuthIndex(spec[0], spec[1]) == nil {
 			t.Errorf("AuthIndex(%q,%q) missing", spec[0], spec[1])
 		}
 	}
@@ -517,10 +517,10 @@ func TestCreateAuthIndexOnEngine(t *testing.T) {
 		t.Error("ALI on missing system column")
 	}
 	// ALIs are maintained on append (recordsFor path).
-	before := e.AuthIndex("donate", "amount").Blocks()
+	before := e.CurrentView().AuthIndex("donate", "amount").Blocks()
 	mustExec(t, e, `INSERT INTO donate ("new", "p", 3.5)`)
 	e.Flush()
-	if after := e.AuthIndex("donate", "amount").Blocks(); after <= before {
+	if after := e.CurrentView().AuthIndex("donate", "amount").Blocks(); after <= before {
 		t.Errorf("ALI not maintained: %d -> %d blocks", before, after)
 	}
 	// Catalog and Headers accessors.
@@ -548,10 +548,10 @@ func TestIndexDefinitionsPersistAcrossReopen(t *testing.T) {
 	e.Close()
 
 	e2 := testEngine(t, Config{Dir: dir, HistogramDepth: 10})
-	if e2.Layered("donate", "amount") == nil {
+	if e2.CurrentView().Layered("donate", "amount") == nil {
 		t.Error("layered index not replayed on reopen")
 	}
-	if e2.AuthIndex("donate", "amount") == nil || e2.AuthIndex("", "senid") == nil {
+	if e2.CurrentView().AuthIndex("donate", "amount") == nil || e2.CurrentView().AuthIndex("", "senid") == nil {
 		t.Error("auth indexes not replayed on reopen")
 	}
 	// And they are functional.

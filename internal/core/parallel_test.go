@@ -79,7 +79,7 @@ func TestSelectCrossMethodEquivalence(t *testing.T) {
 	}}
 
 	e.SetParallelism(1)
-	ref, refStats, err := exec.Select(e, "donate", preds, nil, exec.MethodScan)
+	ref, refStats, err := exec.Select(e.CurrentView(), "donate", preds, nil, exec.MethodScan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSelectCrossMethodEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		e.SetParallelism(workers)
 		for _, m := range []exec.Method{exec.MethodScan, exec.MethodBitmap, exec.MethodLayered} {
-			txs, st, err := exec.Select(e, "donate", preds, nil, m)
+			txs, st, err := exec.Select(e.CurrentView(), "donate", preds, nil, m)
 			if err != nil {
 				t.Fatalf("workers=%d %v: %v", workers, m, err)
 			}
@@ -149,7 +149,7 @@ func TestParallelReplayEquivalence(t *testing.T) {
 		}
 	}
 	wantHeight := e.Height()
-	wantTxs, _, err := exec.Select(e, "donate", nil, nil, exec.MethodScan)
+	wantTxs, _, err := exec.Select(e.CurrentView(), "donate", nil, nil, exec.MethodScan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestParallelReplayEquivalence(t *testing.T) {
 	if re.Height() != wantHeight {
 		t.Fatalf("replayed height %d, want %d", re.Height(), wantHeight)
 	}
-	got, _, err := exec.Select(re, "donate", nil, nil, exec.MethodScan)
+	got, _, err := exec.Select(re.CurrentView(), "donate", nil, nil, exec.MethodScan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,11 +255,11 @@ func TestCreateIndexCommitBlockRace(t *testing.T) {
 		// Every committed donate row carries donor "donorX"; the layered
 		// path must see them all.
 		preds := []sqlparser.Pred{{Col: "donor", Op: sqlparser.OpEq, Val: types.Str("donorX")}}
-		want, _, err := exec.Select(e, "donate", preds, nil, exec.MethodScan)
+		want, _, err := exec.Select(e.CurrentView(), "donate", preds, nil, exec.MethodScan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := exec.Select(e, "donate", preds, nil, exec.MethodLayered)
+		got, _, err := exec.Select(e.CurrentView(), "donate", preds, nil, exec.MethodLayered)
 		if err != nil {
 			t.Fatal(err)
 		}

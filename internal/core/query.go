@@ -103,39 +103,56 @@ func (e *Engine) executeStmt(ctx context.Context, sender string, st sqlparser.St
 }
 
 // execCreate registers the table locally and emits the schema-sync
-// transaction so peers replay the same DDL (§IV-A). The registration
-// precedes the submit — the deploying node must see its own table at
-// once — so a failed submit rolls it back; without the rollback the
-// local catalog would claim a table the chain never defines, forever
-// diverging from every peer.
+// transaction so peers replay the same DDL (§IV-A); see submitDDL.
 func (e *Engine) execCreate(sender string, s *sqlparser.CreateTable) (*Result, error) {
 	tbl, err := schema.NewTable(s.Name, s.Columns)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.catalog.Define(tbl); err != nil {
-		return nil, err
-	}
-	e.publishView()
-	tx := &types.Transaction{
-		Ts:    e.nowMicro(),
-		SenID: sender,
-		Tname: schema.MetaTable,
-		Args:  tbl.EncodeDDL(),
-	}
-	e.signFor(tx, sender)
-	if err := e.Submit(tx); err != nil {
-		// A sync failure after the block committed leaves the tx on chain;
-		// only roll back when it never made it.
-		if !e.txCommitted(tx) {
-			e.catalog.Undefine(tbl.Name)
-			e.publishView()
-			e.log.Warn("table create rolled back", "table", tbl.Name, "err", err)
-		}
+	err = e.submitDDL(sender, schema.MetaTable, tbl.EncodeDDL(), "table", tbl.Name,
+		func() error { return e.catalog.Define(tbl) },
+		func() { e.catalog.Undefine(tbl.Name) })
+	if err != nil {
 		return nil, err
 	}
 	e.log.Info("table created", "table", tbl.Name, "sender", sender)
 	return &Result{Columns: []string{"status"}, Rows: [][]types.Value{{types.Str("created " + tbl.Name)}}}, nil
+}
+
+// submitDDL is the one protocol behind CREATE and DeployContract: a
+// definition that rides the chain as a meta-transaction. The local
+// registration precedes the submit — the issuing node must see its own
+// table or contract at once, and the definition replays everywhere else
+// when the block propagates — so a failed submit rolls it back; without
+// the rollback the node would claim a definition the chain never makes,
+// forever diverging from every peer. The one exception: when the block
+// committed and only the fsync failed, the transaction is chain state
+// and the registration stays. Registration and rollback run under e.mu
+// like every other catalog and registry mutation (see resolveDDL).
+func (e *Engine) submitDDL(sender, metaTable string, args []types.Value, what, name string,
+	register func() error, unregister func()) error {
+	e.mu.Lock()
+	err := register()
+	if err == nil {
+		e.publishViewLocked()
+	}
+	e.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	tx := &types.Transaction{Ts: e.nowMicro(), SenID: sender, Tname: metaTable, Args: args}
+	e.signFor(tx, sender)
+	if err := e.Submit(tx); err != nil {
+		if !e.txCommitted(tx) {
+			e.mu.Lock()
+			unregister()
+			e.publishViewLocked()
+			e.mu.Unlock()
+			e.log.Warn(what+" rolled back", what, name, "err", err)
+		}
+		return err
+	}
+	return nil
 }
 
 func (e *Engine) execInsert(sender string, s *sqlparser.Insert, params []types.Value) (*Result, error) {
@@ -579,34 +596,17 @@ func (e *Engine) checkAccess(sender string, st sqlparser.Statement) error {
 	}
 }
 
-// DeployContract validates a smart contract and submits its deployment
-// transaction, registering it locally at once (like DDL, deployment is
-// visible immediately on the deploying node and replays everywhere
-// else when the block propagates). A failed submit rolls the local
-// registration back — unless the block actually committed and only the
-// fsync failed, in which case the contract is chain state and stays.
+// DeployContract validates a smart contract, registers it locally and
+// submits its deployment transaction; see submitDDL.
 func (e *Engine) DeployContract(sender, name string, statements []string) error {
 	c, err := contract.Parse(name, statements)
 	if err != nil {
 		return err
 	}
-	if err := e.contracts.Register(c); err != nil {
-		return err
-	}
-	e.publishView()
-	tx := &types.Transaction{
-		Ts:    e.nowMicro(),
-		SenID: sender,
-		Tname: contract.MetaTable,
-		Args:  c.EncodeDeploy(),
-	}
-	e.signFor(tx, sender)
-	if err := e.Submit(tx); err != nil {
-		if !e.txCommitted(tx) {
-			e.contracts.Unregister(c.Name)
-			e.publishView()
-			e.log.Warn("contract deploy rolled back", "contract", c.Name, "err", err)
-		}
+	err = e.submitDDL(sender, contract.MetaTable, c.EncodeDeploy(), "contract", c.Name,
+		func() error { return e.contracts.Register(c) },
+		func() { e.contracts.Unregister(c.Name) })
+	if err != nil {
 		return err
 	}
 	e.log.Info("contract deployed", "contract", c.Name, "sender", sender)

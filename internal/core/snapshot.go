@@ -247,9 +247,9 @@ func (e *Engine) restoreCheckpoint(c *snapshot.Checkpoint) error {
 		}
 		var ali *auth.ALI
 		if st.Continuous {
-			ali = auth.NewContinuous(st.Attr, layered.FromBounds(st.Bounds), e.cfg.MBTreeFanout)
+			ali = auth.NewContinuous(st.Attr, layered.FromBounds(st.Bounds), mbtree.DefaultFanout)
 		} else {
-			ali = auth.NewDiscrete(st.Attr, e.cfg.MBTreeFanout)
+			ali = auth.NewDiscrete(st.Attr, mbtree.DefaultFanout)
 		}
 		for bid, recs := range st.Blocks {
 			ali.AppendBlock(uint64(bid), recs)

@@ -41,7 +41,7 @@ func recoveryFingerprint(t *testing.T, e *Engine) string {
 	// first level is sampled at creation time, so candidate sets — and
 	// hence digests — legitimately differ between a checkpoint restore
 	// and a from-scratch rebuild; the verified answer may not).
-	if ali := e.AuthIndex("donate", "amount"); ali != nil {
+	if ali := e.CurrentView().AuthIndex("donate", "amount"); ali != nil {
 		ans := auth.Serve(ali, h, nil, types.Dec(3), types.Dec(14))
 		_, txs, err := auth.VerifyAnswer(ans, types.Dec(3), types.Dec(14))
 		if err != nil {
@@ -55,7 +55,7 @@ func recoveryFingerprint(t *testing.T, e *Engine) string {
 	}
 	// Discrete ALI: the first level is exact value bitmaps, so the full
 	// digest must round-trip too.
-	if ali := e.AuthIndex("donate", "donor"); ali != nil {
+	if ali := e.CurrentView().AuthIndex("donate", "donor"); ali != nil {
 		lo, hi := types.Str("donor003"), types.Str("donor003")
 		ans := auth.Serve(ali, h, nil, lo, hi)
 		digest, txs, err := auth.VerifyAnswer(ans, lo, hi)

@@ -17,7 +17,6 @@ func TestTierRaceCacheReadsVsCommits(t *testing.T) {
 	e := testEngine(t, Config{
 		CacheMode:   CacheTxs,
 		CacheBytes:  1 << 16, // small, so eviction churns during the race
-		CacheShards: 4,
 		BlockMaxTxs: 5,
 	})
 	seedDonation(t, e, 60, 5)
@@ -34,7 +33,7 @@ func TestTierRaceCacheReadsVsCommits(t *testing.T) {
 					return
 				default:
 				}
-				n := e.NumBlocks()
+				n := e.CurrentView().NumBlocks()
 				bid := uint64((g*13 + i) % n)
 				b, err := e.Block(bid)
 				if err != nil {
@@ -76,9 +75,6 @@ func TestTierRaceCacheReadsVsCommits(t *testing.T) {
 	wg.Wait()
 	if stats := e.CacheStats(); stats.Hits+stats.Misses == 0 {
 		t.Error("race run never touched the cache")
-	}
-	if shards := e.CacheShardStats(); len(shards) != 4 {
-		t.Errorf("CacheShardStats returned %d stripes, want 4", len(shards))
 	}
 }
 

@@ -61,6 +61,14 @@ type View struct {
 	mask *bitmap.Bitmap
 }
 
+// View is the read surface the query operators run against; *Engine
+// deliberately is not.
+var (
+	_ exec.Chain         = (*View)(nil)
+	_ exec.ObsChain      = (*View)(nil)
+	_ exec.ParallelChain = (*View)(nil)
+)
+
 // buildView assembles a view pinned to height h from the engine's
 // current state. Callers hold e.mu exclusively (or own the engine
 // outright during construction), which is what makes h, the cursor and
@@ -107,15 +115,6 @@ func (e *Engine) publishViewLocked() {
 	e.mViewSwap.Observe(e.cfg.Obs.Now() - start)
 }
 
-// publishView takes the engine lock briefly to publish a fresh view.
-// The DDL paths use it: a locally registered table or contract must be
-// visible to readers before the submit returns.
-func (e *Engine) publishView() {
-	e.mu.Lock()
-	e.publishViewLocked()
-	e.mu.Unlock()
-}
-
 // CurrentView returns the newest published view. It never returns nil:
 // a zero-height view is installed at construction, and every commit,
 // DDL and index creation republishes.
@@ -145,8 +144,7 @@ func (v *View) Tip() *types.BlockHeader { return v.tip }
 // LastTid returns the largest transaction id committed within the view.
 func (v *View) LastTid() uint64 { return v.lastTid }
 
-// NumBlocks returns the pinned height; the view satisfies exec.Chain
-// with it.
+// NumBlocks returns the pinned height.
 func (v *View) NumBlocks() int { return int(v.height) }
 
 // Block reads a block inside the view, through the engine's cache. The

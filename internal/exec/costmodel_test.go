@@ -75,7 +75,7 @@ func sparseFixture(t testing.TB, blocks, perBlock int) (*core.Engine, int) {
 func TestCostModelVariablesMatchStats(t *testing.T) {
 	const blocks, perBlock = 40, 20
 	e, donateBlocks := sparseFixture(t, blocks, perBlock)
-	n := e.NumBlocks() // includes the schema block
+	n := e.CurrentView().NumBlocks() // includes the schema block
 
 	// Donate rows live in blocks 0,4,8,... so their amounts (= seq) come
 	// in runs of 20 per 80; [160,179] is block 8's run.
@@ -83,7 +83,7 @@ func TestCostModelVariablesMatchStats(t *testing.T) {
 		Val: types.Dec(160), Hi: types.Dec(179)}}
 
 	// Equation 1: scan reads every block.
-	_, sScan, err := exec.Select(e, "donate", preds, nil, exec.MethodScan)
+	_, sScan, err := exec.Select(e.CurrentView(), "donate", preds, nil, exec.MethodScan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestCostModelVariablesMatchStats(t *testing.T) {
 	}
 
 	// Equation 2: bitmap reads exactly the k blocks holding donate rows.
-	_, sBm, err := exec.Select(e, "donate", preds, nil, exec.MethodBitmap)
+	_, sBm, err := exec.Select(e.CurrentView(), "donate", preds, nil, exec.MethodBitmap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCostModelVariablesMatchStats(t *testing.T) {
 
 	// Equation 3: layered examines on the order of p tuples — here
 	// exactly p, because the driving predicate is the only one.
-	res, sLay, err := exec.Select(e, "donate", preds, nil, exec.MethodLayered)
+	res, sLay, err := exec.Select(e.CurrentView(), "donate", preds, nil, exec.MethodLayered)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,15 +131,15 @@ func TestCostModelVariablesMatchStats(t *testing.T) {
 func TestTrackingStatsOrdering(t *testing.T) {
 	e, _ := sparseFixture(t, 40, 20)
 	q := &sqlparser.Trace{Operator: "org1", HasOperator: true}
-	_, sScan, err := exec.Track(e, q, exec.MethodScan)
+	_, sScan, err := exec.Track(e.CurrentView(), q, exec.MethodScan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sBm, err := exec.Track(e, q, exec.MethodBitmap)
+	_, sBm, err := exec.Track(e.CurrentView(), q, exec.MethodBitmap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sLay, err := exec.Track(e, q, exec.MethodLayered)
+	_, sLay, err := exec.Track(e.CurrentView(), q, exec.MethodLayered)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,15 +102,15 @@ func TestSelectMethodsAgree(t *testing.T) {
 	e := fixture(t, 10, 10)
 	preds := []sqlparser.Pred{{Col: "amount", Op: sqlparser.OpBetween,
 		Val: types.Dec(20), Hi: types.Dec(45)}}
-	scan, sScan, err := exec.Select(e, "donate", preds, nil, exec.MethodScan)
+	scan, sScan, err := exec.Select(e.CurrentView(), "donate", preds, nil, exec.MethodScan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bm, sBm, err := exec.Select(e, "donate", preds, nil, exec.MethodBitmap)
+	bm, sBm, err := exec.Select(e.CurrentView(), "donate", preds, nil, exec.MethodBitmap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay, sLay, err := exec.Select(e, "donate", preds, nil, exec.MethodLayered)
+	lay, sLay, err := exec.Select(e.CurrentView(), "donate", preds, nil, exec.MethodLayered)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +133,8 @@ func TestSelectMethodsAgree(t *testing.T) {
 func TestSelectPointQueryDiscreteIndex(t *testing.T) {
 	e := fixture(t, 8, 8)
 	preds := []sqlparser.Pred{{Col: "donor", Op: sqlparser.OpEq, Val: types.Str("donor03")}}
-	scan, _, _ := exec.Select(e, "donate", preds, nil, exec.MethodScan)
-	lay, _, err := exec.Select(e, "donate", preds, nil, exec.MethodLayered)
+	scan, _, _ := exec.Select(e.CurrentView(), "donate", preds, nil, exec.MethodScan)
+	lay, _, err := exec.Select(e.CurrentView(), "donate", preds, nil, exec.MethodLayered)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +146,8 @@ func TestSelectPointQueryDiscreteIndex(t *testing.T) {
 func TestSelectWithWindow(t *testing.T) {
 	e := fixture(t, 10, 10)
 	win := &sqlparser.Window{Start: 3000, End: 5000} // blocks 2..4
-	all, _, _ := exec.Select(e, "donate", nil, nil, exec.MethodScan)
-	windowed, _, err := exec.Select(e, "donate", nil, win, exec.MethodScan)
+	all, _, _ := exec.Select(e.CurrentView(), "donate", nil, nil, exec.MethodScan)
+	windowed, _, err := exec.Select(e.CurrentView(), "donate", nil, win, exec.MethodScan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestSelectWithWindow(t *testing.T) {
 		}
 	}
 	// Bitmap and layered agree under the window.
-	bm, _, _ := exec.Select(e, "donate", nil, win, exec.MethodBitmap)
+	bm, _, _ := exec.Select(e.CurrentView(), "donate", nil, win, exec.MethodBitmap)
 	if !sameTids(windowed, bm) {
 		t.Error("bitmap disagrees under window")
 	}
@@ -173,17 +173,17 @@ func TestSelectResidualPredicates(t *testing.T) {
 		{Col: "amount", Op: sqlparser.OpBetween, Val: types.Dec(0), Hi: types.Dec(30)},
 		{Col: "project", Op: sqlparser.OpEq, Val: types.Str("education")},
 	}
-	lay, _, err := exec.Select(e, "donate", preds, nil, exec.MethodLayered)
+	lay, _, err := exec.Select(e.CurrentView(), "donate", preds, nil, exec.MethodLayered)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, _, _ := exec.Select(e, "donate", preds, nil, exec.MethodScan)
+	scan, _, _ := exec.Select(e.CurrentView(), "donate", preds, nil, exec.MethodScan)
 	if !sameTids(scan, lay) {
 		t.Error("residual predicate handling diverged")
 	}
 	// An impossible residual returns nothing.
 	preds[1].Val = types.Str("ghost")
-	lay, _, _ = exec.Select(e, "donate", preds, nil, exec.MethodLayered)
+	lay, _, _ = exec.Select(e.CurrentView(), "donate", preds, nil, exec.MethodLayered)
 	if len(lay) != 0 {
 		t.Error("impossible predicate returned rows")
 	}
@@ -191,20 +191,20 @@ func TestSelectResidualPredicates(t *testing.T) {
 
 func TestSelectErrors(t *testing.T) {
 	e := fixture(t, 2, 4)
-	if _, _, err := exec.Select(e, "ghost", nil, nil, exec.MethodScan); err == nil {
+	if _, _, err := exec.Select(e.CurrentView(), "ghost", nil, nil, exec.MethodScan); err == nil {
 		t.Error("missing table accepted")
 	}
 	// Layered without an index on any predicate column.
 	preds := []sqlparser.Pred{{Col: "project", Op: sqlparser.OpEq, Val: types.Str("x")}}
-	if _, _, err := exec.Select(e, "donate", preds, nil, exec.MethodLayered); err == nil {
+	if _, _, err := exec.Select(e.CurrentView(), "donate", preds, nil, exec.MethodLayered); err == nil {
 		t.Error("layered without index accepted")
 	}
 	// Unknown predicate column.
 	preds = []sqlparser.Pred{{Col: "ghost", Op: sqlparser.OpEq, Val: types.Str("x")}}
-	if _, _, err := exec.Select(e, "donate", preds, nil, exec.MethodScan); err == nil {
+	if _, _, err := exec.Select(e.CurrentView(), "donate", preds, nil, exec.MethodScan); err == nil {
 		t.Error("unknown column accepted")
 	}
-	if _, _, err := exec.Select(e, "donate", nil, nil, exec.Method(99)); err == nil {
+	if _, _, err := exec.Select(e.CurrentView(), "donate", nil, nil, exec.Method(99)); err == nil {
 		t.Error("bogus method accepted")
 	}
 }
@@ -218,15 +218,15 @@ func TestTrackMethodsAgree(t *testing.T) {
 		{Operator: "org2", HasOperator: true, Window: &sqlparser.Window{Start: 2000, End: 6000}},
 	}
 	for i, q := range cases {
-		scan, sScan, err := exec.Track(e, q, exec.MethodScan)
+		scan, sScan, err := exec.Track(e.CurrentView(), q, exec.MethodScan)
 		if err != nil {
 			t.Fatalf("case %d scan: %v", i, err)
 		}
-		bm, _, err := exec.Track(e, q, exec.MethodBitmap)
+		bm, _, err := exec.Track(e.CurrentView(), q, exec.MethodBitmap)
 		if err != nil {
 			t.Fatalf("case %d bitmap: %v", i, err)
 		}
-		lay, sLay, err := exec.Track(e, q, exec.MethodLayered)
+		lay, sLay, err := exec.Track(e.CurrentView(), q, exec.MethodLayered)
 		if err != nil {
 			t.Fatalf("case %d layered: %v", i, err)
 		}
@@ -243,7 +243,7 @@ func TestTrackMethodsAgree(t *testing.T) {
 	}
 	// Verify all results actually match the dimensions.
 	q := cases[2]
-	got, _, _ := exec.Track(e, q, exec.MethodLayered)
+	got, _, _ := exec.Track(e.CurrentView(), q, exec.MethodLayered)
 	for _, tx := range got {
 		if tx.SenID != "org1" || tx.Tname != "transfer" {
 			t.Errorf("wrong tx in 2-dim track: %s/%s", tx.SenID, tx.Tname)
@@ -253,10 +253,10 @@ func TestTrackMethodsAgree(t *testing.T) {
 
 func TestTrackErrors(t *testing.T) {
 	e := fixture(t, 2, 4)
-	if _, _, err := exec.Track(e, &sqlparser.Trace{}, exec.MethodScan); err == nil {
+	if _, _, err := exec.Track(e.CurrentView(), &sqlparser.Trace{}, exec.MethodScan); err == nil {
 		t.Error("dimensionless trace accepted")
 	}
-	if _, _, err := exec.Track(e, &sqlparser.Trace{Operator: "x", HasOperator: true}, exec.Method(9)); err == nil {
+	if _, _, err := exec.Track(e.CurrentView(), &sqlparser.Trace{Operator: "x", HasOperator: true}, exec.Method(9)); err == nil {
 		t.Error("bogus method accepted")
 	}
 }
@@ -264,7 +264,7 @@ func TestTrackErrors(t *testing.T) {
 func TestOnChainJoinMethodsAgree(t *testing.T) {
 	e := fixture(t, 8, 12)
 	run := func(m exec.Method) []exec.JoinRow {
-		rows, _, err := exec.OnChainJoin(e, "donate", "transfer", "amount", "amount", nil, m)
+		rows, _, err := exec.OnChainJoin(e.CurrentView(), "donate", "transfer", "amount", "amount", nil, m)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -276,7 +276,7 @@ func TestOnChainJoinMethodsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	runDonor := func(m exec.Method) []exec.JoinRow {
-		rows, _, err := exec.OnChainJoin(e, "donate", "transfer", "donor", "donor", nil, m)
+		rows, _, err := exec.OnChainJoin(e.CurrentView(), "donate", "transfer", "donor", "donor", nil, m)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -310,8 +310,8 @@ func TestOnChainJoinMethodsAgree(t *testing.T) {
 		}
 	}
 	// Every pair satisfies the join predicate.
-	dt, _ := e.Table("donate")
-	tt, _ := e.Table("transfer")
+	dt, _ := e.CurrentView().Table("donate")
+	tt, _ := e.CurrentView().Table("transfer")
 	for _, r := range scan {
 		lv, _ := dt.Value(r.Left, "donor")
 		rv, _ := tt.Value(r.Right, "donor")
@@ -325,9 +325,9 @@ func TestOnChainJoinWindow(t *testing.T) {
 	e := fixture(t, 10, 10)
 	e.CreateIndex("transfer", "donor")
 	win := &sqlparser.Window{Start: 1000, End: 3000}
-	all, _, _ := exec.OnChainJoin(e, "donate", "transfer", "donor", "donor", nil, exec.MethodScan)
-	scan, _, _ := exec.OnChainJoin(e, "donate", "transfer", "donor", "donor", win, exec.MethodScan)
-	lay, _, err := exec.OnChainJoin(e, "donate", "transfer", "donor", "donor", win, exec.MethodLayered)
+	all, _, _ := exec.OnChainJoin(e.CurrentView(), "donate", "transfer", "donor", "donor", nil, exec.MethodScan)
+	scan, _, _ := exec.OnChainJoin(e.CurrentView(), "donate", "transfer", "donor", "donor", win, exec.MethodScan)
+	lay, _, err := exec.OnChainJoin(e.CurrentView(), "donate", "transfer", "donor", "donor", win, exec.MethodLayered)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,13 +341,13 @@ func TestOnChainJoinWindow(t *testing.T) {
 
 func TestOnChainJoinErrors(t *testing.T) {
 	e := fixture(t, 2, 4)
-	if _, _, err := exec.OnChainJoin(e, "ghost", "transfer", "a", "a", nil, exec.MethodScan); err == nil {
+	if _, _, err := exec.OnChainJoin(e.CurrentView(), "ghost", "transfer", "a", "a", nil, exec.MethodScan); err == nil {
 		t.Error("missing left table accepted")
 	}
-	if _, _, err := exec.OnChainJoin(e, "donate", "ghost", "a", "a", nil, exec.MethodScan); err == nil {
+	if _, _, err := exec.OnChainJoin(e.CurrentView(), "donate", "ghost", "a", "a", nil, exec.MethodScan); err == nil {
 		t.Error("missing right table accepted")
 	}
-	if _, _, err := exec.OnChainJoin(e, "donate", "transfer", "project", "project", nil, exec.MethodLayered); err == nil {
+	if _, _, err := exec.OnChainJoin(e.CurrentView(), "donate", "transfer", "project", "project", nil, exec.MethodLayered); err == nil {
 		t.Error("layered join without indexes accepted")
 	}
 }
@@ -365,7 +365,7 @@ func TestOnOffJoinMethodsAgree(t *testing.T) {
 		db.Insert("donorinfo", rdbms.Row{types.Str(fmt.Sprintf("donor%02d", i)), types.Int(int64(20 + i))})
 	}
 	run := func(m exec.Method) []exec.OnOffRow {
-		rows, _, err := exec.OnOffJoin(e, db, "donate", "donor", "donorinfo", "donor", nil, m)
+		rows, _, err := exec.OnOffJoin(e.CurrentView(), db, "donate", "donor", "donorinfo", "donor", nil, m)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -380,7 +380,7 @@ func TestOnOffJoinMethodsAgree(t *testing.T) {
 	if len(scan) != len(bm) || len(scan) != len(lay) {
 		t.Fatalf("on-off methods disagree: %d/%d/%d", len(scan), len(bm), len(lay))
 	}
-	dt, _ := e.Table("donate")
+	dt, _ := e.CurrentView().Table("donate")
 	for _, r := range lay {
 		tv, _ := dt.Value(r.Tx, "donor")
 		if !types.Equal(tv, r.Row[0]) {
@@ -401,7 +401,7 @@ func TestOnOffJoinContinuousAttr(t *testing.T) {
 		db.Insert("pricing", rdbms.Row{types.Dec(float64(i)), types.Str("gold")})
 	}
 	run := func(m exec.Method) int {
-		rows, _, err := exec.OnOffJoin(e, db, "donate", "amount", "pricing", "amount", nil, m)
+		rows, _, err := exec.OnOffJoin(e.CurrentView(), db, "donate", "amount", "pricing", "amount", nil, m)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -412,8 +412,8 @@ func TestOnOffJoinContinuousAttr(t *testing.T) {
 		t.Errorf("continuous on-off join: scan=%d layered=%d", nScan, nLay)
 	}
 	// The layered path must have skipped blocks outside [10, 20].
-	_, stLay, _ := exec.OnOffJoin(e, db, "donate", "amount", "pricing", "amount", nil, exec.MethodLayered)
-	_, stScan, _ := exec.OnOffJoin(e, db, "donate", "amount", "pricing", "amount", nil, exec.MethodScan)
+	_, stLay, _ := exec.OnOffJoin(e.CurrentView(), db, "donate", "amount", "pricing", "amount", nil, exec.MethodLayered)
+	_, stScan, _ := exec.OnOffJoin(e.CurrentView(), db, "donate", "amount", "pricing", "amount", nil, exec.MethodScan)
 	if stLay.TxsExamined >= stScan.TxsExamined {
 		t.Errorf("layered examined %d txs, scan %d", stLay.TxsExamined, stScan.TxsExamined)
 	}
@@ -422,18 +422,18 @@ func TestOnOffJoinContinuousAttr(t *testing.T) {
 func TestOnOffJoinErrors(t *testing.T) {
 	e := fixture(t, 2, 4)
 	db := e.OffChain()
-	if _, _, err := exec.OnOffJoin(e, db, "donate", "donor", "ghost", "x", nil, exec.MethodScan); err == nil {
+	if _, _, err := exec.OnOffJoin(e.CurrentView(), db, "donate", "donor", "ghost", "x", nil, exec.MethodScan); err == nil {
 		t.Error("missing off-chain table accepted")
 	}
-	if _, _, err := exec.OnOffJoin(e, db, "ghost", "x", "ghost", "x", nil, exec.MethodScan); err == nil {
+	if _, _, err := exec.OnOffJoin(e.CurrentView(), db, "ghost", "x", "ghost", "x", nil, exec.MethodScan); err == nil {
 		t.Error("missing on-chain table accepted")
 	}
 	db.CreateTable("t2", []rdbms.Column{{Name: "x", Kind: types.KindInt}})
-	if _, _, err := exec.OnOffJoin(e, db, "donate", "project", "t2", "x", nil, exec.MethodLayered); err == nil {
+	if _, _, err := exec.OnOffJoin(e.CurrentView(), db, "donate", "project", "t2", "x", nil, exec.MethodLayered); err == nil {
 		t.Error("layered on-off without index accepted")
 	}
 	// Empty off-chain table: empty result, no error.
-	rows, _, err := exec.OnOffJoin(e, db, "donate", "amount", "t2", "x", nil, exec.MethodScan)
+	rows, _, err := exec.OnOffJoin(e.CurrentView(), db, "donate", "amount", "t2", "x", nil, exec.MethodScan)
 	if err != nil || len(rows) != 0 {
 		t.Errorf("empty off-chain join: %d rows, %v", len(rows), err)
 	}

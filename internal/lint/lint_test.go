@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -214,5 +215,55 @@ func TestLoadAllSkipsNestedModules(t *testing.T) {
 			paths = append(paths, p.Path)
 		}
 		t.Errorf("loaded %v, want [outer/a]", paths)
+	}
+}
+
+// TestCuratedSpecsResolve loads the real module and demands that every
+// function the interprocedural analyzers name in a curated list — read
+// entry points, taint sources, sanitizers, sinks, handler registrars,
+// lock-I/O sinks — still exists. matchSpec compares names, so a renamed
+// target would otherwise drop out of its list (and out of the invariant
+// it anchors) without any analyzer noticing.
+func TestCuratedSpecsResolve(t *testing.T) {
+	loader, err := NewLoader(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	byPath := make(map[string]*Package, len(pkgs))
+	for _, p := range pkgs {
+		byPath[p.Path] = p
+	}
+	for list, specs := range map[string][]funcSpec{
+		"readLockEntries":   readLockEntries,
+		"taintSources":      taintSources,
+		"taintSanitizers":   taintSanitizers,
+		"taintSinks":        taintSinks,
+		"handlerRegistrars": handlerRegistrars,
+		"lockIOSinks":       lockIOSinks,
+	} {
+		for _, s := range specs {
+			if !strings.HasPrefix(s.pkg, "sebdb/") {
+				continue // standard library: not ours to rename
+			}
+			p := byPath[s.pkg]
+			if p == nil {
+				t.Errorf("%s: %s.%s.%s names a package the module does not have", list, s.pkg, s.recv, s.name)
+				continue
+			}
+			obj := p.Types.Scope().Lookup(s.name)
+			if s.recv != "" {
+				obj = nil
+				if tn, ok := p.Types.Scope().Lookup(s.recv).(*types.TypeName); ok {
+					obj, _, _ = types.LookupFieldOrMethod(tn.Type(), true, p.Types, s.name)
+				}
+			}
+			if _, ok := obj.(*types.Func); !ok {
+				t.Errorf("%s: %s.%s.%s does not resolve to a function", list, s.pkg, s.recv, s.name)
+			}
+		}
 	}
 }

@@ -58,7 +58,7 @@ var taintSinks = []funcSpec{
 	{"sebdb/internal/storage", "Store", "AppendNoSync"},
 	{"sebdb/internal/storage", "", "OpenWithMeta"},
 	{"sebdb/internal/index/layered", "Index", "AppendBlock"},
-	{"sebdb/internal/index/bitmap", "Table", "Mark"},
+	{"sebdb/internal/index/bitmap", "TableIndex", "Mark"},
 	{"sebdb/internal/auth", "ALI", "AppendBlock"},
 }
 

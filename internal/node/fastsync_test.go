@@ -84,7 +84,7 @@ func TestFastSyncOverTCP(t *testing.T) {
 		t.Fatalf("bootstrapped query rows = %d, source = %d", len(got.Rows), len(want.Rows))
 	}
 	// The ALI survived the transfer: serve locally and verify.
-	if e2.AuthIndex("donate", "amount") == nil {
+	if e2.CurrentView().AuthIndex("donate", "amount") == nil {
 		t.Fatal("auth index missing after fast-sync")
 	}
 

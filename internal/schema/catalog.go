@@ -11,8 +11,8 @@ import (
 
 // Catalog is the node-local registry of table schemas. DDL reaches the
 // catalog in two ways: locally via CreateTable before the schema
-// transaction is packaged, and remotely via ApplyTx when a block
-// containing a MetaTable transaction is replayed.
+// transaction is packaged, and remotely via Resolve + Define when a
+// block containing a MetaTable transaction is installed or replayed.
 type Catalog struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
@@ -33,10 +33,14 @@ func (c *Catalog) Define(t *Table) error {
 		if sameTable(old, t) {
 			return nil
 		}
-		return fmt.Errorf("schema: table %q already exists with a different definition", t.Name)
+		return errConflict(t)
 	}
 	c.tables[t.Name] = t
 	return nil
+}
+
+func errConflict(t *Table) error {
+	return fmt.Errorf("schema: table %q already exists with a different definition", t.Name)
 }
 
 func sameTable(a, b *Table) bool {
@@ -106,17 +110,40 @@ func (c *Catalog) Names() []string {
 	return out
 }
 
-// ApplyTx inspects a replayed transaction and, if it is a schema
-// transaction, registers the table it defines. Non-schema transactions
-// are ignored. This is how DDL synchronises across nodes (§IV-A: "The
-// system sends a special transaction to synchronize schema").
-func (c *Catalog) ApplyTx(tx *types.Transaction) error {
-	if tx.Tname != MetaTable {
-		return nil
+// Resolve decodes the schema transactions among txs (§IV-A: "The
+// system sends a special transaction to synchronize schema") and
+// returns, in order, the tables they define that the catalog does not
+// hold yet. Other transactions are ignored and a re-definition
+// identical to the catalog's or to an earlier transaction's is skipped;
+// a payload that fails to decode, or a definition that conflicts with
+// either, is an error. The catalog itself is not changed: the caller
+// Defines the result once the block carrying txs is chain state, so a
+// bad schema transaction can refuse its block before anything is
+// written.
+func (c *Catalog) Resolve(txs []*types.Transaction) ([]*Table, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	var out []*Table
+	for _, tx := range txs {
+		if tx.Tname != MetaTable {
+			continue
+		}
+		t, err := DecodeDDL(tx.Args)
+		if err != nil {
+			return nil, err
+		}
+		old, ok := c.tables[t.Name]
+		for i := 0; !ok && i < len(out); i++ {
+			if out[i].Name == t.Name {
+				old, ok = out[i], true
+			}
+		}
+		switch {
+		case !ok:
+			out = append(out, t)
+		case !sameTable(old, t):
+			return nil, errConflict(t)
+		}
 	}
-	t, err := DecodeDDL(tx.Args)
-	if err != nil {
-		return err
-	}
-	return c.Define(t)
+	return out, nil
 }

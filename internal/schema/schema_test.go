@@ -164,22 +164,41 @@ func TestCatalog(t *testing.T) {
 	}
 }
 
-func TestCatalogApplyTx(t *testing.T) {
+func TestCatalogResolve(t *testing.T) {
 	c := NewCatalog()
 	tbl := donate(t)
 	ddl := &types.Transaction{Tname: MetaTable, Args: tbl.EncodeDDL()}
-	if err := c.ApplyTx(ddl); err != nil {
+	// A schema tx resolves to its table (twice in one batch: once);
+	// non-schema txs are ignored; the catalog is untouched until Define.
+	got, err := c.Resolve([]*types.Transaction{{Tname: "donate"}, ddl, ddl})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.Has("donate") {
-		t.Error("schema tx not applied")
+	if len(got) != 1 || got[0].Name != "donate" || c.Has("donate") {
+		t.Fatalf("Resolve = %v, catalog has donate: %v", got, c.Has("donate"))
 	}
-	// Non-schema txs are ignored.
-	if err := c.ApplyTx(&types.Transaction{Tname: "donate"}); err != nil {
-		t.Errorf("non-schema tx: %v", err)
+	if err := c.Define(got[0]); err != nil {
+		t.Fatal(err)
+	}
+	// Already defined identically: nothing left to do.
+	if got, err := c.Resolve([]*types.Transaction{ddl}); err != nil || len(got) != 0 {
+		t.Errorf("re-resolve = %v, %v", got, err)
 	}
 	// Malformed schema payload errors.
-	if err := c.ApplyTx(&types.Transaction{Tname: MetaTable, Args: []types.Value{types.Int(1)}}); err == nil {
+	if _, err := c.Resolve([]*types.Transaction{{Tname: MetaTable, Args: []types.Value{types.Int(1)}}}); err == nil {
 		t.Error("malformed schema tx should error")
+	}
+	// A different definition conflicts with the catalog, and with an
+	// earlier transaction of the same batch.
+	other, err := NewTable("donate", []Column{{Name: "x", Kind: types.KindInt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clash := &types.Transaction{Tname: MetaTable, Args: other.EncodeDDL()}
+	if _, err := c.Resolve([]*types.Transaction{clash}); err == nil {
+		t.Error("definition conflicting with the catalog resolved")
+	}
+	if _, err := NewCatalog().Resolve([]*types.Transaction{ddl, clash}); err == nil {
+		t.Error("two conflicting definitions in one batch resolved")
 	}
 }
