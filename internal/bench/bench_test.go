@@ -2,7 +2,13 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -159,49 +165,126 @@ func TestQ7(t *testing.T) {
 	}
 }
 
-// TestFiguresSmoke regenerates every figure at a tiny scale, checking
-// they complete and produce plausible tables.
+// TestFiguresSmoke drives every registered figure at a tiny scale
+// through both drivers. The table driver must yield one row per point
+// and one finite, non-negative cell per declared series, measuring a
+// sweep that several figures view (17-19) only once; the testing.B
+// driver, run at one iteration per cell, must enumerate exactly the
+// table's (point, series) names.
 func TestFiguresSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure smoke test is slow")
 	}
-	var buf bytes.Buffer
-	if err := RunAll(&buf, t.TempDir(), 0.01); err != nil {
+	benchtime := flag.Lookup("test.benchtime")
+	defer benchtime.Value.Set(benchtime.Value.String())
+	if err := benchtime.Value.Set("1x"); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
+	tables := &Env{Dir: t.TempDir(), Scale: 0.01}
+	benches := &Env{Dir: t.TempDir(), Scale: 0.01}
+	for _, f := range Figures {
+		t.Run(fmt.Sprintf("fig%02d", f.Num), func(t *testing.T) {
+			measured := tables.sweeps[f.Sweep] // by an earlier figure over the same sweep
+			tbl, err := tables.Table(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			tbl.Fprint(&buf)
+			t.Log(buf.String())
+			if measured != nil && &measured[0] != &tables.sweeps[f.Sweep][0] {
+				t.Error("a shared sweep was measured again")
+			}
+			if len(tbl.Rows) == 0 {
+				t.Fatal("table has no rows")
+			}
+			var want []string
+			for _, row := range tbl.Rows {
+				if len(row.Values) != len(f.cols()) {
+					t.Fatalf("row %s has %d cells for %d declared series", row.X, len(row.Values), len(f.cols()))
+				}
+				for i, v := range row.Values {
+					if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+						t.Errorf("row %s series %s = %v, want a finite value >= 0", row.X, tbl.Series[i].Name, v)
+					}
+					want = append(want, row.X+"/"+tbl.Series[i].Name)
+				}
+			}
+			var got []string
+			failed := true
+			testing.Benchmark(func(b *testing.B) {
+				defer func() { failed = b.Failed() }()
+				got = benches.Bench(b, f)
+			})
+			if failed {
+				t.Fatal("the testing.B driver failed")
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("testing.B driver ran cells\n%q\ntable driver measured\n%q", got, want)
+			}
+		})
+	}
+}
+
+// TestTableJSONNumeric checks the two edges a measured table leaves
+// through: JSON carries numbers with a unit per series, text renders
+// the same cells the way the figures always printed them.
+func TestTableJSONNumeric(t *testing.T) {
+	tbl := &Table{
+		Title: "Fig. 0 — units", X: "blocks",
+		Series: []Series{{"latency", Millis}, {"VO", Bytes}, {"rate", "tx/s"}, {"digest", Hex}},
+		Rows: []Row{
+			{X: "10", Values: []float64{2.134, 1.7 * (1 << 20), 1234.4, 0x4d31cd9abf26}},
+			{X: "20", Values: []float64{0.05, 900, 7, 1}},
+			{X: "30", Values: []float64{150.6, 41.2 * (1 << 10), 0, 2}},
+		},
+	}
+	var text bytes.Buffer
+	tbl.Fprint(&text)
 	for _, want := range []string{
-		"Fig. 7", "Fig. 8", "Fig. 9", "Fig. 10", "Fig. 11", "Fig. 12",
-		"Fig. 13", "Fig. 14", "Fig. 15", "Fig. 16", "Fig. 17", "Fig. 18",
-		"Fig. 19", "Fig. 20", "Fig. 21", "Fig. 22", "Fig. 23", "Fig. 24",
+		"2.13ms", "1.7MB", "1234", "4d31cd9abf26", "0.050ms", "900B", "000000000001", "151ms", "41.2KB",
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q", want)
+		if !strings.Contains(text.String(), want) {
+			t.Errorf("rendered table lacks %q:\n%s", want, text.String())
 		}
 	}
-	t.Logf("figures output:\n%s", out)
-}
 
-func TestRunFigureUnknown(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RunFigure(&buf, 99, t.TempDir(), 0.01); err == nil {
-		t.Error("unknown figure accepted")
+	var raw bytes.Buffer
+	if err := WriteJSON(&raw, []FigureJSON{{Figure: 12, Table: tbl}}); err != nil {
+		t.Fatal(err)
+	}
+	var out []struct {
+		Figure int
+		X      string
+		Series []Series
+		Rows   []Row
+	}
+	if err := json.Unmarshal(raw.Bytes(), &out); err != nil {
+		t.Fatalf("values are not numbers: %v\n%s", err, raw.String())
+	}
+	if fig := out[0]; fig.Figure != 12 || fig.X != "blocks" || !slices.Equal(fig.Series, tbl.Series) ||
+		!slices.EqualFunc(fig.Rows, tbl.Rows, func(a, b Row) bool { return a.X == b.X && slices.Equal(a.Values, b.Values) }) {
+		t.Errorf("decoded %+v, want figure 12 with the table's x, series and rows", fig)
 	}
 }
 
-func TestFigureNum(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want int
-	}{
-		{"7", 7}, {"24", 24}, {"parallel", 23}, {"recovery", 24},
-	} {
-		got, err := FigureNum(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("FigureNum(%q) = %d, %v; want %d", tc.in, got, err, tc.want)
+func TestLookup(t *testing.T) {
+	for _, f := range Figures {
+		for _, sel := range []string{strconv.Itoa(f.Num), f.Name} {
+			if sel == "" {
+				continue
+			}
+			if got, err := Lookup(sel); err != nil || got != f {
+				t.Errorf("Lookup(%q) = %v, %v; want figure %d", sel, got, err, f.Num)
+			}
+			if sel == f.Name && !strings.Contains(Selectors(), strconv.Quote(sel)) {
+				t.Errorf("Selectors() = %s, lacks %q", Selectors(), sel)
+			}
 		}
 	}
-	if _, err := FigureNum("nope"); err == nil {
-		t.Error("unknown figure name accepted")
+	for _, sel := range []string{"nope", "99", ""} {
+		if _, err := Lookup(sel); err == nil || !strings.Contains(err.Error(), Selectors()) {
+			t.Errorf("Lookup(%q) = %v, want an error listing the selectors", sel, err)
+		}
 	}
 }

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"path/filepath"
-	"time"
 
 	"sebdb/internal/auth"
 	"sebdb/internal/core"
@@ -13,177 +11,151 @@ import (
 // The authenticated-query figures (17-19) compare the ALI against the
 // ship-all-blocks baseline for Q2 (authenticated tracking on SenID) and
 // Q4 (authenticated range on donate.amount), on three metrics: VO size,
-// server-side query time and client-side verification time. Dataset
-// per the paper: 100,000 donate transactions uniform over blocks,
-// result size 10,000, blocks 500..2500.
+// server-side query time and client-side verification time. They are
+// three views of one sweep, so a run of all three measures every chain
+// once. Dataset per the paper: 100,000 donate transactions uniform over
+// blocks, result size 10,000, blocks 500..2500.
 
-// authDataset loads (or reopens) the Fig. 17-19 dataset and returns
-// the engine with both ALIs ready.
-func authDataset(dir string, blocks, total, result int) (*core.Engine, error) {
-	e, err := NewEngine(dir, core.CacheNone)
+var (
+	fig17 = &Figure{
+		Num:   17,
+		Title: "Fig. 17 — Authenticated query VO size, ALI vs ship-all-blocks",
+		Note:  "ALI VO is a small multiple of the result; the baseline ships the whole chain",
+		Sweep: authSweep, Cols: []int{0, 1, 2, 3},
+	}
+	fig18 = &Figure{
+		Num:   18,
+		Title: "Fig. 18 — Authenticated query running time at server side",
+		Note:  "ALI touches only candidate blocks through the index; basic scans everything",
+		Sweep: authSweep, Cols: []int{4, 5, 6, 7},
+	}
+	fig19 = &Figure{
+		Num:   19,
+		Title: "Fig. 19 — Authenticated query running time at client side",
+		Note:  "reconstructing a few MB-tree roots beats rebuilding every block's Merkle tree",
+		Sweep: authSweep, Cols: []int{8, 9, 10, 11},
+	}
+)
+
+// authSweep has the four approaches under each of the three metrics.
+var authSweep = &Sweep{
+	X: "blocks",
+	Series: []Series{
+		{"ALI-Q2", Bytes}, {"ALI-Q4", Bytes}, {"basic-Q2", Bytes}, {"basic-Q4", Bytes},
+		{"ALI-Q2", Millis}, {"ALI-Q4", Millis}, {"basic-Q2", Millis}, {"basic-Q4", Millis},
+		{"ALI-Q2", Millis}, {"ALI-Q4", Millis}, {"basic-Q2", Millis}, {"basic-Q4", Millis},
+	},
+	Points: authPoints,
+}
+
+func authPoints(s *Scope) ([]Point, error) {
+	total := s.scaled(100_000, 600)
+	result := s.scaled(10_000, 60)
+	var out []Point
+	for _, blocks := range s.blockSizes() {
+		out = append(out, Point{X: fmt.Sprint(blocks), Open: func(s *Scope) ([]Probe, error) {
+			return authProbes(s, blocks, total, result)
+		}})
+	}
+	return out, nil
+}
+
+// authProbes opens one chain with both ALIs and returns the sweep's
+// twelve probes: size, serve and verify for each approach.
+func authProbes(s *Scope, blocks, total, result int) ([]Probe, error) {
+	e, err := s.Engine(Dataset{
+		Name: fmt.Sprintf("auth-%d", blocks),
+		Load: func(e *core.Engine) error {
+			txPerBlock := total / blocks
+			if txPerBlock < 1 {
+				txPerBlock = 1
+			}
+			// Result rows serve both queries: sent by org1 (Q2's tracking
+			// target) with amounts inside [RangeLo, RangeHi] (Q4's window).
+			err := LoadAuth(e, GenConfig{
+				Blocks: blocks, TxPerBlock: txPerBlock, ResultSize: result,
+				Dist: Uniform, Seed: 1,
+			})
+			if err == nil {
+				err = e.CreateAuthIndex("", "senid")
+			}
+			if err == nil {
+				err = e.CreateAuthIndex("donate", "amount")
+			}
+			return err
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	if e.Height() == 0 {
-		txPerBlock := total / blocks
-		if txPerBlock < 1 {
-			txPerBlock = 1
-		}
-		// Result rows serve both queries: sent by org1 (Q2's tracking
-		// target) with amounts inside [RangeLo, RangeHi] (Q4's window).
-		err = LoadAuth(e, GenConfig{
-			Blocks: blocks, TxPerBlock: txPerBlock, ResultSize: result,
-			Dist: Uniform, Seed: 1,
-		})
-		if err != nil {
-			e.Close() //sebdb:ignore-err best-effort cleanup on the error path
-			return nil, err
-		}
-	}
-	if err := e.CreateAuthIndex("", "senid"); err != nil {
-		e.Close() //sebdb:ignore-err best-effort cleanup on the error path
-		return nil, err
-	}
-	if err := e.CreateAuthIndex("donate", "amount"); err != nil {
-		e.Close() //sebdb:ignore-err best-effort cleanup on the error path
-		return nil, err
-	}
-	return e, nil
-}
+	height, headers := e.Height(), e.Headers()
 
-// authMetrics holds one (query, approach) measurement.
-type authMetrics struct {
-	voSize     int
-	serverTime time.Duration
-	clientTime time.Duration
-}
-
-// runALI measures the ALI path for one range query (best of three
-// runs per phase, like the other harnesses).
-func runALI(e *core.Engine, table, col string, lo, hi types.Value) (authMetrics, error) {
-	var m authMetrics
-	ali := e.CurrentView().AuthIndex(table, col)
-	if ali == nil {
-		return m, fmt.Errorf("bench: no ALI on %s.%s", table, col)
-	}
-	for r := 0; r < 3; r++ {
-		t0 := time.Now()
-		ans := auth.Serve(ali, e.Height(), nil, lo, hi)
-		server := time.Since(t0)
-		t1 := time.Now()
-		if _, _, err := auth.VerifyAnswer(ans, lo, hi); err != nil {
-			return m, err
-		}
-		client := time.Since(t1)
-		if r == 0 || server < m.serverTime {
-			m.serverTime = server
-		}
-		if r == 0 || client < m.clientTime {
-			m.clientTime = client
-		}
-		m.voSize = ans.Size()
-	}
-	return m, nil
-}
-
-// runBasic measures the ship-all-blocks baseline (best of three).
-func runBasic(e *core.Engine, match func(*types.Transaction) bool) (authMetrics, error) {
-	var m authMetrics
-	headers := e.Headers()
-	for r := 0; r < 3; r++ {
-		t0 := time.Now()
-		ans := &auth.BasicAnswer{Height: e.Height()}
-		for h := uint64(0); h < e.Height(); h++ {
+	// The ship-all-blocks server reads every block; its client checks
+	// each against the headers and filters locally.
+	serveBasic := func() (*auth.BasicAnswer, error) {
+		ans := &auth.BasicAnswer{Height: height}
+		for h := uint64(0); h < height; h++ {
 			b, err := e.Block(h)
 			if err != nil {
-				return m, err
+				return nil, err
 			}
 			ans.Blocks = append(ans.Blocks, b)
 		}
-		server := time.Since(t0)
-		t1 := time.Now()
-		if _, err := auth.BasicVerify(ans, headers, match); err != nil {
-			return m, err
-		}
-		client := time.Since(t1)
-		if r == 0 || server < m.serverTime {
-			m.serverTime = server
-		}
-		if r == 0 || client < m.clientTime {
-			m.clientTime = client
-		}
-		m.voSize = ans.Size()
+		return ans, nil
 	}
-	return m, nil
-}
+	basic, err := serveBasic()
+	if err != nil {
+		return nil, err
+	}
 
-// authFigure runs the shared sweep and projects one metric per figure.
-func authFigure(dir string, scale float64, title, note string,
-	pick func(authMetrics) string) (*Table, error) {
-	t := &Table{
-		Title:  title,
-		Header: []string{"blocks", "ALI-Q2", "ALI-Q4", "basic-Q2", "basic-Q4"},
-		Note:   note,
-	}
-	total := scaled(100_000, scale, 600)
-	result := scaled(10_000, scale, 60)
-	for _, blocks := range blockSizesFor(scale) {
-		e, err := authDataset(filepath.Join(dir, fmt.Sprintf("auth-%d", blocks)), blocks, total, result)
-		if err != nil {
-			return nil, err
+	size := make([]Probe, 4)
+	serve := make([]Probe, 4)
+	verify := make([]Probe, 4)
+	for i, q := range []struct {
+		table, col string
+		lo, hi     types.Value
+		match      func(*types.Transaction) bool
+	}{
+		{"", "senid", types.Str("org1"), types.Str("org1"),
+			func(tx *types.Transaction) bool { return tx.SenID == "org1" }},
+		{"donate", "amount", types.Dec(RangeLo), types.Dec(RangeHi),
+			func(tx *types.Transaction) bool {
+				if tx.Tname != "donate" {
+					return false
+				}
+				v := tx.Args[2].Float()
+				return v >= RangeLo && v <= RangeHi
+			}},
+	} {
+		ali := e.CurrentView().AuthIndex(q.table, q.col)
+		if ali == nil {
+			return nil, fmt.Errorf("bench: no ALI on %s.%s", q.table, q.col)
 		}
-		aliQ2, err := runALI(e, "", "senid", types.Str("org1"), types.Str("org1"))
-		if err != nil {
-			e.Close() //sebdb:ignore-err best-effort cleanup on the error path
-			return nil, err
+		ans := auth.Serve(ali, height, nil, q.lo, q.hi)
+		size[i] = func() (int, error) { return auth.Serve(ali, height, nil, q.lo, q.hi).Size(), nil }
+		serve[i] = func() (int, error) { return len(auth.Serve(ali, height, nil, q.lo, q.hi).Blocks), nil }
+		verify[i] = func() (int, error) {
+			_, txs, err := auth.VerifyAnswer(ans, q.lo, q.hi)
+			return len(txs), err
 		}
-		aliQ4, err := runALI(e, "donate", "amount", types.Dec(RangeLo), types.Dec(RangeHi))
-		if err != nil {
-			e.Close() //sebdb:ignore-err best-effort cleanup on the error path
-			return nil, err
-		}
-		basicQ2, err := runBasic(e, func(tx *types.Transaction) bool { return tx.SenID == "org1" })
-		if err != nil {
-			e.Close() //sebdb:ignore-err best-effort cleanup on the error path
-			return nil, err
-		}
-		basicQ4, err := runBasic(e, func(tx *types.Transaction) bool {
-			if tx.Tname != "donate" {
-				return false
+		size[2+i] = func() (int, error) {
+			ans, err := serveBasic()
+			if err != nil {
+				return 0, err
 			}
-			v := tx.Args[2].Float()
-			return v >= RangeLo && v <= RangeHi
-		})
-		e.Close() //sebdb:ignore-err best-effort cleanup on the error path
-		if err != nil {
-			return nil, err
+			return ans.Size(), nil
 		}
-		t.AddRow(fmt.Sprintf("%d", blocks),
-			pick(aliQ2), pick(aliQ4), pick(basicQ2), pick(basicQ4))
+		serve[2+i] = func() (int, error) {
+			ans, err := serveBasic()
+			if err != nil {
+				return 0, err
+			}
+			return len(ans.Blocks), nil
+		}
+		verify[2+i] = func() (int, error) {
+			txs, err := auth.BasicVerify(basic, headers, q.match)
+			return len(txs), err
+		}
 	}
-	return t, nil
-}
-
-// Fig17 — VO size, ALI vs basic.
-func Fig17(dir string, scale float64) (*Table, error) {
-	return authFigure(dir, scale,
-		"Fig. 17 — Authenticated query VO size, ALI vs ship-all-blocks",
-		"ALI VO is a small multiple of the result; the baseline ships the whole chain",
-		func(m authMetrics) string { return kb(m.voSize) })
-}
-
-// Fig18 — server-side query time.
-func Fig18(dir string, scale float64) (*Table, error) {
-	return authFigure(dir, scale,
-		"Fig. 18 — Authenticated query running time at server side",
-		"ALI touches only candidate blocks through the index; basic scans everything",
-		func(m authMetrics) string { return ms(m.serverTime) })
-}
-
-// Fig19 — client-side verification time.
-func Fig19(dir string, scale float64) (*Table, error) {
-	return authFigure(dir, scale,
-		"Fig. 19 — Authenticated query running time at client side",
-		"reconstructing a few MB-tree roots beats rebuilding every block's Merkle tree",
-		func(m authMetrics) string { return ms(m.clientTime) })
+	return append(append(size, serve...), verify...), nil
 }

@@ -3,24 +3,14 @@ package bench
 import (
 	"context"
 	"fmt"
-	"path/filepath"
-	"runtime"
 
 	"sebdb/internal/core"
 	"sebdb/internal/exec"
 )
 
-// MaxWorkers bounds the worker sweep of the parallel-scaling entry
-// (figure 23); bchainbench's -workers flag overrides it. The sweep
-// runs 1, 2, 4, ... doubling up to this bound.
-var MaxWorkers = runtime.GOMAXPROCS(0)
-
 // workerSteps returns the 1, 2, 4, ..., max sweep, always ending at
 // max itself.
 func workerSteps(max int) []int {
-	if max < 1 {
-		max = 1
-	}
 	var out []int
 	for w := 1; w < max; w *= 2 {
 		out = append(out, w)
@@ -28,66 +18,65 @@ func workerSteps(max int) []int {
 	return append(out, max)
 }
 
-// FigParallel — not a paper figure: Q4 (range query) latency under the
+// figParallel — not a paper figure: Q4 (range query) latency under the
 // three access methods as the read pipeline's worker bound grows. The
 // scan path fans whole-block fetch + predicate evaluation across the
 // pool, so it should speed up with workers until the disk or
 // GOMAXPROCS saturates; the layered path parallelizes its per-block
 // B+-tree probes, so its gain tracks the number of candidate blocks.
-func FigParallel(dir string, scale float64) (*Table, error) {
-	t := &Table{
-		Title:  fmt.Sprintf("Fig. 23 — parallel read pipeline: Q4 latency at 1..%d workers", MaxWorkers),
-		Header: []string{"workers", "scan", "bitmap", "layered"},
-		Note:   "scan/bitmap should drop as workers grow; all methods return identical results",
-	}
-	blocks := scaled(2_000, scale, 40)
-	result := scaled(10_000, scale, 200)
-	e, err := NewEngine(filepath.Join(dir, "figp"), core.CacheNone)
-	if err != nil {
-		return nil, err
-	}
-	if e.Height() == 0 {
-		err = LoadRange(e, GenConfig{
-			Blocks: blocks, TxPerBlock: 100, ResultSize: result,
-			Dist: Uniform, Seed: 1,
-		})
-	} else {
-		err = e.CreateIndex("donate", "amount")
-	}
-	if err != nil {
-		e.Close() //sebdb:ignore-err best-effort cleanup on the error path
-		return nil, err
-	}
-	defer e.Close() //sebdb:ignore-err best-effort cleanup; reads only
+var figParallel = &Figure{
+	Num:   23,
+	Name:  "parallel",
+	Title: "Fig. 23 — parallel read pipeline: Q4 latency at 1..{workers} workers",
+	Note:  "scan/bitmap should drop as workers grow; all methods return identical results",
+	Sweep: &Sweep{
+		X:      "workers",
+		Series: []Series{{"scan", Millis}, {"bitmap", Millis}, {"layered", Millis}},
+		Points: parallelPoints,
+	},
+}
 
-	want := -1
-	for _, w := range workerSteps(MaxWorkers) {
-		e.SetParallelism(w)
-		row := []string{fmt.Sprintf("%d", w)}
-		for _, m := range []exec.Method{exec.MethodScan, exec.MethodBitmap, exec.MethodLayered} {
-			// Each query runs as one recorder statement (a no-op while
-			// TraceSample is 0, when Recorder() is nil), so this figure
-			// with and without -trace-sample prices the recorder's
-			// per-statement overhead on an otherwise identical workload.
-			n, d, err := Timed(func() (int, error) {
-				_, st := e.Recorder().Begin(context.Background(), "Q4 range "+m.String())
-				st.SetStage("select")
-				n, err := Q4(e, RangeLo, RangeHi, m)
-				st.Finish(err)
-				return n, err
+func parallelPoints(s *Scope) ([]Point, error) {
+	e, err := s.Engine(Dataset{
+		Name: "figp",
+		Load: func(e *core.Engine) error {
+			return LoadRange(e, GenConfig{
+				Blocks: s.scaled(2_000, 40), TxPerBlock: 100, ResultSize: s.scaled(10_000, 200),
+				Dist: Uniform, Seed: 1,
 			})
-			if err != nil {
-				return nil, err
-			}
-			if want < 0 {
-				want = n
-			}
-			if n != want {
-				return nil, fmt.Errorf("fig23: %s at %d workers returned %d rows, want %d", m, w, n, want)
-			}
-			row = append(row, ms(d))
-		}
-		t.AddRow(row...)
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	return t, nil
+	want := -1 // the first answer; every later one must match it
+	var out []Point
+	for _, w := range workerSteps(s.workers()) {
+		out = append(out, Point{X: fmt.Sprint(w), Open: func(*Scope) ([]Probe, error) {
+			e.SetParallelism(w)
+			var probes []Probe
+			for _, m := range []exec.Method{exec.MethodScan, exec.MethodBitmap, exec.MethodLayered} {
+				// Each query runs as one recorder statement (a no-op while
+				// Env.TraceSample is 0, when Recorder() is nil), so this
+				// figure with and without -trace-sample prices the
+				// recorder's per-statement overhead on an otherwise
+				// identical workload.
+				probes = append(probes, func() (int, error) {
+					_, st := e.Recorder().Begin(context.Background(), "Q4 range "+m.String())
+					st.SetStage("select")
+					n, err := Q4(e, RangeLo, RangeHi, m)
+					st.Finish(err)
+					if want < 0 {
+						want = n
+					}
+					if err == nil && n != want {
+						err = fmt.Errorf("%s at %d workers returned %d rows, want %d", m, w, n, want)
+					}
+					return n, err
+				})
+			}
+			return probes, nil
+		}})
+	}
+	return out, nil
 }

@@ -2,19 +2,16 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"path/filepath"
 	"sync"
 	"time"
 
 	"sebdb/internal/core"
-	"sebdb/internal/exec"
 	"sebdb/internal/node"
 	"sebdb/internal/replica"
-	"sebdb/internal/types"
 )
 
-// FigReplicas — not a paper figure: aggregate verified read throughput
+// figReplicas — not a paper figure: aggregate verified read throughput
 // versus read-replica count. One leader serves a TCP block stream;
 // followers bootstrap from empty directories, tail it, re-verify and
 // apply every pushed block, and serve Q4 from their own height-pinned
@@ -22,69 +19,60 @@ import (
 // leader commits filler blocks beside the readers, plus the replication
 // lag the moment the writer stops — the bounded-staleness number the
 // replication contract promises.
-func FigReplicas(dir string, scale float64) (*Table, error) {
-	t := &Table{
-		Title:  "Fig. 26 — read replicas: aggregate Q4 reads/s vs replica count under a committing leader",
-		Header: []string{"replicas", "reads", "reads/s", "blocks committed", "lag at writer stop"},
-		Note:   "replicas serve verified reads from their own height-pinned views; 0 replicas = all reads on the leader; lag is leader height minus the slowest follower's the moment the writer stops",
-	}
-	blocks := scaled(300, scale, 20)
-	result := scaled(5_000, scale, 100)
-	commits := scaled(60, scale, 8)
+var figReplicas = &Figure{
+	Num:   26,
+	Name:  "replicas",
+	Title: "Fig. 26 — read replicas: aggregate Q4 reads/s vs replica count under a committing leader",
+	Note:  "replicas serve verified reads from their own height-pinned views; 0 replicas = all reads on the leader; lag is leader height minus the slowest follower's the moment the writer stops",
+	Sweep: &Sweep{
+		X: "replicas",
+		Series: []Series{
+			{"reads", "reads"}, {"reads/s", "reads/s"}, {"blocks committed", "blocks"}, {"lag at writer stop", "blocks"},
+		},
+		Points: replicaPoints,
+	},
+}
+
+func replicaPoints(s *Scope) ([]Point, error) {
 	counts := []int{0, 1, 2, 4}
-	maxReplicas := counts[len(counts)-1]
-
-	leaderEng, err := NewEngine(filepath.Join(dir, "figrep", "leader"), core.CacheNone)
+	leaderEng, err := s.Engine(Dataset{
+		Name: filepath.Join("figrep", "leader"),
+		Load: func(e *core.Engine) error {
+			return LoadRange(e, GenConfig{
+				Blocks: s.scaled(300, 20), TxPerBlock: 100, ResultSize: s.scaled(5_000, 100),
+				Dist: Uniform, Seed: 1,
+			})
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer leaderEng.Close() //sebdb:ignore-err best-effort cleanup; the scratch dataset is disposable
-	if leaderEng.Height() == 0 {
-		err = LoadRange(leaderEng, GenConfig{
-			Blocks: blocks, TxPerBlock: 100, ResultSize: result,
-			Dist: Uniform, Seed: 1,
-		})
-	} else {
-		err = leaderEng.CreateIndex("donate", "amount")
-	}
-	if err != nil {
-		return nil, err
-	}
-
 	leader := node.New(leaderEng)
 	leader.Replication().SetHeartbeat(50 * time.Millisecond)
 	addr, err := leader.Serve("127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	defer leader.Close() //sebdb:ignore-err best-effort node teardown after the sweep
+	s.Defer(leader.Close)
 
 	// Start the full fleet once; each sweep reads from a prefix of it.
 	// Followers keep tailing between sweeps, so later sweeps start
 	// converged — exactly how a standing fleet behaves.
-	repEngs := make([]*core.Engine, maxReplicas)
-	followers := make([]*replica.Follower, maxReplicas)
-	defer func() {
-		for i := range followers {
-			if followers[i] != nil {
-				followers[i].Stop()
-			}
-			if repEngs[i] != nil {
-				repEngs[i].Close() //sebdb:ignore-err best-effort cleanup; the scratch dataset is disposable
-			}
-		}
-	}()
+	repEngs := make([]*core.Engine, counts[len(counts)-1])
 	for i := range repEngs {
-		repEngs[i], err = NewEngine(filepath.Join(dir, "figrep", fmt.Sprintf("rep%d", i)), core.CacheNone)
+		// A follower bootstraps from an empty directory; a reused one
+		// resumes from its own height.
+		repEngs[i], err = s.Engine(Dataset{Name: filepath.Join("figrep", fmt.Sprintf("rep%d", i))})
 		if err != nil {
 			return nil, err
 		}
 		repEngs[i].SetFollower(true)
-		followers[i] = replica.StartFollower(repEngs[i], replica.FollowerConfig{
+		f := replica.StartFollower(repEngs[i], replica.FollowerConfig{
 			Leader:    addr,
 			Heartbeat: 50 * time.Millisecond,
 			Backoff:   20 * time.Millisecond,
 		})
+		s.Defer(func() error { f.Stop(); return nil })
 	}
 	converge := func() error {
 		deadline := time.Now().Add(60 * time.Second)
@@ -101,7 +89,7 @@ func FigReplicas(dir string, scale float64) (*Table, error) {
 				return nil
 			}
 			if time.Now().After(deadline) {
-				return fmt.Errorf("fig26: fleet did not converge to height %d", want)
+				return fmt.Errorf("fleet did not converge to height %d", want)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -118,116 +106,69 @@ func FigReplicas(dir string, scale float64) (*Table, error) {
 		}
 	}
 
-	// Filler blocks with amounts strictly below the Q4 window: the
-	// answer set stays identical on every node at every height.
-	rng := rand.New(rand.NewSource(2))
-	fillerBlock := func() []*types.Transaction {
-		txs := make([]*types.Transaction, 100)
-		for i := range txs {
-			txs[i] = &types.Transaction{
-				SenID: fmt.Sprintf("org%d", 2+rng.Intn(20)),
-				Tname: "donate",
-				Args: []types.Value{
-					types.Str(fmt.Sprintf("donor%06d", rng.Intn(1_000_000))),
-					types.Str("education"),
-					types.Dec(float64(rng.Intn(RangeLo - 1))),
-				},
-			}
-		}
-		return txs
-	}
-
+	commits := s.scaled(60, 8)
+	minReads := s.scaled(50, 5)
+	filler := fillerBlocks()
+	var out []Point
 	for _, count := range counts {
-		fleet := []*core.Engine{leaderEng}
-		if count > 0 {
-			fleet = repEngs[:count]
-		}
-		if err := converge(); err != nil {
-			return nil, err
-		}
-
-		done := make(chan struct{})
-		var wErr error
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer close(done)
-			for i := 0; i < commits; i++ {
-				if _, err := leaderEng.CommitBlock(fillerBlock(), 0); err != nil {
-					wErr = err
-					return
-				}
+		out = append(out, Point{X: fmt.Sprint(count), Row: func(*Scope) ([]float64, error) {
+			fleet := []*core.Engine{leaderEng}
+			if count > 0 {
+				fleet = repEngs[:count]
 			}
-		}()
+			if err := converge(); err != nil {
+				return nil, err
+			}
+			done, wait := commitInBackground(leaderEng, commits, filler)
 
-		// One reader goroutine per fleet engine, all racing the writer
-		// (and, on the replicas, the apply loop). Each reader runs until
-		// the writer is done AND it has met a minimum quota, so a sweep
-		// at tiny scale still measures real reads.
-		minReads := scaled(50, scale, 5)
-		readCounts := make([]int, len(fleet))
-		readErrs := make([]error, len(fleet))
-		var rg sync.WaitGroup
-		start := time.Now()
-		for i, re := range fleet {
-			rg.Add(1)
-			go func(i int, re *core.Engine) {
-				defer rg.Done()
-				want := -1
-				reads := 0
-				defer func() { readCounts[i] = reads }()
-				for {
-					if reads >= minReads {
+			// One reader goroutine per fleet engine, all racing the writer
+			// (and, on the replicas, the apply loop). Each reader runs until
+			// the writer is done AND it has met a minimum quota, so a sweep
+			// at tiny scale still measures real reads.
+			readCounts := make([]int, len(fleet))
+			readErrs := make([]error, len(fleet))
+			var rg sync.WaitGroup
+			start := time.Now()
+			for i, re := range fleet {
+				rg.Add(1)
+				go func() {
+					defer rg.Done()
+					readCounts[i], readErrs[i] = readLoop(re, func(reads int) bool {
+						if reads < minReads {
+							return true
+						}
 						select {
 						case <-done:
-							return
+							return false
 						default:
+							return true
 						}
-					}
-					n, err := Q4(re, RangeLo, RangeHi, exec.MethodLayered)
-					if err != nil {
-						readErrs[i] = err
-						return
-					}
-					if want < 0 {
-						want = n
-					}
-					if n != want {
-						readErrs[i] = fmt.Errorf("fig26: node %d read returned %d rows, want %d", i, n, want)
-						return
-					}
-					reads++
+					})
+				}()
+			}
+			rg.Wait()
+			elapsed := time.Since(start).Seconds()
+			if err := wait(); err != nil {
+				return nil, err
+			}
+			// Lag at the instant the writer stopped: how far the slowest
+			// follower trails the leader before catch-up.
+			lag := uint64(0)
+			lh := leaderEng.Height()
+			for _, re := range repEngs[:count] {
+				if h := re.Height(); lh > h && lh-h > lag {
+					lag = lh - h
 				}
-			}(i, re)
-		}
-		rg.Wait()
-		elapsed := time.Since(start).Seconds()
-		wg.Wait()
-		if wErr != nil {
-			return nil, fmt.Errorf("fig26: concurrent commit: %w", wErr)
-		}
-		// Lag at the instant the writer stopped: how far the slowest
-		// follower trails the leader before catch-up.
-		lag := uint64(0)
-		lh := leaderEng.Height()
-		for _, re := range repEngs[:count] {
-			if h := re.Height(); lh > h && lh-h > lag {
-				lag = lh - h
 			}
-		}
-		for i, err := range readErrs {
-			if err != nil {
-				return nil, fmt.Errorf("fig26: reader on node %d: %w", i, err)
+			total := 0
+			for i, err := range readErrs {
+				if err != nil {
+					return nil, fmt.Errorf("reader on node %d: %w", i, err)
+				}
+				total += readCounts[i]
 			}
-		}
-		total := 0
-		for _, n := range readCounts {
-			total += n
-		}
-		t.AddRow(fmt.Sprintf("%d", count), fmt.Sprintf("%d", total),
-			fmt.Sprintf("%.0f", float64(total)/elapsed),
-			fmt.Sprintf("%d", commits), fmt.Sprintf("%d", lag))
+			return []float64{float64(total), float64(total) / elapsed, float64(commits), float64(lag)}, nil
+		}})
 	}
-	return t, nil
+	return out, nil
 }

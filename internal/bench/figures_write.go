@@ -4,7 +4,6 @@ import (
 	"crypto/ed25519"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -14,119 +13,129 @@ import (
 	"sebdb/internal/core"
 )
 
-// Fig7 — write performance (Q1): throughput and mean response time
+// Fig. 7 — write performance (Q1): throughput and mean response time
 // under the Kafka ordering service and the PBFT (Tendermint-style)
 // consensus, 4 servers, varying concurrent clients (paper: 40..400
 // clients, 100 transactions each, block 200 txs / 200 ms for Kafka,
 // 10,000 txs for Tendermint). Every engine runs the staged commit
-// pipeline at MaxWorkers, and both protocols verify batch signatures
+// pipeline at Env.Workers, and both protocols verify batch signatures
 // over the same pool, so -workers sweeps the write path's parallelism
 // axis end to end.
-func Fig7(dir string, scale float64) (*Table, error) {
-	t := &Table{
-		Title: fmt.Sprintf("Fig. 7 — Write performance (Q1), Kafka vs PBFT(Tendermint-style), 4 servers, %d workers",
-			MaxWorkers),
-		Header: []string{"clients", "kafka tx/s", "kafka resp", "pbft tx/s", "pbft resp"},
-		Note:   "Kafka throughput >> PBFT; PBFT latency flat while underloaded, rising with clients",
-	}
-	txPerClient := scaled(100, scale, 5)
-	for _, paperClients := range []int{40, 120, 200, 280, 400} {
-		clients := scaled(paperClients, scale, 2)
-		row := []string{fmt.Sprintf("%d", clients)}
-		for _, proto := range []string{"kafka", "pbft"} {
-			engines := make([]*core.Engine, 4)
-			committers := make([]consensus.Committer, 4)
-			for i := range engines {
-				e, err := NewEngine(filepath.Join(dir,
-					fmt.Sprintf("f7-%s-%d-n%d", proto, clients, i)), core.CacheNone)
-				if err != nil {
-					return nil, err
-				}
-				if e.Height() == 0 {
-					if err := SetupSchema(e); err != nil {
-						return nil, err
-					}
-				}
-				e.SetParallelism(MaxWorkers)
-				engines[i] = e
-				committers[i] = e
-			}
-
-			var cons consensus.Consensus
-			switch proto {
-			case "kafka":
-				// Batch sizes scale with the client population so the
-				// saturation knee (paper: 200-tx blocks, ~240 clients)
-				// appears at any harness scale.
-				broker := kafka.New(kafka.Options{
-					BatchSize:    scaled(200, scale, 5),
-					BatchTimeout: 200 * time.Millisecond,
-					RequireSigs:  true,
-					Parallelism:  MaxWorkers,
-				})
-				for _, c := range committers {
-					broker.Subscribe(c)
-				}
-				cons = broker
-			default:
-				cl, err := pbft.New(pbft.Options{
-					F: 1, BatchSize: scaled(10_000, scale, 50),
-					BatchTimeout: 200 * time.Millisecond,
-					RequireSigs:  true,
-					Parallelism:  MaxWorkers,
-				}, committers)
-				if err != nil {
-					return nil, err
-				}
-				cons = cl
-			}
-			if err := cons.Start(); err != nil {
-				return nil, err
-			}
-
-			key := ed25519.NewKeyFromSeed(make([]byte, ed25519.SeedSize))
-			engines[0].RegisterKey("client", key)
-
-			var wg sync.WaitGroup
-			var latMu sync.Mutex
-			var totalLatency time.Duration
-			completed := 0
-			start := time.Now()
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(c)))
-					for i := 0; i < txPerClient; i++ {
-						tx, err := Q1Tx(engines[0], rng, "client")
+var fig7 = &Figure{
+	Num:   7,
+	Title: "Fig. 7 — Write performance (Q1), Kafka vs PBFT(Tendermint-style), 4 servers, {workers} workers",
+	Note:  "Kafka throughput >> PBFT; PBFT latency flat while underloaded, rising with clients",
+	Sweep: &Sweep{
+		X: "clients",
+		Series: []Series{
+			{"kafka tx/s", "tx/s"}, {"kafka resp", Millis}, {"pbft tx/s", "tx/s"}, {"pbft resp", Millis},
+		},
+		Points: func(s *Scope) ([]Point, error) {
+			var out []Point
+			for _, paperClients := range []int{40, 120, 200, 280, 400} {
+				clients := s.scaled(paperClients, 2)
+				out = append(out, Point{X: fmt.Sprint(clients), Row: func(s *Scope) ([]float64, error) {
+					var row []float64
+					for _, proto := range []string{"kafka", "pbft"} {
+						tput, resp, err := writeRun(s, proto, clients)
 						if err != nil {
-							return
+							return nil, err
 						}
-						t0 := time.Now()
-						if err := cons.Submit(tx); err != nil {
-							return
-						}
-						latMu.Lock()
-						totalLatency += time.Since(t0)
-						completed++
-						latMu.Unlock()
+						row = append(row, tput, millis(resp))
 					}
-				}(c)
+					return row, nil
+				}})
 			}
-			wg.Wait()
-			elapsed := time.Since(start)
-			cons.Stop() //sebdb:ignore-err benchmark teardown after results are collected
-			for _, e := range engines {
-				e.Close() //sebdb:ignore-err benchmark teardown after results are collected
-			}
-			if completed == 0 {
-				return nil, fmt.Errorf("fig7: no transactions completed under %s", proto)
-			}
-			tput := float64(completed) / elapsed.Seconds()
-			meanResp := totalLatency / time.Duration(completed)
-			row = append(row, fmt.Sprintf("%.0f", tput), ms(meanResp))
+			return out, nil
+		},
+	},
+}
+
+// writeRun drives clients concurrent submitters, each sending its share
+// of Q1 transactions through one consensus protocol over four engines,
+// and returns the committed throughput and the mean response time.
+func writeRun(s *Scope, proto string, clients int) (tput float64, resp time.Duration, err error) {
+	txPerClient := s.scaled(100, 5)
+	engines := make([]*core.Engine, 4)
+	committers := make([]consensus.Committer, 4)
+	for i := range engines {
+		e, err := s.Engine(Dataset{Name: fmt.Sprintf("f7-%s-%d-n%d", proto, clients, i), Load: SetupSchema})
+		if err != nil {
+			return 0, 0, err
 		}
-		t.AddRow(row...)
+		e.SetParallelism(s.workers())
+		engines[i] = e
+		committers[i] = e
 	}
-	return t, nil
+
+	var cons consensus.Consensus
+	switch proto {
+	case "kafka":
+		// Batch sizes scale with the client population so the
+		// saturation knee (paper: 200-tx blocks, ~240 clients)
+		// appears at any harness scale.
+		broker := kafka.New(kafka.Options{
+			BatchSize:    s.scaled(200, 5),
+			BatchTimeout: 200 * time.Millisecond,
+			RequireSigs:  true,
+			Parallelism:  s.workers(),
+		})
+		for _, c := range committers {
+			broker.Subscribe(c)
+		}
+		cons = broker
+	default:
+		cl, err := pbft.New(pbft.Options{
+			F: 1, BatchSize: s.scaled(10_000, 50),
+			BatchTimeout: 200 * time.Millisecond,
+			RequireSigs:  true,
+			Parallelism:  s.workers(),
+		}, committers)
+		if err != nil {
+			return 0, 0, err
+		}
+		cons = cl
+	}
+	if err := cons.Start(); err != nil {
+		return 0, 0, err
+	}
+
+	key := ed25519.NewKeyFromSeed(make([]byte, ed25519.SeedSize))
+	engines[0].RegisterKey("client", key)
+
+	var wg sync.WaitGroup
+	var latMu sync.Mutex
+	var totalLatency time.Duration
+	completed := 0
+	start := time.Now()
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c)))
+			for i := 0; i < txPerClient; i++ {
+				tx, err := Q1Tx(engines[0], rng, "client")
+				if err != nil {
+					return
+				}
+				t0 := time.Now()
+				if err := cons.Submit(tx); err != nil {
+					return
+				}
+				latMu.Lock()
+				totalLatency += time.Since(t0)
+				completed++
+				latMu.Unlock()
+			}
+		}(c)
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	if err := cons.Stop(); err != nil {
+		return 0, 0, err
+	}
+	if completed == 0 {
+		return 0, 0, fmt.Errorf("no transactions completed under %s", proto)
+	}
+	return float64(completed) / elapsed.Seconds(), totalLatency / time.Duration(completed), nil
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"sebdb/internal/core"
-	"sebdb/internal/obs"
 	"sebdb/internal/types"
 )
 
@@ -142,26 +141,18 @@ func CommitChain(e *core.Engine, perBlock [][]*types.Transaction) error {
 	return nil
 }
 
-// TraceSample wires a flight recorder into benchmark engines, tracing
-// one statement in every TraceSample; 0 (the default) leaves the
-// recorder out entirely so figures measure the bare engine.
-// bchainbench's -trace-sample flag sets it, which makes the recorder's
-// overhead measurable: compare `-fig 23` against
-// `-fig 23 -trace-sample N`.
-var TraceSample int
-
-// NewEngine opens a fresh engine in dir with benchmark-friendly
-// settings (histogram depth 100 as in §VII-D; cache off by default so
-// access-path comparisons measure I/O).
-func NewEngine(dir string, cache core.CacheMode) (*core.Engine, error) {
-	cfg := core.Config{
+// engineConfig is the benchmark-friendly engine configuration
+// (histogram depth 100 as in §VII-D).
+func engineConfig(dir string, cache core.CacheMode) core.Config {
+	return core.Config{
 		Dir:            dir,
 		HistogramDepth: 100,
 		CacheMode:      cache,
 		DefaultSender:  "bench",
 	}
-	if TraceSample > 0 {
-		cfg.Recorder = obs.NewRecorder(obs.RecorderConfig{SampleEvery: TraceSample})
-	}
-	return core.Open(cfg)
+}
+
+// NewEngine opens an engine in dir with the benchmark settings.
+func NewEngine(dir string, cache core.CacheMode) (*core.Engine, error) {
+	return core.Open(engineConfig(dir, cache))
 }

@@ -7,20 +7,13 @@ import (
 	"sebdb/internal/obs"
 )
 
-// FigureJSON is one figure's table in machine-readable form, for
-// plotting pipelines that consume `bchainbench -json`.
+// FigureJSON is one figure in machine-readable form, for plotting
+// pipelines that consume `bchainbench -json`: the measured table as it
+// is — series with their units, rows of numbers — under its number.
 type FigureJSON struct {
 	// Figure is the paper's figure number.
 	Figure int `json:"figure"`
-	// Title is the table title.
-	Title string `json:"title"`
-	// X is the x-axis label (Header[0]).
-	X string `json:"x"`
-	// Series are the remaining column names.
-	Series []string `json:"series"`
-	// Values holds the formatted cells, one row per x point; each row's
-	// first element is the x value.
-	Values [][]string `json:"values"`
+	*Table
 	// Quantiles summarises the process's latency histograms as they
 	// stood after this figure ran, keyed by metric name. Cumulative
 	// across figures in one run (the registry is process-wide).
@@ -52,19 +45,6 @@ func HistogramQuantiles(reg *obs.Registry) map[string]QuantilesJSON {
 			P90:   s.Quantile(0.90),
 			P99:   s.Quantile(0.99),
 		}
-	}
-	return out
-}
-
-// TableJSON converts a rendered table to its JSON form.
-func TableJSON(num int, t *Table) FigureJSON {
-	out := FigureJSON{Figure: num, Title: t.Title, Values: t.Rows}
-	if len(t.Header) > 0 {
-		out.X = t.Header[0]
-		out.Series = t.Header[1:]
-	}
-	if out.Values == nil {
-		out.Values = [][]string{}
 	}
 	return out
 }

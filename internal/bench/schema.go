@@ -2,8 +2,9 @@
 // blockchain databases (§VII-A): the seven-table donation schema, a
 // data generator controlling both the time dimension (how resulting
 // transactions spread across blocks — uniform or Gaussian) and the
-// attribute-value dimension (result sizes), the Q1-Q7 workload, and one
-// harness per evaluation figure.
+// attribute-value dimension (result sizes), the Q1-Q7 workload, and the
+// registry of evaluation figures (figures.go), each defined once and
+// run by the drivers in driver.go.
 package bench
 
 import (

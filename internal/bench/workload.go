@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"sebdb/internal/core"
 	"sebdb/internal/exec"
@@ -25,27 +24,7 @@ import (
 //
 // Each runner takes the access method so the harness can reproduce the
 // paper's scan / bitmap / layered comparisons, and returns the result
-// count plus the elapsed wall time.
-
-// Timed measures f's wall time, reporting the fastest of three runs to
-// damp page-cache and scheduler noise.
-func Timed(f func() (int, error)) (int, time.Duration, error) {
-	var best time.Duration
-	var n int
-	for r := 0; r < 3; r++ {
-		start := time.Now()
-		var err error
-		n, err = f()
-		d := time.Since(start)
-		if err != nil {
-			return n, d, err
-		}
-		if r == 0 || d < best {
-			best = d
-		}
-	}
-	return n, best, nil
-}
+// count.
 
 // Q1Tx builds one donate transaction for the write benchmark.
 func Q1Tx(e *core.Engine, rng *rand.Rand, sender string) (*types.Transaction, error) {

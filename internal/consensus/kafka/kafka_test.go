@@ -45,7 +45,11 @@ func tx(i int) *types.Transaction {
 
 func TestBatchBySize(t *testing.T) {
 	c := &memCommitter{}
-	b := New(Options{BatchSize: 10, BatchTimeout: time.Hour})
+	// A size-triggered cut also takes the partial tail behind the full
+	// batches, so stragglers that arrive after it may never add up to
+	// another full batch: the timeout has to be short enough to drain
+	// them (with an hour, a slow scheduler hung this test for good).
+	b := New(Options{BatchSize: 10, BatchTimeout: 50 * time.Millisecond})
 	b.Subscribe(c)
 	if err := b.Start(); err != nil {
 		t.Fatal(err)

@@ -192,7 +192,7 @@ func (e *Engine) CreateAuthIndex(table, col string) error {
 		spec.table = tbl.Name
 		kind = k
 	} else if _, err := types.SystemColumnKind(col); err != nil {
-		return err
+		return fmt.Errorf("core: auth index on %q: %w", col, err)
 	}
 	return createIndex(e, e.alisLocked, spec, kind, e.aliFeed,
 		func(hist *layered.Histogram) *auth.ALI {

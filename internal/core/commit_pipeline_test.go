@@ -408,10 +408,10 @@ func TestGroupFsyncCrashMatrix(t *testing.T) {
 	}
 }
 
-// TestBadDDLBlockRefused delivers blocks whose meta-transactions cannot
-// be applied — a table or contract redefined differently, an
-// undecodable payload, two definitions of one block contradicting each
-// other — through both doors of the install stage. The block must be
+// TestBadDDLBlockRefused delivers blocks that cannot be installed — a
+// table or contract redefined differently, an undecodable payload, two
+// definitions of one block contradicting each other, a transaction that
+// is not a tuple of its table — through both doors of the install stage. The block must be
 // refused before anything is written: the consensus entry point used to
 // append it and fail while indexing, leaving a block on disk that no
 // later Open could replay.
@@ -434,6 +434,7 @@ func TestBadDDLBlockRefused(t *testing.T) {
 		return meta(contract.MetaTable, c.EncodeDeploy())
 	}
 	intCol := schema.Column{Name: "x", Kind: types.KindInt}
+	intCol2 := schema.Column{Name: "y", Kind: types.KindInt}
 	bad := map[string]func(e *Engine) []*types.Transaction{
 		"table conflicts with catalog": func(e *Engine) []*types.Transaction {
 			return []*types.Transaction{donateTx(t, e, 100), table("donate", intCol)}
@@ -442,13 +443,24 @@ func TestBadDDLBlockRefused(t *testing.T) {
 			return []*types.Transaction{meta(schema.MetaTable, []types.Value{types.Int(1)})}
 		},
 		"two tables conflict within the block": func(e *Engine) []*types.Transaction {
-			return []*types.Transaction{table("fresh", intCol), table("fresh", intCol, schema.Column{Name: "y", Kind: types.KindInt})}
+			return []*types.Transaction{table("fresh", intCol), table("fresh", intCol, intCol2)}
 		},
 		"contract conflicts with registry": func(e *Engine) []*types.Transaction {
 			return []*types.Transaction{deploy("give", `SELECT * FROM transfer`)}
 		},
 		"undecodable deploy payload": func(e *Engine) []*types.Transaction {
 			return []*types.Transaction{meta(contract.MetaTable, []types.Value{types.Int(1)})}
+		},
+		// The node holds a layered index on donate.amount, the third
+		// column; indexing this tuple would run past its arguments.
+		"tuple shorter than its table": func(e *Engine) []*types.Transaction {
+			return []*types.Transaction{donateTx(t, e, 100), meta("donate", []types.Value{types.Str("solo")})}
+		},
+		"tuple of the wrong kinds": func(e *Engine) []*types.Transaction {
+			return []*types.Transaction{meta("donate", []types.Value{types.Int(1), types.Int(2), types.Str("x")})}
+		},
+		"short tuple of a table the block itself defines": func(e *Engine) []*types.Transaction {
+			return []*types.Transaction{table("fresh", intCol, intCol2), meta("fresh", []types.Value{types.Int(1)})}
 		},
 	}
 	doors := map[string]func(e *Engine, txs []*types.Transaction, ts int64) error{
@@ -487,7 +499,7 @@ func TestBadDDLBlockRefused(t *testing.T) {
 				height, epoch, want := e.Height(), e.CurrentView().Epoch(), recoveryFingerprint(t, e)
 
 				if err := deliver(e, txs(e), 30_000); err == nil {
-					t.Fatal("block with an inapplicable meta-transaction was accepted")
+					t.Fatal("a block that cannot be installed was accepted")
 				}
 				if e.Height() != height || uint64(e.store.Count()) != height {
 					t.Fatalf("refused block moved the chain: height %d, store %d, want %d", e.Height(), e.store.Count(), height)

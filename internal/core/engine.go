@@ -755,6 +755,13 @@ func (e *Engine) install(b *types.Block, start int64, event string) (*snapshot.C
 
 	e.mu.Lock()
 	tables, contracts, err := e.resolveDDL(b)
+	if err == nil {
+		// Indexes read tuples by column position: a block carrying a
+		// short or mistyped tuple would append and then fail to index.
+		// Replay (indexBlock) skips this, so chains already on disk
+		// open as before.
+		err = e.catalog.CheckTuples(b.Txs, tables)
+	}
 	if err != nil {
 		e.mu.Unlock()
 		return nil, err

@@ -147,3 +147,28 @@ func (c *Catalog) Resolve(txs []*types.Transaction) ([]*Table, error) {
 	}
 	return out, nil
 }
+
+// CheckTuples reports the first transaction among txs that belongs to
+// a table — one the catalog holds, or one of pending, the tables the
+// same block defines — without being a tuple of it (Table.CheckArgs).
+// Transactions of any other type are not tuples and pass. The engine
+// asks before a block is appended: indexes read columns by position,
+// so a short or mistyped tuple must be refused while the block still
+// can be.
+func (c *Catalog) CheckTuples(txs []*types.Transaction, pending []*Table) error {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, tx := range txs {
+		t, ok := c.tables[tx.Tname]
+		for i := 0; !ok && i < len(pending); i++ {
+			t, ok = pending[i], pending[i].Name == tx.Tname
+		}
+		if !ok {
+			continue
+		}
+		if err := t.CheckArgs(tx.Args); err != nil {
+			return err
+		}
+	}
+	return nil
+}

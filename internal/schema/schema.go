@@ -124,12 +124,29 @@ func (t *Table) ValidateArgs(args []types.Value) ([]types.Value, error) {
 	return out, nil
 }
 
+// CheckArgs reports whether args is already a tuple of t — one value
+// per column, each null or of the column's kind, which is what
+// ValidateArgs returns — without copying it.
+func (t *Table) CheckArgs(args []types.Value) error {
+	if len(args) != len(t.Columns) {
+		return fmt.Errorf("schema: table %q expects %d values, got %d",
+			t.Name, len(t.Columns), len(args))
+	}
+	for i, v := range args {
+		if v.Kind != t.Columns[i].Kind && v.Kind != types.KindNull {
+			return fmt.Errorf("schema: table %q column %q holds %s, got %s",
+				t.Name, t.Columns[i].Name, t.Columns[i].Kind, v.Kind)
+		}
+	}
+	return nil
+}
+
 // Value extracts a named column (system or application) from a
 // transaction that belongs to this table.
 func (t *Table) Value(tx *types.Transaction, name string) (types.Value, error) {
 	name = strings.ToLower(name)
-	if v, err := tx.SystemValue(name); err == nil {
-		return v, nil
+	if v, err := tx.SystemValue(name); err != types.ErrNotSystemColumn {
+		return v, err
 	}
 	i := t.ColumnIndex(name)
 	if i < 0 {

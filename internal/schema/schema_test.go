@@ -106,6 +106,33 @@ func TestTableValue(t *testing.T) {
 	if _, err := tbl.Value(tx, "ghost"); err == nil {
 		t.Error("unknown column should error")
 	}
+	// Scans evaluate every predicate through Value once per tuple; the
+	// application-column path used to build and drop an error each time.
+	if n := testing.AllocsPerRun(100, func() {
+		if v, err := tbl.Value(tx, "amount"); err != nil || v.F != 100 {
+			t.Fatalf("amount = %v, %v", v, err)
+		}
+	}); n != 0 {
+		t.Errorf("application-column lookup allocates %v times, want 0", n)
+	}
+}
+
+func TestCheckArgs(t *testing.T) {
+	tbl := donate(t)
+	for name, tc := range map[string]struct {
+		args []types.Value
+		ok   bool
+	}{
+		"tuple":         {[]types.Value{types.Str("Jack"), types.Str("Edu"), types.Dec(100)}, true},
+		"null column":   {[]types.Value{types.Str("Jack"), types.Null, types.Dec(100)}, true},
+		"short":         {[]types.Value{types.Str("Jack")}, false},
+		"long":          {[]types.Value{types.Str("a"), types.Str("b"), types.Dec(1), types.Dec(2)}, false},
+		"uncoerced int": {[]types.Value{types.Str("Jack"), types.Str("Edu"), types.Int(100)}, false},
+	} {
+		if err := tbl.CheckArgs(tc.args); (err == nil) != tc.ok {
+			t.Errorf("%s: CheckArgs = %v, want ok=%v", name, err, tc.ok)
+		}
+	}
 }
 
 func TestDDLRoundTrip(t *testing.T) {
@@ -200,5 +227,34 @@ func TestCatalogResolve(t *testing.T) {
 	}
 	if _, err := NewCatalog().Resolve([]*types.Transaction{ddl, clash}); err == nil {
 		t.Error("two conflicting definitions in one batch resolved")
+	}
+}
+
+func TestCatalogCheckTuples(t *testing.T) {
+	c, tbl := NewCatalog(), donate(t)
+	good := &types.Transaction{Tname: "donate", Args: []types.Value{types.Str("Jack"), types.Str("Edu"), types.Dec(1)}}
+	short := &types.Transaction{Tname: "donate", Args: []types.Value{types.Str("Jack")}}
+	ddl := &types.Transaction{Tname: MetaTable, Args: tbl.EncodeDDL()}
+	// No such table yet: neither transaction is a tuple of anything.
+	if err := c.CheckTuples([]*types.Transaction{good, short, ddl}, nil); err != nil {
+		t.Errorf("transactions of an unknown type refused: %v", err)
+	}
+	// The table may come from the block itself or from the catalog.
+	if err := c.CheckTuples([]*types.Transaction{short}, []*Table{tbl}); err == nil {
+		t.Error("short tuple of a pending table passed")
+	}
+	if err := c.Define(tbl); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckTuples([]*types.Transaction{good, short}, nil); err == nil {
+		t.Error("short tuple of a catalog table passed")
+	}
+	txs := []*types.Transaction{good, ddl, good}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := c.CheckTuples(txs, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("checking a good block allocates %v times, want 0", n)
 	}
 }

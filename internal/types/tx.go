@@ -4,7 +4,6 @@ import (
 	"crypto/ed25519"
 	"crypto/sha256"
 	"errors"
-	"fmt"
 )
 
 // Hash is the 32-byte SHA-256 digest used throughout SEBDB.
@@ -156,8 +155,13 @@ func (t *Transaction) Size() int { return len(t.EncodeBytes()) }
 // SEBDB table implicitly starts with (paper §III-A/IV-A).
 var SystemColumns = []string{"tid", "ts", "senid", "tname"}
 
-// SystemColumnKind returns the kind of a system-level column, or an
-// error if name is not a system column.
+// ErrNotSystemColumn is returned, bare, by SystemColumnKind and
+// SystemValue for any other name. Every application-column lookup
+// takes this path once per predicate per tuple, so it builds nothing.
+var ErrNotSystemColumn = errors.New("types: not a system column")
+
+// SystemColumnKind returns the kind of a system-level column, or
+// ErrNotSystemColumn.
 func SystemColumnKind(name string) (Kind, error) {
 	switch name {
 	case "tid":
@@ -167,7 +171,7 @@ func SystemColumnKind(name string) (Kind, error) {
 	case "senid", "tname":
 		return KindString, nil
 	default:
-		return KindNull, fmt.Errorf("types: %q is not a system column", name)
+		return KindNull, ErrNotSystemColumn
 	}
 }
 
@@ -183,7 +187,7 @@ func (t *Transaction) SystemValue(name string) (Value, error) {
 	case "tname":
 		return Str(t.Tname), nil
 	default:
-		return Null, fmt.Errorf("types: %q is not a system column", name)
+		return Null, ErrNotSystemColumn
 	}
 }
 

@@ -3,9 +3,9 @@
 #
 # Runs formatting, go vet, the project's own sebdb-vet analyzers, the
 # build, the full test suite, the full suite again under -race, the
-# nested benchmark module's vet + short tests and a bchainbench -json
-# smoke per figure family. Everything is stdlib Go; no network or
-# external tools needed.
+# nested benchmark module's vet + short tests, every figure once through
+# the testing.B driver and two bchainbench -json smokes. Everything is
+# stdlib Go; no network or external tools needed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,13 +51,20 @@ echo "== benchmark module =="
 # signature change can break the measuring stick unnoticed.
 go -C benchmark vet ./... && go -C benchmark test -short ./...
 
+echo "== go test -bench Figures (every figure, one iteration per cell) =="
+# go test ./... compiles the root benchmarks but never runs them; this
+# runs every registered figure through the testing.B driver — the same
+# definitions, loaders and result-count checks bchainbench uses.
+go test -run '^$' -bench Figures -benchtime 1x .
+
 echo "== bchainbench -json smoke =="
-# fig storage errors out internally if the four tier variants' scan
+# The table driver end to end: fig 12 for the JSON output, fig storage
+# because it errors out internally if the four tier variants' scan
 # digests diverge, so its smoke doubles as a cross-tier equivalence
 # check on a real chain.
 json_out=$(mktemp)
 trap 'rm -f "$json_out"' EXIT
-for fig in 12 7 readview replicas storage; do
+for fig in 12 storage; do
     go run ./cmd/bchainbench -fig "$fig" -scale 0.01 -json "$json_out" >/dev/null
     if ! grep -q '"figure"' "$json_out"; then
         echo "bchainbench -fig $fig -json produced no figure data" >&2
