@@ -9,6 +9,7 @@ package sebdb
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"sebdb/internal/auth"
 	"sebdb/internal/bench"
@@ -50,10 +51,16 @@ func BenchmarkAblationHistogramDepth(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMBTreeFanout sweeps the ALI's MB-tree fanout: wide
-// pages (the paper's ~100-slot 4 KB page) shorten the tree but expose
-// more per-leaf digests in each VO; narrow pages do the opposite.
-// VO-bytes is reported per variant.
+// BenchmarkAblationMBTreeFanout sweeps the ALI's MB-tree fan-out, the
+// measurement behind mbtree.DefaultFanout. A per-block tree is static
+// and lives in memory, so a node has no page to fill: a wide node (the
+// paper's ~100-slot 4 KB page) only puts more sibling digests into every
+// VO — (f−1) per level on average, log_f n levels — while a narrow one
+// keeps more node digests per tree (n/(f−1)) and hashes more of them at
+// build time. Each variant reports the answer size, the split of the
+// timed loop into serving and verifying, and what the tree costs to
+// build and to keep. Blocks hold 140 rows, the size the end-to-end
+// benchmark commits, and every block holds a few rows of the answer.
 func BenchmarkAblationMBTreeFanout(b *testing.B) {
 	e, err := core.Open(core.Config{
 		Dir: b.TempDir(), HistogramDepth: 100, DefaultSender: "bench",
@@ -63,7 +70,7 @@ func BenchmarkAblationMBTreeFanout(b *testing.B) {
 	}
 	defer e.Close()
 	err = bench.LoadAuth(e, bench.GenConfig{
-		Blocks: 50, TxPerBlock: 50, ResultSize: 250,
+		Blocks: 50, TxPerBlock: 140, ResultSize: 250,
 		Dist: bench.Uniform, Seed: 1,
 	})
 	if err != nil {
@@ -81,38 +88,64 @@ func BenchmarkAblationMBTreeFanout(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, fanout := range []int{4, 16, 100, 400} {
+	blocks := make([][]mbtree.Record, v.Height())
+	for bid := range blocks {
+		blk, err := v.Block(uint64(bid))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, tx := range blk.Txs {
+			if tx.Tname != tbl.Name {
+				continue
+			}
+			amount, err := tbl.Value(tx, "amount")
+			if err != nil {
+				b.Fatal(err)
+			}
+			blocks[bid] = append(blocks[bid], mbtree.Record{Key: amount, Payload: tx.EncodeBytes()})
+		}
+	}
+	for _, fanout := range []int{2, 4, 8, 16, 100, 400} {
 		b.Run(fmt.Sprintf("Fanout%d", fanout), func(b *testing.B) {
-			ali := auth.NewContinuous("amount", hist, fanout)
-			for bid := uint64(0); bid < v.Height(); bid++ {
-				blk, err := v.Block(bid)
-				if err != nil {
-					b.Fatal(err)
+			const builds = 20 // the ALI is built this often to time one build
+			var ali *auth.ALI
+			start := time.Now()
+			for i := 0; i < builds; i++ {
+				ali = auth.NewContinuous("amount", hist, fanout)
+				for bid, recs := range blocks {
+					ali.AppendBlock(uint64(bid), recs)
 				}
-				var recs []mbtree.Record
-				for _, tx := range blk.Txs {
-					if tx.Tname != tbl.Name {
-						continue
+			}
+			build := time.Since(start)
+			digests := 0
+			for _, recs := range blocks {
+				for size := len(recs); size > 0; {
+					digests += size
+					if size = (size + fanout - 1) / fanout; size == 1 {
+						digests++
+						break
 					}
-					amount, err := tbl.Value(tx, "amount")
-					if err != nil {
-						b.Fatal(err)
-					}
-					recs = append(recs, mbtree.Record{Key: amount, Payload: tx.EncodeBytes()})
 				}
-				ali.AppendBlock(bid, recs)
 			}
 			lo, hi := types.Dec(bench.RangeLo), types.Dec(bench.RangeHi)
 			var voBytes int
+			var serve time.Duration
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				start := time.Now()
 				ans := auth.Serve(ali, v.Height(), nil, lo, hi)
+				serve += time.Since(start)
 				voBytes = ans.Size()
-				if _, _, err := auth.VerifyAnswer(ans, lo, hi); err != nil {
-					b.Fatal(err)
+				if _, txs, err := auth.VerifyAnswer(ans, lo, hi); err != nil || len(txs) != 250 {
+					b.Fatalf("%d rows, %v", len(txs), err)
 				}
 			}
+			us := func(d time.Duration, n int) float64 { return float64(d.Microseconds()) / float64(n) }
 			b.ReportMetric(float64(voBytes), "VO-bytes")
+			b.ReportMetric(us(serve, b.N), "serve-us")
+			b.ReportMetric(us(b.Elapsed()-serve, b.N), "verify-us")
+			b.ReportMetric(us(build, builds*len(blocks)), "build-us/block")
+			b.ReportMetric(float64(digests*len(mbtree.Hash{}))/float64(len(blocks)), "tree-B/block")
 		})
 	}
 }

@@ -28,7 +28,7 @@ type ALI struct {
 
 	mu    sync.RWMutex
 	trees []*mbtree.Tree // indexed by block id; nil when block empty
-	roots []mbtree.Hash
+	roots []mbtree.Hash  // the trees' roots, side by side for Digest
 }
 
 // NewDiscrete creates an ALI over a discrete attribute (e.g. Tname for
@@ -67,26 +67,26 @@ func (a *ALI) BlockRecords(bid uint64) []mbtree.Record {
 }
 
 // AppendBlock indexes a newly chained block: the MB-tree is built over
-// the records and the first level updated. Blocks must be appended in
-// height order; pass nil records for blocks without relevant rows.
+// the records and the first level marked with their keys. Blocks must
+// be appended in height order; pass nil records for blocks without
+// relevant rows.
 func (a *ALI) AppendBlock(bid uint64, recs []mbtree.Record) {
+	var t *mbtree.Tree
+	var root mbtree.Hash
+	if len(recs) > 0 {
+		t = mbtree.Build(recs, a.fanout)
+		root = t.Root()
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for uint64(len(a.trees)) <= bid {
 		a.trees = append(a.trees, nil)
 		a.roots = append(a.roots, mbtree.Hash{})
 	}
-	entries := make([]layered.Entry, len(recs))
-	for i, r := range recs {
-		entries[i] = layered.Entry{Key: r.Key, Pos: uint32(i)}
-	}
-	a.first.AppendBlock(bid, entries)
-	if len(recs) == 0 {
-		return
-	}
-	t := mbtree.Build(recs, a.fanout)
-	a.trees[bid] = t
-	a.roots[bid] = t.Root()
+	a.trees[bid], a.roots[bid] = t, root
+	// The tree hands its keys over sorted, so equal ones are marked once;
+	// without records there is no tree and no key is asked for.
+	a.first.MarkBlock(bid, len(recs), t.Key)
 }
 
 // Blocks returns the number of block slots the ALI covers.

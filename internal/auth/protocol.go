@@ -22,18 +22,63 @@ type BlockVO struct {
 // Answer is the first-phase reply of a full node: the snapshot height
 // and one VO per candidate block (paper §VI: "the VO consists of one VO
 // each MB-tree the query visited", plus the block height h).
+//
+// On the wire an answer is one buffer (format v2):
+//
+//	byte     answerVersion
+//	uvarint  snapshot height
+//	then, until the buffer ends, per block in ascending block id:
+//	uvarint  block id
+//	uint32   VO length
+//	...      the block's mbtree VO
+//
+// Serve writes that buffer and DecodeAnswer reads it; either way
+// Blocks[i].Bytes are sub-slices of it, never copies.
 type Answer struct {
 	Height uint64
 	Blocks []BlockVO
+	wire   []byte
 }
 
-// Size returns the total VO size in bytes — the paper's Fig. 17 metric.
-func (a *Answer) Size() int {
-	n := 8
-	for _, b := range a.Blocks {
-		n += 8 + len(b.Bytes)
+// answerVersion leads every encoded answer. A v1 answer began with its
+// height as a big-endian uint64, whose first byte is zero for any chain
+// shorter than 2^56 blocks.
+const answerVersion = 2
+
+// Size returns the total VO size in bytes — the paper's Fig. 17 metric:
+// the length of the encoded answer.
+func (a *Answer) Size() int { return len(a.wire) }
+
+// Wire returns the encoded answer, ready to be sent as a reply.
+func (a *Answer) Wire() []byte { return a.wire }
+
+// DecodeAnswer parses an encoded answer without copying the VOs out of
+// buf. An answer of another version is refused with types.ErrCorrupt.
+func DecodeAnswer(buf []byte) (*Answer, error) {
+	d := types.NewDecoder(buf)
+	if ver, err := d.Uint8(); err != nil || ver != answerVersion {
+		return nil, fmt.Errorf("%w: not a v2 answer", types.ErrCorrupt)
 	}
-	return n
+	ans := &Answer{wire: buf}
+	var err error
+	if ans.Height, err = d.Uvarint(); err != nil {
+		return nil, err
+	}
+	for d.Remaining() > 0 {
+		var b BlockVO
+		if b.Bid, err = d.Uvarint(); err != nil {
+			return nil, err
+		}
+		size, err := d.Uint32()
+		if err != nil {
+			return nil, err
+		}
+		if b.Bytes, err = d.View(int(size)); err != nil {
+			return nil, err
+		}
+		ans.Blocks = append(ans.Blocks, b)
+	}
+	return ans, nil
 }
 
 // candidates computes the deterministic candidate-block set of a query
@@ -56,16 +101,26 @@ func candidates(ali *ALI, height uint64, eligible *bitmap.Bitmap, lo, hi types.V
 // Serve is the full node's side of phase one: it executes the range
 // query [lo, hi] over the ALI at the given snapshot height and returns
 // the answer with one VO per candidate block. eligible restricts the
-// block set (time window); nil means all blocks.
+// block set (time window); nil means all blocks. Every VO is written
+// straight into the reply buffer.
 func Serve(ali *ALI, height uint64, eligible *bitmap.Bitmap, lo, hi types.Value) *Answer {
-	ans := &Answer{Height: height}
+	e := types.NewEncoder(4096)
+	e.Uint8(answerVersion)
+	e.Uvarint(height)
 	for _, bid := range candidates(ali, height, eligible, lo, hi) {
 		t := ali.Tree(uint64(bid))
 		if t == nil {
 			continue
 		}
-		vo := t.RangeVO(lo, hi)
-		ans.Blocks = append(ans.Blocks, BlockVO{Bid: uint64(bid), Bytes: vo.Encode()})
+		e.Uvarint(uint64(bid))
+		at := e.Len()
+		e.Uint32(0)
+		t.EncodeVO(e, lo, hi)
+		binary.BigEndian.PutUint32(e.Bytes()[at:], uint32(e.Len()-at-4))
+	}
+	ans, err := DecodeAnswer(e.Bytes())
+	if err != nil {
+		panic("auth: Serve wrote an answer DecodeAnswer refuses: " + err.Error())
 	}
 	return ans
 }
@@ -92,15 +147,17 @@ func Digest(ali *ALI, height uint64, eligible *bitmap.Bitmap, lo, hi types.Value
 	return out
 }
 
-// VerifyAnswer is the thin client's check: it reconstructs every block
-// VO, rebuilding each MB-root, derives the digest the answer commits to
-// and returns it together with the decoded in-range transactions. The
-// caller compares the digest against the replies of sampled auxiliary
-// nodes; only if enough agree is the result trusted (Equation 6).
+// VerifyAnswer is the thin client's check: one pass over every block
+// VO rebuilds each MB-root while it checks order and completeness,
+// folds the roots into the digest the answer commits to and decodes the
+// in-range transactions. The caller compares the digest against the
+// replies of sampled auxiliary nodes; only if enough agree is the
+// result trusted (Equation 6).
 func VerifyAnswer(ans *Answer, lo, hi types.Value) (digest [32]byte, txs []*types.Transaction, err error) {
 	h := sha256.New()
 	var buf [8]byte
 	var prevBid uint64
+	var recs []mbtree.Record
 	for i, bvo := range ans.Blocks {
 		if bvo.Bid >= ans.Height {
 			return digest, nil, fmt.Errorf("auth: block %d beyond snapshot height %d", bvo.Bid, ans.Height)
@@ -109,12 +166,8 @@ func VerifyAnswer(ans *Answer, lo, hi types.Value) (digest [32]byte, txs []*type
 			return digest, nil, fmt.Errorf("auth: block VOs out of order")
 		}
 		prevBid = bvo.Bid
-		vo, err := mbtree.DecodeVO(bvo.Bytes)
-		if err != nil {
-			return digest, nil, fmt.Errorf("auth: block %d: %w", bvo.Bid, err)
-		}
-		root, recs, err := mbtree.Reconstruct(vo, lo, hi)
-		if err != nil {
+		var root mbtree.Hash
+		if root, recs, err = mbtree.Reconstruct(recs[:0], bvo.Bytes, lo, hi); err != nil {
 			return digest, nil, fmt.Errorf("auth: block %d: %w", bvo.Bid, err)
 		}
 		binary.BigEndian.PutUint64(buf[:], bvo.Bid)

@@ -49,7 +49,13 @@ func TestRequireSigsMixedBatch(t *testing.T) {
 			t.Errorf("unsigned tx %d: err = %v, want ErrRejected", i, err)
 		}
 	}
+	// Submit returns once a quorum has committed; the remaining replicas
+	// deliver a moment later, so give each one time to get there.
+	deadline := time.Now().Add(5 * time.Second)
 	for r, m := range mems {
+		for m.total() < 4 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
 		if got := m.total(); got != 4 {
 			t.Errorf("replica %d committed %d txs, want the 4 signed ones", r, got)
 		}

@@ -92,22 +92,44 @@ func (x *Index) AppendBlock(bid uint64, entries []Entry) {
 	es := make([]bptree.Entry, len(entries))
 	for i, e := range entries {
 		es[i] = bptree.Entry{Key: e.Key, Ref: uint64(e.Pos)}
-		if x.hist != nil {
-			if x.blockBuckets[bid] == nil {
-				x.blockBuckets[bid] = bitmap.New()
-			}
-			x.blockBuckets[bid].Set(x.hist.Bucket(e.Key.Float()))
-		} else {
-			k := discreteKey(e.Key)
-			b, ok := x.values[k]
-			if !ok {
-				b = bitmap.New()
-				x.values[k] = b
-			}
-			b.Set(int(bid))
-		}
+		x.mark(bid, e.Key)
 	}
 	x.trees[bid] = bptree.Bulk(es, x.order)
+}
+
+// MarkBlock updates the first level alone with the n keys of block bid,
+// for an index whose second level lives elsewhere: the ALI keeps one
+// MB-tree per block where this index would keep a B+-tree. Runs of
+// identical keys are marked once, so sorted input is cheapest.
+func (x *Index) MarkBlock(bid uint64, n int, key func(i int) types.Value) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.grow(bid)
+	var prev types.Value
+	for i := 0; i < n; i++ {
+		if k := key(i); i == 0 || k != prev {
+			x.mark(bid, k)
+			prev = k
+		}
+	}
+}
+
+// mark records in the first level that block bid holds key k.
+func (x *Index) mark(bid uint64, k types.Value) {
+	if x.hist != nil {
+		if x.blockBuckets[bid] == nil {
+			x.blockBuckets[bid] = bitmap.New()
+		}
+		x.blockBuckets[bid].Set(x.hist.Bucket(k.Float()))
+		return
+	}
+	dk := discreteKey(k)
+	b, ok := x.values[dk]
+	if !ok {
+		b = bitmap.New()
+		x.values[dk] = b
+	}
+	b.Set(int(bid))
 }
 
 // BlockEntries returns the second-level entries of block bid in key

@@ -2,6 +2,7 @@ package layered
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"sebdb/internal/index/bitmap"
@@ -365,5 +366,46 @@ func TestBlockBucketBoundsFallback(t *testing.T) {
 	}
 	if _, _, ok := x.BlockBucketBounds(99); ok {
 		t.Error("missing block has bounds")
+	}
+}
+
+// TestMarkBlockMatchesAppendBlockFirstLevel: an index fed through
+// MarkBlock filters candidate blocks exactly as one fed the same keys
+// through AppendBlock, for both first-level kinds, and keeps no
+// second-level tree.
+func TestMarkBlockMatchesAppendBlockFirstLevel(t *testing.T) {
+	var sample []float64
+	for i := 0; i < 400; i++ {
+		sample = append(sample, float64(i))
+	}
+	hist := NewEqualDepth(sample, 8)
+	for _, mk := range []func() *Index{
+		func() *Index { return NewContinuous("amount", hist) },
+		func() *Index { return NewDiscrete("amount") },
+	} {
+		full, first := mk(), mk()
+		for bid := uint64(0); bid < 6; bid++ {
+			var entries []Entry
+			if bid != 3 { // block 3 holds no indexed row
+				for i := 0; i < 20; i++ {
+					// Sorted with repeats, as an MB-tree hands its keys over.
+					entries = append(entries, Entry{Key: types.Dec(float64(int(bid)*50 + i/2)), Pos: uint32(i)})
+				}
+			}
+			full.AppendBlock(bid, entries)
+			first.MarkBlock(bid, len(entries), func(i int) types.Value { return entries[i].Key })
+		}
+		if first.Blocks() != full.Blocks() {
+			t.Errorf("Blocks = %d, want %d", first.Blocks(), full.Blocks())
+		}
+		for _, q := range [][2]float64{{0, 9}, {55, 55}, {100, 260}, {151, 199}, {-10, 1000}, {500, 600}} {
+			lo, hi := types.Dec(q[0]), types.Dec(q[1])
+			if got, want := first.CandidateBlocks(lo, hi).Slice(), full.CandidateBlocks(lo, hi).Slice(); !slices.Equal(got, want) {
+				t.Errorf("continuous=%v [%g, %g]: candidates %v, want %v", first.Continuous(), q[0], q[1], got, want)
+			}
+		}
+		if first.BlockTree(0) != nil {
+			t.Error("MarkBlock built a second-level tree")
+		}
 	}
 }

@@ -1,8 +1,11 @@
 package mbtree
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -17,6 +20,22 @@ func recs(n int) []Record {
 	return out
 }
 
+func equalRecords(a, b []Record) bool {
+	return slices.EqualFunc(a, b, func(x, y Record) bool {
+		return types.Equal(x.Key, y.Key) && bytes.Equal(x.Payload, y.Payload)
+	})
+}
+
+func rangeWant(rs []Record, lo, hi types.Value) []Record {
+	var out []Record
+	for _, r := range rs {
+		if types.Compare(r.Key, lo) >= 0 && types.Compare(r.Key, hi) <= 0 {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 func TestBuildAndRoot(t *testing.T) {
 	rs := recs(500)
 	a := Build(rs, 10)
@@ -27,14 +46,6 @@ func TestBuildAndRoot(t *testing.T) {
 	if a.Len() != 500 {
 		t.Errorf("Len = %d", a.Len())
 	}
-	// Shuffled input gives the same root (builder sorts).
-	shuffled := recs(500)
-	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) {
-		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-	})
-	if Build(shuffled, 10).Root() != a.Root() {
-		t.Error("shuffle changed root")
-	}
 	// A different record changes the root.
 	mod := recs(500)
 	mod[250].Payload = []byte("evil")
@@ -43,11 +54,38 @@ func TestBuildAndRoot(t *testing.T) {
 	}
 	// Fanout changes the shape and hence the root (acceptable: fanout is
 	// a consensus-fixed parameter).
+	if Build(rs, 5).Root() == a.Root() {
+		t.Error("fan-out did not change root")
+	}
 	if mn, _ := a.Min(); mn != types.Int(0) {
 		t.Errorf("Min = %v", mn)
 	}
 	if mx, _ := a.Max(); mx != types.Int(998) {
 		t.Errorf("Max = %v", mx)
+	}
+	// Rebuilding from Records reproduces the tree: the checkpoint path.
+	if Build(a.Records(), 10).Root() != a.Root() {
+		t.Error("Build(Records()) changed root")
+	}
+}
+
+// TestRootIgnoresInputOrder: the root is a function of the record set,
+// duplicate keys included, at every tree size around a level boundary.
+func TestRootIgnoresInputOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{1, 2, 3, 4, 5, 16, 17, 63, 64, 65, 500} {
+		rs := make([]Record, n)
+		for i := range rs {
+			// A third of the keys collide.
+			rs[i] = Record{Key: types.Int(int64(i / 3)), Payload: []byte(fmt.Sprintf("tx-%d", i))}
+		}
+		want := Build(rs, 0).Root()
+		for round := 0; round < 5; round++ {
+			rng.Shuffle(len(rs), func(i, j int) { rs[i], rs[j] = rs[j], rs[i] })
+			if Build(rs, 0).Root() != want {
+				t.Fatalf("n=%d: shuffle changed root", n)
+			}
+		}
 	}
 }
 
@@ -66,20 +104,7 @@ func TestEmptyTree(t *testing.T) {
 	}
 }
 
-func rangeWant(rs []Record, lo, hi types.Value) []Record {
-	var out []Record
-	for _, r := range rs {
-		if types.Compare(r.Key, lo) >= 0 && types.Compare(r.Key, hi) <= 0 {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 func TestRangeVOVerify(t *testing.T) {
-	rs := recs(300) // keys 0,2,...,598
-	tree := Build(rs, 8)
-	root := tree.Root()
 	cases := []struct{ lo, hi int64 }{
 		{100, 120},   // interior
 		{-10, 4},     // touches left edge
@@ -90,17 +115,22 @@ func TestRangeVOVerify(t *testing.T) {
 		{700, 800},   // beyond max
 		{-20, -10},   // below min
 	}
-	for _, c := range cases {
-		lo, hi := types.Int(c.lo), types.Int(c.hi)
-		vo := tree.RangeVO(lo, hi)
-		got, err := Verify(vo, root, lo, hi)
-		if err != nil {
-			t.Errorf("[%d,%d]: %v", c.lo, c.hi, err)
-			continue
-		}
-		want := rangeWant(rs, lo, hi)
-		if !EqualRecords(got, want) {
-			t.Errorf("[%d,%d]: got %d records, want %d", c.lo, c.hi, len(got), len(want))
+	for _, fanout := range []int{2, 3, 8, 100} {
+		for _, n := range []int{1, 2, 7, 8, 9, 300} {
+			rs := recs(n) // keys 0,2,...
+			tree := Build(rs, fanout)
+			root := tree.Root()
+			for _, c := range cases {
+				lo, hi := types.Int(c.lo), types.Int(c.hi)
+				got, err := Verify(tree.RangeVO(lo, hi), root, lo, hi)
+				if err != nil {
+					t.Errorf("f=%d n=%d [%d,%d]: %v", fanout, n, c.lo, c.hi, err)
+					continue
+				}
+				if want := rangeWant(rs, lo, hi); !equalRecords(got, want) {
+					t.Errorf("f=%d n=%d [%d,%d]: got %d records, want %d", fanout, n, c.lo, c.hi, len(got), len(want))
+				}
+			}
 		}
 	}
 }
@@ -110,144 +140,132 @@ func TestVerifyRejectsWrongRoot(t *testing.T) {
 	vo := tree.RangeVO(types.Int(10), types.Int(20))
 	bad := tree.Root()
 	bad[0] ^= 0xFF
-	if _, err := Verify(vo, bad, types.Int(10), types.Int(20)); err == nil {
-		t.Error("wrong root accepted")
+	if _, err := Verify(vo, bad, types.Int(10), types.Int(20)); !errors.Is(err, ErrVerify) {
+		t.Errorf("wrong root: %v", err)
 	}
 }
 
-func TestVerifyDetectsTamperedRecord(t *testing.T) {
-	tree := Build(recs(100), 8)
-	root := tree.Root()
-	vo := tree.RangeVO(types.Int(10), types.Int(20))
-	// Find an exposed leaf and corrupt a payload.
-	var corrupt func(n *VONode) bool
-	corrupt = func(n *VONode) bool {
-		for i := range n.Entries {
-			if r := n.Entries[i].Rec; r != nil && types.Compare(r.Key, types.Int(10)) >= 0 {
-				r.Payload = []byte("forged")
-				return true
-			}
-		}
-		for _, k := range n.Kids {
-			if corrupt(k) {
-				return true
-			}
-		}
-		return false
-	}
-	if !corrupt(vo.Root) {
-		t.Fatal("no record to corrupt")
-	}
-	if _, err := Verify(vo, root, types.Int(10), types.Int(20)); err == nil {
-		t.Error("tampered record accepted")
-	}
-}
-
-// TestVerifyDetectsWithheldResults simulates a malicious server that
-// drops part of the answer by substituting a pruned digest for a leaf
-// that contains in-range records.
-func TestVerifyDetectsWithheldResults(t *testing.T) {
-	rs := recs(128)
-	tree := Build(rs, 8)
-	root := tree.Root()
-	lo, hi := types.Int(100), types.Int(140)
+// TestVerifyDetectsEveryBitFlip flips each byte of an honest VO in turn:
+// the result is refused, or at least commits to another root.
+func TestVerifyDetectsEveryBitFlip(t *testing.T) {
+	tree := Build(recs(100), 4)
+	lo, hi := types.Int(10), types.Int(20)
 	vo := tree.RangeVO(lo, hi)
-
-	// Replace every exposed leaf holding in-range records with its
-	// (correct!) digest: digests match, but completeness must fail.
-	var prune func(n *VONode)
-	prune = func(n *VONode) {
-		for i, k := range n.Kids {
-			if k.Entries != nil {
-				inRange := false
-				hs := make([]Hash, len(k.Entries))
-				for j, le := range k.Entries {
-					if le.Rec != nil {
-						if types.Compare(le.Rec.Key, lo) >= 0 && types.Compare(le.Rec.Key, hi) <= 0 {
-							inRange = true
-						}
-						hs[j] = recordHash(*le.Rec)
-					} else {
-						hs[j] = *le.Digest
-					}
-				}
-				if inRange {
-					d := leafHash(hs)
-					n.Kids[i] = &VONode{Pruned: &d}
-				}
-			} else {
-				prune(k)
-			}
+	for i := range vo {
+		bad := slices.Clone(vo)
+		bad[i] ^= 0x40
+		if _, err := Verify(bad, tree.Root(), lo, hi); err == nil {
+			t.Errorf("flipping byte %d of %d went unnoticed", i, len(vo))
 		}
 	}
-	prune(vo.Root)
-	if _, err := Verify(vo, root, lo, hi); err == nil {
-		t.Error("withheld results accepted: completeness check failed to fire")
+	for cut := 0; cut < len(vo); cut++ {
+		if _, _, err := Reconstruct(nil, vo[:cut], lo, hi); !errors.Is(err, types.ErrCorrupt) {
+			t.Errorf("truncated at %d of %d: %v", cut, len(vo), err)
+		}
+	}
+	if _, _, err := Reconstruct(nil, append(slices.Clone(vo), 0), lo, hi); !errors.Is(err, types.ErrCorrupt) {
+		t.Errorf("trailing byte: %v", err)
 	}
 }
 
+// TestVerifyDetectsWithheldResults plays a server that answers with a
+// narrower run than the query needs. Every digest in such a VO is
+// correct and the root reconstructs; completeness must fail.
+func TestVerifyDetectsWithheldResults(t *testing.T) {
+	tree := Build(recs(128), 4)
+	lo, hi := types.Int(100), types.Int(140)
+	s, end := tree.exposed(lo, hi)
+	for _, run := range [][2]int{
+		{s + 1, end},       // left boundary record dropped
+		{s, end - 1},       // right boundary record dropped
+		{s + 2, end},       // first in-range record hidden behind a digest
+		{s, end - 2},       // last in-range record hidden
+		{s + 3, s + 4},     // a single in-range record
+		{0, 1},             // a run nowhere near the range
+		{end, end},         // nothing at all
+		{end + 2, end + 4}, // beyond it
+	} {
+		e := types.NewEncoder(512)
+		tree.encodeRun(e, run[0], run[1])
+		root, _, err := Reconstruct(nil, e.Bytes(), lo, hi)
+		if !errors.Is(err, ErrVerify) {
+			t.Errorf("run %v: err = %v, root ok = %v", run, err, root == tree.Root())
+		}
+	}
+	// The honest run, and any wider one, pass.
+	for _, run := range [][2]int{{s, end}, {s - 3, end + 5}, {0, 128}} {
+		e := types.NewEncoder(512)
+		tree.encodeRun(e, run[0], run[1])
+		got, err := Verify(e.Bytes(), tree.Root(), lo, hi)
+		if err != nil || !equalRecords(got, rangeWant(recs(128), lo, hi)) {
+			t.Errorf("run %v: %d records, %v", run, len(got), err)
+		}
+	}
+}
+
+// TestVerifyRejectsReordered swaps two exposed records in the encoding.
 func TestVerifyRejectsReordered(t *testing.T) {
-	tree := Build(recs(64), 8)
-	root := tree.Root()
-	vo := tree.RangeVO(types.Int(0), types.Int(126)) // whole tree exposed
-	// Swap two records inside one leaf; digest changes, so this is caught
-	// by the root check.
-	var swap func(n *VONode) bool
-	swap = func(n *VONode) bool {
-		if len(n.Entries) >= 2 && n.Entries[0].Rec != nil && n.Entries[1].Rec != nil {
-			n.Entries[0], n.Entries[1] = n.Entries[1], n.Entries[0]
-			return true
-		}
-		for _, k := range n.Kids {
-			if swap(k) {
-				return true
-			}
-		}
-		return false
+	rs := recs(64)
+	tree := Build(rs, 8)
+	lo, hi := types.Int(0), types.Int(126)
+	vo := tree.RangeVO(lo, hi) // whole tree exposed
+	e := types.NewEncoder(16)
+	encodeRecord(e, rs[10])
+	a := slices.Clone(e.Bytes())
+	e.Reset()
+	encodeRecord(e, rs[11])
+	b := e.Bytes()
+	at := bytes.Index(vo, append(slices.Clone(a), b...))
+	if at < 0 {
+		t.Fatal("records 10 and 11 not adjacent in the VO")
 	}
-	if !swap(vo.Root) {
-		t.Fatal("nothing to swap")
-	}
-	if _, err := Verify(vo, root, types.Int(0), types.Int(126)); err == nil {
-		t.Error("reordered VO accepted")
+	bad := slices.Clone(vo)
+	copy(bad[at:], b)
+	copy(bad[at+len(b):], a)
+	if _, err := Verify(bad, tree.Root(), lo, hi); !errors.Is(err, ErrVerify) {
+		t.Errorf("reordered VO: %v", err)
 	}
 }
 
-func TestVOEncodeDecodeRoundTrip(t *testing.T) {
-	tree := Build(recs(200), 8)
-	vo := tree.RangeVO(types.Int(50), types.Int(90))
-	buf := vo.Encode()
-	if vo.Size() != len(buf) {
-		t.Error("Size != len(Encode)")
-	}
-	got, err := DecodeVO(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Verify(got, tree.Root(), types.Int(50), types.Int(90))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := rangeWant(recs(200), types.Int(50), types.Int(90))
-	if !EqualRecords(res, want) {
-		t.Error("decoded VO verified to different records")
-	}
-	// Truncations must fail cleanly.
-	for _, cut := range []int{0, 1, len(buf) / 2, len(buf) - 1} {
-		if _, err := DecodeVO(buf[:cut]); err == nil {
-			t.Errorf("truncated VO at %d decoded", cut)
+// TestOldVORefused: a v1 VO (it began with a node tag) and any other
+// leading byte are refused as corrupt before anything is hashed.
+func TestOldVORefused(t *testing.T) {
+	tree := Build(recs(20), 0)
+	lo, hi := types.Int(4), types.Int(8)
+	vo := tree.RangeVO(lo, hi)
+	for ver := 0; ver < 256; ver++ {
+		if ver == voVersion {
+			continue
 		}
+		bad := slices.Clone(vo)
+		bad[0] = byte(ver)
+		if _, _, err := Reconstruct(nil, bad, lo, hi); !errors.Is(err, types.ErrCorrupt) {
+			t.Errorf("version byte %#x: %v", ver, err)
+		}
+	}
+	// A v1 exposed-leaf VO: tag 2, uint32 entry count, tag 1, a record.
+	v1 := types.NewEncoder(32)
+	v1.Uint8(2)
+	v1.Count(1)
+	v1.Uint8(1)
+	v1.Value(types.Int(4))
+	v1.Blob([]byte("tx-2"))
+	if _, _, err := Reconstruct(nil, v1.Bytes(), lo, hi); !errors.Is(err, types.ErrCorrupt) {
+		t.Errorf("v1 VO: %v", err)
 	}
 }
 
-func TestVOSizeGrowsSublinearly(t *testing.T) {
-	// A selective VO must be far smaller than shipping the whole tree.
-	rs := recs(10000)
-	tree := Build(rs, 100)
+func TestVOSizeFollowsResult(t *testing.T) {
+	// A selective VO must be far smaller than shipping the whole tree,
+	// and its flank stays logarithmic: at most 2(f−1) digests a level.
+	tree := Build(recs(10000), 4)
 	narrow := tree.RangeVO(types.Int(5000), types.Int(5020)).Size()
 	full := tree.RangeVO(types.Int(-1), types.Int(1<<30)).Size()
 	if narrow*10 > full {
 		t.Errorf("narrow VO (%d) not much smaller than full (%d)", narrow, full)
+	}
+	if levels := 7; narrow > 13*20+levels*2*3*32+16 {
+		t.Errorf("narrow VO is %d bytes", narrow)
 	}
 }
 
@@ -271,7 +289,7 @@ func TestDuplicateKeysVO(t *testing.T) {
 
 func TestQuickRandomRanges(t *testing.T) {
 	rs := recs(256)
-	tree := Build(rs, 16)
+	tree := Build(rs, 0)
 	root := tree.Root()
 	f := func(a, b int16) bool {
 		lo, hi := int64(a), int64(b)
@@ -283,9 +301,36 @@ func TestQuickRandomRanges(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return EqualRecords(got, rangeWant(rs, types.Int(lo), types.Int(hi)))
+		return equalRecords(got, rangeWant(rs, types.Int(lo), types.Int(hi)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestServeAndVerifyAllocate pins the point of the layout: producing a
+// VO hashes nothing and allocates nothing beyond its buffer; verifying
+// one allocates nothing per record or per digest. (Verification is
+// allowed a refill of the pooled hashing state, four objects: under the
+// race detector sync.Pool drops a quarter of what is put back. The run
+// below exposes 22 records, so a per-record allocation cannot hide.)
+func TestServeAndVerifyAllocate(t *testing.T) {
+	tree := Build(recs(200), 0)
+	lo, hi := types.Int(100), types.Int(140)
+	e := types.NewEncoder(4096)
+	if n := testing.AllocsPerRun(50, func() {
+		e.Reset()
+		tree.EncodeVO(e, lo, hi)
+	}); n != 0 {
+		t.Errorf("EncodeVO allocates %v times", n)
+	}
+	vo := tree.RangeVO(lo, hi)
+	dst := make([]Record, 0, 64)
+	if n := testing.AllocsPerRun(50, func() {
+		if _, _, err := Reconstruct(dst, vo, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 4 {
+		t.Errorf("Reconstruct allocates %v times", n)
 	}
 }

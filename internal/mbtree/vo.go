@@ -1,87 +1,98 @@
 package mbtree
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"math"
 
 	"sebdb/internal/types"
 )
 
-// LeafEntry is one slot of an exposed leaf: either the full record
-// (for entries in the extended query range) or just its digest (for
-// the leaf's out-of-range entries, which the client needs only to
-// recompute the leaf hash).
-type LeafEntry struct {
-	Rec    *Record
-	Digest *Hash
+// VO is the encoded verification object for one range query against one
+// MB-tree (format v2):
+//
+//	byte     voVersion
+//	uvarint  fan-out f
+//	uvarint  n, the number of records in the tree
+//	uvarint  s, the position of the first exposed record
+//	uvarint  c, the number of exposed records
+//	c ×      key (types value encoding), uvarint payload length, payload
+//	m ×      32-byte digest
+//
+// The exposed records are the run [s, s+c) of the tree's sorted records:
+// those in range plus one boundary record on either side where the tree
+// has one. The m flank digests are the slots outside the run that share
+// a node with it, level by level from the records up, left of the run
+// before right of it; n, f, s and c determine m, so it is not encoded.
+// n and f are hints, not trusted input: they fix the shape the verifier
+// hashes, and a shape other than the tree's cannot reproduce its root.
+type VO []byte
+
+// voVersion leads every VO. A v1 VO began with a node tag (0, 1 or 2),
+// so no v1 encoding starts with this byte.
+const voVersion = 0xB2
+
+// Shape hints beyond these cannot come from Build (a block's record
+// count travels as a uint32) and would overflow the position arithmetic.
+const (
+	maxFanout  = math.MaxUint16
+	maxRecords = math.MaxUint32
+)
+
+// Size returns the encoded VO size in bytes.
+func (vo VO) Size() int { return len(vo) }
+
+// RangeVO answers [lo, hi] with a verification object.
+func (t *Tree) RangeVO(lo, hi types.Value) VO {
+	e := types.NewEncoder(1024)
+	t.EncodeVO(e, lo, hi)
+	return e.Bytes()
 }
 
-// VONode is one node of a verification object: either a pruned subtree
-// (digest only), an exposed leaf, or an inner node whose children are
-// themselves VO nodes.
-type VONode struct {
-	// Pruned is non-nil for a pruned subtree.
-	Pruned *Hash
-	// Entries holds an exposed leaf's slots.
-	Entries []LeafEntry
-	// Kids holds the children of an exposed inner node.
-	Kids []*VONode
-	// Leaf distinguishes an exposed empty leaf from an inner node;
-	// only relevant for the degenerate empty tree.
-	Leaf bool
+// EncodeVO appends the VO for [lo, hi] to e. Nothing is hashed: records
+// are copied out of the tree and flank digests out of the array Build
+// filled.
+func (t *Tree) EncodeVO(e *types.Encoder, lo, hi types.Value) {
+	s, end := t.exposed(lo, hi)
+	t.encodeRun(e, s, end)
 }
 
-// VO is the verification object for one range query against one
-// MB-tree. The client reconstructs the root digest from it and checks
-// soundness and completeness of the in-range records.
-type VO struct {
-	Root *VONode
-}
-
-// RangeVO answers [lo, hi] with a verification object. Exposed leaves
-// cover the extended range (including boundary records); everything
-// else is pruned to digests.
-func (t *Tree) RangeVO(lo, hi types.Value) *VO {
-	exLo, exHi := t.boundaries(lo, hi)
-	var build func(n *node) *VONode
-	build = func(n *node) *VONode {
-		if t.size > 0 &&
-			(types.Compare(n.max, exLo) < 0 || types.Compare(n.min, exHi) > 0) {
-			d := n.digest
-			return &VONode{Pruned: &d}
-		}
-		if n.leaf {
-			out := &VONode{Leaf: true, Entries: make([]LeafEntry, len(n.recs))}
-			for i := range n.recs {
-				if types.Compare(n.recs[i].Key, exLo) >= 0 &&
-					types.Compare(n.recs[i].Key, exHi) <= 0 {
-					out.Entries[i].Rec = &n.recs[i]
-				} else {
-					d := recordHash(n.recs[i])
-					out.Entries[i].Digest = &d
-				}
-			}
-			return out
-		}
-		out := &VONode{Kids: make([]*VONode, len(n.kids))}
-		for i, k := range n.kids {
-			out.Kids[i] = build(k)
-		}
-		return out
+// encodeRun appends the VO exposing the records [s, end).
+func (t *Tree) encodeRun(e *types.Encoder, s, end int) {
+	e.Uint8(voVersion)
+	e.Uvarint(uint64(t.fanout))
+	e.Uvarint(uint64(len(t.recs)))
+	e.Uvarint(uint64(s))
+	e.Uvarint(uint64(end - s))
+	for _, r := range t.recs[s:end] {
+		encodeRecord(e, r)
 	}
-	return &VO{Root: build(t.root)}
+	f, size, level := t.fanout, len(t.recs), t.digests
+	for size > 0 {
+		for _, d := range level[s/f*f : s] {
+			e.Bytes32(d)
+		}
+		for _, d := range level[end:min((end+f-1)/f*f, size)] {
+			e.Bytes32(d)
+		}
+		level = level[size:]
+		s, end, size = s/f, (end+f-1)/f, (size+f-1)/f
+		if size == 1 {
+			break
+		}
+	}
 }
 
-// ErrVerify is the base error for all verification failures.
+// ErrVerify is the base error of every VO that decodes but does not
+// prove its answer.
 var ErrVerify = errors.New("mbtree: verification failed")
 
 // Verify checks a VO against a trusted root digest for the query range
 // [lo, hi]. On success it returns the in-range records, guaranteed
 // sound (they hash into the root) and complete (boundary records or the
-// VO shape prove no in-range record was withheld).
-func Verify(vo *VO, root Hash, lo, hi types.Value) ([]Record, error) {
-	got, recs, err := Reconstruct(vo, lo, hi)
+// tree's edges prove no in-range record was withheld).
+func Verify(vo VO, root Hash, lo, hi types.Value) ([]Record, error) {
+	got, recs, err := Reconstruct(nil, vo, lo, hi)
 	if err != nil {
 		return nil, err
 	}
@@ -91,274 +102,101 @@ func Verify(vo *VO, root Hash, lo, hi types.Value) ([]Record, error) {
 	return recs, nil
 }
 
-// Reconstruct rebuilds the root digest a VO commits to and returns it
-// together with the in-range records, after checking the VO's internal
-// consistency (ordering and completeness). SEBDB's two-phase thin-client
-// protocol (paper §VI) uses this directly: the client reconstructs each
-// block's MB-root from its VO, hashes the roots into a digest, and
-// compares that digest against the answers of sampled auxiliary nodes
-// instead of holding a trusted per-block root.
-func Reconstruct(vo *VO, lo, hi types.Value) (Hash, []Record, error) {
-	if vo == nil || vo.Root == nil {
-		return Hash{}, nil, fmt.Errorf("%w: empty VO", ErrVerify)
+// Reconstruct recomputes the root digest a VO commits to and appends
+// the in-range records to dst, in one pass over the bytes: each record
+// is hashed where it lies, checked against its predecessor's key and
+// against the range, and the run of digests is then folded level by
+// level with the flank digests. A VO of another version, a truncated
+// one or one with trailing bytes fails with types.ErrCorrupt; one whose
+// records are out of order or stop short of a boundary fails with
+// ErrVerify. The returned records alias vo.
+//
+// SEBDB's two-phase thin-client protocol (paper §VI) uses this
+// directly: the client reconstructs each block's MB-root from its VO,
+// hashes the roots into a digest, and compares that digest against the
+// answers of sampled auxiliary nodes instead of holding a trusted
+// per-block root.
+func Reconstruct(dst []Record, vo VO, lo, hi types.Value) (Hash, []Record, error) {
+	fail := func(err error) (Hash, []Record, error) { return Hash{}, nil, err }
+	d := types.NewDecoder(vo)
+	if ver, err := d.Uint8(); err != nil || ver != voVersion {
+		return fail(fmt.Errorf("%w: not a v2 VO", types.ErrCorrupt))
 	}
-	// Flatten the VO in order, recomputing digests bottom-up.
-	type item struct {
-		rec    *Record
-		pruned bool
-	}
-	var seq []item
-	var rebuild func(n *VONode) (Hash, error)
-	rebuild = func(n *VONode) (Hash, error) {
-		switch {
-		case n.Pruned != nil:
-			seq = append(seq, item{pruned: true})
-			return *n.Pruned, nil
-		case n.Kids != nil:
-			hs := make([]Hash, len(n.Kids))
-			for i, k := range n.Kids {
-				h, err := rebuild(k)
-				if err != nil {
-					return Hash{}, err
-				}
-				hs[i] = h
-			}
-			return innerHash(hs), nil
-		case n.Leaf || n.Entries != nil:
-			hs := make([]Hash, len(n.Entries))
-			for i := range n.Entries {
-				switch {
-				case n.Entries[i].Rec != nil:
-					hs[i] = recordHash(*n.Entries[i].Rec)
-					seq = append(seq, item{rec: n.Entries[i].Rec})
-				case n.Entries[i].Digest != nil:
-					// A hidden entry could conceal anything; for the
-					// completeness reasoning it behaves like a pruned
-					// subtree.
-					hs[i] = *n.Entries[i].Digest
-					seq = append(seq, item{pruned: true})
-				default:
-					return Hash{}, fmt.Errorf("%w: empty leaf entry", ErrVerify)
-				}
-			}
-			return leafHash(hs), nil
-		default:
-			return Hash{}, fmt.Errorf("%w: malformed VO node", ErrVerify)
+	var hdr [4]uint64 // f, n, s, c
+	for i := range hdr {
+		var err error
+		if hdr[i], err = d.Uvarint(); err != nil {
+			return fail(err)
 		}
 	}
-	got, err := rebuild(vo.Root)
-	if err != nil {
-		return Hash{}, nil, err
+	if hdr[0] < 2 || hdr[0] > maxFanout || hdr[1] > maxRecords ||
+		hdr[2] > hdr[1] || hdr[3] > hdr[1]-hdr[2] {
+		return fail(fmt.Errorf("%w: VO shape", types.ErrCorrupt))
+	}
+	f, n, s, c := int(hdr[0]), int(hdr[1]), int(hdr[2]), int(hdr[3])
+	if n == 0 {
+		if d.Remaining() != 0 {
+			return fail(types.ErrCorrupt)
+		}
+		return emptyRoot, dst, nil
+	}
+	if c == 0 {
+		return fail(fmt.Errorf("%w: no record exposed", ErrVerify))
 	}
 
-	// Exposed records must be sorted — otherwise the structure is not
-	// the tree the root commits to (the builder sorts) and range
-	// reasoning below would be unsound.
-	var prev *Record
-	for _, it := range seq {
-		if it.rec == nil {
-			continue
-		}
-		if prev != nil && types.Compare(prev.Key, it.rec.Key) > 0 {
-			return Hash{}, nil, fmt.Errorf("%w: exposed records out of order", ErrVerify)
-		}
-		prev = it.rec
-	}
-
-	// Collect results and check completeness: no pruned subtree may sit
-	// between the query range and an exposed boundary record. Concretely,
-	// scanning in order, every pruned node must be (a) before an exposed
-	// record with key < lo, or (b) after an exposed record with key > hi.
-	var results []Record
-	firstExposedGE := -1 // index in seq of first exposed record with key >= lo
-	lastExposedLE := -1  // index in seq of last exposed record with key <= hi
-	for i, it := range seq {
-		if it.rec == nil {
-			continue
-		}
-		if types.Compare(it.rec.Key, lo) >= 0 && firstExposedGE == -1 {
-			firstExposedGE = i
-		}
-		if types.Compare(it.rec.Key, hi) <= 0 {
-			lastExposedLE = i
-		}
-		if types.Compare(it.rec.Key, lo) >= 0 && types.Compare(it.rec.Key, hi) <= 0 {
-			results = append(results, *it.rec)
-		}
-	}
-
-	// Left completeness: any pruned node before firstExposedGE must be
-	// separated from the range by a boundary record (< lo).
-	sawBoundary := false
-	for i, it := range seq {
-		if firstExposedGE != -1 && i >= firstExposedGE {
-			break
-		}
-		if it.rec != nil && types.Compare(it.rec.Key, lo) < 0 {
-			sawBoundary = true
-		}
-	}
-	if !sawBoundary {
-		// No left boundary: then nothing may be pruned left of the range.
-		for i, it := range seq {
-			if firstExposedGE != -1 && i >= firstExposedGE {
-				break
-			}
-			if it.pruned {
-				return Hash{}, nil, fmt.Errorf("%w: left completeness violated", ErrVerify)
-			}
-		}
-	}
-	// Right completeness, symmetric.
-	sawBoundary = false
-	for i := len(seq) - 1; i >= 0; i-- {
-		if lastExposedLE != -1 && i <= lastExposedLE {
-			break
-		}
-		if seq[i].rec != nil && types.Compare(seq[i].rec.Key, hi) > 0 {
-			sawBoundary = true
-		}
-	}
-	if !sawBoundary {
-		for i := len(seq) - 1; i >= 0; i-- {
-			if lastExposedLE != -1 && i <= lastExposedLE {
-				break
-			}
-			if seq[i].pruned {
-				return Hash{}, nil, fmt.Errorf("%w: right completeness violated", ErrVerify)
-			}
-		}
-	}
-	return got, results, nil
-}
-
-// Encode serialises the VO; its length is the paper's "VO size" metric.
-func (vo *VO) Encode() []byte {
-	e := types.NewEncoder(256)
-	var enc func(n *VONode)
-	enc = func(n *VONode) {
-		switch {
-		case n.Pruned != nil:
-			e.Uint8(0)
-			e.Bytes32(*n.Pruned)
-		case n.Kids != nil:
-			e.Uint8(1)
-			e.Count(len(n.Kids))
-			for _, k := range n.Kids {
-				enc(k)
-			}
-		default:
-			e.Uint8(2)
-			e.Count(len(n.Entries))
-			for _, le := range n.Entries {
-				if le.Rec != nil {
-					e.Uint8(1)
-					e.Value(le.Rec.Key)
-					e.Blob(le.Rec.Payload)
-				} else {
-					e.Uint8(0)
-					e.Bytes32(*le.Digest)
-				}
-			}
-		}
-	}
-	enc(vo.Root)
-	return e.Bytes()
-}
-
-// Size returns the encoded VO size in bytes.
-func (vo *VO) Size() int { return len(vo.Encode()) }
-
-// DecodeVO parses an encoded VO.
-func DecodeVO(buf []byte) (*VO, error) {
-	d := types.NewDecoder(buf)
-	var dec func(depth int) (*VONode, error)
-	dec = func(depth int) (*VONode, error) {
-		if depth > 64 {
-			return nil, fmt.Errorf("%w: VO too deep", types.ErrCorrupt)
-		}
-		tag, err := d.Uint8()
+	x := hashers.Get().(*hasher)
+	defer hashers.Put(x)
+	x.run = x.run[:0]
+	var prev types.Value
+	for i := 0; i < c; i++ {
+		start := d.Offset()
+		key, err := d.Value()
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
-		switch tag {
-		case 0:
-			h, err := d.Bytes32()
-			if err != nil {
-				return nil, err
-			}
-			return &VONode{Pruned: &h}, nil
-		case 1:
-			n, err := d.Uint32()
-			if err != nil {
-				return nil, err
-			}
-			if int(n) > d.Remaining() {
-				return nil, types.ErrCorrupt
-			}
-			out := &VONode{Kids: make([]*VONode, n)}
-			for i := range out.Kids {
-				if out.Kids[i], err = dec(depth + 1); err != nil {
-					return nil, err
-				}
-			}
-			return out, nil
-		case 2:
-			n, err := d.Uint32()
-			if err != nil {
-				return nil, err
-			}
-			if int(n) > d.Remaining() {
-				return nil, types.ErrCorrupt
-			}
-			out := &VONode{Leaf: true, Entries: make([]LeafEntry, n)}
-			for i := range out.Entries {
-				tag, err := d.Uint8()
-				if err != nil {
-					return nil, err
-				}
-				if tag == 1 {
-					r := &Record{}
-					if r.Key, err = d.Value(); err != nil {
-						return nil, err
-					}
-					if r.Payload, err = d.Blob(); err != nil {
-						return nil, err
-					}
-					out.Entries[i].Rec = r
-				} else {
-					h, err := d.Bytes32()
-					if err != nil {
-						return nil, err
-					}
-					out.Entries[i].Digest = &h
-				}
-			}
-			return out, nil
-		default:
-			return nil, fmt.Errorf("%w: VO tag %d", types.ErrCorrupt, tag)
+		size, err := d.Uvarint()
+		if err != nil || size > uint64(d.Remaining()) {
+			return fail(types.ErrCorrupt)
 		}
+		payload, err := d.View(int(size))
+		if err != nil {
+			return fail(err)
+		}
+		x.run = x.record(x.run, vo[start:d.Offset()])
+		switch {
+		case i > 0 && types.Compare(prev, key) > 0:
+			return fail(fmt.Errorf("%w: exposed records out of order", ErrVerify))
+		case i == 0 && s > 0 && types.Compare(key, lo) >= 0:
+			// Records hide left of the run, and its first one does not
+			// prove them all below the range.
+			return fail(fmt.Errorf("%w: left completeness violated", ErrVerify))
+		}
+		if types.Compare(key, lo) >= 0 && types.Compare(key, hi) <= 0 {
+			dst = append(dst, Record{Key: key, Payload: payload})
+		}
+		prev = key
 	}
-	root, err := dec(0)
-	if err != nil {
-		return nil, err
+	if s+c < n && types.Compare(prev, hi) <= 0 {
+		return fail(fmt.Errorf("%w: right completeness violated", ErrVerify))
 	}
-	if d.Remaining() != 0 {
-		return nil, types.ErrCorrupt
-	}
-	return &VO{Root: root}, nil
-}
 
-// EqualRecords reports whether two record slices are identical; a test
-// and client-side helper.
-func EqualRecords(a, b []Record) bool {
-	if len(a) != len(b) {
-		return false
+	flanks, err := d.View(d.Remaining())
+	if err != nil {
+		return fail(err)
 	}
-	for i := range a {
-		if !types.Equal(a[i].Key, b[i].Key) || !bytes.Equal(a[i].Payload, b[i].Payload) {
-			return false
+	run, tag := x.run, uint8(tagLeaf)
+	for size := n; ; {
+		var ok bool
+		if run, flanks, ok = x.fold(tag, f, size, s, run, run[:0], flanks); !ok {
+			return fail(fmt.Errorf("%w: flank digests run short", types.ErrCorrupt))
+		}
+		s, size, tag = s/f, (size+f-1)/f, tagInner
+		if size == 1 {
+			break
 		}
 	}
-	return true
+	if len(flanks) != 0 {
+		return fail(fmt.Errorf("%w: trailing bytes", types.ErrCorrupt))
+	}
+	return run[0], dst, nil
 }

@@ -5,6 +5,7 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -183,6 +184,12 @@ func decodeAuthRequest(buf []byte) (*AuthRequest, error) {
 	return r, nil
 }
 
+// ErrAheadOfView refuses an authenticated request pinned to a height
+// this node has not published yet. A lagging auxiliary must say "I am
+// not there yet": were it to answer, its digest would cover a shorter
+// candidate set than the one the client verified and read as a mismatch.
+var ErrAheadOfView = errors.New("node: snapshot height beyond this node's view")
+
 // resolve returns the ALI, eligible-block bitmap and snapshot height of
 // a request. Everything comes from one pinned view, so VO generation
 // never takes the engine lock and the default height, the window
@@ -194,6 +201,9 @@ func (n *FullNode) resolve(r *AuthRequest) (*auth.ALI, *bitmap.Bitmap, uint64, e
 	ali := v.AuthIndex(r.Table, r.Col)
 	if ali == nil {
 		return nil, nil, 0, fmt.Errorf("node: no authenticated index on %q.%q", r.Table, r.Col)
+	}
+	if r.Height > v.Height() {
+		return nil, nil, 0, fmt.Errorf("%w: asked %d, at %d", ErrAheadOfView, r.Height, v.Height())
 	}
 	var eligible *bitmap.Bitmap
 	if r.WinStart != 0 || r.WinEnd != 0 {
@@ -215,42 +225,7 @@ func (n *FullNode) handleAuthQuery(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	ans := auth.Serve(ali, height, eligible, r.Lo, r.Hi)
-	e := types.NewEncoder(1024)
-	e.Uint64(ans.Height)
-	e.Count(len(ans.Blocks))
-	for _, b := range ans.Blocks {
-		e.Uint64(b.Bid)
-		e.Blob(b.Bytes)
-	}
-	return e.Bytes(), nil
-}
-
-func decodeAnswer(buf []byte) (*auth.Answer, error) {
-	d := types.NewDecoder(buf)
-	ans := &auth.Answer{}
-	var err error
-	if ans.Height, err = d.Uint64(); err != nil {
-		return nil, err
-	}
-	cnt, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if int(cnt) > d.Remaining() {
-		return nil, types.ErrCorrupt
-	}
-	for i := uint32(0); i < cnt; i++ {
-		var b auth.BlockVO
-		if b.Bid, err = d.Uint64(); err != nil {
-			return nil, err
-		}
-		if b.Bytes, err = d.Blob(); err != nil {
-			return nil, err
-		}
-		ans.Blocks = append(ans.Blocks, b)
-	}
-	return ans, nil
+	return auth.Serve(ali, height, eligible, r.Lo, r.Hi).Wire(), nil
 }
 
 func (n *FullNode) handleAuthDigest(payload []byte) ([]byte, error) {

@@ -106,7 +106,7 @@ func (r *Remote) AuthQuery(req *AuthRequest) (*auth.Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeAnswer(resp)
+	return auth.DecodeAnswer(resp)
 }
 
 // AuthDigest runs phase two.

@@ -111,7 +111,11 @@ func (l *Leader) serve(payload []byte, conn net.Conn) {
 		l.refuse(conn, "replica: malformed subscribe cursor")
 		return
 	}
-	h := l.eng.Height()
+	// The session streams what the engine has published, not what it
+	// has appended: the store's count moves ahead of index and ALI
+	// maintenance, and a follower must never hold (and serve VOs at) a
+	// height this node cannot yet confirm from its own view.
+	h := l.eng.CurrentView().Height()
 	if cursor > h {
 		// A cursor past our height means the follower tracked a different
 		// (or wiped) leader; refusing is the only safe answer.
@@ -122,7 +126,7 @@ func (l *Leader) serve(payload []byte, conn net.Conn) {
 		l.cResumes.Inc()
 	}
 	// next walks the chain from the validated cursor; bounded by the
-	// local height h on every lap, never by the wire value itself.
+	// published height h on every lap, never by the wire value itself.
 	next := cursor
 	l.gSessions.Add(1)
 	defer l.gSessions.Add(-1)
@@ -152,7 +156,7 @@ func (l *Leader) serve(payload []byte, conn net.Conn) {
 		// height — publish closes-and-replaces the channel, so checking
 		// first would race a commit landing in between.
 		sig := l.eng.HeightSignal()
-		if nh := l.eng.Height(); nh > h {
+		if nh := l.eng.CurrentView().Height(); nh > h {
 			h = nh
 			continue
 		}
@@ -160,7 +164,7 @@ func (l *Leader) serve(payload []byte, conn net.Conn) {
 		case <-l.stop:
 			return
 		case <-sig:
-			h = l.eng.Height()
+			h = l.eng.CurrentView().Height()
 		case <-ticker.C:
 			if err := l.push(conn, h, nil); err != nil {
 				l.log.Info("subscription ended", "peer", conn.RemoteAddr().String(),

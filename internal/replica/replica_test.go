@@ -433,3 +433,128 @@ func TestFollowerReadStressDuringPushes(t *testing.T) {
 		}
 	}
 }
+
+// TestLeaderPushesOnlyPublishedBlocks subscribes a bare wire client to a
+// leader under a synced commit storm and checks, as each block arrives,
+// that the leader's own published view already covers it. The store's
+// count runs ahead of the view between append and publication (index
+// and ALI maintenance, the fsync), and a block pushed in that window
+// would let a follower serve a VO at a height the leader cannot yet
+// confirm. View heights only grow, so a check made on arrival is a
+// check on the moment of the push.
+func TestLeaderPushesOnlyPublishedBlocks(t *testing.T) {
+	le, err := core.Open(core.Config{Dir: t.TempDir(), HistogramDepth: 10, Sync: true, Obs: obs.NewRegistry(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer le.Close()
+	seedChain(t, le, 2)
+	if err := le.CreateAuthIndex("donate", "amount"); err != nil {
+		t.Fatal(err)
+	}
+	ln, addr := serveLeader(t, le)
+	defer ln.Close()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	cursor := types.NewEncoder(8)
+	cursor.Uint64(0)
+	if err := network.WriteFrame(conn, network.KindSubscribe, cursor.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+
+	const storm = 60
+	target := le.Height() + storm
+	received := make(chan error, 1)
+	go func() {
+		for next := uint64(0); next < target; {
+			kind, payload, err := network.ReadFrame(conn)
+			if err != nil || kind != network.KindBlockPush {
+				received <- fmt.Errorf("stream broke at block %d: kind %d, %v", next, kind, err)
+				return
+			}
+			d := types.NewDecoder(payload)
+			if _, err := d.Uint64(); err != nil {
+				received <- err
+				return
+			}
+			body, err := d.Blob()
+			if err != nil {
+				received <- err
+				return
+			}
+			if len(body) == 0 {
+				continue // heartbeat
+			}
+			b, err := types.DecodeBlock(types.NewDecoder(body))
+			if err != nil {
+				received <- err
+				return
+			}
+			if published := le.CurrentView().Height(); published <= b.Header.Height {
+				received <- fmt.Errorf("block %d arrived while the leader's view was at height %d", b.Header.Height, published)
+				return
+			}
+			next = b.Header.Height + 1
+		}
+		received <- nil
+	}()
+	commitBlocks(t, le, storm)
+	select {
+	case err := <-received:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("stream did not deliver the storm")
+	}
+}
+
+// TestFollowerALIRootsMatchLeader: a follower rebuilds its ALIs from the
+// stream, block by block, and must arrive at the leader's MB-roots —
+// for blocks it backfilled when the index was created and for blocks
+// it indexed as they were pushed.
+func TestFollowerALIRootsMatchLeader(t *testing.T) {
+	le, _ := openEngine(t, t.TempDir())
+	defer le.Close()
+	seedChain(t, le, 6)
+	ln, addr := serveLeader(t, le)
+	defer ln.Close()
+	fe, _ := openEngine(t, t.TempDir())
+	defer fe.Close()
+	f := startFollower(fe, addr)
+	defer f.Stop()
+	waitConverged(t, le, fe, 10*time.Second)
+	for _, e := range []*core.Engine{le, fe} {
+		if err := e.CreateAuthIndex("donate", "amount"); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.CreateAuthIndex("", "senid"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commitBlocks(t, le, 6)
+	waitConverged(t, le, fe, 10*time.Second)
+
+	lv, fv := le.CurrentView(), fe.CurrentView()
+	for _, idx := range [][2]string{{"donate", "amount"}, {"", "senid"}} {
+		la, fa := lv.AuthIndex(idx[0], idx[1]), fv.AuthIndex(idx[0], idx[1])
+		rooted := 0
+		for bid := uint64(0); bid < lv.Height(); bid++ {
+			lr, lok := la.Root(bid)
+			fr, fok := fa.Root(bid)
+			if lok != fok || lr != fr {
+				t.Errorf("%s.%s block %d: leader root %x (%v), follower root %x (%v)", idx[0], idx[1], bid, lr[:4], lok, fr[:4], fok)
+			}
+			if lok {
+				rooted++
+			}
+		}
+		if rooted < 12 {
+			t.Errorf("%s.%s: only %d blocks carry a root", idx[0], idx[1], rooted)
+		}
+	}
+}

@@ -100,13 +100,22 @@ type Stats struct {
 	Theta float64
 }
 
+// auxReply is one auxiliary's phase-two answer; ok is false when it
+// errored and its digest does not count.
+type auxReply struct {
+	digest [32]byte
+	ok     bool
+}
+
 // ErrNoQuorum is returned when fewer than M auxiliary digests match the
 // reconstructed one.
 var ErrNoQuorum = errors.New("thinclient: not enough matching auxiliary digests")
 
 // AuthQuery runs the full 2-phase protocol: fetch a VO from full,
-// reconstruct and locally verify it, then sample auxiliaries for
-// digests until M identical matches confirm the snapshot. On success
+// reconstruct and locally verify it, and sample auxiliaries for digests
+// until M identical matches confirm the snapshot. Phase two needs only
+// the answer's height, so it starts the moment the answer is decoded
+// and its round trips run while the VO is being verified. On success
 // the returned transactions are sound and complete for [req.Lo,
 // req.Hi] at the answer's snapshot height.
 func (c *Client) AuthQuery(full node.QueryNode, auxiliaries []node.QueryNode,
@@ -131,26 +140,53 @@ func (c *Client) AuthQuery(full node.QueryNode, auxiliaries []node.QueryNode,
 	st.BlocksInAnswer = len(ans.Blocks)
 	mQueriesAuth.Inc()
 	mVOBytesAuth.Add(uint64(st.VOSize))
-	verifyStart := obs.Default.Now()
-	digest, txs, err := auth.VerifyAnswer(ans, req.Lo, req.Hi)
-	mVerifyMicros.Observe(obs.Default.Now() - verifyStart)
-	if err != nil {
-		return nil, st, err
-	}
 
 	// Phase two: same query and the answer's snapshot height to N
-	// randomly selected auxiliary nodes.
+	// randomly selected auxiliary nodes, asked in order until M of them
+	// return the digest the answer commits to. While that digest is
+	// still being computed the asking runs ahead as far as it safely
+	// can: until some digest has come back M times, the sequential rule
+	// would have kept asking whatever the local digest turns out to be.
 	req2 := *req
 	req2.Height = ans.Height
 	order := c.rng.Perm(len(auxiliaries))[:opt.N]
-	matching := 0
-	for _, i := range order {
-		st.AuxAsked++
+	ask := func(i int) auxReply {
 		d, err := auxiliaries[i].AuthDigest(&req2)
-		if err != nil {
-			continue
+		return auxReply{digest: d, ok: err == nil}
+	}
+	var early []auxReply
+	asked := make(chan struct{})
+	go func() {
+		defer close(asked)
+		seen := make(map[[32]byte]int, 1)
+		for _, i := range order {
+			r := ask(i)
+			early = append(early, r)
+			if r.ok {
+				if seen[r.digest]++; seen[r.digest] >= opt.M {
+					return
+				}
+			}
 		}
-		if d == digest {
+	}()
+	verifyStart := obs.Default.Now()
+	digest, txs, err := auth.VerifyAnswer(ans, req.Lo, req.Hi)
+	mVerifyMicros.Observe(obs.Default.Now() - verifyStart)
+	<-asked
+	if err != nil {
+		st.AuxAsked = len(early)
+		return nil, st, err
+	}
+	matching := 0
+	for k, i := range order {
+		var r auxReply
+		if k < len(early) {
+			r = early[k]
+		} else {
+			r = ask(i)
+		}
+		st.AuxAsked++
+		if r.ok && r.digest == digest {
 			matching++
 			if matching >= opt.M {
 				break

@@ -1,12 +1,15 @@
 package thinclient_test
 
 import (
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"sebdb/internal/auth"
 	"sebdb/internal/core"
 	"sebdb/internal/merkle"
+	"sebdb/internal/network"
 	"sebdb/internal/node"
 	"sebdb/internal/thinclient"
 	"sebdb/internal/types"
@@ -318,4 +321,130 @@ func TestAuthTrack(t *testing.T) {
 		}
 	}
 	_ = st
+}
+
+// TestLaggingAuxiliaryRefuses holds one auxiliary a block behind the
+// node that serves the VO. Asked for a digest at a height it has not
+// reached, it must say so — answering would hash a shorter candidate
+// set and read as a mismatch — and the client skips it like any other
+// auxiliary that errors.
+func TestLaggingAuxiliaryRefuses(t *testing.T) {
+	nodes, qn, tc := cluster(t, 3, 4, 10)
+	lead := nodes[0].Engine
+	var batch []*types.Transaction
+	for i := 0; i < 10; i++ {
+		tx, err := lead.NewTransaction("org1", "donate", []types.Value{
+			types.Str("donor00"), types.Str("education"), types.Dec(float64(i)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch = append(batch, tx)
+	}
+	blk, err := lead.CommitBlock(batch, 9000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nodes[1].Engine.ApplyBlock(blk); err != nil { // node 2 stays behind
+		t.Fatal(err)
+	}
+	if err := tc.SyncHeaders(qn[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	// The new block is a candidate: amounts 0..9 also sit in block 1.
+	req := &node.AuthRequest{Table: "donate", Col: "amount", Lo: types.Dec(0), Hi: types.Dec(9)}
+	ahead := *req
+	ahead.Height = lead.Height()
+	if _, err := qn[2].AuthDigest(&ahead); !errors.Is(err, node.ErrAheadOfView) {
+		t.Fatalf("lagging AuthDigest err = %v, want ErrAheadOfView", err)
+	}
+	if _, err := qn[2].AuthQuery(&ahead); !errors.Is(err, node.ErrAheadOfView) {
+		t.Fatalf("lagging AuthQuery err = %v, want ErrAheadOfView", err)
+	}
+	// Over the wire the refusal is an application error, not a transport
+	// failure to retry.
+	addr, err := nodes[2].Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := node.DialNode(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	if _, err := remote.AuthDigest(&ahead); !network.IsAppError(err) {
+		t.Fatalf("remote lagging AuthDigest err = %v, want an application error", err)
+	}
+
+	// Either sampling order reaches the quorum of one through node 1.
+	for seed := int64(0); seed < 4; seed++ {
+		c := thinclient.New(seed)
+		if err := c.SyncHeaders(qn[0]); err != nil {
+			t.Fatal(err)
+		}
+		txs, st, err := c.AuthQuery(qn[0], []node.QueryNode{qn[2], qn[1]}, req, thinclient.Options{M: 1})
+		if err != nil || len(txs) != 20 || st.Identical != 1 {
+			t.Errorf("seed %d: %d txs, stats %+v, err %v", seed, len(txs), st, err)
+		}
+	}
+	// With the lagging node the only auxiliary there is no quorum — and
+	// no false one either.
+	if _, _, err := tc.AuthQuery(qn[0], []node.QueryNode{qn[2]}, req, thinclient.Options{}); !errors.Is(err, thinclient.ErrNoQuorum) {
+		t.Errorf("lagging-only quorum err = %v", err)
+	}
+}
+
+// countingNode counts the digests it is asked for.
+type countingNode struct {
+	node.QueryNode
+	asked *atomic.Int32
+}
+
+func (c countingNode) AuthDigest(r *node.AuthRequest) ([32]byte, error) {
+	c.asked.Add(1)
+	return c.QueryNode.AuthDigest(r)
+}
+
+// TestPhaseTwoAsksWhatTheSequentialRuleAsks: phase two runs while the VO
+// is verified, but it may not ask an auxiliary the sequential rule
+// would not have asked, nor ask one twice. Two forgers agreeing with
+// each other stop the early asking at M identical digests; the client
+// then resumes in the same order until M digests match its own.
+func TestPhaseTwoAsksWhatTheSequentialRuleAsks(t *testing.T) {
+	_, qn, _ := cluster(t, 3, 4, 6)
+	req := &node.AuthRequest{Table: "donate", Col: "amount", Lo: types.Dec(0), Hi: types.Dec(5)}
+	for seed := int64(0); seed < 16; seed++ {
+		counts := make([]*atomic.Int32, 4)
+		for i := range counts {
+			counts[i] = new(atomic.Int32)
+		}
+		aux := []node.QueryNode{
+			countingNode{byzantineNode{qn[1]}, counts[0]},
+			countingNode{byzantineNode{qn[2]}, counts[1]},
+			countingNode{qn[1], counts[2]},
+			countingNode{qn[2], counts[3]},
+		}
+		tc := thinclient.New(seed)
+		if err := tc.SyncHeaders(qn[0]); err != nil {
+			t.Fatal(err)
+		}
+		_, st, err := tc.AuthQuery(qn[0], aux, req, thinclient.Options{M: 2})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		total := 0
+		for i, c := range counts {
+			if c.Load() > 1 {
+				t.Errorf("seed %d: auxiliary %d asked %d times", seed, i, c.Load())
+			}
+			total += int(c.Load())
+		}
+		// The sequential rule stops at the second honest reply: it asks
+		// both honest nodes and every forger sampled before the second.
+		if st.Identical != 2 || st.AuxAsked != total || total < 2 ||
+			counts[2].Load() != 1 || counts[3].Load() != 1 {
+			t.Errorf("seed %d: stats %+v, %d digests asked", seed, st, total)
+		}
+	}
 }

@@ -35,6 +35,10 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 // Len returns the number of bytes written so far.
 func (e *Encoder) Len() int { return len(e.buf) }
 
+// Reset empties the encoder and keeps its buffer, so one encoder can
+// serve as the scratch space of a loop.
+func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+
 // Uint8 appends a single byte.
 func (e *Encoder) Uint8(v uint8) { e.buf = append(e.buf, v) }
 
@@ -50,6 +54,9 @@ func (e *Encoder) Uint64(v uint64) {
 
 // Int64 appends a big-endian int64 (two's complement).
 func (e *Encoder) Int64(v int64) { e.Uint64(uint64(v)) }
+
+// Uvarint appends v in the base-128 varint form of encoding/binary.
+func (e *Encoder) Uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 
 // Float64 appends the IEEE-754 bits of v.
 func (e *Encoder) Float64(v float64) { e.Uint64(math.Float64bits(v)) }
@@ -158,6 +165,21 @@ func (d *Decoder) Uint64() (uint64, error) {
 	}
 	return binary.BigEndian.Uint64(b), nil
 }
+
+// Uvarint reads a base-128 varint. Only the shortest form of a value is
+// accepted, so every value has exactly one encoding.
+func (d *Decoder) Uvarint() (uint64, error) {
+	v, n := binary.Uvarint(d.buf[d.off:])
+	if n <= 0 || (n > 1 && d.buf[d.off+n-1] == 0) {
+		return 0, ErrCorrupt
+	}
+	d.off += n
+	return v, nil
+}
+
+// View reads n bytes without copying them: the result aliases the
+// decode buffer and is valid only as long as that buffer is.
+func (d *Decoder) View(n int) ([]byte, error) { return d.take(n) }
 
 // Int64 reads a big-endian int64.
 func (d *Decoder) Int64() (int64, error) {

@@ -4,7 +4,8 @@
 # Runs formatting, go vet, the project's own sebdb-vet analyzers, the
 # build, the full test suite, the full suite again under -race, the
 # nested benchmark module's vet + short tests, every figure once through
-# the testing.B driver and two bchainbench -json smokes. Everything is
+# the testing.B driver, the MB-tree fan-out ablation, ten seconds of
+# fuzzing per target and two bchainbench -json smokes. Everything is
 # stdlib Go; no network or external tools needed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -56,6 +57,22 @@ echo "== go test -bench Figures (every figure, one iteration per cell) =="
 # runs every registered figure through the testing.B driver — the same
 # definitions, loaders and result-count checks bchainbench uses.
 go test -run '^$' -bench Figures -benchtime 1x .
+
+echo "== go test -bench AblationMBTreeFanout (the table behind mbtree.DefaultFanout) =="
+# DESIGN.md's fan-out table is this benchmark's output; one iteration
+# per fan-out keeps it reproducible (VO bytes and tree bytes are exact
+# at any iteration count).
+go test -run '^$' -bench AblationMBTreeFanout -benchtime 1x .
+
+echo "== fuzz (10 s per target) =="
+# go test ./... only replays each target's seed corpus. The decoders of
+# peer-supplied bytes get a short real run: the two VO verifiers (never
+# panic, allocation bounded by input length, accept => the rows are a
+# brute-force filter of the chain) and the compressed-record reader.
+# Minimization is off: the engine's minimizer stalls on multi-KB inputs.
+go test -run '^$' -fuzz '^FuzzDecodeVerifyVO$' -fuzztime 10s -fuzzminimizetime 0 ./internal/mbtree
+go test -run '^$' -fuzz '^FuzzVerifyAnswer$' -fuzztime 10s -fuzzminimizetime 0 ./internal/auth
+go test -run '^$' -fuzz '^FuzzInflateRecord$' -fuzztime 10s -fuzzminimizetime 0 ./internal/storage
 
 echo "== bchainbench -json smoke =="
 # The table driver end to end: fig 12 for the JSON output, fig storage
