@@ -251,6 +251,7 @@ func createIndex[I any](e *Engine, family func() map[string]I, spec indexSpec, k
 		return err
 	}
 	family()[key] = idx
+	e.idxEpoch++
 	// Republish so the registration reaches readers: views snapshot the
 	// index maps, so without a new view the index would stay invisible.
 	e.publishViewLocked()

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -90,15 +89,17 @@ func TestCommitPipelineEquivalence(t *testing.T) {
 		}
 	}
 
+	// The manifest pins the checkpoint log's height, anchor, length and
+	// CRC: equal manifests are byte-identical logs.
 	snaps := func(e *Engine) string {
-		names, err := filepath.Glob(filepath.Join(e.snapDir.Path(), "*.snap"))
+		m, err := e.snapDir.Manifest()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range names {
-			names[i] = filepath.Base(names[i])
+		if m == nil {
+			return "[]"
 		}
-		return fmt.Sprint(names)
+		return fmt.Sprintf("%+v", *m)
 	}
 	for name, e := range map[string]*Engine{"pipelined": piped, "applied": applied} {
 		if serial.Height() != e.Height() {

@@ -194,19 +194,27 @@ type Engine struct {
 	alis    map[string]*auth.ALI
 	lastTid uint64
 	lastTs  int64
+	// idxEpoch counts index creations. The checkpoint log holds one
+	// index set per generation, so a window cut under a newer epoch than
+	// the log's starts a new generation.
+	idxEpoch uint64
 
-	// snapDir is the checkpoint directory; ckptErr (guarded by e.mu) the
-	// outcome of the last automatic checkpoint; recovery the finished
-	// Open span tree, written once before the engine is shared.
+	// snapDir is the checkpoint directory; ckptErr the outcome of the
+	// last automatic checkpoint; recovery the finished Open span tree,
+	// written once before the engine is shared.
 	snapDir  *snapshot.Dir
-	ckptErr  error
+	ckptErr  atomic.Pointer[error]
 	recovery *obs.Span
 
-	// ckptMu serialises checkpoint persists (which run outside e.mu so
-	// commits and reads are never stalled behind the fsync) and guards
-	// ckptFloor, the height of the newest persisted checkpoint.
-	ckptMu    sync.Mutex
-	ckptFloor uint64
+	// ckptSem is the checkpoint token, a one-slot semaphore held from
+	// cutting a log window to the end of its Write: a window starts where
+	// the log's pin ends, so the pin must not move in between. The
+	// persist runs outside e.mu and commitMu — commits and reads never
+	// stall behind its fsyncs — and a commit that finds the token taken
+	// skips its checkpoint rather than wait. The token also guards
+	// ckptEpoch, the idxEpoch the current log generation was cut under.
+	ckptSem   chan struct{}
+	ckptEpoch uint64
 
 	mempool   []*types.Transaction
 	acl       *accessctl.Controller
@@ -285,16 +293,16 @@ func openTraced(ctx context.Context, cfg Config) (*Engine, error) {
 	sopts := storage.Options{SegmentSize: cfg.SegmentSize, Sync: cfg.Sync, FS: cfg.FS,
 		Mmap: cfg.Mmap, Log: cfg.Log.With("storage")}
 
-	// Phase 1: checkpoint. Load the pinned checkpoint, verify its anchor
-	// against the segment store by fast-opening with the embedded
-	// metadata, and seed the derived state from it. Every failure mode
-	// drops back to full replay — never wrong answers, only slower ones.
+	// Phase 1: checkpoint. Fold the pinned log, fast-open the segment
+	// store with the metadata it carries, and seed the derived state from
+	// it. Every failure mode drops back to replay — never wrong answers,
+	// only slower ones.
 	_, ckSpan := obs.StartSpan(ctx, "recovery.checkpoint")
+	defer ckSpan.Finish()
 	var ck *snapshot.Checkpoint
 	if !cfg.DisableCheckpointLoad {
 		c, err := snapDir.Load()
 		if err != nil {
-			ckSpan.Finish()
 			return nil, err
 		}
 		ck = c
@@ -302,47 +310,56 @@ func openTraced(ctx context.Context, cfg Config) (*Engine, error) {
 	var st *storage.Store
 	if ck != nil {
 		s, err := storage.OpenWithMeta(cfg.Dir, sopts, ck.Store)
-		switch {
-		case err == nil:
-			st = s
-		case errors.Is(err, storage.ErrMetaMismatch):
-			// Stale or tampered: the checkpoint does not describe the
-			// chain on disk. Discard it.
-			cfg.Obs.Counter("sebdb_snapshot_anchor_mismatch_total").Inc()
-			ck = nil
-		default:
-			ckSpan.Finish()
-			return nil, err
-		}
-	}
-	if st == nil {
-		s, err := storage.Open(cfg.Dir, sopts)
-		if err != nil {
-			ckSpan.Finish()
+		if err != nil && !errors.Is(err, storage.ErrMetaMismatch) {
 			return nil, err
 		}
 		st = s
+	}
+	openScanning := func() (err error) {
+		st, err = storage.Open(cfg.Dir, sopts)
+		return err
+	}
+	if st == nil {
+		if err := openScanning(); err != nil {
+			return nil, err
+		}
+		// The checkpoint's segment geometry is node-local and goes stale
+		// whenever the compactor rewrites a segment; its index state is
+		// chain-derived and location-independent. So after scanning the
+		// segments instead, the checkpoint still seeds the indexes as long
+		// as its anchor is on the chain the scan found.
+		if ck != nil {
+			if h, err := st.Header(ck.Height - 1); err != nil || h.Hash() != ck.Anchor {
+				cfg.Obs.Counter("sebdb_snapshot_anchor_mismatch_total").Inc()
+				ck = nil
+			} else {
+				cfg.Obs.Counter("sebdb_snapshot_stale_geometry_total").Inc()
+			}
+		}
 	}
 	e := newEngine(cfg, st, snapDir)
 	var base uint64
 	if ck != nil {
 		if err := e.restoreCheckpoint(ck); err != nil {
-			// The checkpoint decoded but disagrees with itself; rebuild
-			// everything from the chain instead.
+			// The checkpoint decoded but disagrees with itself or the
+			// chain; rebuild everything from the chain instead.
 			cfg.Obs.Counter("sebdb_snapshot_restore_errors_total").Inc()
 			if cerr := st.Close(); cerr != nil {
-				ckSpan.Finish()
 				return nil, cerr
 			}
-			st, err = storage.Open(cfg.Dir, sopts)
-			if err != nil {
-				ckSpan.Finish()
+			if err := openScanning(); err != nil {
 				return nil, err
 			}
 			e = newEngine(cfg, st, snapDir)
+			ck = nil
 		} else {
 			base = ck.Height
 		}
+	}
+	if ck == nil {
+		// Nothing may be appended to a log this chain did not restore
+		// from: the next checkpoint starts a new generation.
+		snapDir.Forget()
 	}
 	ckSpan.Finish()
 
@@ -400,6 +417,7 @@ func newEngine(cfg Config, st *storage.Store, snapDir *snapshot.Dir) *Engine {
 		contracts:  contract.NewRegistry(),
 		log:        cfg.Log.With("core"),
 		snapDir:    snapDir,
+		ckptSem:    make(chan struct{}, 1),
 		mPrepare:   cfg.Obs.Histogram(`sebdb_stage_micros{stage="commit.prepare"}`),
 		mAppend:    cfg.Obs.Histogram(`sebdb_stage_micros{stage="commit.append"}`),
 		mIndex:     cfg.Obs.Histogram(`sebdb_stage_micros{stage="commit.index"}`),
@@ -638,28 +656,22 @@ func (e *Engine) FlushAt(ts int64) error {
 	}
 	// All blocks of one flush run through the pipeline back to back; the
 	// single group fsync at the end makes the whole batch durable.
-	return e.writePipeline(func() (ck *snapshot.Checkpoint, err error) {
+	return e.writePipeline(func() (err error) {
 		for len(pending) > 0 && err == nil {
-			n := len(pending)
-			if n > e.cfg.BlockMaxTxs {
-				n = e.cfg.BlockMaxTxs
-			}
-			var c *snapshot.Checkpoint
-			_, c, err = e.commitOne(pending[:n], ts)
-			if c != nil {
-				ck = c
-			}
+			n := min(len(pending), e.cfg.BlockMaxTxs)
+			_, err = e.commitOne(pending[:n], ts)
 			pending = pending[n:]
 		}
-		return ck, err
+		return err
 	})
 }
 
 // writePipeline is the one writer critical section FlushAt, CommitBlock
-// and ApplyBlock share: run the commits under commitMu, make whatever
-// they appended durable, and persist the checkpoint the last of them
-// built once every lock is released, so neither reads nor the next
-// commit stall behind checkpoint I/O.
+// and ApplyBlock share: run the commits under commitMu, cut one
+// checkpoint window after the last of them if they crossed an interval
+// boundary, make whatever they appended durable, and persist the window
+// once every lock is released, so neither reads nor the next commit
+// stall behind checkpoint I/O.
 //
 // Durability is one group fsync covering every block appended with
 // AppendNoSync since the last one. It runs outside e.mu (readers
@@ -669,10 +681,18 @@ func (e *Engine) FlushAt(ts int64) error {
 // prefix, never a chain with a gap. A sync failure is reported to the
 // committer; the blocks stay applied in memory, since they are valid
 // chain state that consensus has already replicated.
-func (e *Engine) writePipeline(commits func() (*snapshot.Checkpoint, error)) error {
+func (e *Engine) writePipeline(commits func() error) error {
 	e.commitMu.Lock()
+	// A node that never checkpoints does no checkpoint work in here, not
+	// even the store-lock round trip of reading the height: dueCheckpoint
+	// returns at once for it.
+	var before uint64
+	if e.cfg.CheckpointInterval > 0 {
+		before = e.Height()
+	}
 	//sebdb:ignore-lockio reason: commitMu is the writer-pipeline lock; it exists to serialise the append+fsync pipeline, and readers never take it
-	ck, err := commits()
+	err := commits()
+	ck := e.dueCheckpoint(before)
 	if e.cfg.Sync {
 		//sebdb:ignore-lockio reason: the group fsync runs under commitMu by design — writers queue behind durability, readers never take commitMu
 		if serr := e.store.SyncBatch(); err == nil {
@@ -698,9 +718,9 @@ func (e *Engine) CommitBlock(txs []*types.Transaction, ts int64) (b *types.Block
 	if e.follower.Load() {
 		return nil, ErrFollower
 	}
-	err = e.writePipeline(func() (ck *snapshot.Checkpoint, err error) {
-		b, ck, err = e.commitOne(txs, ts)
-		return ck, err
+	err = e.writePipeline(func() (err error) {
+		b, err = e.commitOne(txs, ts)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -710,11 +730,10 @@ func (e *Engine) CommitBlock(txs []*types.Transaction, ts int64) (b *types.Block
 
 // commitOne is the local door into the install stage: prepare, then
 // install. Callers hold commitMu.
-func (e *Engine) commitOne(txs []*types.Transaction, ts int64) (*types.Block, *snapshot.Checkpoint, error) {
+func (e *Engine) commitOne(txs []*types.Transaction, ts int64) (*types.Block, error) {
 	start := e.cfg.Obs.Now()
 	b := e.prepareBlock(txs, ts)
-	ck, err := e.install(b, start, "block committed")
-	return b, ck, err
+	return b, e.install(b, start, "block committed")
 }
 
 // ApplyBlock validates and installs a block produced elsewhere
@@ -722,15 +741,15 @@ func (e *Engine) commitOne(txs []*types.Transaction, ts int64) (*types.Block, *s
 // pipeline as CommitBlock with validation — the foreign-block
 // equivalent of prepare — fanned out off the engine lock.
 func (e *Engine) ApplyBlock(b *types.Block) error {
-	return e.writePipeline(func() (*snapshot.Checkpoint, error) { return e.applyOne(b) })
+	return e.writePipeline(func() error { return e.applyOne(b) })
 }
 
 // applyOne is the foreign door into the install stage: validate, then
 // install. Callers hold commitMu.
-func (e *Engine) applyOne(b *types.Block) (*snapshot.Checkpoint, error) {
+func (e *Engine) applyOne(b *types.Block) error {
 	start := e.cfg.Obs.Now()
 	if err := b.ValidateWorkers(e.Parallelism()); err != nil {
-		return nil, err
+		return err
 	}
 	return e.install(b, start, "block applied")
 }
@@ -745,11 +764,8 @@ func (e *Engine) applyOne(b *types.Block) (*snapshot.Checkpoint, error) {
 // decode or conflicts with an existing definition refuses the whole
 // block while the segment store, the indexes and the published view are
 // still untouched; a block appended first and refused while indexing
-// would stay on disk and fail every later Open's replay. When the
-// commit lands on a checkpoint-interval boundary the state is
-// snapshotted under the lock and handed back for writePipeline to
-// persist outside it.
-func (e *Engine) install(b *types.Block, start int64, event string) (*snapshot.Checkpoint, error) {
+// would stay on disk and fail every later Open's replay.
+func (e *Engine) install(b *types.Block, start int64, event string) error {
 	prepared := e.cfg.Obs.Now()
 	e.mPrepare.Observe(prepared - start)
 
@@ -764,26 +780,25 @@ func (e *Engine) install(b *types.Block, start int64, event string) (*snapshot.C
 	}
 	if err != nil {
 		e.mu.Unlock()
-		return nil, err
+		return err
 	}
 	//sebdb:ignore-lockio reason: AppendNoSync is a buffered segment append — it fsyncs only on segment roll, an audited rarity; the per-block fsync is outside e.mu
 	if _, err := e.store.AppendNoSync(b); err != nil {
 		e.mu.Unlock()
-		return nil, err
+		return err
 	}
 	appended := e.cfg.Obs.Now()
 	if err := e.indexBlockLocked(b, tables, contracts); err != nil {
 		e.mu.Unlock()
-		return nil, err
+		return err
 	}
-	ck := e.maybeBuildCheckpointLocked()
 	e.publishViewLocked()
 	e.mu.Unlock()
 	e.mAppend.Observe(appended - prepared)
 	e.mIndex.Observe(e.cfg.Obs.Now() - appended)
 	e.log.Debug(event, "height", b.Header.Height, "txs", len(b.Txs),
 		"first_tid", b.Header.FirstTid, "signer", b.Header.Signer)
-	return ck, nil
+	return nil
 }
 
 // prepareBlock is the pipeline's lock-free stage: it stamps the batch

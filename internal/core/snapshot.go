@@ -7,134 +7,165 @@ import (
 	"sebdb/internal/auth"
 	"sebdb/internal/index/layered"
 	"sebdb/internal/mbtree"
+	"sebdb/internal/parallel"
 	"sebdb/internal/snapshot"
+	"sebdb/internal/storage"
+	"sebdb/internal/types"
 )
 
-// Checkpoint integration: the engine can freeze its entire derived
-// state — storage metadata, catalog, contracts, table bitmaps, layered
-// indexes and ALIs — into a snapshot.Checkpoint pinned to the current
-// tip, and seed itself from one on Open so only the post-checkpoint
-// suffix needs replaying. The chain stays the sole source of truth: a
-// checkpoint that fails any verification is discarded and Open falls
-// back to full replay.
+// Checkpoint integration: the engine persists its derived state —
+// storage metadata, catalog, contracts, table bitmaps, layered indexes
+// and ALIs — as windows of an append-only log (internal/snapshot), one
+// frame per checkpoint covering the blocks since the previous one, and
+// seeds itself from the log on Open so only the post-checkpoint suffix
+// needs replaying. The chain stays the sole source of truth: a frame
+// that fails any verification ends the usable log and Open replays from
+// there.
 
-// WriteCheckpoint freezes the engine's derived state at the current
-// height and atomically persists it to <dir>/snapshots. Only the state
-// snapshot happens under the engine lock; encoding and the fsync+rename
-// run outside it, so queries and commits proceed while the checkpoint
-// hits disk. It is called automatically every Config.CheckpointInterval
-// blocks; operators and tests may also call it directly.
+// WriteCheckpoint persists the engine's derived state at the current
+// height: as one more window when the log already tiles the chain up to
+// some earlier height under the current index set, as a whole-state
+// frame opening a new log generation otherwise. Only collecting the
+// window happens under the engine lock (shared — readers proceed);
+// encoding, the append and its fsyncs run outside it. It is called
+// automatically whenever a commit crosses a Config.CheckpointInterval
+// boundary; operators and tests may also call it directly.
 func (e *Engine) WriteCheckpoint() error {
-	c, err := e.BuildCheckpoint()
-	if err != nil {
+	e.ckptSem <- struct{}{}
+	defer func() { <-e.ckptSem }()
+	c, err := e.cutWindow()
+	if err != nil || c == nil {
 		return err
 	}
-	return e.persistCheckpoint(c)
+	return e.snapDir.Write(c)
 }
 
-// BuildCheckpoint freezes the engine's derived state at the current
-// height without persisting it. Fast-sync uses it to derive the
-// reference state a peer's checkpoint is validated against.
+// BuildCheckpoint freezes the engine's whole derived state at the
+// current height — every block in one window — without persisting it.
+// Fast-sync uses it to derive the reference state a peer's checkpoint
+// is validated against.
 func (e *Engine) BuildCheckpoint() (*snapshot.Checkpoint, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.buildCheckpointLocked()
+	return e.collectLocked(0, uint64(e.store.Count()))
 }
 
-// maybeBuildCheckpointLocked assembles a checkpoint when the chain
-// height hits the configured interval, for the caller to persist after
-// releasing e.mu (the build deep-copies, so the encode and fsync touch
-// nothing the lock guards). Checkpointing is an optimisation, so
-// failures never fail the commit; they are counted and kept for
-// CheckpointErr.
-func (e *Engine) maybeBuildCheckpointLocked() *snapshot.Checkpoint {
-	iv := e.cfg.CheckpointInterval
-	if iv <= 0 {
+// dueCheckpoint cuts the next log window when the commits of one
+// writePipeline took the chain across a checkpoint-interval boundary,
+// for the caller to hand to finishCheckpoint once commitMu is released.
+// It runs once per pipeline, after the last install: a flush spanning
+// several intervals yields one window, not one build per boundary. A
+// non-nil result carries the checkpoint token with it. Checkpointing is
+// an optimisation, so failures never fail the commit; they are counted
+// and kept for CheckpointErr. Callers hold commitMu.
+func (e *Engine) dueCheckpoint(before uint64) *snapshot.Checkpoint {
+	iv := uint64(max(e.cfg.CheckpointInterval, 0))
+	if iv == 0 || e.Height()/iv == before/iv {
 		return nil
 	}
-	h := uint64(e.store.Count())
-	if h == 0 || h%uint64(iv) != 0 {
+	select {
+	case e.ckptSem <- struct{}{}:
+	default:
+		// The previous window is still on its way to disk. Windows start
+		// where the log's pin ends, so the next boundary's covers this
+		// one's blocks as well.
 		return nil
 	}
-	c, err := e.buildCheckpointLocked()
-	if err != nil {
-		e.ckptErr = err
-		e.cfg.Obs.Counter("sebdb_snapshot_write_errors_total").Inc()
-		return nil
+	c, err := e.cutWindow()
+	if c == nil {
+		<-e.ckptSem
+		if err != nil {
+			e.noteCheckpoint(e.Height(), err)
+		}
 	}
 	return c
 }
 
-// finishCheckpoint persists a checkpoint built during a commit and
-// records the outcome for CheckpointErr. Callers must not hold e.mu.
+// finishCheckpoint persists a window cut during a commit, returns the
+// checkpoint token and records the outcome for CheckpointErr. Callers
+// hold no lock.
 func (e *Engine) finishCheckpoint(c *snapshot.Checkpoint) {
 	if c == nil {
 		return
 	}
-	err := e.persistCheckpoint(c)
-	if err != nil {
-		e.cfg.Obs.Counter("sebdb_snapshot_write_errors_total").Inc()
-		e.log.Error("checkpoint persist failed", "height", c.Height, "err", err)
-	} else {
-		e.log.Info("checkpoint persisted", "height", c.Height)
-	}
-	e.mu.Lock()
-	e.ckptErr = err
-	e.mu.Unlock()
+	err := e.snapDir.Write(c)
+	<-e.ckptSem
+	e.noteCheckpoint(c.Height, err)
 }
 
-// persistCheckpoint serialises checkpoint writes and keeps the manifest
-// monotonic: when two commits race past their interval boundaries, the
-// slower (older) checkpoint is dropped rather than repointing the
-// manifest backwards.
-func (e *Engine) persistCheckpoint(c *snapshot.Checkpoint) error {
-	e.ckptMu.Lock()
-	defer e.ckptMu.Unlock()
-	// Strictly older checkpoints are dropped; an equal-height write (an
-	// explicit WriteCheckpoint after index creation, say) goes through —
-	// it renames over the same file and cannot regress the manifest.
-	if c.Height < e.ckptFloor {
-		return nil
+func (e *Engine) noteCheckpoint(height uint64, err error) {
+	if err != nil {
+		e.cfg.Obs.Counter("sebdb_snapshot_write_errors_total").Inc()
+		e.log.Error("checkpoint failed", "height", height, "err", err)
+	} else {
+		e.log.Info("checkpoint persisted", "height", height)
 	}
-	//sebdb:ignore-lockio reason: ckptMu exists precisely to serialise checkpoint persists against each other; it is never taken on the read or commit path
-	if err := e.snapDir.Write(c); err != nil {
-		return err
-	}
-	e.ckptFloor = c.Height
-	return nil
+	e.ckptErr.Store(&err)
 }
 
 // CheckpointErr returns the error of the most recent automatic
 // checkpoint attempt, or nil if it succeeded (or none was attempted).
 func (e *Engine) CheckpointErr() error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.ckptErr
+	if p := e.ckptErr.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // SnapshotDir exposes the engine's checkpoint directory — the node
 // layer serves fast-sync from it.
 func (e *Engine) SnapshotDir() *snapshot.Dir { return e.snapDir }
 
-// buildCheckpointLocked assembles a checkpoint of the state derived
-// from blocks [0, Count). Callers hold e.mu, so the view is consistent:
-// every index covers exactly the current height.
-func (e *Engine) buildCheckpointLocked() (*snapshot.Checkpoint, error) {
+// cutWindow collects the window the log lacks: blocks [pinned height,
+// current height), or the whole chain when nothing is pinned or an
+// index was created since the log's generation began (one generation
+// holds one index set). It returns nil when the log already pins the
+// current height. Callers hold the checkpoint token, which is what
+// keeps the pin — and ckptEpoch — still between this cut and its Write.
+// The time under e.mu is observed as sebdb_snapshot_build_micros.
+func (e *Engine) cutWindow() (*snapshot.Checkpoint, error) {
+	start := e.cfg.Obs.Now()
+	e.mu.RLock()
+	defer func() {
+		e.mu.RUnlock()
+		e.cfg.Obs.Histogram("sebdb_snapshot_build_micros").Observe(e.cfg.Obs.Now() - start)
+	}()
 	h := uint64(e.store.Count())
+	lo := e.snapDir.Height()
+	if lo > h || e.idxEpoch != e.ckptEpoch {
+		lo = 0
+	}
+	if lo == h && h > 0 {
+		return nil, nil
+	}
+	c, err := e.collectLocked(lo, h)
+	if err == nil {
+		e.ckptEpoch = e.idxEpoch
+	}
+	return c, err
+}
+
+// collectLocked assembles the checkpoint window for blocks [lo, h): the
+// per-block state of those blocks and the head as of h. Callers hold
+// e.mu, so the view is consistent: every index covers exactly the
+// current height. The work follows the window, not the chain — sealed
+// blocks' index state never changes, so earlier frames already hold it.
+func (e *Engine) collectLocked(lo, h uint64) (*snapshot.Checkpoint, error) {
 	if h == 0 {
 		return nil, fmt.Errorf("core: cannot checkpoint an empty chain")
 	}
-	m, err := e.store.Meta(h)
+	m, err := e.store.MetaWindow(lo, h)
 	if err != nil {
 		return nil, err
 	}
 	c := &snapshot.Checkpoint{
+		Lo:       lo,
 		Height:   h,
-		Anchor:   m.Headers[h-1].Hash(),
+		Anchor:   m.Headers[h-lo-1].Hash(),
 		LastTid:  e.lastTid,
 		LastTs:   e.lastTs,
 		Store:    m,
-		TableIdx: make(map[string][]uint32),
+		TableIdx: e.tableIdx.Range(int(lo), int(h)),
 	}
 	for _, name := range e.catalog.Names() {
 		t, err := e.catalog.Lookup(name)
@@ -150,39 +181,53 @@ func (e *Engine) buildCheckpointLocked() (*snapshot.Checkpoint, error) {
 		}
 		c.Contracts = append(c.Contracts, ct)
 	}
-	for _, k := range e.tableIdx.Keys() {
-		ids := e.tableIdx.Blocks(k).Slice()
-		out := make([]uint32, len(ids))
-		for i, b := range ids {
-			out[i] = uint32(b)
-		}
-		c.TableIdx[k] = out
-	}
 	for _, key := range sortedKeys(e.lidx) {
 		idx := e.lidx[key]
-		st := snapshot.IndexState{Key: key, Attr: idx.Attr(), Continuous: idx.Continuous()}
-		if hist := idx.Histogram(); hist != nil {
-			st.Bounds = hist.Bounds()
-		}
-		st.Blocks = make([][]layered.Entry, h)
-		for bid := uint64(0); bid < h; bid++ {
-			st.Blocks[bid] = idx.BlockEntries(bid)
+		st := indexState(key, idx.Attr(), idx.Histogram(), h-lo)
+		for bid := lo; bid < h; bid++ {
+			st.Blocks[bid-lo] = idx.BlockEntries(bid)
 		}
 		c.Indexes = append(c.Indexes, st)
 	}
 	for _, key := range sortedKeys(e.alis) {
 		ali := e.alis[key]
-		st := snapshot.ALIState{Key: key, Attr: ali.Attr(), Continuous: ali.Continuous()}
-		if hist := ali.Histogram(); hist != nil {
-			st.Bounds = hist.Bounds()
-		}
-		st.Blocks = make([][]mbtree.Record, h)
-		for bid := uint64(0); bid < h; bid++ {
-			st.Blocks[bid] = ali.BlockRecords(bid)
+		st := indexState(key, ali.Attr(), ali.Histogram(), h-lo)
+		for bid := lo; bid < h; bid++ {
+			if st.Blocks[bid-lo], err = aliEntries(ali.BlockRecords(bid), m.Headers[bid-lo].FirstTid); err != nil {
+				return nil, fmt.Errorf("core: checkpointing auth index %q, block %d: %w", key, bid, err)
+			}
 		}
 		c.ALIs = append(c.ALIs, st)
 	}
 	return c, nil
+}
+
+func indexState(key, attr string, hist *layered.Histogram, blocks uint64) snapshot.IndexState {
+	st := snapshot.IndexState{Key: key, Attr: attr, Continuous: hist != nil, Blocks: make([][]layered.Entry, blocks)}
+	if hist != nil {
+		st.Bounds = hist.Bounds()
+	}
+	return st
+}
+
+// aliEntries names one block's MB-tree records by key and transaction:
+// the payload of a record is the transaction's encoding, which the
+// block file already holds, so the checkpoint keeps only how to find it
+// again — the Tid (the encoding's first field) as an offset from the
+// block's FirstTid.
+func aliEntries(recs []mbtree.Record, firstTid uint64) ([]layered.Entry, error) {
+	if len(recs) == 0 {
+		return nil, nil
+	}
+	out := make([]layered.Entry, len(recs))
+	for i, r := range recs {
+		tid, err := types.EncodedTid(r.Payload)
+		if err != nil || tid < firstTid || tid-firstTid > 1<<32-1 {
+			return nil, fmt.Errorf("record payload is not a transaction of the block (tid %d, first %d)", tid, firstTid)
+		}
+		out[i] = layered.Entry{Key: r.Key, Pos: uint32(tid - firstTid)}
+	}
+	return out, nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -195,9 +240,9 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // restoreCheckpoint seeds a freshly constructed engine from a decoded
-// checkpoint. It runs during Open before the engine is shared, so no
-// locking is needed. Any inconsistency is an error; the caller discards
-// the engine and falls back to full replay.
+// whole-state checkpoint. It runs during Open before the engine is
+// shared, so no locking is needed. Any inconsistency is an error; the
+// caller discards the engine and falls back to full replay.
 func (e *Engine) restoreCheckpoint(c *snapshot.Checkpoint) error {
 	for _, t := range c.Tables {
 		if err := e.catalog.Define(t); err != nil {
@@ -226,35 +271,35 @@ func (e *Engine) restoreCheckpoint(c *snapshot.Checkpoint) error {
 		}
 		e.blockIdx.Append(uint64(i), h.FirstTid, last, h.Timestamp)
 	}
-	for _, st := range c.Indexes {
-		if uint64(len(st.Blocks)) != c.Height {
-			return fmt.Errorf("core: checkpoint index %q covers %d of %d blocks", st.Key, len(st.Blocks), c.Height)
-		}
-		var idx *layered.Index
-		if st.Continuous {
-			idx = layered.NewContinuous(st.Attr, layered.FromBounds(st.Bounds))
-		} else {
-			idx = layered.NewDiscrete(st.Attr)
-		}
-		for bid, entries := range st.Blocks {
-			idx.AppendBlock(uint64(bid), entries)
-		}
-		e.lidx[st.Key] = idx
+	// Indexes are independent of one another, so each is rebuilt by its
+	// own worker — the layered ones from their entries, the ALIs (one
+	// task, sharing each block read) from the block files.
+	idxs := make([]*layered.Index, len(c.Indexes))
+	err := parallel.Ordered(e.Parallelism(), len(c.Indexes)+1,
+		func(i int) (struct{}, error) {
+			if i == len(c.Indexes) {
+				return struct{}{}, e.restoreALIs(c)
+			}
+			st := &c.Indexes[i]
+			if uint64(len(st.Blocks)) != c.Height {
+				return struct{}{}, fmt.Errorf("core: checkpoint index %q covers %d of %d blocks", st.Key, len(st.Blocks), c.Height)
+			}
+			if st.Continuous {
+				idxs[i] = layered.NewContinuous(st.Attr, layered.FromBounds(st.Bounds))
+			} else {
+				idxs[i] = layered.NewDiscrete(st.Attr)
+			}
+			for bid, entries := range st.Blocks {
+				idxs[i].AppendBlock(uint64(bid), entries)
+			}
+			return struct{}{}, nil
+		},
+		func(int, struct{}) error { return nil })
+	if err != nil {
+		return err
 	}
-	for _, st := range c.ALIs {
-		if uint64(len(st.Blocks)) != c.Height {
-			return fmt.Errorf("core: checkpoint auth index %q covers %d of %d blocks", st.Key, len(st.Blocks), c.Height)
-		}
-		var ali *auth.ALI
-		if st.Continuous {
-			ali = auth.NewContinuous(st.Attr, layered.FromBounds(st.Bounds), mbtree.DefaultFanout)
-		} else {
-			ali = auth.NewDiscrete(st.Attr, mbtree.DefaultFanout)
-		}
-		for bid, recs := range st.Blocks {
-			ali.AppendBlock(uint64(bid), recs)
-		}
-		e.alis[st.Key] = ali
+	for i, st := range c.Indexes {
+		e.lidx[st.Key] = idxs[i]
 	}
 	if _, ok := e.lidx[".senid"]; !ok {
 		return fmt.Errorf("core: checkpoint misses the system index .senid")
@@ -263,4 +308,115 @@ func (e *Engine) restoreCheckpoint(c *snapshot.Checkpoint) error {
 		return fmt.Errorf("core: checkpoint misses the system index .tname")
 	}
 	return nil
+}
+
+// restoreALIs rebuilds the authenticated indexes. The checkpoint names
+// each block's indexed transactions; their encodings — the MB-tree
+// payloads — come out of the block files, read once per block by the
+// worker pool while the trees are rebuilt (and every root re-derived)
+// in height order on the calling goroutine.
+func (e *Engine) restoreALIs(c *snapshot.Checkpoint) error {
+	if len(c.ALIs) == 0 {
+		return nil
+	}
+	alis := make([]*auth.ALI, len(c.ALIs))
+	for i, st := range c.ALIs {
+		if uint64(len(st.Blocks)) != c.Height {
+			return fmt.Errorf("core: checkpoint auth index %q covers %d of %d blocks", st.Key, len(st.Blocks), c.Height)
+		}
+		if st.Continuous {
+			alis[i] = auth.NewContinuous(st.Attr, layered.FromBounds(st.Bounds), mbtree.DefaultFanout)
+		} else {
+			alis[i] = auth.NewDiscrete(st.Attr, mbtree.DefaultFanout)
+		}
+		e.alis[st.Key] = alis[i]
+	}
+	it, err := e.store.Blocks(0, c.Height)
+	if err != nil {
+		return err
+	}
+	defer it.Close()
+	if uint64(it.Len()) != c.Height {
+		return fmt.Errorf("core: checkpoint covers %d blocks, the store holds %d", c.Height, it.Len())
+	}
+	return parallel.Ordered(e.Parallelism(), it.Len(),
+		func(bid int) ([][]mbtree.Record, error) {
+			return aliRecords(it, c.ALIs, uint64(bid), c.Store.Headers[bid].FirstTid)
+		},
+		func(bid int, recs [][]mbtree.Record) error {
+			for i, ali := range alis {
+				ali.AppendBlock(uint64(bid), recs[i])
+			}
+			return nil
+		})
+}
+
+// aliRecords turns block bid's checkpointed ALI entries back into
+// MB-tree records, one slice per ALI, copying each payload out of the
+// block body. A block no ALI indexes is not read at all.
+func aliRecords(it *storage.Iter, states []snapshot.IndexState, bid, firstTid uint64) ([][]mbtree.Record, error) {
+	out := make([][]mbtree.Record, len(states))
+	indexed := false
+	for i := range states {
+		indexed = indexed || len(states[i].Blocks[bid]) > 0
+	}
+	if !indexed {
+		return out, nil
+	}
+	err := it.Body(bid, func(body []byte, txOffs []uint32) error {
+		for i := range states {
+			entries := states[i].Blocks[bid]
+			if len(entries) == 0 {
+				continue
+			}
+			spans := make([][2]uint32, len(entries))
+			total := 0
+			for j, en := range entries {
+				pos, err := txAt(body, txOffs, firstTid+uint64(en.Pos), int(en.Pos))
+				if err != nil {
+					return fmt.Errorf("core: checkpoint auth index %q, block %d: %w", states[i].Key, bid, err)
+				}
+				spans[j] = [2]uint32{txOffs[pos], txOffs[pos+1]}
+				total += int(spans[j][1] - spans[j][0])
+			}
+			// One allocation holds the block's payloads for this ALI; the
+			// body itself is a pooled buffer and cannot be kept.
+			buf := make([]byte, 0, total)
+			recs := make([]mbtree.Record, len(entries))
+			for j, en := range entries {
+				at := len(buf)
+				buf = append(buf, body[spans[j][0]:spans[j][1]]...)
+				recs[j] = mbtree.Record{Key: en.Key, Payload: buf[at:len(buf):len(buf)]}
+			}
+			out[i] = recs
+		}
+		return nil
+	})
+	return out, err
+}
+
+// txAt finds the position of the transaction with the given Tid in an
+// encoded block body. guess — the Tid's offset from the block's
+// FirstTid — is right whenever the block's Tids are consecutive, as
+// every locally packaged block's are; Validate only demands they
+// increase, so a miss falls back to a binary search.
+func txAt(body []byte, txOffs []uint32, tid uint64, guess int) (int, error) {
+	n := len(txOffs) - 1
+	tidAt := func(i int) uint64 {
+		if end := int(txOffs[i+1]); end > len(body) || txOffs[i] > txOffs[i+1] {
+			return 0
+		}
+		t, err := types.EncodedTid(body[txOffs[i]:txOffs[i+1]])
+		if err != nil {
+			return 0
+		}
+		return t
+	}
+	if guess < n && tidAt(guess) == tid {
+		return guess, nil
+	}
+	if pos := sort.Search(n, func(i int) bool { return tidAt(i) >= tid }); pos < n && tidAt(pos) == tid {
+		return pos, nil
+	}
+	return 0, fmt.Errorf("no transaction with tid %d", tid)
 }

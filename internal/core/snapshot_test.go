@@ -239,10 +239,14 @@ func copyTree(t *testing.T, src, dst string) {
 }
 
 // TestEngineCheckpointCrashMatrix crashes the filesystem at every
-// mutating operation of an open-checkpoint-close cycle, then reboots
-// cleanly both with and without checkpoint loading. Whatever the crash
-// left behind, the two recovery paths must agree exactly — "never wrong
-// answers, only slower ones".
+// mutating operation of an open-checkpoint-close cycle — the checkpoint
+// is a window appended to the seed's log: append, fsync, manifest tmp,
+// fsync, rename — then reboots cleanly both with and without checkpoint
+// loading. Whatever the crash left behind, the two recovery paths must
+// agree exactly — "never wrong answers, only slower ones". The rebooted
+// node then commits and checkpoints again, which is where a torn frame
+// past the pinned length gets truncated: the log must still tile the
+// chain, and both routes still agree.
 func TestEngineCheckpointCrashMatrix(t *testing.T) {
 	seed := t.TempDir()
 	seedSnapshotChain(t, seed)
@@ -285,7 +289,7 @@ func TestEngineCheckpointCrashMatrix(t *testing.T) {
 				t.Fatalf("crash point %d never reached", k)
 			}
 
-			fast, err := Open(Config{Dir: dir})
+			fast, err := Open(Config{Dir: dir, BlockMaxTxs: 4})
 			if err != nil {
 				t.Fatalf("reboot (checkpoint path): %v", err)
 			}
@@ -310,6 +314,19 @@ func TestEngineCheckpointCrashMatrix(t *testing.T) {
 				want = fpFull
 			} else if fpFull != want {
 				t.Fatalf("crash at op %d altered the chain:\n%s\nvs\n%s", k, fpFull, want)
+			}
+
+			if _, err := fast.CommitBlock([]*types.Transaction{donateTx(t, fast, 500)}, 9_000_000); err != nil {
+				t.Fatal(err)
+			}
+			if err := fast.WriteCheckpoint(); err != nil {
+				t.Fatalf("checkpoint after the reboot: %v", err)
+			}
+			if got := logTiles(t, dir); got != fast.Height() {
+				t.Fatalf("crash at op %d: the log tiles [0,%d) of %d blocks after the next checkpoint", k, got, fast.Height())
+			}
+			if suffix, _ := sameByEveryRoute(t, dir); suffix != 0 {
+				t.Fatalf("crash at op %d: reopen after the next checkpoint replayed %d blocks", k, suffix)
 			}
 		})
 	}

@@ -2,10 +2,15 @@ package core
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"sebdb/internal/clock"
+	"sebdb/internal/obs"
+	"sebdb/internal/snapshot"
 	"sebdb/internal/types"
 )
 
@@ -115,28 +120,76 @@ func TestBackgroundCompactor(t *testing.T) {
 }
 
 // TestCheckpointStaleAfterCompression writes a checkpoint, then
-// recompresses the chain underneath it: the restart must detect the
-// stale block locations, fall back to full replay, and still answer
-// identically — slower, never wrong.
+// recompresses the chain underneath it — what the background compactor
+// does soon after every interval. The checkpoint's segment geometry is
+// now stale, but its index state is chain-derived and does not care
+// where blocks sit: the restart scans the segments and still seeds
+// catalog, indexes and ALIs from the checkpoint, replaying only the
+// suffix. Only a checkpoint whose anchor is not on the chain at all is
+// thrown away for a full replay.
 func TestCheckpointStaleAfterCompression(t *testing.T) {
-	dir := t.TempDir()
-	e := testEngine(t, Config{Dir: dir, SegmentSize: 2048, BlockMaxTxs: 5})
-	seedDonation(t, e, 60, 5)
-	if err := e.WriteCheckpoint(); err != nil {
-		t.Fatal(err)
+	cfg := Config{SegmentSize: 2048, BlockMaxTxs: 5}
+	build := func(dir string, rows int) (fingerprint string, ckptHeight, height uint64) {
+		cfg.Dir = dir
+		e := testEngine(t, cfg)
+		seedDonation(t, e, rows, 5)
+		if err := e.CreateAuthIndex("donate", "amount"); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.WriteCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+		ckptHeight = e.Height()
+		for i := 0; i < 15; i += 5 { // a suffix past the checkpoint
+			if _, err := e.CommitBlock([]*types.Transaction{donateTx(t, e, 1000+i)}, int64(2000+i)*1000); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Invalidate the checkpoint's segment geometry after the fact.
+		if err := e.CompressSealed(1); err != nil {
+			t.Fatal(err)
+		}
+		fingerprint, height = recoveryFingerprint(t, e), e.Height()
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return fingerprint, ckptHeight, height
 	}
-	// Invalidate the checkpoint's segment geometry after the fact.
-	if err := e.CompressSealed(1); err != nil {
-		t.Fatal(err)
-	}
-	fpBefore := recoveryFingerprint(t, e)
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
+	reopen := func(dir string) (*Engine, *obs.Registry) {
+		cfg.Dir, cfg.Obs = dir, obs.NewRegistry(clock.UnixMicro)
+		return testEngine(t, cfg), cfg.Obs
 	}
 
-	re := testEngine(t, Config{Dir: dir, SegmentSize: 2048, BlockMaxTxs: 5})
+	dir := t.TempDir()
+	fpBefore, ckptHeight, height := build(dir, 60)
+	re, reg := reopen(dir)
 	if got := recoveryFingerprint(t, re); got != fpBefore {
-		t.Error("replay after a stale checkpoint diverged from the live engine")
+		t.Error("restart over a stale-geometry checkpoint diverged from the live engine")
+	}
+	if got := reg.Counter("sebdb_snapshot_stale_geometry_total").Value(); got != 1 {
+		t.Errorf("stale-geometry restarts counted = %d, want 1", got)
+	}
+	if got, want := reg.Counter("sebdb_snapshot_suffix_blocks").Value(), height-ckptHeight; got != want {
+		t.Errorf("replayed %d blocks, want the %d-block suffix past the checkpoint", got, want)
+	}
+
+	// A checkpoint cut from another chain of the same height: its
+	// geometry fails just the same, and so does its anchor.
+	other := t.TempDir()
+	build(other, 59)
+	if err := os.RemoveAll(filepath.Join(dir, snapshot.DirName)); err != nil {
+		t.Fatal(err)
+	}
+	copyTree(t, filepath.Join(other, snapshot.DirName), filepath.Join(dir, snapshot.DirName))
+	re, reg = reopen(dir)
+	if got := recoveryFingerprint(t, re); got != fpBefore {
+		t.Error("restart over a foreign checkpoint diverged from the live engine")
+	}
+	if got := reg.Counter("sebdb_snapshot_anchor_mismatch_total").Value(); got != 1 {
+		t.Errorf("anchor mismatches counted = %d, want 1", got)
+	}
+	if got := reg.Counter("sebdb_snapshot_suffix_blocks").Value(); got != height {
+		t.Errorf("replayed %d blocks, want a full replay of %d", got, height)
 	}
 }
 

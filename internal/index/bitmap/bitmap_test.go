@@ -1,6 +1,7 @@
 package bitmap
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -169,5 +170,40 @@ func TestTableIndex(t *testing.T) {
 	keys := ti.Keys()
 	if len(keys) != 2 || keys[0] != "donate" || keys[1] != "transfer" {
 		t.Errorf("Keys = %v", keys)
+	}
+}
+
+// TestTableIndexRange: the marks of consecutive windows concatenate to
+// each key's whole bitmap, wherever the cuts fall relative to the
+// 64-block words.
+func TestTableIndexRange(t *testing.T) {
+	ti := NewTableIndex()
+	for b := 0; b < 200; b++ {
+		if b%3 == 0 {
+			ti.Mark("donate", b)
+		}
+		if b%64 == 63 || b%64 == 0 {
+			ti.Mark("edges", b)
+		}
+	}
+	ti.Mark("early", 2)
+	got := make(map[string][]int)
+	for _, w := range [][2]int{{0, 1}, {1, 63}, {63, 64}, {64, 130}, {130, 130}, {130, 200}} {
+		for k, ids := range ti.Range(w[0], w[1]) {
+			for _, id := range ids {
+				if int(id) < w[0] || int(id) >= w[1] {
+					t.Fatalf("Range(%d, %d) returned block %d for %q", w[0], w[1], id, k)
+				}
+				got[k] = append(got[k], int(id))
+			}
+		}
+	}
+	for _, k := range ti.Keys() {
+		if want := ti.Blocks(k).Slice(); !reflect.DeepEqual(got[k], want) {
+			t.Errorf("%s: windows give %v, the bitmap holds %v", k, got[k], want)
+		}
+	}
+	if r := ti.Range(3, 64); r["early"] != nil {
+		t.Errorf("a key without marks in the window is listed: %v", r["early"])
 	}
 }

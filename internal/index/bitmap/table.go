@@ -1,6 +1,7 @@
 package bitmap
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
 )
@@ -60,5 +61,25 @@ func (t *TableIndex) Keys() []string {
 		out = append(out, k)
 	}
 	sort.Strings(out)
+	return out
+}
+
+// Range returns, for every key with a marked block in [lo, hi), those
+// block ids in ascending order — the marks one checkpoint window adds.
+// Each bitmap is read from the word holding lo, so the cost follows the
+// window, not the chain.
+func (t *TableIndex) Range(lo, hi int) map[string][]uint32 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	out := make(map[string][]uint32)
+	for k, b := range t.bits {
+		for wi := lo >> 6; wi < len(b.words) && wi<<6 < hi; wi++ {
+			for w := b.words[wi]; w != 0; w &= w - 1 {
+				if i := wi<<6 + bits.TrailingZeros64(w); i >= lo && i < hi {
+					out[k] = append(out[k], uint32(i))
+				}
+			}
+		}
+	}
 	return out
 }

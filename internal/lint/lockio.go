@@ -17,7 +17,7 @@ import (
 // (build under e.mu, encode+fsync outside; prepare under commitMu,
 // group fsync outside e.mu) stay machine-checked instead of relying on
 // review. Audited exceptions (the segment store serialising its own
-// I/O, ckptMu existing precisely to cover checkpoint persists) carry a
+// I/O, commitMu existing precisely to cover the append+fsync pipeline) carry a
 // //sebdb:ignore-lockio reason: <why> directive.
 var LockIO = &Analyzer{
 	Name: "lockio",

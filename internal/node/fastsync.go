@@ -24,11 +24,13 @@ import (
 //     indexes, ALIs, high-water marks — is rebuilt locally from those
 //     verified bodies while they stream, and the checkpoint installed
 //     at the end is the locally derived one.
-//   - The peer's own checkpoint is downloaded as an integrity
-//     cross-check and an index-definition hint: its chain-derived facts
-//     must agree with the local rebuild (snapshot.Diverges), and its
-//     user index definitions (names only, never contents) tell the
-//     fresh node which indexes to build from its own chain.
+//   - The peer's own checkpoint — the pinned prefix of its checkpoint
+//     log, shipped as one byte stream and folded by snapshot.Decode — is
+//     downloaded as an integrity cross-check and an index-definition
+//     hint: its chain-derived facts must agree with the local rebuild
+//     (snapshot.Diverges), and its user index definitions (names only,
+//     never contents) tell the fresh node which indexes to build from
+//     its own chain.
 //
 // A lying peer can therefore waste a node's time but never poison its
 // state: the worst a fabricated checkpoint achieves is a rejected sync.
@@ -36,8 +38,8 @@ import (
 // snapChunkSize keeps each chunk frame well under network.MaxFrame.
 const snapChunkSize = 1 << 20
 
-// maxSnapshotBytes bounds a serveable checkpoint payload; FastSync
-// rejects offers claiming more than the same bound.
+// maxSnapshotBytes bounds a serveable checkpoint log; FastSync rejects
+// offers claiming more than the same bound.
 const maxSnapshotBytes = network.MaxFrame * 64
 
 // SnapshotOffer describes the checkpoint a peer is willing to serve.
@@ -46,8 +48,8 @@ type SnapshotOffer struct {
 	// Anchor is block Height-1's hash).
 	Height uint64
 	Anchor types.Hash
-	// Size and CRC describe the raw checkpoint payload; Chunks is how
-	// many ChunkSize-sized pieces it transfers as.
+	// Size and CRC describe the pinned checkpoint log (every frame up to
+	// Height); Chunks is how many ChunkSize-sized pieces it transfers as.
 	Size      uint64
 	CRC       uint32
 	ChunkSize uint32
@@ -159,10 +161,10 @@ func (n *FullNode) handleSnapChunk(payload []byte) ([]byte, error) {
 	return e.Bytes(), nil
 }
 
-// snapshotPayload returns the current checkpoint payload, memoised per
-// checkpoint generation: each request re-reads only the small manifest
-// and the full payload is read (and CRC-verified) from disk once, not
-// once per chunk.
+// snapshotPayload returns the pinned checkpoint log, memoised per
+// manifest: each request re-reads only the small manifest and the log
+// is read (and CRC-verified) from disk once per checkpoint, not once per
+// chunk.
 func (n *FullNode) snapshotPayload() ([]byte, error) {
 	dir := n.Engine.SnapshotDir()
 	m, err := dir.Manifest()

@@ -1,0 +1,76 @@
+package snapshot
+
+import (
+	"bytes"
+	"reflect"
+	"runtime"
+	"testing"
+)
+
+// allocated returns the bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzDecodeCheckpointLog feeds arbitrary bytes to the checkpoint log
+// decoder — the bytes a fast-syncing peer supplies and the file a crash
+// or a bad disk leaves behind. It must never panic and never allocate
+// beyond a multiple of the input (every count is held to the bytes that
+// remain before anything is allocated for it); whatever it accepts must
+// survive decode∘encode unchanged, as one whole-state frame. The frame
+// CRC keeps a mutator from reaching the structural checks, so the input
+// is also offered as a bare frame payload, behind the CRC.
+func FuzzDecodeCheckpointLog(f *testing.F) {
+	s := buildChain(f, f.TempDir(), 7)
+	defer s.Close()
+	whole := mkCheckpoint(f, s).Encode()
+	first, second, third := mkWindow(f, s, 0, 3).Encode(), mkWindow(f, s, 3, 4).Encode(), mkWindow(f, s, 4, 7).Encode()
+	log := bytes.Join([][]byte{first, second, third}, nil)
+	f.Add(whole)
+	f.Add(log)
+	f.Add(log[:len(log)-9])                             // a torn last frame
+	f.Add(bytes.Join([][]byte{first, third}, nil))      // a gap: must be refused
+	f.Add(bytes.Join([][]byte{first, first}, nil))      // a repeat: must be refused
+	f.Add(second)                                       // a log starting at block 3: must be refused
+	f.Add(whole[frameHeader : len(whole)-frameTrailer]) // a bare payload, for the second door
+	f.Add(third[frameHeader : len(third)-frameTrailer])
+	flipped := bytes.Clone(whole)
+	flipped[len(flipped)/3] ^= 1
+	f.Add(flipped)
+	f.Add([]byte{0x5E, 0xBD, 0xC4, 0xB8, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}) // a frame claiming 4 GiB
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		limit := uint64(256*len(data) + 1<<16)
+		var c *Checkpoint
+		var err error
+		if n := allocated(func() { c, err = Decode(data) }); n > limit {
+			t.Fatalf("a %d-byte log made the decoder allocate %d bytes", len(data), n)
+		}
+		if err == nil {
+			if c.Lo != 0 || c.Height == 0 || uint64(c.Store.Count()) != c.Height {
+				t.Fatalf("accepted a log that is not a whole state: [%d,%d) over %d headers", c.Lo, c.Height, c.Store.Count())
+			}
+			again, err := Decode(c.Encode())
+			if err != nil {
+				t.Fatalf("the re-encoding of an accepted log is refused: %v", err)
+			}
+			if !reflect.DeepEqual(again, c) {
+				t.Fatal("decode∘encode changed an accepted checkpoint")
+			}
+		}
+		var w *Checkpoint
+		if n := allocated(func() { w, err = decodeFrame(data) }); n > limit {
+			t.Fatalf("a %d-byte frame payload made the decoder allocate %d bytes", len(data), n)
+		}
+		if err == nil {
+			again, err := decodeFrame(w.Encode()[frameHeader : len(w.Encode())-frameTrailer])
+			if err != nil || !reflect.DeepEqual(again, w) {
+				t.Fatalf("decode∘encode changed an accepted frame (err %v)", err)
+			}
+		}
+	})
+}

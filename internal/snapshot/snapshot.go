@@ -1,53 +1,74 @@
-// Package snapshot implements SEBDB's checkpoint subsystem: atomic,
-// CRC-verified snapshots of the engine's derived state — storage
+// Package snapshot implements SEBDB's checkpoint subsystem: a
+// CRC-framed, append-only log of the engine's derived state — storage
 // segment metadata, catalog, contract registry, table-level bitmaps,
 // layered indexes and ALIs — pinned to a block height and an anchor
-// block hash. The chain remains the only source of truth: a checkpoint
-// merely lets Engine.Open seed state for blocks [0, Height) and replay
-// only the suffix, and any corrupt or stale checkpoint is discarded in
-// favour of full replay (never wrong answers, only slower ones).
+// block hash. Every index the paper defines is per block and immutable
+// once the block is sealed, so each frame carries the state of one
+// block window [Lo, Height) and a checkpoint costs what was committed
+// since the previous one, not what the chain holds. The chain remains
+// the only source of truth: a checkpoint merely lets Engine.Open seed
+// state for blocks [0, Height) and replay only the suffix, and any
+// corrupt or stale frame ends the usable prefix in favour of replay
+// (never wrong answers, only slower ones).
 //
 // On-disk layout, inside <data-dir>/snapshots/:
 //
-//	ckpt-<height>.snap   encoded checkpoint payload + CRC-32 trailer
-//	MANIFEST             pins {height, anchor, file, size, crc}
+//	index-<gen>.log   frames, appended in height order
+//	MANIFEST          pins {height, anchor, log file, length, crc}
 //
-// Both files are written to a .tmp sibling, synced, and renamed into
-// place, so a crash at any point leaves either the previous checkpoint
-// or the new one — never a half-written mix (see faultfs crash tests).
+// A frame is appended and fsynced before the manifest — written to a
+// .tmp sibling, synced and renamed into place — pins the new length,
+// so a crash leaves either the previous pin or the new one; bytes past
+// the pinned length are ignored by Load and truncated by the next
+// Write (see faultfs crash tests and DESIGN.md "Checkpoints &
+// fast-sync").
 package snapshot
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"sort"
 
 	"sebdb/internal/contract"
 	"sebdb/internal/index/layered"
-	"sebdb/internal/mbtree"
 	"sebdb/internal/schema"
 	"sebdb/internal/storage"
 	"sebdb/internal/types"
 )
 
 const (
-	ckptMagic     = 0x5EBD_C4B7
+	frameMagic    = 0x5EBD_C4B8
 	manifestMagic = 0x5EBD_3A1F
-	// version 2 added the per-block stored length and compression flag
-	// (storage.Meta.Stored/Comp) so checkpoints describe recompressed
-	// segments. Version-1 checkpoints are rejected as corrupt, which
-	// callers treat as "no checkpoint" and fall back to full replay.
-	version = 2
+	// version 3 is the windowed log frame. Version 2 was one monolithic
+	// file per checkpoint under another magic; its manifest fails the
+	// version check, which callers treat as "no checkpoint" and fall
+	// back to full replay.
+	version = 3
+
+	// A frame is magic, payload length, payload and the payload's
+	// CRC-32 — the segment store's record framing.
+	frameHeader  = 8
+	frameTrailer = 4
 )
 
-// ErrCorrupt is returned when a checkpoint or manifest fails its CRC,
-// magic, or structural checks. Callers treat it as "no checkpoint".
+// ErrCorrupt is returned when a frame or manifest fails its CRC, magic
+// or structural checks. Callers treat it as "no checkpoint".
 var ErrCorrupt = errors.New("snapshot: corrupt checkpoint")
 
-// IndexState is the serialised form of one layered index: its
+// IndexState is the serialised form of one layered index or ALI: its
 // identity, first-level histogram bounds (continuous only) and the
-// per-block second-level entries. Replaying the entries through
-// layered.Index.AppendBlock reproduces the index exactly.
+// per-block second-level entries. Replaying a layered index's entries
+// through layered.Index.AppendBlock reproduces it exactly. An ALI's
+// entries name the indexed transactions only: their encodings — the
+// authenticated payloads — are already in the block files, so restore
+// slices them out of the block body, rebuilds every MB-tree and
+// re-derives every root. No tuple is stored twice and no digest is
+// persisted, so a tampered checkpoint cannot forge authentication
+// state.
 type IndexState struct {
 	// Key is the engine's registry key (e.g. "donate.money" or the
 	// system keys ".senid"/".tname").
@@ -58,28 +79,21 @@ type IndexState struct {
 	// boundaries.
 	Continuous bool
 	Bounds     []float64
-	// Blocks holds, per block height, the second-level entries in key
-	// order (nil for blocks without indexed rows).
+	// Blocks holds, per block of the window, the entries in key order
+	// (nil for blocks without indexed rows). A layered index's Pos is
+	// the transaction's position in its block; an ALI's is its Tid
+	// minus the block's FirstTid, which is the same number whenever the
+	// block's Tids are consecutive.
 	Blocks [][]layered.Entry
 }
 
-// ALIState is the serialised form of one authenticated layered index:
-// per-block MB-tree records (key + authenticated payload). Rebuilding
-// the trees re-derives every root hash, so no digests are persisted —
-// a tampered checkpoint cannot forge authentication state.
-type ALIState struct {
-	Key        string
-	Attr       string
-	Continuous bool
-	Bounds     []float64
-	Blocks     [][]mbtree.Record
-}
-
-// Checkpoint is the full derived state of an engine at a block height.
+// Checkpoint is the derived state of an engine for one block window:
+// what one log frame holds, and — with Lo == 0, as BuildCheckpoint,
+// Decode and Dir.Load return it — the whole state at a block height.
 type Checkpoint struct {
-	// Height is the number of blocks the checkpoint covers: state
-	// reflects blocks [0, Height).
-	Height uint64
+	// Lo and Height bound the window: per-block state covers blocks
+	// [Lo, Height); everything else reflects the chain at Height.
+	Lo, Height uint64
 	// Anchor is the hash of block Height-1, pinning the checkpoint to
 	// one specific chain.
 	Anchor types.Hash
@@ -87,49 +101,41 @@ type Checkpoint struct {
 	// block-timestamp high-water marks.
 	LastTid uint64
 	LastTs  int64
-	// Store is the segment metadata for blocks [0, Height).
+	// Store is the segment metadata: the chain-derived Headers, Lens
+	// and TxOffs for the window, the node-local Locs, Stored and Comp
+	// for all of [0, Height) — recompression rewrites those for old
+	// blocks, so every frame restates them (storage.Store.MetaWindow).
 	Store *storage.Meta
 	// Tables is the catalog (user table schemas, in name order).
 	Tables []*schema.Table
 	// Contracts is the contract registry (in name order).
 	Contracts []*contract.Contract
 	// TableIdx maps table-index keys (Tname and "senid:"-prefixed
-	// SenID values) to the sorted block ids containing them.
+	// SenID values) to the sorted ids of the window's blocks containing
+	// them.
 	TableIdx map[string][]uint32
 	// Indexes are the layered indexes (system and user), key order.
 	Indexes []IndexState
 	// ALIs are the authenticated indexes, key order.
-	ALIs []ALIState
+	ALIs []IndexState
 }
 
-// Encode renders the checkpoint payload (without the CRC trailer).
+// Encode renders the checkpoint as one complete log frame, header and
+// CRC trailer included: what Dir.Write appends, and — for a whole-state
+// checkpoint — a one-frame log Decode accepts.
 func (c *Checkpoint) Encode() []byte {
 	e := types.NewEncoder(1 << 16)
-	e.Uint32(ckptMagic)
+	e.Uint32(frameMagic)
+	e.Uint32(0) // payload length, patched below
+
 	e.Uint32(version)
+	e.Uint64(c.Lo)
 	e.Uint64(c.Height)
 	e.Bytes32(c.Anchor)
 	e.Uint64(c.LastTid)
 	e.Int64(c.LastTs)
 
-	e.Count(c.Store.Count())
-	for i := range c.Store.Headers {
-		c.Store.Headers[i].Encode(e)
-		e.Uint32(c.Store.Locs[i].Segment)
-		e.Int64(c.Store.Locs[i].Offset)
-		e.Int64(c.Store.Lens[i])
-		e.Int64(c.Store.Stored[i])
-		if c.Store.Comp[i] {
-			e.Uint8(1)
-		} else {
-			e.Uint8(0)
-		}
-		e.Count(len(c.Store.TxOffs[i]))
-		for _, o := range c.Store.TxOffs[i] {
-			e.Uint32(o)
-		}
-	}
-
+	// Head: small, restated by every frame.
 	e.Count(len(c.Tables))
 	for _, t := range c.Tables {
 		e.Values(t.EncodeDDL())
@@ -138,7 +144,26 @@ func (c *Checkpoint) Encode() []byte {
 	for _, ct := range c.Contracts {
 		e.Values(ct.EncodeDeploy())
 	}
+	e.Count(len(c.Store.Locs))
+	for i, loc := range c.Store.Locs {
+		e.Uvarint(uint64(loc.Segment))
+		e.Uvarint(uint64(loc.Offset))
+		e.Uvarint(uint64(c.Store.Stored[i]))
+		e.Uint8(b2u(c.Store.Comp[i]))
+	}
+	encodeIndexDefs(e, c)
 
+	// Window: the per-block state of [Lo, Height).
+	for i := range c.Store.Headers {
+		c.Store.Headers[i].Encode(e)
+		e.Uvarint(uint64(c.Store.Lens[i]))
+		e.Count(len(c.Store.TxOffs[i]))
+		prev := uint32(0)
+		for _, o := range c.Store.TxOffs[i] {
+			e.Uvarint(uint64(o - prev))
+			prev = o
+		}
+	}
 	keys := make([]string, 0, len(c.TableIdx))
 	for k := range c.TableIdx {
 		keys = append(keys, k)
@@ -149,74 +174,171 @@ func (c *Checkpoint) Encode() []byte {
 		e.Str(k)
 		e.Count(len(c.TableIdx[k]))
 		for _, b := range c.TableIdx[k] {
-			e.Uint32(b)
+			e.Uvarint(uint64(b) - c.Lo)
 		}
 	}
-
-	e.Count(len(c.Indexes))
 	for i := range c.Indexes {
-		encodeIndexState(e, &c.Indexes[i])
+		encodeIndexBlocks(e, c.Indexes[i].Blocks)
+	}
+	for i := range c.ALIs {
+		encodeIndexBlocks(e, c.ALIs[i].Blocks)
 	}
 
-	e.Count(len(c.ALIs))
-	for i := range c.ALIs {
-		a := &c.ALIs[i]
-		encodeIndexHead(e, a.Key, a.Attr, a.Continuous, a.Bounds)
-		e.Count(len(a.Blocks))
-		for _, rs := range a.Blocks {
-			e.Count(len(rs))
-			for _, r := range rs {
-				e.Value(r.Key)
-				e.Blob(r.Payload)
-			}
-		}
+	n := e.Len() - frameHeader
+	if n > math.MaxUint32 {
+		panic(fmt.Sprintf("snapshot: frame of %d bytes does not fit the uint32 length prefix", n))
 	}
+	binary.BigEndian.PutUint32(e.Bytes()[4:], uint32(n))
+	e.Uint32(crc32.ChecksumIEEE(e.Bytes()[frameHeader:]))
 	return e.Bytes()
 }
 
-// encodeIndexState renders one layered-index state (head plus per-block
-// entries); Diverges also uses it to compare system indexes byte-wise.
-func encodeIndexState(e *types.Encoder, x *IndexState) {
-	encodeIndexHead(e, x.Key, x.Attr, x.Continuous, x.Bounds)
-	e.Count(len(x.Blocks))
-	for _, es := range x.Blocks {
-		e.Count(len(es))
-		for _, en := range es {
-			e.Value(en.Key)
-			e.Uint32(en.Pos)
+func b2u(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// encodeIndexDefs renders the definitions — not the contents — of
+// every index and ALI. One log generation holds one index set; Dir
+// compares these bytes to refuse a window that would change it.
+func encodeIndexDefs(e *types.Encoder, c *Checkpoint) {
+	for _, states := range [][]IndexState{c.Indexes, c.ALIs} {
+		e.Count(len(states))
+		for i := range states {
+			encodeIndexDef(e, &states[i])
 		}
 	}
 }
 
-func encodeIndexHead(e *types.Encoder, key, attr string, cont bool, bounds []float64) {
-	e.Str(key)
-	e.Str(attr)
-	if cont {
-		e.Uint8(1)
-	} else {
-		e.Uint8(0)
-	}
-	e.Count(len(bounds))
-	for _, b := range bounds {
+func encodeIndexDef(e *types.Encoder, x *IndexState) {
+	e.Str(x.Key)
+	e.Str(x.Attr)
+	e.Uint8(b2u(x.Continuous))
+	e.Count(len(x.Bounds))
+	for _, b := range x.Bounds {
 		e.Float64(b)
 	}
 }
 
-// Decode parses a checkpoint payload previously produced by Encode.
-func Decode(buf []byte) (*Checkpoint, error) {
-	d := types.NewDecoder(buf)
-	magic, err := d.Uint32()
-	if err != nil || magic != ckptMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+func indexDefs(c *Checkpoint) []byte {
+	e := types.NewEncoder(256)
+	encodeIndexDefs(e, c)
+	return e.Bytes()
+}
+
+// encodeIndexBlocks renders one index's per-block entries; Diverges
+// also uses it to compare system indexes byte-wise.
+func encodeIndexBlocks(e *types.Encoder, blocks [][]layered.Entry) {
+	for _, es := range blocks {
+		e.Uvarint(uint64(len(es)))
+		for _, en := range es {
+			e.Value(en.Key)
+			e.Uvarint(uint64(en.Pos))
+		}
 	}
+}
+
+// Decode parses a checkpoint log — one or more frames, as Encode and
+// Dir.Raw produce them — and folds it into the whole state at its last
+// frame's height. Every frame must verify and continue the one before;
+// Dir.Load is the lenient reader that settles for a valid prefix.
+func Decode(buf []byte) (*Checkpoint, error) {
+	c, _, err := decodeLog(buf)
+	if err != nil {
+		return nil, err
+	}
+	if c == nil {
+		return nil, fmt.Errorf("%w: empty log", ErrCorrupt)
+	}
+	return c, nil
+}
+
+// decodeLog folds the longest prefix of buf that is a run of valid
+// frames tiling [0, h) and reports how many bytes that prefix spans.
+// err says why the fold stopped short of len(buf), nil when it did not;
+// c is nil when not even the first frame was usable.
+func decodeLog(buf []byte) (c *Checkpoint, used int, err error) {
+	for used < len(buf) {
+		rest := buf[used:]
+		if len(rest) < frameHeader+frameTrailer || binary.BigEndian.Uint32(rest) != frameMagic {
+			return c, used, fmt.Errorf("%w: bad frame header at offset %d", ErrCorrupt, used)
+		}
+		n := int(binary.BigEndian.Uint32(rest[4:]))
+		if n > len(rest)-frameHeader-frameTrailer {
+			return c, used, fmt.Errorf("%w: torn frame at offset %d", ErrCorrupt, used)
+		}
+		payload := rest[frameHeader : frameHeader+n]
+		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(rest[frameHeader+n:]) {
+			return c, used, fmt.Errorf("%w: frame CRC mismatch at offset %d", ErrCorrupt, used)
+		}
+		f, err := decodeFrame(payload)
+		if err != nil {
+			return c, used, err
+		}
+		if c == nil {
+			if f.Lo != 0 {
+				return nil, used, fmt.Errorf("%w: log starts at block %d", ErrCorrupt, f.Lo)
+			}
+			c = f
+		} else if err := c.extend(f); err != nil {
+			return c, used, err
+		}
+		used += frameHeader + n + frameTrailer
+	}
+	return c, used, nil
+}
+
+// extend folds the next frame onto c. The frame must continue c — its
+// window starts at c's height, its first header links to c's anchor —
+// and keep the generation's index set.
+func (c *Checkpoint) extend(f *Checkpoint) error {
+	if f.Lo != c.Height || f.Store.Headers[0].PrevHash != c.Anchor {
+		return fmt.Errorf("%w: frame [%d,%d) does not continue the log at %d", ErrCorrupt, f.Lo, f.Height, c.Height)
+	}
+	if !bytes.Equal(indexDefs(f), indexDefs(c)) {
+		return fmt.Errorf("%w: frame [%d,%d) changes the index set", ErrCorrupt, f.Lo, f.Height)
+	}
+	c.Height, c.Anchor, c.LastTid, c.LastTs = f.Height, f.Anchor, f.LastTid, f.LastTs
+	c.Tables, c.Contracts = f.Tables, f.Contracts
+	c.Store.Headers = append(c.Store.Headers, f.Store.Headers...)
+	c.Store.Lens = append(c.Store.Lens, f.Store.Lens...)
+	c.Store.TxOffs = append(c.Store.TxOffs, f.Store.TxOffs...)
+	c.Store.Locs, c.Store.Stored, c.Store.Comp = f.Store.Locs, f.Store.Stored, f.Store.Comp
+	for k, ids := range f.TableIdx {
+		c.TableIdx[k] = append(c.TableIdx[k], ids...)
+	}
+	for i := range f.Indexes {
+		c.Indexes[i].Blocks = append(c.Indexes[i].Blocks, f.Indexes[i].Blocks...)
+	}
+	for i := range f.ALIs {
+		c.ALIs[i].Blocks = append(c.ALIs[i].Blocks, f.ALIs[i].Blocks...)
+	}
+	return nil
+}
+
+// decodeFrame parses one frame payload. Every count is held to the
+// bytes that remain before anything is allocated for it, and the
+// embedded headers must number [Lo, Height), link to each other and end
+// at the anchor.
+func decodeFrame(buf []byte) (*Checkpoint, error) {
+	d := types.NewDecoder(buf)
 	ver, err := d.Uint32()
 	if err != nil || ver != version {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, ver)
 	}
 	c := &Checkpoint{TableIdx: make(map[string][]uint32)}
+	if c.Lo, err = d.Uint64(); err != nil {
+		return nil, corrupt(err)
+	}
 	if c.Height, err = d.Uint64(); err != nil {
 		return nil, corrupt(err)
 	}
+	if c.Height <= c.Lo || c.Height-c.Lo > uint64(d.Remaining()) {
+		return nil, fmt.Errorf("%w: implausible window [%d,%d)", ErrCorrupt, c.Lo, c.Height)
+	}
+	nb := int(c.Height - c.Lo)
 	if c.Anchor, err = d.Bytes32(); err != nil {
 		return nil, corrupt(err)
 	}
@@ -229,59 +351,6 @@ func Decode(buf []byte) (*Checkpoint, error) {
 
 	n, err := count(d)
 	if err != nil {
-		return nil, err
-	}
-	c.Store = &storage.Meta{
-		Headers: make([]types.BlockHeader, 0, n),
-		Locs:    make([]storage.Location, 0, n),
-		Lens:    make([]int64, 0, n),
-		Stored:  make([]int64, 0, n),
-		Comp:    make([]bool, 0, n),
-		TxOffs:  make([][]uint32, 0, n),
-	}
-	for i := 0; i < n; i++ {
-		h, err := types.DecodeBlockHeader(d)
-		if err != nil {
-			return nil, corrupt(err)
-		}
-		var loc storage.Location
-		if loc.Segment, err = d.Uint32(); err != nil {
-			return nil, corrupt(err)
-		}
-		if loc.Offset, err = d.Int64(); err != nil {
-			return nil, corrupt(err)
-		}
-		bl, err := d.Int64()
-		if err != nil {
-			return nil, corrupt(err)
-		}
-		st, err := d.Int64()
-		if err != nil {
-			return nil, corrupt(err)
-		}
-		cf, err := d.Uint8()
-		if err != nil || cf > 1 {
-			return nil, fmt.Errorf("%w: bad compression flag", ErrCorrupt)
-		}
-		no, err := count(d)
-		if err != nil {
-			return nil, err
-		}
-		offs := make([]uint32, no)
-		for j := range offs {
-			if offs[j], err = d.Uint32(); err != nil {
-				return nil, corrupt(err)
-			}
-		}
-		c.Store.Headers = append(c.Store.Headers, h)
-		c.Store.Locs = append(c.Store.Locs, loc)
-		c.Store.Lens = append(c.Store.Lens, bl)
-		c.Store.Stored = append(c.Store.Stored, st)
-		c.Store.Comp = append(c.Store.Comp, cf == 1)
-		c.Store.TxOffs = append(c.Store.TxOffs, offs)
-	}
-
-	if n, err = count(d); err != nil {
 		return nil, err
 	}
 	for i := 0; i < n; i++ {
@@ -313,133 +382,171 @@ func Decode(buf []byte) (*Checkpoint, error) {
 	if n, err = count(d); err != nil {
 		return nil, err
 	}
+	if uint64(n) != c.Height {
+		return nil, fmt.Errorf("%w: geometry covers %d of %d blocks", ErrCorrupt, n, c.Height)
+	}
+	c.Store = &storage.Meta{
+		Locs:   make([]storage.Location, n),
+		Stored: make([]int64, n),
+		Comp:   make([]bool, n),
+	}
+	for i := 0; i < n; i++ {
+		seg, err := d.Uvarint()
+		if err != nil || seg > math.MaxUint32 {
+			return nil, fmt.Errorf("%w: bad segment number", ErrCorrupt)
+		}
+		c.Store.Locs[i].Segment = uint32(seg)
+		if c.Store.Locs[i].Offset, err = length(d); err != nil {
+			return nil, err
+		}
+		if c.Store.Stored[i], err = length(d); err != nil {
+			return nil, err
+		}
+		cf, err := d.Uint8()
+		if err != nil || cf > 1 {
+			return nil, fmt.Errorf("%w: bad compression flag", ErrCorrupt)
+		}
+		c.Store.Comp[i] = cf == 1
+	}
+	for _, states := range []*[]IndexState{&c.Indexes, &c.ALIs} {
+		if n, err = count(d); err != nil {
+			return nil, err
+		}
+		for i := 0; i < n; i++ {
+			x, err := decodeIndexDef(d)
+			if err != nil {
+				return nil, err
+			}
+			*states = append(*states, x)
+		}
+	}
+
+	for i := 0; i < nb; i++ {
+		h, err := types.DecodeBlockHeader(d)
+		if err != nil {
+			return nil, corrupt(err)
+		}
+		if h.Height != c.Lo+uint64(i) || (i > 0 && h.PrevHash != c.Store.Headers[i-1].Hash()) {
+			return nil, fmt.Errorf("%w: embedded header %d breaks the chain", ErrCorrupt, c.Lo+uint64(i))
+		}
+		bl, err := length(d)
+		if err != nil {
+			return nil, err
+		}
+		no, err := count(d)
+		if err != nil {
+			return nil, err
+		}
+		offs := make([]uint32, no)
+		at := uint64(0)
+		for j := range offs {
+			delta, err := d.Uvarint()
+			if err != nil || delta > math.MaxUint32 || at+delta > math.MaxUint32 {
+				return nil, fmt.Errorf("%w: bad tx offset", ErrCorrupt)
+			}
+			at += delta
+			offs[j] = uint32(at)
+		}
+		c.Store.Headers = append(c.Store.Headers, h)
+		c.Store.Lens = append(c.Store.Lens, bl)
+		c.Store.TxOffs = append(c.Store.TxOffs, offs)
+	}
+	if c.Store.Headers[nb-1].Hash() != c.Anchor {
+		return nil, fmt.Errorf("%w: anchor disagrees with embedded tip header", ErrCorrupt)
+	}
+
+	if n, err = count(d); err != nil {
+		return nil, err
+	}
 	for i := 0; i < n; i++ {
 		k, err := d.Str()
 		if err != nil {
 			return nil, corrupt(err)
 		}
-		nb, err := count(d)
+		ni, err := count(d)
 		if err != nil {
 			return nil, err
 		}
-		blocks := make([]uint32, nb)
-		for j := range blocks {
-			if blocks[j], err = d.Uint32(); err != nil {
-				return nil, corrupt(err)
+		ids := make([]uint32, ni)
+		for j := range ids {
+			rel, err := d.Uvarint()
+			if err != nil || rel >= uint64(nb) || c.Lo+rel > math.MaxUint32 {
+				return nil, fmt.Errorf("%w: table-index mark outside the window", ErrCorrupt)
 			}
+			ids[j] = uint32(c.Lo + rel)
 		}
-		c.TableIdx[k] = blocks
+		if _, dup := c.TableIdx[k]; dup || ni == 0 {
+			return nil, fmt.Errorf("%w: table-index key %q repeated or empty", ErrCorrupt, k)
+		}
+		c.TableIdx[k] = ids
 	}
-
-	if n, err = count(d); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		var x IndexState
-		if err := decodeIndexHead(d, &x.Key, &x.Attr, &x.Continuous, &x.Bounds); err != nil {
-			return nil, err
-		}
-		nb, err := count(d)
-		if err != nil {
-			return nil, err
-		}
-		x.Blocks = make([][]layered.Entry, nb)
-		for b := range x.Blocks {
-			ne, err := count(d)
-			if err != nil {
+	for _, states := range [][]IndexState{c.Indexes, c.ALIs} {
+		for i := range states {
+			if states[i].Blocks, err = decodeIndexBlocks(d, nb); err != nil {
 				return nil, err
 			}
-			if ne == 0 {
-				continue
-			}
-			es := make([]layered.Entry, ne)
-			for j := range es {
-				if es[j].Key, err = d.Value(); err != nil {
-					return nil, corrupt(err)
-				}
-				if es[j].Pos, err = d.Uint32(); err != nil {
-					return nil, corrupt(err)
-				}
-			}
-			x.Blocks[b] = es
 		}
-		c.Indexes = append(c.Indexes, x)
 	}
-
-	if n, err = count(d); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		var a ALIState
-		if err := decodeIndexHead(d, &a.Key, &a.Attr, &a.Continuous, &a.Bounds); err != nil {
-			return nil, err
-		}
-		nb, err := count(d)
-		if err != nil {
-			return nil, err
-		}
-		a.Blocks = make([][]mbtree.Record, nb)
-		for b := range a.Blocks {
-			nr, err := count(d)
-			if err != nil {
-				return nil, err
-			}
-			if nr == 0 {
-				continue
-			}
-			rs := make([]mbtree.Record, nr)
-			for j := range rs {
-				if rs[j].Key, err = d.Value(); err != nil {
-					return nil, corrupt(err)
-				}
-				if rs[j].Payload, err = d.Blob(); err != nil {
-					return nil, corrupt(err)
-				}
-			}
-			a.Blocks[b] = rs
-		}
-		c.ALIs = append(c.ALIs, a)
-	}
-
 	if d.Remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, d.Remaining())
-	}
-	if uint64(c.Store.Count()) != c.Height || c.Height == 0 {
-		return nil, fmt.Errorf("%w: height %d covers %d blocks", ErrCorrupt, c.Height, c.Store.Count())
-	}
-	if c.Store.Headers[c.Height-1].Hash() != c.Anchor {
-		return nil, fmt.Errorf("%w: anchor disagrees with embedded tip header", ErrCorrupt)
 	}
 	return c, nil
 }
 
-func decodeIndexHead(d *types.Decoder, key, attr *string, cont *bool, bounds *[]float64) error {
-	var err error
-	if *key, err = d.Str(); err != nil {
-		return corrupt(err)
+func decodeIndexDef(d *types.Decoder) (x IndexState, err error) {
+	if x.Key, err = d.Str(); err != nil {
+		return x, corrupt(err)
 	}
-	if *attr, err = d.Str(); err != nil {
-		return corrupt(err)
+	if x.Attr, err = d.Str(); err != nil {
+		return x, corrupt(err)
 	}
 	b, err := d.Uint8()
-	if err != nil {
-		return corrupt(err)
+	if err != nil || b > 1 {
+		return x, fmt.Errorf("%w: bad index kind flag", ErrCorrupt)
 	}
-	*cont = b == 1
+	x.Continuous = b == 1
 	n, err := count(d)
 	if err != nil {
-		return err
+		return x, err
 	}
 	if n > 0 {
-		bs := make([]float64, n)
-		for i := range bs {
-			if bs[i], err = d.Float64(); err != nil {
-				return corrupt(err)
+		x.Bounds = make([]float64, n)
+		for i := range x.Bounds {
+			if x.Bounds[i], err = d.Float64(); err != nil {
+				return x, corrupt(err)
 			}
 		}
-		*bounds = bs
 	}
-	return nil
+	return x, nil
+}
+
+func decodeIndexBlocks(d *types.Decoder, nb int) ([][]layered.Entry, error) {
+	if nb > d.Remaining() {
+		return nil, fmt.Errorf("%w: %d index blocks in %d remaining bytes", ErrCorrupt, nb, d.Remaining())
+	}
+	blocks := make([][]layered.Entry, nb)
+	for b := range blocks {
+		ne, err := d.Uvarint()
+		if err != nil || ne > uint64(d.Remaining()) {
+			return nil, fmt.Errorf("%w: bad index entry count", ErrCorrupt)
+		}
+		if ne == 0 {
+			continue
+		}
+		es := make([]layered.Entry, ne)
+		for j := range es {
+			if es[j].Key, err = d.Value(); err != nil {
+				return nil, corrupt(err)
+			}
+			pos, err := d.Uvarint()
+			if err != nil || pos > math.MaxUint32 {
+				return nil, fmt.Errorf("%w: bad index entry position", ErrCorrupt)
+			}
+			es[j].Pos = uint32(pos)
+		}
+		blocks[b] = es
+	}
+	return blocks, nil
 }
 
 // count reads a count prefix and bounds it by the remaining bytes —
@@ -454,6 +561,15 @@ func count(d *types.Decoder) (int, error) {
 		return 0, fmt.Errorf("%w: count %d exceeds %d remaining bytes", ErrCorrupt, n, d.Remaining())
 	}
 	return int(n), nil
+}
+
+// length reads a non-negative byte length or file offset.
+func length(d *types.Decoder) (int64, error) {
+	v, err := d.Uvarint()
+	if err != nil || v > math.MaxInt64 {
+		return 0, fmt.Errorf("%w: bad length", ErrCorrupt)
+	}
+	return int64(v), nil
 }
 
 func corrupt(err error) error { return fmt.Errorf("%w: %v", ErrCorrupt, err) }

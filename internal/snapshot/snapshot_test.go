@@ -1,7 +1,10 @@
 package snapshot
 
 import (
+	"bytes"
 	"crypto/ed25519"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,7 +13,6 @@ import (
 	"sebdb/internal/contract"
 	"sebdb/internal/faultfs"
 	"sebdb/internal/index/layered"
-	"sebdb/internal/mbtree"
 	"sebdb/internal/schema"
 	"sebdb/internal/storage"
 	"sebdb/internal/types"
@@ -20,7 +22,7 @@ var testKey = ed25519.NewKeyFromSeed(make([]byte, ed25519.SeedSize))
 
 // buildChain appends n tiny blocks to a fresh store in dir and returns
 // the store (left open).
-func buildChain(t *testing.T, dir string, n int) *storage.Store {
+func buildChain(t testing.TB, dir string, n int) *storage.Store {
 	t.Helper()
 	s, err := storage.Open(dir, storage.Options{})
 	if err != nil {
@@ -44,12 +46,12 @@ func buildChain(t *testing.T, dir string, n int) *storage.Store {
 	return s
 }
 
-// mkCheckpoint assembles a checkpoint over the full chain in s with
-// one of every state family populated.
-func mkCheckpoint(t *testing.T, s *storage.Store) *Checkpoint {
+// mkWindow assembles the checkpoint window [lo, hi) over the chain in
+// s with one of every state family populated: every block holds one
+// donate row by org1 whose money is the block height.
+func mkWindow(t testing.TB, s *storage.Store, lo, hi uint64) *Checkpoint {
 	t.Helper()
-	h := uint64(s.Count())
-	m, err := s.Meta(h)
+	m, err := s.MetaWindow(lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,48 +66,52 @@ func mkCheckpoint(t *testing.T, s *storage.Store) *Checkpoint {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Checkpoint{
-		Height:    h,
-		Anchor:    m.Headers[h-1].Hash(),
-		LastTid:   h,
-		LastTs:    int64(h) * 1000,
+	c := &Checkpoint{
+		Lo:        lo,
+		Height:    hi,
+		Anchor:    m.Headers[hi-lo-1].Hash(),
+		LastTid:   hi,
+		LastTs:    int64(hi) * 1000,
 		Store:     m,
 		Tables:    []*schema.Table{tbl},
 		Contracts: []*contract.Contract{ct},
-		TableIdx:  map[string][]uint32{"donate": {0, 1}, "senid:org1": {0, 1, 2}},
-		Indexes: []IndexState{{
-			Key: ".senid", Attr: "senid",
-			Blocks: [][]layered.Entry{
-				{{Key: types.Str("org1"), Pos: 0}},
-				{{Key: types.Str("org1"), Pos: 0}},
-				nil,
-			},
-		}, {
-			Key: ".tname", Attr: "tname",
-			Blocks: [][]layered.Entry{
-				{{Key: types.Str("donate"), Pos: 0}},
-				{{Key: types.Str("donate"), Pos: 0}},
-				nil,
-			},
-		}, {
-			Key: "donate.money", Attr: "money", Continuous: true,
-			Bounds: []float64{10, 20},
-			Blocks: [][]layered.Entry{
-				{{Key: types.Dec(5), Pos: 0}},
-				nil,
-				{{Key: types.Dec(25), Pos: 0}},
-			},
-		}},
-		ALIs: []ALIState{{
-			Key: "donate.money", Attr: "money", Continuous: true,
-			Bounds: []float64{10, 20},
-			Blocks: [][]mbtree.Record{
-				{{Key: types.Dec(5), Payload: []byte("tx0")}},
-				nil,
-				{{Key: types.Dec(25), Payload: []byte("tx2")}},
-			},
-		}},
+		TableIdx:  map[string][]uint32{},
+		Indexes: []IndexState{
+			{Key: ".senid", Attr: "senid"},
+			{Key: ".tname", Attr: "tname"},
+			{Key: "donate.money", Attr: "money", Continuous: true, Bounds: []float64{10, 20}},
+		},
+		ALIs: []IndexState{
+			{Key: "donate.money", Attr: "money", Continuous: true, Bounds: []float64{10, 20}},
+		},
 	}
+	for b := lo; b < hi; b++ {
+		c.TableIdx["donate"] = append(c.TableIdx["donate"], uint32(b))
+		c.TableIdx["senid:org1"] = append(c.TableIdx["senid:org1"], uint32(b))
+		c.Indexes[0].Blocks = append(c.Indexes[0].Blocks, []layered.Entry{{Key: types.Str("org1")}})
+		c.Indexes[1].Blocks = append(c.Indexes[1].Blocks, []layered.Entry{{Key: types.Str("donate")}})
+		var money []layered.Entry // odd blocks carry no indexed row
+		if b%2 == 0 {
+			money = []layered.Entry{{Key: types.Dec(float64(b))}}
+		}
+		c.Indexes[2].Blocks = append(c.Indexes[2].Blocks, money)
+		c.ALIs[0].Blocks = append(c.ALIs[0].Blocks, money)
+	}
+	return c
+}
+
+// mkCheckpoint is the whole-state checkpoint over the chain in s.
+func mkCheckpoint(t testing.TB, s *storage.Store) *Checkpoint {
+	return mkWindow(t, s, 0, uint64(s.Count()))
+}
+
+// reframe recomputes a frame's CRC trailer after its payload was
+// edited, so a test reaches the structural checks behind the CRC.
+func reframe(frame []byte) []byte {
+	out := bytes.Clone(frame)
+	n := len(out) - frameTrailer
+	binary.BigEndian.PutUint32(out[n:], crc32.ChecksumIEEE(out[frameHeader:n]))
+	return out
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -116,7 +122,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Height != ck.Height || got.Anchor != ck.Anchor ||
+	if got.Lo != 0 || got.Height != ck.Height || got.Anchor != ck.Anchor ||
 		got.LastTid != ck.LastTid || got.LastTs != ck.LastTs {
 		t.Fatalf("pin mismatch: %+v", got)
 	}
@@ -140,11 +146,35 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsTampering(t *testing.T) {
-	s := buildChain(t, t.TempDir(), 3)
+// TestLogFoldsWindows: a log of consecutive windows decodes to the very
+// checkpoint one whole-state frame at the same height decodes to.
+func TestLogFoldsWindows(t *testing.T) {
+	s := buildChain(t, t.TempDir(), 7)
 	defer s.Close()
-	ck := mkCheckpoint(t, s)
-	good := ck.Encode()
+	var log []byte
+	for _, w := range [][2]uint64{{0, 3}, {3, 4}, {4, 7}} {
+		log = append(log, mkWindow(t, s, w[0], w[1]).Encode()...)
+	}
+	folded, err := Decode(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := Decode(mkCheckpoint(t, s).Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(folded, whole) {
+		t.Fatalf("folded log differs from the whole-state frame:\n%+v\nvs\n%+v", folded, whole)
+	}
+	if !bytes.Equal(folded.Encode(), whole.Encode()) {
+		t.Fatal("folded log re-encodes differently")
+	}
+}
+
+func TestDecodeRejectsTampering(t *testing.T) {
+	s := buildChain(t, t.TempDir(), 5)
+	defer s.Close()
+	good := mkCheckpoint(t, s).Encode()
 
 	if _, err := Decode(nil); err == nil {
 		t.Fatal("empty payload must fail")
@@ -152,95 +182,203 @@ func TestDecodeRejectsTampering(t *testing.T) {
 	if _, err := Decode(good[:len(good)-1]); err == nil {
 		t.Fatal("truncated payload must fail")
 	}
-	if _, err := Decode(append(append([]byte(nil), good...), 0)); err == nil {
+	if _, err := Decode(append(bytes.Clone(good), 0)); err == nil {
 		t.Fatal("trailing bytes must fail")
 	}
-	// Flip the anchor: the embedded tip header no longer hashes to it.
-	bad := append([]byte(nil), good...)
-	bad[16] ^= 0xFF // first anchor byte (after magic+version+height)
+	bad := bytes.Clone(good)
+	bad[len(bad)/2] ^= 0xFF
 	if _, err := Decode(bad); err == nil {
+		t.Fatal("a flipped byte must fail the frame CRC")
+	}
+	// Flip the anchor and repair the CRC: the embedded tip header no
+	// longer hashes to it.
+	bad = bytes.Clone(good)
+	bad[frameHeader+4+8+8] ^= 0xFF // first anchor byte (after version, lo, hi)
+	if _, err := Decode(reframe(bad)); err == nil {
 		t.Fatal("anchor tamper must fail")
+	}
+
+	// A log must start at block 0 and every frame continue the last.
+	first, second, third := mkWindow(t, s, 0, 2).Encode(), mkWindow(t, s, 2, 3).Encode(), mkWindow(t, s, 3, 5).Encode()
+	for name, log := range map[string][]byte{
+		"starts late": second,
+		"gap":         append(bytes.Clone(first), third...),
+		"repeat":      append(append(bytes.Clone(first), second...), second...),
+	} {
+		if _, err := Decode(log); err == nil {
+			t.Errorf("%s: a log that does not tile the chain must fail", name)
+		}
+	}
+	// A frame over another index set does not continue the generation.
+	other := mkWindow(t, s, 2, 3)
+	other.ALIs = nil
+	if _, err := Decode(append(bytes.Clone(first), other.Encode()...)); err == nil {
+		t.Error("a frame that changes the index set must fail")
+	}
+	if _, err := Decode(append(append(bytes.Clone(first), second...), third...)); err != nil {
+		t.Fatalf("the well-formed log failed: %v", err)
 	}
 }
 
-func TestDirWriteLoadAndGC(t *testing.T) {
+func dirFiles(t *testing.T, d *Dir) []string {
+	t.Helper()
+	entries, err := os.ReadDir(d.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestDirAppendsWindows: the first write opens a log, later windows are
+// appended to the same file and cost their own bytes only, Load folds
+// them, and a new generation replaces the file.
+func TestDirAppendsWindows(t *testing.T) {
 	dataDir := t.TempDir()
-	s := buildChain(t, dataDir, 3)
+	s := buildChain(t, dataDir, 9)
 	defer s.Close()
 	d := NewDir(nil, dataDir)
 
 	if ck, err := d.Load(); err != nil || ck != nil {
 		t.Fatalf("Load on empty dir = %v, %v", ck, err)
 	}
-
-	ck := mkCheckpoint(t, s)
-	if err := d.Write(ck); err != nil {
+	if err := d.Write(mkWindow(t, s, 3, 5)); err == nil {
+		t.Fatal("a window must not be written into a directory without a log")
+	}
+	if err := d.Write(mkWindow(t, s, 0, 3)); err != nil {
 		t.Fatal(err)
+	}
+	if got := dirFiles(t, d); !reflect.DeepEqual(got, []string{"MANIFEST", logName(1)}) {
+		t.Fatalf("directory holds %v", got)
+	}
+	size := func() int64 {
+		st, err := os.Stat(filepath.Join(d.Path(), logName(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
+	}
+	for _, w := range [][2]uint64{{3, 5}, {5, 6}} {
+		before := size()
+		win := mkWindow(t, s, w[0], w[1])
+		if err := d.Write(win); err != nil {
+			t.Fatal(err)
+		}
+		if grew := size() - before; grew != int64(len(win.Encode())) {
+			t.Fatalf("window %v grew the log by %d bytes, its frame has %d", w, grew, len(win.Encode()))
+		}
+	}
+	if err := d.Write(mkWindow(t, s, 7, 9)); err == nil {
+		t.Fatal("a window leaving a gap must be refused")
+	}
+
+	// A fresh Dir (a restart) folds the three frames and continues them.
+	d = NewDir(nil, dataDir)
+	if err := d.Write(mkWindow(t, s, 3, 5)); err == nil {
+		t.Fatal("a Dir that loaded nothing must refuse to append")
 	}
 	got, err := d.Load()
 	if err != nil || got == nil {
 		t.Fatalf("Load = %v, %v", got, err)
 	}
-	if got.Height != ck.Height || got.Anchor != ck.Anchor {
-		t.Fatalf("loaded pin mismatch: %+v", got)
-	}
-
-	// Three more writes at "later heights": only 2 .snap files survive.
-	for h := uint64(4); h <= 6; h++ {
-		c2 := *ck
-		c2.Height = ck.Height // decode requires consistency; fake file names via height bump below
-		// Reuse the same consistent checkpoint but bump its file name by
-		// writing under a different height is not possible through the
-		// public API, so just rewrite the same checkpoint; GC keeps the
-		// file count bounded either way.
-		if err := d.Write(&c2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	entries, err := os.ReadDir(d.Path())
+	want, err := Decode(mkWindow(t, s, 0, 6).Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps := 0
-	for _, e := range entries {
-		if filepath.Ext(e.Name()) == ".snap" {
-			snaps++
-		}
-		if filepath.Ext(e.Name()) == ".tmp" {
-			t.Fatalf("stale temp file %s", e.Name())
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("loaded checkpoint differs from the whole state at 6:\n%+v\nvs\n%+v", got, want)
 	}
-	if snaps > keepCheckpoints {
-		t.Fatalf("%d snap files retained, want <= %d", snaps, keepCheckpoints)
+	if d.Height() != 6 {
+		t.Fatalf("pinned height = %d", d.Height())
+	}
+	if err := d.Write(mkWindow(t, s, 6, 9)); err != nil {
+		t.Fatal(err)
+	}
+
+	// A whole-state write starts generation 2 and sweeps generation 1.
+	if err := d.Write(mkCheckpoint(t, s)); err != nil {
+		t.Fatal(err)
+	}
+	if got := dirFiles(t, d); !reflect.DeepEqual(got, []string{"MANIFEST", logName(2)}) {
+		t.Fatalf("directory holds %v after a new generation", got)
+	}
+	if got, err := NewDir(nil, dataDir).Load(); err != nil || got == nil || got.Height != 9 {
+		t.Fatalf("Load after a new generation = %v, %v", got, err)
 	}
 }
 
-func TestDirLoadCorruptFallsBack(t *testing.T) {
+// TestDirLoadBadFrame: a damaged frame ends the usable prefix — Load
+// returns the state at the last good frame and the next write cuts the
+// rest away; a damaged first frame or manifest leaves nothing.
+func TestDirLoadBadFrame(t *testing.T) {
+	for _, damage := range []string{"flip", "truncate"} {
+		for frame := 0; frame < 3; frame++ {
+			dataDir := t.TempDir()
+			s := buildChain(t, dataDir, 7)
+			d := NewDir(nil, dataDir)
+			var ends []int
+			for _, w := range [][2]uint64{{0, 3}, {3, 5}, {5, 7}} {
+				win := mkWindow(t, s, w[0], w[1])
+				if err := d.Write(win); err != nil {
+					t.Fatal(err)
+				}
+				ends = append(ends, len(win.Encode()))
+			}
+			for i := 1; i < len(ends); i++ {
+				ends[i] += ends[i-1]
+			}
+			logPath := filepath.Join(d.Path(), logName(1))
+			blob, err := os.ReadFile(logPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if damage == "flip" {
+				blob[ends[frame]-10] ^= 0xFF
+			} else {
+				blob = blob[:ends[frame]-10]
+			}
+			if err := os.WriteFile(logPath, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			d = NewDir(nil, dataDir)
+			got, err := d.Load()
+			if err != nil {
+				t.Fatalf("%s frame %d: Load error %v", damage, frame, err)
+			}
+			wantHeight := []uint64{0, 3, 5}[frame]
+			if wantHeight == 0 {
+				if got != nil {
+					t.Fatalf("%s frame 0: Load = %+v, want no checkpoint", damage, got)
+				}
+			} else {
+				if got == nil || got.Height != wantHeight || d.Height() != wantHeight {
+					t.Fatalf("%s frame %d: Load = %+v, want the prefix at %d", damage, frame, got, wantHeight)
+				}
+				// The next window replaces the damaged tail.
+				if err := d.Write(mkWindow(t, s, wantHeight, 7)); err != nil {
+					t.Fatal(err)
+				}
+				re, err := NewDir(nil, dataDir).Load()
+				if err != nil || re == nil || re.Height != 7 {
+					t.Fatalf("%s frame %d: reload after repair = %v, %v", damage, frame, re, err)
+				}
+			}
+			s.Close()
+		}
+	}
+
 	dataDir := t.TempDir()
 	s := buildChain(t, dataDir, 3)
 	defer s.Close()
 	d := NewDir(nil, dataDir)
-	ck := mkCheckpoint(t, s)
-	if err := d.Write(ck); err != nil {
+	if err := d.Write(mkCheckpoint(t, s)); err != nil {
 		t.Fatal(err)
 	}
-
-	snap := filepath.Join(d.Path(), ckptFileName(ck.Height))
-	blob, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob[len(blob)/2] ^= 0xFF
-	if err := os.WriteFile(snap, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := d.Load(); err != nil || got != nil {
-		t.Fatalf("corrupt checkpoint: Load = %v, %v (want nil, nil)", got, err)
-	}
-
-	// Corrupt manifest: same silent fallback.
-	mf := filepath.Join(d.Path(), manifestName)
-	if err := os.WriteFile(mf, []byte("garbage"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(d.Path(), manifestName), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := d.Load(); err != nil || got != nil {
@@ -249,94 +387,128 @@ func TestDirLoadCorruptFallsBack(t *testing.T) {
 }
 
 // TestDirWriteCrashMatrix drives Dir.Write through every faultfs
-// crash-point and asserts the directory always recovers to a valid
-// checkpoint: either the previous one or the new one, never garbage.
+// crash-point of both write protocols — a window appended to the log
+// (truncate the unpinned tail, append, fsync, manifest tmp + fsync +
+// rename) and a new generation (log tmp + fsync + rename, manifest,
+// sweep) — and asserts the directory always recovers to a valid
+// checkpoint: the previous pin or the new one, never garbage. The write
+// after the reboot then has to cut a torn tail off and leave a log that
+// tiles the chain exactly.
 func TestDirWriteCrashMatrix(t *testing.T) {
-	// Rehearsal: count the mutating operations of one Write.
-	setup := func(t *testing.T) (dataDir string, old, new_ *Checkpoint) {
-		dataDir = t.TempDir()
-		s := buildChain(t, dataDir, 5)
-		defer s.Close()
-		old = mkCheckpoint(t, s)
-		m3, err := s.Meta(3)
-		if err != nil {
+	const chain, oldHeight, newHeight = 7, 3, 5
+	for _, mode := range []string{"append", "generation"} {
+		// setup leaves a log pinned at oldHeight — with the torn tail of an
+		// earlier crashed append behind it, so the append protocol's
+		// truncate step is in the matrix — and returns the next write.
+		setup := func(t *testing.T) (dataDir string, s *storage.Store, next *Checkpoint) {
+			dataDir = t.TempDir()
+			s = buildChain(t, dataDir, chain)
+			d := NewDir(nil, dataDir)
+			if err := d.Write(mkWindow(t, s, 0, oldHeight)); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(filepath.Join(d.Path(), logName(1)), os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(mkWindow(t, s, oldHeight, newHeight).Encode()[:40]); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if mode == "append" {
+				return dataDir, s, mkWindow(t, s, oldHeight, newHeight)
+			}
+			return dataDir, s, mkWindow(t, s, 0, newHeight)
+		}
+		write := func(fs faultfs.FS, dataDir string, next *Checkpoint) error {
+			d := NewDir(fs, dataDir)
+			if ck, err := d.Load(); err != nil || ck == nil {
+				return err
+			}
+			return d.Write(next)
+		}
+
+		dataDir, s, next := setup(t)
+		rehearse := faultfs.New(faultfs.Options{OpsBeforeCrash: -1})
+		if err := write(rehearse, dataDir, next); err != nil {
 			t.Fatal(err)
 		}
-		old = &Checkpoint{
-			Height: 3, Anchor: m3.Headers[2].Hash(), LastTid: 3, LastTs: 3000, Store: m3,
-			TableIdx: map[string][]uint32{},
+		s.Close()
+		total := rehearse.Mutations()
+		if total < 7 { // truncate + write + sync, or create + write + sync + rename; then the manifest's four
+			t.Fatalf("%s: implausible mutation count %d", mode, total)
 		}
-		new_ = mkCheckpoint(t, s)
-		return dataDir, old, new_
-	}
 
-	dataDir, old, newCk := setup(t)
-	d := NewDir(nil, dataDir)
-	if err := d.Write(old); err != nil {
-		t.Fatal(err)
-	}
-	rehearse := faultfs.New(faultfs.Options{OpsBeforeCrash: -1})
-	if err := NewDir(rehearse, dataDir).Write(newCk); err != nil {
-		t.Fatal(err)
-	}
-	total := rehearse.Mutations()
-	if total < 6 { // 2×(create+write+sync+rename) at minimum
-		t.Fatalf("implausible mutation count %d", total)
-	}
-
-	for k := 0; k < total; k++ {
-		dataDir, old, newCk := setup(t)
-		if err := NewDir(nil, dataDir).Write(old); err != nil {
-			t.Fatal(err)
-		}
-		inj := faultfs.New(faultfs.Options{OpsBeforeCrash: k})
-		err := NewDir(inj, dataDir).Write(newCk)
-		if !inj.Crashed() {
-			// Later crash-points can fall inside GC, after the write
-			// itself committed; a nil error is fine there.
-			_ = err
-		}
-		// "Reboot": a clean FS must load a valid checkpoint.
-		got, err := NewDir(nil, dataDir).Load()
-		if err != nil {
-			t.Fatalf("crash at op %d: Load error %v", k, err)
-		}
-		if got == nil {
-			t.Fatalf("crash at op %d: checkpoint lost entirely", k)
-		}
-		if got.Height != old.Height && got.Height != newCk.Height {
-			t.Fatalf("crash at op %d: recovered height %d, want %d or %d",
-				k, got.Height, old.Height, newCk.Height)
-		}
-		if got.Height == old.Height && got.Anchor != old.Anchor {
-			t.Fatalf("crash at op %d: old checkpoint anchor mismatch", k)
-		}
-		if got.Height == newCk.Height && got.Anchor != newCk.Anchor {
-			t.Fatalf("crash at op %d: new checkpoint anchor mismatch", k)
+		for k := 0; k < total; k++ {
+			dataDir, s, next := setup(t)
+			inj := faultfs.New(faultfs.Options{OpsBeforeCrash: k})
+			err := write(inj, dataDir, next)
+			if !inj.Crashed() {
+				t.Fatalf("%s: crash point %d never reached (err %v)", mode, k, err)
+			}
+			// "Reboot": a clean FS must load a valid checkpoint.
+			d := NewDir(nil, dataDir)
+			got, err := d.Load()
+			if err != nil {
+				t.Fatalf("%s: crash at op %d: Load error %v", mode, k, err)
+			}
+			if got == nil {
+				t.Fatalf("%s: crash at op %d: checkpoint lost entirely", mode, k)
+			}
+			if got.Height != oldHeight && got.Height != newHeight {
+				t.Fatalf("%s: crash at op %d: recovered height %d, want %d or %d", mode, k, got.Height, oldHeight, newHeight)
+			}
+			if want := mkWindow(t, s, 0, got.Height); got.Anchor != want.Anchor {
+				t.Fatalf("%s: crash at op %d: anchor mismatch at height %d", mode, k, got.Height)
+			}
+			// The next interval's window continues whatever survived.
+			if err := d.Write(mkWindow(t, s, got.Height, chain)); err != nil {
+				t.Fatalf("%s: crash at op %d: write after reboot: %v", mode, k, err)
+			}
+			m, payload, err := NewDir(nil, dataDir).Raw()
+			if err != nil || m == nil {
+				t.Fatalf("%s: crash at op %d: Raw after repair = %v, %v", mode, k, m, err)
+			}
+			if st, err := os.Stat(filepath.Join(d.Path(), m.File)); err != nil || uint64(st.Size()) != m.Size {
+				t.Fatalf("%s: crash at op %d: log holds bytes past the pinned %d", mode, k, m.Size)
+			}
+			re, err := Decode(payload)
+			if err != nil || re.Height != chain {
+				t.Fatalf("%s: crash at op %d: repaired log = %v, %v", mode, k, re, err)
+			}
+			s.Close()
 		}
 	}
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := Decode([]byte("not a checkpoint")); err == nil {
-		t.Fatal("Decode must accept only checkpoint payloads")
+		t.Fatal("Decode must accept only checkpoint logs")
 	}
 }
 
 func TestRawPayloadRoundTrip(t *testing.T) {
 	srcDir := t.TempDir()
-	s := buildChain(t, srcDir, 3)
+	s := buildChain(t, srcDir, 5)
 	defer s.Close()
-	ck := mkCheckpoint(t, s)
 	src := NewDir(nil, srcDir)
-	if err := src.Write(ck); err != nil {
+	if err := src.Write(mkWindow(t, s, 0, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Write(mkWindow(t, s, 3, 5)); err != nil {
 		t.Fatal(err)
 	}
 	m, payload, err := src.Raw()
 	if err != nil || m == nil {
 		t.Fatalf("Raw = %v, %v", m, err)
 	}
+	if uint64(len(payload)) != m.Size || crc32.ChecksumIEEE(payload) != m.CRC {
+		t.Fatal("Raw payload disagrees with its manifest")
+	}
 
+	ck := mkCheckpoint(t, s)
 	got, err := Decode(payload)
 	if err != nil {
 		t.Fatal(err)

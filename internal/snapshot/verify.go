@@ -14,8 +14,10 @@ import (
 // and the two system indexes. Node-local configuration is excluded —
 // segment locations depend on the writer's SegmentSize, and user
 // index/ALI states on which indexes an operator created and with what
-// histogram depth. A nil result means the peer's checkpoint agrees with
-// the chain on everything a fresh node would otherwise have to trust.
+// histogram depth. Both must be whole-state checkpoints (Lo == 0), as
+// Decode and BuildCheckpoint produce them. A nil result means the peer's
+// checkpoint agrees with the chain on everything a fresh node would
+// otherwise have to trust.
 func Diverges(peer, ref *Checkpoint) error {
 	if peer.Height != ref.Height {
 		return fmt.Errorf("snapshot: peer checkpoint height %d, chain says %d", peer.Height, ref.Height)
@@ -108,6 +110,7 @@ func valuesBytes(vs []types.Value) []byte {
 
 func indexStateBytes(x *IndexState) []byte {
 	e := types.NewEncoder(1024)
-	encodeIndexState(e, x)
+	encodeIndexDef(e, x)
+	encodeIndexBlocks(e, x.Blocks)
 	return e.Bytes()
 }

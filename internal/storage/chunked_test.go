@@ -175,7 +175,7 @@ func TestChunkedRoundTrip(t *testing.T) {
 
 	// Recovery scan over the chunked records, then a checkpoint-seeded
 	// open over the same files.
-	meta, err := cold.Meta(uint64(cold.Count()))
+	meta, err := cold.MetaWindow(0, uint64(cold.Count()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestLegacyCompressedRecords(t *testing.T) {
 	}
 	sameReads(t, plain, legacy)
 
-	meta, err := legacy.Meta(uint64(legacy.Count()))
+	meta, err := legacy.MetaWindow(0, uint64(legacy.Count()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,24 +39,30 @@ type Meta struct {
 // Count returns the number of blocks the metadata covers.
 func (m *Meta) Count() int { return len(m.Headers) }
 
-// Meta snapshots the store's segment metadata for blocks [0, count).
-// count must not exceed the current chain length.
-func (s *Store) Meta(count uint64) (*Meta, error) {
+// MetaWindow snapshots what a checkpoint frame for blocks [lo, hi)
+// records: the chain-derived fields (Headers, Lens, TxOffs) for the
+// window alone — they never change once a block is sealed, so earlier
+// frames already hold the rest — and the node-local geometry (Locs,
+// Stored, Comp) for all of [0, hi), because recompression rewrites it
+// for old blocks. hi must not exceed the chain length. With lo == 0 the
+// result is a whole Meta OpenWithMeta accepts; a later window fails its
+// equal-lengths check by design.
+func (s *Store) MetaWindow(lo, hi uint64) (*Meta, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if count > uint64(len(s.headers)) {
+	if lo > hi || hi > uint64(len(s.headers)) {
 		return nil, ErrNoBlock
 	}
 	m := &Meta{
-		Headers: append([]types.BlockHeader(nil), s.headers[:count]...),
-		Locs:    append([]Location(nil), s.locs[:count]...),
-		Lens:    append([]int64(nil), s.lens[:count]...),
-		Stored:  append([]int64(nil), s.stored[:count]...),
-		Comp:    append([]bool(nil), s.comp[:count]...),
-		TxOffs:  make([][]uint32, count),
+		Headers: append([]types.BlockHeader(nil), s.headers[lo:hi]...),
+		Locs:    append([]Location(nil), s.locs[:hi]...),
+		Lens:    append([]int64(nil), s.lens[lo:hi]...),
+		Stored:  append([]int64(nil), s.stored[:hi]...),
+		Comp:    append([]bool(nil), s.comp[:hi]...),
+		TxOffs:  make([][]uint32, hi-lo),
 	}
 	for i := range m.TxOffs {
-		m.TxOffs[i] = append([]uint32(nil), s.txOffs[i]...)
+		m.TxOffs[i] = append([]uint32(nil), s.txOffs[lo+uint64(i)]...)
 	}
 	return m, nil
 }

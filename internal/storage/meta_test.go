@@ -1,10 +1,14 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"sebdb/internal/types"
 )
 
 // reopenBoth reopens dir twice — once via OpenWithMeta, once via full
@@ -41,7 +45,7 @@ func TestOpenWithMetaSuffixScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendChain(t, s, 8, 2)
-	m, err := s.Meta(5) // checkpoint covers blocks [0, 5)
+	m, err := s.MetaWindow(0, 5) // checkpoint covers blocks [0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +92,7 @@ func TestOpenWithMetaAcrossSegments(t *testing.T) {
 	if s.curSeg == 0 {
 		t.Fatal("test needs multiple segments; lower SegmentSize")
 	}
-	m, err := s.Meta(3)
+	m, err := s.MetaWindow(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +122,7 @@ func TestOpenWithMetaRejectsTamperedAnchor(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendChain(t, s, 4, 1)
-	m, err := s.Meta(4)
+	m, err := s.MetaWindow(0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +150,7 @@ func TestOpenWithMetaMissingSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendChain(t, s, 3, 1)
-	m, err := s.Meta(3)
+	m, err := s.MetaWindow(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +172,7 @@ func TestOpenWithMetaTruncatesTornSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendChain(t, s, 6, 2)
-	m, err := s.Meta(4)
+	m, err := s.MetaWindow(0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,10 +213,10 @@ func TestMetaBounds(t *testing.T) {
 	}
 	defer s.Close()
 	appendChain(t, s, 2, 1)
-	if _, err := s.Meta(3); !errors.Is(err, ErrNoBlock) {
+	if _, err := s.MetaWindow(0, 3); !errors.Is(err, ErrNoBlock) {
 		t.Fatalf("Meta beyond tip err = %v", err)
 	}
-	m, err := s.Meta(2)
+	m, err := s.MetaWindow(0, 2)
 	if err != nil || m.Count() != 2 {
 		t.Fatalf("Meta(2) = %v, %v", m, err)
 	}
@@ -221,4 +225,75 @@ func TestMetaBounds(t *testing.T) {
 	if tx, err := s.ReadTx(0, 0); err != nil || tx == nil {
 		t.Fatalf("store state aliased by Meta copy: %v", err)
 	}
+}
+
+// TestMetaWindowAndIterBody: consecutive windows carry disjoint slices
+// of the chain-derived fields and the whole geometry up to their end,
+// and Iter.Body hands out the raw body whose tx offsets slice it into
+// the transactions' canonical encodings — on the plain tier and the
+// compressed one.
+func TestMetaWindowAndIterBody(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{SegmentSize: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	blocks := appendChain(t, s, 12, 5)
+	whole, err := s.MetaWindow(0, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var headers []types.BlockHeader
+	var offs [][]uint32
+	for _, w := range [][2]uint64{{0, 4}, {4, 5}, {5, 12}} {
+		m, err := s.MetaWindow(w[0], w[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if uint64(len(m.Headers)) != w[1]-w[0] || uint64(len(m.Lens)) != w[1]-w[0] || uint64(len(m.Locs)) != w[1] || uint64(len(m.Comp)) != w[1] {
+			t.Fatalf("window %v: %d headers, %d lens, %d locs", w, len(m.Headers), len(m.Lens), len(m.Locs))
+		}
+		headers = append(headers, m.Headers...)
+		offs = append(offs, m.TxOffs...)
+	}
+	if !reflect.DeepEqual(headers, whole.Headers) || !reflect.DeepEqual(offs, whole.TxOffs) {
+		t.Fatal("the windows do not concatenate to the whole metadata")
+	}
+	if _, err := s.MetaWindow(5, 13); !errors.Is(err, ErrNoBlock) {
+		t.Fatalf("MetaWindow beyond tip err = %v", err)
+	}
+
+	check := func(tier string) {
+		it, err := s.Blocks(0, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer it.Close()
+		for h, b := range blocks {
+			err := it.Body(uint64(h), func(body []byte, txOffs []uint32) error {
+				if len(txOffs) != len(b.Txs)+1 {
+					t.Fatalf("%s block %d: %d offsets for %d txs", tier, h, len(txOffs), len(b.Txs))
+				}
+				for i, tx := range b.Txs {
+					if !bytes.Equal(body[txOffs[i]:txOffs[i+1]], tx.EncodeBytes()) {
+						t.Fatalf("%s block %d tx %d: body slice is not the tx encoding", tier, h, i)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := it.Body(12, func([]byte, []uint32) error { return nil }); !errors.Is(err, ErrNoBlock) {
+			t.Fatalf("%s: Body beyond the snapshot err = %v", tier, err)
+		}
+	}
+	check("plain")
+	for _, seg := range s.CompressTargets(1) {
+		if err := s.CompressSegment(seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("compressed")
 }

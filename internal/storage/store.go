@@ -920,9 +920,23 @@ func (it *Iter) Len() int { return int(it.hi - it.lo) }
 // Read decodes the block at the given absolute height, which must lie
 // within the snapshot's range. It takes no locks and is safe for
 // concurrent use by multiple workers.
-func (it *Iter) Read(height uint64) (*types.Block, error) {
+func (it *Iter) Read(height uint64) (b *types.Block, err error) {
+	err = it.Body(height, func(body []byte, _ []uint32) error {
+		b, err = types.DecodeBlock(types.NewDecoder(body))
+		return err
+	})
+	return b, err
+}
+
+// Body hands use the raw (inflated) encoded body of the block at the
+// given absolute height together with its transaction offsets —
+// transaction i is body[txOffs[i]:txOffs[i+1]] — so a caller that wants
+// encoded transactions slices them instead of decoding and re-encoding
+// the block. body aliases a pooled buffer and is valid only until use
+// returns. Like Read it takes no locks and is safe for concurrent use.
+func (it *Iter) Body(height uint64, use func(body []byte, txOffs []uint32) error) error {
 	if height < it.lo || height >= it.hi {
-		return nil, ErrNoBlock
+		return ErrNoBlock
 	}
 	i := height - it.lo
 	ref := recordRef{loc: it.locs[i], stored: it.stored[i], comp: it.comp[i], rawLen: it.lens[i], txOffs: it.txOffs[i]}
@@ -931,12 +945,12 @@ func (it *Iter) Read(height uint64) (*types.Block, error) {
 	defer inflaters.Put(c)
 	body, err := c.read(h.r, &ref, 0, uint32(ref.rawLen))
 	if err != nil {
-		return nil, it.s.readErr(ref.loc, err)
+		return it.s.readErr(ref.loc, err)
 	}
 	mBlockReads.Inc()
 	mBlockBytes.Add(uint64(len(body)))
 	tierCounter(h.r.Tier()).Inc()
-	return types.DecodeBlock(types.NewDecoder(body))
+	return use(body, ref.txOffs)
 }
 
 // Close releases the iterator's segment handle references. Safe to call

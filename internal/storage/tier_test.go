@@ -229,12 +229,12 @@ func TestStaleCheckpointAfterCompression(t *testing.T) {
 	}
 	appendChain(t, s, 16, 3)
 	want := chainDigest(t, s)
-	stale, err := s.Meta(uint64(s.Count()))
+	stale, err := s.MetaWindow(0, uint64(s.Count()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	compressAll(t, s)
-	fresh, err := s.Meta(uint64(s.Count()))
+	fresh, err := s.MetaWindow(0, uint64(s.Count()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,11 +68,14 @@ echo "== fuzz (10 s per target) =="
 # go test ./... only replays each target's seed corpus. The decoders of
 # peer-supplied bytes get a short real run: the two VO verifiers (never
 # panic, allocation bounded by input length, accept => the rows are a
-# brute-force filter of the chain) and the compressed-record reader.
+# brute-force filter of the chain), the compressed-record reader and the
+# checkpoint log decoder (same bounds, decode∘encode identity, a log
+# that does not tile the chain refused).
 # Minimization is off: the engine's minimizer stalls on multi-KB inputs.
 go test -run '^$' -fuzz '^FuzzDecodeVerifyVO$' -fuzztime 10s -fuzzminimizetime 0 ./internal/mbtree
 go test -run '^$' -fuzz '^FuzzVerifyAnswer$' -fuzztime 10s -fuzzminimizetime 0 ./internal/auth
 go test -run '^$' -fuzz '^FuzzInflateRecord$' -fuzztime 10s -fuzzminimizetime 0 ./internal/storage
+go test -run '^$' -fuzz '^FuzzDecodeCheckpointLog$' -fuzztime 10s -fuzzminimizetime 0 ./internal/snapshot
 
 echo "== bchainbench -json smoke =="
 # The table driver end to end: fig 12 for the JSON output, fig storage
