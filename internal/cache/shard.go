@@ -40,7 +40,7 @@ func NewSharded(capBytes int64, shards int) *Sharded {
 // shard maps a key to its stripe by FNV-1a hash.
 func (s *Sharded) shard(key string) *LRU {
 	h := fnv.New32a()
-	h.Write([]byte(key)) //sebdb:ignore-err hash.Hash.Write never fails
+	h.Write([]byte(key))
 	return s.shards[h.Sum32()&s.mask]
 }
 

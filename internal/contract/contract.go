@@ -66,21 +66,16 @@ func Parse(name string, statements []string) (*Contract, error) {
 				maxParam = n
 			}
 		}
-		// Validate syntax with dummy substitutions.
-		probe := substitute(stmt, dummyArgs(maxParam), "probe")
+		// Validate syntax with every placeholder replaced by a string
+		// literal. The probe is sized by the statement, never by a
+		// placeholder's index: a deployment decoded from a block or a
+		// peer's checkpoint may claim $244444444.
+		probe := paramPattern.ReplaceAllLiteralString(stmt, `"probe"`)
 		if _, err := sqlparser.Parse(probe); err != nil {
 			return nil, fmt.Errorf("contract: %q statement %d: %w", name, i, err)
 		}
 	}
 	return &Contract{Name: name, Params: maxParam, Statements: statements}, nil
-}
-
-func dummyArgs(n int) []types.Value {
-	out := make([]types.Value, n)
-	for i := range out {
-		out[i] = types.Str("probe")
-	}
-	return out
 }
 
 // substitute renders placeholders into SQL literal syntax.

@@ -381,7 +381,7 @@ func TestCheckpointLogProperty(t *testing.T) {
 					t.Fatalf("session %d: %v", session, err)
 				}
 				if e != nil {
-					//sebdb:ignore-err a crashed engine's teardown fails by design
+					// a crashed engine's teardown fails by design
 					e.Close()
 				}
 				logTiles(t, dir)

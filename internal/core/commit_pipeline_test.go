@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -368,9 +369,9 @@ func TestGroupFsyncCrashMatrix(t *testing.T) {
 			inj := faultfs.New(faultfs.Options{OpsBeforeCrash: k})
 			e, err := Open(Config{Dir: dir, BlockMaxTxs: 3, Sync: true, FS: inj, Clock: clock.Fixed(1)})
 			if err == nil {
-				//sebdb:ignore-err crash-injected flush may fail by design
+				// crash-injected flush may fail by design
 				groupFsyncCycle(t, e)
-				//sebdb:ignore-err crashed engine teardown
+				// crashed engine teardown
 				e.Close()
 			}
 			if !inj.Crashed() {
@@ -535,5 +536,28 @@ func TestBadDDLBlockRefused(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestApplyBlockRefusesBrokenMerkleRoot delivers a block linked to the
+// tip whose body no longer matches its Merkle root. ApplyBlock is the
+// door that validates foreign blocks — the segment store only checks
+// linkage — so it must refuse the block, and the height must not move.
+func TestApplyBlockRefusesBrokenMerkleRoot(t *testing.T) {
+	e := testEngine(t, Config{BlockMaxTxs: 4, Clock: clock.Fixed(1)})
+	seedDonation(t, e, 8, 4)
+	height := e.Height()
+	// As a peer would deliver it: decoded from the wire, then tampered.
+	sealed := e.prepareBlock([]*types.Transaction{donateTx(t, e, 100), donateTx(t, e, 101)}, 30_000)
+	b, err := types.DecodeBlock(types.NewDecoder(sealed.EncodeBytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Txs[1].Args[2] = types.Dec(777)
+	if err = e.ApplyBlock(b); err == nil || !strings.Contains(err.Error(), "merkle root mismatch") {
+		t.Fatalf("ApplyBlock of a block with a broken Merkle root: err = %v", err)
+	}
+	if e.Height() != height || uint64(e.store.Count()) != height {
+		t.Fatalf("refused block moved the chain: height %d, store %d, want %d", e.Height(), e.store.Count(), height)
 	}
 }

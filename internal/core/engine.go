@@ -690,7 +690,6 @@ func (e *Engine) writePipeline(commits func() error) error {
 	if e.cfg.CheckpointInterval > 0 {
 		before = e.Height()
 	}
-	//sebdb:ignore-lockio reason: commitMu is the writer-pipeline lock; it exists to serialise the append+fsync pipeline, and readers never take it
 	err := commits()
 	ck := e.dueCheckpoint(before)
 	if e.cfg.Sync {

@@ -279,10 +279,10 @@ func TestEngineCheckpointCrashMatrix(t *testing.T) {
 			inj := faultfs.New(faultfs.Options{OpsBeforeCrash: k})
 			e, err := Open(Config{Dir: dir, FS: inj})
 			if err == nil {
-				// The open survived; crash during the checkpoint instead.
-				//sebdb:ignore-err crash-injected write may fail by design
+				// The open survived; crash during the checkpoint instead,
+				// whose write may fail by design.
 				e.WriteCheckpoint()
-				//sebdb:ignore-err crashed engine teardown
+				// crashed engine teardown
 				e.Close()
 			}
 			if !inj.Crashed() {

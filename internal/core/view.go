@@ -228,9 +228,7 @@ func (v *View) Obs() *obs.Registry { return v.e.cfg.Obs }
 func (v *View) Parallelism() int { return v.e.Parallelism() }
 
 // estimateCap bounds the second-level matches estimateLayered counts,
-// keeping planning cheap on huge results. (It was a `const cap` local
-// once — shadowing the builtin — which the sebdb-vet shadowbuiltin
-// analyzer now rejects.)
+// keeping planning cheap on huge results.
 const estimateCap = 200_000
 
 // estimateLayered estimates the result size p of driving the layered

@@ -123,7 +123,7 @@ func TestInjectorShortReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close() //sebdb:ignore-err read-only handle in a test
+	defer f.Close() // read-only handle in a test
 	buf := make([]byte, 10)
 	n, err := f.Read(buf)
 	if err != nil || n != 3 {
@@ -144,7 +144,7 @@ func TestInjectorSyncErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close() //sebdb:ignore-err test handle
+	defer f.Close() // test handle
 	if err := f.Sync(); !errors.Is(err, ErrSync) {
 		t.Fatalf("Sync err = %v, want ErrSync", err)
 	}

@@ -1,32 +1,9 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"strings"
 )
-
-// atomicwritePrefixes lists the crash-tested subtrees. Their file I/O
-// must route through the injected faultfs.FS so the fault-injection
-// crash matrix intercepts every mutation — a direct os call is a
-// mutation the harness can neither tear nor count, which silently
-// shrinks the set of crash points the tests prove recovery from.
-var atomicwritePrefixes = []string{
-	"sebdb/internal/storage",
-	"sebdb/internal/snapshot",
-}
-
-// osFSFuncs are the os entry points that touch the filesystem. Pure
-// predicates (os.IsNotExist) and constants (os.O_CREATE, os.FileMode)
-// stay fine — only calls that read or mutate the tree are flagged.
-var osFSFuncs = map[string]bool{
-	"Open": true, "OpenFile": true, "Create": true, "CreateTemp": true,
-	"ReadFile": true, "WriteFile": true, "ReadDir": true,
-	"Mkdir": true, "MkdirAll": true, "MkdirTemp": true,
-	"Rename": true, "Remove": true, "RemoveAll": true,
-	"Truncate": true, "Stat": true, "Lstat": true,
-	"Chmod": true, "Chtimes": true, "Link": true, "Symlink": true,
-}
 
 // Atomicwrite enforces the crash-consistency discipline of the storage
 // and snapshot packages: all file I/O goes through the injected
@@ -51,56 +28,32 @@ var Atomicwrite = &Analyzer{
 	Run:  runAtomicwrite,
 }
 
-func runAtomicwrite(pkg *Package) []Finding {
-	covered := false
-	for _, p := range atomicwritePrefixes {
-		if pkg.Path == p || strings.HasPrefix(pkg.Path, p+"/") {
-			covered = true
-			break
-		}
+func runAtomicwrite(p *Pass) []Finding {
+	out := runScoped(p, "atomicwrite")
+	inSnapshot := under(p.Path, "sebdb/internal/snapshot")
+	inStorage := under(p.Path, "sebdb/internal/storage")
+	if !inSnapshot && !inStorage {
+		return out
 	}
-	if !covered {
-		return nil
-	}
-	inSnapshot := pkg.Path == "sebdb/internal/snapshot" ||
-		strings.HasPrefix(pkg.Path, "sebdb/internal/snapshot/")
-	inStorage := pkg.Path == "sebdb/internal/storage" ||
-		strings.HasPrefix(pkg.Path, "sebdb/internal/storage/")
-	var out []Finding
+	pkg := p.Package
 	if inSnapshot {
-		out = checkSnapshotLog(pkg)
+		out = append(out, checkSnapshotLog(pkg)...)
 	}
 	for _, f := range pkg.Files {
-		osName, hasOS := importsPackage(f, "os")
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, isCall := n.(*ast.CallExpr)
 			if !isCall {
 				return true
 			}
-			sel, isSel := call.Fun.(*ast.SelectorExpr)
-			if !isSel {
+			_, name, isSel := selectorCall(call)
+			if !isSel || name != "OpenFile" || len(call.Args) < 2 || !mentionsFlag(call.Args[1], "O_CREATE") ||
+				strings.Contains(strings.ToLower(exprText(pkg.Fset, call.Args[0])), "tmp") {
 				return true
-			}
-			if hasOS {
-				if id, isID := sel.X.(*ast.Ident); isID && id.Name == osName && osFSFuncs[sel.Sel.Name] {
-					// Confirm via type info when available: the object must
-					// come from package os, not a local named "os".
-					if path := pkgPathOf(pkg.Info, sel.Sel); path == "" || path == "os" {
-						out = append(out, Finding{
-							Pos:      pkg.Fset.Position(call.Pos()),
-							Analyzer: "atomicwrite",
-							Message:  fmt.Sprintf("crash-tested package calls os.%s directly; route file I/O through the injected faultfs.FS", sel.Sel.Name),
-						})
-						return true
-					}
-				}
 			}
 			// In the snapshot subtree, any FS.OpenFile that creates a file
 			// must target a staging path (its path expression mentions
 			// "tmp") so the only published names are rename targets.
-			if inSnapshot && sel.Sel.Name == "OpenFile" && len(call.Args) >= 2 &&
-				mentionsFlag(call.Args[1], "O_CREATE") &&
-				!strings.Contains(strings.ToLower(exprText(pkg.Fset, call.Args[0])), "tmp") {
+			if inSnapshot {
 				out = append(out, Finding{
 					Pos:      pkg.Fset.Position(call.Pos()),
 					Analyzer: "atomicwrite",
@@ -111,9 +64,7 @@ func runAtomicwrite(pkg *Package) []Finding {
 			// (O_APPEND, no truncation) legitimately publish in place, but
 			// a truncating creation is a whole-file rewrite — the
 			// recompression path — and must stage a tmp path for rename.
-			if inStorage && sel.Sel.Name == "OpenFile" && len(call.Args) >= 2 &&
-				mentionsFlag(call.Args[1], "O_CREATE") && mentionsFlag(call.Args[1], "O_TRUNC") &&
-				!strings.Contains(strings.ToLower(exprText(pkg.Fset, call.Args[0])), "tmp") {
+			if inStorage && mentionsFlag(call.Args[1], "O_TRUNC") {
 				out = append(out, Finding{
 					Pos:      pkg.Fset.Position(call.Pos()),
 					Analyzer: "atomicwrite",
@@ -150,9 +101,9 @@ func checkSnapshotLog(pkg *Package) []Finding {
 	for grew := true; grew; {
 		grew = false
 		for _, f := range pkg.Files {
-			funcBodies(f, func(fn ast.Node, body *ast.BlockStmt) {
-				name := fn.(*ast.FuncDecl).Name.Name
-				if !syncs[name] && callsAny(body, syncs) {
+			funcBodies(f, func(fd *ast.FuncDecl) {
+				name := fd.Name.Name
+				if !syncs[name] && callsAny(fd.Body, syncs) {
 					syncs[name], grew = true, true
 				}
 			})
@@ -163,8 +114,8 @@ func checkSnapshotLog(pkg *Package) []Finding {
 		out = append(out, Finding{Pos: pkg.Fset.Position(call.Pos()), Analyzer: "atomicwrite", Message: msg})
 	}
 	for _, f := range pkg.Files {
-		funcBodies(f, func(fn ast.Node, body *ast.BlockStmt) {
-			ast.Inspect(body, func(n ast.Node) bool {
+		funcBodies(f, func(fd *ast.FuncDecl) {
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				call, isCall := n.(*ast.CallExpr)
 				if !isCall {
 					return true
@@ -176,7 +127,7 @@ func checkSnapshotLog(pkg *Package) []Finding {
 					(mentionsFlag(call.Args[1], "O_WRONLY") || mentionsFlag(call.Args[1], "O_RDWR") || mentionsFlag(call.Args[1], "O_APPEND")):
 					if !mentionsFlag(call.Args[1], "O_APPEND") {
 						flag(call, "snapshot opens a published file for in-place writes; the only legal write to a published name is an O_APPEND append to the log")
-					} else if !callsAny(body, syncs) {
+					} else if !callsAny(fd.Body, syncs) {
 						flag(call, "snapshot appends to the log without a Sync; the frame must be durable before the manifest pins the new length")
 					}
 				case name == "Truncate" && len(call.Args) == 2 &&

@@ -1,7 +1,7 @@
 // Package callgraph builds a conservative static call graph over the
 // type-checked packages of one module, for the interprocedural
-// sebdb-vet analyzers (lockio, trusttaint). The graph is intentionally
-// sound-leaning rather than precise:
+// sebdb-vet analyzers (lockio, trusttaint, readlock). The graph is
+// intentionally sound-leaning rather than precise:
 //
 //   - Direct calls and method calls are resolved through the type
 //     checker (go/types Selections/Uses).
@@ -28,20 +28,30 @@ import (
 	"go/types"
 )
 
-// Package is the slice of a loaded, type-checked package the builder
-// consumes. The lint loader's Package converts to it directly.
+// Package is one loaded, parsed and type-checked package; the lint
+// loader produces it and the lint package re-exports it.
 type Package struct {
-	Path  string
+	// Path is the import path ("sebdb/internal/types").
+	Path string
+	// Dir is the directory the package was loaded from.
+	Dir string
+	// Files holds the parsed non-test files, sorted by file name.
 	Files []*ast.File
-	Info  *types.Info
+	// Fset positions all files of the load.
+	Fset *token.FileSet
+	// Info carries type-checker facts; it is always non-nil but may be
+	// partial when type checking hit errors (e.g. an unresolvable
+	// import). Analyzers must degrade gracefully on missing entries.
+	Info *types.Info
+	// Types is the checked package object (possibly incomplete).
 	Types *types.Package
 }
 
 // Graph is the module's call graph.
 type Graph struct {
-	fset  *token.FileSet
 	edges map[*types.Func][]*types.Func
 	decls map[*types.Func]*ast.FuncDecl
+	pkgs  map[*types.Func]*Package
 	// order lists declared functions in load order, keeping BFS results
 	// (witness-path choices in particular) deterministic across runs.
 	order []*types.Func
@@ -53,11 +63,11 @@ type Graph struct {
 }
 
 // Build constructs the graph over the given packages.
-func Build(fset *token.FileSet, pkgs []*Package) *Graph {
+func Build(pkgs []*Package) *Graph {
 	g := &Graph{
-		fset:  fset,
 		edges: make(map[*types.Func][]*types.Func),
 		decls: make(map[*types.Func]*ast.FuncDecl),
+		pkgs:  make(map[*types.Func]*Package),
 		widen: make(map[*types.Func][]*types.Func),
 	}
 	for _, pkg := range pkgs {
@@ -75,6 +85,7 @@ func Build(fset *token.FileSet, pkgs []*Package) *Graph {
 					continue
 				}
 				g.decls[fn] = fd
+				g.pkgs[fn] = pkg
 				g.order = append(g.order, fn)
 				g.addBodyEdges(pkg.Info, fn, fd.Body)
 			}
@@ -206,6 +217,10 @@ func (g *Graph) implementations(iface *types.Interface, m *types.Func) []*types.
 // Decl returns the AST declaration of a module function, or nil for
 // bodyless (imported / interface) functions.
 func (g *Graph) Decl(fn *types.Func) *ast.FuncDecl { return g.decls[fn] }
+
+// Package returns the package declaring a module function, or nil for
+// bodyless (imported / interface) functions.
+func (g *Graph) Package(fn *types.Func) *Package { return g.pkgs[fn] }
 
 // Funcs returns every declared module function in load order.
 func (g *Graph) Funcs() []*types.Func {

@@ -24,11 +24,7 @@ func buildFixture(t *testing.T) *callgraph.Graph {
 	if len(pkgs) == 0 {
 		t.Fatal("cg fixture loaded no packages")
 	}
-	cgPkgs := make([]*callgraph.Package, len(pkgs))
-	for i, p := range pkgs {
-		cgPkgs[i] = &callgraph.Package{Path: p.Path, Files: p.Files, Info: p.Info, Types: p.Types}
-	}
-	return callgraph.Build(loader.Fset, cgPkgs)
+	return callgraph.Build(pkgs)
 }
 
 // fn finds a declared function by display name: "Name" for functions,

@@ -12,7 +12,7 @@ import (
 const decoderPkgPath = "sebdb/internal/types"
 
 // DecodeBounds enforces the wire-decoding invariant: a count read from
-// a types.Decoder (Uint32/Uint64) may only drive a loop bound or slice
+// a types.Decoder (Uint32/Uint64/Uvarint) may only drive a loop bound or slice
 // allocation after a Remaining() bounds check. Without the check, a
 // corrupt or hostile frame carrying a huge count makes the decoder
 // allocate gigabytes before the first element read fails (the classic
@@ -24,27 +24,27 @@ var DecodeBounds = &Analyzer{
 	Run:  runDecodeBounds,
 }
 
-func runDecodeBounds(pkg *Package) []Finding {
+func runDecodeBounds(p *Pass) []Finding {
 	var out []Finding
-	for _, f := range pkg.Files {
-		funcBodies(f, func(fn ast.Node, body *ast.BlockStmt) {
-			out = append(out, checkDecodeBoundsFunc(pkg, body)...)
+	for _, f := range p.Files {
+		funcBodies(f, func(fd *ast.FuncDecl) {
+			out = append(out, checkDecodeBoundsFunc(p.Package, fd.Body)...)
 		})
 	}
 	return out
 }
 
 // isDecoderCountCall reports whether call reads a count from a
-// types.Decoder: d.Uint32() or d.Uint64() with d of type
+// types.Decoder: d.Uint32(), d.Uint64() or d.Uvarint() with d of type
 // *sebdb/internal/types.Decoder (or, when type information is missing,
 // a receiver created by NewDecoder in the same function).
 func isDecoderCountCall(pkg *Package, call *ast.CallExpr, decoderIdents map[types.Object]bool) bool {
 	recv, name, ok := selectorCall(call)
-	if !ok || (name != "Uint32" && name != "Uint64") {
+	if !ok || (name != "Uint32" && name != "Uint64" && name != "Uvarint") {
 		return false
 	}
 	if tv, found := pkg.Info.Types[recv]; found && tv.Type != nil {
-		return isDecoderType(tv.Type)
+		return isNamed(tv.Type, decoderPkgPath, "Decoder")
 	}
 	// Degraded mode: receiver identifier previously assigned from
 	// NewDecoder.
@@ -54,20 +54,6 @@ func isDecoderCountCall(pkg *Package, call *ast.CallExpr, decoderIdents map[type
 		}
 	}
 	return false
-}
-
-// isDecoderType matches *types.Decoder / types.Decoder from the wire
-// package.
-func isDecoderType(t types.Type) bool {
-	if p, isPtr := t.(*types.Pointer); isPtr {
-		t = p.Elem()
-	}
-	named, isNamed := t.(*types.Named)
-	if !isNamed {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Decoder" && obj.Pkg() != nil && obj.Pkg().Path() == decoderPkgPath
 }
 
 // checkDecodeBoundsFunc walks one function body in source order,

@@ -31,11 +31,13 @@ var droppedErrExempt = map[string]bool{
 	"bytes.Buffer.WriteByte": true, "bytes.Buffer.WriteRune": true,
 	"strings.Builder.Write": true, "strings.Builder.WriteString": true,
 	"strings.Builder.WriteByte": true, "strings.Builder.WriteRune": true,
-	// hash.Hash.Write never returns an error (hash package docs).
-	"hash.Hash.Write": true,
+	// hash.Hash.Write never returns an error (hash package docs); the
+	// fnv constructors return the Hash32/Hash64 refinements.
+	"hash.Hash.Write": true, "hash.Hash32.Write": true, "hash.Hash64.Write": true,
 }
 
-func runDroppedErr(pkg *Package) []Finding {
+func runDroppedErr(p *Pass) []Finding {
+	pkg := p.Package
 	var out []Finding
 	report := func(n ast.Node, form string) {
 		out = append(out, Finding{
@@ -82,12 +84,9 @@ func isExemptCallee(info *types.Info, call *ast.CallExpr) bool {
 		return false
 	}
 	// Package-level function: pkg.Fn.
-	if id, isID := sel.X.(*ast.Ident); isID {
-		if path := pkgPathOf(info, sel.Sel); path != "" {
-			_ = id
-			if droppedErrExempt[path+"."+sel.Sel.Name] {
-				return true
-			}
+	if _, isID := sel.X.(*ast.Ident); isID {
+		if path := pkgPathOf(info, sel.Sel); path != "" && droppedErrExempt[path+"."+sel.Sel.Name] {
+			return true
 		}
 	}
 	// Method: match the receiver's type string, ignoring pointerness so

@@ -27,10 +27,23 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-line description of the enforced invariant.
 	Doc string
-	// Run reports the violations in one package. It is nil for the
-	// interprocedural analyzers (lockio, trusttaint), which RunAll
-	// drives off the shared module-wide call graph instead.
-	Run func(pkg *Package) []Finding
+	// Run reports the violations in one package.
+	Run func(p *Pass) []Finding
+}
+
+// Pass is what an analyzer sees: one package, plus the module-wide
+// facts RunAll computes once for every package and analyzer.
+type Pass struct {
+	*Package
+	// graph is the module's call graph; it also maps each declared
+	// function back to its package.
+	graph *callgraph.Graph
+	// ioReach answers "does this function reach blocking I/O" (lockio).
+	ioReach *callgraph.Reach
+	// taint holds the interprocedural taint summaries (trusttaint).
+	taint *trustTaint
+	// reads is the forward walk from the query read entries (readlock).
+	reads *readWalk
 }
 
 // Analyzers returns the full suite in reporting order.
@@ -45,7 +58,6 @@ func Analyzers() []*Analyzer {
 		Obsclock,
 		Rawlog,
 		ReadLock,
-		Shadowbuiltin,
 		TrustTaint,
 		U32Trunc,
 	}
@@ -53,64 +65,65 @@ func Analyzers() []*Analyzer {
 
 // RunAll runs every analyzer over every package, applies suppression
 // directives, and returns the surviving findings sorted by position.
-// Directives without an accepted reason are reported as findings
-// themselves. The interprocedural analyzers share one conservative
-// call graph built over the whole module.
+// Directives without an accepted reason, and reasoned directives that
+// silence no finding, are reported as findings themselves.
 func RunAll(pkgs []*Package) []Finding {
-	cgPkgs := make([]*callgraph.Package, len(pkgs))
-	var fset *token.FileSet
-	for i, p := range pkgs {
-		cgPkgs[i] = &callgraph.Package{Path: p.Path, Files: p.Files, Info: p.Info, Types: p.Types}
-		fset = p.Fset // the loader shares one FileSet across packages
+	graph := callgraph.Build(pkgs)
+	mod := Pass{
+		graph:   graph,
+		ioReach: graph.Reaches(func(fn *types.Func) bool { return matchSpec(lockIOSinks, fn) }),
+		taint:   newTrustTaint(graph),
+		reads:   newReadWalk(graph),
 	}
-	graph := callgraph.Build(fset, cgPkgs)
-	ioReach := graph.Reaches(func(fn *types.Func) bool { return matchSpec(lockIOSinks, fn) })
-	taint := newTrustTaint(graph, pkgs)
-	rlock := newReadLock(graph, pkgs)
-
 	var out []Finding
 	for _, pkg := range pkgs {
-		sups := collectSuppressions(pkg)
-		for _, s := range sups {
-			if !s.reasonOK {
-				msg := fmt.Sprintf("%s%s directive needs a reason", directivePrefix, s.analyzer)
-				if reasonClauseRequired[s.analyzer] {
-					msg = fmt.Sprintf("%s%s directive needs a `reason:` clause", directivePrefix, s.analyzer)
-				}
-				out = append(out, Finding{Pos: s.directive, Analyzer: s.analyzer, Message: msg})
-			}
-		}
+		p := mod
+		p.Package = pkg
 		var found []Finding
 		for _, a := range Analyzers() {
-			if a.Run != nil {
-				found = append(found, a.Run(pkg)...)
-			}
+			found = append(found, a.Run(&p)...)
 		}
-		found = append(found, runLockIO(pkg, graph, ioReach)...)
-		found = append(found, taint.findings[pkg]...)
-		found = append(found, rlock.findings[pkg]...)
+		sups := collectSuppressions(pkg)
+		used := make([]bool, len(sups))
 		for _, f := range found {
 			silenced := false
-			for _, s := range sups {
+			for i, s := range sups {
 				if s.reasonOK && s.suppresses(f.Analyzer, f.Pos) {
-					silenced = true
-					break
+					silenced, used[i] = true, true
 				}
 			}
 			if !silenced {
 				out = append(out, f)
 			}
 		}
+		for i, s := range sups {
+			msg := ""
+			switch {
+			case !s.reasonOK && reasonClauseRequired[s.analyzer]:
+				msg = "directive needs a `reason:` clause"
+			case !s.reasonOK:
+				msg = "directive needs a reason"
+			case !used[i]:
+				msg = "directive silences no finding; delete it"
+			default:
+				continue
+			}
+			out = append(out, Finding{Pos: s.directive, Analyzer: s.analyzer,
+				Message: fmt.Sprintf("%s%s %s", directivePrefix, s.analyzer, msg)})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Pos, out[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
+		a, b := out[i], out[j]
+		if a.Pos.Filename != b.Pos.Filename {
+			return a.Pos.Filename < b.Pos.Filename
 		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
+		if a.Pos.Line != b.Pos.Line {
+			return a.Pos.Line < b.Pos.Line
 		}
-		return a.Column < b.Column
+		if a.Pos.Column != b.Pos.Column {
+			return a.Pos.Column < b.Pos.Column
+		}
+		return a.Analyzer+a.Message < b.Analyzer+b.Message
 	})
 	return out
 }

@@ -79,31 +79,20 @@ func TestFixtureFindingsMatchWantComments(t *testing.T) {
 }
 
 // Each analyzer must flag at least one seeded violation — a vacuous
-// analyzer would otherwise pass the comparison above with zero marks.
-func TestAtomicwriteFlagsSeededViolation(t *testing.T)  { requireAnalyzerHit(t, "atomicwrite") }
-func TestDecodeBoundsFlagsSeededViolation(t *testing.T) { requireAnalyzerHit(t, "decodebounds") }
-func TestDroppedErrFlagsSeededViolation(t *testing.T)   { requireAnalyzerHit(t, "droppederr") }
-func TestDeterminismFlagsSeededViolation(t *testing.T)  { requireAnalyzerHit(t, "determinism") }
-func TestLockCheckFlagsSeededViolation(t *testing.T)    { requireAnalyzerHit(t, "lockcheck") }
-func TestLockIOFlagsSeededViolation(t *testing.T)       { requireAnalyzerHit(t, "lockio") }
-func TestReadLockFlagsSeededViolation(t *testing.T)     { requireAnalyzerHit(t, "readlock") }
-func TestShadowBuiltinFlagsSeededViolation(t *testing.T) {
-	requireAnalyzerHit(t, "shadowbuiltin")
-}
-func TestTrustTaintFlagsSeededViolation(t *testing.T) { requireAnalyzerHit(t, "trusttaint") }
-func TestObsclockFlagsSeededViolation(t *testing.T)   { requireAnalyzerHit(t, "obsclock") }
-func TestRawlogFlagsSeededViolation(t *testing.T)     { requireAnalyzerHit(t, "rawlog") }
-func TestU32TruncFlagsSeededViolation(t *testing.T)   { requireAnalyzerHit(t, "u32trunc") }
-
-func requireAnalyzerHit(t *testing.T, analyzer string) {
-	t.Helper()
+// analyzer would otherwise pass the comparison above with zero marks,
+// and a new analyzer cannot join the suite without a fixture.
+func TestEveryAnalyzerFlagsSeededViolation(t *testing.T) {
 	got, _ := fixtureFindings(t)
-	for k := range got {
-		if k.analyzer == analyzer {
-			return
-		}
+	for _, a := range Analyzers() {
+		t.Run(a.Name, func(t *testing.T) {
+			for k := range got {
+				if k.analyzer == a.Name {
+					return
+				}
+			}
+			t.Errorf("analyzer %s flagged nothing in the fixture module", a.Name)
+		})
 	}
-	t.Errorf("analyzer %s flagged nothing in the fixture module", analyzer)
 }
 
 // A directive without a reason is reported, and the call it decorates

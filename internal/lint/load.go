@@ -17,25 +17,14 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"sebdb/internal/lint/callgraph"
 )
 
-// Package is one loaded, parsed and type-checked package.
-type Package struct {
-	// Path is the import path ("sebdb/internal/types").
-	Path string
-	// Dir is the directory the package was loaded from.
-	Dir string
-	// Files holds the parsed non-test files, sorted by file name.
-	Files []*ast.File
-	// Fset positions all files of the load.
-	Fset *token.FileSet
-	// Info carries type-checker facts; it is always non-nil but may be
-	// partial when type checking hit errors (e.g. an unresolvable
-	// import). Analyzers must degrade gracefully on missing entries.
-	Info *types.Info
-	// Types is the checked package object (possibly incomplete).
-	Types *types.Package
-}
+// Package is one loaded, parsed and type-checked package. It is the
+// call graph's package type, so the graph can hand back the package
+// that declares each function.
+type Package = callgraph.Package
 
 // Loader parses and type-checks the module's packages. Module-local
 // imports are resolved recursively from source; standard-library

@@ -3,34 +3,29 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"strings"
+	"go/types"
 )
 
 // LockCheck enforces the repository's lock-grouping convention: in a
-// struct, the fields declared in the same contiguous group as a
-// sync.Mutex / sync.RWMutex field named `mu` or ending in `Mu`
-// (commitMu, ckptMu, ...), below it, are guarded by that mutex (a blank
-// line or another mutex field ends the guarded group). Every exported
-// method on the struct that touches a guarded field must acquire that
-// specific mutex somewhere in its body. This is a heuristic — it cannot
-// prove the lock covers the access — but it catches the common
-// regression of adding a fast-path accessor that forgets the lock
-// entirely.
+// struct, the fields declared in the same contiguous group as a guard
+// (isGuard: a sync.Mutex / sync.RWMutex named `mu` or ending in `Mu`),
+// below it, are guarded by that mutex (a blank line or another guard
+// ends the guarded group). Every exported method on the struct that
+// touches a guarded field must acquire that specific mutex somewhere in
+// its body. This is a heuristic — it cannot prove the lock covers the
+// access — but it catches the common regression of adding a fast-path
+// accessor that forgets the lock entirely.
 var LockCheck = &Analyzer{
 	Name: "lockcheck",
 	Doc:  "exported methods touching mutex-guarded fields must acquire the guarding mutex (escape: //sebdb:ignore-lock <reason>)",
 	Run:  runLockCheck,
 }
 
-// guardedStruct maps one struct's guarded field names to the name of
-// the mutex field that guards each.
-type guardedStruct struct {
-	name    string
-	guarded map[string]string
-}
-
-func runLockCheck(pkg *Package) []Finding {
-	structs := make(map[string]*guardedStruct)
+func runLockCheck(p *Pass) []Finding {
+	pkg := p.Package
+	// structs maps a struct type name to its guarded field names, each to
+	// the name of the guard that guards it.
+	structs := make(map[string]map[string]string)
 	for _, f := range pkg.Files {
 		collectGuardedStructs(pkg, f, structs)
 	}
@@ -48,11 +43,7 @@ func runLockCheck(pkg *Package) []Finding {
 			if !ok {
 				continue
 			}
-			gs, isGuarded := structs[typeName]
-			if !isGuarded {
-				continue
-			}
-			touched, guard := touchedGuardedField(fd.Body, recvName, gs.guarded)
+			touched, guard := touchedGuardedField(fd.Body, recvName, structs[typeName])
 			if touched == "" {
 				continue
 			}
@@ -69,7 +60,7 @@ func runLockCheck(pkg *Package) []Finding {
 				})
 				continue
 			}
-			if acquiresMutex(fd.Body, recvName, guard) {
+			if acquiresMutex(pkg.Info, fd.Body, recvName, guard) {
 				continue
 			}
 			out = append(out, Finding{
@@ -87,7 +78,7 @@ func runLockCheck(pkg *Package) []Finding {
 // records, per mutex, the sibling fields in its contiguous declaration
 // group. A struct may declare several guards (mu, commitMu, ckptMu);
 // each guards only its own group.
-func collectGuardedStructs(pkg *Package, f *ast.File, out map[string]*guardedStruct) {
+func collectGuardedStructs(pkg *Package, f *ast.File, out map[string]map[string]string) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		ts, isType := n.(*ast.TypeSpec)
 		if !isType {
@@ -97,10 +88,10 @@ func collectGuardedStructs(pkg *Package, f *ast.File, out map[string]*guardedStr
 		if !isStruct || st.Fields == nil {
 			return true
 		}
-		gs := &guardedStruct{name: ts.Name.Name, guarded: make(map[string]string)}
+		guarded := make(map[string]string)
 		fields := st.Fields.List
 		for muIdx, field := range fields {
-			guard := mutexFieldName(field)
+			guard := guardFieldName(pkg, field)
 			if guard == "" {
 				continue
 			}
@@ -119,35 +110,26 @@ func collectGuardedStructs(pkg *Package, f *ast.File, out map[string]*guardedStr
 				if pkg.Fset.Position(start).Line > pkg.Fset.Position(prevEnd).Line+1 {
 					break
 				}
-				if mutexFieldName(fields[i]) != "" {
+				if guardFieldName(pkg, fields[i]) != "" {
 					break
 				}
 				for _, name := range fields[i].Names {
-					gs.guarded[name.Name] = guard
+					guarded[name.Name] = guard
 				}
 			}
 		}
-		if len(gs.guarded) > 0 {
-			out[gs.name] = gs
+		if len(guarded) > 0 {
+			out[ts.Name.Name] = guarded
 		}
 		return true
 	})
 }
 
-// mutexFieldName returns the field's name when it declares a guard —
-// a `sync.Mutex` / `sync.RWMutex` named `mu` or ending in `Mu` — and
-// "" otherwise.
-func mutexFieldName(field *ast.Field) string {
-	sel, isSel := field.Type.(*ast.SelectorExpr)
-	if !isSel {
-		return ""
-	}
-	pkg, isID := sel.X.(*ast.Ident)
-	if !isID || pkg.Name != "sync" || (sel.Sel.Name != "Mutex" && sel.Sel.Name != "RWMutex") {
-		return ""
-	}
+// guardFieldName returns the field's name when it declares a guard, ""
+// otherwise.
+func guardFieldName(pkg *Package, field *ast.Field) string {
 	for _, name := range field.Names {
-		if name.Name == "mu" || strings.HasSuffix(name.Name, "Mu") {
+		if isGuard(pkg.Info.Defs[name]) {
 			return name.Name
 		}
 	}
@@ -195,40 +177,17 @@ func touchedGuardedField(body *ast.BlockStmt, recvName string, guarded map[strin
 	return field, guard
 }
 
-// acquiresMutex reports whether the body calls recv.<guard>.Lock or
-// recv.<guard>.RLock anywhere, or — for the primary mutex "mu" — a
-// conventional receiver-local lock helper (recv.lock() / recv.rlock(),
-// the pattern contention-counting caches use to wrap mu.Lock).
-func acquiresMutex(body *ast.BlockStmt, recvName, guard string) bool {
+// acquiresMutex reports whether the body acquires recv.<guard>
+// anywhere, directly or through a receiver lock helper.
+func acquiresMutex(info *types.Info, body *ast.BlockStmt, recvName, guard string) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
-		call, isCall := n.(*ast.CallExpr)
-		if !isCall {
-			return true
+		if call, isCall := n.(*ast.CallExpr); isCall && !found {
+			op, ok := lockCall(info, call)
+			id, isID := op.base.(*ast.Ident)
+			found = ok && op.acquire && op.guard.Name() == guard && isID && id.Name == recvName
 		}
-		sel, isSel := call.Fun.(*ast.SelectorExpr)
-		if !isSel {
-			return true
-		}
-		if guard == "mu" && (sel.Sel.Name == "lock" || sel.Sel.Name == "rlock") {
-			if id, isID := sel.X.(*ast.Ident); isID && id.Name == recvName {
-				found = true
-				return false
-			}
-		}
-		if sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock" {
-			return true
-		}
-		inner, isInner := sel.X.(*ast.SelectorExpr)
-		if !isInner || inner.Sel.Name != guard {
-			return true
-		}
-		id, isID := inner.X.(*ast.Ident)
-		if isID && id.Name == recvName {
-			found = true
-			return false
-		}
-		return true
+		return !found
 	})
 	return found
 }

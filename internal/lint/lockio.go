@@ -10,7 +10,7 @@ import (
 )
 
 // LockIO enforces the engine's lock-split discipline interprocedurally:
-// no critical section guarded by a `mu`/`*Mu` mutex may reach blocking
+// no critical section of a guard (isGuard) may reach blocking
 // I/O — fsync, file create/rename/truncate, checkpoint encode or bulk
 // checkpoint load, network reads and writes — through any chain of
 // calls. The lock splits of the checkpoint and commit-pipeline work
@@ -22,7 +22,7 @@ import (
 var LockIO = &Analyzer{
 	Name: "lockio",
 	Doc:  "mutex-guarded critical sections must not reach blocking I/O through any call chain (escape: //sebdb:ignore-lockio reason: <why>)",
-	Run:  nil, // installed by RunAll via the shared call graph
+	Run:  runLockIO,
 }
 
 // funcSpec names a function or method by package path, receiver base
@@ -92,6 +92,17 @@ func matchSpec(specs []funcSpec, fn *types.Func) bool {
 	return false
 }
 
+// firstMatch returns the first of fns matching one of the specs, or
+// nil.
+func firstMatch(specs []funcSpec, fns []*types.Func) *types.Func {
+	for _, fn := range fns {
+		if matchSpec(specs, fn) {
+			return fn
+		}
+	}
+	return nil
+}
+
 // recvBaseName returns the base type name of a receiver type.
 func recvBaseName(t types.Type) string {
 	if ptr, ok := t.(*types.Pointer); ok {
@@ -103,23 +114,20 @@ func recvBaseName(t types.Type) string {
 	return ""
 }
 
-// runLockIO runs the analyzer over one package given the module-wide
-// call graph and the precomputed sink reachability.
-func runLockIO(pkg *Package, g *callgraph.Graph, reach *callgraph.Reach) []Finding {
+// runLockIO scans every function body, and every function literal as
+// its own flow, for calls made under a guard that reach a sink.
+func runLockIO(p *Pass) []Finding {
 	var out []Finding
-	for _, f := range pkg.Files {
-		funcBodies(f, func(fn ast.Node, body *ast.BlockStmt) {
-			name := "function"
-			if fd, ok := fn.(*ast.FuncDecl); ok {
-				name = fd.Name.Name
-			}
-			out = append(out, scanCriticalSections(pkg, g, reach, name, body.List, nil)...)
+	for _, f := range p.Files {
+		funcBodies(f, func(fd *ast.FuncDecl) {
+			name := fd.Name.Name
+			out = append(out, scanCriticalSections(p, name, fd.Body.List, nil)...)
 			// Function literals (goroutine bodies in particular) run on
 			// their own flow: scan each as an independent section context
 			// so a lock acquired inside one is still checked.
-			ast.Inspect(body, func(n ast.Node) bool {
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.FuncLit); ok {
-					out = append(out, scanCriticalSections(pkg, g, reach, name+" (func literal)", lit.Body.List, nil)...)
+					out = append(out, scanCriticalSections(p, name+" (func literal)", lit.Body.List, nil)...)
 				}
 				return true
 			})
@@ -128,36 +136,31 @@ func runLockIO(pkg *Package, g *callgraph.Graph, reach *callgraph.Reach) []Findi
 	return out
 }
 
-// heldGuard is one mutex the current flow holds.
-type heldGuard struct {
-	expr string // canonical guard expression, e.g. "e.mu"
-}
-
 // scanCriticalSections walks one statement list in source order,
-// tracking which guards are held, and checks every call made while any
-// guard is held. Nested blocks inherit the held set; guards acquired
-// inside a nested block do not leak out (acquiring in a branch and
-// relying on it afterwards is not a pattern this codebase uses).
-// Unlocks inside nested blocks likewise do not release the outer flow —
-// conservative in the early-unlock-and-return idiom, where the branch
-// ends in a return anyway.
-func scanCriticalSections(pkg *Package, g *callgraph.Graph, reach *callgraph.Reach, fnName string, stmts []ast.Stmt, held []heldGuard) []Finding {
+// tracking which guards are held (by their source text, "e.mu"), and
+// checks every call made while any guard is held. Nested blocks inherit
+// the held set; guards acquired inside a nested block do not leak out
+// (acquiring in a branch and relying on it afterwards is not a pattern
+// this codebase uses). Unlocks inside nested blocks likewise do not
+// release the outer flow — conservative in the early-unlock-and-return
+// idiom, where the branch ends in a return anyway.
+func scanCriticalSections(p *Pass, fnName string, stmts []ast.Stmt, held []string) []Finding {
 	var out []Finding
-	held = append([]heldGuard(nil), held...)
+	held = append([]string(nil), held...)
 	for _, stmt := range stmts {
 		switch s := stmt.(type) {
 		case *ast.ExprStmt:
-			if guard, locks, ok := guardCall(pkg, s.X); ok {
-				if locks {
-					held = append(held, heldGuard{expr: guard})
+			if op, ok := lockCall(p.Info, s.X); ok {
+				if op.acquire {
+					held = append(held, op.text(p.Fset))
 				} else {
-					held = releaseGuard(held, guard)
+					held = releaseGuard(held, op.text(p.Fset))
 				}
 				continue
 			}
 		case *ast.DeferStmt:
-			if guard, locks, ok := guardCall(pkg, s.Call); ok && locks {
-				held = append(held, heldGuard{expr: guard})
+			if op, ok := lockCall(p.Info, s.Call); ok && op.acquire {
+				held = append(held, op.text(p.Fset))
 				continue
 			}
 			// A deferred unlock keeps the guard held to the end of the
@@ -165,13 +168,13 @@ func scanCriticalSections(pkg *Package, g *callgraph.Graph, reach *callgraph.Rea
 			// still under the lock — fall through to the generic check.
 		}
 		if len(held) > 0 {
-			out = append(out, checkGuardedStmt(pkg, g, reach, fnName, held, stmt)...)
+			out = append(out, checkGuardedStmt(p, fnName, held, stmt)...)
 		}
 		// Recurse into nested statement lists with the current held set,
 		// skipping the ones checkGuardedStmt already covered.
 		if len(held) == 0 {
 			for _, nested := range nestedStmtLists(stmt) {
-				out = append(out, scanCriticalSections(pkg, g, reach, fnName, nested, held)...)
+				out = append(out, scanCriticalSections(p, fnName, nested, held)...)
 			}
 		}
 	}
@@ -217,46 +220,10 @@ func nestedStmtLists(stmt ast.Stmt) [][]ast.Stmt {
 	return out
 }
 
-// guardCall matches expr as <guard>.Lock/RLock/Unlock/RUnlock() where
-// the guard is a mutex-convention expression (final selector `mu` or
-// `*Mu`). locks is true for acquisitions.
-func guardCall(pkg *Package, expr ast.Expr) (guard string, locks, ok bool) {
-	call, isCall := expr.(*ast.CallExpr)
-	if !isCall {
-		return "", false, false
-	}
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", false, false
-	}
-	var isLock bool
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		isLock = true
-	case "Unlock", "RUnlock":
-	default:
-		return "", false, false
-	}
-	inner, isInner := sel.X.(*ast.SelectorExpr)
-	if !isInner || !isGuardName(inner.Sel.Name) {
-		// A bare `mu.Lock()` on a package-level or local guard.
-		if id, isID := sel.X.(*ast.Ident); isID && isGuardName(id.Name) {
-			return id.Name, isLock, true
-		}
-		return "", false, false
-	}
-	return exprText(pkg.Fset, sel.X), isLock, true
-}
-
-// isGuardName matches the repository's mutex naming convention.
-func isGuardName(name string) bool {
-	return name == "mu" || strings.HasSuffix(name, "Mu") || strings.HasSuffix(name, "mu")
-}
-
 // releaseGuard drops the most recent acquisition of guard.
-func releaseGuard(held []heldGuard, guard string) []heldGuard {
+func releaseGuard(held []string, guard string) []string {
 	for i := len(held) - 1; i >= 0; i-- {
-		if held[i].expr == guard {
+		if held[i] == guard {
 			return append(held[:i], held[i+1:]...)
 		}
 	}
@@ -266,12 +233,8 @@ func releaseGuard(held []heldGuard, guard string) []heldGuard {
 // checkGuardedStmt reports every call in stmt (excluding `go`
 // statements — a spawned goroutine does not run under the caller's
 // lock) whose callee is, or transitively reaches, a blocking sink.
-func checkGuardedStmt(pkg *Package, g *callgraph.Graph, reach *callgraph.Reach, fnName string, held []heldGuard, stmt ast.Stmt) []Finding {
+func checkGuardedStmt(p *Pass, fnName string, held []string, stmt ast.Stmt) []Finding {
 	var out []Finding
-	guards := make([]string, len(held))
-	for i, h := range held {
-		guards[i] = h.expr
-	}
 	ast.Inspect(stmt, func(n ast.Node) bool {
 		if _, isGo := n.(*ast.GoStmt); isGo {
 			return false
@@ -280,18 +243,18 @@ func checkGuardedStmt(pkg *Package, g *callgraph.Graph, reach *callgraph.Reach, 
 		if !isCall {
 			return true
 		}
-		if _, _, isGuardOp := guardCall(pkg, call); isGuardOp {
+		if _, isLockOp := lockCall(p.Info, call); isLockOp {
 			return true
 		}
-		for _, callee := range g.CalleesAt(pkg.Info, call) {
-			if !reach.Reaches(callee) {
+		for _, callee := range p.graph.CalleesAt(p.Info, call) {
+			if !p.ioReach.Reaches(callee) {
 				continue
 			}
 			out = append(out, Finding{
-				Pos:      pkg.Fset.Position(call.Pos()),
+				Pos:      p.Fset.Position(call.Pos()),
 				Analyzer: "lockio",
 				Message: fmt.Sprintf("%s holds %s while calling %s, which reaches blocking I/O: %s",
-					fnName, strings.Join(guards, "+"), callee.Name(), sinkPath(reach, callee)),
+					fnName, strings.Join(held, "+"), callee.Name(), sinkPath(p.ioReach, callee)),
 			})
 			break // one finding per call site is enough
 		}

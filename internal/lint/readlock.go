@@ -23,7 +23,7 @@ import (
 var ReadLock = &Analyzer{
 	Name: "readlock",
 	Doc:  "functions reachable from query read entry points must not acquire the engine mutex (escape: //sebdb:ignore-readlock reason: <why>)",
-	Run:  nil, // installed by RunAll via the shared call graph
+	Run:  runReadLock,
 }
 
 // readLockEntries are the read entry points the zero-engine-lock
@@ -40,57 +40,24 @@ var readLockEntries = []funcSpec{
 	{"sebdb/internal/node", "FullNode", "handleAuthDigest"},
 }
 
-// isEngineType reports whether t (possibly behind a pointer) is the
-// engine type whose mu field is the writer lock.
-func isEngineType(t types.Type) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return named.Obj().Pkg().Path() == "sebdb/internal/core" && named.Obj().Name() == "Engine"
+// readWalk is the forward walk from the read entry points: entryOf
+// maps every reached function to the entry that reached it first,
+// parent records one witness edge per function.
+type readWalk struct {
+	entryOf, parent map[*types.Func]*types.Func
 }
 
-// readLock is the module-wide analysis state: findings per package,
-// precomputed once by RunAll like trusttaint's.
-type readLock struct {
-	findings map[*Package][]Finding
-}
-
-// newReadLock runs the analysis: a forward BFS over the call graph
-// from the entry points, then a scan of every reached body for
-// engine-mutex acquisitions. Interface calls are widened to every
-// in-module implementation by the graph, so routing a read through
-// exec.Chain does not hide an engine-locking implementation.
-func newReadLock(graph *callgraph.Graph, pkgs []*Package) *readLock {
-	rl := &readLock{findings: make(map[*Package][]Finding)}
-
-	pkgOf := make(map[*types.Func]*Package)
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-					pkgOf[fn] = p
-				}
-			}
-		}
-	}
-
-	// Forward BFS; entryOf doubles as the visited set, parent records
-	// one witness edge per function. Seeding and expansion follow the
-	// graph's load order, so witness paths are deterministic.
-	entryOf := make(map[*types.Func]*types.Func)
-	parent := make(map[*types.Func]*types.Func)
+// newReadWalk runs a forward BFS over the call graph from the entry
+// points. Interface calls are widened to every in-module implementation
+// by the graph, so routing a read through exec.Chain does not hide an
+// engine-locking implementation. Seeding and expansion follow the
+// graph's load order, so witness paths are deterministic.
+func newReadWalk(graph *callgraph.Graph) *readWalk {
+	w := &readWalk{entryOf: make(map[*types.Func]*types.Func), parent: make(map[*types.Func]*types.Func)}
 	var queue []*types.Func
 	for _, fn := range graph.Funcs() {
 		if matchSpec(readLockEntries, fn) {
-			entryOf[fn] = fn
+			w.entryOf[fn] = fn
 			queue = append(queue, fn)
 		}
 	}
@@ -98,52 +65,45 @@ func newReadLock(graph *callgraph.Graph, pkgs []*Package) *readLock {
 		fn := queue[0]
 		queue = queue[1:]
 		for _, callee := range graph.Callees(fn) {
-			if _, seen := entryOf[callee]; seen {
+			if _, seen := w.entryOf[callee]; seen {
 				continue
 			}
-			entryOf[callee] = entryOf[fn]
-			parent[callee] = fn
+			w.entryOf[callee] = w.entryOf[fn]
+			w.parent[callee] = fn
 			queue = append(queue, callee)
 		}
 	}
+	return w
+}
 
-	for _, fn := range graph.Funcs() {
-		entry, reached := entryOf[fn]
-		if !reached {
+// runReadLock reports every engine-mutex acquisition in the package's
+// reached functions.
+func runReadLock(p *Pass) []Finding {
+	var out []Finding
+	for _, fn := range p.graph.Funcs() {
+		entry, reached := p.reads.entryOf[fn]
+		if !reached || p.graph.Package(fn) != p.Package {
 			continue
 		}
-		pkg, decl := pkgOf[fn], graph.Decl(fn)
-		if pkg == nil || decl == nil || decl.Body == nil {
-			continue
-		}
-		ast.Inspect(decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
+		ast.Inspect(p.graph.Decl(fn).Body, func(n ast.Node) bool {
+			call, isCall := n.(*ast.CallExpr)
+			if !isCall {
 				return true
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock") {
+			op, ok := lockCall(p.Info, call)
+			if !ok || !op.acquire || op.guard.Name() != "mu" || op.base == nil || !isNamed(p.Info.TypeOf(op.base), "sebdb/internal/core", "Engine") {
 				return true
 			}
-			inner, ok := sel.X.(*ast.SelectorExpr)
-			if !ok || inner.Sel.Name != "mu" {
-				return true
-			}
-			tv, ok := pkg.Info.Types[inner.X]
-			if !ok || !isEngineType(tv.Type) {
-				return true
-			}
-			rl.findings[pkg] = append(rl.findings[pkg], Finding{
-				Pos:      pkg.Fset.Position(call.Pos()),
+			out = append(out, Finding{
+				Pos:      p.Fset.Position(call.Pos()),
 				Analyzer: "readlock",
-				Message: fmt.Sprintf("%s acquires the engine lock (%s.%s) on the read path from %s: %s",
-					funcDisplay(fn), exprText(pkg.Fset, sel.X), sel.Sel.Name,
-					funcDisplay(entry), entryPath(parent, fn)),
+				Message: fmt.Sprintf("%s acquires the engine lock (%s) on the read path from %s: %s",
+					funcDisplay(fn), exprText(p.Fset, call.Fun), funcDisplay(entry), entryPath(p.reads.parent, fn)),
 			})
 			return true
 		})
 	}
-	return rl
+	return out
 }
 
 // entryPath renders the witness call chain from the entry point down

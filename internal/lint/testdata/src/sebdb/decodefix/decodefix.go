@@ -46,3 +46,13 @@ func GoodDecode(buf []byte) ([]uint64, error) {
 	}
 	return out, nil
 }
+
+// BadVarint trusts a varint count the same way.
+func BadVarint(buf []byte) []string {
+	d := types.NewDecoder(buf)
+	n, err := d.Uvarint()
+	if err != nil {
+		return nil
+	}
+	return make([]string, n) // want:decodebounds
+}

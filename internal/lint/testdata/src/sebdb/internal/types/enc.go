@@ -16,3 +16,6 @@ func (d *Decoder) Uint64() (uint64, error) { return 0, nil }
 
 // Remaining returns the number of unread bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) }
+
+// Uvarint reads a varint count.
+func (d *Decoder) Uvarint() (uint64, error) { return 0, nil }

@@ -22,7 +22,7 @@ import (
 var TrustTaint = &Analyzer{
 	Name: "trusttaint",
 	Doc:  "peer-derived data must pass a verification sanitizer before reaching state installation (escape: //sebdb:ignore-trusttaint reason: <why>)",
-	Run:  nil, // installed by RunAll via the shared call graph
+	Run:  runTrustTaint,
 }
 
 // taintSources produce peer-controlled bytes.
@@ -54,7 +54,6 @@ var taintSinks = []funcSpec{
 	{"sebdb/internal/core", "Engine", "CreateAuthIndex"},
 	{"sebdb/internal/schema", "Catalog", "Define"},
 	{"sebdb/internal/contract", "Registry", "Register"},
-	{"sebdb/internal/storage", "Store", "Append"},
 	{"sebdb/internal/storage", "Store", "AppendNoSync"},
 	{"sebdb/internal/storage", "", "OpenWithMeta"},
 	{"sebdb/internal/index/layered", "Index", "AppendBlock"},
@@ -86,12 +85,11 @@ type taintSummary struct {
 	origin   []string
 }
 
-// trustTaint is the module-wide analysis state.
+// trustTaint is the module-wide analysis state: the summaries of every
+// declared function, with concrete taint propagated from the roots.
 type trustTaint struct {
 	graph     *callgraph.Graph
-	pkgOf     map[*types.Func]*Package
 	summaries map[*types.Func]*taintSummary
-	findings  map[*Package][]Finding
 }
 
 // slotObjects returns the taint slots of a declared function: regular
@@ -122,48 +120,23 @@ func slotObjects(info *types.Info, fd *ast.FuncDecl) []types.Object {
 }
 
 // newTrustTaint computes summaries to fixpoint, then propagates
-// concrete taint from the root sources and collects sink findings.
-func newTrustTaint(g *callgraph.Graph, pkgs []*Package) *trustTaint {
-	tt := &trustTaint{
-		graph:     g,
-		pkgOf:     make(map[*types.Func]*Package),
-		summaries: make(map[*types.Func]*taintSummary),
-		findings:  make(map[*Package][]Finding),
-	}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok && fn != nil {
-					tt.pkgOf[fn] = pkg
-					n := len(slotObjects(pkg.Info, fd))
-					tt.summaries[fn] = &taintSummary{concrete: make([]bool, n), origin: make([]string, n)}
-				}
-			}
-		}
-	}
-
+// concrete taint from the root sources. runTrustTaint reports the sink
+// calls per package.
+func newTrustTaint(g *callgraph.Graph) *trustTaint {
+	tt := &trustTaint{graph: g, summaries: make(map[*types.Func]*taintSummary)}
 	// Iterate in the graph's load order so fixpoint tie-breaks (witness
 	// origins in particular) are deterministic across runs.
-	funcs := make([]*types.Func, 0, len(tt.summaries))
-	for _, fn := range g.Funcs() {
-		if _, ok := tt.summaries[fn]; ok {
-			funcs = append(funcs, fn)
-		}
+	funcs := g.Funcs()
+	for _, fn := range funcs {
+		n := len(slotObjects(g.Package(fn).Info, g.Decl(fn)))
+		tt.summaries[fn] = &taintSummary{concrete: make([]bool, n), origin: make([]string, n)}
 	}
 
 	// Phase A: symbolic return summaries to fixpoint.
 	for changed := true; changed; {
 		changed = false
 		for _, fn := range funcs {
-			env := tt.analyze(fn)
-			if env == nil {
-				continue
-			}
-			if ret := env.retMask; ret != tt.summaries[fn].retMask {
+			if ret := tt.analyze(fn).retMask; ret != tt.summaries[fn].retMask {
 				tt.summaries[fn].retMask = ret
 				changed = true
 			}
@@ -184,12 +157,19 @@ func newTrustTaint(g *callgraph.Graph, pkgs []*Package) *trustTaint {
 			}
 		}
 	}
-
-	// Phase C: report sink calls with concretely tainted arguments.
-	for _, fn := range funcs {
-		tt.report(fn)
-	}
 	return tt
+}
+
+// runTrustTaint reports the package's sink calls with concretely
+// tainted arguments (phase C).
+func runTrustTaint(p *Pass) []Finding {
+	var out []Finding
+	for _, fn := range p.graph.Funcs() {
+		if p.graph.Package(fn) == p.Package {
+			out = append(out, p.taint.report(fn)...)
+		}
+	}
+	return out
 }
 
 // taintEnv is the per-function flow-insensitive evaluation state.
@@ -205,14 +185,10 @@ type taintEnv struct {
 	retMask   uint64
 }
 
-// analyze evaluates fn's body, returning the stabilised environment
-// (nil when the declaration is unavailable).
+// analyze evaluates the body of a declared function, returning the
+// stabilised environment.
 func (tt *trustTaint) analyze(fn *types.Func) *taintEnv {
-	fd := tt.graph.Decl(fn)
-	pkg := tt.pkgOf[fn]
-	if fd == nil || pkg == nil {
-		return nil
-	}
+	fd, pkg := tt.graph.Decl(fn), tt.graph.Package(fn)
 	env := &taintEnv{
 		tt:        tt,
 		fn:        fn,
@@ -234,7 +210,7 @@ func (tt *trustTaint) analyze(fn *types.Func) *taintEnv {
 		if !ok {
 			return true
 		}
-		if env.calleeMatches(call, taintSanitizers) {
+		if firstMatch(taintSanitizers, env.tt.graph.CalleesAt(pkg.Info, call)) != nil {
 			for _, arg := range call.Args {
 				if base := baseIdentObj(pkg.Info, arg); base != nil {
 					env.sanitized[base] = true
@@ -406,18 +382,13 @@ func (env *taintEnv) callMask(call *ast.CallExpr) uint64 {
 		return 0
 	}
 	callees := env.tt.graph.CalleesAt(env.pkg.Info, call)
-	if env.calleeMatchesFns(callees, taintSources) {
+	if firstMatch(taintSources, callees) != nil {
 		return sourceBit
 	}
-	if env.calleeMatchesFns(callees, taintSanitizers) {
+	if firstMatch(taintSanitizers, callees) != nil {
 		return 0
 	}
-	var recvMask uint64
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if s, isSel := env.pkg.Info.Selections[sel]; isSel && s.Kind() == types.MethodVal {
-			recvMask = env.exprMask(sel.X)
-		}
-	}
+	recvMask := env.recvMask(call)
 	argUnion := recvMask
 	for _, arg := range call.Args {
 		argUnion |= env.exprMask(arg)
@@ -440,12 +411,7 @@ func (env *taintEnv) callMask(call *ast.CallExpr) uint64 {
 			m |= sourceBit
 		}
 		// Substitute callee slots with this call site's argument masks.
-		calleeDecl := env.tt.graph.Decl(callee)
-		calleePkg := env.tt.pkgOf[callee]
-		if calleeDecl == nil || calleePkg == nil {
-			continue
-		}
-		for i, argMask := range env.callSlotMasks(call, recvMask, calleeDecl, calleePkg) {
+		for i, argMask := range env.callSlotMasks(call, recvMask, callee) {
 			if ret&(uint64(1)<<(i+1)) != 0 {
 				m |= argMask
 			}
@@ -461,7 +427,8 @@ func (env *taintEnv) callMask(call *ast.CallExpr) uint64 {
 // callSlotMasks maps one call site's arguments onto the callee's slot
 // order (parameters first, then receiver). Variadic overflow arguments
 // fold into the last parameter's slot.
-func (env *taintEnv) callSlotMasks(call *ast.CallExpr, recvMask uint64, calleeDecl *ast.FuncDecl, calleePkg *Package) []uint64 {
+func (env *taintEnv) callSlotMasks(call *ast.CallExpr, recvMask uint64, callee *types.Func) []uint64 {
+	calleeDecl := env.tt.graph.Decl(callee)
 	nParams := 0
 	if calleeDecl.Type.Params != nil {
 		for _, f := range calleeDecl.Type.Params.List {
@@ -471,7 +438,7 @@ func (env *taintEnv) callSlotMasks(call *ast.CallExpr, recvMask uint64, calleeDe
 			}
 		}
 	}
-	slots := len(slotObjects(calleePkg.Info, calleeDecl))
+	slots := len(slotObjects(env.tt.graph.Package(callee).Info, calleeDecl))
 	out := make([]uint64, slots)
 	for i, arg := range call.Args {
 		idx := i
@@ -488,18 +455,15 @@ func (env *taintEnv) callSlotMasks(call *ast.CallExpr, recvMask uint64, calleeDe
 	return out
 }
 
-// calleeMatches reports whether a call resolves to one of the specs.
-func (env *taintEnv) calleeMatches(call *ast.CallExpr, specs []funcSpec) bool {
-	return env.calleeMatchesFns(env.tt.graph.CalleesAt(env.pkg.Info, call), specs)
-}
-
-func (env *taintEnv) calleeMatchesFns(callees []*types.Func, specs []funcSpec) bool {
-	for _, fn := range callees {
-		if matchSpec(specs, fn) {
-			return true
+// recvMask is the taint of a method call's receiver, 0 for other
+// calls.
+func (env *taintEnv) recvMask(call *ast.CallExpr) uint64 {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if s, isSel := env.pkg.Info.Selections[sel]; isSel && s.Kind() == types.MethodVal {
+			return env.exprMask(sel.X)
 		}
 	}
-	return false
+	return 0
 }
 
 // concrete reports whether a mask is source-derived under the
@@ -519,24 +483,10 @@ func (tt *trustTaint) concreteMask(fn *types.Func, m uint64) bool {
 
 // markHandlerRegistrations roots concrete taint at wire handlers.
 func (tt *trustTaint) markHandlerRegistrations(fn *types.Func) {
-	fd := tt.graph.Decl(fn)
-	pkg := tt.pkgOf[fn]
-	if fd == nil || pkg == nil {
-		return
-	}
+	fd, pkg := tt.graph.Decl(fn), tt.graph.Package(fn)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) < 2 {
-			return true
-		}
-		matched := false
-		for _, callee := range tt.graph.CalleesAt(pkg.Info, call) {
-			if matchSpec(handlerRegistrars, callee) {
-				matched = true
-				break
-			}
-		}
-		if !matched {
+		if !ok || len(call.Args) < 2 || firstMatch(handlerRegistrars, tt.graph.CalleesAt(pkg.Info, call)) == nil {
 			return true
 		}
 		handler := handlerFunc(pkg.Info, call.Args[1])
@@ -571,9 +521,6 @@ func handlerFunc(info *types.Info, e ast.Expr) *types.Func {
 // Sanitizers are barriers: verified values enter them clean.
 func (tt *trustTaint) propagate(fn *types.Func) bool {
 	env := tt.analyze(fn)
-	if env == nil {
-		return false
-	}
 	changed := false
 	ast.Inspect(env.decl.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -581,23 +528,16 @@ func (tt *trustTaint) propagate(fn *types.Func) bool {
 			return true
 		}
 		callees := tt.graph.CalleesAt(env.pkg.Info, call)
-		if env.calleeMatchesFns(callees, taintSanitizers) || env.calleeMatchesFns(callees, taintSources) {
+		if firstMatch(taintSanitizers, callees) != nil || firstMatch(taintSources, callees) != nil {
 			return true
 		}
-		var recvMask uint64
-		if sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); isSel {
-			if s, isMethod := env.pkg.Info.Selections[sel]; isMethod && s.Kind() == types.MethodVal {
-				recvMask = env.exprMask(sel.X)
-			}
-		}
+		recvMask := env.recvMask(call)
 		for _, callee := range callees {
 			sum, isModule := tt.summaries[callee]
-			calleeDecl := tt.graph.Decl(callee)
-			calleePkg := tt.pkgOf[callee]
-			if !isModule || calleeDecl == nil || calleePkg == nil {
+			if !isModule {
 				continue
 			}
-			for i, argMask := range env.callSlotMasks(call, recvMask, calleeDecl, calleePkg) {
+			for i, argMask := range env.callSlotMasks(call, recvMask, callee) {
 				if i < len(sum.concrete) && !sum.concrete[i] && tt.concreteMask(fn, argMask) {
 					sum.concrete[i] = true
 					sum.origin[i] = fmt.Sprintf("peer-derived via %s at %s", fn.Name(), shortPos(env.pkg.Fset.Position(call.Pos())))
@@ -610,25 +550,17 @@ func (tt *trustTaint) propagate(fn *types.Func) bool {
 	return changed
 }
 
-// report flags sink calls whose arguments are concretely peer-derived
-// and unsanitized.
-func (tt *trustTaint) report(fn *types.Func) {
+// report flags fn's sink calls whose arguments are concretely
+// peer-derived and unsanitized.
+func (tt *trustTaint) report(fn *types.Func) []Finding {
+	var out []Finding
 	env := tt.analyze(fn)
-	if env == nil {
-		return
-	}
 	ast.Inspect(env.decl.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		var sink *types.Func
-		for _, callee := range tt.graph.CalleesAt(env.pkg.Info, call) {
-			if matchSpec(taintSinks, callee) {
-				sink = callee
-				break
-			}
-		}
+		sink := firstMatch(taintSinks, tt.graph.CalleesAt(env.pkg.Info, call))
 		if sink == nil {
 			return true
 		}
@@ -638,7 +570,7 @@ func (tt *trustTaint) report(fn *types.Func) {
 				continue
 			}
 			origin := tt.witness(fn, m)
-			tt.findings[env.pkg] = append(tt.findings[env.pkg], Finding{
+			out = append(out, Finding{
 				Pos:      env.pkg.Fset.Position(call.Pos()),
 				Analyzer: "trusttaint",
 				Message: fmt.Sprintf("%s installs peer-derived data via %s without a verification sanitizer (%s)",
@@ -648,6 +580,7 @@ func (tt *trustTaint) report(fn *types.Func) {
 		}
 		return true
 	})
+	return out
 }
 
 // shortPos renders a position as base-filename:line, keeping messages

@@ -19,11 +19,11 @@ var U32Trunc = &Analyzer{
 	Run:  runU32Trunc,
 }
 
-func runU32Trunc(pkg *Package) []Finding {
+func runU32Trunc(p *Pass) []Finding {
 	var out []Finding
-	for _, f := range pkg.Files {
-		funcBodies(f, func(fn ast.Node, body *ast.BlockStmt) {
-			out = append(out, checkU32Func(pkg, body)...)
+	for _, f := range p.Files {
+		funcBodies(f, func(fd *ast.FuncDecl) {
+			out = append(out, checkU32Func(p.Package, fd.Body)...)
 		})
 	}
 	return out

@@ -6,6 +6,7 @@ import (
 	"go/printer"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -21,22 +22,21 @@ const directivePrefix = "//sebdb:ignore-"
 // directiveAliases maps directive suffixes to analyzer names, so the
 // documented //sebdb:ignore-err form reaches droppederr.
 var directiveAliases = map[string]string{
-	"atomic":        "atomicwrite",
-	"atomicwrite":   "atomicwrite",
-	"err":           "droppederr",
-	"droppederr":    "droppederr",
-	"decodebounds":  "decodebounds",
-	"determinism":   "determinism",
-	"lock":          "lockcheck",
-	"lockcheck":     "lockcheck",
-	"lockio":        "lockio",
-	"obsclock":      "obsclock",
-	"rawlog":        "rawlog",
-	"readlock":      "readlock",
-	"shadowbuiltin": "shadowbuiltin",
-	"trusttaint":    "trusttaint",
-	"u32":           "u32trunc",
-	"u32trunc":      "u32trunc",
+	"atomic":       "atomicwrite",
+	"atomicwrite":  "atomicwrite",
+	"err":          "droppederr",
+	"droppederr":   "droppederr",
+	"decodebounds": "decodebounds",
+	"determinism":  "determinism",
+	"lock":         "lockcheck",
+	"lockcheck":    "lockcheck",
+	"lockio":       "lockio",
+	"obsclock":     "obsclock",
+	"rawlog":       "rawlog",
+	"readlock":     "readlock",
+	"trusttaint":   "trusttaint",
+	"u32":          "u32trunc",
+	"u32trunc":     "u32trunc",
 }
 
 // reasonClauseRequired lists the analyzers whose suppressions must spell
@@ -160,10 +160,10 @@ func exprText(fset *token.FileSet, e ast.Expr) string {
 // once. Function literals are analysed as part of the declaration that
 // encloses them, so guards established in the outer scope count for
 // closures too.
-func funcBodies(f *ast.File, visit func(fn ast.Node, body *ast.BlockStmt)) {
+func funcBodies(f *ast.File, visit func(fd *ast.FuncDecl)) {
 	for _, decl := range f.Decls {
 		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-			visit(fd, fd.Body)
+			visit(fd)
 		}
 	}
 }
@@ -174,6 +174,16 @@ func object(info *types.Info, id *ast.Ident) types.Object {
 		return o
 	}
 	return info.Defs[id]
+}
+
+// isNamed reports whether t, possibly behind a pointer, is one of the
+// named types pkg.name.
+func isNamed(t types.Type, pkg string, names ...string) bool {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == pkg && slices.Contains(names, named.Obj().Name())
 }
 
 // isErrorType reports whether t is the built-in error interface.

@@ -155,7 +155,7 @@ func traceID(seq uint64, start int64) string {
 	var b [16]byte
 	binary.BigEndian.PutUint64(b[:8], seq)
 	binary.BigEndian.PutUint64(b[8:], uint64(start))
-	h.Write(b[:]) //sebdb:ignore-err hash.Hash.Write never fails
+	h.Write(b[:])
 	return strconv.FormatUint(h.Sum64(), 16)
 }
 

@@ -37,7 +37,7 @@ func buildChain(t testing.TB, dir string, n int) *storage.Store {
 		}
 		b := types.NewBlock(prev, []*types.Transaction{tx}, int64(i+1)*1000, "node0")
 		b.Header.Sign(testKey)
-		if _, err := s.Append(b); err != nil {
+		if _, err := s.AppendNoSync(b); err != nil {
 			t.Fatal(err)
 		}
 		prev = &b.Header

@@ -54,7 +54,7 @@ func shapedChain(t *testing.T, stores ...*Store) int {
 	add := func(n int, args func(int) []types.Value) {
 		b := mkBlockWith(prev, tid, n, args)
 		for _, s := range stores {
-			if _, err := s.Append(b); err != nil {
+			if _, err := s.AppendNoSync(b); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -157,7 +157,7 @@ func TestChunkedRoundTrip(t *testing.T) {
 		if magic != recordMagicC {
 			t.Fatalf("block %d: magic %#x, want recordMagicC", h, magic)
 		}
-		z, err := parseChunked(magic, payload)
+		z, err := parseChunked(payload)
 		if err != nil {
 			t.Fatalf("block %d: %v", h, err)
 		}
@@ -201,63 +201,49 @@ func TestChunkedRoundTrip(t *testing.T) {
 }
 
 // TestLegacyCompressedRecords opens a checked-in store whose sealed
-// segments were recompressed by the recordMagicZ writer (one DEFLATE
-// stream per body, before chunk framing): it must read identically,
-// restart from checkpoint metadata, and keep working when the current
-// writer recompresses later segments beside the legacy ones.
+// segments were recompressed by the retired recordMagicZ writer (one
+// DEFLATE stream per body, before chunk framing). This version does not
+// read that format: Open must fail naming the segment and the format,
+// and leave every file as it was — in particular, a legacy segment at
+// the tail must not be truncated as if it were a torn write.
 func TestLegacyCompressedRecords(t *testing.T) {
-	dir := t.TempDir()
-	copyTree(t, filepath.Join("testdata", "legacy-z"), dir)
-	opts := Options{SegmentSize: 4096}
-	plain, err := Open(t.TempDir(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	blocks := appendChain(t, plain, 14, 8) // what the fixture was built from
-
-	legacy, err := Open(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if magic, _ := onDisk(t, legacy, 0); magic != recordMagicZ {
-		t.Fatalf("fixture block 0 has magic %#x, want recordMagicZ", magic)
-	}
-	sameReads(t, plain, legacy)
-
-	meta, err := legacy.MetaWindow(0, uint64(legacy.Count()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := OpenWithMeta(dir, opts, meta)
-	if err != nil {
-		t.Fatalf("restart from checkpoint metadata: %v", err)
-	}
-	defer re.Close()
-	sameReads(t, plain, re)
-
-	// Seal the fixture's plain tail and recompress it with today's writer.
-	prev, tid := &blocks[len(blocks)-1].Header, uint64(1+14*8)
-	for re.curSeg == re.locs[len(blocks)-1].Segment {
-		b := mkBlock(prev, tid, 8)
-		for _, s := range []*Store{plain, re} {
-			if _, err := s.Append(b); err != nil {
-				t.Fatal(err)
+	fixture := filepath.Join("testdata", "legacy-z")
+	for name, files := range map[string][]string{
+		"whole store":         {"blocks-000000.seg", "blocks-000001.seg", "blocks-000002.seg"},
+		"legacy segment tail": {"blocks-000000.seg"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			want := make(map[string][]byte)
+			for _, f := range files {
+				data, err := os.ReadFile(filepath.Join(fixture, f))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, f), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				want[f] = data
 			}
-		}
-		prev, tid = &b.Header, tid+8
+			s, err := Open(dir, Options{SegmentSize: 4096})
+			if err == nil {
+				s.Close()
+				t.Fatal("Open read a store holding retired recordMagicZ records")
+			}
+			if msg := err.Error(); !strings.Contains(msg, "blocks-000000.seg") || !strings.Contains(msg, "retired one-stream compressed format") {
+				t.Errorf("error does not name the segment and the record format: %v", err)
+			}
+			for f, data := range want {
+				got, err := os.ReadFile(filepath.Join(dir, f))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, data) {
+					t.Errorf("%s changed on a refused Open: %d bytes, was %d", f, len(got), len(data))
+				}
+			}
+		})
 	}
-	compressAll(t, re)
-	if magic, _ := onDisk(t, re, len(blocks)-1); magic != recordMagicC {
-		t.Errorf("recompressed tail block has magic %#x, want recordMagicC", magic)
-	}
-	if magic, _ := onDisk(t, re, 0); magic != recordMagicZ {
-		t.Errorf("legacy segment was rewritten: block 0 has magic %#x", magic)
-	}
-	sameReads(t, plain, re)
 }
 
 // TestChunkTableHeldToBlockShape tampers with a compressed record's

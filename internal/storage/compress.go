@@ -42,21 +42,21 @@ const (
 	chunkEntry   = 8 // rawEnd u32 + storedEnd u32
 )
 
-// compressedMagic reports whether magic marks a compressed record of
-// either framing.
-func compressedMagic(magic uint32) bool {
-	return magic == recordMagicC || magic == recordMagicZ
+// magicFor returns the magic of a plain or a compressed record.
+func magicFor(compressed bool) uint32 {
+	if compressed {
+		return recordMagicC
+	}
+	return recordMagic
 }
 
 // chunked is a compressed record's payload with its framing parsed: the
-// declared raw length and a table of chunks, each an independent
+// declared raw length and a table of n chunks, each an independent
 // DEFLATE stream. Entry i holds the exclusive end of chunk i in the raw
 // body and in the payload; chunk 0 starts at raw offset 0 and payload
-// offset first. A legacy recordMagicZ payload (rawLen + one stream over
-// the whole body) is the one-chunk case with no table on disk.
+// offset first (the end of the table).
 type chunked struct {
 	payload   []byte
-	table     []byte // n × chunkEntry bytes; nil for a legacy record
 	n         int
 	rawLen    uint32
 	storedLen uint32 // len(payload)
@@ -65,10 +65,7 @@ type chunked struct {
 
 // entry returns the raw and stored end offsets of chunk i.
 func (z *chunked) entry(i int) (rawEnd, storedEnd uint32) {
-	if z.table == nil {
-		return z.rawLen, z.storedLen
-	}
-	e := z.table[i*chunkEntry:]
+	e := z.payload[chunkedFixed+i*chunkEntry:]
 	return binary.BigEndian.Uint32(e), binary.BigEndian.Uint32(e[4:])
 }
 
@@ -76,29 +73,24 @@ func (z *chunked) entry(i int) (rawEnd, storedEnd uint32) {
 // the table fits, both columns rise strictly, the last chunk ends where
 // the body and the payload end, and the claimed raw length is one the
 // stored bytes could inflate to. Nothing is allocated.
-func parseChunked(magic uint32, payload []byte) (chunked, error) {
+func parseChunked(payload []byte) (chunked, error) {
 	if int64(len(payload)) > math.MaxUint32 {
 		return chunked{}, fmt.Errorf("compressed payload of %d bytes exceeds the record length prefix", len(payload))
 	}
-	z := chunked{payload: payload, n: 1, storedLen: uint32(len(payload)), first: 4}
-	if magic == recordMagicC {
-		z.first = chunkedFixed
-	}
-	if len(payload) < int(z.first) {
+	if len(payload) < chunkedFixed {
 		return chunked{}, fmt.Errorf("compressed payload of %d bytes has no length prefix", len(payload))
 	}
+	z := chunked{payload: payload, storedLen: uint32(len(payload))}
 	z.rawLen = binary.BigEndian.Uint32(payload)
 	if int64(z.rawLen) > maxRawBodyLen || int64(z.rawLen) > maxInflateRatio*int64(len(payload)) {
 		return chunked{}, fmt.Errorf("compressed record of %d bytes claims %d raw bytes", len(payload), z.rawLen)
 	}
-	if magic == recordMagicC {
-		z.n = int(binary.BigEndian.Uint16(payload[4:]))
-		end := chunkedFixed + z.n*chunkEntry
-		if z.n == 0 || end > len(payload) {
-			return chunked{}, fmt.Errorf("compressed record of %d bytes claims %d chunks", len(payload), z.n)
-		}
-		z.table, z.first = payload[chunkedFixed:end], uint32(end)
+	z.n = int(binary.BigEndian.Uint16(payload[4:]))
+	end := chunkedFixed + z.n*chunkEntry
+	if z.n == 0 || end > len(payload) {
+		return chunked{}, fmt.Errorf("compressed record of %d bytes claims %d chunks", len(payload), z.n)
 	}
+	z.first = uint32(end)
 	prevRaw, prevStored := uint32(0), z.first
 	for i := 0; i < z.n; i++ {
 		rawEnd, storedEnd := z.entry(i)
@@ -138,8 +130,8 @@ func (z *chunked) check(rawLen int64, txOffs []uint32) error {
 // openChunked parses a compressed payload and holds it to the block's
 // known shape, in that order; nothing is inflated or sized before both
 // pass.
-func openChunked(magic uint32, payload []byte, rawLen int64, txOffs []uint32) (chunked, error) {
-	z, err := parseChunked(magic, payload)
+func openChunked(payload []byte, rawLen int64, txOffs []uint32) (chunked, error) {
+	z, err := parseChunked(payload)
 	if err == nil {
 		err = z.check(rawLen, txOffs)
 	}
@@ -455,11 +447,10 @@ func (s *Store) writeRewrite(tmp string, lo, hi uint64) (rewriteResult, error) {
 			return rewriteResult{}, err
 		}
 		payload, compressed := d.deflateBody(body, ref.txOffs)
-		magic := uint32(recordMagicC)
 		if !compressed {
-			payload, magic = body, recordMagic
+			payload = body
 		}
-		rec := encodeRecord(magic, payload)
+		rec := encodeRecord(magicFor(compressed), payload)
 		if _, err := f.Write(rec); err != nil {
 			f.Close() //sebdb:ignore-err the write error is what matters; the temporary is deleted by the caller
 			return rewriteResult{}, fmt.Errorf("storage: rewrite: %w", err)

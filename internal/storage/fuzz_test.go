@@ -18,12 +18,12 @@ func fuzzBody(tb testing.TB) (body []byte, txOffs []uint32) {
 }
 
 // FuzzInflateRecord feeds arbitrary bytes to the compressed-record read
-// path as the payload of a record (either framing) for a block of known
-// shape. It must never panic, never size its scratch past what the
-// framing checks allow — the block's raw length once the record has
-// been held to the block's shape, DEFLATE's expansion limit otherwise —
-// and whatever it does return must have the length asked for, with
-// partial reads agreeing with the whole body. Fuzz it with
+// path as the payload of a record for a block of known shape. It must
+// never panic, never size its scratch past what the framing checks
+// allow — the block's raw length once the record has been held to the
+// block's shape, DEFLATE's expansion limit otherwise — and whatever it
+// does return must have the length asked for, with partial reads
+// agreeing with the whole body. Fuzz it with
 // -fuzzminimizetime 0: the engine's minimizer stalls for its full
 // budget on every multi-kilobyte payload it finds interesting.
 func FuzzInflateRecord(f *testing.F) {
@@ -34,25 +34,19 @@ func FuzzInflateRecord(f *testing.F) {
 		f.Fatal("seed body did not compress")
 	}
 	chunkedPayload = append([]byte(nil), chunkedPayload...)
-	legacy, ok := d.deflateBody(body, txOffs[len(txOffs)-1:]) // no cut points: one chunk
+	oneChunk, ok := d.deflateBody(body, txOffs[len(txOffs)-1:]) // no cut points
 	if !ok {
 		f.Fatal("seed body did not compress")
 	}
-	// A recordMagicZ payload is the one-chunk payload minus the chunk
-	// count and the table.
-	legacy = append(append([]byte(nil), legacy[:4]...), legacy[chunkedFixed+chunkEntry:]...)
-	f.Add(false, chunkedPayload, uint32(0), uint32(len(body)))
-	f.Add(true, legacy, uint32(0), uint32(len(body)))
-	f.Add(false, chunkedPayload, txOffs[150], txOffs[151])
-	f.Add(false, chunkedPayload[:len(chunkedPayload)/2], uint32(0), uint32(1))
-	f.Add(true, []byte{0x3f, 0xff, 0xff, 0xff, 0x00}, uint32(0), uint32(1))
+	oneChunk = append([]byte(nil), oneChunk...)
+	f.Add(chunkedPayload, uint32(0), uint32(len(body)))
+	f.Add(oneChunk, uint32(0), uint32(len(body)))
+	f.Add(chunkedPayload, txOffs[150], txOffs[151])
+	f.Add(chunkedPayload[:len(chunkedPayload)/2], uint32(0), uint32(1))
+	f.Add([]byte{0x3f, 0xff, 0xff, 0xff, 0x00, 0x01}, uint32(0), uint32(1))
 
-	f.Fuzz(func(t *testing.T, legacyMagic bool, payload []byte, from, to uint32) {
-		magic := uint32(recordMagicC)
-		if legacyMagic {
-			magic = recordMagicZ
-		}
-		z, err := parseChunked(magic, payload)
+	f.Fuzz(func(t *testing.T, payload []byte, from, to uint32) {
+		z, err := parseChunked(payload)
 		if err != nil {
 			return
 		}

@@ -195,8 +195,7 @@ func (s *Store) verifyAnchor(m *Meta, i int) error {
 	if _, err := f.ReadAt(hdr, loc.Offset); err != nil {
 		return fmt.Errorf("%w: reading anchor record: %v", ErrMetaMismatch, err)
 	}
-	magic := binary.BigEndian.Uint32(hdr)
-	if (m.Comp[i] && !compressedMagic(magic)) || (!m.Comp[i] && magic != recordMagic) {
+	if binary.BigEndian.Uint32(hdr) != magicFor(m.Comp[i]) {
 		return fmt.Errorf("%w: bad magic at anchor (height %d)", ErrMetaMismatch, i)
 	}
 	n := binary.BigEndian.Uint32(hdr[4:])
@@ -214,7 +213,7 @@ func (s *Store) verifyAnchor(m *Meta, i int) error {
 	if m.Comp[i] {
 		c := inflaters.Get().(*inflater)
 		defer inflaters.Put(c)
-		z, err := openChunked(magic, body, m.Lens[i], m.TxOffs[i])
+		z, err := openChunked(body, m.Lens[i], m.TxOffs[i])
 		if err == nil {
 			body, err = c.inflate(&z, 0, z.rawLen)
 		}

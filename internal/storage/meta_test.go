@@ -71,7 +71,7 @@ func TestOpenWithMetaSuffixScan(t *testing.T) {
 	// The fast-opened store must accept appends that extend the tip.
 	tip, _ := fast.Tip()
 	next := mkBlock(&tip, 17, 2)
-	if _, err := fast.Append(next); err != nil {
+	if _, err := fast.AppendNoSync(next); err != nil {
 		t.Fatalf("append after fast open: %v", err)
 	}
 	if tip, _ = fast.Tip(); tip.Hash() != next.Header.Hash() {
@@ -201,7 +201,7 @@ func TestOpenWithMetaTruncatesTornSuffix(t *testing.T) {
 	// The tail was repaired: a follow-up append must link cleanly.
 	tip, _ := fast.Tip()
 	b := mkBlock(&tip, 11, 2)
-	if _, err := fast.Append(b); err != nil {
+	if _, err := fast.AppendNoSync(b); err != nil {
 		t.Fatalf("append after repair: %v", err)
 	}
 }

@@ -37,10 +37,9 @@ import (
 
 const (
 	recordMagic = 0x5EBD_B10C
-	// recordMagicZ marks a legacy compressed record: its payload is the
-	// raw body length (4 bytes, big-endian) followed by one DEFLATE
-	// stream of the whole body. Nothing writes it any more; it is read
-	// as the one-chunk case of recordMagicC.
+	// recordMagicZ marked the retired one-stream compressed record (raw
+	// length + one DEFLATE stream of the whole body). This version
+	// neither writes nor reads it: a segment holding one is refused.
 	recordMagicZ = 0x5EBD_B10D
 	// recordMagicC marks a chunk-framed compressed record: a chunk table
 	// followed by one independent DEFLATE stream per chunk (layout at
@@ -93,8 +92,8 @@ type Options struct {
 	// SegmentSize is the maximum segment file size in bytes before the
 	// store rolls to a new file. Zero means DefaultSegmentSize.
 	SegmentSize int64
-	// Sync forces an fsync after every append. Consensus already
-	// replicates blocks, so the default is false.
+	// Sync makes SyncBatch fsync the appends made since the last one.
+	// Consensus already replicates blocks, so the default is false.
 	Sync bool
 	// Mmap serves sealed segments from read-only memory maps when the
 	// filesystem supports it (faultfs.Mapper). The active tail segment
@@ -140,7 +139,7 @@ type Store struct {
 	// cost the paper's Equation 3 models for the layered index.
 	txOffs [][]uint32
 	// lens[i] is the raw (uncompressed) encoded body length of block i,
-	// exactly as Append wrote it. It is chain-derived — checkpoint
+	// exactly as the append wrote it. It is chain-derived — checkpoint
 	// divergence checks compare it — so recompression never changes it.
 	lens []int64
 	// stored[i] is the payload length of block i's record as it sits on
@@ -355,7 +354,9 @@ func (s *Store) recover() error {
 // scanSegment reads records from r (positioned at byte offset base of
 // segment seg), appending to the in-memory state, and returns the
 // offset of the first invalid byte (the valid length). Plain and
-// compressed records may be mixed within one segment.
+// compressed records may be mixed within one segment. A record in the
+// retired recordMagicZ format is an error, not an invalid tail: on the
+// last segment, taking it for one would truncate committed blocks.
 func (s *Store) scanSegment(r io.Reader, seg uint32, base int64) (int64, error) {
 	off := base
 	hdr := make([]byte, headerSize)
@@ -366,7 +367,11 @@ func (s *Store) scanSegment(r io.Reader, seg uint32, base int64) (int64, error) 
 			return off, nil // clean EOF or torn header: stop here
 		}
 		magic := binary.BigEndian.Uint32(hdr)
-		compressed := compressedMagic(magic)
+		if magic == recordMagicZ {
+			return 0, fmt.Errorf("storage: %s: record at offset %d has the retired one-stream compressed format (magic %#x), which this version does not read",
+				s.segPath(seg), off, magic)
+		}
+		compressed := magic == recordMagicC
 		if magic != recordMagic && !compressed {
 			return off, nil
 		}
@@ -386,7 +391,7 @@ func (s *Store) scanSegment(r io.Reader, seg uint32, base int64) (int64, error) 
 		var z chunked
 		if compressed {
 			var err error
-			if z, err = parseChunked(magic, stored); err != nil {
+			if z, err = parseChunked(stored); err != nil {
 				return off, nil
 			}
 			if body, err = c.inflate(&z, 0, z.rawLen); err != nil {
@@ -451,31 +456,21 @@ func (s *Store) checkLinkage(h *types.BlockHeader) error {
 	return nil
 }
 
-// Append validates and durably appends a block, returning its location.
-func (s *Store) Append(b *types.Block) (Location, error) {
-	if err := b.Validate(); err != nil {
-		return Location{}, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	//sebdb:ignore-lockio reason: the store lock is the segment-file lock — Append's contract is a durable record, so the fsync must happen under it
-	return s.appendLocked(b, true)
-}
-
 // AppendNoSync appends a block the caller has already validated,
-// deferring the segment fsync to a later SyncBatch. It is the commit
-// pipeline's append: block validation (types.Block.ValidateWorkers)
-// runs in the lock-free prepare stage, and a batch of blocks committed
-// together is made durable by one SyncBatch instead of one fsync per
-// block. This is safe because recovery truncates a torn or unsynced
-// suffix back to the last valid record — a crash between appends and
-// the batch sync can only shorten the chain, never leave a gap. Chain
-// linkage is still checked here, under the store lock.
+// deferring the segment fsync to a later SyncBatch, and returns its
+// location. It is the store's one append: block validation
+// (types.Block.ValidateWorkers) runs in the engine's lock-free prepare
+// stage, and a batch of blocks committed together is made durable by
+// one SyncBatch instead of one fsync per block. This is safe because
+// recovery truncates a torn or unsynced suffix back to the last valid
+// record — a crash between appends and the batch sync can only shorten
+// the chain, never leave a gap. Chain linkage is still checked here,
+// under the store lock.
 func (s *Store) AppendNoSync(b *types.Block) (Location, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	//sebdb:ignore-lockio reason: buffered append; appendLocked reaches Sync only on a segment roll, which must be atomic with respect to the segment-file lock
-	return s.appendLocked(b, false)
+	return s.appendLocked(b)
 }
 
 // SyncBatch fsyncs the current segment when unsynced appends are
@@ -496,7 +491,7 @@ func (s *Store) SyncBatch() error {
 	return nil
 }
 
-func (s *Store) appendLocked(b *types.Block, sync bool) (Location, error) {
+func (s *Store) appendLocked(b *types.Block) (Location, error) {
 	if err := s.checkLinkage(&b.Header); err != nil {
 		return Location{}, err
 	}
@@ -517,13 +512,7 @@ func (s *Store) appendLocked(b *types.Block, sync bool) (Location, error) {
 		return Location{}, fmt.Errorf("storage: append: %w", err)
 	}
 	if s.opts.Sync {
-		if sync {
-			if err := s.cur.Sync(); err != nil {
-				return Location{}, fmt.Errorf("storage: sync: %w", err)
-			}
-		} else {
-			s.dirty = true
-		}
+		s.dirty = true
 	}
 	s.curSize += int64(len(rec))
 	mAppends.Inc()
@@ -686,8 +675,7 @@ func (c *inflater) read(r SegmentReader, ref *recordRef, from, to uint32) ([]byt
 	if _, err := r.ReadAt(c.in, ref.loc.Offset); err != nil {
 		return nil, err
 	}
-	magic := binary.BigEndian.Uint32(c.in)
-	if (ref.comp && !compressedMagic(magic)) || (!ref.comp && magic != recordMagic) {
+	if magic := binary.BigEndian.Uint32(c.in); magic != magicFor(ref.comp) {
 		return nil, fmt.Errorf("bad magic %#x", magic)
 	}
 	if n := binary.BigEndian.Uint32(c.in[4:]); int64(n) != ref.stored {
@@ -697,7 +685,7 @@ func (c *inflater) read(r SegmentReader, ref *recordRef, from, to uint32) ([]byt
 	if !ref.comp {
 		return payload[from:to], nil
 	}
-	z, err := openChunked(magic, payload, ref.rawLen, ref.txOffs)
+	z, err := openChunked(payload, ref.rawLen, ref.txOffs)
 	if err != nil {
 		return nil, err
 	}
@@ -794,7 +782,7 @@ func decodeBlockOffsets(body []byte) (*types.Block, []uint32, error) {
 }
 
 // BodyLen returns the raw encoded length in bytes of the block stored
-// at the given height — the exact size Append wrote — so callers can
+// at the given height — the exact size the append wrote — so callers can
 // account for a block's storage footprint without re-encoding it.
 // Recompression does not change it; see StoredLen for the on-disk size.
 func (s *Store) BodyLen(height uint64) (int64, error) {

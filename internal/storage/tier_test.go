@@ -355,7 +355,7 @@ func TestRecompressionCrashMatrix(t *testing.T) {
 					break
 				}
 			}
-			cs.Close() //sebdb:ignore-err post-crash close; the simulated machine is already down
+			cs.Close() // post-crash close; the simulated machine is already down
 		}
 		// Reboot on a clean filesystem: whatever the crash left behind
 		// must recover to the identical chain.
@@ -427,7 +427,7 @@ func TestTierRaceReadsVsCompression(t *testing.T) {
 		tip, _ := s.Tip()
 		prev := tip
 		b := mkBlock(&prev, uint64(1000+round*10), 3)
-		if _, err := s.Append(b); err != nil {
+		if _, err := s.AppendNoSync(b); err != nil {
 			t.Errorf("append: %v", err)
 		}
 	}
