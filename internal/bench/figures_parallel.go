@@ -23,7 +23,7 @@ func workerSteps(max int) []int {
 // scan path fans whole-block fetch + predicate evaluation across the
 // pool, so it should speed up with workers until the disk or
 // GOMAXPROCS saturates; the layered path parallelizes its per-block
-// B+-tree probes, so its gain tracks the number of candidate blocks.
+// second-level probes, so its gain tracks the number of candidate blocks.
 var figParallel = &Figure{
 	Num:   23,
 	Name:  "parallel",

@@ -886,10 +886,7 @@ func (e *Engine) indexBlockLocked(b *types.Block, tables []*schema.Table, contra
 	e.blockIdx.Append(bid, b.Header.FirstTid, lastTid, b.Header.Timestamp)
 
 	// Table-level bitmaps on Tname and SenID.
-	for _, tx := range b.Txs {
-		e.tableIdx.Mark(tx.Tname, int(bid))
-		e.tableIdx.Mark("senid:"+tx.SenID, int(bid))
-	}
+	e.tableIdx.MarkAll(tableKeys(b.Txs), int(bid))
 
 	// Layered indexes and ALIs: the global system ones plus any user
 	// indexes. Each index is self-contained, so the per-index extract +
@@ -914,6 +911,26 @@ func (e *Engine) indexBlockLocked(b *types.Block, tables []*schema.Table, contra
 			return struct{}{}, err
 		},
 		func(int, struct{}) error { return nil })
+}
+
+// tableKeys returns the distinct table-level bitmap keys of a block's
+// transactions: each Tname, and each SenID under the "senid:" prefix,
+// built once per sender rather than once per transaction.
+func tableKeys(txs []*types.Transaction) []string {
+	tnames := make(map[string]struct{})
+	senders := make(map[string]struct{})
+	var keys []string
+	for _, tx := range txs {
+		if _, ok := tnames[tx.Tname]; !ok {
+			tnames[tx.Tname] = struct{}{}
+			keys = append(keys, tx.Tname)
+		}
+		if _, ok := senders[tx.SenID]; !ok {
+			senders[tx.SenID] = struct{}{}
+			keys = append(keys, "senid:"+tx.SenID)
+		}
+	}
+	return keys
 }
 
 // blockFeed is the write side every index family shares: extract one

@@ -35,7 +35,7 @@ func seededChain(t *testing.T, blocks, txPerBlock int) *Engine {
 	for b := 0; b < blocks; b++ {
 		var batch []*types.Transaction
 		for i := 0; i < txPerBlock; i++ {
-			// Amounts descend within the block, so B+-tree key order is
+			// Amounts descend within the block, so second-level key order is
 			// the reverse of commit order.
 			amount := float64((txPerBlock - i) * 10)
 			tx, err := e.NewTransaction(fmt.Sprintf("org%d", i%3), "donate", []types.Value{

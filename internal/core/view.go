@@ -253,10 +253,8 @@ func (v *View) estimateLayered(tbl *schema.Table, preds []sqlparser.Pred) (int, 
 		cand.And(v.mask)
 		cand.ForEach(func(bid int) bool {
 			start := len(pr.Pos)
-			idx.BlockRange(uint64(bid), lo, hi, func(_ types.Value, pos uint32) bool {
-				pr.Pos = append(pr.Pos, pos)
-				return len(pr.Pos) < estimateCap
-			})
+			ps := idx.BlockPositions(uint64(bid), lo, hi)
+			pr.Pos = append(pr.Pos, ps[:min(len(ps), estimateCap-start)]...)
 			slices.Sort(pr.Pos[start:])
 			pr.Blocks = append(pr.Blocks, uint64(bid))
 			pr.Ends = append(pr.Ends, len(pr.Pos))

@@ -57,7 +57,7 @@ const (
 	// index (Equation 2).
 	MethodBitmap
 	// MethodLayered uses the layered index: first-level filtering plus
-	// per-block B+-tree probes (Equation 3).
+	// per-block second-level probes (Equation 3).
 	MethodLayered
 )
 
@@ -195,7 +195,7 @@ func SelectCtx(ctx context.Context, c Chain, table string, preds []sqlparser.Pre
 // before Equations 1-3 can price the layered method — kept in the form
 // layeredSelect would otherwise produce again: every first-level
 // candidate block of Index for the bounds of preds[Drive], in ascending
-// order, each with the positions its B+-tree returned, sorted.
+// order, each with the positions its second level returned, sorted.
 type Probe struct {
 	Index *layered.Index
 	// Drive is the position in the statement's predicate list of the
@@ -318,13 +318,13 @@ func pickLayered(c Chain, tbl *schema.Table, preds []sqlparser.Pred) (*layered.I
 }
 
 // layeredSelect is the layered-index access path: first-level filter to
-// candidate blocks, second-level B+-tree probe per block, then residual
-// predicate evaluation on the fetched transactions. The per-block
-// probes fan across the worker pool; each block's matched positions are
-// sorted before fetching so the merged result preserves chain order
-// (the B+-tree iterates in key order, not position order). A probe
-// taken on idx and drive ahead of time stands in for both index levels;
-// a candidate block still counts as one index probe.
+// candidate blocks, second-level probe per block, then residual predicate
+// evaluation on the fetched transactions. The per-block probes fan across
+// the worker pool; each block's matched positions are sorted before
+// fetching so the merged result preserves chain order (the second level
+// iterates in key order, not position order). A probe taken on idx and
+// drive ahead of time stands in for both index levels; a candidate block
+// still counts as one index probe.
 func layeredSelect(c Chain, tbl *schema.Table, idx *layered.Index, drive *sqlparser.Pred,
 	preds []sqlparser.Pred, win *sqlparser.Window, blocks *bitmap.Bitmap, probe *Probe) ([]*types.Transaction, Stats, error) {
 	var st Stats
@@ -353,10 +353,7 @@ func layeredSelect(c Chain, tbl *schema.Table, idx *layered.Index, drive *sqlpar
 			if probe != nil {
 				poss = found[i]
 			} else {
-				idx.BlockRange(bid, lo, hi, func(_ types.Value, pos uint32) bool {
-					poss = append(poss, pos)
-					return true
-				})
+				poss = slices.Clone(idx.BlockPositions(bid, lo, hi))
 				slices.Sort(poss)
 			}
 			for _, pos := range poss {

@@ -63,15 +63,6 @@ func collectKeyed(c Chain, tbl *schema.Table, col string, blocks *bitmap.Bitmap,
 	return out, ferr
 }
 
-// hashKey buckets values for the hash join; numeric kinds share a key
-// space to match types.Compare's cross-kind equality.
-func hashKey(v types.Value) string {
-	if v.Numeric() {
-		return fmt.Sprintf("n:%g", v.Float())
-	}
-	return fmt.Sprintf("%d:%s", v.Kind, v.String())
-}
-
 // OnChainJoin implements the on-chain join (paper §V-B, Algorithm 2).
 //
 //   - MethodScan: one-pass hash join over every block in the window.
@@ -79,7 +70,7 @@ func hashKey(v types.Value) string {
 //     of r or s (table-level bitmap) are read.
 //   - MethodLayered: Algorithm 2 — candidate block pairs are filtered by
 //     the first-level intersect() test, then each surviving pair is
-//     joined by sort-merge over the second-level B+-trees.
+//     joined by sort-merge over the blocks' second-level runs.
 func OnChainJoin(c Chain, r, s, rCol, sCol string, win *sqlparser.Window, m Method) ([]JoinRow, Stats, error) {
 	return OnChainJoinCtx(context.Background(), c, r, s, rCol, sCol, win, m)
 }
@@ -120,7 +111,7 @@ func onChainJoinImpl(c Chain, r, s, rCol, sCol string, win *sqlparser.Window, m 
 			scanBlocks = rBlocks.Clone().Or(sBlocks)
 		}
 		var rRows []keyed
-		ht := make(map[string][]*types.Transaction)
+		ht := make(map[types.Value][]*types.Transaction)
 		var ferr error
 		scanBlocks.ForEach(func(bid int) bool {
 			b, err := c.Block(uint64(bid))
@@ -150,7 +141,7 @@ func onChainJoinImpl(c Chain, r, s, rCol, sCol string, win *sqlparser.Window, m 
 						ferr = err
 						return false
 					}
-					ht[hashKey(v)] = append(ht[hashKey(v)], tx)
+					ht[layered.Key(v)] = append(ht[layered.Key(v)], tx)
 				}
 			}
 			return true
@@ -160,7 +151,7 @@ func onChainJoinImpl(c Chain, r, s, rCol, sCol string, win *sqlparser.Window, m 
 		}
 		var out []JoinRow
 		for _, kr := range rRows {
-			for _, sx := range ht[hashKey(kr.key)] {
+			for _, sx := range ht[layered.Key(kr.key)] {
 				out = append(out, JoinRow{Left: kr.tx, Right: sx})
 			}
 		}
@@ -193,18 +184,15 @@ func onChainJoinLayered(c Chain, rt, stt *schema.Table, rCol, sCol string,
 	var out []JoinRow
 	rCache := make(map[uint64][]layered.Entry)
 	sCache := make(map[uint64][]layered.Entry)
+	entries := func(cache map[uint64][]layered.Entry, idx *layered.Index, bid uint64) []layered.Entry {
+		if _, ok := cache[bid]; !ok {
+			cache[bid] = idx.BlockEntries(bid)
+		}
+		return cache[bid]
+	}
 	for _, pair := range ir.JoinPairs(is, mr, ms) {
 		st.IndexProbes++
-		re, ok := rCache[pair[0]]
-		if !ok {
-			re = blockEntries(ir, pair[0])
-			rCache[pair[0]] = re
-		}
-		se, ok := sCache[pair[1]]
-		if !ok {
-			se = blockEntries(is, pair[1])
-			sCache[pair[1]] = se
-		}
+		re, se := entries(rCache, ir, pair[0]), entries(sCache, is, pair[1])
 		rows, err := sortMergeEntries(c, re, se, pair[0], pair[1], win, st)
 		if err != nil {
 			return nil, *st, err
@@ -214,63 +202,63 @@ func onChainJoinLayered(c Chain, rt, stt *schema.Table, rCol, sCol string,
 	return out, *st, nil
 }
 
-// blockEntries materialises a block's second-level index in key order.
-func blockEntries(idx *layered.Index, bid uint64) []layered.Entry {
-	var out []layered.Entry
-	idx.BlockRange(bid, negInf, posInf, func(k types.Value, pos uint32) bool {
-		out = append(out, layered.Entry{Key: k, Pos: pos})
-		return true
-	})
-	return out
-}
-
 // sortMergeEntries merge-joins two blocks' second-level entry lists;
-// leaves are key-sorted, so this is the SortMergeJoin(b_r, b_s) of
+// both are key-sorted, so this is the SortMergeJoin(b_r, b_s) of
 // Algorithm 2.
 func sortMergeEntries(c Chain, re, se []layered.Entry,
 	br, bs uint64, win *sqlparser.Window, st *Stats) ([]JoinRow, error) {
 	var out []JoinRow
-	i, j := 0, 0
-	for i < len(re) && j < len(se) {
-		cmp := types.Compare(re[i].Key, se[j].Key)
-		switch {
+	err := mergeEqual(re, se, entryKey, entryKey, func(rs, ss []layered.Entry) error {
+		for _, r := range rs {
+			ltx, err := c.Tx(br, r.Pos)
+			if err != nil {
+				return err
+			}
+			st.TxsExamined++
+			if !inWindow(ltx, win) {
+				continue
+			}
+			for _, s := range ss {
+				rtx, err := c.Tx(bs, s.Pos)
+				if err != nil {
+					return err
+				}
+				st.TxsExamined++
+				if inWindow(rtx, win) {
+					out = append(out, JoinRow{Left: ltx, Right: rtx})
+				}
+			}
+		}
+		return nil
+	})
+	return out, err
+}
+
+func entryKey(e layered.Entry) types.Value { return e.Key }
+
+// mergeEqual walks two key-sorted lists in step and hands fn each pair
+// of runs, one from either list, whose keys compare equal — the merge
+// phase of a sort-merge join. An error from fn ends the walk.
+func mergeEqual[A, B any](a []A, b []B, keyA func(A) types.Value, keyB func(B) types.Value, fn func([]A, []B) error) error {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch cmp := types.Compare(keyA(a[i]), keyB(b[j])); {
 		case cmp < 0:
 			i++
 		case cmp > 0:
 			j++
 		default:
-			// Expand both duplicate runs.
-			i2 := i
-			for i2 < len(re) && types.Equal(re[i2].Key, re[i].Key) {
+			i2, j2 := i+1, j+1
+			for i2 < len(a) && types.Equal(keyA(a[i2]), keyA(a[i])) {
 				i2++
 			}
-			j2 := j
-			for j2 < len(se) && types.Equal(se[j2].Key, se[j].Key) {
+			for j2 < len(b) && types.Equal(keyB(b[j2]), keyB(b[j])) {
 				j2++
 			}
-			for a := i; a < i2; a++ {
-				ltx, err := c.Tx(br, re[a].Pos)
-				if err != nil {
-					return nil, err
-				}
-				st.TxsExamined++
-				if !inWindow(ltx, win) {
-					continue
-				}
-				for b := j; b < j2; b++ {
-					rtx, err := c.Tx(bs, se[b].Pos)
-					if err != nil {
-						return nil, err
-					}
-					st.TxsExamined++
-					if !inWindow(rtx, win) {
-						continue
-					}
-					out = append(out, JoinRow{Left: ltx, Right: rtx})
-				}
+			if err := fn(a[i:i2], b[j:j2]); err != nil {
+				return err
 			}
 			i, j = i2, j2
 		}
 	}
-	return out, nil
+	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"sebdb/internal/index/layered"
 	"sebdb/internal/obs"
 	"sebdb/internal/rdbms"
 	"sebdb/internal/sqlparser"
@@ -61,9 +62,9 @@ func onOffJoinImpl(c Chain, db *rdbms.DB, r, rCol, s, sCol string,
 		if err != nil {
 			return nil, st, err
 		}
-		ht := make(map[string][]rdbms.Row, len(sRows))
+		ht := make(map[types.Value][]rdbms.Row, len(sRows))
 		for _, row := range sRows {
-			k := hashKey(row[sci])
+			k := layered.Key(row[sci])
 			ht[k] = append(ht[k], row)
 		}
 		rRows, err := collectKeyed(c, rt, rCol, blocks, win, &st)
@@ -72,7 +73,7 @@ func onOffJoinImpl(c Chain, db *rdbms.DB, r, rCol, s, sCol string,
 		}
 		var out []OnOffRow
 		for _, kr := range rRows {
-			for _, row := range ht[hashKey(kr.key)] {
+			for _, row := range ht[layered.Key(kr.key)] {
 				out = append(out, OnOffRow{Tx: kr.tx, Row: row})
 			}
 		}
@@ -109,8 +110,7 @@ func onOffJoinLayered(c Chain, db *rdbms.DB, r, rCol, s, sCol string, sci int,
 	if ir.Continuous() {
 		// Lines 3-4, 9: filter blocks by (s_min, s_max).
 		sMin, sMax := sRows[0][sci], sRows[len(sRows)-1][sci]
-		filtered := ir.CandidateBlocks(sMin, sMax)
-		cand.And(filtered)
+		cand.And(ir.CandidateBlocks(sMin, sMax))
 	} else {
 		// Discrete path: OR the first-level bitmaps of the off-chain
 		// side's distinct join values.
@@ -130,42 +130,23 @@ func onOffJoinLayered(c Chain, db *rdbms.DB, r, rCol, s, sCol string, sci int,
 	var ferr error
 	cand.ForEach(func(bid int) bool {
 		st.IndexProbes++
-		re := blockEntries(ir, uint64(bid))
-		i, j := 0, 0
-		for i < len(re) && j < len(sRows) {
-			cmp := types.Compare(re[i].Key, sRows[j][sci])
-			switch {
-			case cmp < 0:
-				i++
-			case cmp > 0:
-				j++
-			default:
-				i2 := i
-				for i2 < len(re) && types.Equal(re[i2].Key, re[i].Key) {
-					i2++
-				}
-				j2 := j
-				for j2 < len(sRows) && types.Equal(sRows[j2][sci], sRows[j][sci]) {
-					j2++
-				}
-				for a := i; a < i2; a++ {
-					tx, err := c.Tx(uint64(bid), re[a].Pos)
+		ferr = mergeEqual(ir.BlockEntries(uint64(bid)), sRows, entryKey, func(row rdbms.Row) types.Value { return row[sci] },
+			func(rs []layered.Entry, ss []rdbms.Row) error {
+				for _, r := range rs {
+					tx, err := c.Tx(uint64(bid), r.Pos)
 					if err != nil {
-						ferr = err
-						return false
+						return err
 					}
 					st.TxsExamined++
-					if !inWindow(tx, win) {
-						continue
-					}
-					for b := j; b < j2; b++ {
-						out = append(out, OnOffRow{Tx: tx, Row: sRows[b]})
+					if inWindow(tx, win) {
+						for _, row := range ss {
+							out = append(out, OnOffRow{Tx: tx, Row: row})
+						}
 					}
 				}
-				i, j = i2, j2
-			}
-		}
-		return true
+				return nil
+			})
+		return ferr == nil
 	})
 	if ferr != nil {
 		return nil, *st, ferr

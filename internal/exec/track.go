@@ -16,7 +16,7 @@ import (
 // MethodLayered follows Algorithm 1 exactly: the block index supplies
 // the window bitmap B, the first levels of the global SenID/Tname
 // layered indexes supply B' and B”, candidate blocks are B & B' & B”,
-// and the second-level trees are probed for the positions, intersecting
+// and the second levels are probed for the positions, intersecting
 // the two position sets when tracking from both dimensions.
 func Track(c Chain, q *sqlparser.Trace, m Method) ([]*types.Transaction, Stats, error) {
 	return TrackCtx(context.Background(), c, q, m)
@@ -96,12 +96,13 @@ func trackLayered(c Chain, q *sqlparser.Trace, st *Stats) ([]*types.Transaction,
 	}
 
 	// Lines 1-4: B & B' & B''.
+	op, tn := types.Str(q.Operator), types.Str(q.Operation)
 	blocks := windowBlocks(c, q.Window)
 	if q.HasOperator {
-		blocks.And(idxSen.ValueBlocks(types.Str(q.Operator)))
+		blocks.And(idxSen.ValueBlocks(op))
 	}
 	if q.HasOperation {
-		blocks.And(idxTn.ValueBlocks(types.Str(q.Operation)))
+		blocks.And(idxTn.ValueBlocks(tn))
 	}
 
 	// Lines 6-13: per block, probe the second-level indexes, intersect
@@ -114,32 +115,20 @@ func trackLayered(c Chain, q *sqlparser.Trace, st *Stats) ([]*types.Transaction,
 		case q.HasOperator && q.HasOperation:
 			st.IndexProbes += 2
 			po := map[uint32]bool{}
-			idxSen.BlockRange(uint64(bid), types.Str(q.Operator), types.Str(q.Operator),
-				func(_ types.Value, pos uint32) bool {
-					po[pos] = true
-					return true
-				})
-			idxTn.BlockRange(uint64(bid), types.Str(q.Operation), types.Str(q.Operation),
-				func(_ types.Value, pos uint32) bool {
-					if po[pos] {
-						positions = append(positions, pos)
-					}
-					return true
-				})
+			for _, pos := range idxSen.BlockPositions(uint64(bid), op, op) {
+				po[pos] = true
+			}
+			for _, pos := range idxTn.BlockPositions(uint64(bid), tn, tn) {
+				if po[pos] {
+					positions = append(positions, pos)
+				}
+			}
 		case q.HasOperator:
 			st.IndexProbes++
-			idxSen.BlockRange(uint64(bid), types.Str(q.Operator), types.Str(q.Operator),
-				func(_ types.Value, pos uint32) bool {
-					positions = append(positions, pos)
-					return true
-				})
+			positions = idxSen.BlockPositions(uint64(bid), op, op)
 		default:
 			st.IndexProbes++
-			idxTn.BlockRange(uint64(bid), types.Str(q.Operation), types.Str(q.Operation),
-				func(_ types.Value, pos uint32) bool {
-					positions = append(positions, pos)
-					return true
-				})
+			positions = idxTn.BlockPositions(uint64(bid), tn, tn)
 		}
 		for _, pos := range positions {
 			tx, err := c.Tx(uint64(bid), pos)

@@ -23,14 +23,22 @@ func NewTableIndex() *TableIndex {
 // Mark records that block blockID contains rows for key. New keys
 // (tables) get a fresh bitmap automatically.
 func (t *TableIndex) Mark(key string, blockID int) {
+	t.MarkAll([]string{key}, blockID)
+}
+
+// MarkAll records that block blockID contains rows for every key in
+// keys, under one acquisition of the lock.
+func (t *TableIndex) MarkAll(keys []string, blockID int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	b, ok := t.bits[key]
-	if !ok {
-		b = New()
-		t.bits[key] = b
+	for _, key := range keys {
+		b, ok := t.bits[key]
+		if !ok {
+			b = New()
+			t.bits[key] = b
+		}
+		b.Set(blockID)
 	}
-	b.Set(blockID)
 }
 
 // Blocks returns a copy of the bitmap for key; an empty bitmap if the

@@ -1,8 +1,10 @@
-// Package bptree implements the in-memory B+-tree used as the second
-// level of SEBDB's layered index (paper §IV-B): one tree per block per
-// indexed attribute, bulk-loaded when the block is appended, mapping
-// attribute values to transaction references. Leaves are chained so
-// range scans and sort-merge joins read entries in key order.
+// Package bptree implements the in-memory B+-tree behind the indexes
+// that mutate: the block-level index (paper §IV-B), which grows by one
+// entry per appended block, and the off-chain engine's secondary
+// indexes. It maps attribute values to opaque references, allows
+// duplicate keys, and chains its leaves so range scans read entries in
+// key order. The layered index's per-block second level, built once and
+// never changed, is a sorted run instead (internal/index/layered).
 package bptree
 
 import (

@@ -2,7 +2,7 @@
 // Fig. 4): the first level describes, per block, which attribute-value
 // ranges (histogram buckets for continuous attributes, distinct values
 // for discrete ones) occur in that block; the second level is a per-
-// block B+-tree on the attribute, bulk-loaded when the block is chained.
+// block sorted run on the attribute, built when the block is chained.
 // The structure appends without rebalancing, filters empty queries at
 // the first level, and composes with the block-level index for
 // time-window queries.

@@ -1,14 +1,10 @@
 package layered
 
 import (
-	"fmt"
-	"math"
-	"sort"
 	"sync"
 	"unsafe"
 
 	"sebdb/internal/index/bitmap"
-	"sebdb/internal/index/bptree"
 	"sebdb/internal/types"
 )
 
@@ -22,18 +18,18 @@ type Entry struct {
 // Index is a layered index on one attribute. Exactly one of hist
 // (continuous) or values (discrete) drives the first level.
 type Index struct {
-	// attr, hist and order are fixed at construction.
-	attr  string
-	hist  *Histogram
-	order int
+	// attr and hist are fixed at construction.
+	attr string
+	hist *Histogram
 
 	mu sync.RWMutex
 	// Continuous first level: per block, a bitmap over histogram buckets.
 	blockBuckets []*bitmap.Bitmap // indexed by block id; nil if absent
-	// Discrete first level: per distinct value, a bitmap over blocks.
-	values map[string]*bitmap.Bitmap
-	// Second level: one B+-tree per block, bulk-loaded at append time.
-	trees []*bptree.Tree // indexed by block id; nil if block has no rows
+	// Discrete first level: per distinct value (by Key), a bitmap over
+	// blocks.
+	values map[types.Value]*bitmap.Bitmap
+	// Second level: one run per block, built at append time.
+	runs []*Run // indexed by block id; nil if block has no rows
 }
 
 // NewContinuous creates a layered index over a continuous attribute
@@ -45,7 +41,7 @@ func NewContinuous(attr string, hist *Histogram) *Index {
 // NewDiscrete creates a layered index over a discrete attribute (e.g.
 // the system columns SenID or Tname).
 func NewDiscrete(attr string) *Index {
-	return &Index{attr: attr, values: make(map[string]*bitmap.Bitmap)}
+	return &Index{attr: attr, values: make(map[types.Value]*bitmap.Bitmap)}
 }
 
 // Attr returns the indexed attribute name.
@@ -58,19 +54,50 @@ func (x *Index) Continuous() bool { return x.hist != nil }
 // index. The histogram is immutable after construction.
 func (x *Index) Histogram() *Histogram { return x.hist }
 
-// discreteKey normalises a value for use as a first-level map key.
-// Numeric kinds share a key space so Int(3) and Dec(3) collide as the
-// comparison semantics require.
-func discreteKey(v types.Value) string {
-	if v.Numeric() {
-		return fmt.Sprintf("n:%g", v.Float())
+// nanKey is the Key of every NaN: a NaN float is unequal to itself, so
+// no map lookup would find it again.
+var nanKey = types.Value{Kind: types.KindDecimal, S: "NaN"}
+
+// Key normalises a value into a comparable map key — the discrete first
+// level's, and the hash joins'. Numeric kinds fold into one float, so
+// Int(3), Dec(3) and Timestamp(3) collide as types.Compare requires; -0
+// folds into +0 and every NaN into nanKey.
+func Key(v types.Value) types.Value {
+	f := v.Float()
+	switch {
+	case !v.Numeric():
+		return v
+	case f != f:
+		return nanKey
+	case f == 0:
+		f = 0 // -0
 	}
-	return fmt.Sprintf("%d:%s", v.Kind, v.String())
+	return types.Dec(f)
+}
+
+// mayHold reports whether the values folded into Key k can lie in
+// [lo, hi]. A numeric key stands for an Int, a Dec and a Timestamp
+// alike, which order by value against a numeric bound but by kind tag
+// against any other, so only numeric bounds rule it out.
+func mayHold(k, lo, hi types.Value) bool {
+	if !k.Numeric() {
+		return types.Compare(k, lo) >= 0 && types.Compare(k, hi) <= 0
+	}
+	return k == nanKey || !(lo.Numeric() && k.F < lo.Float()) && !(hi.Numeric() && k.F > hi.Float())
+}
+
+// bucket places v on the histogram, or in bucket dflt when v — Null, a
+// string, one of exec's range sentinels — is not numeric.
+func (x *Index) bucket(v types.Value, dflt int) int {
+	if !v.Numeric() {
+		return dflt
+	}
+	return x.hist.Bucket(v.Float())
 }
 
 func (x *Index) grow(bid uint64) {
-	for uint64(len(x.trees)) <= bid {
-		x.trees = append(x.trees, nil)
+	for uint64(len(x.runs)) <= bid {
+		x.runs = append(x.runs, nil)
 		if x.hist != nil {
 			x.blockBuckets = append(x.blockBuckets, nil)
 		}
@@ -78,28 +105,29 @@ func (x *Index) grow(bid uint64) {
 }
 
 // AppendBlock indexes the relevant entries of a newly chained block:
-// the second-level B+-tree is bulk-loaded and the first level updated,
-// with no rebalancing of earlier blocks (§IV-B benefit (i)). Blocks
-// must be appended in height order; a block with no relevant rows may
-// be skipped or passed with empty entries.
+// the second-level run is built and the first level updated once per
+// distinct key, with no rebalancing of earlier blocks (§IV-B benefit
+// (i)). Blocks must be appended in height order; a block with no
+// relevant rows may be skipped or passed with empty entries.
 func (x *Index) AppendBlock(bid uint64, entries []Entry) {
+	var r *Run
+	if len(entries) > 0 {
+		r = newRun(entries)
+	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.grow(bid)
-	if len(entries) == 0 {
-		return
+	if r != nil {
+		x.runs[bid] = r
+		for _, k := range r.keys {
+			x.mark(bid, k)
+		}
 	}
-	es := make([]bptree.Entry, len(entries))
-	for i, e := range entries {
-		es[i] = bptree.Entry{Key: e.Key, Ref: uint64(e.Pos)}
-		x.mark(bid, e.Key)
-	}
-	x.trees[bid] = bptree.Bulk(es, x.order)
 }
 
 // MarkBlock updates the first level alone with the n keys of block bid,
 // for an index whose second level lives elsewhere: the ALI keeps one
-// MB-tree per block where this index would keep a B+-tree. Runs of
+// MB-tree per block where this index would keep a run. Runs of
 // identical keys are marked once, so sorted input is cheapest.
 func (x *Index) MarkBlock(bid uint64, n int, key func(i int) types.Value) {
 	x.mu.Lock()
@@ -114,16 +142,18 @@ func (x *Index) MarkBlock(bid uint64, n int, key func(i int) types.Value) {
 	}
 }
 
-// mark records in the first level that block bid holds key k.
+// mark records in the first level that block bid holds key k. A
+// non-numeric key goes to the lowest bucket, as Null sorts below every
+// number.
 func (x *Index) mark(bid uint64, k types.Value) {
 	if x.hist != nil {
 		if x.blockBuckets[bid] == nil {
 			x.blockBuckets[bid] = bitmap.New()
 		}
-		x.blockBuckets[bid].Set(x.hist.Bucket(k.Float()))
+		x.blockBuckets[bid].Set(x.bucket(k, 0))
 		return
 	}
-	dk := discreteKey(k)
+	dk := Key(k)
 	b, ok := x.values[dk]
 	if !ok {
 		b = bitmap.New()
@@ -138,15 +168,16 @@ func (x *Index) mark(bid uint64, k types.Value) {
 // exactly — the checkpoint subsystem serialises layered indexes this
 // way.
 func (x *Index) BlockEntries(bid uint64) []Entry {
-	t := x.BlockTree(bid)
-	if t == nil {
+	r := x.BlockTree(bid)
+	if r == nil {
 		return nil
 	}
-	out := make([]Entry, 0, t.Len())
-	t.Scan(func(k types.Value, ref uint64) bool {
-		out = append(out, Entry{Key: k, Pos: uint32(ref)})
-		return true
-	})
+	out := make([]Entry, 0, len(r.pos))
+	for i, k := range r.keys {
+		for _, p := range r.pos[r.offs[i]:r.offs[i+1]] {
+			out = append(out, Entry{Key: k, Pos: p})
+		}
+	}
 	return out
 }
 
@@ -154,20 +185,20 @@ func (x *Index) BlockEntries(bid uint64) []Entry {
 func (x *Index) Blocks() int {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	return len(x.trees)
+	return len(x.runs)
 }
 
 // CandidateBlocks returns the first-level filter: a bitmap of blocks
-// that may contain values in [lo, hi]. For a discrete index lo and hi
-// are typically equal (point lookup).
+// that may contain values in [lo, hi], never missing one the second
+// level would match. A discrete index looks a point up and, for a
+// range, unions the values mayHold admits.
 func (x *Index) CandidateBlocks(lo, hi types.Value) *bitmap.Bitmap {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
+	out := bitmap.New()
 	if x.hist != nil {
-		first, last := x.hist.BucketRange(lo.Float(), hi.Float())
 		want := bitmap.New()
-		want.SetRange(first, last)
-		out := bitmap.New()
+		want.SetRange(x.bucket(lo, 0), x.bucket(hi, x.hist.Buckets()-1))
 		for bid, bb := range x.blockBuckets {
 			if bb != nil && bb.Intersects(want) {
 				out.Set(bid)
@@ -176,35 +207,23 @@ func (x *Index) CandidateBlocks(lo, hi types.Value) *bitmap.Bitmap {
 		return out
 	}
 	if types.Equal(lo, hi) {
-		if b, ok := x.values[discreteKey(lo)]; ok {
-			return b.Clone()
+		if b, ok := x.values[Key(lo)]; ok {
+			out.Or(b)
 		}
-		return bitmap.New()
+		return out
 	}
-	// Range over a discrete attribute: union the bitmaps of matching
-	// values. We must consult the second level keys, so fall back to the
-	// union of all values within range by scanning value keys' trees is
-	// not possible from the map alone; instead union every value bitmap
-	// whose blocks may match and let the second level filter exactly.
-	out := bitmap.New()
-	for _, b := range x.values {
-		out.Or(b)
+	for k, b := range x.values {
+		if mayHold(k, lo, hi) {
+			out.Or(b)
+		}
 	}
 	return out
 }
 
-// ValueBlocks returns the first-level bitmap for one discrete value —
-// Algorithm 1's First_level_bitmap(I(o)).
+// ValueBlocks returns the first-level bitmap for one value — Algorithm
+// 1's First_level_bitmap(I(o)).
 func (x *Index) ValueBlocks(v types.Value) *bitmap.Bitmap {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	if x.values == nil {
-		return x.CandidateBlocks(v, v)
-	}
-	if b, ok := x.values[discreteKey(v)]; ok {
-		return b.Clone()
-	}
-	return bitmap.New()
+	return x.CandidateBlocks(v, v)
 }
 
 // AnyBlocks returns a bitmap of every block with at least one indexed
@@ -213,48 +232,56 @@ func (x *Index) AnyBlocks() *bitmap.Bitmap {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	out := bitmap.New()
-	for bid, t := range x.trees {
-		if t != nil && t.Len() > 0 {
+	for bid, r := range x.runs {
+		if r != nil {
 			out.Set(bid)
 		}
 	}
 	return out
 }
 
-// BlockTree returns the second-level B+-tree of block bid, or nil when
-// the block holds no indexed rows.
-func (x *Index) BlockTree(bid uint64) *bptree.Tree {
+// BlockTree returns block bid's second level, the run that replaced the
+// B+-tree of the name, or nil when the block holds no indexed rows.
+func (x *Index) BlockTree(bid uint64) *Run {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	if bid >= uint64(len(x.trees)) {
+	if bid >= uint64(len(x.runs)) {
 		return nil
 	}
-	return x.trees[bid]
+	return x.runs[bid]
 }
 
 // BlockRange runs fn over the second-level entries of block bid with
 // lo <= key <= hi, in key order.
 func (x *Index) BlockRange(bid uint64, lo, hi types.Value, fn func(key types.Value, pos uint32) bool) {
-	t := x.BlockTree(bid)
-	if t == nil {
-		return
+	if r := x.BlockTree(bid); r != nil {
+		r.Range(lo, hi, func(k types.Value, ref uint64) bool {
+			return fn(k, uint32(ref))
+		})
 	}
-	t.Range(lo, hi, func(k types.Value, ref uint64) bool {
-		return fn(k, uint32(ref))
-	})
+}
+
+// BlockPositions returns the positions of block bid's entries with
+// lo <= key <= hi, in key order. The slice is the run's own memory and
+// must not be modified.
+func (x *Index) BlockPositions(bid uint64, lo, hi types.Value) []uint32 {
+	r := x.BlockTree(bid)
+	if r == nil {
+		return nil
+	}
+	i, j := r.span(lo, hi)
+	return r.pos[r.offs[i]:r.offs[j]]
 }
 
 // BlockValueRange returns the min and max indexed values present in
 // block bid; ok is false when the block holds no indexed rows. Used by
 // the join operators' intersect() test (Algorithms 2 and 3).
 func (x *Index) BlockValueRange(bid uint64) (lo, hi types.Value, ok bool) {
-	t := x.BlockTree(bid)
-	if t == nil || t.Len() == 0 {
+	r := x.BlockTree(bid)
+	if r == nil {
 		return types.Null, types.Null, false
 	}
-	lo, _ = t.Min()
-	hi, _ = t.Max()
-	return lo, hi, true
+	return r.keys[0], r.keys[len(r.keys)-1], true
 }
 
 // BlockBucketBounds returns the value bounds implied by block bid's
@@ -264,34 +291,23 @@ func (x *Index) BlockValueRange(bid uint64) (lo, hi types.Value, ok bool) {
 func (x *Index) BlockBucketBounds(bid uint64) (lo, hi float64, ok bool) {
 	x.mu.RLock()
 	if x.hist != nil && bid < uint64(len(x.blockBuckets)) && x.blockBuckets[bid] != nil {
-		lo, hi = math.Inf(1), math.Inf(-1)
-		x.blockBuckets[bid].ForEach(func(i int) bool {
-			bl, bh := x.hist.BucketBounds(i)
-			if bl < lo {
-				lo = bl
-			}
-			if bh > hi {
-				hi = bh
-			}
-			return true
-		})
+		set := x.blockBuckets[bid].Slice()
 		x.mu.RUnlock()
+		lo, _ = x.hist.BucketBounds(set[0])
+		_, hi = x.hist.BucketBounds(set[len(set)-1])
 		return lo, hi, true
 	}
 	x.mu.RUnlock()
-	l, h, ok2 := x.BlockValueRange(bid)
-	if !ok2 {
-		return 0, 0, false
-	}
-	return l.Float(), h.Float(), true
+	l, h, ok := x.BlockValueRange(bid)
+	return l.Float(), h.Float(), ok
 }
 
 // JoinPairs returns the candidate block pairs of Algorithm 2: pairs
-// (b_r ∈ mr, b_s ∈ ms) for which intersect(b_r, b_s) holds. For two
-// discrete indexes it walks the shared first-level values — O(values)
-// instead of the O(|mr|·|ms|) pairwise loop — and for continuous
-// indexes it memoises each block's bucket bounds before the pairwise
-// interval test.
+// (b_r ∈ mr, b_s ∈ ms) for which intersect(b_r, b_s) holds, ordered by
+// b_r, then b_s. For two discrete indexes it walks the shared
+// first-level values — O(values) instead of the O(|mr|·|ms|) pairwise
+// loop — and otherwise it takes each block's bucket bounds once before
+// the pairwise interval test.
 //
 //sebdb:ignore-lock the mutexes are acquired through the address-ordered first/second aliases, which the checker cannot trace
 func (x *Index) JoinPairs(other *Index, mr, ms *bitmap.Bitmap) [][2]uint64 {
@@ -308,109 +324,67 @@ func (x *Index) JoinPairs(other *Index, mr, ms *bitmap.Bitmap) [][2]uint64 {
 		if second != first {
 			second.mu.RLock()
 		}
-		seen := make(map[uint64]struct{})
+		partners := make(map[int]*bitmap.Bitmap) // block of mr -> blocks of ms sharing a value
 		for k, br := range x.values {
-			bs, ok := other.values[k]
-			if !ok {
-				continue
-			}
-			rblocks := br.Clone().And(mr)
-			if rblocks.Empty() {
-				continue
-			}
-			sblocks := bs.Clone().And(ms)
-			if sblocks.Empty() {
-				continue
-			}
-			rblocks.ForEach(func(r int) bool {
-				sblocks.ForEach(func(s int) bool {
-					key := uint64(r)<<32 | uint64(s)
-					if _, dup := seen[key]; !dup {
-						seen[key] = struct{}{}
-						out = append(out, [2]uint64{uint64(r), uint64(s)})
+			if bs, ok := other.values[k]; ok {
+				sblocks := bs.Clone().And(ms)
+				br.Clone().And(mr).ForEach(func(r int) bool {
+					if partners[r] == nil {
+						partners[r] = bitmap.New()
 					}
+					partners[r].Or(sblocks)
 					return true
 				})
-				return true
-			})
+			}
 		}
 		if second != first {
 			second.mu.RUnlock()
 		}
 		first.mu.RUnlock()
-		sortPairs(out)
-		return out
-	}
-
-	type bounds struct {
-		lo, hi float64
-		ok     bool
-	}
-	rb := make(map[int]bounds)
-	mr.ForEach(func(r int) bool {
-		lo, hi, ok := x.BlockBucketBounds(uint64(r))
-		rb[r] = bounds{lo, hi, ok}
-		return true
-	})
-	sb := make(map[int]bounds)
-	ms.ForEach(func(s int) bool {
-		lo, hi, ok := other.BlockBucketBounds(uint64(s))
-		sb[s] = bounds{lo, hi, ok}
-		return true
-	})
-	mr.ForEach(func(r int) bool {
-		rbb := rb[r]
-		if !rbb.ok {
-			return true
-		}
-		ms.ForEach(func(s int) bool {
-			sbb := sb[s]
-			if sbb.ok && !(rbb.hi < sbb.lo || rbb.lo > sbb.hi) {
-				out = append(out, [2]uint64{uint64(r), uint64(s)})
+		mr.ForEach(func(r int) bool {
+			if p := partners[r]; p != nil {
+				p.ForEach(func(s int) bool {
+					out = append(out, [2]uint64{uint64(r), uint64(s)})
+					return true
+				})
 			}
 			return true
 		})
+		return out
+	}
+	rb, sb := x.boundsOf(mr), other.boundsOf(ms)
+	for _, r := range rb {
+		for _, s := range sb {
+			if !(r.hi < s.lo || r.lo > s.hi) {
+				out = append(out, [2]uint64{r.bid, s.bid})
+			}
+		}
+	}
+	return out
+}
+
+// blockBounds is one block's BlockBucketBounds.
+type blockBounds struct {
+	bid    uint64
+	lo, hi float64
+}
+
+// boundsOf returns the bounds of the blocks of m that have any, in
+// block order.
+func (x *Index) boundsOf(m *bitmap.Bitmap) []blockBounds {
+	var out []blockBounds
+	m.ForEach(func(b int) bool {
+		if lo, hi, ok := x.BlockBucketBounds(uint64(b)); ok {
+			out = append(out, blockBounds{uint64(b), lo, hi})
+		}
 		return true
 	})
 	return out
 }
 
-func sortPairs(ps [][2]uint64) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i][0] != ps[j][0] {
-			return ps[i][0] < ps[j][0]
-		}
-		return ps[i][1] < ps[j][1]
-	})
-}
-
 // Intersects implements Algorithm 2's intersect(b_r, b_s): whether block
 // bidR of this index and block bidS of other may produce equi-join
-// matches. Continuous indexes compare bucket bounds; discrete indexes
-// check for a shared first-level value.
+// matches — JoinPairs over the one pair.
 func (x *Index) Intersects(other *Index, bidR, bidS uint64) bool {
-	if x.hist == nil && other.hist == nil {
-		x.mu.RLock()
-		defer x.mu.RUnlock()
-		other.mu.RLock()
-		defer other.mu.RUnlock()
-		for k, br := range x.values {
-			if !br.Get(int(bidR)) {
-				continue
-			}
-			if bs, ok := other.values[k]; ok && bs.Get(int(bidS)) {
-				return true
-			}
-		}
-		return false
-	}
-	rl, rh, ok := x.BlockBucketBounds(bidR)
-	if !ok {
-		return false
-	}
-	sl, sh, ok := other.BlockBucketBounds(bidS)
-	if !ok {
-		return false
-	}
-	return !(rh < sl || rl > sh)
+	return len(x.JoinPairs(other, bitmap.FromSlice([]int{int(bidR)}), bitmap.FromSlice([]int{int(bidS)}))) > 0
 }

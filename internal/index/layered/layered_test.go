@@ -187,13 +187,64 @@ func TestDiscreteIndex(t *testing.T) {
 		t.Errorf("CandidateBlocks(org3) = %v", got)
 	}
 	// Second level finds positions.
-	if refs := x.BlockTree(0).Lookup(types.Str("org2")); len(refs) != 1 || refs[0] != 1 {
+	if refs := lookup(x.BlockTree(0), types.Str("org2")); len(refs) != 1 || refs[0] != 1 {
 		t.Errorf("second level lookup = %v", refs)
 	}
 	// AnyBlocks covers blocks with entries only.
 	x.AppendBlock(3, nil)
 	if got := x.AnyBlocks().Slice(); len(got) != 3 {
 		t.Errorf("AnyBlocks = %v", got)
+	}
+}
+
+// lookup returns the positions run r holds for key.
+func lookup(r *Run, key types.Value) []uint64 {
+	var out []uint64
+	r.Range(key, key, func(_ types.Value, ref uint64) bool {
+		out = append(out, ref)
+		return true
+	})
+	return out
+}
+
+// TestDiscreteKeyCollisions pins which values share a first-level key:
+// exactly those a point probe must find for one another.
+func TestDiscreteKeyCollisions(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []struct {
+		a, b types.Value
+		same bool
+	}{
+		{types.Int(3), types.Dec(3), true},
+		{types.Int(3), types.Time(3), true},
+		{types.Dec(3), types.Time(3), true},
+		{types.Int(3), types.Str("3"), false},
+		{types.Dec(3), types.Str("3"), false},
+		{types.Dec(nan), types.Dec(-nan), true},
+		{types.Dec(nan), types.Dec(math.Float64frombits(math.Float64bits(nan) ^ 1)), true},
+		{types.Dec(math.Copysign(0, -1)), types.Dec(0), true},
+		{types.Dec(math.Copysign(0, -1)), types.Int(0), true},
+		{types.Dec(nan), types.Dec(0), false},
+		{types.Dec(3), types.Dec(3.5), false},
+		{types.Str("a"), types.Str("a"), true},
+		{types.Str("a"), types.Str("b"), false},
+		{types.Null, types.Str(""), false},
+		{types.Bool(false), types.Int(0), false},
+	} {
+		if got := Key(c.a) == Key(c.b); got != c.same {
+			t.Errorf("Key(%#v) == Key(%#v) is %v, want %v", c.a, c.b, got, c.same)
+		}
+	}
+	// A point probe for 0 finds the block indexed under -0, and one NaN
+	// finds another.
+	x := NewDiscrete("v")
+	x.AppendBlock(0, []Entry{{types.Dec(math.Copysign(0, -1)), 0}})
+	x.AppendBlock(1, []Entry{{types.Dec(nan), 0}})
+	if got := x.ValueBlocks(types.Int(0)).Slice(); !slices.Equal(got, []int{0}) {
+		t.Errorf("ValueBlocks(0) = %v, want [0]", got)
+	}
+	if got := x.ValueBlocks(types.Dec(-nan)).Slice(); !slices.Equal(got, []int{1}) {
+		t.Errorf("ValueBlocks(NaN) = %v, want [1]", got)
 	}
 }
 
@@ -344,6 +395,70 @@ func TestCandidateBlocksDiscreteRange(t *testing.T) {
 	got := x.CandidateBlocks(types.Str("a"), types.Str("z")).Slice()
 	if len(got) != 2 {
 		t.Errorf("discrete range candidates = %v", got)
+	}
+	// Only values inside the bounds contribute their blocks.
+	for _, c := range []struct {
+		lo, hi types.Value
+		want   []int
+	}{
+		{types.Str("b"), types.Str("z"), []int{1}},
+		{types.Str("0"), types.Str("a"), []int{0}},
+		{types.Str("c"), types.Str("z"), nil},
+		{types.Null, types.Value{Kind: types.KindTimestamp + 100}, []int{0, 1}},
+	} {
+		if got := x.CandidateBlocks(c.lo, c.hi).Slice(); !slices.Equal(got, c.want) {
+			t.Errorf("CandidateBlocks(%v, %v) = %v, want %v", c.lo, c.hi, got, c.want)
+		}
+	}
+	// Numeric values fold kinds; a numeric bound prunes them by value, a
+	// bound of another kind orders by kind tag and prunes none.
+	n := NewDiscrete("code")
+	n.AppendBlock(0, []Entry{{types.Int(1), 0}})
+	n.AppendBlock(1, []Entry{{types.Time(5), 0}})
+	n.AppendBlock(2, []Entry{{types.Dec(9), 0}})
+	for _, c := range []struct {
+		lo, hi types.Value
+		want   []int
+	}{
+		{types.Dec(2), types.Int(9), []int{1, 2}},
+		{types.Int(0), types.Dec(4.5), []int{0}},
+		{types.Bool(true), types.Value{Kind: types.KindTimestamp + 100}, []int{0, 1, 2}},
+	} {
+		if got := n.CandidateBlocks(c.lo, c.hi).Slice(); !slices.Equal(got, c.want) {
+			t.Errorf("CandidateBlocks(%v, %v) = %v, want %v", c.lo, c.hi, got, c.want)
+		}
+	}
+}
+
+// TestContinuousCandidateBlocksOpenBounds: a bound outside the numeric
+// kinds — exec's Null and past-the-end sentinels of an open range —
+// leaves that end of the histogram open instead of emptying the filter,
+// and a block holding Null keys is a candidate of every range starting
+// at Null.
+func TestContinuousCandidateBlocksOpenBounds(t *testing.T) {
+	x := buildContinuous(t) // block b covers [10b, 10b+9]
+	x.AppendBlock(10, []Entry{{types.Null, 0}})
+	posInf := types.Value{Kind: types.KindTimestamp + 100}
+	for _, c := range []struct {
+		lo, hi  types.Value
+		must    []int
+		mustNot []int
+	}{
+		{types.Null, types.Dec(14), []int{0, 1, 10}, []int{9}},
+		{types.Dec(85), posInf, []int{8, 9}, []int{0}},
+		{types.Null, posInf, []int{0, 5, 9, 10}, nil},
+	} {
+		got := x.CandidateBlocks(c.lo, c.hi)
+		for _, b := range c.must {
+			if !got.Get(b) {
+				t.Errorf("CandidateBlocks(%v, %v) = %v, misses block %d", c.lo, c.hi, got.Slice(), b)
+			}
+		}
+		for _, b := range c.mustNot {
+			if got.Get(b) {
+				t.Errorf("CandidateBlocks(%v, %v) = %v, keeps block %d", c.lo, c.hi, got.Slice(), b)
+			}
+		}
 	}
 }
 
