@@ -7,7 +7,6 @@ import (
 	"sebdb/internal/auth"
 	"sebdb/internal/cache"
 	"sebdb/internal/index/layered"
-	"sebdb/internal/mbtree"
 	"sebdb/internal/parallel"
 	"sebdb/internal/types"
 )
@@ -151,31 +150,46 @@ func (e *Engine) sampleColumn(spec indexSpec, limit int) ([]float64, error) {
 }
 
 // CreateIndex creates a layered index on table.col, backfilling it over
-// every existing block. Continuous (numeric) columns get an equal-depth
-// histogram first level; discrete columns a per-value bitmap. It is a
-// no-op if the index already exists.
+// every existing block, and persists its definition. Continuous
+// (numeric) columns get an equal-depth histogram first level; discrete
+// columns a per-value bitmap. It is a no-op if the index already exists.
 func (e *Engine) CreateIndex(table, col string) error {
-	tbl, err := e.catalog.Lookup(table)
-	if err != nil {
-		return err
-	}
-	kind, _, err := tbl.ColumnKind(col)
-	if err != nil {
-		return err
-	}
-	return createIndex(e, e.lidxLocked, indexSpec{table: tbl.Name, col: col}, kind, e.layeredFeed,
-		func(hist *layered.Histogram) *layered.Index {
-			if hist != nil {
-				return layered.NewContinuous(col, hist)
-			}
-			return layered.NewDiscrete(col)
-		})
+	return e.persistIfCreated(e.createLayered(table, col))
 }
 
 // CreateAuthIndex creates an ALI on table.col ("" table addresses the
 // system columns, e.g. CreateAuthIndex("", "tname") for authenticated
-// tracking), backfilled over the existing chain.
+// tracking), backfilled over the existing chain, and persists its
+// definition.
 func (e *Engine) CreateAuthIndex(table, col string) error {
+	return e.persistIfCreated(e.createAuth(table, col))
+}
+
+// persistIfCreated rewrites indexes.json after a creation registered a
+// new index.
+func (e *Engine) persistIfCreated(created bool, err error) error {
+	if err != nil || !created {
+		return err
+	}
+	return e.saveIndexMeta()
+}
+
+// createLayered is CreateIndex without the persist.
+func (e *Engine) createLayered(table, col string) (bool, error) {
+	tbl, err := e.catalog.Lookup(table)
+	if err != nil {
+		return false, err
+	}
+	kind, _, err := tbl.ColumnKind(col)
+	if err != nil {
+		return false, err
+	}
+	return createIndex(e, e.lidxLocked, indexSpec{table: tbl.Name, col: col}, kind, e.layeredFeed,
+		func(hist *layered.Histogram) *layered.Index { return newLayered(col, hist) })
+}
+
+// createAuth is CreateAuthIndex without the persist.
+func (e *Engine) createAuth(table, col string) (bool, error) {
 	spec := indexSpec{table: table, col: col}
 	// System columns always get a discrete first level, so kind stays
 	// KindString for them.
@@ -183,24 +197,19 @@ func (e *Engine) CreateAuthIndex(table, col string) error {
 	if table != "" {
 		tbl, err := e.catalog.Lookup(table)
 		if err != nil {
-			return err
+			return false, err
 		}
 		k, _, err := tbl.ColumnKind(col)
 		if err != nil {
-			return err
+			return false, err
 		}
 		spec.table = tbl.Name
 		kind = k
 	} else if _, err := types.SystemColumnKind(col); err != nil {
-		return fmt.Errorf("core: auth index on %q: %w", col, err)
+		return false, fmt.Errorf("core: auth index on %q: %w", col, err)
 	}
 	return createIndex(e, e.alisLocked, spec, kind, e.aliFeed,
-		func(hist *layered.Histogram) *auth.ALI {
-			if hist != nil {
-				return auth.NewContinuous(col, hist, mbtree.DefaultFanout)
-			}
-			return auth.NewDiscrete(col, mbtree.DefaultFanout)
-		})
+		func(hist *layered.Histogram) *auth.ALI { return newALI(col, hist) })
 }
 
 // lidxLocked and alisLocked name the two index families for createIndex.
@@ -213,25 +222,26 @@ func (e *Engine) alisLocked() map[string]*auth.ALI      { return e.alis }
 // backfill without holding e.mu so commits keep flowing, then close the
 // gap under the lock — blocks committed after the first pass are fed
 // before the registration makes the index visible (commits take e.mu
-// too), so no committed block is ever missed — register, republish and
-// persist the definition. family returns the engine map the index
-// registers in and is only called under e.mu; build constructs the
-// empty index, hist being nil for a discrete column.
+// too), so no committed block is ever missed — register and republish.
+// It reports whether it registered the index; persisting the definition
+// is the caller's. family returns the engine map the index registers in
+// and is only called under e.mu; build constructs the empty index, hist
+// being nil for a discrete column.
 func createIndex[I any](e *Engine, family func() map[string]I, spec indexSpec, kind types.Kind,
-	feedOf func(key string, idx I) blockFeed, build func(hist *layered.Histogram) I) error {
+	feedOf func(key string, idx I) blockFeed, build func(hist *layered.Histogram) I) (bool, error) {
 	key := spec.key()
 	e.mu.RLock()
 	_, exists := family()[key]
 	e.mu.RUnlock()
 	if exists {
-		return nil
+		return false, nil
 	}
 
 	var hist *layered.Histogram
 	if kind == types.KindInt || kind == types.KindDecimal || kind == types.KindTimestamp {
 		sample, err := e.sampleColumn(spec, 100_000)
 		if err != nil {
-			return err
+			return false, err
 		}
 		hist = layered.NewEqualDepth(sample, e.cfg.HistogramDepth)
 	}
@@ -239,24 +249,22 @@ func createIndex[I any](e *Engine, family func() map[string]I, spec indexSpec, k
 	feed := feedOf(key, idx)
 	done := uint64(e.store.Count())
 	if err := e.backfill(feed, 0, done); err != nil {
-		return err
+		return false, err
 	}
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if _, exists := family()[key]; exists {
-		e.mu.Unlock()
-		return nil
+		return false, nil
 	}
 	if err := e.backfill(feed, done, uint64(e.store.Count())); err != nil {
-		e.mu.Unlock()
-		return err
+		return false, err
 	}
 	family()[key] = idx
 	e.idxEpoch++
 	// Republish so the registration reaches readers: views snapshot the
 	// index maps, so without a new view the index would stay invisible.
 	e.publishViewLocked()
-	e.mu.Unlock()
-	return e.saveIndexMeta()
+	return true, nil
 }
 
 // backfill feeds the blocks of [lo, hi) to an index, decoding and

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -287,6 +288,33 @@ func TestV2CheckpointOpensByFullReplay(t *testing.T) {
 	}
 	if e.CurrentView().AuthIndex("donate", "amount") == nil {
 		t.Fatal("the ALI named in indexes.json was not rebuilt")
+	}
+	// The fixture's indexes.json names the ALI without a definition. The
+	// open that rebuilt it rewrote the copy with one, so the next
+	// full-replay Open reads each block once; the fixture stays as it was.
+	if m := readDefs(t, filepath.Join("testdata", "v2-datadir")); len(m.Indexes) != 0 || !reflect.DeepEqual(m.Auth, []string{"donate.amount"}) {
+		t.Fatalf("the checked-in fixture changed: %+v", m)
+	}
+	m := readDefs(t, dir)
+	if len(m.Layered)+len(m.Auth) != 0 || len(m.Indexes) != 1 {
+		t.Fatalf("indexes.json was not rewritten with definitions: %+v", m)
+	}
+	if d := m.Indexes[0]; d.Family != familyAuth || d.Key != "donate.amount" || !d.Continuous {
+		t.Fatalf("indexes.json defines %+v, want the continuous ALI on donate.amount", d)
+	}
+	reads := blockReads()
+	replayed, err := Open(Config{Dir: dir, DisableCheckpointLoad: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := blockReads() - reads; got != replayed.Height() {
+		t.Errorf("reopening from the rewritten definitions read %d blocks of %d", got, replayed.Height())
+	}
+	if got, want := recoveryFingerprint(t, replayed), recoveryFingerprint(t, e); got != want {
+		t.Errorf("reopened from the definitions:\n%s--- the engine that wrote them:\n%s", got, want)
+	}
+	if err := replayed.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if err := e.WriteCheckpoint(); err != nil {
 		t.Fatal(err)

@@ -151,6 +151,9 @@ func (c *Config) fill() {
 	if c.Obs == nil {
 		c.Obs = obs.Default
 	}
+	if c.FS == nil {
+		c.FS = faultfs.OS()
+	}
 }
 
 // indexSpec remembers a user-created layered index so it can be
@@ -215,6 +218,10 @@ type Engine struct {
 	// ckptEpoch, the idxEpoch the current log generation was cut under.
 	ckptSem   chan struct{}
 	ckptEpoch uint64
+
+	// metaSem is a one-slot semaphore held across each indexes.json
+	// rewrite, from reading the index maps to the rename.
+	metaSem chan struct{}
 
 	mempool   []*types.Transaction
 	acl       *accessctl.Controller
@@ -367,9 +374,18 @@ func openTraced(ctx context.Context, cfg Config) (*Engine, error) {
 	// checkpoint seeded state): catalog, indexes and counters. Blocks are
 	// decoded ahead by the worker pool; indexing itself stays on this
 	// goroutine in height order (Tids, bitmaps and layered appends all
-	// assume blocks arrive in order).
+	// assume blocks arrive in order). The persisted user index
+	// definitions are registered first, so the replay feeds them with
+	// every other index: each block is decoded once.
 	_, repSpan := obs.StartSpan(ctx, "recovery.replay")
 	defer repSpan.Finish()
+	meta, err := e.readIndexMeta()
+	if err != nil {
+		return nil, err
+	}
+	if err := e.registerDefs(meta.Indexes, base); err != nil {
+		return nil, err
+	}
 	n := uint64(st.Count())
 	if n > base {
 		it, err := st.Blocks(base, n)
@@ -386,10 +402,10 @@ func openTraced(ctx context.Context, cfg Config) (*Engine, error) {
 	}
 	cfg.Obs.Counter("sebdb_snapshot_suffix_blocks").Add(n - base)
 	repSpan.AddCounter("suffix_blocks", int64(n-base))
-	// Replay persisted user index definitions (indexes the checkpoint
-	// already restored are kept; ones created after it backfill from the
-	// chain).
-	if err := e.loadIndexMeta(); err != nil {
+	if err := e.checkDefs(meta.Indexes); err != nil {
+		return nil, err
+	}
+	if err := e.createLegacy(meta); err != nil {
 		return nil, err
 	}
 	// Publish the recovered state as the first real view: replay does not
@@ -418,6 +434,7 @@ func newEngine(cfg Config, st *storage.Store, snapDir *snapshot.Dir) *Engine {
 		log:        cfg.Log.With("core"),
 		snapDir:    snapDir,
 		ckptSem:    make(chan struct{}, 1),
+		metaSem:    make(chan struct{}, 1),
 		mPrepare:   cfg.Obs.Histogram(`sebdb_stage_micros{stage="commit.prepare"}`),
 		mAppend:    cfg.Obs.Histogram(`sebdb_stage_micros{stage="commit.append"}`),
 		mIndex:     cfg.Obs.Histogram(`sebdb_stage_micros{stage="commit.index"}`),

@@ -2,81 +2,244 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
+
+	"sebdb/internal/auth"
+	"sebdb/internal/faultfs"
+	"sebdb/internal/index/layered"
+	"sebdb/internal/mbtree"
 )
 
 // Index definitions are node-local configuration, not chain state, but
 // an operator expects them to survive restarts. The engine records every
-// CreateIndex/CreateAuthIndex call in a small JSON file in the data
-// directory and replays it on Open (the indexes themselves are derived
-// state and are rebuilt from the chain).
+// user index in a small JSON file in the data directory as a full
+// definition — family, key, and for a continuous index the histogram
+// §IV-B fixes when the index is created — and Open registers each one
+// before replaying the chain, so one pass over the blocks feeds every
+// index. The indexes' contents are derived state, rebuilt from the
+// chain; their histograms are not, and come only from this file or a
+// checkpoint.
 
 const indexMetaFile = "indexes.json"
 
+// Index families as indexes.json names them.
+const (
+	familyLayered = "layered"
+	familyAuth    = "auth"
+)
+
 type indexMeta struct {
-	// Layered lists user layered indexes as "table.col" keys.
-	Layered []string `json:"layered"`
-	// Auth lists ALIs as "table.col" keys ("" table = system column).
-	Auth []string `json:"auth"`
+	// Indexes lists every user index's definition: the layered indexes,
+	// then the ALIs, each in key order.
+	Indexes []indexDef `json:"indexes"`
+	// Layered and Auth are the names-only form of a file written before
+	// definitions carried their histogram: "table.col" keys ("" table = a
+	// system column). Open creates those indexes after the replay, as
+	// CreateIndex would, and rewrites the file with their definitions.
+	Layered []string `json:"layered,omitempty"`
+	Auth    []string `json:"auth,omitempty"`
+}
+
+// indexDef is one user index's persisted definition.
+type indexDef struct {
+	Family     string `json:"family"`
+	Key        string `json:"key"`
+	Continuous bool   `json:"continuous"`
+	// Bounds are a continuous index's inner histogram boundaries,
+	// ascending, each as its IEEE-754 bit pattern.
+	Bounds []floatBits `json:"bounds,omitempty"`
+}
+
+// floatBits persists a float64 as the 16 hex digits of its bit pattern:
+// encoding/json refuses NaN and ±Inf, and a decimal rendering need not
+// keep −0 or a NaN payload, while every route that rebuilds an index
+// must bucket values exactly as its creator did.
+type floatBits uint64
+
+func (b floatBits) MarshalJSON() ([]byte, error) {
+	return []byte(fmt.Sprintf(`"%016x"`, uint64(b))), nil
+}
+
+func (b *floatBits) UnmarshalJSON(raw []byte) error {
+	var s string
+	if err := json.Unmarshal(raw, &s); err != nil {
+		return err
+	}
+	v, err := strconv.ParseUint(s, 16, 64)
+	if err != nil || len(s) != 16 {
+		return fmt.Errorf("histogram bound %q is not 16 hex digits", s)
+	}
+	*b = floatBits(v)
+	return nil
+}
+
+func defOf(family, key string, hist *layered.Histogram) indexDef {
+	d := indexDef{Family: family, Key: key, Continuous: hist != nil}
+	if hist != nil {
+		for _, f := range hist.Bounds() {
+			d.Bounds = append(d.Bounds, floatBits(math.Float64bits(f)))
+		}
+	}
+	return d
+}
+
+// histogram rebuilds a continuous definition's first level; nil for a
+// discrete one.
+func (d *indexDef) histogram() *layered.Histogram {
+	if !d.Continuous {
+		return nil
+	}
+	bounds := make([]float64, len(d.Bounds))
+	for i, b := range d.Bounds {
+		bounds[i] = math.Float64frombits(uint64(b))
+	}
+	return layered.FromBounds(bounds)
 }
 
 func (e *Engine) indexMetaPath() string {
 	return filepath.Join(e.cfg.Dir, indexMetaFile)
 }
 
-// loadIndexMeta replays persisted index definitions after the chain has
-// been reindexed on Open.
-func (e *Engine) loadIndexMeta() error {
-	raw, err := os.ReadFile(e.indexMetaPath())
-	if os.IsNotExist(err) {
-		return nil
+// readIndexMeta reads the persisted index definitions; a missing file
+// means none.
+func (e *Engine) readIndexMeta() (*indexMeta, error) {
+	var m indexMeta
+	raw, err := e.cfg.FS.ReadFile(e.indexMetaPath())
+	if errors.Is(err, os.ErrNotExist) {
+		return &m, nil
+	}
+	if err == nil {
+		err = json.Unmarshal(raw, &m)
 	}
 	if err != nil {
-		return fmt.Errorf("core: index meta: %w", err)
+		return nil, fmt.Errorf("core: index meta: %w", err)
 	}
-	var m indexMeta
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return fmt.Errorf("core: index meta: %w", err)
-	}
-	for _, key := range m.Layered {
-		spec := splitKey(key)
-		if err := e.CreateIndex(spec.table, spec.col); err != nil {
-			return fmt.Errorf("core: replaying layered index %q: %w", key, err)
+	return &m, nil
+}
+
+// registerDefs installs, before the replay, every definition the
+// restored state lacks — all of them after a full-replay start — and
+// feeds each the blocks [0, base) the checkpoint already covered (none
+// on a full replay). The replay then feeds them the rest along with
+// every other index. It runs during Open, before the engine is shared.
+func (e *Engine) registerDefs(defs []indexDef, base uint64) error {
+	for i := range defs {
+		d := &defs[i]
+		hist := d.histogram()
+		var feed blockFeed
+		switch d.Family {
+		case familyLayered:
+			if _, ok := e.lidx[d.Key]; ok {
+				continue
+			}
+			idx := newLayered(splitKey(d.Key).col, hist)
+			e.lidx[d.Key], feed = idx, e.layeredFeed(d.Key, idx)
+		case familyAuth:
+			if _, ok := e.alis[d.Key]; ok {
+				continue
+			}
+			ali := newALI(splitKey(d.Key).col, hist)
+			e.alis[d.Key], feed = ali, e.aliFeed(d.Key, ali)
+		default:
+			return fmt.Errorf("core: index meta: %q has unknown family %q", d.Key, d.Family)
 		}
-	}
-	for _, key := range m.Auth {
-		spec := splitKey(key)
-		if err := e.CreateAuthIndex(spec.table, spec.col); err != nil {
-			return fmt.Errorf("core: replaying auth index %q: %w", key, err)
+		e.idxEpoch++
+		if err := e.backfill(feed, 0, base); err != nil {
+			return fmt.Errorf("core: backfilling %s index %q: %w", d.Family, d.Key, err)
 		}
 	}
 	return nil
 }
 
-// saveIndexMeta writes the current user index definitions. Callers hold
-// no lock; the engine's mu protects the maps read here.
+// checkDefs holds the registered definitions to the replayed catalog:
+// CreateIndex refuses an index on a table or column that does not
+// exist, and so does Open for a definition that names one.
+func (e *Engine) checkDefs(defs []indexDef) error {
+	for _, d := range defs {
+		spec := splitKey(d.Key)
+		if spec.table == "" {
+			continue
+		}
+		tbl, err := e.catalog.Lookup(spec.table)
+		if err == nil {
+			_, _, err = tbl.ColumnKind(spec.col)
+		}
+		if err != nil {
+			return fmt.Errorf("core: %s index %q: %w", d.Family, d.Key, err)
+		}
+	}
+	return nil
+}
+
+// createLegacy creates the indexes a names-only file lists, sampling and
+// backfilling each as CreateIndex does, then rewrites the file with
+// their definitions, so the next Open is one pass.
+func (e *Engine) createLegacy(m *indexMeta) error {
+	if len(m.Layered) == 0 && len(m.Auth) == 0 {
+		return nil
+	}
+	for _, key := range m.Layered {
+		spec := splitKey(key)
+		if _, err := e.createLayered(spec.table, spec.col); err != nil {
+			return fmt.Errorf("core: replaying layered index %q: %w", key, err)
+		}
+	}
+	for _, key := range m.Auth {
+		spec := splitKey(key)
+		if _, err := e.createAuth(spec.table, spec.col); err != nil {
+			return fmt.Errorf("core: replaying auth index %q: %w", key, err)
+		}
+	}
+	return e.saveIndexMeta()
+}
+
+// saveIndexMeta writes every user index's definition through the
+// engine's filesystem: a tmp file, written and fsynced, renamed over the
+// old one, so a crash leaves the old definitions or the new ones, never
+// a torn file. Callers hold no lock; metaSem orders concurrent saves, so
+// the last rename carries the newest set.
 func (e *Engine) saveIndexMeta() error {
-	var m indexMeta
+	e.metaSem <- struct{}{}
+	defer func() { <-e.metaSem }()
+	m := indexMeta{Indexes: []indexDef{}}
 	e.mu.RLock()
-	for key := range e.lidx {
+	for _, key := range sortedKeys(e.lidx) {
 		if key == ".senid" || key == ".tname" {
 			continue // the global system indexes always exist
 		}
-		m.Layered = append(m.Layered, key)
+		m.Indexes = append(m.Indexes, defOf(familyLayered, key, e.lidx[key].Histogram()))
 	}
-	for key := range e.alis {
-		m.Auth = append(m.Auth, key)
+	for _, key := range sortedKeys(e.alis) {
+		m.Indexes = append(m.Indexes, defOf(familyAuth, key, e.alis[key].Histogram()))
 	}
 	e.mu.RUnlock()
 	raw, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := e.indexMetaPath() + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
+	if err := faultfs.WriteAtomic(e.cfg.FS, e.indexMetaPath(), append(raw, '\n')); err != nil {
 		return fmt.Errorf("core: index meta: %w", err)
 	}
-	return os.Rename(tmp, e.indexMetaPath())
+	return nil
+}
+
+// newLayered and newALI build an empty index of either family over attr:
+// continuous with hist's buckets, discrete when hist is nil.
+func newLayered(attr string, hist *layered.Histogram) *layered.Index {
+	if hist != nil {
+		return layered.NewContinuous(attr, hist)
+	}
+	return layered.NewDiscrete(attr)
+}
+
+func newALI(attr string, hist *layered.Histogram) *auth.ALI {
+	if hist != nil {
+		return auth.NewContinuous(attr, hist, mbtree.DefaultFanout)
+	}
+	return auth.NewDiscrete(attr, mbtree.DefaultFanout)
 }

@@ -202,6 +202,15 @@ func (e *Engine) collectLocked(lo, h uint64) (*snapshot.Checkpoint, error) {
 	return c, nil
 }
 
+// stateHistogram is a checkpointed index's first level: its histogram
+// when continuous, nil when discrete.
+func stateHistogram(st *snapshot.IndexState) *layered.Histogram {
+	if !st.Continuous {
+		return nil
+	}
+	return layered.FromBounds(st.Bounds)
+}
+
 func indexState(key, attr string, hist *layered.Histogram, blocks uint64) snapshot.IndexState {
 	st := snapshot.IndexState{Key: key, Attr: attr, Continuous: hist != nil, Blocks: make([][]layered.Entry, blocks)}
 	if hist != nil {
@@ -284,11 +293,7 @@ func (e *Engine) restoreCheckpoint(c *snapshot.Checkpoint) error {
 			if uint64(len(st.Blocks)) != c.Height {
 				return struct{}{}, fmt.Errorf("core: checkpoint index %q covers %d of %d blocks", st.Key, len(st.Blocks), c.Height)
 			}
-			if st.Continuous {
-				idxs[i] = layered.NewContinuous(st.Attr, layered.FromBounds(st.Bounds))
-			} else {
-				idxs[i] = layered.NewDiscrete(st.Attr)
-			}
+			idxs[i] = newLayered(st.Attr, stateHistogram(st))
 			for bid, entries := range st.Blocks {
 				idxs[i].AppendBlock(uint64(bid), entries)
 			}
@@ -324,11 +329,7 @@ func (e *Engine) restoreALIs(c *snapshot.Checkpoint) error {
 		if uint64(len(st.Blocks)) != c.Height {
 			return fmt.Errorf("core: checkpoint auth index %q covers %d of %d blocks", st.Key, len(st.Blocks), c.Height)
 		}
-		if st.Continuous {
-			alis[i] = auth.NewContinuous(st.Attr, layered.FromBounds(st.Bounds), mbtree.DefaultFanout)
-		} else {
-			alis[i] = auth.NewDiscrete(st.Attr, mbtree.DefaultFanout)
-		}
+		alis[i] = newALI(st.Attr, stateHistogram(&st))
 		e.alis[st.Key] = alis[i]
 	}
 	it, err := e.store.Blocks(0, c.Height)

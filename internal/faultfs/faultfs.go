@@ -11,6 +11,7 @@ package faultfs
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 )
@@ -82,3 +83,27 @@ func (osFS) Stat(path string) (os.FileInfo, error)                 { return os.S
 func (osFS) Open(path string) (File, error)                        { return os.Open(path) }
 func (osFS) OpenFile(p string, f int, m os.FileMode) (File, error) { return os.OpenFile(p, f, m) }
 func (osFS) Mmap(path string) (Mapping, error)                     { return mmapFile(path) }
+
+// WriteAtomic replaces path with data so that a crash at any point
+// leaves the old file or the new one, never a torn mix: data goes to a
+// ".tmp" sibling, which is fsynced and closed before it is renamed over
+// path. A crash before the rename leaves at most a stale temporary,
+// which the next WriteAtomic truncates.
+func WriteAtomic(fs FS, path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("writing %s: %w", tmp, err)
+	}
+	return fs.Rename(tmp, path)
+}

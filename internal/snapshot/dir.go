@@ -227,15 +227,7 @@ func (d *Dir) newGeneration(c *Checkpoint, frame []byte) (*Manifest, error) {
 // manifest's rename it is the only write protocol allowed in this
 // package (enforced by the sebdb-vet atomicwrite analyzer).
 func (d *Dir) writeAtomic(name string, blob []byte) error {
-	tmp := filepath.Join(d.path, name+".tmp")
-	f, err := d.fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if err := writeSyncClose(f, blob); err != nil {
-		return fmt.Errorf("snapshot: writing %s: %w", tmp, err)
-	}
-	if err := d.fs.Rename(tmp, filepath.Join(d.path, name)); err != nil {
+	if err := faultfs.WriteAtomic(d.fs, filepath.Join(d.path, name), blob); err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	return nil

@@ -398,19 +398,19 @@ func (s *Store) scanSegment(r io.Reader, seg uint32, base int64) (int64, error) 
 				return off, nil
 			}
 		}
-		b, offs, err := decodeBlockOffsets(body)
+		h, offs, err := decodeBlockOffsets(body)
 		if err != nil {
 			return off, nil
 		}
 		if compressed && z.check(int64(len(body)), offs) != nil {
 			return off, nil
 		}
-		if err := s.checkLinkage(&b.Header); err != nil {
+		if err := s.checkLinkage(&h); err != nil {
 			return 0, err // mid-chain corruption is not recoverable silently
 		}
 		s.locs = append(s.locs, Location{Segment: seg, Offset: off})
-		s.headers = append(s.headers, b.Header)
-		s.txBase = append(s.txBase, b.Header.FirstTid)
+		s.headers = append(s.headers, h)
+		s.txBase = append(s.txBase, h.FirstTid)
 		s.txOffs = append(s.txOffs, offs)
 		s.lens = append(s.lens, int64(len(body)))
 		s.stored = append(s.stored, int64(n))
@@ -500,6 +500,13 @@ func (s *Store) appendLocked(b *types.Block) (Location, error) {
 	if int64(len(body)) > math.MaxUint32 {
 		return Location{}, fmt.Errorf("storage: block of %d bytes exceeds the record length prefix", len(body))
 	}
+	// The offsets come from walking the bytes just encoded, before any of
+	// them reach the segment, so a body the store could not index later
+	// is refused with the store untouched.
+	_, offs, err := decodeBlockOffsets(body)
+	if err != nil {
+		return Location{}, fmt.Errorf("storage: offsets: %w", err)
+	}
 	rec := encodeRecord(recordMagic, body)
 
 	if s.curSize > 0 && s.curSize+int64(len(rec)) > s.opts.SegmentSize {
@@ -520,10 +527,6 @@ func (s *Store) appendLocked(b *types.Block) (Location, error) {
 	s.locs = append(s.locs, loc)
 	s.headers = append(s.headers, b.Header)
 	s.txBase = append(s.txBase, b.Header.FirstTid)
-	_, offs, err := decodeBlockOffsets(body)
-	if err != nil {
-		return Location{}, fmt.Errorf("storage: offsets: %w", err)
-	}
 	s.txOffs = append(s.txOffs, offs)
 	s.lens = append(s.lens, int64(len(body)))
 	s.stored = append(s.stored, int64(len(body)))
@@ -754,31 +757,33 @@ func (s *Store) Close() error {
 	return err
 }
 
-// decodeBlockOffsets decodes a block and records each transaction's
-// byte offset within body, with a final sentinel at the body's end.
-func decodeBlockOffsets(body []byte) (*types.Block, []uint32, error) {
+// decodeBlockOffsets decodes a block's header and records each
+// transaction's byte offset within body, with a final sentinel at the
+// end of the last one. It accepts exactly the bodies types.DecodeBlock
+// accepts, but walks the transactions instead of building them: past
+// the header, the offsets slice is its only allocation.
+func decodeBlockOffsets(body []byte) (types.BlockHeader, []uint32, error) {
 	d := types.NewDecoder(body)
 	h, err := types.DecodeBlockHeader(d)
 	if err != nil {
-		return nil, nil, err
+		return h, nil, err
 	}
 	n, err := d.Uint32()
 	if err != nil {
-		return nil, nil, err
+		return h, nil, err
 	}
 	if int(n) > d.Remaining() {
-		return nil, nil, types.ErrCorrupt
+		return h, nil, types.ErrCorrupt
 	}
-	b := &types.Block{Header: h, Txs: make([]*types.Transaction, n)}
 	offs := make([]uint32, n+1)
-	for i := range b.Txs {
+	for i := range offs[:n] {
 		offs[i] = uint32(d.Offset())
-		if b.Txs[i], err = types.DecodeTransaction(d); err != nil {
-			return nil, nil, err
+		if err := types.SkipTransaction(d); err != nil {
+			return h, nil, err
 		}
 	}
 	offs[n] = uint32(d.Offset())
-	return b, offs, nil
+	return h, offs, nil
 }
 
 // BodyLen returns the raw encoded length in bytes of the block stored

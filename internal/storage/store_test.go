@@ -429,3 +429,38 @@ func TestBlocksIter(t *testing.T) {
 		t.Fatalf("empty range len %d", empty.Len())
 	}
 }
+
+// TestOffsetWalkAllocatesOnlyOffsets: learning where each transaction
+// of a 200-transaction block starts — what the recovery scan and every
+// append do — allocates the offsets slice and nothing per transaction.
+// The header decode is measured apart and subtracted.
+func TestOffsetWalkAllocatesOnlyOffsets(t *testing.T) {
+	body := mkBlock(nil, 1, 200).EncodeBytes()
+	header := testing.AllocsPerRun(50, func() {
+		if _, err := types.DecodeBlockHeader(types.NewDecoder(body)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var offs []uint32
+	walk := testing.AllocsPerRun(50, func() {
+		var err error
+		if _, offs, err = decodeBlockOffsets(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := walk - header; got != 1 {
+		t.Fatalf("the offset walk allocated %.0f times beyond the header, want 1 (the offsets slice)", got)
+	}
+	b, err := types.DecodeBlock(types.NewDecoder(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(offs) != 201 || offs[200] != uint32(len(body)) {
+		t.Fatalf("%d offsets ending at %d, want 201 ending at %d", len(offs), offs[len(offs)-1], len(body))
+	}
+	for i, tx := range b.Txs {
+		if got := string(body[offs[i]:offs[i+1]]); got != string(tx.EncodeBytes()) {
+			t.Fatalf("transaction %d: offsets cut %d bytes that are not its encoding", i, len(got))
+		}
+	}
+}

@@ -277,6 +277,35 @@ func (d *Decoder) Value() (Value, error) {
 	}
 }
 
+// skipPrefixed steps over a length-prefixed string or blob.
+func (d *Decoder) skipPrefixed() error {
+	n, err := d.Uint32()
+	if err != nil {
+		return err
+	}
+	_, err = d.take(int(n))
+	return err
+}
+
+// skipValue steps over one tagged value, refusing what Value refuses.
+func (d *Decoder) skipValue() error {
+	tag, err := d.Uint8()
+	if err != nil {
+		return err
+	}
+	switch Kind(tag) {
+	case KindNull:
+		return nil
+	case KindString:
+		return d.skipPrefixed()
+	case KindInt, KindBool, KindTimestamp, KindDecimal:
+		_, err := d.take(8)
+		return err
+	default:
+		return fmt.Errorf("%w: value tag %d", ErrCorrupt, tag)
+	}
+}
+
 // Values reads a count-prefixed slice of values.
 func (d *Decoder) Values() ([]Value, error) {
 	n, err := d.Uint32()

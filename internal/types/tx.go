@@ -147,6 +147,35 @@ func DecodeTransaction(d *Decoder) (*Transaction, error) {
 	return t, nil
 }
 
+// SkipTransaction advances d past one transaction's encoding without
+// building it: it accepts and refuses exactly the inputs
+// DecodeTransaction does, consumes the same bytes, and allocates nothing
+// on success. The block store walks bodies with it to learn transaction
+// offsets.
+func SkipTransaction(d *Decoder) error {
+	if _, err := d.take(8 + 8); err != nil { // Tid, Ts
+		return err
+	}
+	for range 4 { // SenID, Tname, Sig, PubKey
+		if err := d.skipPrefixed(); err != nil {
+			return err
+		}
+	}
+	n, err := d.Uint32()
+	if err != nil {
+		return err
+	}
+	if int(n) > d.Remaining() { // the same bound Values applies
+		return ErrCorrupt
+	}
+	for range n {
+		if err := d.skipValue(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Hash returns the SHA-256 digest of the encoded transaction; it is the
 // leaf value of the block's Merkle tree.
 func (t *Transaction) Hash() Hash {

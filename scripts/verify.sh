@@ -73,13 +73,16 @@ echo "== fuzz (10 s per target) =="
 # that does not tile the chain refused). The layered index's per-block
 # run gets the same treatment against a brute-force stable sort: every
 # second-level read equals it, and neither first level drops a block
-# the second level matches.
+# the second level matches. The transaction skip walk the block store
+# takes its offsets from is held to the full decoder: same accept/refuse,
+# same bytes consumed.
 # Minimization is off: the engine's minimizer stalls on multi-KB inputs.
 go test -run '^$' -fuzz '^FuzzDecodeVerifyVO$' -fuzztime 10s -fuzzminimizetime 0 ./internal/mbtree
 go test -run '^$' -fuzz '^FuzzVerifyAnswer$' -fuzztime 10s -fuzzminimizetime 0 ./internal/auth
 go test -run '^$' -fuzz '^FuzzInflateRecord$' -fuzztime 10s -fuzzminimizetime 0 ./internal/storage
 go test -run '^$' -fuzz '^FuzzDecodeCheckpointLog$' -fuzztime 10s -fuzzminimizetime 0 ./internal/snapshot
 go test -run '^$' -fuzz '^FuzzLayeredBlock$' -fuzztime 10s -fuzzminimizetime 0 ./internal/index/layered
+go test -run '^$' -fuzz '^FuzzSkipTransaction$' -fuzztime 10s -fuzzminimizetime 0 ./internal/types
 
 echo "== bchainbench -json smoke =="
 # The table driver end to end: fig 12 for the JSON output, fig storage
