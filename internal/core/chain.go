@@ -55,6 +55,40 @@ func (e *Engine) Block(bid uint64) (*types.Block, error) {
 	return b, nil
 }
 
+// FilterBlock reads block bid and returns, in chain order, the
+// transactions keep accepts, and how many the block holds. Uncached,
+// the store's body is filtered before anything is built
+// (types.FilterBlock): keep sees a scratch transaction aliasing the
+// read buffer and must not retain it. In CacheBlocks mode the cached
+// decoded block is filtered instead.
+func (e *Engine) FilterBlock(bid uint64, keep func(*types.Transaction) (bool, error)) ([]*types.Transaction, int, error) {
+	if e.blockCache != nil {
+		b, err := e.Block(bid)
+		if err != nil {
+			return nil, 0, err
+		}
+		var out []*types.Transaction
+		for _, tx := range b.Txs {
+			ok, err := keep(tx)
+			if err != nil {
+				return nil, 0, err
+			}
+			if ok {
+				out = append(out, tx)
+			}
+		}
+		return out, len(b.Txs), nil
+	}
+	var out []*types.Transaction
+	var n int
+	err := e.store.Body(bid, func(body []byte, txOffs []uint32) (err error) {
+		out, err = types.FilterBlock(body, txOffs, keep)
+		n = len(txOffs) - 1
+		return err
+	})
+	return out, n, err
+}
+
 // Tx reads one transaction by (block, position). In CacheTxs mode the
 // individual transaction is cached — the paper's transaction cache,
 // which §VII-H shows beating the block cache for index-driven queries.

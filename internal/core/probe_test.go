@@ -28,8 +28,10 @@ func spanNames(sp *obs.Span) []string {
 // the layered method from the planner's probe returns the rows, order,
 // exec.Stats and span names of the operator probing the index itself,
 // and so does the statement as a whole through Execute and EXPLAIN
-// ANALYZE — including when the planner and the operator would drive
-// different predicates and the probe has to be dropped.
+// ANALYZE. The operator takes the hand-off whenever it drives the
+// predicate the planner probed, which one rule now guarantees; handed
+// is checked by the operator reading exactly the probe's positions
+// inside the window.
 func TestProbeHandOffEquivalence(t *testing.T) {
 	e := seededChain(t, 12, 20)
 	between := sqlparser.Pred{Col: "amount", Op: sqlparser.OpBetween, Val: types.Dec(30), Hi: types.Dec(150)}
@@ -46,10 +48,10 @@ func TestProbeHandOffEquivalence(t *testing.T) {
 			[]sqlparser.Pred{between, {Col: "donor", Op: sqlparser.OpEq, Val: types.Str("donor3")}}, nil, true},
 		{"window", `amount BETWEEN 30 AND 150`, []sqlparser.Pred{between}, &sqlparser.Window{Start: 4000, End: 9000}, true},
 		{"no match", `amount = 75`, []sqlparser.Pred{{Col: "amount", Op: sqlparser.OpEq, Val: types.Dec(75)}}, nil, true},
-		// The operator drives the first indexed predicate, the planner the
-		// first it can bound exactly: the probe is for the other predicate.
+		// An open bound ahead of an exact one: the planner and the operator
+		// both drive the exact one, so the probe is handed over.
 		{"planner and operator disagree", `amount >= 100 AND amount BETWEEN 30 AND 150`,
-			[]sqlparser.Pred{{Col: "amount", Op: sqlparser.OpGe, Val: types.Dec(100)}, between}, nil, false},
+			[]sqlparser.Pred{{Col: "amount", Op: sqlparser.OpGe, Val: types.Dec(100)}, between}, nil, true},
 	}
 	for _, workers := range []int{1, 8} {
 		e.SetParallelism(workers)
@@ -68,8 +70,18 @@ func TestProbeHandOffEquivalence(t *testing.T) {
 					t.Fatalf("estimate %d, probe holds %d positions for %d/%d blocks",
 						rows, len(probe.Pos), len(probe.Blocks), len(probe.Ends))
 				}
-				if handed := &tc.preds[probe.Drive] == &tc.preds[0]; handed != tc.handed {
-					t.Fatalf("probe drives predicate %d", probe.Drive)
+				inWin := v.BlockIdx().AllBlocks()
+				if tc.win != nil {
+					inWin = v.BlockIdx().TimeWindow(tc.win.Start, tc.win.End)
+				}
+				probed := 0 // the probe's positions inside the window
+				for i, bid := range probe.Blocks {
+					if inWin.Get(int(bid)) {
+						probed += probe.Ends[i]
+						if i > 0 {
+							probed -= probe.Ends[i-1]
+						}
+					}
 				}
 
 				run := func(sel func(ctx context.Context) ([]*types.Transaction, exec.Stats, error)) ([][]byte, exec.Stats, []string) {
@@ -97,6 +109,10 @@ func TestProbeHandOffEquivalence(t *testing.T) {
 				}
 				if gotStats != wantStats {
 					t.Errorf("stats from the probe %+v, re-probing %+v", gotStats, wantStats)
+				}
+				if handed := wantStats.TxsExamined == probed; handed != tc.handed {
+					t.Errorf("operator examined %d rows, the probe holds %d: probe drives predicate %d",
+						wantStats.TxsExamined, probed, probe.Drive)
 				}
 				if !reflect.DeepEqual(gotSpans, wantSpans) {
 					t.Errorf("spans from the probe %v, re-probing %v", gotSpans, wantSpans)
@@ -137,6 +153,27 @@ func TestProbeHandOffEquivalence(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPlannerAndOperatorDriveOnePredicate: an open bound ahead of an
+// exact one. The planner prices the layered method from the exact
+// predicate's 12 matches; the operator must drive that predicate too,
+// reading those 12 tuples, not the 240 the open bound admits.
+func TestPlannerAndOperatorDriveOnePredicate(t *testing.T) {
+	e := seededChain(t, 12, 20)
+	sql := `SELECT * FROM donate WHERE amount >= 0 AND amount = 70`
+	if got := len(mustExec(t, e, sql).Rows); got != 12 {
+		t.Fatalf("%d rows, want 12", got)
+	}
+	var examined int64 = -1
+	for _, row := range mustExec(t, e, `EXPLAIN ANALYZE `+sql).Rows {
+		if strings.TrimSpace(row[0].S) == "exec.select.layered" {
+			examined = row[3].I
+		}
+	}
+	if examined != 12 {
+		t.Errorf("layered operator examined %d tuples, want the 12 the planner counted", examined)
 	}
 }
 

@@ -174,17 +174,6 @@ func (e *Engine) execInsert(sender string, s *sqlparser.Insert, params []types.V
 	return &Result{Columns: []string{"status"}, Rows: [][]types.Value{{types.Str("queued")}}}, nil
 }
 
-func predBoundsOf(p sqlparser.Pred) (types.Value, types.Value, bool) {
-	switch p.Op {
-	case sqlparser.OpEq:
-		return p.Val, p.Val, true
-	case sqlparser.OpBetween:
-		return p.Val, p.Hi, true
-	default:
-		return types.Null, types.Null, false
-	}
-}
-
 // execSelect plans and runs a single-table query, on or off chain. The
 // whole statement — planning, execution, projection — runs against one
 // pinned view, so it touches no engine lock and a concurrent commit

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 
 	"sebdb/internal/auth"
@@ -156,6 +155,15 @@ func (v *View) Block(bid uint64) (*types.Block, error) {
 	return v.e.Block(bid)
 }
 
+// FilterBlock returns the transactions of a block inside the view that
+// keep accepts, and how many the block holds (Engine.FilterBlock).
+func (v *View) FilterBlock(bid uint64, keep func(*types.Transaction) (bool, error)) ([]*types.Transaction, int, error) {
+	if bid >= v.height {
+		return nil, 0, fmt.Errorf("core: block %d beyond view height %d", bid, v.height)
+	}
+	return v.e.FilterBlock(bid, keep)
+}
+
 // Header returns the header of a block inside the view from the store's
 // in-memory header list: no segment read, no decode.
 func (v *View) Header(bid uint64) (types.BlockHeader, error) {
@@ -232,38 +240,13 @@ func (v *View) Parallelism() int { return v.e.Parallelism() }
 const estimateCap = 200_000
 
 // estimateLayered estimates the result size p of driving the layered
-// index with one of preds, by counting second-level matches inside the
-// view (index-only, no transaction reads), capped at estimateCap; p is
-// -1 when no predicate can drive an index. The walk it counts with is
-// the walk the layered operator would make, so unless the cap cut it
-// short it is returned as a probe for exec.SelectProbed: a statement
-// that goes on to run the layered method walks the second level once.
+// index, by counting second-level matches inside the view (index-only,
+// no transaction reads), capped at estimateCap; p is -1 when no
+// predicate can drive an index with exact bounds. The walk it counts
+// with is the walk the layered operator would make, so unless the cap
+// cut it short it is returned as a probe for exec.SelectProbed: a
+// statement that goes on to run the layered method walks the second
+// level once.
 func (v *View) estimateLayered(tbl *schema.Table, preds []sqlparser.Pred) (int, *exec.Probe) {
-	for i, p := range preds {
-		idx := v.Layered(tbl.Name, p.Col)
-		if idx == nil {
-			continue
-		}
-		lo, hi, exact := predBoundsOf(p)
-		if !exact {
-			continue
-		}
-		pr := &exec.Probe{Index: idx, Drive: i}
-		cand := idx.CandidateBlocks(lo, hi)
-		cand.And(v.mask)
-		cand.ForEach(func(bid int) bool {
-			start := len(pr.Pos)
-			ps := idx.BlockPositions(uint64(bid), lo, hi)
-			pr.Pos = append(pr.Pos, ps[:min(len(ps), estimateCap-start)]...)
-			slices.Sort(pr.Pos[start:])
-			pr.Blocks = append(pr.Blocks, uint64(bid))
-			pr.Ends = append(pr.Ends, len(pr.Pos))
-			return len(pr.Pos) < estimateCap
-		})
-		if len(pr.Pos) >= estimateCap {
-			return len(pr.Pos), nil
-		}
-		return len(pr.Pos), pr
-	}
-	return -1, nil
+	return exec.ProbeLayered(v, tbl, preds, estimateCap)
 }

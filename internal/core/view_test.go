@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"sebdb/internal/clock"
 	"sebdb/internal/exec"
 	"sebdb/internal/faultfs"
+	"sebdb/internal/sqlparser"
 	"sebdb/internal/types"
 )
 
@@ -341,5 +343,62 @@ func TestViewReadStressSingleHeight(t *testing.T) {
 
 	if got := e.CurrentView().Height(); got != base+rounds {
 		t.Errorf("final view height %d, want %d", got, base+rounds)
+	}
+}
+
+// TestFilteredRowsOutliveReadBuffers is the aliasing guard of the
+// filtered scan: keep sees transactions whose strings alias pooled read
+// buffers, the rows a scan returns must not. Overwriting those buffers —
+// by the same goroutine's next reads, then by concurrent scans — leaves
+// every returned row byte-identical. verify.sh runs it under -race.
+func TestFilteredRowsOutliveReadBuffers(t *testing.T) {
+	for _, compressed := range []bool{false, true} {
+		e := testEngine(t, Config{SegmentSize: 2048, BlockMaxTxs: 5, Parallelism: 4})
+		seedDonation(t, e, 200, 5)
+		if compressed {
+			if err := e.CompressSealed(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v := e.CurrentView()
+		preds := []sqlparser.Pred{{Col: "donor", Op: sqlparser.OpEq, Val: types.Str("donor003")}}
+		rows, _, err := exec.Select(v, "donate", preds, nil, exec.MethodScan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 20 {
+			t.Fatalf("fixture: %d rows, want 20", len(rows))
+		}
+		want := encodeAll(rows)
+
+		overwrite := func() {
+			for bid := uint64(0); bid < uint64(v.NumBlocks()); bid++ {
+				if _, _, err := v.FilterBlock(bid, func(*types.Transaction) (bool, error) { return true, nil }); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+		overwrite()
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				overwrite()
+				if _, _, err := exec.Select(v, "donate", nil, nil, exec.MethodScan); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		for i, got := range encodeAll(rows) {
+			if !bytes.Equal(got, want[i]) {
+				t.Fatalf("compressed=%v: row %d changed after its read buffers were reused", compressed, i)
+			}
+			if rows[i].Args[0].S != "donor003" {
+				t.Fatalf("compressed=%v: row %d donor now %q", compressed, i, rows[i].Args[0].S)
+			}
+		}
 	}
 }

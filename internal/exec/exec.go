@@ -30,8 +30,11 @@ import (
 type Chain interface {
 	// NumBlocks returns the chain height (number of blocks).
 	NumBlocks() int
-	// Block reads a full block, possibly from cache.
-	Block(bid uint64) (*types.Block, error)
+	// FilterBlock reads a whole block, possibly from cache, and returns
+	// in chain order the transactions keep accepts plus the number the
+	// block holds. keep may be handed a scratch transaction that aliases
+	// the read buffer: it must not retain its argument.
+	FilterBlock(bid uint64, keep func(*types.Transaction) (bool, error)) ([]*types.Transaction, int, error)
 	// Tx reads one transaction by position, possibly from cache.
 	Tx(bid uint64, pos uint32) (*types.Transaction, error)
 	// BlockIdx returns the block-level index: the live one for the
@@ -190,20 +193,25 @@ func SelectCtx(ctx context.Context, c Chain, table string, preds []sqlparser.Pre
 	return selectTraced(ctx, c, table, preds, win, m, nil)
 }
 
-// Probe is second-level index work done ahead of the layered operator —
-// by the planner, which walks the index to count a statement's matches
-// before Equations 1-3 can price the layered method — kept in the form
-// layeredSelect would otherwise produce again: every first-level
-// candidate block of Index for the bounds of preds[Drive], in ascending
-// order, each with the positions its second level returned, sorted.
+// Probe is one walk of a layered index's second level for the bounds of
+// preds[Drive]: the first-level candidate blocks it covered, and the
+// ones among them whose second level returned a position, each with its
+// positions sorted into chain order. The planner takes it to count a
+// statement's matches before Equations 1-3 can price the layered
+// method, and hands it to the operator, which would otherwise make the
+// same walk again.
 type Probe struct {
 	Index *layered.Index
 	// Drive is the position in the statement's predicate list of the
 	// predicate whose bounds were probed.
 	Drive int
-	// Blocks are the candidate block ids; block Blocks[i] matched at
-	// positions Pos[Ends[i-1]:Ends[i]] (from 0 for i == 0), which may be
-	// none: the first level is coarser than the second.
+	// Cand is the set of first-level candidate blocks the walk covered.
+	// The first level is coarser than the second, so most may have no
+	// match.
+	Cand *bitmap.Bitmap
+	// Blocks are the candidate blocks with at least one match, ascending;
+	// block Blocks[i] matched at positions Pos[Ends[i-1]:Ends[i]] (from 0
+	// for i == 0).
 	Blocks []uint64
 	Pos    []uint32
 	Ends   []int
@@ -216,6 +224,53 @@ func (p *Probe) positions(i int) []uint32 {
 		start = p.Ends[i-1]
 	}
 	return p.Pos[start:p.Ends[i]]
+}
+
+// walk is the one walk of the second level: over the first-level
+// candidates of idx for [lo, hi] inside within, in ascending order, it
+// collects each block's matched positions sorted into chain order (the
+// second level returns them in key order). It stops once it holds limit
+// positions, when limit > 0, cutting the last block's short.
+func walk(idx *layered.Index, lo, hi types.Value, within *bitmap.Bitmap, limit int) *Probe {
+	p := &Probe{Index: idx, Cand: idx.CandidateBlocks(lo, hi).And(within)}
+	p.Cand.ForEach(func(bid int) bool {
+		ps := idx.BlockPositions(uint64(bid), lo, hi)
+		if limit > 0 {
+			ps = ps[:min(len(ps), limit-len(p.Pos))]
+		}
+		if len(ps) > 0 {
+			start := len(p.Pos)
+			p.Pos = append(p.Pos, ps...)
+			slices.Sort(p.Pos[start:])
+			p.Blocks = append(p.Blocks, uint64(bid))
+			p.Ends = append(p.Ends, len(p.Pos))
+		}
+		return limit <= 0 || len(p.Pos) < limit
+	})
+	return p
+}
+
+// ProbeLayered is the planner's side of the hand-off. It walks the
+// second level for the predicate the layered operator drives, inside
+// c's height, and returns the number of matches p of Equation 3 with
+// the walk as a probe for SelectProbed. p is -1, with no probe, when no
+// indexed predicate has exact bounds to count; the walk stops at limit
+// matches, and then p is limit and no probe is kept.
+func ProbeLayered(c Chain, tbl *schema.Table, preds []sqlparser.Pred, limit int) (int, *Probe) {
+	idx, i := pickLayered(c, tbl, preds)
+	if idx == nil {
+		return -1, nil
+	}
+	lo, hi, exact := predBounds(preds[i])
+	if !exact {
+		return -1, nil
+	}
+	p := walk(idx, lo, hi, c.BlockIdx().AllBlocks(), limit)
+	if len(p.Pos) >= limit {
+		return len(p.Pos), nil
+	}
+	p.Drive = i
+	return len(p.Pos), p
 }
 
 // SelectProbed is SelectCtx with MethodLayered, walking the second
@@ -252,7 +307,7 @@ func selectImpl(c Chain, table string, preds []sqlparser.Pred, win *sqlparser.Wi
 		if idx == nil {
 			return nil, st, fmt.Errorf("%w: table %q", ErrNoIndex, table)
 		}
-		if probe != nil && (probe.Index != idx || probe.Drive >= len(preds) || &preds[probe.Drive] != drive) {
+		if probe != nil && (probe.Index != idx || probe.Drive != drive) {
 			probe = nil
 		}
 		return layeredSelect(c, tbl, idx, drive, preds, win, blocks, probe)
@@ -262,27 +317,19 @@ func selectImpl(c Chain, table string, preds []sqlparser.Pred, win *sqlparser.Wi
 
 	// Fan block fetch + predicate evaluation across the worker pool and
 	// merge per-block results back in chain order; Stats are summed in
-	// the same order, so they match a sequential run exactly.
+	// the same order, so they match a sequential run exactly. Each block
+	// is filtered before it is built: only matching rows are decoded.
 	ids := blockIDs(blocks)
 	var out []*types.Transaction
 	err = parallel.Ordered(workersOf(c), len(ids),
 		func(i int) (blockMatches, error) {
-			b, err := c.Block(ids[i])
+			txs, n, err := c.FilterBlock(ids[i], func(tx *types.Transaction) (bool, error) {
+				return matches(tbl, tx, preds, win)
+			})
 			if err != nil {
 				return blockMatches{}, err
 			}
-			p := blockMatches{st: Stats{BlocksRead: 1}}
-			for _, tx := range b.Txs {
-				p.st.TxsExamined++
-				ok, err := matches(tbl, tx, preds, win)
-				if err != nil {
-					return blockMatches{}, err
-				}
-				if ok {
-					p.txs = append(p.txs, tx)
-				}
-			}
-			return p, nil
+			return blockMatches{txs: txs, st: Stats{BlocksRead: 1, TxsExamined: n}}, nil
 		},
 		func(_ int, p blockMatches) error {
 			out = append(out, p.txs...)
@@ -306,58 +353,56 @@ func (s *Stats) add(o Stats) {
 	s.IndexProbes += o.IndexProbes
 }
 
-// pickLayered chooses the layered index (and the predicate that drives
-// it) for a query: the first predicate whose column is indexed.
-func pickLayered(c Chain, tbl *schema.Table, preds []sqlparser.Pred) (*layered.Index, *sqlparser.Pred) {
+// pickLayered is the one rule that chooses the layered index, and the
+// position of the predicate that drives it, for both the planner
+// (ProbeLayered) and the operator: the first predicate on an indexed
+// column with exact bounds (= or BETWEEN), else the first predicate on
+// an indexed column. idx is nil when no predicate's column is indexed.
+func pickLayered(c Chain, tbl *schema.Table, preds []sqlparser.Pred) (idx *layered.Index, drive int) {
+	drive = -1
 	for i := range preds {
-		if idx := c.Layered(tbl.Name, preds[i].Col); idx != nil {
-			return idx, &preds[i]
+		x := c.Layered(tbl.Name, preds[i].Col)
+		if x == nil {
+			continue
+		}
+		if _, _, exact := predBounds(preds[i]); exact {
+			return x, i
+		}
+		if idx == nil {
+			idx, drive = x, i
 		}
 	}
-	return nil, nil
+	return idx, drive
 }
 
 // layeredSelect is the layered-index access path: first-level filter to
-// candidate blocks, second-level probe per block, then residual predicate
-// evaluation on the fetched transactions. The per-block probes fan across
-// the worker pool; each block's matched positions are sorted before
-// fetching so the merged result preserves chain order (the second level
-// iterates in key order, not position order). A probe taken on idx and
-// drive ahead of time stands in for both index levels; a candidate block
-// still counts as one index probe.
-func layeredSelect(c Chain, tbl *schema.Table, idx *layered.Index, drive *sqlparser.Pred,
+// candidate blocks, second-level walk, then residual predicate
+// evaluation on the fetched transactions. A probe taken on idx and drive
+// ahead of time stands in for the walk. Every candidate block inside
+// the window counts as one index probe, but only the blocks with a
+// match fan across the worker pool, each reading its positions in chain
+// order (Equation 3's p tuple reads and nothing more).
+func layeredSelect(c Chain, tbl *schema.Table, idx *layered.Index, drive int,
 	preds []sqlparser.Pred, win *sqlparser.Window, blocks *bitmap.Bitmap, probe *Probe) ([]*types.Transaction, Stats, error) {
-	var st Stats
-	lo, hi, _ := predBounds(*drive)
-	var ids []uint64
-	var found [][]uint32 // with a probe: the sorted matches of block ids[i]
-	if probe != nil {
-		for i, bid := range probe.Blocks {
-			if blocks.Get(int(bid)) {
-				ids = append(ids, bid)
-				found = append(found, probe.positions(i))
-			}
+	if probe == nil {
+		lo, hi, _ := predBounds(preds[drive])
+		probe = walk(idx, lo, hi, blocks, 0)
+	}
+	st := Stats{IndexProbes: probe.Cand.Clone().And(blocks).Count()}
+	var matched []int // the probe's matched blocks inside the window
+	for i, bid := range probe.Blocks {
+		if blocks.Get(int(bid)) {
+			matched = append(matched, i)
 		}
-	} else {
-		cand := idx.CandidateBlocks(lo, hi)
-		cand.And(blocks)
-		ids = blockIDs(cand)
 	}
 
 	var out []*types.Transaction
-	err := parallel.Ordered(workersOf(c), len(ids),
-		func(i int) (blockMatches, error) {
-			bid := ids[i]
-			p := blockMatches{st: Stats{IndexProbes: 1}}
-			var poss []uint32
-			if probe != nil {
-				poss = found[i]
-			} else {
-				poss = slices.Clone(idx.BlockPositions(bid, lo, hi))
-				slices.Sort(poss)
-			}
-			for _, pos := range poss {
-				tx, err := c.Tx(bid, pos)
+	err := parallel.Ordered(workersOf(c), len(matched),
+		func(k int) (blockMatches, error) {
+			i := matched[k]
+			var p blockMatches
+			for _, pos := range probe.positions(i) {
+				tx, err := c.Tx(probe.Blocks[i], pos)
 				if err != nil {
 					return blockMatches{}, err
 				}

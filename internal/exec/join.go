@@ -37,20 +37,18 @@ type keyed struct {
 // transaction of table tbl in the given blocks.
 func collectKeyed(c Chain, tbl *schema.Table, col string, blocks *bitmap.Bitmap,
 	win *sqlparser.Window, st *Stats) ([]keyed, error) {
+	keep := func(tx *types.Transaction) (bool, error) { return tx.Tname == tbl.Name && inWindow(tx, win), nil }
 	var out []keyed
 	var ferr error
 	blocks.ForEach(func(bid int) bool {
-		b, err := c.Block(uint64(bid))
+		txs, n, err := c.FilterBlock(uint64(bid), keep)
 		if err != nil {
 			ferr = err
 			return false
 		}
 		st.BlocksRead++
-		for _, tx := range b.Txs {
-			st.TxsExamined++
-			if tx.Tname != tbl.Name || !inWindow(tx, win) {
-				continue
-			}
+		st.TxsExamined += n
+		for _, tx := range txs {
 			v, err := tbl.Value(tx, col)
 			if err != nil {
 				ferr = err
@@ -114,19 +112,18 @@ func onChainJoinImpl(c Chain, r, s, rCol, sCol string, win *sqlparser.Window, m 
 		ht := make(map[types.Value][]*types.Transaction)
 		var ferr error
 		scanBlocks.ForEach(func(bid int) bool {
-			b, err := c.Block(uint64(bid))
+			inR := rBlocks.Get(bid)
+			inS := sBlocks.Get(bid)
+			txs, n, err := c.FilterBlock(uint64(bid), func(tx *types.Transaction) (bool, error) {
+				return inWindow(tx, win) && (inR && tx.Tname == rt.Name || inS && tx.Tname == stt.Name), nil
+			})
 			if err != nil {
 				ferr = err
 				return false
 			}
 			st.BlocksRead++
-			inR := rBlocks.Get(bid)
-			inS := sBlocks.Get(bid)
-			for _, tx := range b.Txs {
-				st.TxsExamined++
-				if !inWindow(tx, win) {
-					continue
-				}
+			st.TxsExamined += n
+			for _, tx := range txs {
 				if inR && tx.Tname == rt.Name {
 					v, err := rt.Value(tx, rCol)
 					if err != nil {

@@ -52,21 +52,18 @@ func trackImpl(c Chain, q *sqlparser.Trace, m Method) ([]*types.Transaction, Sta
 				blocks.And(c.TableBlocks("senid:" + q.Operator))
 			}
 		}
+		keep := func(tx *types.Transaction) (bool, error) { return trackMatch(tx, q), nil }
 		var out []*types.Transaction
 		var ferr error
 		blocks.ForEach(func(bid int) bool {
-			b, err := c.Block(uint64(bid))
+			txs, n, err := c.FilterBlock(uint64(bid), keep)
 			if err != nil {
 				ferr = err
 				return false
 			}
 			st.BlocksRead++
-			for _, tx := range b.Txs {
-				st.TxsExamined++
-				if trackMatch(tx, q) {
-					out = append(out, tx)
-				}
-			}
+			st.TxsExamined += n
+			out = append(out, txs...)
 			return true
 		})
 		return out, st, ferr

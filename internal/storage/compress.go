@@ -441,7 +441,7 @@ func (s *Store) writeRewrite(tmp string, lo, hi uint64) (rewriteResult, error) {
 	defer deflaters.Put(d)
 	var off int64
 	for h := lo; h < hi; h++ {
-		body, ref, _, err := s.readBody(c, h)
+		body, ref, err := s.readBody(c, h)
 		if err != nil {
 			f.Close() //sebdb:ignore-err the read error is what matters; the temporary is deleted by the caller
 			return rewriteResult{}, err

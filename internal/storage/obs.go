@@ -3,10 +3,13 @@ package storage
 import "sebdb/internal/obs"
 
 // Physical-read metrics, reported to the default registry. Reads are
-// split by granularity: "block" covers whole-body transfers (Block,
-// Iter.Read — the t_S + B·t_T term of Equations 1-2), "tx" covers the
-// tuple-sized random reads of the layered index path (ReadTx,
-// Equation 3's p·(t_S + t_T)).
+// split by granularity: "block" covers whole-body transfers (Body,
+// Block, Iter.Body — the t_S + B·t_T term of Equations 1-2), "tx"
+// covers the tuple-sized random reads of the layered index path
+// (ReadTx, Equation 3's p·(t_S + t_T)). The byte counters count what
+// the read took off the segment: the record header plus the stored
+// payload for a whole record, the tuple's bytes alone for a tuple of a
+// plain record.
 var (
 	mBlockReads = obs.Default.Counter(`sebdb_storage_segment_reads_total{kind="block"}`)
 	mTxReads    = obs.Default.Counter(`sebdb_storage_segment_reads_total{kind="tx"}`)
@@ -38,10 +41,21 @@ var (
 	mHandleContention = obs.Default.Counter("sebdb_storage_handle_lock_contention_total")
 )
 
-// tierCounter maps a SegmentReader tier to its read counter.
-func tierCounter(tier string) *obs.Counter {
+// readKind is the granularity a segment read is counted under.
+type readKind struct{ reads, bytes *obs.Counter }
+
+var (
+	blockRead = readKind{mBlockReads, mBlockBytes}
+	txRead    = readKind{mTxReads, mTxBytes}
+)
+
+// count records one read of n bytes off a segment, served by tier.
+func (k readKind) count(n int, tier string) {
+	k.reads.Inc()
+	k.bytes.Add(uint64(n))
 	if tier == TierMmap {
-		return mTierMmap
+		mTierMmap.Inc()
+	} else {
+		mTierPread.Inc()
 	}
-	return mTierPread
 }

@@ -667,17 +667,29 @@ func (s *Store) acquireRef(ref recordRef) (h *segHandle, stale bool, err error) 
 	return h, false, nil
 }
 
-// read returns raw bytes [from, to) of the record's body. It reads the
-// stored record with ONE contiguous positional read — header and
-// payload together, sized from the in-memory stored length — validates
-// the header against expectations, and for a compressed record holds
-// the chunk table to the block's known shape before inflating the
-// chunks that cover the range. The result aliases c's buffers.
-func (c *inflater) read(r SegmentReader, ref *recordRef, from, to uint32) ([]byte, error) {
+// read returns raw bytes [from, to) of the record's body; it is the
+// store's one segment read, and counts the bytes it reads under kind.
+// Part of a plain record is read alone, with one positional read of
+// exactly those bytes. Otherwise it reads the stored record with ONE
+// contiguous positional read — header and payload together, sized from
+// the in-memory stored length — validates the header against
+// expectations, and for a compressed record holds the chunk table to
+// the block's known shape before inflating the chunks that cover the
+// range. The result aliases c's buffers.
+func (c *inflater) read(r SegmentReader, ref *recordRef, from, to uint32, kind readKind) ([]byte, error) {
+	if !ref.comp && (from != 0 || int64(to) != ref.rawLen) {
+		c.in = sized(c.in, int(to-from))
+		if _, err := r.ReadAt(c.in, ref.loc.Offset+headerSize+int64(from)); err != nil {
+			return nil, err
+		}
+		kind.count(len(c.in), r.Tier())
+		return c.in, nil
+	}
 	c.in = sized(c.in, int(headerSize+ref.stored))
 	if _, err := r.ReadAt(c.in, ref.loc.Offset); err != nil {
 		return nil, err
 	}
+	kind.count(len(c.in), r.Tier())
 	if magic := binary.BigEndian.Uint32(c.in); magic != magicFor(ref.comp) {
 		return nil, fmt.Errorf("bad magic %#x", magic)
 	}
@@ -702,44 +714,50 @@ func (s *Store) readErr(loc Location, err error) error {
 }
 
 // readBody returns the raw (decompressed) body of the block at height —
-// aliasing c's buffers — plus the coordinates it was read at and the
-// tier that served it.
-func (s *Store) readBody(c *inflater, height uint64) ([]byte, recordRef, string, error) {
+// aliasing c's buffers — plus the coordinates it was read at.
+func (s *Store) readBody(c *inflater, height uint64) ([]byte, recordRef, error) {
 	for range [maxReadRetries]struct{}{} {
 		ref, err := s.resolve(height)
 		if err != nil {
-			return nil, ref, "", err
+			return nil, ref, err
 		}
 		h, stale, err := s.acquireRef(ref)
 		if err != nil {
-			return nil, ref, "", err
+			return nil, ref, err
 		}
 		if stale {
 			continue
 		}
-		body, err := c.read(h.r, &ref, 0, uint32(ref.rawLen))
-		tier := h.r.Tier()
+		body, err := c.read(h.r, &ref, 0, uint32(ref.rawLen), blockRead)
 		h.release()
 		if err != nil {
-			return nil, ref, "", s.readErr(ref.loc, err)
+			return nil, ref, s.readErr(ref.loc, err)
 		}
-		return body, ref, tier, nil
+		return body, ref, nil
 	}
-	return nil, recordRef{}, "", errSegSwapped
+	return nil, recordRef{}, errSegSwapped
+}
+
+// Body hands use the raw (inflated) encoded body of the block at height
+// with its transaction offsets — the per-height twin of Iter.Body, with
+// the same aliasing rule: body is valid only until use returns.
+func (s *Store) Body(height uint64, use func(body []byte, txOffs []uint32) error) error {
+	c := inflaters.Get().(*inflater)
+	defer inflaters.Put(c)
+	body, ref, err := s.readBody(c, height)
+	if err != nil {
+		return err
+	}
+	return use(body, ref.txOffs)
 }
 
 // Block reads the full block at the given height from disk.
-func (s *Store) Block(height uint64) (*types.Block, error) {
-	c := inflaters.Get().(*inflater)
-	defer inflaters.Put(c)
-	body, _, tier, err := s.readBody(c, height)
-	if err != nil {
-		return nil, err
-	}
-	mBlockReads.Inc()
-	mBlockBytes.Add(uint64(headerSize + len(body)))
-	tierCounter(tier).Inc()
-	return types.DecodeBlock(types.NewDecoder(body))
+func (s *Store) Block(height uint64) (b *types.Block, err error) {
+	err = s.Body(height, func(body []byte, _ []uint32) error {
+		b, err = types.DecodeBlock(types.NewDecoder(body))
+		return err
+	})
+	return b, err
 }
 
 // Close releases the store's read handles and the append descriptor,
@@ -936,13 +954,10 @@ func (it *Iter) Body(height uint64, use func(body []byte, txOffs []uint32) error
 	h := it.handles[ref.loc.Segment]
 	c := inflaters.Get().(*inflater)
 	defer inflaters.Put(c)
-	body, err := c.read(h.r, &ref, 0, uint32(ref.rawLen))
+	body, err := c.read(h.r, &ref, 0, uint32(ref.rawLen), blockRead)
 	if err != nil {
 		return it.s.readErr(ref.loc, err)
 	}
-	mBlockReads.Inc()
-	mBlockBytes.Add(uint64(len(body)))
-	tierCounter(h.r.Tier()).Inc()
 	return use(body, ref.txOffs)
 }
 
@@ -984,21 +999,11 @@ func (s *Store) ReadTx(height uint64, pos uint32) (*types.Transaction, error) {
 		if stale {
 			continue
 		}
-		var buf []byte
-		if ref.comp {
-			buf, err = c.read(h.r, &ref, start, end)
-		} else {
-			buf = make([]byte, end-start)
-			_, err = h.r.ReadAt(buf, ref.loc.Offset+headerSize+int64(start))
-		}
-		tier := h.r.Tier()
+		buf, err := c.read(h.r, &ref, start, end, txRead)
 		h.release()
 		if err != nil {
 			return nil, s.readErr(ref.loc, err)
 		}
-		mTxReads.Inc()
-		mTxBytes.Add(uint64(len(buf)))
-		tierCounter(tier).Inc()
 		return types.DecodeTransaction(types.NewDecoder(buf))
 	}
 	return nil, errSegSwapped

@@ -118,6 +118,9 @@ func (e *Encoder) Values(vs []Value) {
 type Decoder struct {
 	buf []byte
 	off int
+	// alias makes Str and Blob return views of buf instead of copies.
+	// Only FilterBlock sets it, for its scratch transaction.
+	alias bool
 }
 
 // NewDecoder wraps buf for decoding.
@@ -215,6 +218,9 @@ func (d *Decoder) Blob() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	if d.alias {
+		return b[:len(b):len(b)], nil
+	}
 	out := make([]byte, len(b))
 	copy(out, b)
 	return out, nil
@@ -229,6 +235,9 @@ func (d *Decoder) Str() (string, error) {
 	b, err := d.take(int(n))
 	if err != nil {
 		return "", err
+	}
+	if d.alias {
+		return aliasStr(b), nil
 	}
 	return string(b), nil
 }
@@ -307,7 +316,10 @@ func (d *Decoder) skipValue() error {
 }
 
 // Values reads a count-prefixed slice of values.
-func (d *Decoder) Values() ([]Value, error) {
+func (d *Decoder) Values() ([]Value, error) { return d.values(nil) }
+
+// values is Values decoding into dst's storage when it has the room.
+func (d *Decoder) values(dst []Value) ([]Value, error) {
 	n, err := d.Uint32()
 	if err != nil {
 		return nil, err
@@ -315,7 +327,12 @@ func (d *Decoder) Values() ([]Value, error) {
 	if int(n) > d.Remaining() { // each value is at least 1 byte
 		return nil, ErrCorrupt
 	}
-	vs := make([]Value, n)
+	var vs []Value
+	if dst != nil && cap(dst) >= int(n) {
+		vs = dst[:n]
+	} else {
+		vs = make([]Value, n)
+	}
 	for i := range vs {
 		if vs[i], err = d.Value(); err != nil {
 			return nil, err

@@ -122,29 +122,37 @@ func EncodedTid(enc []byte) (uint64, error) {
 // DecodeTransaction reads one transaction from d.
 func DecodeTransaction(d *Decoder) (*Transaction, error) {
 	t := &Transaction{}
-	var err error
-	if t.Tid, err = d.Uint64(); err != nil {
-		return nil, err
-	}
-	if t.Ts, err = d.Int64(); err != nil {
-		return nil, err
-	}
-	if t.SenID, err = d.Str(); err != nil {
-		return nil, err
-	}
-	if t.Tname, err = d.Str(); err != nil {
-		return nil, err
-	}
-	if t.Sig, err = d.Blob(); err != nil {
-		return nil, err
-	}
-	if t.PubKey, err = d.Blob(); err != nil {
-		return nil, err
-	}
-	if t.Args, err = d.Values(); err != nil {
+	if err := decodeTx(d, t); err != nil {
 		return nil, err
 	}
 	return t, nil
+}
+
+// decodeTx reads one transaction from d into t, reusing t.Args's
+// storage when it is large enough. Strings and blobs alias the decode
+// buffer when d does (FilterBlock's scratch) and are copies otherwise.
+func decodeTx(d *Decoder, t *Transaction) error {
+	var err error
+	if t.Tid, err = d.Uint64(); err != nil {
+		return err
+	}
+	if t.Ts, err = d.Int64(); err != nil {
+		return err
+	}
+	if t.SenID, err = d.Str(); err != nil {
+		return err
+	}
+	if t.Tname, err = d.Str(); err != nil {
+		return err
+	}
+	if t.Sig, err = d.Blob(); err != nil {
+		return err
+	}
+	if t.PubKey, err = d.Blob(); err != nil {
+		return err
+	}
+	t.Args, err = d.values(t.Args)
+	return err
 }
 
 // SkipTransaction advances d past one transaction's encoding without

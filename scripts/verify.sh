@@ -75,7 +75,10 @@ echo "== fuzz (10 s per target) =="
 # second-level read equals it, and neither first level drops a block
 # the second level matches. The transaction skip walk the block store
 # takes its offsets from is held to the full decoder: same accept/refuse,
-# same bytes consumed.
+# same bytes consumed; so is the filtered block read the scans use, which
+# decodes into an aliasing scratch: same accept/refuse with the store's
+# offsets, never an accept the full decoder refuses, and exactly the
+# full decoder's transactions that pass the filter.
 # Minimization is off: the engine's minimizer stalls on multi-KB inputs.
 go test -run '^$' -fuzz '^FuzzDecodeVerifyVO$' -fuzztime 10s -fuzzminimizetime 0 ./internal/mbtree
 go test -run '^$' -fuzz '^FuzzVerifyAnswer$' -fuzztime 10s -fuzzminimizetime 0 ./internal/auth
@@ -83,6 +86,7 @@ go test -run '^$' -fuzz '^FuzzInflateRecord$' -fuzztime 10s -fuzzminimizetime 0 
 go test -run '^$' -fuzz '^FuzzDecodeCheckpointLog$' -fuzztime 10s -fuzzminimizetime 0 ./internal/snapshot
 go test -run '^$' -fuzz '^FuzzLayeredBlock$' -fuzztime 10s -fuzzminimizetime 0 ./internal/index/layered
 go test -run '^$' -fuzz '^FuzzSkipTransaction$' -fuzztime 10s -fuzzminimizetime 0 ./internal/types
+go test -run '^$' -fuzz '^FuzzFilterBlock$' -fuzztime 10s -fuzzminimizetime 0 ./internal/types
 
 echo "== bchainbench -json smoke =="
 # The table driver end to end: fig 12 for the JSON output, fig storage
