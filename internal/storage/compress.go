@@ -139,31 +139,18 @@ func openChunked(payload []byte, rawLen int64, txOffs []uint32) (chunked, error)
 }
 
 // inflater is the read side's reusable state: the stored-record input
-// buffer, the inflate scratch and the flate reader, reset per call
-// rather than allocated (a fresh flate reader alone is ~44 KB). Bodies
-// it returns alias its buffers and are valid until it goes back to the
-// pool; that is safe because DecodeBlock and DecodeTransaction copy
-// every string and blob out of the buffer they decode.
+// buffer, the inflate scratch and the DEFLATE decoder's tables, reset
+// per call rather than allocated. Bodies it returns alias its buffers
+// and are valid until it goes back to the pool; that is safe because
+// DecodeBlock and DecodeTransaction copy every string and blob out of
+// the buffer they decode.
 type inflater struct {
 	in  []byte
 	raw []byte
-	src bytes.Reader
-	fr  resettableReader
+	dec decoder
 }
 
-// resettableReader is what flate.NewReader returns.
-type resettableReader interface {
-	io.Reader
-	flate.Resetter
-}
-
-func newInflater() *inflater {
-	c := new(inflater)
-	c.fr = flate.NewReader(&c.src).(resettableReader)
-	return c
-}
-
-var inflaters = sync.Pool{New: func() any { return newInflater() }}
+var inflaters = sync.Pool{New: func() any { return new(inflater) }}
 
 // sized returns buf resized to n bytes, reallocating only to grow.
 func sized(buf []byte, n int) []byte {
@@ -198,17 +185,9 @@ func (c *inflater) inflate(z *chunked, from, to uint32) ([]byte, error) {
 	rawStart := base
 	for i := lo; i < hi; i++ {
 		rawEnd, storedEnd := z.entry(i)
-		c.src.Reset(z.payload[storedStart:storedEnd])
-		if err := c.fr.Reset(&c.src, nil); err != nil {
-			return nil, fmt.Errorf("inflating chunk %d: %w", i, err)
-		}
-		if _, err := io.ReadFull(c.fr, c.raw[rawStart-base:rawEnd-base]); err != nil {
-			return nil, fmt.Errorf("inflating chunk %d: %w", i, err)
-		}
-		var one [1]byte
-		if n, err := c.fr.Read(one[:]); n != 0 || err != io.EOF || c.src.Len() != 0 {
-			return nil, fmt.Errorf("chunk %d does not end with its declared %d raw and %d stored bytes",
-				i, rawEnd-rawStart, storedEnd-storedStart)
+		if err := c.dec.inflate(c.raw[rawStart-base:rawEnd-base], z.payload[storedStart:storedEnd]); err != nil {
+			return nil, fmt.Errorf("inflating chunk %d (%d raw, %d stored bytes): %w",
+				i, rawEnd-rawStart, storedEnd-storedStart, err)
 		}
 		rawStart, storedStart = rawEnd, storedEnd
 	}

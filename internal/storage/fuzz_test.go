@@ -56,7 +56,7 @@ func FuzzInflateRecord(f *testing.F) {
 			// hold such a record to; legal, but too slow to fuzz through.
 			return
 		}
-		c := newInflater()
+		c := new(inflater)
 		whole, wholeErr := c.inflate(&z, 0, z.rawLen)
 		if known && cap(c.raw) > len(body) {
 			t.Fatalf("scratch of %d bytes for a block of %d", cap(c.raw), len(body))

@@ -153,12 +153,16 @@ func (s *Store) openWithMeta(m *Meta) error {
 		if n == loc.Segment {
 			base = start
 		}
+		fi, err := s.fs.Stat(s.segPath(n))
+		if err != nil {
+			return fmt.Errorf("storage: %w", err)
+		}
 		f, err := s.fs.Open(s.segPath(n))
 		if err != nil {
 			return fmt.Errorf("storage: %w", err)
 		}
 		sr := io.NewSectionReader(f, base, math.MaxInt64-base)
-		valid, err := s.scanSegment(sr, n, base)
+		valid, err := s.scanSegment(sr, n, base, fi.Size())
 		if cerr := f.Close(); err == nil && cerr != nil {
 			err = fmt.Errorf("storage: %w", cerr)
 		}

@@ -320,11 +320,15 @@ func (s *Store) recover() error {
 	}
 
 	for _, n := range segs {
+		fi, err := s.fs.Stat(s.segPath(n))
+		if err != nil {
+			return fmt.Errorf("storage: %w", err)
+		}
 		f, err := s.fs.Open(s.segPath(n))
 		if err != nil {
 			return fmt.Errorf("storage: %w", err)
 		}
-		valid, err := s.scanSegment(f, n, 0)
+		valid, err := s.scanSegment(f, n, 0, fi.Size())
 		if cerr := f.Close(); err == nil && cerr != nil {
 			err = fmt.Errorf("storage: %w", cerr)
 		}
@@ -352,12 +356,14 @@ func (s *Store) recover() error {
 }
 
 // scanSegment reads records from r (positioned at byte offset base of
-// segment seg), appending to the in-memory state, and returns the
-// offset of the first invalid byte (the valid length). Plain and
+// segment seg, a file of size bytes), appending to the in-memory state,
+// and returns the offset of the first invalid byte (the valid length).
+// A record claiming more bytes than the file has left is a torn tail,
+// found before anything is sized from its length field. Plain and
 // compressed records may be mixed within one segment. A record in the
 // retired recordMagicZ format is an error, not an invalid tail: on the
 // last segment, taking it for one would truncate committed blocks.
-func (s *Store) scanSegment(r io.Reader, seg uint32, base int64) (int64, error) {
+func (s *Store) scanSegment(r io.Reader, seg uint32, base, size int64) (int64, error) {
 	off := base
 	hdr := make([]byte, headerSize)
 	c := inflaters.Get().(*inflater)
@@ -376,6 +382,9 @@ func (s *Store) scanSegment(r io.Reader, seg uint32, base int64) (int64, error) 
 			return off, nil
 		}
 		n := binary.BigEndian.Uint32(hdr[4:])
+		if int64(n)+trailerSize > size-off-headerSize {
+			return off, nil // torn payload
+		}
 		payload := make([]byte, int(n)+trailerSize)
 		if _, err := io.ReadFull(r, payload); err != nil {
 			return off, nil // torn payload

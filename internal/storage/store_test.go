@@ -4,6 +4,7 @@ import (
 	"crypto/ed25519"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -185,6 +186,62 @@ func TestTornTailTruncated(t *testing.T) {
 	tip, _ := s2.Tip()
 	if _, err := s2.AppendNoSync(mkBlock(&tip, 7, 1)); err != nil {
 		t.Errorf("append after torn-tail recovery: %v", err)
+	}
+}
+
+// TestTornLengthAllocatesNothingOfIt: a record whose length field
+// claims more bytes than its segment holds is a torn tail, found
+// before the scan sizes a buffer from that field — on a full recovery
+// and on the suffix scan past a checkpoint's metadata.
+func TestTornLengthAllocatesNothingOfIt(t *testing.T) {
+	for _, withMeta := range []bool{false, true} {
+		dir := t.TempDir()
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendChain(t, s, 2, 2)
+		m, err := s.MetaWindow(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second := s.locs[1].Offset
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.OpenFile(filepath.Join(dir, "blocks-000000.seg"), os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt([]byte{0xff, 0xff, 0xff, 0xf0}, second+4); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var s2 *Store
+		if withMeta {
+			s2, err = OpenWithMeta(dir, Options{}, m)
+		} else {
+			s2, err = Open(dir, Options{})
+		}
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("meta=%v: %v", withMeta, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+			t.Errorf("meta=%v: Open allocated %d MB", withMeta, got>>20)
+		}
+		if s2.Count() != 1 || s2.curSize != second {
+			t.Errorf("meta=%v: %d blocks, segment of %d bytes; want 1 block, the torn record cut at %d",
+				withMeta, s2.Count(), s2.curSize, second)
+		}
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -78,11 +78,15 @@ echo "== fuzz (10 s per target) =="
 # same bytes consumed; so is the filtered block read the scans use, which
 # decodes into an aliasing scratch: same accept/refuse with the store's
 # offsets, never an accept the full decoder refuses, and exactly the
-# full decoder's transactions that pass the filter.
+# full decoder's transactions that pass the filter. The cold tier's
+# DEFLATE decoder is held to compress/flate's reader on arbitrary chunks:
+# same accept/refuse under exact fill and exact consume, same bytes, no
+# write past its output.
 # Minimization is off: the engine's minimizer stalls on multi-KB inputs.
 go test -run '^$' -fuzz '^FuzzDecodeVerifyVO$' -fuzztime 10s -fuzzminimizetime 0 ./internal/mbtree
 go test -run '^$' -fuzz '^FuzzVerifyAnswer$' -fuzztime 10s -fuzzminimizetime 0 ./internal/auth
 go test -run '^$' -fuzz '^FuzzInflateRecord$' -fuzztime 10s -fuzzminimizetime 0 ./internal/storage
+go test -run '^$' -fuzz '^FuzzInflateChunk$' -fuzztime 10s -fuzzminimizetime 0 ./internal/storage
 go test -run '^$' -fuzz '^FuzzDecodeCheckpointLog$' -fuzztime 10s -fuzzminimizetime 0 ./internal/snapshot
 go test -run '^$' -fuzz '^FuzzLayeredBlock$' -fuzztime 10s -fuzzminimizetime 0 ./internal/index/layered
 go test -run '^$' -fuzz '^FuzzSkipTransaction$' -fuzztime 10s -fuzzminimizetime 0 ./internal/types
