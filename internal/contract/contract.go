@@ -13,6 +13,7 @@ package contract
 
 import (
 	"fmt"
+	"maps"
 	"regexp"
 	"strconv"
 	"strings"
@@ -142,7 +143,9 @@ type Result struct {
 	Rows    [][]types.Value
 }
 
-// Registry is a node's deployed-contract set.
+// Registry is a node's deployed-contract set. Like schema.Catalog's
+// table map, its contract map is copy-on-write: Register and Unregister
+// replace it, so Snapshot hands out the current map without copying it.
 type Registry struct {
 	mu        sync.RWMutex
 	contracts map[string]*Contract
@@ -164,7 +167,9 @@ func (r *Registry) Register(c *Contract) error {
 		}
 		return errConflict(c)
 	}
-	r.contracts[c.Name] = c
+	contracts := maps.Clone(r.contracts)
+	contracts[c.Name] = c
+	r.contracts = contracts
 	return nil
 }
 
@@ -191,19 +196,19 @@ func same(a, b *Contract) bool {
 func (r *Registry) Unregister(name string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	delete(r.contracts, strings.ToLower(name))
+	contracts := maps.Clone(r.contracts)
+	delete(contracts, strings.ToLower(name))
+	r.contracts = contracts
 }
 
-// Snapshot returns a point-in-time copy of the registry's contract map.
-// Contracts are immutable once parsed, so sharing the pointers is safe.
+// Snapshot returns the registry's contract map as of now. Later
+// Register/Unregister calls replace the registry's map and leave this
+// one as it is; contracts are immutable once parsed. The map is shared:
+// callers must not modify it.
 func (r *Registry) Snapshot() map[string]*Contract {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make(map[string]*Contract, len(r.contracts))
-	for n, c := range r.contracts {
-		out[n] = c
-	}
-	return out
+	return r.contracts
 }
 
 // Get returns a deployed contract.

@@ -218,7 +218,7 @@ func (e *Engine) createLayered(table, col string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return createIndex(e, e.lidxLocked, indexSpec{table: tbl.Name, col: col}, kind, e.layeredFeed,
+	return createIndex(e, &e.lidx, indexSpec{table: tbl.Name, col: col}, kind, e.layeredFeed,
 		func(hist *layered.Histogram) *layered.Index { return newLayered(col, hist) })
 }
 
@@ -242,14 +242,9 @@ func (e *Engine) createAuth(table, col string) (bool, error) {
 	} else if _, err := types.SystemColumnKind(col); err != nil {
 		return false, fmt.Errorf("core: auth index on %q: %w", col, err)
 	}
-	return createIndex(e, e.alisLocked, spec, kind, e.aliFeed,
+	return createIndex(e, &e.alis, spec, kind, e.aliFeed,
 		func(hist *layered.Histogram) *auth.ALI { return newALI(col, hist) })
 }
-
-// lidxLocked and alisLocked name the two index families for createIndex.
-// Callers hold e.mu.
-func (e *Engine) lidxLocked() map[string]*layered.Index { return e.lidx }
-func (e *Engine) alisLocked() map[string]*auth.ALI      { return e.alis }
 
 // createIndex is the one index-creation protocol, shared by the layered
 // indexes and the ALIs: sample a histogram for a continuous column,
@@ -258,14 +253,14 @@ func (e *Engine) alisLocked() map[string]*auth.ALI      { return e.alis }
 // before the registration makes the index visible (commits take e.mu
 // too), so no committed block is ever missed — register and republish.
 // It reports whether it registered the index; persisting the definition
-// is the caller's. family returns the engine map the index registers in
-// and is only called under e.mu; build constructs the empty index, hist
-// being nil for a discrete column.
-func createIndex[I any](e *Engine, family func() map[string]I, spec indexSpec, kind types.Kind,
+// is the caller's. family is the engine map the index registers in,
+// read and replaced only under e.mu; build constructs the empty index,
+// hist being nil for a discrete column.
+func createIndex[I any](e *Engine, family *map[string]I, spec indexSpec, kind types.Kind,
 	feedOf func(key string, idx I) blockFeed, build func(hist *layered.Histogram) I) (bool, error) {
 	key := spec.key()
 	e.mu.RLock()
-	_, exists := family()[key]
+	_, exists := (*family)[key]
 	e.mu.RUnlock()
 	if exists {
 		return false, nil
@@ -287,13 +282,13 @@ func createIndex[I any](e *Engine, family func() map[string]I, spec indexSpec, k
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, exists := family()[key]; exists {
+	if _, exists := (*family)[key]; exists {
 		return false, nil
 	}
 	if err := e.backfill(feed, done, uint64(e.store.Count())); err != nil {
 		return false, err
 	}
-	family()[key] = idx
+	*family = withEntry(*family, key, idx)
 	e.idxEpoch++
 	// Republish so the registration reaches readers: views snapshot the
 	// index maps, so without a new view the index would stay invisible.

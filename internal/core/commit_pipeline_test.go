@@ -561,3 +561,62 @@ func TestApplyBlockRefusesBrokenMerkleRoot(t *testing.T) {
 		t.Fatalf("refused block moved the chain: height %d, store %d, want %d", e.Height(), e.store.Count(), height)
 	}
 }
+
+// TestApplyRefusesOutOfOrderBlock delivers three forged blocks linked to
+// the tip that would break the order the block-level index bisects: one
+// stamped before the tip, one reusing tids already on the chain, and an
+// empty one naming a first tid. Each must be refused with the height
+// and every GET BLOCK answer unchanged, and the chain must still accept
+// the honest next block.
+func TestApplyRefusesOutOfOrderBlock(t *testing.T) {
+	e := testEngine(t, Config{Clock: clock.Fixed(1)})
+	seedDonation(t, e, 20, 5) // tids 1-22; the tip is block 4 at ts 20000
+	height := e.Height()
+	queries := []string{`GET BLOCK TID=2`, `GET BLOCK TID=3`, `GET BLOCK TID=22`, `GET BLOCK TID=23`,
+		`GET BLOCK TS=10`, `GET BLOCK TS=20000`, `GET BLOCK TS=99999`}
+	answers := func() string {
+		var sb strings.Builder
+		for _, q := range queries {
+			res, err := e.Execute(q)
+			if err != nil {
+				fmt.Fprintf(&sb, "%s: %v\n", q, err)
+				continue
+			}
+			fmt.Fprintf(&sb, "%s: %v\n", q, res.Rows)
+		}
+		return sb.String()
+	}
+	before := answers()
+	tip := e.CurrentView().Tip()
+	forge := func(firstTid uint64, n int, ts int64) *types.Block {
+		txs := make([]*types.Transaction, n)
+		for i := range txs {
+			txs[i] = donateTx(t, e, 200+i)
+			txs[i].Tid = firstTid + uint64(i)
+		}
+		return types.NewBlock(tip, txs, ts, "forger")
+	}
+	early := forge(23, 2, 10)
+	reused := forge(3, 2, 30000)
+	empty := forge(0, 0, 30000)
+	empty.Header.FirstTid = 2
+	for name, b := range map[string]*types.Block{"stamped before the tip": early, "reusing tids": reused, "empty with a first tid": empty} {
+		err := e.ApplyBlock(b)
+		if err == nil {
+			t.Errorf("block %s accepted", name)
+		}
+		t.Logf("block %s: %v", name, err)
+		if e.Height() != height || uint64(e.store.Count()) != height {
+			t.Fatalf("block %s moved the chain: height %d, store %d, want %d", name, e.Height(), e.store.Count(), height)
+		}
+		if got := answers(); got != before {
+			t.Fatalf("block %s changed GET BLOCK:\n--- before ---\n%s--- after ---\n%s", name, before, got)
+		}
+	}
+	if err := e.ApplyBlock(forge(23, 2, 30000)); err != nil {
+		t.Fatalf("the honest next block: %v", err)
+	}
+	if res := mustExec(t, e, `GET BLOCK TID=23`); res.Rows[0][0] != types.Int(int64(height)) {
+		t.Errorf("GET BLOCK TID=23 = %v, want the new block %d", res.Rows[0][0], height)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -172,9 +173,8 @@ type Engine struct {
 	catalog *schema.Catalog
 	offDB   *rdbms.DB
 
-	// blockIdx and tableIdx are created once in Open and carry their own
-	// internal locks, so readers reach them without taking e.mu.
-	blockIdx *blockindex.Index
+	// tableIdx is created once in Open and carries its own internal
+	// lock, so readers reach it without taking e.mu.
 	tableIdx *bitmap.TableIndex // keys: table names and "senid:<id>"
 
 	// par is the worker bound of the read and commit pipelines
@@ -192,7 +192,10 @@ type Engine struct {
 	// reverse.
 	commitMu sync.Mutex
 
-	mu      sync.RWMutex // guards the index maps and the write path
+	// mu guards the index maps and the write path. The maps are
+	// copy-on-write: a creation replaces the map (withEntry), never
+	// changes it, because published views share it.
+	mu      sync.RWMutex
 	lidx    map[string]*layered.Index
 	alis    map[string]*auth.ALI
 	lastTid uint64
@@ -420,14 +423,21 @@ func openTraced(ctx context.Context, cfg Config) (*Engine, error) {
 // newEngine builds the in-memory engine shell over an opened store.
 func newEngine(cfg Config, st *storage.Store, snapDir *snapshot.Dir) *Engine {
 	e := &Engine{
-		cfg:        cfg,
-		store:      st,
-		catalog:    schema.NewCatalog(),
-		offDB:      rdbms.New(),
-		blockIdx:   blockindex.New(),
-		tableIdx:   bitmap.NewTableIndex(),
-		lidx:       make(map[string]*layered.Index),
-		alis:       make(map[string]*auth.ALI),
+		cfg:      cfg,
+		store:    st,
+		catalog:  schema.NewCatalog(),
+		offDB:    rdbms.New(),
+		tableIdx: bitmap.NewTableIndex(),
+		// The global track-trace indexes on the system columns are always
+		// present (§V-A: "the layered indices on column SenID and Tname
+		// are pre-created ... on all tables for all historical
+		// transactions"). A checkpoint restore replaces them with the
+		// serialised state.
+		lidx: map[string]*layered.Index{
+			".senid": layered.NewDiscrete("senid"),
+			".tname": layered.NewDiscrete("tname"),
+		},
+		alis:       map[string]*auth.ALI{},
 		keys:       make(map[string]ed25519.PrivateKey),
 		acl:        accessctl.New(),
 		contracts:  contract.NewRegistry(),
@@ -448,17 +458,11 @@ func newEngine(cfg Config, st *storage.Store, snapDir *snapshot.Dir) *Engine {
 	case CacheTxs:
 		e.txCache = cache.NewSharded(cfg.CacheBytes, cache.DefaultShards)
 	}
-	// The global track-trace indexes on the system columns are always
-	// present (§V-A: "the layered indices on column SenID and Tname are
-	// pre-created ... on all tables for all historical transactions").
-	// A checkpoint restore replaces them with the serialised state.
-	e.lidx[".senid"] = layered.NewDiscrete("senid")
-	e.lidx[".tname"] = layered.NewDiscrete("tname")
 	e.heightCh = make(chan struct{})
 	// Install an empty view so CurrentView never returns nil; the real
 	// one is published once recovery has rebuilt the derived state. The
 	// shell is not shared yet, so no lock is needed.
-	e.view.Store(e.buildView(0))
+	e.view.Store(e.buildView(blockindex.Index{}))
 	return e
 }
 
@@ -775,18 +779,18 @@ func (e *Engine) applyOne(b *types.Block) error {
 // nowhere else. Callers hold commitMu; start is when the block's
 // prepare/validate stage began.
 //
-// The block's catalog and contract effects are resolved before the
-// append: a __schema__ or contract-deploy transaction that fails to
-// decode or conflicts with an existing definition refuses the whole
-// block while the segment store, the indexes and the published view are
-// still untouched; a block appended first and refused while indexing
+// The block is admitted before the append: a block whose tids do not
+// continue the chain's, or whose __schema__ or contract-deploy
+// transaction fails to decode or conflicts with an existing definition,
+// is refused whole while the segment store, the indexes and the
+// published view are still untouched; a block appended first and refused while indexing
 // would stay on disk and fail every later Open's replay.
 func (e *Engine) install(b *types.Block, start int64, event string) error {
 	prepared := e.cfg.Obs.Now()
 	e.mPrepare.Observe(prepared - start)
 
 	e.mu.Lock()
-	tables, contracts, err := e.resolveDDL(b)
+	tables, contracts, err := e.admit(b)
 	if err == nil {
 		// Indexes read tuples by column position: a block carrying a
 		// short or mistyped tuple would append and then fail to index.
@@ -851,20 +855,27 @@ func (e *Engine) prepareBlock(txs []*types.Transaction, ts int64) *types.Block {
 func (e *Engine) indexBlock(b *types.Block) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	tables, contracts, err := e.resolveDDL(b)
+	tables, contracts, err := e.admit(b)
 	if err != nil {
 		return err
 	}
 	return e.indexBlockLocked(b, tables, contracts)
 }
 
-// resolveDDL decodes b's schema and contract-deploy transactions and
-// checks them against the catalog, the registry and each other without
-// changing either, returning the tables and contracts the block newly
-// defines. Callers hold e.mu exclusively — every catalog and registry
-// mutation happens under it — so what resolves here cannot conflict
-// when indexBlockLocked applies it.
-func (e *Engine) resolveDDL(b *types.Block) ([]*schema.Table, []*contract.Contract, error) {
+// admit checks b against the engine's state without changing it, and
+// returns the tables and contracts the block newly defines. A non-empty
+// block's first tid must continue the commit cursor — Validate has made
+// its tids consecutive — so the store's tid cursors rise with height
+// and the block-level index can bisect them. Its schema and
+// contract-deploy transactions are decoded and checked against the
+// catalog, the registry and each other. Callers hold e.mu exclusively —
+// every catalog and registry mutation happens under it — so what
+// resolves here cannot conflict when indexBlockLocked applies it.
+func (e *Engine) admit(b *types.Block) ([]*schema.Table, []*contract.Contract, error) {
+	if b.Header.TxCount > 0 && b.Header.FirstTid != e.lastTid+1 {
+		return nil, nil, fmt.Errorf("core: block %d starts at tid %d, the chain continues at %d",
+			b.Header.Height, b.Header.FirstTid, e.lastTid+1)
+	}
 	tables, err := e.catalog.Resolve(b.Txs)
 	if err != nil {
 		return nil, nil, err
@@ -895,12 +906,6 @@ func (e *Engine) indexBlockLocked(b *types.Block, tables []*schema.Table, contra
 	if b.Header.Timestamp > e.lastTs {
 		e.lastTs = b.Header.Timestamp
 	}
-
-	lastTid := b.Header.FirstTid
-	if n := len(b.Txs); n > 0 {
-		lastTid = b.Txs[n-1].Tid
-	}
-	e.blockIdx.Append(bid, b.Header.FirstTid, lastTid, b.Header.Timestamp)
 
 	// Table-level bitmaps on Tname and SenID.
 	e.tableIdx.MarkAll(tableKeys(b.Txs), int(bid))
@@ -1061,4 +1066,13 @@ func splitKey(key string) indexSpec {
 		}
 	}
 	return indexSpec{col: key}
+}
+
+// withEntry returns a copy of m with key set to v: the copy-on-write
+// step every write to the engine's index maps takes, because published
+// views share the map they saw.
+func withEntry[V any](m map[string]V, key string, v V) map[string]V {
+	out := maps.Clone(m)
+	out[key] = v
+	return out
 }

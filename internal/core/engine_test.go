@@ -251,6 +251,46 @@ func TestGetBlock(t *testing.T) {
 	if _, err := e.Execute(`GET BLOCK ID=9999`); err == nil {
 		t.Error("missing block accepted")
 	}
+
+	// Empty blocks between data blocks and at the tip own no tid, and a
+	// repeated timestamp is clamped one past the tip's, so every lookup
+	// has exactly one answer. Blocks 0-4 hold tids 1-22; the tip is
+	// block 4 at ts 20000.
+	for _, c := range []struct {
+		txs []*types.Transaction
+		ts  int64
+	}{
+		{nil, 25000}, // block 5
+		{nil, 25000}, // block 6, stamped 25001
+		{[]*types.Transaction{donateTx(t, e, 100), donateTx(t, e, 101)}, 30000}, // block 7: tids 23-24
+		{nil, 40000}, // block 8, the tip
+	} {
+		if _, err := e.CommitBlock(c.txs, c.ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := mustExec(t, e, `GET BLOCK ID=6`).Rows[0][1]; got != types.Time(25001) {
+		t.Errorf("block 6 stamped %v, want the clamped 25001", got)
+	}
+	for _, c := range []struct {
+		q    string
+		want int64 // -1: no block
+	}{
+		{`GET BLOCK TID=22`, 4}, {`GET BLOCK TID=23`, 7}, {`GET BLOCK TID=24`, 7}, {`GET BLOCK TID=25`, -1},
+		{`GET BLOCK TS=0`, -1}, {`GET BLOCK TS=1`, 0}, {`GET BLOCK TS=24999`, 4},
+		{`GET BLOCK TS=25000`, 5}, {`GET BLOCK TS=25001`, 6}, {`GET BLOCK TS=29999`, 6},
+		{`GET BLOCK TS=30000`, 7}, {`GET BLOCK TS=99999`, 8},
+	} {
+		res, err := e.Execute(c.q)
+		switch {
+		case c.want < 0 && err == nil:
+			t.Errorf("%s answered block %v", c.q, res.Rows[0][0])
+		case c.want >= 0 && err != nil:
+			t.Errorf("%s: %v", c.q, err)
+		case c.want >= 0 && res.Rows[0][0] != types.Int(c.want):
+			t.Errorf("%s answered block %v, want %d", c.q, res.Rows[0][0], c.want)
+		}
+	}
 }
 
 func TestCreateIndexAndLayeredSelect(t *testing.T) {

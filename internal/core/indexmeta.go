@@ -138,13 +138,13 @@ func (e *Engine) registerDefs(defs []indexDef, base uint64) error {
 				continue
 			}
 			idx := newLayered(splitKey(d.Key).col, hist)
-			e.lidx[d.Key], feed = idx, e.layeredFeed(d.Key, idx)
+			e.lidx, feed = withEntry(e.lidx, d.Key, idx), e.layeredFeed(d.Key, idx)
 		case familyAuth:
 			if _, ok := e.alis[d.Key]; ok {
 				continue
 			}
 			ali := newALI(splitKey(d.Key).col, hist)
-			e.alis[d.Key], feed = ali, e.aliFeed(d.Key, ali)
+			e.alis, feed = withEntry(e.alis, d.Key, ali), e.aliFeed(d.Key, ali)
 		default:
 			return fmt.Errorf("core: index meta: %q has unknown family %q", d.Key, d.Family)
 		}

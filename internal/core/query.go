@@ -128,7 +128,7 @@ func (e *Engine) execCreate(sender string, s *sqlparser.CreateTable) (*Result, e
 // forever diverging from every peer. The one exception: when the block
 // committed and only the fsync failed, the transaction is chain state
 // and the registration stays. Registration and rollback run under e.mu
-// like every other catalog and registry mutation (see resolveDDL).
+// like every other catalog and registry mutation (see admit).
 func (e *Engine) submitDDL(sender, metaTable string, args []types.Value, what, name string,
 	register func() error, unregister func()) error {
 	e.mu.Lock()

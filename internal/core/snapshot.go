@@ -270,16 +270,6 @@ func (e *Engine) restoreCheckpoint(c *snapshot.Checkpoint) error {
 			e.tableIdx.Mark(k, int(b))
 		}
 	}
-	// The block-level index is cheap to rebuild from the headers the
-	// checkpoint already carries, so it is not serialised.
-	for i := range c.Store.Headers {
-		h := &c.Store.Headers[i]
-		last := h.FirstTid
-		if h.TxCount > 0 {
-			last = h.FirstTid + uint64(h.TxCount) - 1
-		}
-		e.blockIdx.Append(uint64(i), h.FirstTid, last, h.Timestamp)
-	}
 	// Indexes are independent of one another, so each is rebuilt by its
 	// own worker — the layered ones from their entries, the ALIs (one
 	// task, sharing each block read) from the block files.
@@ -304,7 +294,7 @@ func (e *Engine) restoreCheckpoint(c *snapshot.Checkpoint) error {
 		return err
 	}
 	for i, st := range c.Indexes {
-		e.lidx[st.Key] = idxs[i]
+		e.lidx = withEntry(e.lidx, st.Key, idxs[i])
 	}
 	if _, ok := e.lidx[".senid"]; !ok {
 		return fmt.Errorf("core: checkpoint misses the system index .senid")
@@ -330,7 +320,7 @@ func (e *Engine) restoreALIs(c *snapshot.Checkpoint) error {
 			return fmt.Errorf("core: checkpoint auth index %q covers %d of %d blocks", st.Key, len(st.Blocks), c.Height)
 		}
 		alis[i] = newALI(st.Attr, stateHistogram(&st))
-		e.alis[st.Key] = alis[i]
+		e.alis = withEntry(e.alis, st.Key, alis[i])
 	}
 	it, err := e.store.Blocks(0, c.Height)
 	if err != nil {
@@ -399,8 +389,9 @@ func aliRecords(it *storage.Iter, states []snapshot.IndexState, bid, firstTid ui
 // txAt finds the position of the transaction with the given Tid in an
 // encoded block body. guess — the Tid's offset from the block's
 // FirstTid — is right whenever the block's Tids are consecutive, as
-// every locally packaged block's are; Validate only demands they
-// increase, so a miss falls back to a binary search.
+// Validate now demands of every block; a chain written before that rule
+// may hold a block whose Tids only increase, so a miss falls back to a
+// binary search.
 func txAt(body []byte, txOffs []uint32, tid uint64, guess int) (int, error) {
 	n := len(txOffs) - 1
 	tidAt := func(i int) uint64 {

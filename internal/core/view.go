@@ -26,38 +26,33 @@ import (
 // generation run entirely against the view they pinned, so they perform
 // zero e.mu acquisitions and never observe a block half-indexed.
 //
-// A view is cheap to build because nothing is deep-copied. The shared
-// structures are safe under two different regimes:
+// A view is a height, and nothing is copied to build one:
 //
-//   - The catalog, contract registry and index maps are snapshotted as
-//     map copies of immutable values (tables and contracts never mutate
-//     after definition; the maps themselves are what DDL mutates).
-//   - The block index, table bitmaps, layered indexes and ALIs are the
-//     live objects. Each carries its own internal lock, and appends
-//     only ever add state for blocks at or beyond the view's height, so
-//     masking every answer to [0, height) — the pinned block index and
-//     the view's bitmap mask do exactly that — reproduces the structure
-//     as it was at publish time.
+//   - The block-level index is the store's header prefix [0, height),
+//     whose elements are never rewritten; the tip and GET BLOCK's
+//     headers are read from it too.
+//   - The catalog, contract registry and index maps are copy-on-write:
+//     DDL and index creation replace a map instead of changing it, so a
+//     view shares the maps current at publish time.
+//   - The table bitmaps, layered indexes and ALIs are the live objects.
+//     Each carries its own internal lock, and appends only ever add
+//     state for blocks at or beyond the view's height, so cutting every
+//     answer at the height reproduces the structure as it was at
+//     publish time.
 type View struct {
-	e      *Engine
-	epoch  uint64
-	height uint64
-	// lastTid/lastTs are the commit cursor at publish time; lastTid
-	// bounds ByTid lookups inside the pinned prefix.
+	e     *Engine
+	epoch uint64
+	// lastTid/lastTs are the commit cursor at publish time.
 	lastTid uint64
 	lastTs  int64
-	// tip is the newest header inside the view, nil for an empty chain.
-	tip *types.BlockHeader
+	// bidx is the block-level index over the pinned prefix; its Count is
+	// the view's height.
+	bidx blockindex.Index
 
 	tables    map[string]*schema.Table
 	contracts map[string]*contract.Contract
 	lidx      map[string]*layered.Index
 	alis      map[string]*auth.ALI
-
-	bidx *blockindex.Pinned
-	// mask has bits [0, height) set; live bitmap answers are
-	// intersected with it. Shared read-only across the view's readers.
-	mask *bitmap.Bitmap
 }
 
 // View is the read surface the query operators run against; *Engine
@@ -68,36 +63,22 @@ var (
 	_ exec.ParallelChain = (*View)(nil)
 )
 
-// buildView assembles a view pinned to height h from the engine's
-// current state. Callers hold e.mu exclusively (or own the engine
-// outright during construction), which is what makes h, the cursor and
-// the index maps mutually consistent.
-func (e *Engine) buildView(h uint64) *View {
-	v := &View{
+// buildView assembles a view over the given block-level index from the
+// engine's current state. Callers hold e.mu exclusively (or own the
+// engine outright during construction), which is what makes the
+// height, the cursor and the index maps mutually consistent.
+func (e *Engine) buildView(bidx blockindex.Index) *View {
+	return &View{
 		e:         e,
 		epoch:     e.viewEpoch.Add(1),
-		height:    h,
 		lastTid:   e.lastTid,
 		lastTs:    e.lastTs,
+		bidx:      bidx,
 		tables:    e.catalog.Snapshot(),
 		contracts: e.contracts.Snapshot(),
-		lidx:      make(map[string]*layered.Index, len(e.lidx)),
-		alis:      make(map[string]*auth.ALI, len(e.alis)),
-		mask:      bitmap.Upto(int(h)),
+		lidx:      e.lidx,
+		alis:      e.alis,
 	}
-	if h > 0 {
-		if tip, ok := e.store.Tip(); ok {
-			v.tip = &tip
-		}
-	}
-	for k, idx := range e.lidx {
-		v.lidx[k] = idx
-	}
-	for k, ali := range e.alis {
-		v.alis[k] = ali
-	}
-	v.bidx = blockindex.Pin(e.blockIdx, h, e.lastTid, v.mask)
-	return v
 }
 
 // publishViewLocked swaps in a view of the engine's current state.
@@ -107,7 +88,7 @@ func (e *Engine) buildView(h uint64) *View {
 // (sebdb_view_epoch).
 func (e *Engine) publishViewLocked() {
 	start := e.cfg.Obs.Now()
-	v := e.buildView(uint64(e.store.Count()))
+	v := e.buildView(blockindex.New(e.store.Prefix()))
 	e.view.Store(v)
 	e.bumpHeightSignal()
 	e.gViewEpoch.Set(int64(v.epoch))
@@ -124,33 +105,39 @@ func (e *Engine) CurrentView() *View { return e.view.Load() }
 func (e *Engine) pinView(ctx context.Context) *View {
 	_, sp := obs.StartSpan(ctx, "view.pin")
 	v := e.CurrentView()
-	sp.SetCounter("height", int64(v.height))
+	sp.SetCounter("height", int64(v.Height()))
 	sp.SetCounter("epoch", int64(v.epoch))
 	sp.Finish()
 	return v
 }
 
 // Height returns the view's pinned chain height.
-func (v *View) Height() uint64 { return v.height }
+func (v *View) Height() uint64 { return v.bidx.Count() }
 
 // Epoch returns the view's publish sequence number.
 func (v *View) Epoch() uint64 { return v.epoch }
 
 // Tip returns the newest block header inside the view, or nil for an
-// empty chain.
-func (v *View) Tip() *types.BlockHeader { return v.tip }
+// empty chain. The header is shared: callers must not modify it.
+func (v *View) Tip() *types.BlockHeader {
+	if v.Height() == 0 {
+		return nil
+	}
+	tip, _ := v.bidx.Header(v.Height() - 1)
+	return tip
+}
 
 // LastTid returns the largest transaction id committed within the view.
 func (v *View) LastTid() uint64 { return v.lastTid }
 
 // NumBlocks returns the pinned height.
-func (v *View) NumBlocks() int { return int(v.height) }
+func (v *View) NumBlocks() int { return int(v.Height()) }
 
 // Block reads a block inside the view, through the engine's cache. The
 // store and caches take no engine lock.
 func (v *View) Block(bid uint64) (*types.Block, error) {
-	if bid >= v.height {
-		return nil, fmt.Errorf("core: block %d beyond view height %d", bid, v.height)
+	if bid >= v.Height() {
+		return nil, v.beyond(bid)
 	}
 	return v.e.Block(bid)
 }
@@ -158,36 +145,42 @@ func (v *View) Block(bid uint64) (*types.Block, error) {
 // FilterBlock returns the transactions of a block inside the view that
 // keep accepts, and how many the block holds (Engine.FilterBlock).
 func (v *View) FilterBlock(bid uint64, keep func(*types.Transaction) (bool, error)) ([]*types.Transaction, int, error) {
-	if bid >= v.height {
-		return nil, 0, fmt.Errorf("core: block %d beyond view height %d", bid, v.height)
+	if bid >= v.Height() {
+		return nil, 0, v.beyond(bid)
 	}
 	return v.e.FilterBlock(bid, keep)
 }
 
-// Header returns the header of a block inside the view from the store's
-// in-memory header list: no segment read, no decode.
+// Header returns the header of a block inside the view from the pinned
+// header prefix: no segment read, no decode, no store lock.
 func (v *View) Header(bid uint64) (types.BlockHeader, error) {
-	if bid >= v.height {
-		return types.BlockHeader{}, fmt.Errorf("core: block %d beyond view height %d", bid, v.height)
+	h, ok := v.bidx.Header(bid)
+	if !ok {
+		return types.BlockHeader{}, v.beyond(bid)
 	}
-	return v.e.store.Header(bid)
+	return *h, nil
+}
+
+// beyond is the error for a block at or past the view's height.
+func (v *View) beyond(bid uint64) error {
+	return fmt.Errorf("core: block %d beyond view height %d", bid, v.Height())
 }
 
 // Tx reads one transaction by (block, position) inside the view.
 func (v *View) Tx(bid uint64, pos uint32) (*types.Transaction, error) {
-	if bid >= v.height {
-		return nil, fmt.Errorf("core: block %d beyond view height %d", bid, v.height)
+	if bid >= v.Height() {
+		return nil, v.beyond(bid)
 	}
 	return v.e.Tx(bid, pos)
 }
 
-// BlockIdx returns the view's pinned block-level index.
-func (v *View) BlockIdx() blockindex.Reader { return v.bidx }
+// BlockIdx returns the view's block-level index over its pinned prefix.
+func (v *View) BlockIdx() blockindex.Index { return v.bidx }
 
 // TableBlocks returns the view's table-level bitmap for a table name or
-// a "senid:<id>" key: the live bitmap masked to the pinned height.
+// a "senid:<id>" key: the live bitmap cut at the pinned height.
 func (v *View) TableBlocks(name string) *bitmap.Bitmap {
-	return v.e.tableIdx.Blocks(name).And(v.mask)
+	return v.e.tableIdx.Blocks(name, v.NumBlocks())
 }
 
 // Layered returns the layered index on table.col as of the view, or

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"sebdb/internal/clock"
 	"sebdb/internal/exec"
 	"sebdb/internal/faultfs"
+	"sebdb/internal/index/blockindex"
 	"sebdb/internal/sqlparser"
 	"sebdb/internal/types"
 )
@@ -71,6 +73,94 @@ func TestViewPinnedBeforeCommitServesOldHeight(t *testing.T) {
 	}
 	if len(txs) != 40 {
 		t.Errorf("current view served %d rows, want 40", len(txs))
+	}
+}
+
+// TestViewBlockIdxPinned: a view's block-level index answers over its
+// own prefix [0, h) while commits extend the chain past it.
+func TestViewBlockIdxPinned(t *testing.T) {
+	e := testEngine(t, Config{BlockMaxTxs: 4, Clock: clock.Fixed(1)})
+	seedDonation(t, e, 8, 4) // block 0 schema (tids 1-2), 1 at 4000 (3-6), 2 at 8000 (7-10)
+	v := e.CurrentView()
+	if v.Height() != 3 {
+		t.Fatalf("height %d, want 3", v.Height())
+	}
+	for _, c := range []struct {
+		txs []*types.Transaction
+		ts  int64
+	}{
+		{[]*types.Transaction{donateTx(t, e, 50), donateTx(t, e, 51)}, 9000}, // block 3: tids 11-12
+		{nil, 10000}, // block 4
+		{[]*types.Transaction{donateTx(t, e, 52)}, 12000}, // block 5: tid 13
+	} {
+		if _, err := e.CommitBlock(c.txs, c.ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old, cur := v.BlockIdx(), e.CurrentView().BlockIdx()
+	if old.Count() != 3 || cur.Count() != 6 {
+		t.Fatalf("Count: pinned %d, current %d", old.Count(), cur.Count())
+	}
+	if tip := v.Tip(); tip == nil || tip.Height != 2 {
+		t.Errorf("pinned tip = %+v", tip)
+	}
+	for _, c := range []struct {
+		tid      uint64
+		old, cur int64 // -1: no block
+	}{{10, 2, 2}, {11, -1, 3}, {13, -1, 5}, {14, -1, -1}} {
+		for _, x := range []struct {
+			idx  blockindex.Index
+			want int64
+		}{{old, c.old}, {cur, c.cur}} {
+			bid, ok := x.idx.ByTid(c.tid)
+			if ok != (x.want >= 0) || (ok && int64(bid) != x.want) {
+				t.Errorf("height %d: ByTid(%d) = %d,%v; want %d", x.idx.Count(), c.tid, bid, ok, x.want)
+			}
+		}
+	}
+	for _, c := range []struct {
+		ts       int64
+		old, cur uint64
+	}{{8000, 2, 2}, {9000, 2, 3}, {1 << 40, 2, 5}} {
+		if bid, _ := old.ByTime(c.ts); bid != c.old {
+			t.Errorf("pinned ByTime(%d) = %d, want %d", c.ts, bid, c.old)
+		}
+		if bid, _ := cur.ByTime(c.ts); bid != c.cur {
+			t.Errorf("current ByTime(%d) = %d, want %d", c.ts, bid, c.cur)
+		}
+	}
+	if got := old.TimeWindow(8500, 0).Slice(); len(got) != 0 {
+		t.Errorf("pinned TimeWindow(8500, 0) = %v", got)
+	}
+	if got := cur.TimeWindow(8500, 0).Slice(); !slices.Equal(got, []int{3, 4, 5}) {
+		t.Errorf("current TimeWindow(8500, 0) = %v", got)
+	}
+	if got := old.TimeWindow(0, 0).Slice(); !slices.Equal(got, []int{0, 1, 2}) {
+		t.Errorf("pinned TimeWindow(0, 0) = %v", got)
+	}
+	if got := v.TableBlocks("donate").Slice(); !slices.Equal(got, []int{1, 2}) {
+		t.Errorf("pinned TableBlocks(donate) = %v", got)
+	}
+}
+
+// TestPublishAllocsFlat: publishing a view after a data-only commit
+// allocates the View and the next height signal, nothing that grows with
+// the chain.
+func TestPublishAllocsFlat(t *testing.T) {
+	for _, n := range []int{10, 1000} {
+		e := testEngine(t, Config{Clock: clock.Fixed(1)})
+		seedDonation(t, e, 8, 4)
+		for i := 0; i < n; i++ {
+			if _, err := e.CommitBlock(nil, int64(i+10)*1000); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.mu.Lock()
+		allocs := testing.AllocsPerRun(100, e.publishViewLocked)
+		e.mu.Unlock()
+		if allocs > 2 {
+			t.Errorf("%d blocks: a publish makes %.1f allocations, want at most 2", e.Height(), allocs)
+		}
 	}
 }
 
@@ -277,6 +367,27 @@ func TestViewReadStressSingleHeight(t *testing.T) {
 					return
 				}
 				lastHeight = v.Height()
+				// The block-level index and the tip read the pinned header
+				// prefix while the writer appends past it: every block past
+				// the seed holds transactions, so the newest block owns the
+				// view's last tid and is the newest at any later time.
+				bx, top := v.BlockIdx(), v.Height()-1
+				if tip := v.Tip(); tip == nil || tip.Height != top {
+					t.Errorf("view at height %d has tip %+v", v.Height(), tip)
+					return
+				}
+				if bid, ok := bx.ByTid(v.LastTid()); !ok || bid != top {
+					t.Errorf("view at height %d: ByTid(%d) = %d,%v", v.Height(), v.LastTid(), bid, ok)
+					return
+				}
+				if bid, ok := bx.ByTime(1 << 62); !ok || bid != top {
+					t.Errorf("view at height %d: ByTime = %d,%v", v.Height(), bid, ok)
+					return
+				}
+				if n := bx.TimeWindow(0, 0).Count(); n != int(v.Height()) {
+					t.Errorf("view at height %d: open window covers %d blocks", v.Height(), n)
+					return
+				}
 				txs, _, err := exec.Select(v, "donate", nil, nil, exec.MethodBitmap)
 				if err != nil {
 					t.Error(err)

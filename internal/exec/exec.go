@@ -22,11 +22,11 @@ import (
 	"sebdb/internal/types"
 )
 
-// Chain is the read surface the executors need. Both the live engine
-// and its height-pinned read view (core.View) implement it; queries
-// normally run against a view, so they never contend with the commit
-// pipeline's engine lock. Layered with an empty table name resolves the
-// global system-column indexes (SenID, Tname) that span every table.
+// Chain is the read surface the executors need. The engine's
+// height-pinned read view (core.View) implements it, so queries never
+// contend with the commit pipeline's engine lock. Layered with an empty
+// table name resolves the global system-column indexes (SenID, Tname)
+// that span every table.
 type Chain interface {
 	// NumBlocks returns the chain height (number of blocks).
 	NumBlocks() int
@@ -37,9 +37,9 @@ type Chain interface {
 	FilterBlock(bid uint64, keep func(*types.Transaction) (bool, error)) ([]*types.Transaction, int, error)
 	// Tx reads one transaction by position, possibly from cache.
 	Tx(bid uint64, pos uint32) (*types.Transaction, error)
-	// BlockIdx returns the block-level index: the live one for the
-	// engine, a height-masked pin for a view.
-	BlockIdx() blockindex.Reader
+	// BlockIdx returns the block-level index over the chain prefix the
+	// reader sees.
+	BlockIdx() blockindex.Index
 	// TableBlocks returns the table-level bitmap for a table name.
 	TableBlocks(name string) *bitmap.Bitmap
 	// Layered returns the layered index on table.col, or nil when the

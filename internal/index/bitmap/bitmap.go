@@ -16,20 +16,24 @@ type Bitmap struct {
 // New returns an empty bitmap.
 func New() *Bitmap { return &Bitmap{} }
 
-// Upto returns a bitmap with bits [0, n) set — the height mask a
-// pinned read view intersects live index results with. It fills whole
-// words instead of looping per bit.
-func Upto(n int) *Bitmap {
+// Upto returns a bitmap with bits [0, n) set.
+func Upto(n int) *Bitmap { return Span(0, n) }
+
+// Span returns a bitmap with bits [lo, hi) set, empty when lo >= hi;
+// lo must not be negative. It fills whole words instead of looping per
+// bit.
+func Span(lo, hi int) *Bitmap {
 	b := &Bitmap{}
-	if n <= 0 {
+	if lo >= hi {
 		return b
 	}
-	b.words = make([]uint64, (n+63)>>6)
-	for i := range b.words {
+	b.words = make([]uint64, (hi+63)>>6)
+	for i := lo >> 6; i < len(b.words); i++ {
 		b.words[i] = ^uint64(0)
 	}
-	if r := uint(n) & 63; r != 0 {
-		b.words[len(b.words)-1] = 1<<r - 1
+	b.words[lo>>6] &^= 1<<(uint(lo)&63) - 1
+	if r := uint(hi) & 63; r != 0 {
+		b.words[len(b.words)-1] &= 1<<r - 1
 	}
 	return b
 }

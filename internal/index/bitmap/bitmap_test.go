@@ -2,6 +2,7 @@ package bitmap
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -155,21 +156,57 @@ func TestTableIndex(t *testing.T) {
 	if ti.Contains("ghost", 0) {
 		t.Error("unknown key contains block")
 	}
-	got := ti.Blocks("donate").Slice()
+	got := ti.Blocks("donate", 10).Slice()
 	if len(got) != 2 || got[0] != 0 || got[1] != 5 {
 		t.Errorf("Blocks = %v", got)
 	}
-	if !ti.Blocks("ghost").Empty() {
+	if !ti.Blocks("ghost", 10).Empty() {
 		t.Error("unknown key bitmap not empty")
 	}
 	// Returned bitmap is a copy.
-	ti.Blocks("donate").Set(9)
+	ti.Blocks("donate", 10).Set(9)
 	if ti.Contains("donate", 9) {
 		t.Error("Blocks returned aliased bitmap")
 	}
 	keys := ti.Keys()
 	if len(keys) != 2 || keys[0] != "donate" || keys[1] != "transfer" {
 		t.Errorf("Keys = %v", keys)
+	}
+}
+
+// TestTableIndexBlocksCut: Blocks(key, n) holds exactly the marks below
+// n, wherever n falls relative to the 64-block words.
+func TestTableIndexBlocksCut(t *testing.T) {
+	ti := NewTableIndex()
+	var marks []int
+	for b := 0; b < 150; b += 7 {
+		ti.Mark("donate", b)
+		marks = append(marks, b)
+	}
+	for n := 0; n <= 200; n++ {
+		var want []int
+		for _, b := range marks {
+			if b < n {
+				want = append(want, b)
+			}
+		}
+		if got := ti.Blocks("donate", n).Slice(); !slices.Equal(got, want) {
+			t.Fatalf("Blocks(donate, %d) = %v, want %v", n, got, want)
+		}
+	}
+}
+
+// TestSpan: Span(lo, hi) sets exactly [lo, hi).
+func TestSpan(t *testing.T) {
+	for lo := 0; lo <= 130; lo++ {
+		for hi := lo - 1; hi <= 131; hi++ {
+			b := Span(lo, hi)
+			for i := 0; i < 200; i++ {
+				if want := i >= lo && i < hi; b.Get(i) != want {
+					t.Fatalf("Span(%d, %d).Get(%d) = %v", lo, hi, i, !want)
+				}
+			}
+		}
 	}
 }
 
@@ -199,7 +236,7 @@ func TestTableIndexRange(t *testing.T) {
 		}
 	}
 	for _, k := range ti.Keys() {
-		if want := ti.Blocks(k).Slice(); !reflect.DeepEqual(got[k], want) {
+		if want := ti.Blocks(k, 200).Slice(); !reflect.DeepEqual(got[k], want) {
 			t.Errorf("%s: windows give %v, the bitmap holds %v", k, got[k], want)
 		}
 	}

@@ -41,15 +41,21 @@ func (t *TableIndex) MarkAll(keys []string, blockID int) {
 	}
 }
 
-// Blocks returns a copy of the bitmap for key; an empty bitmap if the
-// key is unknown.
-func (t *TableIndex) Blocks(key string) *Bitmap {
+// Blocks returns a copy of the bitmap for key cut to blocks [0, n): a
+// read view pinned at height n clones only the words below it. The
+// result is empty if the key is unknown.
+func (t *TableIndex) Blocks(key string, n int) *Bitmap {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	out := &Bitmap{}
 	if b, ok := t.bits[key]; ok {
-		return b.Clone()
+		nw := (n + 63) >> 6
+		out.words = append([]uint64(nil), b.words[:min(len(b.words), nw)]...)
+		if r := uint(n) & 63; r != 0 && len(out.words) == nw {
+			out.words[nw-1] &= 1<<r - 1
+		}
 	}
-	return New()
+	return out
 }
 
 // Contains reports whether block blockID holds rows for key.

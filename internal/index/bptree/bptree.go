@@ -1,10 +1,11 @@
-// Package bptree implements the in-memory B+-tree behind the indexes
-// that mutate: the block-level index (paper §IV-B), which grows by one
-// entry per appended block, and the off-chain engine's secondary
-// indexes. It maps attribute values to opaque references, allows
+// Package bptree implements the in-memory B+-tree behind the off-chain
+// engine's secondary indexes (internal/rdbms), which take inserts in any
+// key order. It maps attribute values to opaque references, allows
 // duplicate keys, and chains its leaves so range scans read entries in
-// key order. The layered index's per-block second level, built once and
-// never changed, is a sorted run instead (internal/index/layered).
+// key order. The chain's own indexes grow by whole blocks on keys that
+// only rise, so they are sorted arrays instead: the block-level index
+// bisects the block headers (internal/index/blockindex) and the layered
+// index's per-block second level is a sorted run (internal/index/layered).
 package bptree
 
 import (
@@ -230,51 +231,6 @@ func (t *Tree) Lookup(key types.Value) []uint64 {
 		return true
 	})
 	return out
-}
-
-// Floor returns the largest entry with key <= k; ok is false when every
-// entry is greater than k (or the tree is empty). Among duplicates the
-// last one is returned.
-func (t *Tree) Floor(k types.Value) (types.Value, uint64, bool) {
-	n := t.root
-	for !n.leaf {
-		i := sort.Search(len(n.keys), func(i int) bool {
-			return types.Compare(n.keys[i], k) > 0
-		})
-		n = n.kids[i]
-	}
-	// n is the leaf that would hold k; the floor is the last key <= k,
-	// possibly in an earlier leaf if all of n's keys exceed k.
-	for {
-		i := sort.Search(len(n.keys), func(i int) bool {
-			return types.Compare(n.keys[i], k) > 0
-		})
-		if i > 0 {
-			return n.keys[i-1], n.refs[i-1], true
-		}
-		prev := t.prevLeaf(n)
-		if prev == nil {
-			return types.Null, 0, false
-		}
-		n = prev
-	}
-}
-
-// prevLeaf walks the leaf chain from the left to find the leaf before n.
-// The chain is singly linked; Floor only needs this on bucket
-// boundaries, so the linear walk is acceptable.
-func (t *Tree) prevLeaf(n *node) *node {
-	c := t.root
-	for !c.leaf {
-		c = c.kids[0]
-	}
-	if c == n {
-		return nil
-	}
-	for c != nil && c.next != n {
-		c = c.next
-	}
-	return c
 }
 
 // Scan calls fn over every entry in key order; returning false stops.

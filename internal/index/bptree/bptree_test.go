@@ -163,39 +163,6 @@ func TestAppendPatternKeepsLeavesFull(t *testing.T) {
 	}
 }
 
-func TestFloor(t *testing.T) {
-	tr := New(4)
-	for _, k := range []int64{10, 20, 30, 40} {
-		tr.Insert(types.Int(k), uint64(k))
-	}
-	cases := []struct {
-		q    int64
-		want uint64
-		ok   bool
-	}{
-		{5, 0, false}, {10, 10, true}, {15, 10, true},
-		{20, 20, true}, {39, 30, true}, {40, 40, true}, {100, 40, true},
-	}
-	for _, c := range cases {
-		_, ref, ok := tr.Floor(types.Int(c.q))
-		if ok != c.ok || (ok && ref != c.want) {
-			t.Errorf("Floor(%d) = %d,%v; want %d,%v", c.q, ref, ok, c.want, c.ok)
-		}
-	}
-	// Floor on duplicates returns the last duplicate.
-	tr2 := New(4)
-	for i := 0; i < 10; i++ {
-		tr2.Insert(types.Int(5), uint64(i))
-	}
-	_, ref, ok := tr2.Floor(types.Int(5))
-	if !ok || ref != 9 {
-		t.Errorf("Floor over duplicates = %d,%v", ref, ok)
-	}
-	if _, _, ok := New(4).Floor(types.Int(1)); ok {
-		t.Error("Floor on empty tree")
-	}
-}
-
 func TestRangeBoundaryInclusive(t *testing.T) {
 	tr := New(4)
 	for i := 0; i < 20; i++ {

@@ -2,6 +2,7 @@ package schema
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -13,6 +14,10 @@ import (
 // catalog in two ways: locally via CreateTable before the schema
 // transaction is packaged, and remotely via Resolve + Define when a
 // block containing a MetaTable transaction is installed or replayed.
+//
+// The table map is copy-on-write: Define and Undefine replace it and
+// never change it in place, so Snapshot hands out the current map
+// without copying it.
 type Catalog struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
@@ -35,7 +40,9 @@ func (c *Catalog) Define(t *Table) error {
 		}
 		return errConflict(t)
 	}
-	c.tables[t.Name] = t
+	tables := maps.Clone(c.tables)
+	tables[t.Name] = t
+	c.tables = tables
 	return nil
 }
 
@@ -62,21 +69,19 @@ func sameTable(a, b *Table) bool {
 func (c *Catalog) Undefine(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.tables, strings.ToLower(name))
+	tables := maps.Clone(c.tables)
+	delete(tables, strings.ToLower(name))
+	c.tables = tables
 }
 
-// Snapshot returns a point-in-time copy of the catalog's table map,
-// keyed like the internal map. Tables are immutable once defined, so
-// sharing the *Table pointers is safe; the map copy alone isolates the
-// snapshot from later Define/Undefine calls.
+// Snapshot returns the catalog's table map as of now, keyed like the
+// internal map. Later Define/Undefine calls replace the catalog's map
+// and leave this one as it is; tables are immutable once defined. The
+// map is shared: callers must not modify it.
 func (c *Catalog) Snapshot() map[string]*Table {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make(map[string]*Table, len(c.tables))
-	for n, t := range c.tables {
-		out[n] = t
-	}
-	return out
+	return c.tables
 }
 
 // Lookup returns the table named name.

@@ -113,7 +113,11 @@ func (s *Store) openWithMeta(m *Meta) error {
 	}
 
 	// The anchors match the bytes on disk: seed the in-memory state.
-	s.headers = append([]types.BlockHeader(nil), m.Headers...)
+	s.headers = make([]types.BlockHeader, 0, len(m.Headers))
+	s.txBase = make([]uint64, 0, len(m.Headers))
+	for i := range m.Headers {
+		s.pushHeader(&m.Headers[i])
+	}
 	s.locs = append([]Location(nil), m.Locs...)
 	s.lens = append([]int64(nil), m.Lens...)
 	s.stored = append([]int64(nil), m.Stored...)
@@ -121,10 +125,6 @@ func (s *Store) openWithMeta(m *Meta) error {
 	s.txOffs = make([][]uint32, len(m.TxOffs))
 	for i := range m.TxOffs {
 		s.txOffs[i] = append([]uint32(nil), m.TxOffs[i]...)
-	}
-	s.txBase = make([]uint64, len(m.Headers))
-	for i := range m.Headers {
-		s.txBase[i] = m.Headers[i].FirstTid
 	}
 	for i, c := range m.Comp {
 		if c {

@@ -127,12 +127,16 @@ type Store struct {
 	// dirty records that AppendNoSync wrote records the configured
 	// per-append fsync has not yet covered; SyncBatch (or a segment
 	// roll) clears it. Only meaningful when opts.Sync is set.
-	dirty   bool
-	locs    []Location
+	dirty bool
+	locs  []Location
+	// headers[i] is block i's header and txBase[i] its tid cursor: the
+	// first tid block i holds, or would hold were it not empty (an empty
+	// block's header says FirstTid 0, so FirstTid alone is not
+	// monotone). Both slices are append-only — no element below len is
+	// ever rewritten — which is what lets Prefix hand them out without a
+	// copy. pushHeader is their one writer.
 	headers []types.BlockHeader
-	// txBase[i] is the Tid of the first transaction of block i; used by
-	// callers that map tid ranges to blocks without reading bodies.
-	txBase []uint64
+	txBase  []uint64
 	// txOffs[i] holds, for block i, the byte offset of each transaction
 	// within the block body plus a final sentinel (the body length).
 	// They make ReadTx a single tuple-sized random read — the p*(t_S+t_T)
@@ -418,8 +422,7 @@ func (s *Store) scanSegment(r io.Reader, seg uint32, base, size int64) (int64, e
 			return 0, err // mid-chain corruption is not recoverable silently
 		}
 		s.locs = append(s.locs, Location{Segment: seg, Offset: off})
-		s.headers = append(s.headers, h)
-		s.txBase = append(s.txBase, h.FirstTid)
+		s.pushHeader(&h)
 		s.txOffs = append(s.txOffs, offs)
 		s.lens = append(s.lens, int64(len(body)))
 		s.stored = append(s.stored, int64(n))
@@ -462,7 +465,28 @@ func (s *Store) checkLinkage(h *types.BlockHeader) error {
 	if h.PrevHash != tip.Hash() {
 		return fmt.Errorf("%w: prev hash mismatch at height %d", ErrNotLinked, h.Height)
 	}
+	// Timestamps strictly increase, so the newest block at or before a
+	// time is a bisection over the headers (blockindex).
+	if h.Timestamp <= tip.Timestamp {
+		return fmt.Errorf("%w: timestamp %d at height %d does not follow the tip's %d",
+			ErrNotLinked, h.Timestamp, h.Height, tip.Timestamp)
+	}
 	return nil
+}
+
+// pushHeader records an appended block's header and its tid cursor: a
+// non-empty block's FirstTid; for an empty block, its predecessor's
+// cursor plus that block's transaction count, or 1 at genesis.
+func (s *Store) pushHeader(h *types.BlockHeader) {
+	cursor := h.FirstTid
+	if h.TxCount == 0 {
+		cursor = 1
+		if n := len(s.headers); n > 0 {
+			cursor = s.txBase[n-1] + uint64(s.headers[n-1].TxCount)
+		}
+	}
+	s.headers = append(s.headers, *h)
+	s.txBase = append(s.txBase, cursor)
 }
 
 // AppendNoSync appends a block the caller has already validated,
@@ -534,8 +558,7 @@ func (s *Store) appendLocked(b *types.Block) (Location, error) {
 	mAppends.Inc()
 	mAppendWr.Add(uint64(len(rec)))
 	s.locs = append(s.locs, loc)
-	s.headers = append(s.headers, b.Header)
-	s.txBase = append(s.txBase, b.Header.FirstTid)
+	s.pushHeader(&b.Header)
 	s.txOffs = append(s.txOffs, offs)
 	s.lens = append(s.lens, int64(len(body)))
 	s.stored = append(s.stored, int64(len(body)))
@@ -605,15 +628,16 @@ func (s *Store) Headers() []types.BlockHeader {
 	return out
 }
 
-// FirstTid returns the Tid of the first transaction in the block at the
-// given height.
-func (s *Store) FirstTid(height uint64) (uint64, error) {
+// Prefix returns the headers and tid cursors of every block appended so
+// far, without copying them: both slices are append-only (see Store),
+// so the prefix stays valid and unchanged while the chain grows. Their
+// capacity is cut to their length, so appending to them cannot write
+// into the store's arrays.
+func (s *Store) Prefix() ([]types.BlockHeader, []uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if height >= uint64(len(s.txBase)) {
-		return 0, ErrNoBlock
-	}
-	return s.txBase[height], nil
+	n := len(s.headers)
+	return s.headers[:n:n], s.txBase[:n:n]
 }
 
 // recordRef is a snapshot of one block's on-disk coordinates plus the

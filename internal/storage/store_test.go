@@ -2,9 +2,11 @@ package storage
 
 import (
 	"crypto/ed25519"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -70,17 +72,14 @@ func TestAppendAndRead(t *testing.T) {
 	if !ok || tip.Height != 4 {
 		t.Errorf("Tip = %+v, %v", tip, ok)
 	}
-	if ft, _ := s.FirstTid(2); ft != 7 {
-		t.Errorf("FirstTid(2) = %d", ft)
+	if hs, cursors := s.Prefix(); len(hs) != 5 || cursors[2] != 7 {
+		t.Errorf("Prefix: %d headers, cursor of block 2 = %d", len(hs), cursors[2])
 	}
 	if _, err := s.Block(99); err != ErrNoBlock {
 		t.Errorf("missing block err = %v", err)
 	}
 	if _, err := s.Header(99); err != ErrNoBlock {
 		t.Errorf("missing header err = %v", err)
-	}
-	if _, err := s.FirstTid(99); err != ErrNoBlock {
-		t.Errorf("missing FirstTid err = %v", err)
 	}
 }
 
@@ -98,6 +97,73 @@ func TestLinkageEnforced(t *testing.T) {
 	if _, err := s.AppendNoSync(orphan); err == nil {
 		t.Error("unlinked block accepted")
 	}
+	// A block linked to the tip but stamped no later than it is refused
+	// too: the block-level index bisects the headers by timestamp.
+	tip, _ := s.Tip()
+	for _, ts := range []int64{tip.Timestamp, tip.Timestamp - 1, 10} {
+		b := mkBlock(&tip, 5, 1)
+		b.Header.Timestamp = ts
+		b.Header.Sign(storeKey)
+		if _, err := s.AppendNoSync(b); !errors.Is(err, ErrNotLinked) {
+			t.Errorf("block stamped %d after a tip at %d: err = %v", ts, tip.Timestamp, err)
+		}
+	}
+	if s.Count() != 2 {
+		t.Errorf("refused blocks changed the height to %d", s.Count())
+	}
+}
+
+// TestPrefixCursors: the tid cursor of an empty block is the tid the
+// chain would assign next, the same whether the block was appended,
+// recovered by a segment scan or seeded from checkpoint metadata.
+func TestPrefixCursors(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev *types.BlockHeader
+	tid := uint64(1)
+	for _, n := range []int{0, 2, 0, 0, 3, 0} {
+		b := mkBlock(prev, tid, n)
+		b.Header.Timestamp = int64(len(s.headers)+1) * 10
+		b.Header.Sign(storeKey)
+		if _, err := s.AppendNoSync(b); err != nil {
+			t.Fatal(err)
+		}
+		prev, tid = &b.Header, tid+uint64(n)
+	}
+	want := []uint64{1, 1, 3, 3, 3, 6}
+	check := func(how string, s *Store) {
+		t.Helper()
+		hs, cursors := s.Prefix()
+		if len(hs) != len(want) || !slices.Equal(cursors, want) {
+			t.Errorf("%s: cursors = %v, want %v", how, cursors, want)
+		}
+		if cap(hs) != len(hs) || cap(cursors) != len(cursors) {
+			t.Errorf("%s: Prefix leaves room to append into the store's arrays", how)
+		}
+	}
+	check("appended", s)
+	m, err := s.MetaWindow(0, uint64(len(want)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	scanned, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("scanned", scanned)
+	scanned.Close()
+	seeded, err := OpenWithMeta(dir, Options{}, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seeded.Close()
+	check("seeded", seeded)
 }
 
 func TestRecoveryAfterReopen(t *testing.T) {

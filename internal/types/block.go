@@ -20,10 +20,10 @@ type BlockHeader struct {
 	Timestamp int64
 	// TransRoot is the Merkle root over the block's transactions.
 	TransRoot Hash
-	// FirstTid is the Tid of the first transaction in the block. The
-	// paper's block-level B+-tree keys blocks by (bid, tid, Ts); carrying
-	// the first tid in the header makes the index rebuildable from
-	// headers alone.
+	// FirstTid is the Tid of the first transaction in the block, 0 for
+	// an empty block. The paper's block-level index keys blocks by (bid,
+	// tid, Ts); carrying the first tid in the header lets the index be
+	// the headers alone (internal/index/blockindex).
 	FirstTid uint64
 	// TxCount is the number of transactions in the body.
 	TxCount uint32
@@ -234,44 +234,33 @@ func DecodeBlock(d *Decoder) (*Block, error) {
 }
 
 // Validate checks the block's internal consistency: the declared
-// transaction count, first Tid, Merkle root, and the monotonicity of
-// transaction ids. It does not check chain linkage (the store does) or
-// signatures (membership policy decides which signers are acceptable).
-func (b *Block) Validate() error {
-	if int(b.Header.TxCount) != len(b.Txs) {
-		return fmt.Errorf("types: block %d declares %d txs, has %d",
-			b.Header.Height, b.Header.TxCount, len(b.Txs))
-	}
-	if len(b.Txs) > 0 && b.Header.FirstTid != b.Txs[0].Tid {
-		return fmt.Errorf("types: block %d first tid mismatch", b.Header.Height)
-	}
-	for i := 1; i < len(b.Txs); i++ {
-		if b.Txs[i].Tid <= b.Txs[i-1].Tid {
-			return fmt.Errorf("types: block %d tids not increasing at %d", b.Header.Height, i)
-		}
-	}
-	if merkle.Root(TxLeaves(b.Txs)) != b.Header.TransRoot {
-		return fmt.Errorf("types: block %d merkle root mismatch", b.Header.Height)
-	}
-	return nil
-}
+// transaction count, first Tid, Merkle root, and that the transaction
+// ids are consecutive. It does not check chain linkage (the store and
+// the engine do) or signatures (membership policy decides which signers
+// are acceptable). It is ValidateWorkers on one worker.
+func (b *Block) Validate() error { return b.ValidateWorkers(1) }
 
 // ValidateWorkers is Validate with the Merkle-root recomputation — the
 // dominant cost on large blocks — fanned out over up to workers
-// goroutines. The outcome is identical to Validate; the commit
-// pipeline's prepare stage uses it so foreign blocks are verified off
-// the engine lock.
+// goroutines; the commit pipeline's prepare stage uses it so foreign
+// blocks are verified off the engine lock. Hashing the leaves seals
+// each transaction (TxLeavesWorkers).
 func (b *Block) ValidateWorkers(workers int) error {
 	if int(b.Header.TxCount) != len(b.Txs) {
 		return fmt.Errorf("types: block %d declares %d txs, has %d",
 			b.Header.Height, b.Header.TxCount, len(b.Txs))
 	}
+	// An empty block names no first transaction; NewBlock leaves its
+	// FirstTid 0.
+	if len(b.Txs) == 0 && b.Header.FirstTid != 0 {
+		return fmt.Errorf("types: empty block %d declares first tid %d", b.Header.Height, b.Header.FirstTid)
+	}
 	if len(b.Txs) > 0 && b.Header.FirstTid != b.Txs[0].Tid {
 		return fmt.Errorf("types: block %d first tid mismatch", b.Header.Height)
 	}
 	for i := 1; i < len(b.Txs); i++ {
-		if b.Txs[i].Tid <= b.Txs[i-1].Tid {
-			return fmt.Errorf("types: block %d tids not increasing at %d", b.Header.Height, i)
+		if b.Txs[i].Tid != b.Txs[i-1].Tid+1 {
+			return fmt.Errorf("types: block %d tids not consecutive at %d", b.Header.Height, i)
 		}
 	}
 	if merkle.RootWorkers(TxLeavesWorkers(b.Txs, workers), workers) != b.Header.TransRoot {

@@ -81,7 +81,10 @@ echo "== fuzz (10 s per target) =="
 # full decoder's transactions that pass the filter. The cold tier's
 # DEFLATE decoder is held to compress/flate's reader on arbitrary chunks:
 # same accept/refuse under exact fill and exact consume, same bytes, no
-# write past its output.
+# write past its output. The block-level index is a bisection over the
+# pinned header prefix, correct only while the headers keep their order:
+# random chains (empty blocks, timestamp gaps) are held to a linear scan
+# of the headers at every pin height.
 # Minimization is off: the engine's minimizer stalls on multi-KB inputs.
 go test -run '^$' -fuzz '^FuzzDecodeVerifyVO$' -fuzztime 10s -fuzzminimizetime 0 ./internal/mbtree
 go test -run '^$' -fuzz '^FuzzVerifyAnswer$' -fuzztime 10s -fuzzminimizetime 0 ./internal/auth
@@ -91,6 +94,7 @@ go test -run '^$' -fuzz '^FuzzDecodeCheckpointLog$' -fuzztime 10s -fuzzminimizet
 go test -run '^$' -fuzz '^FuzzLayeredBlock$' -fuzztime 10s -fuzzminimizetime 0 ./internal/index/layered
 go test -run '^$' -fuzz '^FuzzSkipTransaction$' -fuzztime 10s -fuzzminimizetime 0 ./internal/types
 go test -run '^$' -fuzz '^FuzzFilterBlock$' -fuzztime 10s -fuzzminimizetime 0 ./internal/types
+go test -run '^$' -fuzz '^FuzzBlockIndex$' -fuzztime 10s -fuzzminimizetime 0 ./internal/index/blockindex
 
 echo "== bchainbench -json smoke =="
 # The table driver end to end: fig 12 for the JSON output, fig storage
