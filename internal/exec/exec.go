@@ -233,18 +233,15 @@ func (p *Probe) positions(i int) []uint32 {
 // positions, when limit > 0, cutting the last block's short.
 func walk(idx *layered.Index, lo, hi types.Value, within *bitmap.Bitmap, limit int) *Probe {
 	p := &Probe{Index: idx, Cand: idx.CandidateBlocks(lo, hi).And(within)}
-	p.Cand.ForEach(func(bid int) bool {
-		ps := idx.BlockPositions(uint64(bid), lo, hi)
+	idx.WalkPositions(p.Cand, lo, hi, func(bid uint64, ps []uint32) bool {
 		if limit > 0 {
 			ps = ps[:min(len(ps), limit-len(p.Pos))]
 		}
-		if len(ps) > 0 {
-			start := len(p.Pos)
-			p.Pos = append(p.Pos, ps...)
-			slices.Sort(p.Pos[start:])
-			p.Blocks = append(p.Blocks, uint64(bid))
-			p.Ends = append(p.Ends, len(p.Pos))
-		}
+		start := len(p.Pos)
+		p.Pos = append(p.Pos, ps...)
+		slices.Sort(p.Pos[start:])
+		p.Blocks = append(p.Blocks, bid)
+		p.Ends = append(p.Ends, len(p.Pos))
 		return limit <= 0 || len(p.Pos) < limit
 	})
 	return p

@@ -3,7 +3,10 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 
+	"sebdb/internal/index/bitmap"
+	"sebdb/internal/index/layered"
 	"sebdb/internal/obs"
 	"sebdb/internal/sqlparser"
 	"sebdb/internal/types"
@@ -103,29 +106,31 @@ func trackLayered(c Chain, q *sqlparser.Trace, st *Stats) ([]*types.Transaction,
 	}
 
 	// Lines 6-13: per block, probe the second-level indexes, intersect
-	// the resulting position sets, and read the transactions.
+	// the resulting position sets, and read the transactions. Each index
+	// is walked once over all the blocks before any is read.
+	var senPos, tnPos []blockPositions
+	if q.HasOperator {
+		senPos = pointPositions(idxSen, blocks, op)
+	}
+	if q.HasOperation {
+		tnPos = pointPositions(idxTn, blocks, tn)
+	}
 	var out []*types.Transaction
 	var ferr error
+	var both []uint32
 	blocks.ForEach(func(bid int) bool {
 		var positions []uint32
 		switch {
 		case q.HasOperator && q.HasOperation:
 			st.IndexProbes += 2
-			po := map[uint32]bool{}
-			for _, pos := range idxSen.BlockPositions(uint64(bid), op, op) {
-				po[pos] = true
-			}
-			for _, pos := range idxTn.BlockPositions(uint64(bid), tn, tn) {
-				if po[pos] {
-					positions = append(positions, pos)
-				}
-			}
+			both = intersectSorted(both[:0], nextPositions(&senPos, bid), nextPositions(&tnPos, bid))
+			positions = both
 		case q.HasOperator:
 			st.IndexProbes++
-			positions = idxSen.BlockPositions(uint64(bid), op, op)
+			positions = nextPositions(&senPos, bid)
 		default:
 			st.IndexProbes++
-			positions = idxTn.BlockPositions(uint64(bid), tn, tn)
+			positions = nextPositions(&tnPos, bid)
 		}
 		for _, pos := range positions {
 			tx, err := c.Tx(uint64(bid), pos)
@@ -141,4 +146,55 @@ func trackLayered(c Chain, q *sqlparser.Trace, st *Stats) ([]*types.Transaction,
 		return true
 	})
 	return out, *st, ferr
+}
+
+// blockPositions are one block's positions holding a probed key.
+type blockPositions struct {
+	bid int
+	pos []uint32
+}
+
+// pointPositions walks idx once over blocks for key and returns each
+// matching block's positions, ascending, blocks in ascending order. A
+// key's positions come out of the second level in append order, which
+// the engine makes ascending; any other order is sorted here.
+func pointPositions(idx *layered.Index, blocks *bitmap.Bitmap, key types.Value) []blockPositions {
+	var out []blockPositions
+	idx.WalkPositions(blocks, key, key, func(bid uint64, pos []uint32) bool {
+		if !slices.IsSorted(pos) {
+			pos = slices.Clone(pos)
+			slices.Sort(pos)
+		}
+		out = append(out, blockPositions{int(bid), pos})
+		return true
+	})
+	return out
+}
+
+// nextPositions pops block bid's positions off the front of *bp, which
+// is visited in ascending block order; nil when bid matched nothing.
+func nextPositions(bp *[]blockPositions, bid int) []uint32 {
+	if len(*bp) == 0 || (*bp)[0].bid != bid {
+		return nil
+	}
+	pos := (*bp)[0].pos
+	*bp = (*bp)[1:]
+	return pos
+}
+
+// intersectSorted appends to dst the positions in both ascending lists,
+// ascending.
+func intersectSorted(dst, a, b []uint32) []uint32 {
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			a = a[1:]
+		case a[0] > b[0]:
+			b = b[1:]
+		default:
+			dst = append(dst, a[0])
+			a, b = a[1:], b[1:]
+		}
+	}
+	return dst
 }

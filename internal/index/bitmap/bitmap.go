@@ -141,6 +141,26 @@ func (b *Bitmap) ForEach(fn func(i int) bool) {
 	}
 }
 
+// Min returns the lowest set bit; ok is false when no bit is set.
+func (b *Bitmap) Min() (i int, ok bool) {
+	for wi, w := range b.words {
+		if w != 0 {
+			return wi<<6 + bits.TrailingZeros64(w), true
+		}
+	}
+	return 0, false
+}
+
+// Max returns the highest set bit; ok is false when no bit is set.
+func (b *Bitmap) Max() (i int, ok bool) {
+	for wi := len(b.words) - 1; wi >= 0; wi-- {
+		if w := b.words[wi]; w != 0 {
+			return wi<<6 + 63 - bits.LeadingZeros64(w), true
+		}
+	}
+	return 0, false
+}
+
 // Slice returns the positions of all set bits in ascending order.
 func (b *Bitmap) Slice() []int {
 	out := make([]int, 0, b.Count())

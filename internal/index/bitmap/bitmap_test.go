@@ -244,3 +244,27 @@ func TestTableIndexRange(t *testing.T) {
 		t.Errorf("a key without marks in the window is listed: %v", r["early"])
 	}
 }
+
+// TestMinMax covers an empty bitmap (no words, and words all cleared),
+// a single word and several, against the ends of Slice.
+func TestMinMax(t *testing.T) {
+	cleared := FromSlice([]int{3, 130})
+	cleared.AndNot(FromSlice([]int{3, 130}))
+	for _, b := range []*Bitmap{New(), cleared} {
+		if _, ok := b.Min(); ok {
+			t.Errorf("Min of an empty bitmap reports a bit")
+		}
+		if _, ok := b.Max(); ok {
+			t.Errorf("Max of an empty bitmap reports a bit")
+		}
+	}
+	for _, set := range [][]int{{0}, {63}, {5, 9, 40}, {64}, {1, 64, 127}, {70, 200, 1000}, {0, 63, 64, 128, 191}} {
+		b := FromSlice(set)
+		if lo, ok := b.Min(); !ok || lo != set[0] {
+			t.Errorf("%v: Min = %d, %v", set, lo, ok)
+		}
+		if hi, ok := b.Max(); !ok || hi != set[len(set)-1] {
+			t.Errorf("%v: Max = %d, %v", set, hi, ok)
+		}
+	}
+}

@@ -119,8 +119,8 @@ func (x *Index) AppendBlock(bid uint64, entries []Entry) {
 	x.grow(bid)
 	if r != nil {
 		x.runs[bid] = r
-		for _, k := range r.keys {
-			x.mark(bid, k)
+		for i := range r.keyCount() {
+			x.mark(bid, r.key(i))
 		}
 	}
 }
@@ -173,11 +173,10 @@ func (x *Index) BlockEntries(bid uint64) []Entry {
 		return nil
 	}
 	out := make([]Entry, 0, len(r.pos))
-	for i, k := range r.keys {
-		for _, p := range r.pos[r.offs[i]:r.offs[i+1]] {
-			out = append(out, Entry{Key: k, Pos: p})
-		}
-	}
+	r.each(0, r.keyCount(), func(k types.Value, ref uint64) bool {
+		out = append(out, Entry{Key: k, Pos: uint32(ref)})
+		return true
+	})
 	return out
 }
 
@@ -261,16 +260,31 @@ func (x *Index) BlockRange(bid uint64, lo, hi types.Value, fn func(key types.Val
 	}
 }
 
-// BlockPositions returns the positions of block bid's entries with
-// lo <= key <= hi, in key order. The slice is the run's own memory and
-// must not be modified.
-func (x *Index) BlockPositions(bid uint64, lo, hi types.Value) []uint32 {
-	r := x.BlockTree(bid)
-	if r == nil {
-		return nil
-	}
-	i, j := r.span(lo, hi)
-	return r.pos[r.offs[i]:r.offs[j]]
+// WalkPositions walks the blocks of cand in ascending order and calls
+// fn with the positions of each one's entries with lo <= key <= hi, in
+// key order, skipping blocks with none; fn returning false stops the
+// walk. The slices are the runs' own memory, never rewritten once
+// built, and must not be modified.
+//
+// The walk takes the read lock once, to copy the runs slice, and reads
+// it unlocked, with fn free to do anything. That is safe because
+// AppendBlock installs blocks in height order: after the copy it writes
+// only slots at or past the length copied, and the runs below it never
+// change. The candidates a query passes are below its pinned view's
+// height, whose runs were installed before the view was published.
+func (x *Index) WalkPositions(cand *bitmap.Bitmap, lo, hi types.Value, fn func(bid uint64, pos []uint32) bool) {
+	x.mu.RLock()
+	runs := x.runs
+	x.mu.RUnlock()
+	cand.ForEach(func(b int) bool {
+		if b >= len(runs) || runs[b] == nil {
+			return true
+		}
+		if ps := runs[b].positions(lo, hi); len(ps) > 0 {
+			return fn(uint64(b), ps)
+		}
+		return true
+	})
 }
 
 // BlockValueRange returns the min and max indexed values present in
@@ -281,7 +295,7 @@ func (x *Index) BlockValueRange(bid uint64) (lo, hi types.Value, ok bool) {
 	if r == nil {
 		return types.Null, types.Null, false
 	}
-	return r.keys[0], r.keys[len(r.keys)-1], true
+	return r.key(0), r.key(r.keyCount() - 1), true
 }
 
 // BlockBucketBounds returns the value bounds implied by block bid's
@@ -291,11 +305,12 @@ func (x *Index) BlockValueRange(bid uint64) (lo, hi types.Value, ok bool) {
 func (x *Index) BlockBucketBounds(bid uint64) (lo, hi float64, ok bool) {
 	x.mu.RLock()
 	if x.hist != nil && bid < uint64(len(x.blockBuckets)) && x.blockBuckets[bid] != nil {
-		set := x.blockBuckets[bid].Slice()
+		first, _ := x.blockBuckets[bid].Min()
+		last, ok := x.blockBuckets[bid].Max()
 		x.mu.RUnlock()
-		lo, _ = x.hist.BucketBounds(set[0])
-		_, hi = x.hist.BucketBounds(set[len(set)-1])
-		return lo, hi, true
+		lo, _ = x.hist.BucketBounds(first)
+		_, hi = x.hist.BucketBounds(last)
+		return lo, hi, ok
 	}
 	x.mu.RUnlock()
 	l, h, ok := x.BlockValueRange(bid)

@@ -51,7 +51,10 @@ const (
 	// DefaultMaxOpenSegments bounds the per-segment read-handle cache:
 	// the active tail plus the hottest sealed segments keep a live
 	// descriptor or mapping, everything colder is reopened on demand.
-	DefaultMaxOpenSegments = 8
+	// A pread handle costs one descriptor, so 64 stays far below the
+	// usual 1,024 soft limit while a chain of a few dozen segments read
+	// at random no longer closes and reopens one on most reads.
+	DefaultMaxOpenSegments = 64
 	headerSize             = 8 // magic + length
 	trailerSize            = 4 // crc32 of payload
 	// maxReadRetries bounds the resolve/acquire retry loop a reader runs

@@ -84,7 +84,13 @@ echo "== fuzz (10 s per target) =="
 # write past its output. The block-level index is a bisection over the
 # pinned header prefix, correct only while the headers keep their order:
 # random chains (empty blocks, timestamp gaps) are held to a linear scan
-# of the headers at every pin height.
+# of the headers at every pin height. The layered run's numeric column
+# bisects order-preserving machine words instead of calling
+# types.Compare, so it is correct only while the word transform and the
+# mapping of every query bound onto a word order exactly as Compare does:
+# float and integer edges (-0, NaN, infinities, subnormals, Ints past
+# 2^53), Timestamps, Bools, strings and exec's open-range sentinels are
+# held to Compare's sign, and every key must come back bit for bit.
 # Minimization is off: the engine's minimizer stalls on multi-KB inputs.
 go test -run '^$' -fuzz '^FuzzDecodeVerifyVO$' -fuzztime 10s -fuzzminimizetime 0 ./internal/mbtree
 go test -run '^$' -fuzz '^FuzzVerifyAnswer$' -fuzztime 10s -fuzzminimizetime 0 ./internal/auth
@@ -95,6 +101,7 @@ go test -run '^$' -fuzz '^FuzzLayeredBlock$' -fuzztime 10s -fuzzminimizetime 0 .
 go test -run '^$' -fuzz '^FuzzSkipTransaction$' -fuzztime 10s -fuzzminimizetime 0 ./internal/types
 go test -run '^$' -fuzz '^FuzzFilterBlock$' -fuzztime 10s -fuzzminimizetime 0 ./internal/types
 go test -run '^$' -fuzz '^FuzzBlockIndex$' -fuzztime 10s -fuzzminimizetime 0 ./internal/index/blockindex
+go test -run '^$' -fuzz '^FuzzRunKeyOrder$' -fuzztime 10s -fuzzminimizetime 0 ./internal/index/layered
 
 echo "== bchainbench -json smoke =="
 # The table driver end to end: fig 12 for the JSON output, fig storage
