@@ -1,30 +1,30 @@
 // Command sebdb-server runs one SEBDB full node: the engine over a
-// local data directory, a TCP service for peers and thin clients, and
-// gossip-based block synchronisation against the given peers.
+// local data directory and a TCP service for peers and thin clients.
+// Every node serves the replica package's verified block stream, so any
+// node can feed followers and bootstrap fresh nodes.
 //
 // Usage:
 //
 //	sebdb-server -dir ./data -listen 127.0.0.1:7070 \
-//	    [-peer host:port]... [-signer node0] [-auth table.col]... \
-//	    [-parallel N] [-sync] [-checkpoint-interval N] [-fast-sync] \
-//	    [-mmap] [-compress-after N] \
-//	    [-follow host:port] [-call-timeout 5s] [-call-retries 1] \
+//	    [-signer node0] [-auth table.col]... \
+//	    [-parallel N] [-sync] [-checkpoint-interval N] \
+//	    [-mmap] [-compress-after N] [-follow host:port] \
 //	    [-trace-sample N] [-slow-query-micros N] [-log-level info]
 //
 // A standalone node packages its own blocks (submit transactions via
-// the SQL interface, e.g. from sebdb-cli); nodes with peers follow the
-// longest chain via gossip. With -checkpoint-interval the node
-// checkpoints its derived state every N blocks so restarts replay only
-// the post-checkpoint suffix; with -fast-sync an empty node bootstraps
-// by fetching a peer's checkpoint before opening the engine.
+// the SQL interface, e.g. from sebdb-cli). With -checkpoint-interval
+// the node checkpoints its derived state every N blocks so restarts
+// replay only the post-checkpoint suffix.
 //
-// With -follow the node runs as a read replica: it bootstraps from the
-// leader (fast-sync when the data directory is fresh), subscribes to the
-// leader's block stream, re-verifies and applies every pushed block
-// locally, and serves SELECT/TRACE and authenticated queries from its
-// own height-pinned views at bounded staleness (sebdb_replica_lag_blocks
-// on /metrics). Local writes are rejected with core.ErrFollower; point
-// sebdb-cli's -replica routing or writes at the leader instead.
+// With -follow the node runs as a read replica: an empty node first
+// bootstraps from the leader (replica.Bootstrap: the verified block
+// stream up to the leader's height, then the leader's index definitions,
+// histogram bounds bit for bit), then subscribes to the leader's block
+// stream, re-verifies and applies every pushed block locally, and serves
+// SELECT/TRACE and authenticated queries from its own height-pinned
+// views at bounded staleness (sebdb_replica_lag_blocks on /metrics).
+// Local writes are rejected with core.ErrFollower; point sebdb-cli's
+// -replica routing or writes at the leader instead.
 //
 // Diagnostics are structured JSON events on stderr (-log-level selects
 // the floor); the flight recorder keeps the last sampled statement
@@ -42,8 +42,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-
-	"time"
 
 	"sebdb/internal/core"
 	"sebdb/internal/node"
@@ -73,16 +71,12 @@ func main() {
 	compressAfter := flag.Int("compress-after", 0, "recompress sealed block segments at least N segments behind the active tail in the background (0 = disabled)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/traces, /debug/log and /debug/pprof on this address (empty = disabled)")
 	ckptInterval := flag.Int("checkpoint-interval", 0, "write a derived-state checkpoint every N blocks (0 = disabled)")
-	fastSync := flag.Bool("fast-sync", false, "bootstrap an empty data directory from the first reachable peer's checkpoint")
 	noCkptLoad := flag.Bool("no-checkpoint-load", false, "ignore existing checkpoints on startup and rebuild by full replay")
 	traceSample := flag.Int("trace-sample", 1, "trace one statement in every N (1 = every statement)")
 	slowMicros := flag.Int64("slow-query-micros", 100_000, "capture any statement at or above this latency into the slow-query ring regardless of sampling (0 = disabled)")
 	logLevel := flag.String("log-level", "info", "structured event log floor: debug | info | warn | error")
 	follow := flag.String("follow", "", "run as a read replica tailing this leader address; local writes are rejected and the chain advances only through the verified block stream")
-	callTimeout := flag.Duration("call-timeout", 0, "deadline per peer request/response exchange (0 = none)")
-	callRetries := flag.Int("call-retries", 1, "redial-and-resend attempts after a transport failure on a peer call")
-	var peers, authIdx listFlag
-	flag.Var(&peers, "peer", "peer address (repeatable)")
+	var authIdx listFlag
 	flag.Var(&authIdx, "auth", "authenticated index to maintain, as table.col or .systemcol (repeatable)")
 	flag.Parse()
 
@@ -106,51 +100,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Fast-sync runs before the engine opens: with a populated snapshots/
-	// directory in place, Open seeds every index from the checkpoint and
-	// replays nothing. A failed attempt (no peer checkpoint, non-empty
-	// dir, verification failure) degrades to a normal open + gossip sync.
-	// A follower bootstraps the same way from its leader — the stream
-	// then carries it from wherever fast-sync (or an empty open) left it.
-	syncSources := peers
-	if *follow != "" {
-		syncSources = append(listFlag{*follow}, peers...)
-	}
-	bootstrap := *fastSync
-	if *follow != "" && !bootstrap {
-		// A follower bootstraps automatically when its data directory is
-		// fresh; on restart it resumes from its cursor instead.
-		if ents, err := os.ReadDir(*dir); err != nil || len(ents) == 0 {
-			bootstrap = true
-		}
-	}
-	if bootstrap {
-		synced := false
-		for _, p := range syncSources {
-			remote, err := node.DialNode(p)
-			if err != nil {
-				log.Warn("fast-sync peer dial failed", "peer", p, "err", err)
-				continue
-			}
-			remote.TuneCalls(*callTimeout, *callRetries, 100*time.Millisecond)
-			res, err := node.FastSyncWithLog(*dir, remote, obs.Default, logger)
-			if cerr := remote.Close(); cerr != nil {
-				log.Warn("fast-sync peer close failed", "peer", p, "err", cerr)
-			}
-			if err != nil {
-				log.Warn("fast-sync failed", "peer", p, "err", err)
-				continue
-			}
-			fmt.Printf("sebdb-server: fast-synced %d blocks + checkpoint at height %d (%d checkpoint bytes) from %s\n",
-				res.Blocks, res.CheckpointHeight, res.ChunkBytes, p)
-			synced = true
-			break
-		}
-		if !synced {
-			log.Warn("fast-sync found no usable peer checkpoint; falling back to gossip sync")
-		}
-	}
-
 	engine, err := core.Open(core.Config{Dir: *dir, Signer: *signer, CacheMode: mode, Parallelism: *par,
 		Sync: *sync, CheckpointInterval: *ckptInterval, DisableCheckpointLoad: *noCkptLoad,
 		Mmap: *mmap, CompressAfter: *compressAfter,
@@ -164,6 +113,21 @@ func main() {
 			log.Error("engine close failed", "err", err)
 		}
 	}()
+
+	if *follow != "" {
+		// Follower mode: reject local writes (the leader is the only
+		// write target). An empty node first bootstraps from the leader;
+		// a failed bootstrap leaves what it verified in place, and the
+		// stream below carries the node on from there.
+		engine.SetFollower(true)
+		if engine.Height() == 0 {
+			if err := replica.Bootstrap(engine, *follow); err != nil {
+				log.Warn("bootstrap failed", "leader", *follow, "err", err)
+			} else {
+				fmt.Printf("sebdb-server: bootstrapped to height %d from %s\n", engine.Height(), *follow)
+			}
+		}
+	}
 
 	for _, spec := range authIdx {
 		i := strings.LastIndex(spec, ".")
@@ -211,31 +175,15 @@ func main() {
 	fmt.Printf("sebdb-server: %s serving on %s, height %d\n", *signer, addr, engine.Height())
 
 	if *follow != "" {
-		// Follower mode: reject local writes (the leader is the only
-		// write target) and tail the leader's block stream, re-verifying
-		// and applying every pushed block. Reads keep being served from
-		// this node's own height-pinned views.
-		engine.SetFollower(true)
+		// Tail the leader's block stream, re-verifying and applying every
+		// pushed block. Reads keep being served from this node's own
+		// height-pinned views.
 		f := replica.StartFollower(engine, replica.FollowerConfig{
 			Leader: *follow,
 			Log:    logger,
 		})
 		defer f.Stop()
 		fmt.Printf("sebdb-server: following leader %s from height %d\n", *follow, engine.Height())
-	}
-
-	for _, p := range peers {
-		remote, err := node.DialNode(p)
-		if err != nil {
-			log.Warn("peer dial failed", "peer", p, "err", err)
-			continue
-		}
-		remote.TuneCalls(*callTimeout, *callRetries, 100*time.Millisecond)
-		n.Gossip.AddPeer(remote)
-		fmt.Printf("sebdb-server: gossiping with %s\n", p)
-	}
-	if len(peers) > 0 && *follow == "" {
-		n.Gossip.Start()
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -1,13 +1,16 @@
 package sebdb
 
 // End-to-end integration tests: transactions flow through consensus
-// into four engines, blocks gossip to a follower over real TCP, SQL
-// queries agree on every node, and a thin client verifies answers
-// against untrusted nodes — the full SEBDB pipeline of Fig. 2.
+// into four engines, blocks stream to a fresh node over real TCP through
+// the one verified catch-up path, SQL queries agree on every node, and a
+// thin client verifies answers against untrusted nodes — the full SEBDB
+// pipeline of Fig. 2.
 
 import (
 	"crypto/ed25519"
 	"fmt"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +19,9 @@ import (
 	"sebdb/internal/consensus/kafka"
 	"sebdb/internal/consensus/pbft"
 	"sebdb/internal/core"
+	"sebdb/internal/network"
 	"sebdb/internal/node"
+	"sebdb/internal/replica"
 	"sebdb/internal/thinclient"
 	"sebdb/internal/types"
 )
@@ -183,9 +188,11 @@ func TestIntegrationPBFTPipeline(t *testing.T) {
 }
 
 // TestIntegrationGossipFollowerAndThinClient runs the read side: a
-// follower node syncs a populated chain over real TCP gossip, then a
-// thin client runs the 2-phase authenticated protocol against the
-// follower with the sources as auxiliaries.
+// fresh node bootstraps a populated chain over real TCP — the verified
+// block stream, then its source's index definitions — and a thin client
+// runs the 2-phase authenticated protocol against it with the sources
+// as auxiliaries, which only agree if the fresh node buckets its ALI
+// exactly as they do.
 func TestIntegrationGossipFollowerAndThinClient(t *testing.T) {
 	engines, committers := buildCluster(t, 4)
 	broker := kafka.New(kafka.Options{BatchSize: 20, BatchTimeout: 5 * time.Millisecond})
@@ -199,7 +206,6 @@ func TestIntegrationGossipFollowerAndThinClient(t *testing.T) {
 
 	// Serve the four consensus nodes over TCP.
 	var addrs []string
-	var fullNodes []*node.FullNode
 	for _, e := range engines {
 		if err := e.CreateAuthIndex("donate", "amount"); err != nil {
 			t.Fatal(err)
@@ -210,33 +216,24 @@ func TestIntegrationGossipFollowerAndThinClient(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fullNodes = append(fullNodes, fn)
 		addrs = append(addrs, addr)
 	}
 
-	// A fresh follower joins via gossip.
+	// A fresh follower joins through the one catch-up path.
 	fe, err := core.Open(core.Config{Dir: t.TempDir(), Signer: "follower"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fe.Close()
-	follower := node.New(fe)
-	defer follower.Close()
-	for _, a := range addrs {
-		peer, err := node.DialNode(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer peer.Close()
-		follower.Gossip.AddPeer(peer)
+	fe.SetFollower(true)
+	if err := replica.Bootstrap(fe, addrs[0]); err != nil {
+		t.Fatal(err)
 	}
-	follower.Gossip.SyncOnce()
 	if fe.Height() != engines[0].Height() {
 		t.Fatalf("follower synced %d of %d blocks", fe.Height(), engines[0].Height())
 	}
-	if err := fe.CreateAuthIndex("donate", "amount"); err != nil {
-		t.Fatal(err)
-	}
+	follower := node.New(fe)
+	defer follower.Close()
 	fAddr, err := follower.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -278,13 +275,11 @@ func TestIntegrationGossipFollowerAndThinClient(t *testing.T) {
 	}
 }
 
-// TestIntegrationCrashRecoveryAndCatchUp crashes a node (close +
-// reopen from its data directory) while the rest of the cluster keeps
-// committing, then verifies it catches up over gossip.
+// TestIntegrationCrashRecoveryAndCatchUp leaves a consensus node out
+// while the rest of the cluster commits, then verifies it catches up
+// over the verified block stream.
 func TestIntegrationCrashRecoveryAndCatchUp(t *testing.T) {
 	engines, committers := buildCluster(t, 4)
-	dirs := make([]string, 4)
-	_ = dirs
 	broker := kafka.New(kafka.Options{BatchSize: 10, BatchTimeout: 5 * time.Millisecond})
 	for _, c := range committers[:3] { // node 3 "crashes" before the load
 		broker.Subscribe(c)
@@ -298,33 +293,22 @@ func TestIntegrationCrashRecoveryAndCatchUp(t *testing.T) {
 		t.Fatal("node 3 unexpectedly up to date")
 	}
 
-	// Node 0 crashes and recovers from disk: replay must restore height,
-	// catalog and indexes.
+	// Serve node 0 and catch node 3 up from it: the stream must restore
+	// height, catalog and indexes.
 	h0 := engines[0].Height()
 	probe, err := engines[0].Execute(`SELECT COUNT(*) FROM donate`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reopen in place (Close, then Open over the same dir).
-	dir := t.TempDir()
-	_ = dir
-	// core.Config.Dir is not exported back from the engine, so recover
-	// through the block stream instead: serve node 0, sync node 3.
 	src := node.New(engines[0])
 	defer src.Close()
 	addr, err := src.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	peer, err := node.DialNode(addr)
-	if err != nil {
+	if err := replica.CatchUp(engines[3], addr); err != nil {
 		t.Fatal(err)
 	}
-	defer peer.Close()
-	lagging := node.New(engines[3])
-	defer lagging.Close()
-	lagging.Gossip.AddPeer(peer)
-	lagging.Gossip.SyncOnce()
 	if engines[3].Height() != h0 {
 		t.Fatalf("catch-up synced %d of %d", engines[3].Height(), h0)
 	}
@@ -337,39 +321,51 @@ func TestIntegrationCrashRecoveryAndCatchUp(t *testing.T) {
 	}
 }
 
-// byzantinePeer serves corrupted blocks.
-type byzantinePeer struct {
-	inner interface {
-		ID() string
-		Height() (uint64, error)
-		BlockAt(uint64) (*types.Block, error)
-	}
-}
-
-func (b byzantinePeer) ID() string              { return "byzantine" }
-func (b byzantinePeer) Height() (uint64, error) { return b.inner.Height() }
-func (b byzantinePeer) BlockAt(h uint64) (*types.Block, error) {
-	blk, err := b.inner.BlockAt(h)
-	if err != nil {
-		return nil, err
-	}
-	// Forge the payload without fixing the Merkle root.
-	forged := *blk
-	if len(forged.Txs) > 0 {
-		fake := *forged.Txs[0]
-		fake.Args = append([]types.Value(nil), fake.Args...)
-		if len(fake.Args) > 0 {
-			fake.Args[len(fake.Args)-1] = types.Dec(1e12)
+// byzantineLeader serves the replication stream of src with every
+// block passed through forge first, and returns its address.
+func byzantineLeader(t *testing.T, src *core.Engine, forge func(*types.Block)) string {
+	t.Helper()
+	srv := network.NewServer()
+	srv.HandleStream(network.KindSubscribe, func(payload []byte, conn net.Conn) {
+		cursor, err := types.NewDecoder(payload).Uint64()
+		if err != nil {
+			return
 		}
-		forged.Txs = append([]*types.Transaction{&fake}, forged.Txs[1:]...)
+		h := src.Height()
+		for next := cursor; next < h; next++ {
+			b, err := src.Block(next)
+			if err != nil {
+				return
+			}
+			// Forge a decoded copy: src's block may be its cache's.
+			forged, err := types.DecodeBlock(types.NewDecoder(b.EncodeBytes()))
+			if err != nil {
+				return
+			}
+			forge(forged)
+			raw := forged.EncodeBytes()
+			e := types.NewEncoder(12 + len(raw))
+			e.Uint64(h)
+			e.Blob(raw)
+			if network.WriteFrame(conn, network.KindBlockPush, e.Bytes()) != nil {
+				return
+			}
+		}
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	return &forged, nil
+	go srv.Serve(ln)
+	t.Cleanup(func() { _ = srv.Close() })
+	return ln.Addr().String()
 }
 
-// TestIntegrationByzantineGossipPeer verifies that forged blocks are
-// rejected at ApplyBlock (Merkle/linkage validation) and the peer is
-// evicted after repeated failures, while an honest peer still syncs the
-// follower.
+// TestIntegrationByzantineGossipPeer: forged blocks from a peer are
+// refused on the one way in — a body altered under its signed header
+// fails the Merkle check in ApplyBlock, a header stripped of its
+// signature and signer key fails VerifySig before anything applies —
+// and an honest peer still completes the catch-up afterwards.
 func TestIntegrationByzantineGossipPeer(t *testing.T) {
 	engines, committers := buildCluster(t, 4)
 	broker := kafka.New(kafka.Options{BatchSize: 10, BatchTimeout: 5 * time.Millisecond})
@@ -385,25 +381,41 @@ func TestIntegrationByzantineGossipPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fe.Close()
-	follower := node.New(fe)
-	defer follower.Close()
 
-	evil := byzantinePeer{inner: &node.Local{Node: node.New(engines[0]), Name: "evil"}}
-	follower.Gossip.AddPeer(evil)
-	for i := 0; i < 5; i++ {
-		follower.Gossip.Round()
-	}
-	if fe.Height() != 0 {
-		t.Fatalf("follower accepted %d forged blocks", fe.Height())
-	}
-	if ids := follower.Gossip.PeerIDs(); len(ids) != 0 {
-		t.Errorf("byzantine peer not evicted: %v", ids)
+	for _, forgery := range []struct {
+		name, refusal string
+		forge         func(*types.Block)
+	}{
+		{"body", "apply failed", func(b *types.Block) {
+			// Forge the payload without fixing the Merkle root.
+			if len(b.Txs) > 0 && len(b.Txs[0].Args) > 0 {
+				b.Txs[0].Args[len(b.Txs[0].Args)-1] = types.Dec(1e12)
+			}
+		}},
+		{"unsigned", "invalid packager signature", func(b *types.Block) {
+			b.Header.Signature, b.Header.SignerKey = nil, nil
+		}},
+	} {
+		name := forgery.name
+		evil := byzantineLeader(t, engines[0], forgery.forge)
+		if err := replica.CatchUp(fe, evil); err == nil || !strings.Contains(err.Error(), forgery.refusal) {
+			t.Errorf("%s forgery: catch-up error %v, want one naming %q", name, err, forgery.refusal)
+		}
+		if fe.Height() != 0 {
+			t.Fatalf("%s forgery: follower accepted %d forged blocks", name, fe.Height())
+		}
 	}
 
 	// An honest peer completes the sync.
-	honest := &node.Local{Node: node.New(engines[1]), Name: "honest"}
-	follower.Gossip.AddPeer(honest)
-	follower.Gossip.SyncOnce()
+	honest := node.New(engines[1])
+	defer honest.Close()
+	addr, err := honest.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := replica.CatchUp(fe, addr); err != nil {
+		t.Fatal(err)
+	}
 	if fe.Height() != engines[1].Height() {
 		t.Fatalf("honest sync reached %d of %d", fe.Height(), engines[1].Height())
 	}

@@ -182,7 +182,7 @@ func (s *Scope) Engine(d Dataset) (*core.Engine, error) {
 
 // Figures lists every evaluation figure of the paper in order, plus
 // five of our own: 23, the parallel read pipeline's worker-scaling
-// sweep; 24, the checkpoint subsystem's restart/fast-sync recovery
+// sweep; 24, the checkpoint subsystem's restart and bootstrap recovery
 // sweep (the paper's runs are single-threaded and replay the full chain
 // on every start); 25, read throughput through the height-pinned views
 // while the commit pipeline runs beside the readers; 26, aggregate

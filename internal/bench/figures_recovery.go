@@ -1,15 +1,15 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"time"
 
-	"sebdb/internal/clock"
 	"sebdb/internal/core"
 	"sebdb/internal/node"
-	"sebdb/internal/obs"
+	"sebdb/internal/replica"
 )
 
 // figRecovery — not a paper figure: restart and fresh-node bootstrap
@@ -17,19 +17,18 @@ import (
 // A full-replay restart re-derives every index from the block log, so
 // it grows linearly with chain height; a checkpointed restart seeds the
 // derived state from the newest snapshot and replays only the
-// post-checkpoint suffix. The same split shows up for a fresh node:
-// fast-sync streams the peer's block bodies plus its checkpoint and
-// opens without replaying, while a plain sync streams the same bodies
-// and then pays the full rebuild.
+// post-checkpoint suffix. A fresh node has one way in: it streams every
+// verified block from a peer and then backfills the peer's index
+// definitions, so it grows with the chain as a full replay does.
 var figRecovery = &Figure{
 	Num:   24,
 	Name:  "recovery",
 	Title: "Fig. 24 — recovery: restart and fresh-node sync time vs chain height",
-	Note:  "restart/ckpt should stay near-flat while restart/replay grows; both sync columns stream every block, but sync/fast skips the index rebuild",
+	Note:  "restart/ckpt should stay near-flat while restart/replay grows; sync streams every block over loopback and backfills the source's indexes, so it grows with the chain like restart/replay",
 	Sweep: &Sweep{
 		X: "blocks",
 		Series: []Series{
-			{"restart/ckpt", Millis}, {"restart/replay", Millis}, {"sync/fast", Millis}, {"sync/replay", Millis},
+			{"restart/ckpt", Millis}, {"restart/replay", Millis}, {"sync", Millis},
 		},
 		Points: func(s *Scope) ([]Point, error) {
 			base := s.scaled(4_000, 200)
@@ -46,8 +45,7 @@ var figRecovery = &Figure{
 
 // recoveryRow measures one chain height: it builds (or reuses) a
 // checkpointed chain, times a checkpoint-seeded and a full-replay
-// restart, then bootstraps two throwaway nodes from it — one by
-// fast-sync, one by streaming blocks into a fresh engine. Restarting
+// restart, and bootstraps a throwaway node from it. Restarting
 // is the measurement, so the row closes its engines itself; the scope
 // only catches the ones an error strands (Engine.Close is idempotent).
 func recoveryRow(s *Scope, blocks int) ([]float64, error) {
@@ -98,15 +96,10 @@ func recoveryRow(s *Scope, blocks int) ([]float64, error) {
 		return nil, fmt.Errorf("checkpointed restart at height %d, want %d", e.Height(), height)
 	}
 
-	// Bootstrap two fresh nodes from the restarted engine, served as an
-	// in-process peer so the figure measures recovery, not socket noise.
+	// Bootstrap a fresh node from the restarted engine, served over
+	// loopback as any peer would be.
 	src := node.New(e)
-	peer := &node.Local{Node: src, Name: "src"}
-	dFast, err := timeFastSync(s, peer, height)
-	var dRepl time.Duration
-	if err == nil {
-		dRepl, err = timeReplaySync(s, peer, height)
-	}
+	dSync, err := timeBootstrap(s, src, height)
 	if cerr := src.Close(); err == nil {
 		err = cerr
 	}
@@ -124,78 +117,37 @@ func recoveryRow(s *Scope, blocks int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []float64{millis(dCkpt), millis(dFull), millis(dFast), millis(dRepl)}, e.Close()
+	return []float64{millis(dCkpt), millis(dFull), millis(dSync)}, e.Close()
 }
 
-// syncDir makes a throwaway bootstrap directory the scope removes.
-func syncDir(s *Scope, pattern string) (string, error) {
-	dir, err := os.MkdirTemp(s.Dir, pattern)
-	if err == nil {
-		s.Defer(func() error { return os.RemoveAll(dir) })
-	}
-	return dir, err
-}
-
-// timeFastSync bootstraps a throwaway node from the peer's checkpoint
-// and times the transfer plus the checkpoint-seeded open.
-func timeFastSync(s *Scope, peer node.QueryNode, height uint64) (time.Duration, error) {
-	dir, err := syncDir(s, "figr-fast-*")
+// timeBootstrap times a fresh node's one way in: open an empty engine
+// and replica.Bootstrap it from src — every block through the verified
+// stream, then src's index definitions, backfilled.
+func timeBootstrap(s *Scope, src *node.FullNode, height uint64) (time.Duration, error) {
+	addr, err := src.Serve("127.0.0.1:0")
 	if err != nil {
 		return 0, err
 	}
-	reg := obs.NewRegistry(clock.UnixMicro)
-	start := time.Now()
-	if _, err := node.FastSync(dir, peer, reg); err != nil {
-		return 0, err
-	}
-	e, err := core.Open(core.Config{Dir: dir, HistogramDepth: 100, Obs: reg})
+	dir, err := os.MkdirTemp(s.Dir, "figr-sync-*")
 	if err != nil {
 		return 0, err
 	}
-	d := time.Since(start)
-	s.Defer(e.Close)
-	if e.Height() != height {
-		return 0, fmt.Errorf("fast-synced height %d, want %d", e.Height(), height)
-	}
-	if n := reg.Counter("sebdb_snapshot_suffix_blocks").Value(); n != 0 {
-		return 0, fmt.Errorf("fast-synced open replayed %d blocks", n)
-	}
-	return d, e.Close()
-}
-
-// timeReplaySync bootstraps a throwaway node without the checkpoint:
-// it streams the peer's blocks into a fresh engine and then builds the
-// same user indexes the checkpoint would have delivered — the
-// pre-checkpoint baseline for reaching an equivalent serving state.
-func timeReplaySync(s *Scope, peer node.QueryNode, height uint64) (time.Duration, error) {
-	dir, err := syncDir(s, "figr-repl-*")
-	if err != nil {
-		return 0, err
-	}
+	s.Defer(func() error { return os.RemoveAll(dir) })
 	start := time.Now()
 	e, err := core.Open(core.Config{Dir: dir, HistogramDepth: 100})
 	if err != nil {
 		return 0, err
 	}
 	s.Defer(e.Close)
-	for h := uint64(0); h < height; h++ {
-		b, err := peer.BlockAt(h)
-		if err != nil {
-			return 0, err
-		}
-		if err := e.ApplyBlock(b); err != nil {
-			return 0, err
-		}
-	}
-	if err := e.CreateIndex("donate", "amount"); err != nil {
-		return 0, err
-	}
-	if err := e.CreateAuthIndex("donate", "amount"); err != nil {
+	if err := replica.Bootstrap(e, addr); err != nil {
 		return 0, err
 	}
 	d := time.Since(start)
 	if e.Height() != height {
-		return 0, fmt.Errorf("replay-synced height %d, want %d", e.Height(), height)
+		return 0, fmt.Errorf("bootstrapped height %d, want %d", e.Height(), height)
+	}
+	if e.CurrentView().AuthIndex("donate", "amount") == nil {
+		return 0, errors.New("bootstrap did not adopt the source's ALI")
 	}
 	return d, e.Close()
 }

@@ -218,8 +218,11 @@ func (e *Engine) createLayered(table, col string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return createIndex(e, &e.lidx, indexSpec{table: tbl.Name, col: col}, kind, e.layeredFeed,
-		func(hist *layered.Histogram) *layered.Index { return newLayered(col, hist) })
+	spec := indexSpec{table: tbl.Name, col: col}
+	return createIndex(e, &e.lidx, spec.key(), e.layeredFeed, func() (*layered.Index, error) {
+		hist, err := e.sampleHistogram(spec, kind)
+		return newLayered(col, hist), err
+	})
 }
 
 // createAuth is CreateAuthIndex without the persist.
@@ -242,23 +245,43 @@ func (e *Engine) createAuth(table, col string) (bool, error) {
 	} else if _, err := types.SystemColumnKind(col); err != nil {
 		return false, fmt.Errorf("core: auth index on %q: %w", col, err)
 	}
-	return createIndex(e, &e.alis, spec, kind, e.aliFeed,
-		func(hist *layered.Histogram) *auth.ALI { return newALI(col, hist) })
+	return createIndex(e, &e.alis, spec.key(), e.aliFeed, func() (*auth.ALI, error) {
+		hist, err := e.sampleHistogram(spec, kind)
+		return newALI(col, hist), err
+	})
+}
+
+// sampleHistogram samples an equal-depth first level for a continuous
+// column; nil for a discrete one.
+func (e *Engine) sampleHistogram(spec indexSpec, kind types.Kind) (*layered.Histogram, error) {
+	if !continuousKind(kind) {
+		return nil, nil
+	}
+	sample, err := e.sampleColumn(spec, 100_000)
+	if err != nil {
+		return nil, err
+	}
+	return layered.NewEqualDepth(sample, e.cfg.HistogramDepth), nil
+}
+
+// continuousKind reports whether a column of kind gets a histogram
+// first level.
+func continuousKind(kind types.Kind) bool {
+	return kind == types.KindInt || kind == types.KindDecimal || kind == types.KindTimestamp
 }
 
 // createIndex is the one index-creation protocol, shared by the layered
-// indexes and the ALIs: sample a histogram for a continuous column,
+// indexes and the ALIs, and by local creation and adopted definitions:
+// build the empty index (sampling or adopting its first level),
 // backfill without holding e.mu so commits keep flowing, then close the
 // gap under the lock — blocks committed after the first pass are fed
 // before the registration makes the index visible (commits take e.mu
 // too), so no committed block is ever missed — register and republish.
 // It reports whether it registered the index; persisting the definition
 // is the caller's. family is the engine map the index registers in,
-// read and replaced only under e.mu; build constructs the empty index,
-// hist being nil for a discrete column.
-func createIndex[I any](e *Engine, family *map[string]I, spec indexSpec, kind types.Kind,
-	feedOf func(key string, idx I) blockFeed, build func(hist *layered.Histogram) I) (bool, error) {
-	key := spec.key()
+// read and replaced only under e.mu.
+func createIndex[I any](e *Engine, family *map[string]I, key string,
+	feedOf func(key string, idx I) blockFeed, build func() (I, error)) (bool, error) {
 	e.mu.RLock()
 	_, exists := (*family)[key]
 	e.mu.RUnlock()
@@ -266,15 +289,10 @@ func createIndex[I any](e *Engine, family *map[string]I, spec indexSpec, kind ty
 		return false, nil
 	}
 
-	var hist *layered.Histogram
-	if kind == types.KindInt || kind == types.KindDecimal || kind == types.KindTimestamp {
-		sample, err := e.sampleColumn(spec, 100_000)
-		if err != nil {
-			return false, err
-		}
-		hist = layered.NewEqualDepth(sample, e.cfg.HistogramDepth)
+	idx, err := build()
+	if err != nil {
+		return false, err
 	}
-	idx := build(hist)
 	feed := feedOf(key, idx)
 	done := uint64(e.store.Count())
 	if err := e.backfill(feed, 0, done); err != nil {

@@ -757,7 +757,7 @@ func (e *Engine) commitOne(txs []*types.Transaction, ts int64) (*types.Block, er
 }
 
 // ApplyBlock validates and installs a block produced elsewhere
-// (received via consensus, gossip or the replication stream): the same
+// (received via consensus or the replication stream): the same
 // pipeline as CommitBlock with validation — the foreign-block
 // equivalent of prepare — fanned out off the engine lock.
 func (e *Engine) ApplyBlock(b *types.Block) error {

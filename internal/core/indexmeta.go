@@ -13,6 +13,7 @@ import (
 	"sebdb/internal/faultfs"
 	"sebdb/internal/index/layered"
 	"sebdb/internal/mbtree"
+	"sebdb/internal/types"
 )
 
 // Index definitions are node-local configuration, not chain state, but
@@ -22,8 +23,9 @@ import (
 // §IV-B fixes when the index is created — and Open registers each one
 // before replaying the chain, so one pass over the blocks feeds every
 // index. The indexes' contents are derived state, rebuilt from the
-// chain; their histograms are not, and come only from this file or a
-// checkpoint.
+// chain; their histograms are not, and come only from this file, a
+// checkpoint, or — on a bootstrapping node — the source's definitions
+// (ParseIndexDefs, AdoptIndexDefs).
 
 const indexMetaFile = "indexes.json"
 
@@ -206,6 +208,19 @@ func (e *Engine) createLegacy(m *indexMeta) error {
 func (e *Engine) saveIndexMeta() error {
 	e.metaSem <- struct{}{}
 	defer func() { <-e.metaSem }()
+	raw, err := e.IndexDefs()
+	if err != nil {
+		return err
+	}
+	if err := faultfs.WriteAtomic(e.cfg.FS, e.indexMetaPath(), raw); err != nil {
+		return fmt.Errorf("core: index meta: %w", err)
+	}
+	return nil
+}
+
+// IndexDefs renders every user index's definition as indexes.json
+// holds it — the bytes a node serves to a peer that bootstraps from it.
+func (e *Engine) IndexDefs() ([]byte, error) {
 	m := indexMeta{Indexes: []indexDef{}}
 	e.mu.RLock()
 	for _, key := range sortedKeys(e.lidx) {
@@ -220,12 +235,123 @@ func (e *Engine) saveIndexMeta() error {
 	e.mu.RUnlock()
 	raw, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := faultfs.WriteAtomic(e.cfg.FS, e.indexMetaPath(), append(raw, '\n')); err != nil {
-		return fmt.Errorf("core: index meta: %w", err)
+	return append(raw, '\n'), nil
+}
+
+// maxPeerBounds caps the histogram bounds one adopted definition may
+// carry. Bounds become this node's first level: every block keeps a
+// bitmap over the buckets and every range probe builds one, so their
+// count multiplies into per-block memory and per-query work, and a peer
+// must not choose it freely. An equal-depth histogram has at most
+// Config.HistogramDepth-1 bounds (99 by default); 4,096 leaves room for
+// any depth an operator plausibly sets.
+const maxPeerBounds = 4096
+
+// PeerIndexDefs are index definitions from another node that passed
+// ParseIndexDefs against this node's catalog; AdoptIndexDefs registers
+// them.
+type PeerIndexDefs struct{ defs []indexDef }
+
+// ParseIndexDefs is the validating parse of a peer's index definitions
+// (the bytes IndexDefs renders). It refuses malformed JSON, an unknown
+// family, a key whose table or column this node's verified catalog
+// lacks, a continuous flag the column's kind does not allow, bounds
+// that are not strictly ascending (a NaN can only be a sole bound, as
+// in layered.NewEqualDepth), more than maxPeerBounds bounds, and a key
+// listed twice in one family. It changes nothing.
+func (e *Engine) ParseIndexDefs(raw []byte) (PeerIndexDefs, error) {
+	var m indexMeta
+	if err := json.Unmarshal(raw, &m); err != nil {
+		return PeerIndexDefs{}, fmt.Errorf("core: peer index definitions: %w", err)
+	}
+	if len(m.Layered) != 0 || len(m.Auth) != 0 {
+		return PeerIndexDefs{}, errors.New("core: peer index definitions carry no histograms")
+	}
+	v := e.CurrentView()
+	seen := make(map[[2]string]bool, len(m.Indexes))
+	for _, d := range m.Indexes {
+		if err := v.checkPeerDef(&d); err != nil {
+			return PeerIndexDefs{}, fmt.Errorf("core: peer %s index %q: %w", d.Family, d.Key, err)
+		}
+		if seen[[2]string{d.Family, d.Key}] {
+			return PeerIndexDefs{}, fmt.Errorf("core: peer %s index %q listed twice", d.Family, d.Key)
+		}
+		seen[[2]string{d.Family, d.Key}] = true
+	}
+	return PeerIndexDefs{defs: m.Indexes}, nil
+}
+
+// checkPeerDef holds one peer definition to the view's catalog.
+func (v *View) checkPeerDef(d *indexDef) error {
+	if d.Family != familyLayered && d.Family != familyAuth {
+		return errors.New("unknown family")
+	}
+	spec := splitKey(d.Key)
+	var kind types.Kind
+	switch {
+	case spec.table == "" && d.Family == familyAuth:
+		// A system-column ALI is always discrete (createAuth).
+		if _, err := types.SystemColumnKind(spec.col); err != nil {
+			return err
+		}
+		kind = types.KindString
+	default:
+		tbl, err := v.Table(spec.table)
+		if err != nil {
+			return err
+		}
+		if tbl.Name != spec.table {
+			return fmt.Errorf("table is named %q here", tbl.Name)
+		}
+		if kind, _, err = tbl.ColumnKind(spec.col); err != nil {
+			return err
+		}
+	}
+	if d.Continuous != continuousKind(kind) {
+		return fmt.Errorf("continuous=%v does not fit a %v column", d.Continuous, kind)
+	}
+	if !d.Continuous && len(d.Bounds) != 0 {
+		return errors.New("a discrete index carries histogram bounds")
+	}
+	if len(d.Bounds) > maxPeerBounds {
+		return fmt.Errorf("%d histogram bounds, at most %d", len(d.Bounds), maxPeerBounds)
+	}
+	for i := 1; i < len(d.Bounds); i++ {
+		if !(math.Float64frombits(uint64(d.Bounds[i])) > math.Float64frombits(uint64(d.Bounds[i-1]))) {
+			return fmt.Errorf("histogram bound %d does not exceed bound %d", i, i-1)
+		}
 	}
 	return nil
+}
+
+// AdoptIndexDefs registers every parsed peer definition this node
+// lacks — histogram bounds included, bit for bit, so both nodes bucket
+// the first level alike and serve equal ALI digests — backfills each
+// over the local chain through the same creation protocol CreateIndex
+// uses, and persists the definitions.
+func (e *Engine) AdoptIndexDefs(p PeerIndexDefs) error {
+	created := false
+	for i := range p.defs {
+		ok, err := e.adoptDef(&p.defs[i])
+		if err != nil {
+			return fmt.Errorf("core: adopting %s index %q: %w", p.defs[i].Family, p.defs[i].Key, err)
+		}
+		created = created || ok
+	}
+	return e.persistIfCreated(created, nil)
+}
+
+// adoptDef is AdoptIndexDefs for one definition, without the persist.
+func (e *Engine) adoptDef(d *indexDef) (bool, error) {
+	col, hist := splitKey(d.Key).col, d.histogram()
+	if d.Family == familyLayered {
+		return createIndex(e, &e.lidx, d.Key, e.layeredFeed,
+			func() (*layered.Index, error) { return newLayered(col, hist), nil })
+	}
+	return createIndex(e, &e.alis, d.Key, e.aliFeed,
+		func() (*auth.ALI, error) { return newALI(col, hist), nil })
 }
 
 // newLayered and newALI build an empty index of either family over attr:

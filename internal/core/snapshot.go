@@ -112,10 +112,6 @@ func (e *Engine) CheckpointErr() error {
 	return nil
 }
 
-// SnapshotDir exposes the engine's checkpoint directory — the node
-// layer serves fast-sync from it.
-func (e *Engine) SnapshotDir() *snapshot.Dir { return e.snapDir }
-
 // cutWindow collects the window the log lacks: blocks [pinned height,
 // current height), or the whole chain when nothing is pinned or an
 // index was created since the log's generation began (one generation

@@ -165,7 +165,7 @@ func TestAutoCheckpointInterval(t *testing.T) {
 	if err := e.CheckpointErr(); err != nil {
 		t.Fatalf("automatic checkpoint failed: %v", err)
 	}
-	ck, err := e.SnapshotDir().Load()
+	ck, err := e.snapDir.Load()
 	if err != nil {
 		t.Fatal(err)
 	}

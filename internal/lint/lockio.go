@@ -72,7 +72,6 @@ var lockIOSinks = []funcSpec{
 	{"sebdb/internal/snapshot", "Checkpoint", "Encode"},
 	{"sebdb/internal/snapshot", "Dir", "Write"},
 	{"sebdb/internal/snapshot", "Dir", "Load"},
-	{"sebdb/internal/snapshot", "Dir", "Raw"},
 }
 
 // matchSpec reports whether fn matches one of the curated specs.

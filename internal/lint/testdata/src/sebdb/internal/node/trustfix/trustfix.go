@@ -1,20 +1,22 @@
 // Package trustfix seeds trusttaint violations: it reconstructs the
-// removed fast-sync Dir.Install path, where a checkpoint fetched from a
-// peer was decoded and installed into local state with no verification.
-// The sanitized variants model the hardened flow and stay clean.
+// removed Dir.Install path, where a checkpoint fetched from a peer was
+// decoded and installed into local state with no verification, and a
+// bootstrap that registers a peer's index definitions without the
+// validating parse. The sanitized variants model the hardened flow and
+// stay clean.
 package trustfix
 
 import (
-	"errors"
-
+	"sebdb/internal/core"
 	"sebdb/internal/network"
 	"sebdb/internal/snapshot"
 )
 
-// Syncer models the fast-sync client side.
+// Syncer models the catch-up client side.
 type Syncer struct {
 	cli *network.Client
 	dir *snapshot.Dir
+	eng *core.Engine
 }
 
 // InstallUnverified is the removed bug: peer bytes flow through Decode
@@ -31,21 +33,29 @@ func (s *Syncer) InstallUnverified() error {
 	return s.dir.Write(ck) // want:trusttaint
 }
 
-// InstallVerified cross-checks the peer checkpoint against local state
-// before installing it: the Diverges sanitizer clears the taint.
-func (s *Syncer) InstallVerified(local *snapshot.Checkpoint) error {
-	payload, err := s.cli.Call(7, nil)
+// AdoptUnverified registers a peer's index definitions as they came
+// off the wire.
+func (s *Syncer) AdoptUnverified() error {
+	raw, err := s.cli.Call(11, nil)
 	if err != nil {
 		return err
 	}
-	ck, err := snapshot.Decode(payload)
+	return s.eng.AdoptIndexDefs(core.PeerIndexDefs{Raw: raw}) // want:trusttaint
+}
+
+// AdoptVerified holds the peer's definitions to the local catalog
+// before registering them: the ParseIndexDefs sanitizer clears the
+// taint.
+func (s *Syncer) AdoptVerified() error {
+	raw, err := s.cli.Call(11, nil)
 	if err != nil {
 		return err
 	}
-	if snapshot.Diverges(local, ck) {
-		return errors.New("trustfix: peer checkpoint diverges")
+	defs, err := s.eng.ParseIndexDefs(raw)
+	if err != nil {
+		return err
 	}
-	return s.dir.Write(ck)
+	return s.eng.AdoptIndexDefs(defs)
 }
 
 // Gate models the serving side: a handler registered with the network

@@ -24,11 +24,6 @@ func Decode(b []byte) (*Checkpoint, error) {
 	return &Checkpoint{Height: uint64(len(b)), Raw: b}, nil
 }
 
-// Diverges cross-checks two checkpoints (trusttaint sanitizer).
-func Diverges(a, b *Checkpoint) bool {
-	return a != nil && b != nil && a.Height != b.Height
-}
-
 // Dir persists checkpoints (lockio + trusttaint sink: Dir.Write).
 type Dir struct{}
 
@@ -40,5 +35,3 @@ func (d *Dir) Write(c *Checkpoint) error {
 	return nil
 }
 
-// Raw returns the serving copy of the newest checkpoint (lockio sink).
-func (d *Dir) Raw() ([]byte, error) { return nil, nil }

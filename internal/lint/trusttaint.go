@@ -10,14 +10,15 @@ import (
 	"sebdb/internal/lint/callgraph"
 )
 
-// TrustTaint enforces the fast-sync trust model interprocedurally: no
-// peer-derived value (bytes off the wire, decoded wire messages,
-// snapshot chunks) may reach engine-state installation — checkpoint
-// persist, catalog/contract registration, index/ALI appends, chain
-// appends — without passing a verification sanitizer (signature check,
-// block validation, Merkle/CRC comparison, checkpoint cross-check).
-// This is the bug class the fast-sync hardening PR removed by hand
-// (snapshot.Dir.Install of a peer checkpoint); the analyzer keeps it
+// TrustTaint enforces the catch-up trust model interprocedurally: no
+// peer-derived value (bytes off the wire, decoded wire messages) may
+// reach engine-state installation — checkpoint persist, catalog/contract
+// registration, index creation and definition adoption, index/ALI
+// appends, chain appends — without passing a verification sanitizer
+// (signature check, block validation, Merkle/CRC comparison, the
+// validating parse of a peer's index definitions). This is the bug
+// class of installing a peer's checkpoint unverified
+// (snapshot.Dir.Install, since removed by hand); the analyzer keeps it
 // from coming back.
 var TrustTaint = &Analyzer{
 	Name: "trusttaint",
@@ -40,8 +41,7 @@ var taintSanitizers = []funcSpec{
 	{"sebdb/internal/types", "Block", "Validate"},
 	{"sebdb/internal/types", "Block", "ValidateWorkers"},
 	{"sebdb/internal/core", "Engine", "ApplyBlock"},
-	{"sebdb/internal/network", "Applier", "ApplyBlock"},
-	{"sebdb/internal/snapshot", "", "Diverges"},
+	{"sebdb/internal/core", "Engine", "ParseIndexDefs"},
 	{"sebdb/internal/merkle", "", "Root"},
 	{"hash/crc32", "", "ChecksumIEEE"},
 }
@@ -52,6 +52,7 @@ var taintSinks = []funcSpec{
 	{"sebdb/internal/core", "Engine", "restoreCheckpoint"},
 	{"sebdb/internal/core", "Engine", "CreateIndex"},
 	{"sebdb/internal/core", "Engine", "CreateAuthIndex"},
+	{"sebdb/internal/core", "Engine", "AdoptIndexDefs"},
 	{"sebdb/internal/schema", "Catalog", "Define"},
 	{"sebdb/internal/contract", "Registry", "Register"},
 	{"sebdb/internal/storage", "Store", "AppendNoSync"},

@@ -1,8 +1,7 @@
 // Package network provides SEBDB's network layer (paper §III-B): a
-// small length-prefixed request/response wire protocol over TCP, and a
-// gossip component for block propagation and data recovery —
-// anti-entropy rounds against random peers, as used both by distributed
-// databases and by blockchains.
+// small length-prefixed request/response wire protocol over TCP, with
+// stream handlers for subscription-style kinds. Block propagation rides
+// it as the replica package's verified block stream.
 package network
 
 import (
@@ -25,12 +24,13 @@ const (
 	KindHeaders    uint8 = 3 // req: uint64 from      resp: count + headers
 	KindAuthQuery  uint8 = 4 // req/resp: auth payloads (node package)
 	KindAuthDigest uint8 = 5
-	KindSQL        uint8 = 6  // req: sql string       resp: encoded result
-	KindSnapOffer  uint8 = 7  // req: empty            resp: checkpoint offer (node package)
-	KindSnapChunk  uint8 = 8  // req: uint32 index     resp: index + chunk bytes
-	KindSubscribe  uint8 = 9  // req: uint64 cursor    -> stream of KindBlockPush frames (replica package)
-	KindBlockPush  uint8 = 10 // push: uint64 leader height + block bytes (empty = heartbeat)
-	KindError      uint8 = 0xFF
+	KindSQL        uint8 = 6 // req: sql string       resp: encoded result
+	// Kinds 7 and 8 are retired and stay unassigned: a peer still
+	// sending them gets UnknownKindMsg.
+	KindSubscribe uint8 = 9  // req: uint64 cursor    -> stream of KindBlockPush frames (replica package)
+	KindBlockPush uint8 = 10 // push: uint64 leader height + block bytes (empty = heartbeat)
+	KindIndexDefs uint8 = 11 // req: empty            resp: the node's index definitions (indexes.json bytes)
+	KindError     uint8 = 0xFF
 )
 
 // UnknownKindMsg is the stable KindError payload the server replies with

@@ -1,55 +1,37 @@
-// Package node assembles a SEBDB full node: the core engine, the gossip
-// component for block propagation, and a TCP service answering peers
-// (height/block/header sync) and thin clients (SQL and the two-phase
-// authenticated query protocol of §VI).
+// Package node assembles a SEBDB full node: the core engine and a TCP
+// service answering peers (the replica package's block stream and index
+// definitions, height/block/header reads) and thin clients (SQL and the
+// two-phase authenticated query protocol of §VI).
 package node
 
 import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
-	"time"
 
 	"sebdb/internal/auth"
 	"sebdb/internal/core"
 	"sebdb/internal/index/bitmap"
 	"sebdb/internal/network"
 	"sebdb/internal/replica"
-	"sebdb/internal/snapshot"
 	"sebdb/internal/types"
 )
 
 // FullNode is one SEBDB participant.
 type FullNode struct {
 	Engine   *core.Engine
-	Gossip   *network.Gossiper
 	server   *network.Server
 	listener net.Listener
 
-	// leader is the replication subscription service (wire kind
-	// KindSubscribe); every full node offers it, so any node can feed
-	// read replicas.
+	// leader is the replication service (wire kinds KindSubscribe and
+	// KindIndexDefs); every full node offers it, so any node can feed
+	// read replicas and bootstrap fresh nodes.
 	leader *replica.Leader
-
-	// snap memoises the checkpoint payload served to fast-syncing peers
-	// so a full transfer reads the file once per checkpoint generation,
-	// not once per chunk (see snapshotPayload).
-	snap snapCache
-}
-
-// snapCache holds the last checkpoint payload served, keyed by its
-// manifest: a newer checkpoint changes the manifest and invalidates it.
-type snapCache struct {
-	mu      sync.Mutex
-	man     snapshot.Manifest
-	payload []byte
 }
 
 // New wraps an engine as a full node.
 func New(engine *core.Engine) *FullNode {
 	n := &FullNode{Engine: engine}
-	n.Gossip = network.NewGossiper(engine, 100*time.Millisecond)
 	n.server = network.NewServer()
 	n.server.Handle(network.KindHeight, n.handleHeight)
 	n.server.Handle(network.KindBlock, n.handleBlock)
@@ -57,8 +39,6 @@ func New(engine *core.Engine) *FullNode {
 	n.server.Handle(network.KindAuthQuery, n.handleAuthQuery)
 	n.server.Handle(network.KindAuthDigest, n.handleAuthDigest)
 	n.server.Handle(network.KindSQL, n.handleSQL)
-	n.server.Handle(network.KindSnapOffer, n.handleSnapOffer)
-	n.server.Handle(network.KindSnapChunk, n.handleSnapChunk)
 	n.leader = replica.NewLeader(engine, engine.EventLog())
 	n.leader.Register(n.server)
 	return n
@@ -80,13 +60,10 @@ func (n *FullNode) Serve(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Close stops serving and gossiping, reporting listener teardown errors.
-// The replication service closes first: subscription sessions run inside
+// Close stops serving, reporting listener teardown errors. The
+// replication service closes first: subscription sessions run inside
 // the wire server's connection goroutines, and Server.Close joins them.
 func (n *FullNode) Close() error {
-	if n.Gossip != nil {
-		n.Gossip.Stop()
-	}
 	if n.leader != nil {
 		n.leader.Close()
 	}

@@ -6,16 +6,17 @@ import (
 	"time"
 
 	"sebdb/internal/core"
-	"sebdb/internal/network"
 	"sebdb/internal/node"
+	"sebdb/internal/replica"
 )
 
 // TestNodeServeSQLGossipStress drives a served node from several SQL
-// clients while an initially empty follower gossips the whole chain
-// from it over TCP — the serve, query, and gossip paths all active at
-// once under the race detector.
+// clients while an initially empty follower streams the whole chain
+// from it over TCP — the serve, query and replication paths all active
+// at once under the race detector.
 func TestNodeServeSQLGossipStress(t *testing.T) {
 	src := seededNode(t, 5, 8)
+	src.Replication().SetHeartbeat(20 * time.Millisecond)
 	addr, err := src.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -26,17 +27,14 @@ func TestNodeServeSQLGossipStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { e2.Close() })
-	follower := node.New(e2)
-	follower.Gossip = network.NewGossiperSeeded(e2, time.Millisecond, 7)
-	t.Cleanup(func() { _ = follower.Close() })
-
-	peer, err := node.DialNode(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer peer.Close()
-	follower.Gossip.AddPeer(peer)
-	follower.Gossip.Start()
+	e2.SetFollower(true)
+	follower := replica.StartFollower(e2, replica.FollowerConfig{
+		Leader:     addr,
+		Heartbeat:  200 * time.Millisecond,
+		Backoff:    10 * time.Millisecond,
+		MaxBackoff: 200 * time.Millisecond,
+	})
+	t.Cleanup(follower.Stop)
 
 	queries := []string{
 		`SELECT * FROM donate WHERE amount BETWEEN 5 AND 9`,
@@ -76,9 +74,9 @@ func TestNodeServeSQLGossipStress(t *testing.T) {
 	for e2.Height() < src.Engine.Height() && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	follower.Gossip.Stop()
+	follower.Stop()
 	if got, want := e2.Height(), src.Engine.Height(); got != want {
-		t.Fatalf("follower gossiped to height %d, want %d", got, want)
+		t.Fatalf("follower streamed to height %d, want %d", got, want)
 	}
 
 	// The replicated chain answers the same queries.

@@ -3,11 +3,11 @@ package node_test
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"sebdb/internal/core"
 	"sebdb/internal/network"
 	"sebdb/internal/node"
+	"sebdb/internal/replica"
 	"sebdb/internal/types"
 )
 
@@ -131,40 +131,64 @@ func TestTCPAuthProtocol(t *testing.T) {
 	}
 }
 
+// TestGossipBetweenNodes: a fresh node joins through the one catch-up
+// path — the verified block stream, then the source's index
+// definitions — and answers like its source.
 func TestGossipBetweenNodes(t *testing.T) {
 	source := seededNode(t, 6, 5)
-	// A fresh node with an empty chain catches up via gossip.
 	e2, err := core.Open(core.Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	follower := node.New(e2)
-	defer follower.Close()
 
-	addr, _ := source.Serve("127.0.0.1:0")
-	peer, err := node.DialNode(addr)
+	addr, err := source.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer peer.Close()
-	follower.Gossip.AddPeer(peer)
-	follower.Gossip.Start()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for e2.Height() < source.Engine.Height() && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+	if err := replica.Bootstrap(e2, addr); err != nil {
+		t.Fatal(err)
 	}
 	if e2.Height() != source.Engine.Height() {
-		t.Fatalf("follower synced %d of %d blocks", e2.Height(), source.Engine.Height())
+		t.Fatalf("fresh node synced %d of %d blocks", e2.Height(), source.Engine.Height())
 	}
-	// The follower replayed schema transactions and can answer queries.
+	// The fresh node replayed schema transactions and can answer queries.
 	res, err := e2.Execute(`SELECT * FROM donate WHERE donor = "donor01"`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 6 {
-		t.Errorf("follower query rows = %d", len(res.Rows))
+		t.Errorf("fresh node query rows = %d", len(res.Rows))
+	}
+	// It adopted both of the source's ALIs.
+	v := e2.CurrentView()
+	if v.AuthIndex("donate", "amount") == nil || v.AuthIndex("", "tname") == nil {
+		t.Error("fresh node lacks the source's ALIs")
+	}
+	// Caught up, a second CatchUp returns on the subscribe-time heartbeat.
+	if err := replica.CatchUp(e2, addr); err != nil {
+		t.Fatalf("CatchUp when level: %v", err)
+	}
+}
+
+// TestRetiredKindsUnknown: the kinds fast checkpoint transfer used (7
+// and 8) are unassigned, so a served node answers them as it answers
+// any unknown kind.
+func TestRetiredKindsUnknown(t *testing.T) {
+	fn := seededNode(t, 1, 1)
+	addr, err := fn.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := network.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for _, kind := range []uint8{7, 8} {
+		if _, err := cl.Call(kind, nil); err == nil || err.Error() != network.UnknownKindMsg {
+			t.Errorf("kind %d reply = %v, want %q", kind, err, network.UnknownKindMsg)
+		}
 	}
 }
 

@@ -20,12 +20,9 @@ type QueryNode interface {
 	AuthQuery(r *AuthRequest) (*auth.Answer, error)
 	AuthDigest(r *AuthRequest) ([32]byte, error)
 	SQL(query string) (*core.Result, error)
-	SnapshotOffer() (*SnapshotOffer, error)
-	SnapshotChunk(idx uint32) ([]byte, error)
 }
 
-// Remote is a TCP client stub for a full node; it implements QueryNode
-// and network.Peer.
+// Remote is a TCP client stub for a full node; it implements QueryNode.
 type Remote struct {
 	addr   string
 	client *network.Client
@@ -181,8 +178,6 @@ func (l *Local) SQL(query string) (*core.Result, error) {
 }
 
 var (
-	_ QueryNode    = (*Remote)(nil)
-	_ QueryNode    = (*Local)(nil)
-	_ network.Peer = (*Remote)(nil)
-	_ network.Peer = (*Local)(nil)
+	_ QueryNode = (*Remote)(nil)
+	_ QueryNode = (*Local)(nil)
 )

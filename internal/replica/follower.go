@@ -82,14 +82,21 @@ type Follower struct {
 
 // StartFollower spawns the tail loop over an engine already switched to
 // follower mode (core.Engine.SetFollower) and returns immediately. The
-// loop bootstraps its cursor from the engine height — callers that want
-// a fast initial catch-up run node.FastSync before opening the engine —
-// and survives leader restarts by redialing with exponential backoff and
+// loop takes its cursor from the engine height — a fresh node runs
+// Bootstrap first to adopt the leader's index definitions — and
+// survives leader restarts by redialing with exponential backoff and
 // resuming from the cursor.
 func StartFollower(eng *core.Engine, cfg FollowerConfig) *Follower {
+	f := newFollower(eng, cfg)
+	go f.run()
+	return f
+}
+
+// newFollower builds the session state without starting the loop.
+func newFollower(eng *core.Engine, cfg FollowerConfig) *Follower {
 	cfg.fill()
 	reg := eng.Obs()
-	f := &Follower{
+	return &Follower{
 		eng:         eng,
 		cfg:         cfg,
 		log:         cfg.Log.With("replica"),
@@ -102,8 +109,6 @@ func StartFollower(eng *core.Engine, cfg FollowerConfig) *Follower {
 		cRejected:   reg.Counter("sebdb_replica_rejected_blocks_total"),
 		cReconnects: reg.Counter("sebdb_replica_reconnects_total"),
 	}
-	go f.run()
-	return f
 }
 
 // Stop ends the tail loop and waits for it to exit. Idempotent.
@@ -130,7 +135,7 @@ func (f *Follower) run() {
 	defer close(f.done)
 	backoff := f.cfg.Backoff
 	for {
-		progressed, err := f.tail()
+		progressed, err := f.tail(nil)
 		select {
 		case <-f.stop:
 			return
@@ -175,10 +180,12 @@ func (f *Follower) setConn(conn net.Conn) (stopped bool) {
 }
 
 // tail runs one subscription session: dial, subscribe from the current
-// engine height, then verify+apply pushed blocks until the stream ends.
-// progressed reports whether the session received at least one frame
-// (used to reset the reconnect backoff).
-func (f *Follower) tail() (progressed bool, err error) {
+// engine height, then verify+apply pushed blocks until the stream ends
+// or, after a frame, level (when not nil) reports the session done given
+// the leader height that frame advertised. progressed reports whether
+// the session received at least one frame (used to reset the reconnect
+// backoff).
+func (f *Follower) tail(level func(leaderH uint64) bool) (progressed bool, err error) {
 	conn, err := net.Dial("tcp", f.cfg.Leader)
 	if err != nil {
 		return false, err
@@ -222,18 +229,19 @@ func (f *Follower) tail() (progressed bool, err error) {
 			f.cRejected.Inc()
 			return progressed, perr
 		}
-		if blockBytes == nil { // heartbeat
-			f.observeLag(leaderH)
-			continue
-		}
-		if aerr := f.applyPushed(blockBytes); aerr != nil {
-			// Reconnecting re-requests from the cursor: a tampered or
-			// out-of-order block never advances the chain.
-			f.cRejected.Inc()
-			f.log.Warn("pushed block rejected", "height", f.eng.Height(), "err", aerr.Error())
-			return progressed, aerr
+		if blockBytes != nil { // nil is a heartbeat
+			if aerr := f.applyPushed(blockBytes); aerr != nil {
+				// Reconnecting re-requests from the cursor: a tampered or
+				// out-of-order block never advances the chain.
+				f.cRejected.Inc()
+				f.log.Warn("pushed block rejected", "height", f.eng.Height(), "err", aerr.Error())
+				return progressed, aerr
+			}
 		}
 		f.observeLag(leaderH)
+		if level != nil && level(leaderH) {
+			return progressed, nil
+		}
 	}
 }
 
@@ -253,9 +261,8 @@ func decodePush(payload []byte) (leaderH uint64, blockBytes []byte, err error) {
 	return leaderH, blockBytes, nil
 }
 
-// applyPushed verifies one pushed block against the follower's local
-// chain and applies it. The verification chain is the same as
-// fast-sync's: the header must carry a valid packager signature and
+// applyPushed verifies one pushed block against the local chain and
+// applies it: the header must carry a valid packager signature and
 // extend the local chain (height + PrevHash against our verified tip);
 // ApplyBlock then Merkle-checks the body against the header and the
 // store re-enforces linkage on append. Nothing from the wire reaches

@@ -1,23 +1,30 @@
-// Package replica implements SEBDB's streaming replication: a
-// leader-side subscription service that pushes sealed blocks to
-// followers as they commit, and a follower loop that tails the stream,
-// re-verifies every block against the signed header chain and applies it
-// through the engine's ApplyBlock pipeline.
+// Package replica is the one path by which a peer's sealed blocks enter
+// an engine (§III-B): a subscription service every full node offers,
+// pushing sealed blocks as they commit, and one session that tails the
+// stream, re-verifies every block against the signed header chain and
+// applies it through the engine's ApplyBlock pipeline. A Follower runs
+// that session forever; CatchUp runs it until the node is level with
+// the height its peer advertised; Bootstrap is CatchUp from a fresh
+// node plus the peer's index definitions.
 //
-// The trust model is the same as fast-sync's (see internal/node): a
-// follower NEVER installs peer state. Every pushed block must carry a
+// A node NEVER installs peer state. Every pushed block must carry a
 // valid packager signature (BlockHeader.VerifySig) and extend the
-// follower's locally verified chain (height + PrevHash linkage, enforced
+// node's locally verified chain (height + PrevHash linkage, enforced
 // again by the store on append), and all derived state — catalog,
 // bitmaps, layered indexes, ALIs — is rebuilt locally by ApplyBlock,
-// which also Merkle-checks the body against the header. A leader that
-// lies can only stall a follower, never corrupt it.
+// which also Merkle-checks the body against the header. The one thing
+// adopted from a peer is its index definitions, and only after
+// core.Engine.ParseIndexDefs has held them to the local catalog. A peer
+// that lies can only stall a node, never corrupt it.
 //
 // The wire protocol is one KindSubscribe request frame carrying a uint64
 // height cursor ("I have blocks [0, cursor)"), answered by an open-ended
 // stream of KindBlockPush frames: uint64 leader height + length-prefixed
 // block bytes, with an empty blob serving as a heartbeat so followers
-// can detect a dead leader and measure lag while idle.
+// can detect a dead leader and measure lag while idle. The first frame
+// of every session is a heartbeat, so a subscriber learns the leader's
+// height at once. KindIndexDefs answers with the node's index
+// definitions.
 package replica
 
 import (
@@ -92,9 +99,11 @@ func (l *Leader) SetHeartbeat(d time.Duration) {
 	}
 }
 
-// Register installs the KindSubscribe stream handler on the wire server.
+// Register installs the KindSubscribe stream handler and the
+// KindIndexDefs handler on the wire server.
 func (l *Leader) Register(srv *network.Server) {
 	srv.HandleStream(network.KindSubscribe, l.serve)
+	srv.Handle(network.KindIndexDefs, func([]byte) ([]byte, error) { return l.eng.IndexDefs() })
 }
 
 // Close ends every subscription session. Idempotent.
@@ -132,6 +141,12 @@ func (l *Leader) serve(payload []byte, conn net.Conn) {
 	defer l.gSessions.Add(-1)
 	l.log.Info("subscription started",
 		"peer", conn.RemoteAddr().String(), "cursor", cursor, "height", h)
+	// Advertise the height first: a subscriber that is already level
+	// learns it now, not one heartbeat interval later.
+	if err := l.push(conn, h, nil); err != nil {
+		return
+	}
+	l.cHeartbeats.Inc()
 
 	ticker := time.NewTicker(l.heartbeat)
 	defer ticker.Stop()

@@ -26,8 +26,8 @@ type Manifest struct {
 	// File is the log file name within the directory.
 	File string
 	// Size and CRC describe the pinned prefix of File — every frame up
-	// to Height, headers and trailers included: the byte stream
-	// fast-sync ships, and where the next frame is appended.
+	// to Height, headers and trailers included: where the next frame is
+	// appended.
 	Size uint64
 	CRC  uint32
 }
@@ -88,7 +88,7 @@ func decodeManifest(buf []byte) (*Manifest, error) {
 // goes through the injected filesystem so the faultfs crash matrix
 // covers every write, rename and load step. Load and Write must not run
 // concurrently with each other (the engine holds its checkpoint token
-// across both); Manifest and Raw are safe beside them.
+// across both); Manifest is safe beside them.
 type Dir struct {
 	fs   faultfs.FS
 	path string
@@ -317,8 +317,7 @@ func (d *Dir) readManifest() (*Manifest, error) {
 }
 
 // Manifest returns the decoded manifest alone, without touching the
-// (much larger) log — cheap enough to call per request when validating
-// a cached payload. A missing or corrupt manifest returns (nil, nil).
+// (much larger) log. A missing or corrupt manifest returns (nil, nil).
 func (d *Dir) Manifest() (*Manifest, error) {
 	m, err := d.readManifest()
 	switch {
@@ -332,21 +331,4 @@ func (d *Dir) Manifest() (*Manifest, error) {
 		return nil, nil // a corrupt manifest degrades to full replay by design
 	}
 	return nil, fmt.Errorf("snapshot: %w", err)
-}
-
-// Raw returns the manifest and the log prefix it pins, verified against
-// the manifest's CRC but not decoded — the byte stream fast-sync serves
-// to peers, which Decode folds. A missing or damaged log returns
-// (nil, nil, nil).
-func (d *Dir) Raw() (*Manifest, []byte, error) {
-	m, err := d.Manifest()
-	if err != nil || m == nil {
-		return nil, nil, err
-	}
-	blob, err := d.fs.ReadFile(filepath.Join(d.path, m.File))
-	if err != nil || uint64(len(blob)) < m.Size || crc32.ChecksumIEEE(blob[:m.Size]) != m.CRC {
-		mLoadCorrupt.Inc()
-		return nil, nil, nil
-	}
-	return m, blob[:m.Size], nil
 }

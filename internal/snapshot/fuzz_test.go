@@ -17,8 +17,7 @@ func allocated(fn func()) uint64 {
 }
 
 // FuzzDecodeCheckpointLog feeds arbitrary bytes to the checkpoint log
-// decoder — the bytes a fast-syncing peer supplies and the file a crash
-// or a bad disk leaves behind. It must never panic and never allocate
+// decoder — the file a crash or a bad disk leaves behind. It must never panic and never allocate
 // beyond a multiple of the input (every count is held to the bytes that
 // remain before anything is allocated for it); whatever it accepts must
 // survive decode∘encode unchanged, as one whole-state frame. The frame

@@ -20,8 +20,7 @@
 // .tmp sibling, synced and renamed into place — pins the new length,
 // so a crash leaves either the previous pin or the new one; bytes past
 // the pinned length are ignored by Load and truncated by the next
-// Write (see faultfs crash tests and DESIGN.md "Checkpoints &
-// fast-sync").
+// Write (see faultfs crash tests and DESIGN.md "Checkpoints").
 package snapshot
 
 import (
@@ -228,8 +227,7 @@ func indexDefs(c *Checkpoint) []byte {
 	return e.Bytes()
 }
 
-// encodeIndexBlocks renders one index's per-block entries; Diverges
-// also uses it to compare system indexes byte-wise.
+// encodeIndexBlocks renders one index's per-block entries.
 func encodeIndexBlocks(e *types.Encoder, blocks [][]layered.Entry) {
 	for _, es := range blocks {
 		e.Uvarint(uint64(len(es)))
@@ -241,7 +239,7 @@ func encodeIndexBlocks(e *types.Encoder, blocks [][]layered.Entry) {
 }
 
 // Decode parses a checkpoint log — one or more frames, as Encode and
-// Dir.Raw produce them — and folds it into the whole state at its last
+// Dir.Write produce them — and folds it into the whole state at its last
 // frame's height. Every frame must verify and continue the one before;
 // Dir.Load is the lenient reader that settles for a valid prefix.
 func Decode(buf []byte) (*Checkpoint, error) {

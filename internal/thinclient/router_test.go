@@ -28,8 +28,6 @@ func (s *scriptNode) AuthQuery(*node.AuthRequest) (*auth.Answer, error) {
 func (s *scriptNode) AuthDigest(*node.AuthRequest) ([32]byte, error) {
 	return [32]byte{}, errors.New("n/a")
 }
-func (s *scriptNode) SnapshotOffer() (*node.SnapshotOffer, error) { return nil, errors.New("n/a") }
-func (s *scriptNode) SnapshotChunk(uint32) ([]byte, error)        { return nil, errors.New("n/a") }
 
 func (s *scriptNode) SQL(query string) (*core.Result, error) {
 	s.calls = append(s.calls, query)

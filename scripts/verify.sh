@@ -91,6 +91,9 @@ echo "== fuzz (10 s per target) =="
 # float and integer edges (-0, NaN, infinities, subnormals, Ints past
 # 2^53), Timestamps, Bools, strings and exec's open-range sentinels are
 # held to Compare's sign, and every key must come back bit for bit.
+# Every peer block enters through one decoder, the replica stream's push
+# frame and the block decoder behind it, so that pair gets the same
+# bounds and decode∘encode identity on arbitrary bytes.
 # Minimization is off: the engine's minimizer stalls on multi-KB inputs.
 go test -run '^$' -fuzz '^FuzzDecodeVerifyVO$' -fuzztime 10s -fuzzminimizetime 0 ./internal/mbtree
 go test -run '^$' -fuzz '^FuzzVerifyAnswer$' -fuzztime 10s -fuzzminimizetime 0 ./internal/auth
@@ -102,6 +105,7 @@ go test -run '^$' -fuzz '^FuzzSkipTransaction$' -fuzztime 10s -fuzzminimizetime 
 go test -run '^$' -fuzz '^FuzzFilterBlock$' -fuzztime 10s -fuzzminimizetime 0 ./internal/types
 go test -run '^$' -fuzz '^FuzzBlockIndex$' -fuzztime 10s -fuzzminimizetime 0 ./internal/index/blockindex
 go test -run '^$' -fuzz '^FuzzRunKeyOrder$' -fuzztime 10s -fuzzminimizetime 0 ./internal/index/layered
+go test -run '^$' -fuzz '^FuzzDecodePush$' -fuzztime 10s -fuzzminimizetime 0 ./internal/replica
 
 echo "== bchainbench -json smoke =="
 # The table driver end to end: fig 12 for the JSON output, fig storage
