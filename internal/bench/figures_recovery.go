@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"sebdb/internal/clock"
 	"sebdb/internal/core"
 	"sebdb/internal/node"
 	"sebdb/internal/replica"
@@ -53,6 +54,7 @@ func recoveryRow(s *Scope, blocks int) ([]float64, error) {
 		Dir:            filepath.Join(s.Dir, fmt.Sprintf("figr-%d", blocks)),
 		HistogramDepth: 100,
 		DefaultSender:  "bench",
+		Clock:          clock.Fixed(1),
 	}
 	open := func(cfg core.Config) (*core.Engine, time.Duration, error) {
 		start := time.Now()
@@ -134,7 +136,7 @@ func timeBootstrap(s *Scope, src *node.FullNode, height uint64) (time.Duration, 
 	}
 	s.Defer(func() error { return os.RemoveAll(dir) })
 	start := time.Now()
-	e, err := core.Open(core.Config{Dir: dir, HistogramDepth: 100})
+	e, err := core.Open(core.Config{Dir: dir, HistogramDepth: 100, Clock: clock.Fixed(1)})
 	if err != nil {
 		return 0, err
 	}

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"sebdb/internal/clock"
 	"sebdb/internal/core"
 )
 
@@ -76,6 +77,7 @@ func storageRow(s *Scope, dir string, blocks int, mmap, compress bool) (row []fl
 		DefaultSender:  "bench",
 		SegmentSize:    64 << 10, // many small segments, so tiers matter
 		Mmap:           mmap,
+		Clock:          clock.Fixed(1), // a seed-determined chain, so the digest is reproducible
 	})
 	if err != nil {
 		return nil, nil, err

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"sebdb/internal/clock"
 	"sebdb/internal/core"
 	"sebdb/internal/types"
 )
@@ -142,13 +143,15 @@ func CommitChain(e *core.Engine, perBlock [][]*types.Transaction) error {
 }
 
 // engineConfig is the benchmark-friendly engine configuration
-// (histogram depth 100 as in §VII-D).
+// (histogram depth 100 as in §VII-D). The clock is fixed, so a chain —
+// its DDL transactions included — is a function of the seed alone.
 func engineConfig(dir string, cache core.CacheMode) core.Config {
 	return core.Config{
 		Dir:            dir,
 		HistogramDepth: 100,
 		CacheMode:      cache,
 		DefaultSender:  "bench",
+		Clock:          clock.Fixed(1),
 	}
 }
 

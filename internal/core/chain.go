@@ -143,14 +143,15 @@ func (e *Engine) CacheStats() cache.Counters {
 
 // sampleColumn collects up to limit values of table.col from the chain
 // for histogram construction (§IV-B: "created by sampling historical
-// transactions during index creating"). Blocks are decoded by the
-// worker pool; values are concatenated in height order and trimmed at
-// limit, so the sample matches a sequential scan exactly.
+// transactions during index creating"). Blocks are read straight from
+// the store, past the query cache, as backfill reads them, and decoded
+// by the worker pool; values are concatenated in height order and
+// trimmed at limit, so the sample matches a sequential scan exactly.
 func (e *Engine) sampleColumn(spec indexSpec, limit int) ([]float64, error) {
 	var out []float64
 	err := parallel.Ordered(e.Parallelism(), e.store.Count(),
 		func(bid int) ([]float64, error) {
-			b, err := e.Block(uint64(bid))
+			b, err := e.store.Block(uint64(bid))
 			if err != nil {
 				return nil, err
 			}
@@ -321,14 +322,9 @@ func (e *Engine) backfill(feed blockFeed, lo, hi uint64) error {
 	if lo >= hi {
 		return nil
 	}
-	it, err := e.store.Blocks(lo, hi)
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	return parallel.Ordered(e.Parallelism(), it.Len(),
+	return parallel.Ordered(e.Parallelism(), int(hi-lo),
 		func(i int) (func(), error) {
-			b, err := it.Read(lo + uint64(i))
+			b, err := e.store.Block(lo + uint64(i))
 			if err != nil {
 				return nil, err
 			}

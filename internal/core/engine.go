@@ -390,18 +390,11 @@ func openTraced(ctx context.Context, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	n := uint64(st.Count())
-	if n > base {
-		it, err := st.Blocks(base, n)
-		if err != nil {
-			return nil, err
-		}
-		err = parallel.Ordered(e.Parallelism(), int(n-base),
-			func(i int) (*types.Block, error) { return it.Read(base + uint64(i)) },
-			func(_ int, b *types.Block) error { return e.indexBlock(b) })
-		it.Close()
-		if err != nil {
-			return nil, err
-		}
+	err = parallel.Ordered(e.Parallelism(), int(n-base),
+		func(i int) (*types.Block, error) { return st.Block(base + uint64(i)) },
+		func(_ int, b *types.Block) error { return e.indexBlock(b) })
+	if err != nil {
+		return nil, err
 	}
 	cfg.Obs.Counter("sebdb_snapshot_suffix_blocks").Add(n - base)
 	repSpan.AddCounter("suffix_blocks", int64(n-base))

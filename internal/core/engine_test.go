@@ -466,6 +466,25 @@ func TestCacheModes(t *testing.T) {
 	}
 }
 
+// TestIndexCreationBypassesCache: sampling a continuous column's
+// histogram and backfilling the new index read the store directly, so
+// creating indexes over the whole chain leaves the query cache exactly
+// as it was.
+func TestIndexCreationBypassesCache(t *testing.T) {
+	e := testEngine(t, Config{CacheMode: CacheBlocks, CacheBytes: 1 << 20, HistogramDepth: 10})
+	seedDonation(t, e, 60, 1)
+	before := e.CacheStats()
+	if err := e.CreateIndex("donate", "amount"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CreateAuthIndex("donate", "amount"); err != nil {
+		t.Fatal(err)
+	}
+	if after := e.CacheStats(); after != before {
+		t.Errorf("index creation moved the cache: %+v -> %+v", before, after)
+	}
+}
+
 func TestCountStar(t *testing.T) {
 	e := testEngine(t, Config{})
 	seedDonation(t, e, 30, 10)

@@ -42,8 +42,8 @@ func (e *Engine) WriteCheckpoint() error {
 
 // BuildCheckpoint freezes the engine's whole derived state at the
 // current height — every block in one window — without persisting it.
-// Fast-sync uses it to derive the reference state a peer's checkpoint
-// is validated against.
+// The checkpoint-frame digest tests and the benchmark's snapshot rows
+// use it to measure and pin a whole-chain frame.
 func (e *Engine) BuildCheckpoint() (*snapshot.Checkpoint, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -318,17 +318,12 @@ func (e *Engine) restoreALIs(c *snapshot.Checkpoint) error {
 		alis[i] = newALI(st.Attr, stateHistogram(&st))
 		e.alis = withEntry(e.alis, st.Key, alis[i])
 	}
-	it, err := e.store.Blocks(0, c.Height)
-	if err != nil {
-		return err
+	if n := uint64(e.store.Count()); n < c.Height {
+		return fmt.Errorf("core: checkpoint covers %d blocks, the store holds %d", c.Height, n)
 	}
-	defer it.Close()
-	if uint64(it.Len()) != c.Height {
-		return fmt.Errorf("core: checkpoint covers %d blocks, the store holds %d", c.Height, it.Len())
-	}
-	return parallel.Ordered(e.Parallelism(), it.Len(),
+	return parallel.Ordered(e.Parallelism(), int(c.Height),
 		func(bid int) ([][]mbtree.Record, error) {
-			return aliRecords(it, c.ALIs, uint64(bid), c.Store.Headers[bid].FirstTid)
+			return aliRecords(e.store, c.ALIs, uint64(bid), c.Store.Headers[bid].FirstTid)
 		},
 		func(bid int, recs [][]mbtree.Record) error {
 			for i, ali := range alis {
@@ -341,7 +336,7 @@ func (e *Engine) restoreALIs(c *snapshot.Checkpoint) error {
 // aliRecords turns block bid's checkpointed ALI entries back into
 // MB-tree records, one slice per ALI, copying each payload out of the
 // block body. A block no ALI indexes is not read at all.
-func aliRecords(it *storage.Iter, states []snapshot.IndexState, bid, firstTid uint64) ([][]mbtree.Record, error) {
+func aliRecords(st *storage.Store, states []snapshot.IndexState, bid, firstTid uint64) ([][]mbtree.Record, error) {
 	out := make([][]mbtree.Record, len(states))
 	indexed := false
 	for i := range states {
@@ -350,7 +345,7 @@ func aliRecords(it *storage.Iter, states []snapshot.IndexState, bid, firstTid ui
 	if !indexed {
 		return out, nil
 	}
-	err := it.Body(bid, func(body []byte, txOffs []uint32) error {
+	err := st.Body(bid, func(body []byte, txOffs []uint32) error {
 		for i := range states {
 			entries := states[i].Blocks[bid]
 			if len(entries) == 0 {

@@ -64,7 +64,7 @@ func shapedChain(t *testing.T, stores ...*Store) int {
 	for _, sh := range shapes {
 		add(sh.n, sh.args)
 	}
-	sealed := stores[0].locs[len(shapes)-1].Segment
+	sealed := stores[0].recs[len(shapes)-1].loc.Segment
 	for stores[0].curSeg <= sealed {
 		add(3, donate)
 	}
@@ -75,27 +75,22 @@ func shapedChain(t *testing.T, stores ...*Store) int {
 // in its segment file.
 func onDisk(t *testing.T, s *Store, height int) (uint32, []byte) {
 	t.Helper()
-	data, err := os.ReadFile(s.segPath(s.locs[height].Segment))
+	data, err := os.ReadFile(s.segPath(s.recs[height].loc.Segment))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := data[s.locs[height].Offset:]
+	rec := data[s.recs[height].loc.Offset:]
 	n := binary.BigEndian.Uint32(rec[4:])
 	return binary.BigEndian.Uint32(rec), rec[headerSize : headerSize+int(n)]
 }
 
-// sameReads checks that got serves byte-identical blocks, tuples and
-// iterator reads to want for every height and every position.
+// sameReads checks that got serves byte-identical blocks and tuples to
+// want for every height and every position.
 func sameReads(t *testing.T, want, got *Store) {
 	t.Helper()
 	if got.Count() != want.Count() {
 		t.Fatalf("count %d, want %d", got.Count(), want.Count())
 	}
-	it, err := got.Blocks(0, uint64(got.Count()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
 	for h := 0; h < want.Count(); h++ {
 		wb, err := want.Block(uint64(h))
 		if err != nil {
@@ -105,12 +100,7 @@ func sameReads(t *testing.T, want, got *Store) {
 		if err != nil {
 			t.Fatalf("block %d: %v", h, err)
 		}
-		ib, err := it.Read(uint64(h))
-		if err != nil {
-			t.Fatalf("iter block %d: %v", h, err)
-		}
-		enc := wb.EncodeBytes()
-		if !bytes.Equal(gb.EncodeBytes(), enc) || !bytes.Equal(ib.EncodeBytes(), enc) {
+		if !bytes.Equal(gb.EncodeBytes(), wb.EncodeBytes()) {
 			t.Fatalf("block %d differs from the plain tier", h)
 		}
 		for pos, wtx := range wb.Txs {
@@ -161,14 +151,14 @@ func TestChunkedRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("block %d: %v", h, err)
 		}
-		if err := z.check(cold.lens[h], cold.txOffs[h]); err != nil {
+		if err := z.check(cold.recs[h].rawLen, cold.recs[h].txOffs); err != nil {
 			t.Errorf("block %d: %v", h, err)
 		}
 		if z.n != wantChunks[h] {
 			t.Errorf("block %d: %d chunks, want %d", h, z.n, wantChunks[h])
 		}
 	}
-	if cold.locs[1].Segment != cold.locs[2].Segment || cold.locs[2].Segment != cold.locs[3].Segment {
+	if cold.recs[1].loc.Segment != cold.recs[2].loc.Segment || cold.recs[2].loc.Segment != cold.recs[3].loc.Segment {
 		t.Fatal("fixture: the plain block does not share a segment with compressed ones")
 	}
 	sameReads(t, plain, cold)
@@ -260,7 +250,7 @@ func TestChunkTableHeldToBlockShape(t *testing.T) {
 	shapedChain(t, s)
 	compressAll(t, s)
 	_, orig := onDisk(t, s, 0)
-	path, off := s.segPath(s.locs[0].Segment), s.locs[0].Offset
+	path, off := s.segPath(s.recs[0].loc.Segment), s.recs[0].loc.Offset
 
 	tamper := func(mutate func(payload []byte)) {
 		payload := append([]byte(nil), orig...)
@@ -273,16 +263,16 @@ func TestChunkTableHeldToBlockShape(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s.handles.drop(s.locs[0].Segment)
+		s.handles.drop(s.recs[0].loc.Segment)
 	}
 	entry := func(p []byte, i int) []byte { return p[chunkedFixed+i*chunkEntry:] }
 	cases := map[string]func(p []byte){
 		"rawLen":            func(p []byte) { binary.BigEndian.PutUint32(p, 1<<29) },
 		"chunk count":       func(p []byte) { binary.BigEndian.PutUint16(p[4:], 2) },
 		"non-monotonic":     func(p []byte) { copy(entry(p, 1), entry(p, 0)[:4]) },
-		"last rawEnd":       func(p []byte) { binary.BigEndian.PutUint32(entry(p, 2), uint32(s.lens[0])-1) },
+		"last rawEnd":       func(p []byte) { binary.BigEndian.PutUint32(entry(p, 2), uint32(s.recs[0].rawLen)-1) },
 		"last storedEnd":    func(p []byte) { binary.BigEndian.PutUint32(entry(p, 2)[4:], uint32(len(p))-1) },
-		"not a tx boundary": func(p []byte) { binary.BigEndian.PutUint32(entry(p, 0), s.txOffs[0][100]+1) },
+		"not a tx boundary": func(p []byte) { binary.BigEndian.PutUint32(entry(p, 0), s.recs[0].txOffs[100]+1) },
 	}
 	for name, mutate := range cases {
 		tamper(mutate)

@@ -267,8 +267,8 @@ func (d *deflater) deflateBody(body []byte, txOffs []uint32) (payload []byte, ok
 // stored in segment seg. Blocks are appended in segment order, so the
 // range is found by binary search. Caller holds s.mu.
 func (s *Store) segRangeLocked(seg uint32) (lo, hi int) {
-	lo = sort.Search(len(s.locs), func(i int) bool { return s.locs[i].Segment >= seg })
-	hi = sort.Search(len(s.locs), func(i int) bool { return s.locs[i].Segment > seg })
+	lo = sort.Search(len(s.recs), func(i int) bool { return s.recs[i].loc.Segment >= seg })
+	hi = sort.Search(len(s.recs), func(i int) bool { return s.recs[i].loc.Segment > seg })
 	return lo, hi
 }
 
@@ -308,24 +308,16 @@ func (s *Store) DiskBytes() (int64, error) {
 	return total, nil
 }
 
-// rewriteResult carries the new on-disk coordinates of a rewritten
-// segment's records, in block order.
-type rewriteResult struct {
-	offs   []int64
-	stored []int64
-	comp   []bool
-}
-
 // CompressSegment rewrites one sealed segment with per-record
 // compression: every block body that deflates smaller is stored as a
 // compressed record, the rest stay plain, so mixed segments read
 // correctly record by record. The rewrite streams into a temporary
-// file (tmp + sync + rename), and the rename is swapped in atomically
-// with the in-memory offsets and the segment's generation bump —
-// concurrent readers either resolve against the old file (their handles
-// pin its inode) or retry and see the new one. Raw body lengths, chain
-// linkage and checkpoint divergence semantics are unchanged: only the
-// representation on disk moves.
+// file (tmp + sync + rename). The rename, the records' new coordinates
+// and dropping the segment's cached handle are one step under the write
+// lock, so a reader pairs the old records with a handle on the old
+// inode or the new records with the new file, never a mix. Raw body
+// lengths, transaction offsets and chain linkage are unchanged: only
+// the representation on disk moves.
 func (s *Store) CompressSegment(seg uint32) error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
@@ -340,54 +332,46 @@ func (s *Store) CompressSegment(seg uint32) error {
 		return nil
 	}
 	lo, hi := s.segRangeLocked(seg)
-	gen := s.gens[seg]
-	oldStored := append([]int64(nil), s.stored[lo:hi]...)
-	oldComp := append([]bool(nil), s.comp[lo:hi]...)
+	old := append([]record(nil), s.recs[lo:hi]...)
 	s.mu.RUnlock()
 
-	// Stream the rewrite. compactMu pins the segment's generation:
-	// recompression is the only mutator of sealed segments and it is
-	// serialised here, so the bodies read below are the bodies swapped
-	// out below.
+	// Stream the rewrite. Recompression is the only mutator of sealed
+	// segments and it is serialised by compactMu, so the bodies read
+	// below are the bodies swapped out below.
 	tmp := s.segPath(seg) + ".tmp"
 	//sebdb:ignore-lockio reason: compactMu exists to serialise whole-segment rewrites and is held across the tmp write by design; no read or commit path ever takes it
-	res, err := s.writeRewrite(tmp, uint64(lo), uint64(hi))
+	res, err := s.writeRewrite(tmp, lo, old)
 	if err != nil {
 		//sebdb:ignore-lockio reason: best-effort cleanup of the rewrite temporary under the rewrite serialiser; no latency-critical path takes compactMu
 		s.fs.Remove(tmp) //sebdb:ignore-err recovery deletes leftover temporaries if this fails
 		return err
 	}
 
-	// The swap: rename and metadata update are one atomic step under
-	// the store lock, so no reader can pair the new bytes with the old
-	// offsets or the old bytes with the new ones.
+	// The swap: rename, record update and handle drop are one atomic
+	// step under the store lock, so no reader can pair the new bytes
+	// with the old offsets or the old bytes with the new ones.
 	s.mu.Lock()
-	//sebdb:ignore-lockio reason: the rename IS the swap — it must be atomic with the offset and generation update, and it is a single same-directory rename, not open-ended I/O
+	//sebdb:ignore-lockio reason: the rename IS the swap — it must be atomic with the record update and the handle drop, and it is a single same-directory rename, not open-ended I/O
 	if err := s.fs.Rename(tmp, s.segPath(seg)); err != nil {
 		s.mu.Unlock()
 		//sebdb:ignore-lockio reason: best-effort cleanup of the rewrite temporary under the rewrite serialiser; no latency-critical path takes compactMu
 		s.fs.Remove(tmp) //sebdb:ignore-err recovery deletes leftover temporaries if this fails
 		return fmt.Errorf("storage: swapping rewritten segment: %w", err)
 	}
-	for i := lo; i < hi; i++ {
-		s.locs[i].Offset = res.offs[i-lo]
-		s.stored[i] = res.stored[i-lo]
-		s.comp[i] = res.comp[i-lo]
-	}
-	s.gens[seg] = gen + 1
+	copy(s.recs[lo:hi], res)
 	s.compacted[seg] = true
-	s.mu.Unlock()
 	s.handles.drop(seg)
+	s.mu.Unlock()
 
 	var oldBytes, newBytes, oldZ, newZ int64
-	for i := range oldStored {
-		oldBytes += headerSize + oldStored[i] + trailerSize
-		newBytes += headerSize + res.stored[i] + trailerSize
-		if oldComp[i] {
-			oldZ += oldStored[i]
+	for i := range old {
+		oldBytes += headerSize + old[i].stored + trailerSize
+		newBytes += headerSize + res[i].stored + trailerSize
+		if old[i].comp {
+			oldZ += old[i].stored
 		}
-		if res.comp[i] {
-			newZ += res.stored[i]
+		if res[i].comp {
+			newZ += res[i].stored
 		}
 	}
 	mRecompressed.Inc()
@@ -400,51 +384,47 @@ func (s *Store) CompressSegment(seg uint32) error {
 	return nil
 }
 
-// writeRewrite streams blocks [lo, hi) into a new segment file at tmp,
+// writeRewrite streams the blocks of one segment — old holds their
+// records, the first at height lo — into a new segment file at tmp,
 // compressing each body that deflates smaller, then syncs and closes
-// it. The caller renames the file into place.
-func (s *Store) writeRewrite(tmp string, lo, hi uint64) (rewriteResult, error) {
+// it. It returns the records as they sit in the new file; the caller
+// renames the file into place.
+func (s *Store) writeRewrite(tmp string, lo int, old []record) ([]record, error) {
 	f, err := s.fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return rewriteResult{}, fmt.Errorf("storage: rewrite: %w", err)
+		return nil, fmt.Errorf("storage: rewrite: %w", err)
 	}
-	n := int(hi - lo)
-	res := rewriteResult{
-		offs:   make([]int64, 0, n),
-		stored: make([]int64, 0, n),
-		comp:   make([]bool, 0, n),
-	}
+	res := make([]record, len(old))
 	c := inflaters.Get().(*inflater)
 	defer inflaters.Put(c)
 	d := deflaters.Get().(*deflater)
 	defer deflaters.Put(d)
 	var off int64
-	for h := lo; h < hi; h++ {
-		body, ref, err := s.readBody(c, h)
+	for i, r := range old {
+		body, _, err := s.readAt(c, uint64(lo+i), -1)
 		if err != nil {
 			f.Close() //sebdb:ignore-err the read error is what matters; the temporary is deleted by the caller
-			return rewriteResult{}, err
+			return nil, err
 		}
-		payload, compressed := d.deflateBody(body, ref.txOffs)
+		payload, compressed := d.deflateBody(body, r.txOffs)
 		if !compressed {
 			payload = body
 		}
 		rec := encodeRecord(magicFor(compressed), payload)
 		if _, err := f.Write(rec); err != nil {
 			f.Close() //sebdb:ignore-err the write error is what matters; the temporary is deleted by the caller
-			return rewriteResult{}, fmt.Errorf("storage: rewrite: %w", err)
+			return nil, fmt.Errorf("storage: rewrite: %w", err)
 		}
-		res.offs = append(res.offs, off)
-		res.stored = append(res.stored, int64(len(payload)))
-		res.comp = append(res.comp, compressed)
+		res[i] = r
+		res[i].loc.Offset, res[i].stored, res[i].comp = off, int64(len(payload)), compressed
 		off += int64(len(rec))
 	}
 	if err := f.Sync(); err != nil {
 		f.Close() //sebdb:ignore-err the sync error is what matters; the temporary is deleted by the caller
-		return rewriteResult{}, fmt.Errorf("storage: rewrite sync: %w", err)
+		return nil, fmt.Errorf("storage: rewrite sync: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return rewriteResult{}, fmt.Errorf("storage: rewrite close: %w", err)
+		return nil, fmt.Errorf("storage: rewrite close: %w", err)
 	}
 	return res, nil
 }

@@ -227,12 +227,12 @@ func TestMetaBounds(t *testing.T) {
 	}
 }
 
-// TestMetaWindowAndIterBody: consecutive windows carry disjoint slices
-// of the chain-derived fields and the whole geometry up to their end,
-// and Iter.Body hands out the raw body whose tx offsets slice it into
-// the transactions' canonical encodings — on the plain tier and the
+// TestMetaWindowAndBody: consecutive windows carry disjoint slices of
+// the chain-derived fields and the whole geometry up to their end, and
+// Body hands out the raw body whose tx offsets slice it into the
+// transactions' canonical encodings — on the plain tier and the
 // compressed one.
-func TestMetaWindowAndIterBody(t *testing.T) {
+func TestMetaWindowAndBody(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{SegmentSize: 4096})
 	if err != nil {
 		t.Fatal(err)
@@ -264,13 +264,8 @@ func TestMetaWindowAndIterBody(t *testing.T) {
 	}
 
 	check := func(tier string) {
-		it, err := s.Blocks(0, 12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer it.Close()
 		for h, b := range blocks {
-			err := it.Body(uint64(h), func(body []byte, txOffs []uint32) error {
+			err := s.Body(uint64(h), func(body []byte, txOffs []uint32) error {
 				if len(txOffs) != len(b.Txs)+1 {
 					t.Fatalf("%s block %d: %d offsets for %d txs", tier, h, len(txOffs), len(b.Txs))
 				}
@@ -285,8 +280,8 @@ func TestMetaWindowAndIterBody(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := it.Body(12, func([]byte, []uint32) error { return nil }); !errors.Is(err, ErrNoBlock) {
-			t.Fatalf("%s: Body beyond the snapshot err = %v", tier, err)
+		if err := s.Body(12, func([]byte, []uint32) error { return nil }); !errors.Is(err, ErrNoBlock) {
+			t.Fatalf("%s: Body beyond the tip err = %v", tier, err)
 		}
 	}
 	check("plain")

@@ -2,11 +2,11 @@ package storage
 
 import "sebdb/internal/obs"
 
-// Physical-read metrics, reported to the default registry. Reads are
-// split by granularity: "block" covers whole-body transfers (Body,
-// Block, Iter.Body — the t_S + B·t_T term of Equations 1-2), "tx"
-// covers the tuple-sized random reads of the layered index path
-// (ReadTx, Equation 3's p·(t_S + t_T)). The byte counters count what
+// Physical-read metrics, reported to the default registry. Every read
+// goes through Store.readAt and is split by granularity: "block" covers
+// whole-body transfers (Body and Block — the t_S + B·t_T term of
+// Equations 1-2), "tx" covers the tuple-sized random reads of the
+// layered index path (ReadTx, Equation 3's p·(t_S + t_T)). The byte counters count what
 // the read took off the segment: the record header plus the stored
 // payload for a whole record, the tuple's bytes alone for a tuple of a
 // plain record.

@@ -7,8 +7,8 @@ import (
 )
 
 // TestReadBytesCountSegmentBytes: every read path counts, once, the
-// bytes it takes off the segment. A whole-record read (Body, Block,
-// Iter.Body) takes the record header and the stored payload; a tuple
+// bytes it takes off the segment. A whole-record read (Body, Block)
+// takes the record header and the stored payload; a tuple
 // read takes the tuple's bytes alone from a plain record and the whole
 // stored record from a compressed one.
 func TestReadBytesCountSegmentBytes(t *testing.T) {
@@ -31,17 +31,12 @@ func TestReadBytesCountSegmentBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		record := uint64(headerSize + stored)
-		offs := s.txOffs[h]
+		offs := s.recs[h].txOffs
 		tuple := uint64(offs[pos+1] - offs[pos])
 		if compressed {
 			tuple = record
 		}
 
-		it, err := s.Blocks(h, h+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer it.Close()
 		noop := func([]byte, []uint32) error { return nil }
 		for _, tc := range []struct {
 			name        string
@@ -52,7 +47,6 @@ func TestReadBytesCountSegmentBytes(t *testing.T) {
 		}{
 			{"Body", blockRead, record, func() error { return s.Body(h, noop) }, mTxBytes},
 			{"Block", blockRead, record, func() error { _, err := s.Block(h); return err }, mTxBytes},
-			{"Iter.Body", blockRead, record, func() error { return it.Body(h, noop) }, mTxBytes},
 			{"ReadTx", txRead, tuple, func() error { _, err := s.ReadTx(h, pos); return err }, mBlockBytes},
 		} {
 			reads, bytes, other := tc.kind.reads.Value(), tc.kind.bytes.Value(), tc.otherCounts.Value()

@@ -69,16 +69,12 @@ func (r *mmapReader) Close() error { return r.m.Close() }
 
 // segHandle is one segment's cached reader plus a reference count: the
 // handle cache holds one reference while the handle is resident, and
-// every in-flight read (or Iter snapshot) holds its own. The underlying
-// descriptor or mapping closes when the last reference is released, so
-// close-on-evict and the recompression swap never yank a file out from
-// under a concurrent positional read.
+// every in-flight read holds its own. The underlying descriptor or
+// mapping closes when the last reference is released, so close-on-evict
+// and the recompression swap never yank a file out from under a
+// concurrent positional read.
 type segHandle struct {
-	seg uint32
-	// gen is the segment generation the handle was opened at; a
-	// recompression rewrite bumps the store's generation, making every
-	// older handle stale (see Store.resolve).
-	gen  uint64
+	seg  uint32
 	r    SegmentReader
 	refs atomic.Int32
 }
@@ -99,24 +95,20 @@ type handleCache struct {
 	mu  sync.Mutex
 	cap int
 	// open opens a reader for a segment; sealed selects the tier.
-	open func(seg uint32, sealed bool) (SegmentReader, error)
-	// active returns the tail segment number, which is exempt from
-	// eviction.
-	active func() uint32
-	ll     *list.List // of *segHandle; front = hottest
-	elems  map[uint32]*list.Element
+	open  func(seg uint32, sealed bool) (SegmentReader, error)
+	ll    *list.List // of *segHandle; front = hottest
+	elems map[uint32]*list.Element
 }
 
-func newHandleCache(cap int, open func(uint32, bool) (SegmentReader, error), active func() uint32) *handleCache {
+func newHandleCache(cap int, open func(uint32, bool) (SegmentReader, error)) *handleCache {
 	if cap < 2 {
 		cap = 2 // the active segment plus at least one sealed one
 	}
 	return &handleCache{
-		cap:    cap,
-		open:   open,
-		active: active,
-		ll:     list.New(),
-		elems:  make(map[uint32]*list.Element),
+		cap:   cap,
+		open:  open,
+		ll:    list.New(),
+		elems: make(map[uint32]*list.Element),
 	}
 }
 
@@ -129,38 +121,34 @@ func (c *handleCache) lock() {
 	c.mu.Lock()
 }
 
-// acquire returns a referenced handle for seg at generation gen, opening
-// (and caching) one if necessary. A cached handle from an older
-// generation is dropped and reopened. Callers must release() the handle
-// and re-validate the store generation afterwards — acquire alone
-// cannot rule out a concurrent recompression swap.
-func (c *handleCache) acquire(seg uint32, gen uint64, sealed bool) (*segHandle, error) {
+// acquire returns a referenced handle for seg, opening (and caching)
+// one if necessary; active is the tail segment, read through pread and
+// exempt from eviction. The store calls it under its read lock, which
+// is what ties the handle to the record the caller looked up (see
+// Store.acquire). Callers must release() the handle.
+func (c *handleCache) acquire(seg, active uint32) (*segHandle, error) {
 	c.lock()
 	defer c.mu.Unlock()
 	if el, ok := c.elems[seg]; ok {
 		h := el.Value.(*segHandle)
-		if h.gen == gen {
-			h.refs.Add(1)
-			c.ll.MoveToFront(el)
-			return h, nil
-		}
-		c.removeLocked(el)
+		h.refs.Add(1)
+		c.ll.MoveToFront(el)
+		return h, nil
 	}
-	r, err := c.open(seg, sealed)
+	r, err := c.open(seg, seg != active)
 	if err != nil {
 		return nil, err
 	}
-	h := &segHandle{seg: seg, gen: gen, r: r}
+	h := &segHandle{seg: seg, r: r}
 	h.refs.Store(2) // one for the cache, one for the caller
 	c.elems[seg] = c.ll.PushFront(h)
-	c.evictLocked()
+	c.evictLocked(active)
 	return h, nil
 }
 
 // evictLocked drops cold handles until the cache fits, skipping the
 // active tail segment and the hottest entry (just inserted).
-func (c *handleCache) evictLocked() {
-	act := c.active()
+func (c *handleCache) evictLocked(act uint32) {
 	for c.ll.Len() > c.cap {
 		el := c.ll.Back()
 		for el != nil && (el == c.ll.Front() || el.Value.(*segHandle).seg == act) {
@@ -193,8 +181,8 @@ func (c *handleCache) removeLocked(el *list.Element) {
 }
 
 // closeAll releases every cached handle (store shutdown). Handles still
-// referenced by in-flight reads or Iter snapshots close when their last
-// reference is released.
+// referenced by in-flight reads close when their last reference is
+// released.
 func (c *handleCache) closeAll() {
 	c.lock()
 	defer c.mu.Unlock()

@@ -14,6 +14,14 @@
 // boundaries into a rewritten segment file swapped in with
 // tmp+sync+rename, so a chain that has gone cold costs less disk and a
 // tuple read still inflates only the chunk that holds the tuple.
+//
+// The store keeps one record per block (where it sits on disk, in what
+// form, and the shape of its body) and reads one way: a read finds its
+// block's record and takes a reference on that segment's read handle
+// under one read lock, then reads without it. A recompression swap
+// renames the rewritten file into place, rewrites the records and drops
+// the cached handle under the write lock, so a reader always pairs a
+// record with the bytes it describes.
 package storage
 
 import (
@@ -28,7 +36,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"sebdb/internal/faultfs"
 	"sebdb/internal/obs"
@@ -57,11 +64,6 @@ const (
 	DefaultMaxOpenSegments = 64
 	headerSize             = 8 // magic + length
 	trailerSize            = 4 // crc32 of payload
-	// maxReadRetries bounds the resolve/acquire retry loop a reader runs
-	// when recompression keeps swapping a segment underneath it. One
-	// retry already needs a swap to land inside a microsecond window;
-	// hitting the bound means something is pathologically wrong.
-	maxReadRetries = 8
 )
 
 // ErrNoBlock is returned when a requested block height does not exist.
@@ -77,10 +79,6 @@ var ErrNotLinked = errors.New("storage: block does not link to tip")
 // recompressed after the checkpoint was taken). Callers fall back to a
 // full-replay Open: never wrong answers, only slower ones.
 var ErrMetaMismatch = errors.New("storage: checkpoint metadata does not match segments")
-
-// errSegSwapped reports that a reader exhausted maxReadRetries without
-// observing a stable segment generation.
-var errSegSwapped = errors.New("storage: segment kept being rewritten during read")
 
 // Location identifies where a block lives on disk.
 type Location struct {
@@ -123,15 +121,13 @@ type Store struct {
 	cur     faultfs.File
 	curSeg  uint32
 	curSize int64
-	// activeSeg mirrors curSeg for lock-free reads by the handle
-	// cache's eviction policy (which runs under the cache's own mutex
-	// and must not take the store lock).
-	activeSeg atomic.Uint32
 	// dirty records that AppendNoSync wrote records the configured
 	// per-append fsync has not yet covered; SyncBatch (or a segment
 	// roll) clears it. Only meaningful when opts.Sync is set.
 	dirty bool
-	locs  []Location
+	// recs[i] is block i's record. Only recompression rewrites an entry
+	// (its node-local fields), under the write lock.
+	recs []record
 	// headers[i] is block i's header and txBase[i] its tid cursor: the
 	// first tid block i holds, or would hold were it not empty (an empty
 	// block's header says FirstTid 0, so FirstTid alone is not
@@ -140,57 +136,51 @@ type Store struct {
 	// copy. pushHeader is their one writer.
 	headers []types.BlockHeader
 	txBase  []uint64
-	// txOffs[i] holds, for block i, the byte offset of each transaction
-	// within the block body plus a final sentinel (the body length).
-	// They make ReadTx a single tuple-sized random read — the p*(t_S+t_T)
-	// cost the paper's Equation 3 models for the layered index.
-	txOffs [][]uint32
-	// lens[i] is the raw (uncompressed) encoded body length of block i,
-	// exactly as the append wrote it. It is chain-derived — checkpoint
-	// divergence checks compare it — so recompression never changes it.
-	lens []int64
-	// stored[i] is the payload length of block i's record as it sits on
-	// disk right now: equal to lens[i] for plain records, smaller for
-	// compressed ones. Node-local, changed by recompression.
-	stored []int64
-	// comp[i] records whether block i's record is compressed on disk.
-	comp []bool
-	// gens tracks a generation per segment, bumped whenever a
-	// recompression rewrite swaps the segment file. Readers tag the
-	// handle they acquire with the generation they resolved under the
-	// lock and re-validate it afterwards, so a location from generation
-	// g is never applied to the bytes of generation g+1. Segments
-	// absent from the map are at generation zero.
-	gens map[uint32]uint64
 	// compacted marks segments a recompression pass has already
 	// processed, so mixed segments (some records incompressible) are
 	// not rewritten again every sweep.
 	compacted map[uint32]bool
 	// compactMu serialises recompression rewrites. It is ordered before
-	// s.mu: a rewrite reads source records without s.mu (its segment's
-	// generation cannot change while compactMu is held) and takes s.mu
-	// only for the final swap.
+	// s.mu: a rewrite reads its source records like any reader (nothing
+	// else rewrites a sealed segment while compactMu is held) and takes
+	// the write lock only for the final swap.
 	compactMu sync.Mutex
 
-	// handles is the bounded per-segment read-handle cache; it carries
-	// its own mutex and is safe to use without s.mu or compactMu.
+	// handles is the bounded per-segment read-handle cache. Its mutex is
+	// ordered after s.mu: reads acquire handles under the read lock, the
+	// recompression swap drops one under the write lock.
 	handles *handleCache
+}
+
+// record is one block's entry in the store's table: where its record
+// sits on disk and in what form, plus the chain-derived shape of its
+// body a compressed record is held to.
+type record struct {
+	loc Location
+	// stored is the record's payload length on disk right now: rawLen
+	// for a plain record, smaller for a compressed one. Node-local, like
+	// loc and comp, and changed by recompression.
+	stored int64
+	// rawLen is the raw (uncompressed) encoded body length, exactly as
+	// the append wrote it. It is chain-derived, so recompression never
+	// changes it.
+	rawLen int64
+	// txOffs holds the byte offset of each transaction within the body
+	// plus a final sentinel (the body length). They make ReadTx a single
+	// tuple-sized random read — the p*(t_S+t_T) cost the paper's
+	// Equation 3 models for the layered index.
+	txOffs []uint32
+	// comp records whether the record is compressed on disk.
+	comp bool
 }
 
 // Open opens (creating if necessary) a block store in dir and recovers
 // its state by scanning existing segments.
-func Open(dir string, opts Options) (*Store, error) {
-	s, err := newStore(dir, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.recover(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
+func Open(dir string, opts Options) (*Store, error) { return open(dir, opts, nil) }
 
-func newStore(dir string, opts Options) (*Store, error) {
+// open opens the store in dir and recovers it, seeded from checkpoint
+// metadata when m is non-nil (see recover).
+func open(dir string, opts Options, m *Meta) (*Store, error) {
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = DefaultSegmentSize
 	}
@@ -207,10 +197,13 @@ func newStore(dir string, opts Options) (*Store, error) {
 		dir:       dir,
 		opts:      opts,
 		fs:        opts.FS,
-		gens:      make(map[uint32]uint64),
 		compacted: make(map[uint32]bool),
 	}
-	s.handles = newHandleCache(opts.MaxOpenSegments, s.openSegment, s.activeSeg.Load)
+	s.handles = newHandleCache(opts.MaxOpenSegments, s.openSegment)
+	if err := s.recover(m); err != nil {
+		s.Close() //sebdb:ignore-err releasing partially opened handles on the error path
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -315,45 +308,49 @@ func (s *Store) repairTail(n uint32, valid int64) error {
 	return nil
 }
 
-// recover scans segment files in order, validating records and chain
-// linkage, and truncates a torn final record if one exists.
-func (s *Store) recover() error {
+// recover rebuilds the in-memory state. Checkpoint metadata m, when
+// given, is verified against the segments and seeds the blocks it
+// covers (seed); one scan then validates every record after them — the
+// whole chain when m is nil — and truncates a torn final record. With
+// metadata, a failure to list or scan the segments is ErrMetaMismatch:
+// the caller falls back to a full scan, which reports it for real.
+func (s *Store) recover(m *Meta) error {
+	fail := func(err error) error {
+		if m != nil {
+			return fmt.Errorf("%w: %v", ErrMetaMismatch, err)
+		}
+		return err
+	}
 	if err := s.removeLeftoverTmp(); err != nil {
 		return err
 	}
 	segs, err := s.listSegs()
 	if err != nil {
-		return err
+		return fail(err)
 	}
-
-	for _, n := range segs {
-		fi, err := s.fs.Stat(s.segPath(n))
-		if err != nil {
-			return fmt.Errorf("storage: %w", err)
-		}
-		f, err := s.fs.Open(s.segPath(n))
-		if err != nil {
-			return fmt.Errorf("storage: %w", err)
-		}
-		valid, err := s.scanSegment(f, n, 0, fi.Size())
-		if cerr := f.Close(); err == nil && cerr != nil {
-			err = fmt.Errorf("storage: %w", cerr)
-		}
-		if err != nil {
+	var from Location // the first byte m does not cover
+	if m != nil {
+		if from, err = s.seed(m, len(segs)); err != nil {
 			return err
 		}
+	}
+	for _, n := range segs[from.Segment:] {
+		base := int64(0)
+		if n == from.Segment {
+			base = from.Offset
+		}
+		valid, err := s.scanSegment(n, base)
+		if err != nil {
+			return fail(err)
+		}
 		// A torn write can only be at the tail of the last segment.
-		if n == segs[len(segs)-1] {
+		if int(n) == len(segs)-1 {
 			if err := s.repairTail(n, valid); err != nil {
 				return err
 			}
 			s.curSeg, s.curSize = n, valid
 		}
 	}
-	if len(segs) == 0 {
-		s.curSeg, s.curSize = 0, 0
-	}
-	s.activeSeg.Store(s.curSeg)
 	f, err := s.fs.OpenFile(s.segPath(s.curSeg), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("storage: %w", err)
@@ -362,79 +359,96 @@ func (s *Store) recover() error {
 	return nil
 }
 
-// scanSegment reads records from r (positioned at byte offset base of
-// segment seg, a file of size bytes), appending to the in-memory state,
-// and returns the offset of the first invalid byte (the valid length).
-// A record claiming more bytes than the file has left is a torn tail,
-// found before anything is sized from its length field. Plain and
-// compressed records may be mixed within one segment. A record in the
-// retired recordMagicZ format is an error, not an invalid tail: on the
-// last segment, taking it for one would truncate committed blocks.
-func (s *Store) scanSegment(r io.Reader, seg uint32, base, size int64) (int64, error) {
-	off := base
-	hdr := make([]byte, headerSize)
+// scanSegment reads segment seg's records from byte offset base to the
+// end of the file, appending each valid one to the in-memory state, and
+// returns the offset of the first invalid byte (the valid length).
+// Plain and compressed records may be mixed within one segment.
+func (s *Store) scanSegment(seg uint32, base int64) (int64, error) {
+	path := s.segPath(seg)
+	fi, err := s.fs.Stat(path)
+	if err != nil {
+		return 0, fmt.Errorf("storage: %w", err)
+	}
+	f, err := s.fs.Open(path)
+	if err != nil {
+		return 0, fmt.Errorf("storage: %w", err)
+	}
+	defer f.Close() //sebdb:ignore-err read-only handle
+	r := io.NewSectionReader(f, base, fi.Size()-base)
 	c := inflaters.Get().(*inflater)
 	defer inflaters.Put(c)
+	off := base
 	for {
-		if _, err := io.ReadFull(r, hdr); err != nil {
-			return off, nil // clean EOF or torn header: stop here
-		}
-		magic := binary.BigEndian.Uint32(hdr)
-		if magic == recordMagicZ {
-			return 0, fmt.Errorf("storage: %s: record at offset %d has the retired one-stream compressed format (magic %#x), which this version does not read",
-				s.segPath(seg), off, magic)
-		}
-		compressed := magic == recordMagicC
-		if magic != recordMagic && !compressed {
-			return off, nil
-		}
-		n := binary.BigEndian.Uint32(hdr[4:])
-		if int64(n)+trailerSize > size-off-headerSize {
-			return off, nil // torn payload
-		}
-		payload := make([]byte, int(n)+trailerSize)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return off, nil // torn payload
-		}
-		stored := payload[:n]
-		want := binary.BigEndian.Uint32(payload[n:])
-		if crc32.ChecksumIEEE(stored) != want {
-			return off, nil // corrupt tail
-		}
-		// A compressed record whose CRC passed but whose framing or
-		// streams are malformed is treated as an invalid tail too.
-		body := stored
-		var z chunked
-		if compressed {
-			var err error
-			if z, err = parseChunked(stored); err != nil {
-				return off, nil
-			}
-			if body, err = c.inflate(&z, 0, z.rawLen); err != nil {
-				return off, nil
-			}
-		}
-		h, offs, err := decodeBlockOffsets(body)
-		if err != nil {
-			return off, nil
-		}
-		if compressed && z.check(int64(len(body)), offs) != nil {
-			return off, nil
+		rec, h, ok, err := s.nextRecord(c, r, seg, off, fi.Size())
+		if err != nil || !ok {
+			return off, err
 		}
 		if err := s.checkLinkage(&h); err != nil {
 			return 0, err // mid-chain corruption is not recoverable silently
 		}
-		s.locs = append(s.locs, Location{Segment: seg, Offset: off})
+		s.recs = append(s.recs, rec)
 		s.pushHeader(&h)
-		s.txOffs = append(s.txOffs, offs)
-		s.lens = append(s.lens, int64(len(body)))
-		s.stored = append(s.stored, int64(n))
-		s.comp = append(s.comp, compressed)
-		if compressed {
+		if rec.comp {
 			s.compacted[seg] = true
 		}
-		off += headerSize + int64(n) + trailerSize
+		off += headerSize + rec.stored + trailerSize
 	}
+}
+
+// nextRecord reads the record at byte off of segment seg, a file of
+// size bytes, from r and checks its framing: magic, a length the file
+// can hold (found before anything is sized from that field), CRC, and
+// for a compressed record its chunk table, its streams and its chunk
+// cuts against the transaction offsets of the body they inflate to.
+// ok is false for bytes that are not a whole valid record — a torn or
+// corrupt tail. A record in the retired recordMagicZ format is an
+// error instead: on the last segment, taking it for a torn tail would
+// truncate committed blocks.
+func (s *Store) nextRecord(c *inflater, r io.Reader, seg uint32, off, size int64) (rec record, h types.BlockHeader, ok bool, err error) {
+	c.in = sized(c.in, headerSize)
+	if _, err := io.ReadFull(r, c.in); err != nil {
+		return rec, h, false, nil // clean EOF or torn header
+	}
+	magic := binary.BigEndian.Uint32(c.in)
+	if magic == recordMagicZ {
+		return rec, h, false, fmt.Errorf("storage: %s: record at offset %d has the retired one-stream compressed format (magic %#x), which this version does not read",
+			s.segPath(seg), off, magic)
+	}
+	rec.comp = magic == recordMagicC
+	if magic != recordMagic && !rec.comp {
+		return rec, h, false, nil
+	}
+	n := binary.BigEndian.Uint32(c.in[4:])
+	if int64(n)+trailerSize > size-off-headerSize {
+		return rec, h, false, nil // torn payload
+	}
+	c.in = sized(c.in, int(n)+trailerSize)
+	if _, err := io.ReadFull(r, c.in); err != nil {
+		return rec, h, false, nil // torn payload
+	}
+	body := c.in[:n]
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(c.in[n:]) {
+		return rec, h, false, nil // corrupt tail
+	}
+	// A compressed record whose CRC passed but whose framing or streams
+	// are malformed is an invalid tail too.
+	var z chunked
+	if rec.comp {
+		var perr error
+		if z, perr = parseChunked(body); perr != nil {
+			return rec, h, false, nil
+		}
+		if body, perr = c.inflate(&z, 0, z.rawLen); perr != nil {
+			return rec, h, false, nil
+		}
+	}
+	h, offs, derr := decodeBlockOffsets(body)
+	if derr != nil || (rec.comp && z.check(int64(len(body)), offs) != nil) {
+		return rec, h, false, nil
+	}
+	rec.loc = Location{Segment: seg, Offset: off}
+	rec.stored, rec.rawLen, rec.txOffs = int64(n), int64(len(body)), offs
+	return rec, h, true, nil
 }
 
 // encodeRecord frames one payload as a segment record: magic and
@@ -560,12 +574,8 @@ func (s *Store) appendLocked(b *types.Block) (Location, error) {
 	s.curSize += int64(len(rec))
 	mAppends.Inc()
 	mAppendWr.Add(uint64(len(rec)))
-	s.locs = append(s.locs, loc)
+	s.recs = append(s.recs, record{loc: loc, stored: int64(len(body)), rawLen: int64(len(body)), txOffs: offs})
 	s.pushHeader(&b.Header)
-	s.txOffs = append(s.txOffs, offs)
-	s.lens = append(s.lens, int64(len(body)))
-	s.stored = append(s.stored, int64(len(body)))
-	s.comp = append(s.comp, false)
 	return loc, nil
 }
 
@@ -584,13 +594,12 @@ func (s *Store) rollSegment() error {
 	}
 	s.curSeg++
 	s.curSize = 0
-	s.activeSeg.Store(s.curSeg)
 	f, err := s.fs.OpenFile(s.segPath(s.curSeg), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("storage: %w", err)
 	}
 	s.cur = f
-	s.opts.Log.Info("segment rolled", "segment", s.segPath(s.curSeg), "blocks", len(s.locs))
+	s.opts.Log.Info("segment rolled", "segment", s.segPath(s.curSeg), "blocks", len(s.recs))
 	return nil
 }
 
@@ -598,7 +607,7 @@ func (s *Store) rollSegment() error {
 func (s *Store) Count() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.locs)
+	return len(s.recs)
 }
 
 // Tip returns the header of the newest block; ok is false for an empty
@@ -643,64 +652,27 @@ func (s *Store) Prefix() ([]types.BlockHeader, []uint64) {
 	return s.headers[:n:n], s.txBase[:n:n]
 }
 
-// recordRef is a snapshot of one block's on-disk coordinates plus the
-// segment generation they belong to, and the chain-derived shape of its
-// body (raw length, transaction offsets) a compressed record is held to.
-type recordRef struct {
-	loc    Location
-	stored int64
-	comp   bool
-	rawLen int64
-	txOffs []uint32
-	gen    uint64
-	sealed bool
-}
-
-// resolve snapshots the coordinates of the block at height under the
-// read lock. The generation lets the caller detect a recompression
-// swap between this lookup and the positional read.
-func (s *Store) resolve(height uint64) (recordRef, error) {
+// acquire looks up block height's record and takes a reference on its
+// segment's read handle under one read lock. CompressSegment swaps a
+// segment's file, records and cached handle under the write lock, so
+// the pair is consistent: the old record with a handle on the old inode
+// (the rename does not disturb an open descriptor or mapping), or the
+// new record with the new file. The caller releases the handle.
+func (s *Store) acquire(height uint64) (record, *segHandle, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if height >= uint64(len(s.locs)) {
-		return recordRef{}, ErrNoBlock
+	if height >= uint64(len(s.recs)) {
+		return record{}, nil, ErrNoBlock
 	}
-	loc := s.locs[height]
-	return recordRef{
-		loc:    loc,
-		stored: s.stored[height],
-		comp:   s.comp[height],
-		rawLen: s.lens[height],
-		txOffs: s.txOffs[height],
-		gen:    s.gens[loc.Segment],
-		sealed: loc.Segment != s.curSeg,
-	}, nil
-}
-
-// genOf re-reads a segment's current generation.
-func (s *Store) genOf(seg uint32) uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.gens[seg]
-}
-
-// acquireRef turns a resolved recordRef into a referenced segment
-// handle whose bytes are guaranteed to match the ref's generation, or
-// reports stale=true when a recompression swap intervened and the
-// caller must re-resolve. The guarantee works in both directions: a
-// handle opened before the swap pins the old inode (rename does not
-// disturb open descriptors or mappings), and a handle opened on the new
-// inode under an old ref fails the post-acquire generation check.
-func (s *Store) acquireRef(ref recordRef) (h *segHandle, stale bool, err error) {
-	h, err = s.handles.acquire(ref.loc.Segment, ref.gen, ref.sealed)
-	if err != nil {
-		return nil, false, err
-	}
-	if s.genOf(ref.loc.Segment) != ref.gen {
-		h.release()
-		return nil, true, nil
-	}
-	return h, false, nil
+	rec := s.recs[height]
+	// The trade: a handle-cache miss opens the segment here, under the
+	// read lock, so an append arriving meanwhile waits for the open.
+	// Misses are rare — the first touch of a segment, an eviction past
+	// MaxOpenSegments, the first read after a recompression swap — and
+	// opening under the lock is what keeps the record and the bytes it
+	// points at one snapshot.
+	h, err := s.handles.acquire(rec.loc.Segment, s.curSeg)
+	return rec, h, err
 }
 
 // read returns raw bytes [from, to) of the record's body; it is the
@@ -712,79 +684,74 @@ func (s *Store) acquireRef(ref recordRef) (h *segHandle, stale bool, err error) 
 // expectations, and for a compressed record holds the chunk table to
 // the block's known shape before inflating the chunks that cover the
 // range. The result aliases c's buffers.
-func (c *inflater) read(r SegmentReader, ref *recordRef, from, to uint32, kind readKind) ([]byte, error) {
-	if !ref.comp && (from != 0 || int64(to) != ref.rawLen) {
+func (c *inflater) read(r SegmentReader, rec *record, from, to uint32, kind readKind) ([]byte, error) {
+	if !rec.comp && (from != 0 || int64(to) != rec.rawLen) {
 		c.in = sized(c.in, int(to-from))
-		if _, err := r.ReadAt(c.in, ref.loc.Offset+headerSize+int64(from)); err != nil {
+		if _, err := r.ReadAt(c.in, rec.loc.Offset+headerSize+int64(from)); err != nil {
 			return nil, err
 		}
 		kind.count(len(c.in), r.Tier())
 		return c.in, nil
 	}
-	c.in = sized(c.in, int(headerSize+ref.stored))
-	if _, err := r.ReadAt(c.in, ref.loc.Offset); err != nil {
+	c.in = sized(c.in, int(headerSize+rec.stored))
+	if _, err := r.ReadAt(c.in, rec.loc.Offset); err != nil {
 		return nil, err
 	}
 	kind.count(len(c.in), r.Tier())
-	if magic := binary.BigEndian.Uint32(c.in); magic != magicFor(ref.comp) {
+	if magic := binary.BigEndian.Uint32(c.in); magic != magicFor(rec.comp) {
 		return nil, fmt.Errorf("bad magic %#x", magic)
 	}
-	if n := binary.BigEndian.Uint32(c.in[4:]); int64(n) != ref.stored {
-		return nil, fmt.Errorf("record length %d != expected %d", n, ref.stored)
+	if n := binary.BigEndian.Uint32(c.in[4:]); int64(n) != rec.stored {
+		return nil, fmt.Errorf("record length %d != expected %d", n, rec.stored)
 	}
 	payload := c.in[headerSize:]
-	if !ref.comp {
+	if !rec.comp {
 		return payload[from:to], nil
 	}
-	z, err := openChunked(payload, ref.rawLen, ref.txOffs)
+	z, err := openChunked(payload, rec.rawLen, rec.txOffs)
 	if err != nil {
 		return nil, err
 	}
 	return c.inflate(&z, from, to)
 }
 
-// readErr names the segment file and record offset a failed read was
-// aimed at.
-func (s *Store) readErr(loc Location, err error) error {
-	return fmt.Errorf("storage: %s: record at offset %d: %w", s.segPath(loc.Segment), loc.Offset, err)
-}
-
-// readBody returns the raw (decompressed) body of the block at height —
-// aliasing c's buffers — plus the coordinates it was read at.
-func (s *Store) readBody(c *inflater, height uint64) ([]byte, recordRef, error) {
-	for range [maxReadRetries]struct{}{} {
-		ref, err := s.resolve(height)
-		if err != nil {
-			return nil, ref, err
-		}
-		h, stale, err := s.acquireRef(ref)
-		if err != nil {
-			return nil, ref, err
-		}
-		if stale {
-			continue
-		}
-		body, err := c.read(h.r, &ref, 0, uint32(ref.rawLen), blockRead)
-		h.release()
-		if err != nil {
-			return nil, ref, s.readErr(ref.loc, err)
-		}
-		return body, ref, nil
+// readAt reads block height's whole body (pos < 0) or the encoding of
+// its transaction at pos, aliasing c's buffers, and returns it with the
+// block's record.
+func (s *Store) readAt(c *inflater, height uint64, pos int) ([]byte, record, error) {
+	rec, h, err := s.acquire(height)
+	if err != nil {
+		return nil, rec, err
 	}
-	return nil, recordRef{}, errSegSwapped
+	defer h.release()
+	from, to, kind := uint32(0), uint32(rec.rawLen), blockRead
+	if pos >= 0 {
+		if pos+1 >= len(rec.txOffs) {
+			return nil, rec, fmt.Errorf("storage: block %d has no tx at %d", height, pos)
+		}
+		from, to, kind = rec.txOffs[pos], rec.txOffs[pos+1], txRead
+	}
+	buf, err := c.read(h.r, &rec, from, to, kind)
+	if err != nil {
+		return nil, rec, fmt.Errorf("storage: %s: record at offset %d: %w", s.segPath(rec.loc.Segment), rec.loc.Offset, err)
+	}
+	return buf, rec, nil
 }
 
 // Body hands use the raw (inflated) encoded body of the block at height
-// with its transaction offsets — the per-height twin of Iter.Body, with
-// the same aliasing rule: body is valid only until use returns.
+// together with its transaction offsets — transaction i is
+// body[txOffs[i]:txOffs[i+1]] — so a caller that wants encoded
+// transactions slices them instead of decoding and re-encoding the
+// block. body aliases a pooled buffer and is valid only until use
+// returns.
 func (s *Store) Body(height uint64, use func(body []byte, txOffs []uint32) error) error {
 	c := inflaters.Get().(*inflater)
 	defer inflaters.Put(c)
-	body, ref, err := s.readBody(c, height)
+	body, rec, err := s.readAt(c, height, -1)
 	if err != nil {
 		return err
 	}
-	return use(body, ref.txOffs)
+	return use(body, rec.txOffs)
 }
 
 // Block reads the full block at the given height from disk.
@@ -798,7 +765,7 @@ func (s *Store) Block(height uint64) (b *types.Block, err error) {
 
 // Close releases the store's read handles and the append descriptor,
 // reporting the first failure. Handles still referenced by in-flight
-// reads or open iterators close when their last reference is released.
+// reads close when their last reference is released.
 func (s *Store) Close() error {
 	s.handles.closeAll()
 	s.mu.Lock()
@@ -840,175 +807,40 @@ func decodeBlockOffsets(body []byte) (types.BlockHeader, []uint32, error) {
 	return h, offs, nil
 }
 
+// recordAt returns a copy of block height's record.
+func (s *Store) recordAt(height uint64) (record, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if height >= uint64(len(s.recs)) {
+		return record{}, ErrNoBlock
+	}
+	return s.recs[height], nil
+}
+
 // BodyLen returns the raw encoded length in bytes of the block stored
 // at the given height — the exact size the append wrote — so callers can
 // account for a block's storage footprint without re-encoding it.
 // Recompression does not change it; see StoredLen for the on-disk size.
 func (s *Store) BodyLen(height uint64) (int64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if height >= uint64(len(s.lens)) {
-		return 0, ErrNoBlock
-	}
-	return s.lens[height], nil
+	rec, err := s.recordAt(height)
+	return rec.rawLen, err
 }
 
 // StoredLen returns the on-disk payload length of the block's record:
 // equal to BodyLen for plain records, smaller for compressed ones.
 func (s *Store) StoredLen(height uint64) (int64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if height >= uint64(len(s.stored)) {
-		return 0, ErrNoBlock
-	}
-	return s.stored[height], nil
+	rec, err := s.recordAt(height)
+	return rec.stored, err
 }
 
 // Compressed reports whether the block's record is compressed on disk.
 func (s *Store) Compressed(height uint64) (bool, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if height >= uint64(len(s.comp)) {
-		return false, ErrNoBlock
-	}
-	return s.comp[height], nil
+	rec, err := s.recordAt(height)
+	return rec.comp, err
 }
 
 // OpenHandles returns the number of segments with a live read handle.
 func (s *Store) OpenHandles() int { return s.handles.Len() }
-
-// Iter is a read-only snapshot over the block height range [lo, hi):
-// locations, lengths and referenced segment handles are resolved once
-// at construction, so the workers of a parallel read pipeline issue
-// pure positional reads without re-taking the store lock per block.
-// Close must be called to release the handle references; a concurrent
-// recompression swap cannot disturb the iterator (its handles pin the
-// pre-swap files), it only delays handle reclamation until Close.
-type Iter struct {
-	s       *Store
-	lo, hi  uint64
-	locs    []Location
-	stored  []int64
-	comp    []bool
-	lens    []int64
-	txOffs  [][]uint32
-	handles map[uint32]*segHandle
-	closed  bool
-}
-
-// Blocks snapshots the range [lo, hi) for iteration, clamping hi to
-// the current chain height. Blocks appended after the call are not
-// part of the snapshot. Callers must Close the iterator.
-func (s *Store) Blocks(lo, hi uint64) (*Iter, error) {
-	for range [maxReadRetries]struct{}{} {
-		it, stale, err := s.tryBlocks(lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		if !stale {
-			return it, nil
-		}
-	}
-	return nil, errSegSwapped
-}
-
-func (s *Store) tryBlocks(lo, hi uint64) (it *Iter, stale bool, err error) {
-	s.mu.RLock()
-	if hi > uint64(len(s.locs)) {
-		hi = uint64(len(s.locs))
-	}
-	if lo > hi {
-		lo = hi
-	}
-	it = &Iter{s: s, lo: lo, hi: hi, handles: make(map[uint32]*segHandle)}
-	gens := make(map[uint32]uint64)
-	sealed := make(map[uint32]bool)
-	if lo < hi {
-		it.locs = append([]Location(nil), s.locs[lo:hi]...)
-		it.stored = append([]int64(nil), s.stored[lo:hi]...)
-		it.comp = append([]bool(nil), s.comp[lo:hi]...)
-		it.lens = append([]int64(nil), s.lens[lo:hi]...)
-		it.txOffs = append([][]uint32(nil), s.txOffs[lo:hi]...)
-		for _, loc := range it.locs {
-			gens[loc.Segment] = s.gens[loc.Segment]
-			sealed[loc.Segment] = loc.Segment != s.curSeg
-		}
-	}
-	s.mu.RUnlock()
-	for seg, gen := range gens {
-		h, err := s.handles.acquire(seg, gen, sealed[seg])
-		if err != nil {
-			it.Close()
-			return nil, false, err
-		}
-		it.handles[seg] = h
-	}
-	// Re-validate every generation: if a recompression swapped any
-	// snapshot segment while we were acquiring, the whole snapshot is
-	// rebuilt from fresh locations.
-	for seg, gen := range gens {
-		if s.genOf(seg) != gen {
-			it.Close()
-			return nil, true, nil
-		}
-	}
-	return it, false, nil
-}
-
-// Lo returns the first height of the snapshot.
-func (it *Iter) Lo() uint64 { return it.lo }
-
-// Hi returns the exclusive upper height of the snapshot.
-func (it *Iter) Hi() uint64 { return it.hi }
-
-// Len returns the number of blocks in the snapshot.
-func (it *Iter) Len() int { return int(it.hi - it.lo) }
-
-// Read decodes the block at the given absolute height, which must lie
-// within the snapshot's range. It takes no locks and is safe for
-// concurrent use by multiple workers.
-func (it *Iter) Read(height uint64) (b *types.Block, err error) {
-	err = it.Body(height, func(body []byte, _ []uint32) error {
-		b, err = types.DecodeBlock(types.NewDecoder(body))
-		return err
-	})
-	return b, err
-}
-
-// Body hands use the raw (inflated) encoded body of the block at the
-// given absolute height together with its transaction offsets —
-// transaction i is body[txOffs[i]:txOffs[i+1]] — so a caller that wants
-// encoded transactions slices them instead of decoding and re-encoding
-// the block. body aliases a pooled buffer and is valid only until use
-// returns. Like Read it takes no locks and is safe for concurrent use.
-func (it *Iter) Body(height uint64, use func(body []byte, txOffs []uint32) error) error {
-	if height < it.lo || height >= it.hi {
-		return ErrNoBlock
-	}
-	i := height - it.lo
-	ref := recordRef{loc: it.locs[i], stored: it.stored[i], comp: it.comp[i], rawLen: it.lens[i], txOffs: it.txOffs[i]}
-	h := it.handles[ref.loc.Segment]
-	c := inflaters.Get().(*inflater)
-	defer inflaters.Put(c)
-	body, err := c.read(h.r, &ref, 0, uint32(ref.rawLen), blockRead)
-	if err != nil {
-		return it.s.readErr(ref.loc, err)
-	}
-	return use(body, ref.txOffs)
-}
-
-// Close releases the iterator's segment handle references. Safe to call
-// once concurrent Read calls have finished; idempotent.
-func (it *Iter) Close() {
-	if it.closed {
-		return
-	}
-	it.closed = true
-	for _, h := range it.handles {
-		h.release()
-	}
-	it.handles = nil
-}
 
 // ReadTx reads a single transaction with one tuple-sized random read —
 // the access pattern of the layered index's second level (Equation 3),
@@ -1019,28 +851,9 @@ func (it *Iter) Close() {
 func (s *Store) ReadTx(height uint64, pos uint32) (*types.Transaction, error) {
 	c := inflaters.Get().(*inflater)
 	defer inflaters.Put(c)
-	for range [maxReadRetries]struct{}{} {
-		ref, err := s.resolve(height)
-		if err != nil {
-			return nil, err
-		}
-		if int(pos)+1 >= len(ref.txOffs) {
-			return nil, fmt.Errorf("storage: block %d has no tx at %d", height, pos)
-		}
-		start, end := ref.txOffs[pos], ref.txOffs[pos+1]
-		h, stale, err := s.acquireRef(ref)
-		if err != nil {
-			return nil, err
-		}
-		if stale {
-			continue
-		}
-		buf, err := c.read(h.r, &ref, start, end, txRead)
-		h.release()
-		if err != nil {
-			return nil, s.readErr(ref.loc, err)
-		}
-		return types.DecodeTransaction(types.NewDecoder(buf))
+	buf, _, err := s.readAt(c, height, int(pos))
+	if err != nil {
+		return nil, err
 	}
-	return nil, errSegSwapped
+	return types.DecodeTransaction(types.NewDecoder(buf))
 }

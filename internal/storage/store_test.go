@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"sync"
 	"testing"
 
 	"sebdb/internal/types"
@@ -271,7 +270,7 @@ func TestTornLengthAllocatesNothingOfIt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		second := s.locs[1].Offset
+		second := s.recs[1].loc.Offset
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -487,70 +486,6 @@ func TestBodyLen(t *testing.T) {
 	}
 	defer s.Close()
 	check(s)
-}
-
-// TestBlocksIter checks the snapshot iterator: range clamping, per-
-// height positional reads across segment boundaries, and safety under
-// concurrent readers.
-func TestBlocksIter(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{SegmentSize: 2048}) // force several segments
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	blocks := appendChain(t, s, 12, 5)
-
-	it, err := s.Blocks(2, 100) // hi clamps to the chain height
-	if err != nil {
-		t.Fatal(err)
-	}
-	if it.Lo() != 2 || it.Hi() != 12 || it.Len() != 10 {
-		t.Fatalf("range [%d,%d) len %d, want [2,12) len 10", it.Lo(), it.Hi(), it.Len())
-	}
-	if _, err := it.Read(1); err == nil {
-		t.Fatal("read below lo: expected error")
-	}
-	if _, err := it.Read(12); err == nil {
-		t.Fatal("read at hi: expected error")
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for h := it.Lo(); h < it.Hi(); h++ {
-				b, err := it.Read(h)
-				if err != nil {
-					t.Errorf("read %d: %v", h, err)
-					return
-				}
-				if b.Header.Hash() != blocks[h].Header.Hash() {
-					t.Errorf("block %d: hash mismatch", h)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	// The snapshot must not see blocks appended after it was taken.
-	tip := blocks[len(blocks)-1].Header
-	next := mkBlock(&tip, 12*5+1, 2)
-	if _, err := s.AppendNoSync(next); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := it.Read(12); err == nil {
-		t.Fatal("snapshot saw a block appended after it was taken")
-	}
-
-	empty, err := s.Blocks(5, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty.Len() != 0 {
-		t.Fatalf("empty range len %d", empty.Len())
-	}
 }
 
 // TestOffsetWalkAllocatesOnlyOffsets: learning where each transaction

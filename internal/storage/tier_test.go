@@ -258,33 +258,6 @@ func TestStaleCheckpointAfterCompression(t *testing.T) {
 	}
 }
 
-func TestIterSurvivesCompression(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{SegmentSize: 2048})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	blocks := appendChain(t, s, 24, 3)
-	it, err := s.Blocks(0, uint64(len(blocks)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	// The iterator pinned its handles; rewriting every sealed segment
-	// underneath it must not disturb the reads (the renamed inode stays
-	// readable through the pinned descriptors).
-	compressAll(t, s)
-	for i, want := range blocks {
-		got, err := it.Read(uint64(i))
-		if err != nil {
-			t.Fatalf("iter read %d after rewrite: %v", i, err)
-		}
-		if got.Header.Hash() != want.Header.Hash() {
-			t.Errorf("iter block %d hash mismatch after rewrite", i)
-		}
-	}
-}
-
 func TestHandleCacheBounded(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{SegmentSize: 1024, MaxOpenSegments: 2})
 	if err != nil {

@@ -111,15 +111,25 @@ echo "== bchainbench -json smoke =="
 # The table driver end to end: fig 12 for the JSON output, fig storage
 # because it errors out internally if the four tier variants' scan
 # digests diverge, so its smoke doubles as a cross-tier equivalence
-# check on a real chain.
+# check on a real chain. The figure engines run on a fixed clock, so
+# that chain is a function of its seed alone: a second run of fig
+# storage must print the same digest column.
 json_out=$(mktemp)
-trap 'rm -f "$json_out"' EXIT
+table_out=$(mktemp)
+trap 'rm -f "$json_out" "$table_out"' EXIT
 for fig in 12 storage; do
-    go run ./cmd/bchainbench -fig "$fig" -scale 0.01 -json "$json_out" >/dev/null
+    go run ./cmd/bchainbench -fig "$fig" -scale 0.01 -json "$json_out" >"$table_out"
     if ! grep -q '"figure"' "$json_out"; then
         echo "bchainbench -fig $fig -json produced no figure data" >&2
         exit 1
     fi
 done
+digests() { awk '$1 ~ /\/(plain|compressed)$/ {print $1, $NF}'; }
+first=$(digests <"$table_out")
+second=$(go run ./cmd/bchainbench -fig storage -scale 0.01 | digests)
+if [ -z "$first" ] || [ "$first" != "$second" ]; then
+    printf 'bchainbench -fig storage digests differ between two runs:\n%s\n--\n%s\n' "$first" "$second" >&2
+    exit 1
+fi
 
 echo "verify: all gates passed"
