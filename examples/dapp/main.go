@@ -95,7 +95,7 @@ func main() {
 	fmt.Printf("charity (a channel member) reads %d audit finding(s)\n", len(res.Rows))
 
 	fmt.Printf("\ndeployed contracts: %v; chain height: %d\n",
-		engine.Contracts().Names(), engine.Height())
+		engine.CurrentView().ContractNames(), engine.Height())
 }
 
 func must(err error) {

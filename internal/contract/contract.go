@@ -8,16 +8,15 @@
 // returns the last statement's result set.
 //
 // Contracts deploy through a reserved transaction type so every node
-// registers the same procedures; like DDL, deployment rides the chain.
+// holds the same procedures; like DDL, deployment rides the chain, and
+// the engine keeps the contracts it defines (see core.chainDefs).
 package contract
 
 import (
 	"fmt"
-	"maps"
 	"regexp"
 	"strconv"
 	"strings"
-	"sync"
 
 	"sebdb/internal/sqlparser"
 	"sebdb/internal/types"
@@ -143,137 +142,22 @@ type Result struct {
 	Rows    [][]types.Value
 }
 
-// Registry is a node's deployed-contract set. Like schema.Catalog's
-// table map, its contract map is copy-on-write: Register and Unregister
-// replace it, so Snapshot hands out the current map without copying it.
-type Registry struct {
-	mu        sync.RWMutex
-	contracts map[string]*Contract
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{contracts: make(map[string]*Contract)}
-}
-
-// Register adds a contract; re-registering the identical definition is
-// a no-op, a conflicting one fails (mirrors schema.Catalog semantics).
-func (r *Registry) Register(c *Contract) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if old, ok := r.contracts[c.Name]; ok {
-		if same(old, c) {
-			return nil
-		}
-		return errConflict(c)
-	}
-	contracts := maps.Clone(r.contracts)
-	contracts[c.Name] = c
-	r.contracts = contracts
-	return nil
-}
-
-func errConflict(c *Contract) error {
-	return fmt.Errorf("contract: %q already deployed with a different body", c.Name)
-}
-
-func same(a, b *Contract) bool {
-	if a.Name != b.Name || len(a.Statements) != len(b.Statements) {
+// Equal reports whether c and d deploy the same contract.
+func (c *Contract) Equal(d *Contract) bool {
+	if c.Name != d.Name || len(c.Statements) != len(d.Statements) {
 		return false
 	}
-	for i := range a.Statements {
-		if a.Statements[i] != b.Statements[i] {
+	for i := range c.Statements {
+		if c.Statements[i] != d.Statements[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// Unregister removes a contract registration. Like schema
-// Catalog.Undefine it exists for submit-failure rollback: DeployContract
-// registers locally before the deployment transaction is packaged, and
-// a failed submit must not leave the registry ahead of the chain.
-func (r *Registry) Unregister(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	contracts := maps.Clone(r.contracts)
-	delete(contracts, strings.ToLower(name))
-	r.contracts = contracts
-}
-
-// Snapshot returns the registry's contract map as of now. Later
-// Register/Unregister calls replace the registry's map and leave this
-// one as it is; contracts are immutable once parsed. The map is shared:
-// callers must not modify it.
-func (r *Registry) Snapshot() map[string]*Contract {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.contracts
-}
-
-// Get returns a deployed contract.
-func (r *Registry) Get(name string) (*Contract, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	c, ok := r.contracts[strings.ToLower(name)]
-	if !ok {
-		return nil, fmt.Errorf("contract: no contract %q", name)
-	}
-	return c, nil
-}
-
-// Names lists deployed contracts.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.contracts))
-	for n := range r.contracts {
-		out = append(out, n)
-	}
-	return out
-}
-
-// Resolve decodes the deployment transactions among txs and returns, in
-// order, the contracts they deploy that the registry does not hold yet,
-// without changing the registry (mirrors schema.Catalog.Resolve: other
-// transactions are ignored, identical re-deployments skipped, and a
-// malformed payload or a body conflicting with the registry's or an
-// earlier transaction's is an error).
-func (r *Registry) Resolve(txs []*types.Transaction) ([]*Contract, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []*Contract
-	for _, tx := range txs {
-		if tx.Tname != MetaTable {
-			continue
-		}
-		c, err := DecodeDeploy(tx.Args)
-		if err != nil {
-			return nil, err
-		}
-		old, ok := r.contracts[c.Name]
-		for i := 0; !ok && i < len(out); i++ {
-			if out[i].Name == c.Name {
-				old, ok = out[i], true
-			}
-		}
-		switch {
-		case !ok:
-			out = append(out, c)
-		case !same(old, c):
-			return nil, errConflict(c)
-		}
-	}
-	return out, nil
-}
-
 // Invoke runs the contract as sender with the given arguments,
 // returning the final statement's result.
-func (r *Registry) Invoke(ex Executor, sender, name string, args ...types.Value) (*Result, error) {
-	c, err := r.Get(name)
-	if err != nil {
-		return nil, err
-	}
+func (c *Contract) Invoke(ex Executor, sender string, args ...types.Value) (*Result, error) {
 	if len(args) != c.Params {
 		return nil, fmt.Errorf("contract: %q expects %d args, got %d", c.Name, c.Params, len(args))
 	}

@@ -63,7 +63,7 @@ func TestDeployRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !same(c, got) {
+	if !c.Equal(got) {
 		t.Errorf("round trip mismatch: %+v", got)
 	}
 	// Malformed payloads.
@@ -81,72 +81,21 @@ func TestDeployRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	c, _ := Parse("a", []string{`SELECT * FROM t`})
-	if err := r.Register(c); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Register(c); err != nil {
-		t.Errorf("idempotent register failed: %v", err)
-	}
-	c2, _ := Parse("a", []string{`SELECT * FROM other`})
-	if err := r.Register(c2); err == nil {
-		t.Error("conflicting register accepted")
-	}
-	if _, err := r.Get("A"); err != nil {
-		t.Errorf("case-insensitive get failed: %v", err)
-	}
-	if _, err := r.Get("ghost"); err == nil {
-		t.Error("missing contract found")
-	}
-	if n := r.Names(); len(n) != 1 {
-		t.Errorf("Names = %v", n)
-	}
-	// Resolve ignores unrelated transactions and returns the new
-	// deployments without registering them.
-	c3, _ := Parse("b", []string{`SELECT * FROM t`})
-	deploy := &types.Transaction{Tname: MetaTable, Args: c3.EncodeDeploy()}
-	got, err := r.Resolve([]*types.Transaction{{Tname: "donate"}, deploy, deploy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Name != "b" {
-		t.Fatalf("Resolve = %v", got)
-	}
-	if _, err := r.Get("b"); err == nil {
-		t.Error("Resolve registered the deployment")
-	}
-	if _, err := r.Resolve([]*types.Transaction{{Tname: MetaTable, Args: []types.Value{types.Int(1)}}}); err == nil {
-		t.Error("malformed deployment accepted")
-	}
-	// A different body conflicts with the registry ("a" above) and with
-	// an earlier transaction of the same batch.
-	clashA := &types.Transaction{Tname: MetaTable, Args: c2.EncodeDeploy()}
-	if _, err := r.Resolve([]*types.Transaction{clashA}); err == nil {
-		t.Error("deployment conflicting with the registry resolved")
-	}
-	c4, _ := Parse("b", []string{`SELECT * FROM other`})
-	clashB := &types.Transaction{Tname: MetaTable, Args: c4.EncodeDeploy()}
-	if _, err := r.Resolve([]*types.Transaction{deploy, clashB}); err == nil {
-		t.Error("two conflicting deployments in one batch resolved")
-	}
-}
-
 func TestInvoke(t *testing.T) {
-	r := NewRegistry()
-	c, _ := Parse("flow", []string{
+	c, err := Parse("flow", []string{
 		`INSERT INTO donate ($sender, $1, $2)`,
 		`SELECT * FROM donate WHERE project = $1`,
 	})
-	r.Register(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var executed []string
 	ex := func(sender, sql string) ([]string, [][]types.Value, error) {
 		executed = append(executed, fmt.Sprintf("%s: %s", sender, sql))
 		return []string{"ok"}, [][]types.Value{{types.Str(sql)}}, nil
 	}
-	res, err := r.Invoke(ex, "org1", "flow", types.Str("edu"), types.Dec(10))
+	res, err := c.Invoke(ex, "org1", types.Str("edu"), types.Dec(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,17 +109,14 @@ func TestInvoke(t *testing.T) {
 		t.Errorf("result rows = %d", len(res.Rows))
 	}
 	// Arity errors.
-	if _, err := r.Invoke(ex, "org1", "flow", types.Str("edu")); err == nil {
+	if _, err := c.Invoke(ex, "org1", types.Str("edu")); err == nil {
 		t.Error("missing arg accepted")
-	}
-	if _, err := r.Invoke(ex, "org1", "ghost"); err == nil {
-		t.Error("missing contract invoked")
 	}
 	// Executor failures propagate with context.
 	bad := func(sender, sql string) ([]string, [][]types.Value, error) {
 		return nil, nil, fmt.Errorf("boom")
 	}
-	if _, err := r.Invoke(bad, "org1", "flow", types.Str("e"), types.Int(1)); err == nil ||
+	if _, err := c.Invoke(bad, "org1", types.Str("e"), types.Int(1)); err == nil ||
 		!strings.Contains(err.Error(), "boom") {
 		t.Errorf("executor error lost: %v", err)
 	}

@@ -114,7 +114,7 @@ func TestContractDeployInvoke(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e2.Contracts().Get("give"); err != nil {
+	if _, err := e2.CurrentView().Contract("give"); err != nil {
 		t.Errorf("deployment did not replay: %v", err)
 	}
 	// And is invocable there.

@@ -8,6 +8,7 @@ import (
 	"sebdb/internal/cache"
 	"sebdb/internal/index/layered"
 	"sebdb/internal/parallel"
+	"sebdb/internal/schema"
 	"sebdb/internal/types"
 )
 
@@ -147,7 +148,8 @@ func (e *Engine) CacheStats() cache.Counters {
 // the store, past the query cache, as backfill reads them, and decoded
 // by the worker pool; values are concatenated in height order and
 // trimmed at limit, so the sample matches a sequential scan exactly.
-func (e *Engine) sampleColumn(spec indexSpec, limit int) ([]float64, error) {
+// tables must define spec's table.
+func (e *Engine) sampleColumn(spec indexSpec, tables map[string]*schema.Table, limit int) ([]float64, error) {
 	var out []float64
 	err := parallel.Ordered(e.Parallelism(), e.store.Count(),
 		func(bid int) ([]float64, error) {
@@ -155,7 +157,7 @@ func (e *Engine) sampleColumn(spec indexSpec, limit int) ([]float64, error) {
 			if err != nil {
 				return nil, err
 			}
-			value := e.extractorFor(spec.key())
+			value := extractorFor(spec.key(), tables)
 			var vals []float64
 			for _, tx := range b.Txs {
 				v, ok, err := value(tx)
@@ -209,9 +211,11 @@ func (e *Engine) persistIfCreated(created bool, err error) error {
 	return e.saveIndexMeta()
 }
 
-// createLayered is CreateIndex without the persist.
+// createLayered is CreateIndex without the persist. The table comes from
+// the current view.
 func (e *Engine) createLayered(table, col string) (bool, error) {
-	tbl, err := e.catalog.Lookup(table)
+	v := e.CurrentView()
+	tbl, err := v.Table(table)
 	if err != nil {
 		return false, err
 	}
@@ -221,19 +225,21 @@ func (e *Engine) createLayered(table, col string) (bool, error) {
 	}
 	spec := indexSpec{table: tbl.Name, col: col}
 	return createIndex(e, &e.lidx, spec.key(), e.layeredFeed, func() (*layered.Index, error) {
-		hist, err := e.sampleHistogram(spec, kind)
+		hist, err := e.sampleHistogram(spec, v.defs.tables, kind)
 		return newLayered(col, hist), err
 	})
 }
 
-// createAuth is CreateAuthIndex without the persist.
+// createAuth is CreateAuthIndex without the persist, createLayered's
+// twin.
 func (e *Engine) createAuth(table, col string) (bool, error) {
+	v := e.CurrentView()
 	spec := indexSpec{table: table, col: col}
 	// System columns always get a discrete first level, so kind stays
 	// KindString for them.
 	kind := types.KindString
 	if table != "" {
-		tbl, err := e.catalog.Lookup(table)
+		tbl, err := v.Table(table)
 		if err != nil {
 			return false, err
 		}
@@ -247,18 +253,18 @@ func (e *Engine) createAuth(table, col string) (bool, error) {
 		return false, fmt.Errorf("core: auth index on %q: %w", col, err)
 	}
 	return createIndex(e, &e.alis, spec.key(), e.aliFeed, func() (*auth.ALI, error) {
-		hist, err := e.sampleHistogram(spec, kind)
+		hist, err := e.sampleHistogram(spec, v.defs.tables, kind)
 		return newALI(col, hist), err
 	})
 }
 
 // sampleHistogram samples an equal-depth first level for a continuous
 // column; nil for a discrete one.
-func (e *Engine) sampleHistogram(spec indexSpec, kind types.Kind) (*layered.Histogram, error) {
+func (e *Engine) sampleHistogram(spec indexSpec, tables map[string]*schema.Table, kind types.Kind) (*layered.Histogram, error) {
 	if !continuousKind(kind) {
 		return nil, nil
 	}
-	sample, err := e.sampleColumn(spec, 100_000)
+	sample, err := e.sampleColumn(spec, tables, 100_000)
 	if err != nil {
 		return nil, err
 	}
@@ -274,7 +280,8 @@ func continuousKind(kind types.Kind) bool {
 // createIndex is the one index-creation protocol, shared by the layered
 // indexes and the ALIs, and by local creation and adopted definitions:
 // build the empty index (sampling or adopting its first level),
-// backfill without holding e.mu so commits keep flowing, then close the
+// backfill up to the height read under e.mu, against the tables read
+// with it, without holding e.mu so commits keep flowing, then close the
 // gap under the lock — blocks committed after the first pass are fed
 // before the registration makes the index visible (commits take e.mu
 // too), so no committed block is ever missed — register and republish.
@@ -295,8 +302,10 @@ func createIndex[I any](e *Engine, family *map[string]I, key string,
 		return false, err
 	}
 	feed := feedOf(key, idx)
-	done := uint64(e.store.Count())
-	if err := e.backfill(feed, 0, done); err != nil {
+	e.mu.RLock()
+	tables, done := e.defs.tables, uint64(e.store.Count())
+	e.mu.RUnlock()
+	if err := e.backfill(feed, tables, 0, done); err != nil {
 		return false, err
 	}
 	e.mu.Lock()
@@ -304,7 +313,7 @@ func createIndex[I any](e *Engine, family *map[string]I, key string,
 	if _, exists := (*family)[key]; exists {
 		return false, nil
 	}
-	if err := e.backfill(feed, done, uint64(e.store.Count())); err != nil {
+	if err := e.backfill(feed, e.defs.tables, done, uint64(e.store.Count())); err != nil {
 		return false, err
 	}
 	*family = withEntry(*family, key, idx)
@@ -317,8 +326,9 @@ func createIndex[I any](e *Engine, family *map[string]I, key string,
 
 // backfill feeds the blocks of [lo, hi) to an index, decoding and
 // extracting ahead with the worker pool; the appends run on this
-// goroutine in height order, as the indexes require.
-func (e *Engine) backfill(feed blockFeed, lo, hi uint64) error {
+// goroutine in height order, as the indexes require. tables are the
+// tables defined at hi.
+func (e *Engine) backfill(feed blockFeed, tables map[string]*schema.Table, lo, hi uint64) error {
 	if lo >= hi {
 		return nil
 	}
@@ -328,7 +338,7 @@ func (e *Engine) backfill(feed blockFeed, lo, hi uint64) error {
 			if err != nil {
 				return nil, err
 			}
-			return feed(b)
+			return feed(b, tables)
 		},
 		func(_ int, appendIt func()) error {
 			appendIt()

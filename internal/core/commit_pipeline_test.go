@@ -509,7 +509,7 @@ func TestBadDDLBlockRefused(t *testing.T) {
 				if got := e.CurrentView().Epoch(); got != epoch {
 					t.Errorf("refused block published a view: epoch %d -> %d", epoch, got)
 				}
-				if e.catalog.Has("fresh") {
+				if _, ok := e.defs.tables["fresh"]; ok {
 					t.Error("refused block left a table behind")
 				}
 				if got := recoveryFingerprint(t, e); got != want {

@@ -168,10 +168,9 @@ func (s indexSpec) key() string { return s.table + "." + s.col }
 
 // Engine is one node's SEBDB instance.
 type Engine struct {
-	cfg     Config
-	store   *storage.Store
-	catalog *schema.Catalog
-	offDB   *rdbms.DB
+	cfg   Config
+	store *storage.Store
+	offDB *rdbms.DB
 
 	// tableIdx is created once in Open and carries its own internal
 	// lock, so readers reach it without taking e.mu.
@@ -192,10 +191,11 @@ type Engine struct {
 	// reverse.
 	commitMu sync.Mutex
 
-	// mu guards the index maps and the write path. The maps are
-	// copy-on-write: a creation replaces the map (withEntry), never
-	// changes it, because published views share it.
+	// mu guards the definition and index maps and the write path. The
+	// maps are copy-on-write: a definition or a creation replaces the map
+	// (withEntry), never changes it, because published views share it.
 	mu      sync.RWMutex
+	defs    chainDefs
 	lidx    map[string]*layered.Index
 	alis    map[string]*auth.ALI
 	lastTid uint64
@@ -226,9 +226,8 @@ type Engine struct {
 	// rewrite, from reading the index maps to the rename.
 	metaSem chan struct{}
 
-	mempool   []*types.Transaction
-	acl       *accessctl.Controller
-	contracts *contract.Registry
+	mempool []*types.Transaction
+	acl     *accessctl.Controller
 
 	// log is the engine's component logger (Config.Log tagged "core");
 	// nil — and therefore a no-op — when event logging is off.
@@ -278,11 +277,17 @@ type Engine struct {
 }
 
 // Open opens (creating if needed) an engine over cfg.Dir and rebuilds
-// catalog and system indexes — from the newest valid checkpoint plus a
-// suffix replay when one exists, by full chain replay otherwise. The
-// recovery is traced; ExplainRecovery reports where the time went.
+// the chain's definitions and system indexes — from the newest valid
+// checkpoint plus a suffix replay when one exists, by full chain replay
+// otherwise. The recovery is traced; ExplainRecovery reports where the
+// time went.
 func Open(cfg Config) (*Engine, error) {
 	cfg.fill()
+	if cfg.HistogramDepth-1 > maxPeerBounds {
+		// Every definition is held to maxPeerBounds, this node's own
+		// indexes.json included (checkIndexDefs).
+		return nil, fmt.Errorf("core: HistogramDepth %d is above %d", cfg.HistogramDepth, maxPeerBounds+1)
+	}
 	tctx, root := obs.NewTrace(context.Background(), cfg.Obs, "recovery")
 	e, err := openTraced(tctx, cfg)
 	root.Finish()
@@ -374,7 +379,7 @@ func openTraced(ctx context.Context, cfg Config) (*Engine, error) {
 	ckSpan.Finish()
 
 	// Phase 2: replay the remaining suffix (the whole chain when no
-	// checkpoint seeded state): catalog, indexes and counters. Blocks are
+	// checkpoint seeded state): definitions, indexes and counters. Blocks are
 	// decoded ahead by the worker pool; indexing itself stays on this
 	// goroutine in height order (Tids, bitmaps and layered appends all
 	// assume blocks arrive in order). The persisted user index
@@ -398,18 +403,20 @@ func openTraced(ctx context.Context, cfg Config) (*Engine, error) {
 	}
 	cfg.Obs.Counter("sebdb_snapshot_suffix_blocks").Add(n - base)
 	repSpan.AddCounter("suffix_blocks", int64(n-base))
-	if err := e.checkDefs(meta.Indexes); err != nil {
-		return nil, err
+	// Publish the recovered state as the first real view: replay does not
+	// publish per block (nobody can read mid-recovery), so this is where
+	// readers first see the chain. The persisted definitions are then held
+	// to it as a peer's would be, and a names-only file's indexes are
+	// created over it.
+	e.mu.Lock()
+	e.publishViewLocked()
+	e.mu.Unlock()
+	if err := e.CurrentView().checkIndexDefs(meta.Indexes); err != nil {
+		return nil, fmt.Errorf("core: index meta: %w", err)
 	}
 	if err := e.createLegacy(meta); err != nil {
 		return nil, err
 	}
-	// Publish the recovered state as the first real view: replay does not
-	// publish per block (nobody can read mid-recovery), so this is where
-	// readers first see the chain.
-	e.mu.Lock()
-	e.publishViewLocked()
-	e.mu.Unlock()
 	return e, nil
 }
 
@@ -418,9 +425,9 @@ func newEngine(cfg Config, st *storage.Store, snapDir *snapshot.Dir) *Engine {
 	e := &Engine{
 		cfg:      cfg,
 		store:    st,
-		catalog:  schema.NewCatalog(),
 		offDB:    rdbms.New(),
 		tableIdx: bitmap.NewTableIndex(),
+		defs:     chainDefs{tables: map[string]*schema.Table{}, contracts: map[string]*contract.Contract{}},
 		// The global track-trace indexes on the system columns are always
 		// present (§V-A: "the layered indices on column SenID and Tname
 		// are pre-created ... on all tables for all historical
@@ -433,7 +440,6 @@ func newEngine(cfg Config, st *storage.Store, snapDir *snapshot.Dir) *Engine {
 		alis:       map[string]*auth.ALI{},
 		keys:       make(map[string]ed25519.PrivateKey),
 		acl:        accessctl.New(),
-		contracts:  contract.NewRegistry(),
 		log:        cfg.Log.With("core"),
 		snapDir:    snapDir,
 		ckptSem:    make(chan struct{}, 1),
@@ -491,9 +497,6 @@ func (e *Engine) OffChain() *rdbms.DB { return e.offDB }
 // (paper §III-B's application-layer access control). A fresh engine
 // permits everything (all tables in the public channel).
 func (e *Engine) AccessControl() *accessctl.Controller { return e.acl }
-
-// Catalog returns the schema catalog.
-func (e *Engine) Catalog() *schema.Catalog { return e.catalog }
 
 // Height returns the chain height (number of blocks).
 func (e *Engine) Height() uint64 { return uint64(e.store.Count()) }
@@ -576,9 +579,9 @@ func (e *Engine) txCommitted(tx *types.Transaction) bool {
 
 // NewTransaction builds (and signs, when the sender has a registered
 // key) a transaction for the given table, validating the args against
-// the schema. The Tid is assigned at commit time.
+// the schema of the current view. The Tid is assigned at commit time.
 func (e *Engine) NewTransaction(sender, tname string, args []types.Value) (*types.Transaction, error) {
-	tbl, err := e.catalog.Lookup(tname)
+	tbl, err := e.CurrentView().Table(tname)
 	if err != nil {
 		return nil, err
 	}
@@ -773,23 +776,25 @@ func (e *Engine) applyOne(b *types.Block) error {
 // prepare/validate stage began.
 //
 // The block is admitted before the append: a block whose tids do not
-// continue the chain's, or whose __schema__ or contract-deploy
-// transaction fails to decode or conflicts with an existing definition,
-// is refused whole while the segment store, the indexes and the
-// published view are still untouched; a block appended first and refused while indexing
-// would stay on disk and fail every later Open's replay.
+// continue the chain's, whose _schema or _contract transaction fails to
+// decode or conflicts with an existing definition, or whose tuple does
+// not fit its table, is refused whole while the segment store, the
+// indexes and the published view are still untouched; a block appended
+// first and refused while indexing would stay on disk and fail every
+// later Open's replay.
 func (e *Engine) install(b *types.Block, start int64, event string) error {
 	prepared := e.cfg.Obs.Now()
 	e.mPrepare.Observe(prepared - start)
 
 	e.mu.Lock()
-	tables, contracts, err := e.admit(b)
+	defs, err := e.admit(b)
 	if err == nil {
 		// Indexes read tuples by column position: a block carrying a
-		// short or mistyped tuple would append and then fail to index.
-		// Replay (indexBlock) skips this, so chains already on disk
-		// open as before.
-		err = e.catalog.CheckTuples(b.Txs, tables)
+		// short or mistyped tuple would append and then fail to index,
+		// and a NaN has no place in any index's order. Replay
+		// (indexBlock) skips this, so chains already on disk open as
+		// before.
+		err = schema.CheckTuples(defs.tables, b.Txs)
 	}
 	if err != nil {
 		e.mu.Unlock()
@@ -801,7 +806,7 @@ func (e *Engine) install(b *types.Block, start int64, event string) error {
 		return err
 	}
 	appended := e.cfg.Obs.Now()
-	if err := e.indexBlockLocked(b, tables, contracts); err != nil {
+	if err := e.indexBlockLocked(b, defs); err != nil {
 		e.mu.Unlock()
 		return err
 	}
@@ -848,49 +853,35 @@ func (e *Engine) prepareBlock(txs []*types.Transaction, ts int64) *types.Block {
 func (e *Engine) indexBlock(b *types.Block) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	tables, contracts, err := e.admit(b)
+	defs, err := e.admit(b)
 	if err != nil {
 		return err
 	}
-	return e.indexBlockLocked(b, tables, contracts)
+	return e.indexBlockLocked(b, defs)
 }
 
 // admit checks b against the engine's state without changing it, and
-// returns the tables and contracts the block newly defines. A non-empty
-// block's first tid must continue the commit cursor — Validate has made
-// its tids consecutive — so the store's tid cursors rise with height
-// and the block-level index can bisect them. Its schema and
-// contract-deploy transactions are decoded and checked against the
-// catalog, the registry and each other. Callers hold e.mu exclusively —
-// every catalog and registry mutation happens under it — so what
-// resolves here cannot conflict when indexBlockLocked applies it.
-func (e *Engine) admit(b *types.Block) ([]*schema.Table, []*contract.Contract, error) {
+// returns the definitions the engine holds once b is chain state. A
+// non-empty block's first tid must continue the commit cursor —
+// Validate has made its tids consecutive — so the store's tid cursors
+// rise with height and the block-level index can bisect them. Its
+// _schema and _contract transactions are resolved against the engine's
+// definitions and each other. Callers hold e.mu exclusively — every
+// definition is installed under it — so what resolves here is still
+// current when indexBlockLocked installs it.
+func (e *Engine) admit(b *types.Block) (chainDefs, error) {
 	if b.Header.TxCount > 0 && b.Header.FirstTid != e.lastTid+1 {
-		return nil, nil, fmt.Errorf("core: block %d starts at tid %d, the chain continues at %d",
+		return chainDefs{}, fmt.Errorf("core: block %d starts at tid %d, the chain continues at %d",
 			b.Header.Height, b.Header.FirstTid, e.lastTid+1)
 	}
-	tables, err := e.catalog.Resolve(b.Txs)
-	if err != nil {
-		return nil, nil, err
-	}
-	contracts, err := e.contracts.Resolve(b.Txs)
-	return tables, contracts, err
+	return e.defs.resolve(b.Txs)
 }
 
-// indexBlockLocked applies a newly appended block's resolved DDL and
-// updates counters and all indexes. Callers hold e.mu.
-func (e *Engine) indexBlockLocked(b *types.Block, tables []*schema.Table, contracts []*contract.Contract) error {
+// indexBlockLocked installs a newly appended block's resolved
+// definitions and updates counters and all indexes. Callers hold e.mu.
+func (e *Engine) indexBlockLocked(b *types.Block, defs chainDefs) error {
 	bid := b.Header.Height
-	for _, t := range tables {
-		if err := e.catalog.Define(t); err != nil {
-			return err
-		}
-	}
-	for _, c := range contracts {
-		if err := e.contracts.Register(c); err != nil {
-			return err
-		}
-	}
+	e.installDefs(defs)
 	for _, tx := range b.Txs {
 		if tx.Tid > e.lastTid {
 			e.lastTid = tx.Tid
@@ -919,7 +910,7 @@ func (e *Engine) indexBlockLocked(b *types.Block, tables []*schema.Table, contra
 	}
 	return parallel.Ordered(e.Parallelism(), len(feeds),
 		func(i int) (struct{}, error) {
-			appendIt, err := feeds[i](b)
+			appendIt, err := feeds[i](b, defs.tables)
 			if err == nil {
 				appendIt()
 			}
@@ -951,14 +942,15 @@ func tableKeys(txs []*types.Transaction) []string {
 // blockFeed is the write side every index family shares: extract one
 // block's input for the index — the fallible, order-free half, safe to
 // run ahead on the worker pool — and return the append that installs it
-// under the block's height, which must run in height order.
-type blockFeed func(b *types.Block) (appendIt func(), err error)
+// under the block's height, which must run in height order. tables are
+// the tables defined once b is chain state.
+type blockFeed func(b *types.Block, tables map[string]*schema.Table) (appendIt func(), err error)
 
 // layeredFeed feeds the layered index registered under key ("table.col"
 // or ".senid"/".tname").
 func (e *Engine) layeredFeed(key string, idx *layered.Index) blockFeed {
-	return func(b *types.Block) (func(), error) {
-		entries, err := extract(e, key, b, func(v types.Value, pos int, _ *types.Transaction) layered.Entry {
+	return func(b *types.Block, tables map[string]*schema.Table) (func(), error) {
+		entries, err := extract(key, tables, b, func(v types.Value, pos int, _ *types.Transaction) layered.Entry {
 			return layered.Entry{Key: v, Pos: uint32(pos)}
 		})
 		return func() { idx.AppendBlock(b.Header.Height, entries) }, err
@@ -969,8 +961,8 @@ func (e *Engine) layeredFeed(key string, idx *layered.Index) blockFeed {
 // the commit pipeline contribute their cached encoding as the payload —
 // the same bytes an unsealed re-encode would produce.
 func (e *Engine) aliFeed(key string, ali *auth.ALI) blockFeed {
-	return func(b *types.Block) (func(), error) {
-		recs, err := extract(e, key, b, func(v types.Value, _ int, tx *types.Transaction) mbtree.Record {
+	return func(b *types.Block, tables map[string]*schema.Table) (func(), error) {
+		recs, err := extract(key, tables, b, func(v types.Value, _ int, tx *types.Transaction) mbtree.Record {
 			return mbtree.Record{Key: v, Payload: tx.EncodeBytes()}
 		})
 		return func() { ali.AppendBlock(b.Header.Height, recs) }, err
@@ -979,8 +971,8 @@ func (e *Engine) aliFeed(key string, ali *auth.ALI) blockFeed {
 
 // extract collects, for the index identified by key, one item per
 // transaction of b that carries the indexed column.
-func extract[T any](e *Engine, key string, b *types.Block, item func(v types.Value, pos int, tx *types.Transaction) T) ([]T, error) {
-	value := e.extractorFor(key)
+func extract[T any](key string, tables map[string]*schema.Table, b *types.Block, item func(v types.Value, pos int, tx *types.Transaction) T) ([]T, error) {
+	value := extractorFor(key, tables)
 	var out []T
 	for pos, tx := range b.Txs {
 		v, ok, err := value(tx)
@@ -999,12 +991,12 @@ func extract[T any](e *Engine, key string, b *types.Block, item func(v types.Val
 // schema lookup and column-position resolution that used to repeat for
 // every transaction of every index are hoisted out of the loop. The
 // closure reports ok=false for transactions outside the indexed table.
-// The schema resolves lazily on the first matching transaction, so
-// blocks without the indexed table never consult the catalog. Each call
-// returns a fresh closure, so extractors may run concurrently — one per
-// index task of the commit pipeline's fan-out, or one per block of a
-// backfill.
-func (e *Engine) extractorFor(key string) func(tx *types.Transaction) (types.Value, bool, error) {
+// The schema resolves lazily from tables on the first matching
+// transaction, so blocks without the indexed table never look it up.
+// Each call returns a fresh closure, so extractors may run concurrently
+// — one per index task of the commit pipeline's fan-out, or one per
+// block of a backfill.
+func extractorFor(key string, tables map[string]*schema.Table) func(tx *types.Transaction) (types.Value, bool, error) {
 	spec := splitKey(key)
 	if spec.table == "" {
 		// Global system index: every transaction carries the value.
@@ -1036,9 +1028,9 @@ func (e *Engine) extractorFor(key string) func(tx *types.Transaction) (types.Val
 			return types.Null, false, nil
 		}
 		if pos < 0 {
-			tbl, err := e.catalog.Lookup(spec.table)
-			if err != nil {
-				return types.Null, false, err
+			tbl, ok := tables[spec.table]
+			if !ok {
+				return types.Null, false, fmt.Errorf("schema: no such table %q", spec.table)
 			}
 			if pos = tbl.ColumnIndex(col); pos < 0 {
 				return types.Null, false, fmt.Errorf("core: table %q has no column %q", spec.table, col)
@@ -1062,10 +1054,18 @@ func splitKey(key string) indexSpec {
 }
 
 // withEntry returns a copy of m with key set to v: the copy-on-write
-// step every write to the engine's index maps takes, because published
-// views share the map they saw.
+// step every write to the engine's definition and index maps takes,
+// because published views share the map they saw.
 func withEntry[V any](m map[string]V, key string, v V) map[string]V {
 	out := maps.Clone(m)
 	out[key] = v
+	return out
+}
+
+// withoutEntry returns a copy of m without key: withEntry's inverse,
+// for submitDDL's rollback.
+func withoutEntry[V any](m map[string]V, key string) map[string]V {
+	out := maps.Clone(m)
+	delete(out, key)
 	return out
 }

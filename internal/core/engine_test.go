@@ -582,9 +582,9 @@ func TestCreateAuthIndexOnEngine(t *testing.T) {
 	if after := e.CurrentView().AuthIndex("donate", "amount").Blocks(); after <= before {
 		t.Errorf("ALI not maintained: %d -> %d blocks", before, after)
 	}
-	// Catalog and Headers accessors.
-	if !e.Catalog().Has("donate") {
-		t.Error("Catalog accessor broken")
+	// View table and Headers accessors.
+	if !e.CurrentView().HasTable("donate") {
+		t.Error("HasTable accessor broken")
 	}
 	if len(e.Headers()) != int(e.Height()) {
 		t.Error("Headers accessor broken")

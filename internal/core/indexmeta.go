@@ -151,28 +151,8 @@ func (e *Engine) registerDefs(defs []indexDef, base uint64) error {
 			return fmt.Errorf("core: index meta: %q has unknown family %q", d.Key, d.Family)
 		}
 		e.idxEpoch++
-		if err := e.backfill(feed, 0, base); err != nil {
+		if err := e.backfill(feed, e.defs.tables, 0, base); err != nil {
 			return fmt.Errorf("core: backfilling %s index %q: %w", d.Family, d.Key, err)
-		}
-	}
-	return nil
-}
-
-// checkDefs holds the registered definitions to the replayed catalog:
-// CreateIndex refuses an index on a table or column that does not
-// exist, and so does Open for a definition that names one.
-func (e *Engine) checkDefs(defs []indexDef) error {
-	for _, d := range defs {
-		spec := splitKey(d.Key)
-		if spec.table == "" {
-			continue
-		}
-		tbl, err := e.catalog.Lookup(spec.table)
-		if err == nil {
-			_, _, err = tbl.ColumnKind(spec.col)
-		}
-		if err != nil {
-			return fmt.Errorf("core: %s index %q: %w", d.Family, d.Key, err)
 		}
 	}
 	return nil
@@ -246,21 +226,17 @@ func (e *Engine) IndexDefs() ([]byte, error) {
 // count multiplies into per-block memory and per-query work, and a peer
 // must not choose it freely. An equal-depth histogram has at most
 // Config.HistogramDepth-1 bounds (99 by default); 4,096 leaves room for
-// any depth an operator plausibly sets.
+// any depth an operator plausibly sets, and Open refuses a deeper one.
 const maxPeerBounds = 4096
 
 // PeerIndexDefs are index definitions from another node that passed
-// ParseIndexDefs against this node's catalog; AdoptIndexDefs registers
+// ParseIndexDefs against this node's tables; AdoptIndexDefs registers
 // them.
 type PeerIndexDefs struct{ defs []indexDef }
 
 // ParseIndexDefs is the validating parse of a peer's index definitions
-// (the bytes IndexDefs renders). It refuses malformed JSON, an unknown
-// family, a key whose table or column this node's verified catalog
-// lacks, a continuous flag the column's kind does not allow, bounds
-// that are not strictly ascending (a NaN can only be a sole bound, as
-// in layered.NewEqualDepth), more than maxPeerBounds bounds, and a key
-// listed twice in one family. It changes nothing.
+// (the bytes IndexDefs renders): malformed JSON, a names-only file and
+// whatever checkIndexDefs refuses are refused. It changes nothing.
 func (e *Engine) ParseIndexDefs(raw []byte) (PeerIndexDefs, error) {
 	var m indexMeta
 	if err := json.Unmarshal(raw, &m); err != nil {
@@ -269,22 +245,36 @@ func (e *Engine) ParseIndexDefs(raw []byte) (PeerIndexDefs, error) {
 	if len(m.Layered) != 0 || len(m.Auth) != 0 {
 		return PeerIndexDefs{}, errors.New("core: peer index definitions carry no histograms")
 	}
-	v := e.CurrentView()
-	seen := make(map[[2]string]bool, len(m.Indexes))
-	for _, d := range m.Indexes {
-		if err := v.checkPeerDef(&d); err != nil {
-			return PeerIndexDefs{}, fmt.Errorf("core: peer %s index %q: %w", d.Family, d.Key, err)
-		}
-		if seen[[2]string{d.Family, d.Key}] {
-			return PeerIndexDefs{}, fmt.Errorf("core: peer %s index %q listed twice", d.Family, d.Key)
-		}
-		seen[[2]string{d.Family, d.Key}] = true
+	if err := e.CurrentView().checkIndexDefs(m.Indexes); err != nil {
+		return PeerIndexDefs{}, fmt.Errorf("core: peer %w", err)
 	}
 	return PeerIndexDefs{defs: m.Indexes}, nil
 }
 
-// checkPeerDef holds one peer definition to the view's catalog.
-func (v *View) checkPeerDef(d *indexDef) error {
+// checkIndexDefs is the one check for index definitions, a peer's
+// (ParseIndexDefs) and indexes.json's (Open, after the replay) alike. It
+// holds them to the view's tables, and refuses an unknown family, a key
+// whose table or column the view lacks, a continuous flag the column's
+// kind does not allow, bounds that are not strictly ascending (a NaN can
+// only be a sole bound, as in layered.NewEqualDepth), more than
+// maxPeerBounds bounds, and a key listed twice in one family.
+func (v *View) checkIndexDefs(defs []indexDef) error {
+	seen := make(map[[2]string]bool, len(defs))
+	for i := range defs {
+		d := &defs[i]
+		if err := v.checkIndexDef(d); err != nil {
+			return fmt.Errorf("%s index %q: %w", d.Family, d.Key, err)
+		}
+		if seen[[2]string{d.Family, d.Key}] {
+			return fmt.Errorf("%s index %q listed twice", d.Family, d.Key)
+		}
+		seen[[2]string{d.Family, d.Key}] = true
+	}
+	return nil
+}
+
+// checkIndexDef holds one definition to the view's tables.
+func (v *View) checkIndexDef(d *indexDef) error {
 	if d.Family != familyLayered && d.Family != familyAuth {
 		return errors.New("unknown family")
 	}

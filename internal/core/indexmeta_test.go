@@ -39,7 +39,7 @@ func boundBits(h *layered.Histogram) []uint64 {
 }
 
 // TestIndexBoundsSurviveBitForBit: histogram bounds that JSON cannot
-// carry as numbers — −0, +Inf, NaN — persist through indexes.json and
+// carry as numbers — −0, ±Inf — persist through indexes.json and
 // come back bit-equal after a full-replay reopen, for layered indexes
 // and ALIs alike.
 func TestIndexBoundsSurviveBitForBit(t *testing.T) {
@@ -53,14 +53,14 @@ func TestIndexBoundsSurviveBitForBit(t *testing.T) {
 	if err := e.FlushAt(1); err != nil {
 		t.Fatal(err)
 	}
-	negZero, inf, nan := math.Copysign(0, -1), math.Inf(1), math.NaN()
+	negZero, inf, negInf := math.Copysign(0, -1), math.Inf(1), math.Inf(-1)
 	var batch []*types.Transaction
 	for i := 0; i < 8; i++ {
 		a := negZero
 		if i >= 4 {
 			a = inf
 		}
-		tx, err := e.NewTransaction("org0", "odd", []types.Value{types.Dec(a), types.Dec(nan)})
+		tx, err := e.NewTransaction("org0", "odd", []types.Value{types.Dec(a), types.Dec(negInf)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestIndexBoundsSurviveBitForBit(t *testing.T) {
 	}
 	want := map[string][]uint64{
 		"odd.a": {math.Float64bits(negZero), math.Float64bits(inf)},
-		"odd.b": {math.Float64bits(nan)},
+		"odd.b": {math.Float64bits(negInf)},
 	}
 	check := func(e *Engine, route string) {
 		t.Helper()
@@ -286,5 +286,46 @@ func TestDefinitionAfterCheckpointBackfillsItsPrefix(t *testing.T) {
 	}
 	if suffix, _ := sameByEveryRoute(t, dir); suffix != fast.Height()-base {
 		t.Errorf("reopen replayed %d blocks", suffix)
+	}
+}
+
+// TestOpenRefusesBadLocalIndexDefs: indexes.json is held to the check a
+// peer's definitions get (checkIndexDefs), so Open refuses a definition
+// ParseIndexDefs would refuse instead of building the index.
+func TestOpenRefusesBadLocalIndexDefs(t *testing.T) {
+	bits := func(f float64) string { return fmt.Sprintf(`"%016x"`, math.Float64bits(f)) }
+	for name, def := range map[string]string{
+		"continuous string": `{"family":"layered","key":"donate.donor","continuous":true}`,
+		"descending bounds": `{"family":"auth","key":"donate.amount","continuous":true,"bounds":[` + bits(2) + `,` + bits(1) + `]}`,
+		"unknown column":    `{"family":"layered","key":"donate.nosuch","continuous":false}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			e, err := Open(Config{Dir: dir, BlockMaxTxs: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seedDonation(t, e, 8, 4)
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			raw := []byte(`{"indexes":[` + def + `]}`)
+			if _, err := e.ParseIndexDefs(raw); err == nil {
+				t.Fatal("fixture: ParseIndexDefs accepts the definition")
+			}
+			if err := os.WriteFile(filepath.Join(dir, indexMetaFile), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if r, err := Open(Config{Dir: dir, BlockMaxTxs: 4}); err == nil {
+				r.Close()
+				t.Fatalf("Open accepted indexes.json holding %s", def)
+			}
+		})
+	}
+	// A histogram deeper than the check allows could only write
+	// definitions the next Open refuses, so the depth is refused at once.
+	if e, err := Open(Config{Dir: t.TempDir(), HistogramDepth: maxPeerBounds + 2}); err == nil {
+		e.Close()
+		t.Error("Open accepted a histogram depth whose bounds the check refuses")
 	}
 }

@@ -110,8 +110,8 @@ func (e *Engine) execCreate(sender string, s *sqlparser.CreateTable) (*Result, e
 		return nil, err
 	}
 	err = e.submitDDL(sender, schema.MetaTable, tbl.EncodeDDL(), "table", tbl.Name,
-		func() error { return e.catalog.Define(tbl) },
-		func() { e.catalog.Undefine(tbl.Name) })
+		func(d chainDefs) (chainDefs, error) { return d.withTable(tbl) },
+		func(d chainDefs) chainDefs { d.tables = withoutEntry(d.tables, tbl.Name); return d })
 	if err != nil {
 		return nil, err
 	}
@@ -127,13 +127,15 @@ func (e *Engine) execCreate(sender string, s *sqlparser.CreateTable) (*Result, e
 // the rollback the node would claim a definition the chain never makes,
 // forever diverging from every peer. The one exception: when the block
 // committed and only the fsync failed, the transaction is chain state
-// and the registration stays. Registration and rollback run under e.mu
-// like every other catalog and registry mutation (see admit).
+// and the registration stays. register and unregister derive the
+// definitions with and without this one; they are installed under e.mu
+// like every other definition (see admit).
 func (e *Engine) submitDDL(sender, metaTable string, args []types.Value, what, name string,
-	register func() error, unregister func()) error {
+	register func(chainDefs) (chainDefs, error), unregister func(chainDefs) chainDefs) error {
 	e.mu.Lock()
-	err := register()
+	defs, err := register(e.defs)
 	if err == nil {
+		e.installDefs(defs)
 		e.publishViewLocked()
 	}
 	e.mu.Unlock()
@@ -145,7 +147,7 @@ func (e *Engine) submitDDL(sender, metaTable string, args []types.Value, what, n
 	if err := e.Submit(tx); err != nil {
 		if !e.txCommitted(tx) {
 			e.mu.Lock()
-			unregister()
+			e.installDefs(unregister(e.defs))
 			e.publishViewLocked()
 			e.mu.Unlock()
 			e.log.Warn(what+" rolled back", what, name, "err", err)
@@ -593,8 +595,8 @@ func (e *Engine) DeployContract(sender, name string, statements []string) error 
 		return err
 	}
 	err = e.submitDDL(sender, contract.MetaTable, c.EncodeDeploy(), "contract", c.Name,
-		func() error { return e.contracts.Register(c) },
-		func() { e.contracts.Unregister(c.Name) })
+		func(d chainDefs) (chainDefs, error) { return d.withContract(c) },
+		func(d chainDefs) chainDefs { d.contracts = withoutEntry(d.contracts, c.Name); return d })
 	if err != nil {
 		return err
 	}
@@ -602,19 +604,21 @@ func (e *Engine) DeployContract(sender, name string, statements []string) error 
 	return nil
 }
 
-// Contracts returns the node's deployed-contract registry.
-func (e *Engine) Contracts() *contract.Registry { return e.contracts }
-
-// InvokeContract runs a deployed contract as sender; each embedded
-// statement goes through the normal SQL path including access control.
+// InvokeContract runs a contract deployed as of the current view as
+// sender; each embedded statement goes through the normal SQL path
+// including access control.
 func (e *Engine) InvokeContract(sender, name string, args ...types.Value) (*Result, error) {
-	res, err := e.contracts.Invoke(func(s, sql string) ([]string, [][]types.Value, error) {
+	c, err := e.CurrentView().Contract(name)
+	if err != nil {
+		return nil, err
+	}
+	res, err := c.Invoke(func(s, sql string) ([]string, [][]types.Value, error) {
 		r, err := e.ExecuteAs(s, sql)
 		if err != nil {
 			return nil, nil, err
 		}
 		return r.Columns, r.Rows, nil
-	}, sender, name, args...)
+	}, sender, args...)
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,7 @@ import (
 )
 
 // Checkpoint integration: the engine persists its derived state —
-// storage metadata, catalog, contracts, table bitmaps, layered indexes
+// storage metadata, tables, contracts, table bitmaps, layered indexes
 // and ALIs — as windows of an append-only log (internal/snapshot), one
 // frame per checkpoint covering the blocks since the previous one, and
 // seeds itself from the log on Open so only the post-checkpoint suffix
@@ -163,19 +163,11 @@ func (e *Engine) collectLocked(lo, h uint64) (*snapshot.Checkpoint, error) {
 		Store:    m,
 		TableIdx: e.tableIdx.Range(int(lo), int(h)),
 	}
-	for _, name := range e.catalog.Names() {
-		t, err := e.catalog.Lookup(name)
-		if err != nil {
-			return nil, err
-		}
-		c.Tables = append(c.Tables, t)
+	for _, name := range sortedKeys(e.defs.tables) {
+		c.Tables = append(c.Tables, e.defs.tables[name])
 	}
-	for _, name := range e.contracts.Names() {
-		ct, err := e.contracts.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		c.Contracts = append(c.Contracts, ct)
+	for _, name := range sortedKeys(e.defs.contracts) {
+		c.Contracts = append(c.Contracts, e.defs.contracts[name])
 	}
 	for _, key := range sortedKeys(e.lidx) {
 		idx := e.lidx[key]
@@ -249,16 +241,19 @@ func sortedKeys[V any](m map[string]V) []string {
 // shared, so no locking is needed. Any inconsistency is an error; the
 // caller discards the engine and falls back to full replay.
 func (e *Engine) restoreCheckpoint(c *snapshot.Checkpoint) error {
+	defs := e.defs
+	var err error
 	for _, t := range c.Tables {
-		if err := e.catalog.Define(t); err != nil {
-			return fmt.Errorf("core: checkpoint catalog: %w", err)
+		if defs, err = defs.withTable(t); err != nil {
+			return fmt.Errorf("core: checkpoint tables: %w", err)
 		}
 	}
 	for _, ct := range c.Contracts {
-		if err := e.contracts.Register(ct); err != nil {
+		if defs, err = defs.withContract(ct); err != nil {
 			return fmt.Errorf("core: checkpoint contracts: %w", err)
 		}
 	}
+	e.installDefs(defs)
 	e.lastTid = c.LastTid
 	e.lastTs = c.LastTs
 	for k, ids := range c.TableIdx {
@@ -270,7 +265,7 @@ func (e *Engine) restoreCheckpoint(c *snapshot.Checkpoint) error {
 	// own worker — the layered ones from their entries, the ALIs (one
 	// task, sharing each block read) from the block files.
 	idxs := make([]*layered.Index, len(c.Indexes))
-	err := parallel.Ordered(e.Parallelism(), len(c.Indexes)+1,
+	err = parallel.Ordered(e.Parallelism(), len(c.Indexes)+1,
 		func(i int) (struct{}, error) {
 			if i == len(c.Indexes) {
 				return struct{}{}, e.restoreALIs(c)

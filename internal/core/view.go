@@ -18,8 +18,8 @@ import (
 )
 
 // View is an immutable, height-pinned snapshot of everything a read
-// needs: catalog, contract registry, block/table/layered indexes, ALIs
-// and the chain tip, all consistent with one height. The engine
+// needs: tables, contracts, block/table/layered indexes, ALIs and the
+// chain tip, all consistent with one height. The engine
 // publishes a fresh view at the end of every commit's index window (and
 // after DDL, contract deployment and index creation), swapping an
 // atomic pointer; SELECT/TRACE/JOIN/EXPLAIN and thin-client VO
@@ -31,9 +31,11 @@ import (
 //   - The block-level index is the store's header prefix [0, height),
 //     whose elements are never rewritten; the tip and GET BLOCK's
 //     headers are read from it too.
-//   - The catalog, contract registry and index maps are copy-on-write:
-//     DDL and index creation replace a map instead of changing it, so a
-//     view shares the maps current at publish time.
+//   - The table, contract and index maps are the engine's own, and
+//     copy-on-write: a definition (chainDefs) or an index creation
+//     replaces a map instead of changing it, so a view shares the maps
+//     current at publish time. The view is the only way to read them
+//     outside e.mu.
 //   - The table bitmaps, layered indexes and ALIs are the live objects.
 //     Each carries its own internal lock, and appends only ever add
 //     state for blocks at or beyond the view's height, so cutting every
@@ -49,10 +51,9 @@ type View struct {
 	// the view's height.
 	bidx blockindex.Index
 
-	tables    map[string]*schema.Table
-	contracts map[string]*contract.Contract
-	lidx      map[string]*layered.Index
-	alis      map[string]*auth.ALI
+	defs chainDefs
+	lidx map[string]*layered.Index
+	alis map[string]*auth.ALI
 }
 
 // View is the read surface the query operators run against; *Engine
@@ -69,15 +70,14 @@ var (
 // height, the cursor and the index maps mutually consistent.
 func (e *Engine) buildView(bidx blockindex.Index) *View {
 	return &View{
-		e:         e,
-		epoch:     e.viewEpoch.Add(1),
-		lastTid:   e.lastTid,
-		lastTs:    e.lastTs,
-		bidx:      bidx,
-		tables:    e.catalog.Snapshot(),
-		contracts: e.contracts.Snapshot(),
-		lidx:      e.lidx,
-		alis:      e.alis,
+		e:       e,
+		epoch:   e.viewEpoch.Add(1),
+		lastTid: e.lastTid,
+		lastTs:  e.lastTs,
+		bidx:    bidx,
+		defs:    e.defs,
+		lidx:    e.lidx,
+		alis:    e.alis,
 	}
 }
 
@@ -198,27 +198,31 @@ func (v *View) AuthIndex(table, col string) *auth.ALI {
 
 // Table resolves a table schema as of the view.
 func (v *View) Table(name string) (*schema.Table, error) {
-	t, ok := v.tables[strings.ToLower(name)]
+	t, ok := v.defs.tables[strings.ToLower(name)]
 	if !ok {
 		return nil, fmt.Errorf("schema: no such table %q", name)
 	}
 	return t, nil
 }
 
-// HasTable reports whether the view's catalog defines the table.
+// HasTable reports whether the table is defined as of the view.
 func (v *View) HasTable(name string) bool {
-	_, ok := v.tables[strings.ToLower(name)]
+	_, ok := v.defs.tables[strings.ToLower(name)]
 	return ok
 }
 
 // Contract returns a contract deployed as of the view.
 func (v *View) Contract(name string) (*contract.Contract, error) {
-	c, ok := v.contracts[strings.ToLower(name)]
+	c, ok := v.defs.contracts[strings.ToLower(name)]
 	if !ok {
 		return nil, fmt.Errorf("contract: no contract %q", name)
 	}
 	return c, nil
 }
+
+// ContractNames lists the contracts deployed as of the view, in name
+// order.
+func (v *View) ContractNames() []string { return sortedKeys(v.defs.contracts) }
 
 // Obs returns the engine's metrics registry; the view satisfies
 // exec.ObsChain with it.

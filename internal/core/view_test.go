@@ -222,7 +222,7 @@ func TestCreateRollsBackWhenAppendFails(t *testing.T) {
 		if _, err := e.Execute(ddl); err == nil {
 			t.Fatalf("k=%d: CREATE succeeded through a crashed append", k)
 		}
-		if e.catalog.Has("donate") {
+		if _, ok := e.defs.tables["donate"]; ok {
 			t.Errorf("k=%d: catalog still defines the table after the failed submit", k)
 		}
 		if e.CurrentView().HasTable("donate") {
@@ -253,7 +253,7 @@ func TestDeployContractRollsBackWhenAppendFails(t *testing.T) {
 		if err := e.DeployContract("charity", "give", statements); err == nil {
 			t.Fatalf("k=%d: deployment succeeded through a crashed append", k)
 		}
-		if _, err := e.contracts.Get("give"); err == nil {
+		if _, ok := e.defs.contracts["give"]; ok {
 			t.Errorf("k=%d: registry still holds the contract after the failed submit", k)
 		}
 		if _, err := e.CurrentView().Contract("give"); err == nil {
@@ -273,7 +273,7 @@ func TestCreateKeptWhenOnlyFsyncFails(t *testing.T) {
 	if _, err := e.Execute(`CREATE donate (donor string, project string, amount decimal)`); err == nil {
 		t.Fatal("CREATE reported success despite the failed fsync")
 	}
-	if !e.catalog.Has("donate") {
+	if _, ok := e.defs.tables["donate"]; !ok {
 		t.Error("committed table was rolled back on a sync-only failure")
 	}
 	if !e.CurrentView().HasTable("donate") {
@@ -286,7 +286,7 @@ func TestCreateKeptWhenOnlyFsyncFails(t *testing.T) {
 	if err := e.DeployContract("charity", "give", []string{`INSERT INTO donate ($sender, $1, $2)`}); err == nil {
 		t.Fatal("deployment reported success despite the failed fsync")
 	}
-	if _, err := e.contracts.Get("give"); err != nil {
+	if _, ok := e.defs.contracts["give"]; !ok {
 		t.Error("committed contract was rolled back on a sync-only failure")
 	}
 	if _, err := e.CurrentView().Contract("give"); err != nil {

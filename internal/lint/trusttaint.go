@@ -12,8 +12,8 @@ import (
 
 // TrustTaint enforces the catch-up trust model interprocedurally: no
 // peer-derived value (bytes off the wire, decoded wire messages) may
-// reach engine-state installation — checkpoint persist, catalog/contract
-// registration, index creation and definition adoption, index/ALI
+// reach engine-state installation — checkpoint persist, table and
+// contract installation, index creation and definition adoption, index/ALI
 // appends, chain appends — without passing a verification sanitizer
 // (signature check, block validation, Merkle/CRC comparison, the
 // validating parse of a peer's index definitions). This is the bug
@@ -53,8 +53,7 @@ var taintSinks = []funcSpec{
 	{"sebdb/internal/core", "Engine", "CreateIndex"},
 	{"sebdb/internal/core", "Engine", "CreateAuthIndex"},
 	{"sebdb/internal/core", "Engine", "AdoptIndexDefs"},
-	{"sebdb/internal/schema", "Catalog", "Define"},
-	{"sebdb/internal/contract", "Registry", "Register"},
+	{"sebdb/internal/core", "Engine", "installDefs"},
 	{"sebdb/internal/storage", "Store", "AppendNoSync"},
 	{"sebdb/internal/storage", "", "OpenWithMeta"},
 	{"sebdb/internal/index/layered", "Index", "AppendBlock"},

@@ -28,7 +28,7 @@ func CatchUp(eng *core.Engine, addr string) error {
 
 // Bootstrap brings a node level with the peer at addr: CatchUp from the
 // local height (0 on a fresh node), then one KindIndexDefs request. The
-// peer's definitions are validated against the catalog the verified
+// peer's definitions are validated against the tables the verified
 // chain just built (core.Engine.ParseIndexDefs) and registered with
 // their histogram bounds bit for bit, so both nodes bucket alike and
 // serve equal ALI digests. A node with Config.CheckpointInterval set

@@ -10,11 +10,11 @@
 // A node NEVER installs peer state. Every pushed block must carry a
 // valid packager signature (BlockHeader.VerifySig) and extend the
 // node's locally verified chain (height + PrevHash linkage, enforced
-// again by the store on append), and all derived state — catalog,
-// bitmaps, layered indexes, ALIs — is rebuilt locally by ApplyBlock,
+// again by the store on append), and all derived state — tables,
+// contracts, bitmaps, layered indexes, ALIs — is rebuilt locally by ApplyBlock,
 // which also Merkle-checks the body against the header. The one thing
 // adopted from a peer is its index definitions, and only after
-// core.Engine.ParseIndexDefs has held them to the local catalog. A peer
+// core.Engine.ParseIndexDefs has held them to the local tables. A peer
 // that lies can only stall a node, never corrupt it.
 //
 // The wire protocol is one KindSubscribe request frame carrying a uint64

@@ -1,11 +1,13 @@
 // Package schema implements SEBDB's relational layer over block data
 // (paper §III-A): user-declared table schemas whose tuples are on-chain
-// transactions, the catalog that tracks them, and the special schema
-// transaction used to synchronise DDL among nodes.
+// transactions, and the special schema transaction used to synchronise
+// DDL among nodes. The engine keeps the tables the chain defines (see
+// core.chainDefs).
 package schema
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"sebdb/internal/types"
@@ -125,8 +127,8 @@ func (t *Table) ValidateArgs(args []types.Value) ([]types.Value, error) {
 }
 
 // CheckArgs reports whether args is already a tuple of t — one value
-// per column, each null or of the column's kind, which is what
-// ValidateArgs returns — without copying it.
+// per column, each null or of the column's kind and no decimal NaN,
+// which is what ValidateArgs returns — without copying it.
 func (t *Table) CheckArgs(args []types.Value) error {
 	if len(args) != len(t.Columns) {
 		return fmt.Errorf("schema: table %q expects %d values, got %d",
@@ -137,8 +139,43 @@ func (t *Table) CheckArgs(args []types.Value) error {
 			return fmt.Errorf("schema: table %q column %q holds %s, got %s",
 				t.Name, t.Columns[i].Name, t.Columns[i].Kind, v.Kind)
 		}
+		if v.Kind == types.KindDecimal && math.IsNaN(v.F) {
+			return fmt.Errorf("schema: table %q column %q holds NaN", t.Name, t.Columns[i].Name)
+		}
 	}
 	return nil
+}
+
+// CheckTuples reports the first transaction among txs that belongs to
+// one of tables without being a tuple of it (Table.CheckArgs).
+// Transactions of any other type are not tuples and pass. The engine
+// asks before a block is appended, with the tables the block leaves
+// defined: indexes read columns by position, so a short or mistyped
+// tuple must be refused while the block still can be.
+func CheckTuples(tables map[string]*Table, txs []*types.Transaction) error {
+	for _, tx := range txs {
+		t, ok := tables[tx.Tname]
+		if !ok {
+			continue
+		}
+		if err := t.CheckArgs(tx.Args); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Equal reports whether t and u define the same table.
+func (t *Table) Equal(u *Table) bool {
+	if t.Name != u.Name || len(t.Columns) != len(u.Columns) {
+		return false
+	}
+	for i := range t.Columns {
+		if t.Columns[i] != u.Columns[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Value extracts a named column (system or application) from a

@@ -1,6 +1,7 @@
 package schema
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -128,6 +129,8 @@ func TestCheckArgs(t *testing.T) {
 		"short":         {[]types.Value{types.Str("Jack")}, false},
 		"long":          {[]types.Value{types.Str("a"), types.Str("b"), types.Dec(1), types.Dec(2)}, false},
 		"uncoerced int": {[]types.Value{types.Str("Jack"), types.Str("Edu"), types.Int(100)}, false},
+		"NaN":           {[]types.Value{types.Str("Jack"), types.Str("Edu"), types.Dec(math.NaN())}, false},
+		"+Inf":          {[]types.Value{types.Str("Jack"), types.Str("Edu"), types.Dec(math.Inf(1))}, true},
 	} {
 		if err := tbl.CheckArgs(tc.args); (err == nil) != tc.ok {
 			t.Errorf("%s: CheckArgs = %v, want ok=%v", name, err, tc.ok)
@@ -141,7 +144,7 @@ func TestDDLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameTable(tbl, got) {
+	if !tbl.Equal(got) {
 		t.Errorf("DDL round-trip mismatch: %+v", got)
 	}
 }
@@ -163,95 +166,22 @@ func TestDecodeDDLRejections(t *testing.T) {
 	}
 }
 
-func TestCatalog(t *testing.T) {
-	c := NewCatalog()
+func TestCheckTuples(t *testing.T) {
 	tbl := donate(t)
-	if err := c.Define(tbl); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Define(tbl); err != nil {
-		t.Errorf("idempotent redefine should pass: %v", err)
-	}
-	other, _ := NewTable("donate", []Column{{"x", types.KindInt}})
-	if err := c.Define(other); err == nil {
-		t.Error("conflicting redefine must fail")
-	}
-	got, err := c.Lookup("DONATE")
-	if err != nil || got.Name != "donate" {
-		t.Errorf("Lookup: %v, %v", got, err)
-	}
-	if _, err := c.Lookup("ghost"); err == nil {
-		t.Error("missing table should error")
-	}
-	if !c.Has("donate") || c.Has("ghost") {
-		t.Error("Has misbehaves")
-	}
-	if n := c.Names(); len(n) != 1 || n[0] != "donate" {
-		t.Errorf("Names = %v", n)
-	}
-}
-
-func TestCatalogResolve(t *testing.T) {
-	c := NewCatalog()
-	tbl := donate(t)
-	ddl := &types.Transaction{Tname: MetaTable, Args: tbl.EncodeDDL()}
-	// A schema tx resolves to its table (twice in one batch: once);
-	// non-schema txs are ignored; the catalog is untouched until Define.
-	got, err := c.Resolve([]*types.Transaction{{Tname: "donate"}, ddl, ddl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Name != "donate" || c.Has("donate") {
-		t.Fatalf("Resolve = %v, catalog has donate: %v", got, c.Has("donate"))
-	}
-	if err := c.Define(got[0]); err != nil {
-		t.Fatal(err)
-	}
-	// Already defined identically: nothing left to do.
-	if got, err := c.Resolve([]*types.Transaction{ddl}); err != nil || len(got) != 0 {
-		t.Errorf("re-resolve = %v, %v", got, err)
-	}
-	// Malformed schema payload errors.
-	if _, err := c.Resolve([]*types.Transaction{{Tname: MetaTable, Args: []types.Value{types.Int(1)}}}); err == nil {
-		t.Error("malformed schema tx should error")
-	}
-	// A different definition conflicts with the catalog, and with an
-	// earlier transaction of the same batch.
-	other, err := NewTable("donate", []Column{{Name: "x", Kind: types.KindInt}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clash := &types.Transaction{Tname: MetaTable, Args: other.EncodeDDL()}
-	if _, err := c.Resolve([]*types.Transaction{clash}); err == nil {
-		t.Error("definition conflicting with the catalog resolved")
-	}
-	if _, err := NewCatalog().Resolve([]*types.Transaction{ddl, clash}); err == nil {
-		t.Error("two conflicting definitions in one batch resolved")
-	}
-}
-
-func TestCatalogCheckTuples(t *testing.T) {
-	c, tbl := NewCatalog(), donate(t)
 	good := &types.Transaction{Tname: "donate", Args: []types.Value{types.Str("Jack"), types.Str("Edu"), types.Dec(1)}}
 	short := &types.Transaction{Tname: "donate", Args: []types.Value{types.Str("Jack")}}
 	ddl := &types.Transaction{Tname: MetaTable, Args: tbl.EncodeDDL()}
-	// No such table yet: neither transaction is a tuple of anything.
-	if err := c.CheckTuples([]*types.Transaction{good, short, ddl}, nil); err != nil {
+	// No such table: neither transaction is a tuple of anything.
+	if err := CheckTuples(nil, []*types.Transaction{good, short, ddl}); err != nil {
 		t.Errorf("transactions of an unknown type refused: %v", err)
 	}
-	// The table may come from the block itself or from the catalog.
-	if err := c.CheckTuples([]*types.Transaction{short}, []*Table{tbl}); err == nil {
-		t.Error("short tuple of a pending table passed")
-	}
-	if err := c.Define(tbl); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CheckTuples([]*types.Transaction{good, short}, nil); err == nil {
-		t.Error("short tuple of a catalog table passed")
+	tables := map[string]*Table{"donate": tbl}
+	if err := CheckTuples(tables, []*types.Transaction{good, short}); err == nil {
+		t.Error("short tuple of a defined table passed")
 	}
 	txs := []*types.Transaction{good, ddl, good}
 	if n := testing.AllocsPerRun(100, func() {
-		if err := c.CheckTuples(txs, nil); err != nil {
+		if err := CheckTuples(tables, txs); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {

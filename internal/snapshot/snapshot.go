@@ -1,6 +1,6 @@
 // Package snapshot implements SEBDB's checkpoint subsystem: a
 // CRC-framed, append-only log of the engine's derived state — storage
-// segment metadata, catalog, contract registry, table-level bitmaps,
+// segment metadata, tables, contracts, table-level bitmaps,
 // layered indexes and ALIs — pinned to a block height and an anchor
 // block hash. Every index the paper defines is per block and immutable
 // once the block is sealed, so each frame carries the state of one
@@ -105,9 +105,9 @@ type Checkpoint struct {
 	// for all of [0, Height) — recompression rewrites those for old
 	// blocks, so every frame restates them (storage.Store.MetaWindow).
 	Store *storage.Meta
-	// Tables is the catalog (user table schemas, in name order).
+	// Tables are the user table schemas, in name order.
 	Tables []*schema.Table
-	// Contracts is the contract registry (in name order).
+	// Contracts are the deployed contracts, in name order.
 	Contracts []*contract.Contract
 	// TableIdx maps table-index keys (Tname and "senid:"-prefixed
 	// SenID values) to the sorted ids of the window's blocks containing

@@ -348,9 +348,11 @@ func TestRecompressionCrashMatrix(t *testing.T) {
 	}
 }
 
-// TestTierRaceReadsVsCompression races block reads, tuple reads and
-// iterators against recompression rewrites and appends; run under
-// -race it checks the generation-tagged swap protocol.
+// TestTierRaceReadsVsCompression races block reads and tuple reads
+// against recompression rewrites and appends; run under -race it checks
+// that CompressSegment's rename, record rewrite and handle drop are one
+// step under the store's write lock, so no reader pairs old offsets
+// with new bytes.
 func TestTierRaceReadsVsCompression(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{SegmentSize: 1024, Mmap: true, MaxOpenSegments: 2})
 	if err != nil {

@@ -199,8 +199,13 @@ func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
 // Coerce converts v to kind k when a lossless or conventional conversion
 // exists (e.g. int literal into a decimal column). It returns an error
-// when the conversion would change meaning.
+// when the conversion would change meaning, and for a decimal NaN: a NaN
+// has no place in the order Compare gives numbers, so it is refused at
+// the door rather than stored. ±Inf order correctly and are kept.
 func Coerce(v Value, k Kind) (Value, error) {
+	if v.Kind == KindDecimal && math.IsNaN(v.F) {
+		return Null, fmt.Errorf("types: a decimal cannot be NaN")
+	}
 	if v.Kind == k || v.Kind == KindNull {
 		return v, nil
 	}
@@ -219,7 +224,7 @@ func Coerce(v Value, k Kind) (Value, error) {
 		return Int(i), nil
 	case v.Kind == KindString && k == KindDecimal:
 		f, err := strconv.ParseFloat(v.S, 64)
-		if err != nil {
+		if err != nil || math.IsNaN(f) {
 			return Null, fmt.Errorf("types: cannot coerce %q to decimal", v.S)
 		}
 		return Dec(f), nil

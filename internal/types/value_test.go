@@ -183,4 +183,15 @@ func TestCoerce(t *testing.T) {
 	if err != nil || v.Kind != KindTimestamp || v.I != 99 {
 		t.Errorf("int→timestamp: %v, %v", v, err)
 	}
+	// A NaN is refused however it arrives; ±Inf are kept.
+	for _, in := range []Value{Dec(math.NaN()), Str("NaN"), Str("-nan")} {
+		if v, err := Coerce(in, KindDecimal); err == nil {
+			t.Errorf("%v→decimal = %v, want refused", in, v)
+		}
+	}
+	for _, in := range []Value{Dec(math.Inf(1)), Str("-Inf")} {
+		if v, err := Coerce(in, KindDecimal); err != nil || !math.IsInf(v.F, 0) {
+			t.Errorf("%v→decimal = %v, %v", in, v, err)
+		}
+	}
 }
