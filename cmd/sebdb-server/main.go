@@ -17,14 +17,14 @@
 // replay only the post-checkpoint suffix.
 //
 // With -follow the node runs as a read replica: an empty node first
-// bootstraps from the leader (replica.Bootstrap: the verified block
-// stream up to the leader's height, then the leader's index definitions,
-// histogram bounds bit for bit), then subscribes to the leader's block
-// stream, re-verifies and applies every pushed block locally, and serves
-// SELECT/TRACE and authenticated queries from its own height-pinned
-// views at bounded staleness (sebdb_replica_lag_blocks on /metrics).
-// Local writes are rejected with core.ErrFollower; point sebdb-cli's
-// -replica routing or writes at the leader instead.
+// catches up with the leader (replica.CatchUp), then subscribes to the
+// leader's block stream, re-verifies and applies every pushed block
+// locally, and serves SELECT/TRACE and authenticated queries from its
+// own height-pinned views at bounded staleness (sebdb_replica_lag_blocks
+// on /metrics). Local writes are rejected with core.ErrFollower; point
+// sebdb-cli's -replica routing or writes at the leader instead. Index
+// definitions ride the chain: -auth on a leader commits one unless the
+// chain holds it, and a follower only takes the leader's.
 //
 // Diagnostics are structured JSON events on stderr (-log-level selects
 // the floor); the flight recorder keeps the last sampled statement
@@ -116,12 +116,12 @@ func main() {
 
 	if *follow != "" {
 		// Follower mode: reject local writes (the leader is the only
-		// write target). An empty node first bootstraps from the leader;
-		// a failed bootstrap leaves what it verified in place, and the
+		// write target). An empty node first catches up with the leader;
+		// a failed catch-up leaves what it verified in place, and the
 		// stream below carries the node on from there.
 		engine.SetFollower(true)
 		if engine.Height() == 0 {
-			if err := replica.Bootstrap(engine, *follow); err != nil {
+			if err := replica.CatchUp(engine, *follow); err != nil {
 				log.Warn("bootstrap failed", "leader", *follow, "err", err)
 			} else {
 				fmt.Printf("sebdb-server: bootstrapped to height %d from %s\n", engine.Height(), *follow)
@@ -137,9 +137,9 @@ func main() {
 		}
 		if err := engine.CreateAuthIndex(spec[:i], spec[i+1:]); err != nil {
 			// A table created later (DDL rides the chain) cannot be
-			// indexed yet; warn and continue so bootstrapping nodes can
-			// start before the schema exists. Re-run with -auth once the
-			// table is on chain.
+			// indexed yet, and a follower's chain may not define the
+			// index yet; warn and continue. Re-run the leader with -auth
+			// once the table is on chain.
 			log.Warn("auth index deferred", "spec", spec, "err", err)
 		}
 	}

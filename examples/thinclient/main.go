@@ -59,8 +59,10 @@ func main() {
 		_, err := e0.CommitBlock(batch, int64(b+1)*1000)
 		must(err)
 	}
-	// Replicate to the other three nodes (what consensus would do) and
-	// build the ALI everywhere.
+	// Define the ALI on the chain, then replicate every block to the
+	// other three nodes (what consensus would do): each builds the ALI
+	// from the record.
+	must(e0.CreateAuthIndex("donate", "amount"))
 	for h := uint64(0); h < e0.Height(); h++ {
 		blk, err := e0.Block(h)
 		must(err)
@@ -70,7 +72,6 @@ func main() {
 	}
 	var qns []node.QueryNode
 	for i, e := range engines {
-		must(e.CreateAuthIndex("donate", "amount"))
 		n := node.New(e)
 		defer n.Close() //sebdb:ignore-err example exit path; errors have nowhere to go
 		qns = append(qns, &node.Local{Node: n, Name: fmt.Sprintf("node%d", i)})

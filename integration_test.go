@@ -189,12 +189,28 @@ func TestIntegrationPBFTPipeline(t *testing.T) {
 
 // TestIntegrationGossipFollowerAndThinClient runs the read side: a
 // fresh node bootstraps a populated chain over real TCP — the verified
-// block stream, then its source's index definitions — and a thin client
-// runs the 2-phase authenticated protocol against it with the sources
-// as auxiliaries, which only agree if the fresh node buckets its ALI
-// exactly as they do.
+// block stream, its source's index definition among the records — and a
+// thin client runs the 2-phase authenticated protocol against it with
+// the sources as auxiliaries, which only agree if the fresh node buckets
+// its ALI exactly as they do.
 func TestIntegrationGossipFollowerAndThinClient(t *testing.T) {
 	engines, committers := buildCluster(t, 4)
+	// The ALI rides the chain like the schema: create it on node 0 and
+	// replicate its record's block to the others, before the consensus
+	// nodes' chains part ways by signer.
+	h := engines[0].Height()
+	if err := engines[0].CreateAuthIndex("donate", "amount"); err != nil {
+		t.Fatal(err)
+	}
+	blk, err := engines[0].Block(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range engines[1:] {
+		if err := e.ApplyBlock(blk); err != nil {
+			t.Fatal(err)
+		}
+	}
 	broker := kafka.New(kafka.Options{BatchSize: 20, BatchTimeout: 5 * time.Millisecond})
 	for _, c := range committers {
 		broker.Subscribe(c)
@@ -207,9 +223,6 @@ func TestIntegrationGossipFollowerAndThinClient(t *testing.T) {
 	// Serve the four consensus nodes over TCP.
 	var addrs []string
 	for _, e := range engines {
-		if err := e.CreateAuthIndex("donate", "amount"); err != nil {
-			t.Fatal(err)
-		}
 		fn := node.New(e)
 		defer fn.Close()
 		addr, err := fn.Serve("127.0.0.1:0")
@@ -226,7 +239,7 @@ func TestIntegrationGossipFollowerAndThinClient(t *testing.T) {
 	}
 	defer fe.Close()
 	fe.SetFollower(true)
-	if err := replica.Bootstrap(fe, addrs[0]); err != nil {
+	if err := replica.CatchUp(fe, addrs[0]); err != nil {
 		t.Fatal(err)
 	}
 	if fe.Height() != engines[0].Height() {

@@ -123,8 +123,8 @@ func recoveryRow(s *Scope, blocks int) ([]float64, error) {
 }
 
 // timeBootstrap times a fresh node's one way in: open an empty engine
-// and replica.Bootstrap it from src — every block through the verified
-// stream, then src's index definitions, backfilled.
+// and replica.CatchUp it from src — every block through the verified
+// stream, the ALI built from src's definition record on the way.
 func timeBootstrap(s *Scope, src *node.FullNode, height uint64) (time.Duration, error) {
 	addr, err := src.Serve("127.0.0.1:0")
 	if err != nil {
@@ -141,7 +141,7 @@ func timeBootstrap(s *Scope, src *node.FullNode, height uint64) (time.Duration, 
 		return 0, err
 	}
 	s.Defer(e.Close)
-	if err := replica.Bootstrap(e, addr); err != nil {
+	if err := replica.CatchUp(e, addr); err != nil {
 		return 0, err
 	}
 	d := time.Since(start)
@@ -149,7 +149,7 @@ func timeBootstrap(s *Scope, src *node.FullNode, height uint64) (time.Duration, 
 		return 0, fmt.Errorf("bootstrapped height %d, want %d", e.Height(), height)
 	}
 	if e.CurrentView().AuthIndex("donate", "amount") == nil {
-		return 0, errors.New("bootstrap did not adopt the source's ALI")
+		return 0, errors.New("bootstrap did not build the source's ALI")
 	}
 	return d, e.Close()
 }

@@ -97,14 +97,6 @@ func replicaPoints(s *Scope) ([]Point, error) {
 	if err := converge(); err != nil {
 		return nil, err
 	}
-	// The layered index is node-local configuration, not chain state
-	// (the trust model forbids installing peer index contents); each
-	// follower creates its own and backfills from its verified chain.
-	for _, re := range repEngs {
-		if err := re.CreateIndex("donate", "amount"); err != nil {
-			return nil, err
-		}
-	}
 
 	commits := s.scaled(60, 8)
 	minReads := s.scaled(50, 5)

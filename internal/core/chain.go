@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
-	"sebdb/internal/auth"
 	"sebdb/internal/cache"
 	"sebdb/internal/index/layered"
 	"sebdb/internal/parallel"
@@ -143,8 +143,8 @@ func (e *Engine) CacheStats() cache.Counters {
 }
 
 // sampleColumn collects up to limit values of table.col from the chain
-// for histogram construction (§IV-B: "created by sampling historical
-// transactions during index creating"). Blocks are read straight from
+// for histogram construction, skipping NaN, which a chain written before
+// tuples were checked may hold and no bound may be. Blocks are read straight from
 // the store, past the query cache, as backfill reads them, and decoded
 // by the worker pool; values are concatenated in height order and
 // trimmed at limit, so the sample matches a sequential scan exactly.
@@ -164,7 +164,7 @@ func (e *Engine) sampleColumn(spec indexSpec, tables map[string]*schema.Table, l
 				if err != nil {
 					return nil, err
 				}
-				if ok && v.Numeric() {
+				if ok && v.Numeric() && !math.IsNaN(v.Float()) {
 					vals = append(vals, v.Float())
 				}
 			}
@@ -186,142 +186,72 @@ func (e *Engine) sampleColumn(spec indexSpec, tables map[string]*schema.Table, l
 	return out, nil
 }
 
-// CreateIndex creates a layered index on table.col, backfilling it over
-// every existing block, and persists its definition. Continuous
-// (numeric) columns get an equal-depth histogram first level; discrete
-// columns a per-value bitmap. It is a no-op if the index already exists.
+// CreateIndex creates a layered index on table.col: continuous
+// (numeric) columns get an equal-depth histogram first level, discrete
+// columns a per-value bitmap. See createIndex.
 func (e *Engine) CreateIndex(table, col string) error {
-	return e.persistIfCreated(e.createLayered(table, col))
+	return e.createIndex(familyLayered, table, col)
 }
 
 // CreateAuthIndex creates an ALI on table.col ("" table addresses the
 // system columns, e.g. CreateAuthIndex("", "tname") for authenticated
-// tracking), backfilled over the existing chain, and persists its
-// definition.
+// tracking). See createIndex.
 func (e *Engine) CreateAuthIndex(table, col string) error {
-	return e.persistIfCreated(e.createAuth(table, col))
+	return e.createIndex(familyAuth, table, col)
 }
 
-// persistIfCreated rewrites indexes.json after a creation registered a
-// new index.
-func (e *Engine) persistIfCreated(created bool, err error) error {
-	if err != nil || !created {
-		return err
-	}
-	return e.saveIndexMeta()
-}
-
-// createLayered is CreateIndex without the persist. The table comes from
-// the current view.
-func (e *Engine) createLayered(table, col string) (bool, error) {
-	v := e.CurrentView()
-	tbl, err := v.Table(table)
-	if err != nil {
-		return false, err
-	}
-	kind, _, err := tbl.ColumnKind(col)
-	if err != nil {
-		return false, err
-	}
-	spec := indexSpec{table: tbl.Name, col: col}
-	return createIndex(e, &e.lidx, spec.key(), e.layeredFeed, func() (*layered.Index, error) {
-		hist, err := e.sampleHistogram(spec, v.defs.tables, kind)
-		return newLayered(col, hist), err
-	})
-}
-
-// createAuth is CreateAuthIndex without the persist, createLayered's
-// twin.
-func (e *Engine) createAuth(table, col string) (bool, error) {
+// createIndex is the one index-creation protocol. The definition rides
+// the chain as an _index record, which every node, this one included,
+// builds into the index when installing its block. A view that holds the
+// index already makes it a no-op on any node; a follower without it gets
+// ErrFollower. Otherwise a continuous column's first level is sampled
+// once (§IV-B: "created by sampling historical transactions during index
+// creating") and the record submitted and flushed in one step.
+func (e *Engine) createIndex(family, table, col string) error {
+	e.createMu.Lock()
+	defer e.createMu.Unlock()
 	v := e.CurrentView()
 	spec := indexSpec{table: table, col: col}
-	// System columns always get a discrete first level, so kind stays
-	// KindString for them.
-	kind := types.KindString
 	if table != "" {
 		tbl, err := v.Table(table)
 		if err != nil {
-			return false, err
-		}
-		k, _, err := tbl.ColumnKind(col)
-		if err != nil {
-			return false, err
+			return err
 		}
 		spec.table = tbl.Name
-		kind = k
-	} else if _, err := types.SystemColumnKind(col); err != nil {
-		return false, fmt.Errorf("core: auth index on %q: %w", col, err)
 	}
-	return createIndex(e, &e.alis, spec.key(), e.aliFeed, func() (*auth.ALI, error) {
-		hist, err := e.sampleHistogram(spec, v.defs.tables, kind)
-		return newALI(col, hist), err
-	})
-}
-
-// sampleHistogram samples an equal-depth first level for a continuous
-// column; nil for a discrete one.
-func (e *Engine) sampleHistogram(spec indexSpec, tables map[string]*schema.Table, kind types.Kind) (*layered.Histogram, error) {
-	if !continuousKind(kind) {
-		return nil, nil
-	}
-	sample, err := e.sampleColumn(spec, tables, 100_000)
+	kind, err := columnKind(v.defs.tables, family, spec)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("core: %s index on %q: %w", family, spec.key(), err)
 	}
-	return layered.NewEqualDepth(sample, e.cfg.HistogramDepth), nil
+	d := &indexDef{Family: family, Key: spec.key(), Continuous: continuousKind(kind)}
+	if _, ok := v.defs.indexes[d.id()]; ok {
+		return nil
+	}
+	if e.follower.Load() {
+		return ErrFollower
+	}
+	if d.Continuous {
+		sample, err := e.sampleColumn(spec, v.defs.tables, 100_000)
+		if err != nil {
+			return err
+		}
+		d = defOf(family, d.Key, layered.NewEqualDepth(sample, e.cfg.HistogramDepth))
+	}
+	enc, err := d.encode()
+	if err != nil {
+		return err
+	}
+	tx := &types.Transaction{Ts: e.nowMicro(), SenID: e.cfg.DefaultSender, Tname: indexTable,
+		Args: []types.Value{types.Str(string(enc))}}
+	e.signFor(tx, tx.SenID)
+	//sebdb:ignore-lockio reason: createMu serialises index creations and nothing else takes it, so only a second creation waits behind this commit
+	return e.flush(e.nowMicro(), tx)
 }
 
 // continuousKind reports whether a column of kind gets a histogram
 // first level.
 func continuousKind(kind types.Kind) bool {
 	return kind == types.KindInt || kind == types.KindDecimal || kind == types.KindTimestamp
-}
-
-// createIndex is the one index-creation protocol, shared by the layered
-// indexes and the ALIs, and by local creation and adopted definitions:
-// build the empty index (sampling or adopting its first level),
-// backfill up to the height read under e.mu, against the tables read
-// with it, without holding e.mu so commits keep flowing, then close the
-// gap under the lock — blocks committed after the first pass are fed
-// before the registration makes the index visible (commits take e.mu
-// too), so no committed block is ever missed — register and republish.
-// It reports whether it registered the index; persisting the definition
-// is the caller's. family is the engine map the index registers in,
-// read and replaced only under e.mu.
-func createIndex[I any](e *Engine, family *map[string]I, key string,
-	feedOf func(key string, idx I) blockFeed, build func() (I, error)) (bool, error) {
-	e.mu.RLock()
-	_, exists := (*family)[key]
-	e.mu.RUnlock()
-	if exists {
-		return false, nil
-	}
-
-	idx, err := build()
-	if err != nil {
-		return false, err
-	}
-	feed := feedOf(key, idx)
-	e.mu.RLock()
-	tables, done := e.defs.tables, uint64(e.store.Count())
-	e.mu.RUnlock()
-	if err := e.backfill(feed, tables, 0, done); err != nil {
-		return false, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, exists := (*family)[key]; exists {
-		return false, nil
-	}
-	if err := e.backfill(feed, e.defs.tables, done, uint64(e.store.Count())); err != nil {
-		return false, err
-	}
-	*family = withEntry(*family, key, idx)
-	e.idxEpoch++
-	// Republish so the registration reaches readers: views snapshot the
-	// index maps, so without a new view the index would stay invisible.
-	e.publishViewLocked()
-	return true, nil
 }
 
 // backfill feeds the blocks of [lo, hi) to an index, decoding and

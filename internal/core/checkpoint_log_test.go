@@ -6,7 +6,6 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -129,7 +128,7 @@ func TestOneWindowPerPipeline(t *testing.T) {
 			}
 		}
 	}
-	seedMore(100, 4*blockTxs) // height 11: the checkpoint at 10 opens a generation with the ALI
+	seedMore(100, 3*blockTxs) // after the record's block, height 11: the checkpoint at 10 opens a generation with the ALI
 	if err := lead.CheckpointErr(); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +207,7 @@ func seedIntervalChain(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seedDonation(t, e, 8, 4) // height 3, before the first boundary
+	seedDonation(t, e, 8, 8) // height 2; the three records take it to the first boundary
 	if err := e.CreateIndex("donate", "amount"); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +217,7 @@ func seedIntervalChain(t *testing.T, dir string) {
 	if err := e.CreateAuthIndex("donate", "donor"); err != nil {
 		t.Fatal(err)
 	}
-	for i := 8; i < 88; i += 4 { // to height 23: frames [0,5) [5,10) [10,15) [15,20)
+	for i := 8; i < 80; i += 4 { // to height 23: frames [0,5) [5,10) [10,15) [15,20)
 		batch := make([]*types.Transaction, 4)
 		for j := range batch {
 			batch[j] = donateTx(t, e, i+j)
@@ -305,21 +304,19 @@ func TestV2CheckpointOpensByFullReplay(t *testing.T) {
 	if res := mustExec(t, e, `SELECT * FROM donate WHERE amount >= 1`); len(res.Rows) != 3 {
 		t.Fatalf("replayed chain answers %d rows, want 3", len(res.Rows))
 	}
-	if e.CurrentView().AuthIndex("donate", "amount") == nil {
-		t.Fatal("the ALI named in indexes.json was not rebuilt")
+	// The fixture's indexes.json names an ALI the chain never defined:
+	// the release that wrote it kept index definitions off the chain.
+	// Open drops it and rewrites the copy with the chain's definitions —
+	// none — so the next full-replay Open reads each block once; the
+	// fixture stays as it was.
+	if e.CurrentView().AuthIndex("donate", "amount") != nil {
+		t.Fatal("the ALI named only in indexes.json was built")
 	}
-	// The fixture's indexes.json names the ALI without a definition. The
-	// open that rebuilt it rewrote the copy with one, so the next
-	// full-replay Open reads each block once; the fixture stays as it was.
-	if m := readDefs(t, filepath.Join("testdata", "v2-datadir")); len(m.Indexes) != 0 || !reflect.DeepEqual(m.Auth, []string{"donate.amount"}) {
-		t.Fatalf("the checked-in fixture changed: %+v", m)
+	if raw, err := os.ReadFile(filepath.Join("testdata", "v2-datadir", indexMetaFile)); err != nil || !strings.Contains(string(raw), `"auth": [`) {
+		t.Fatalf("the checked-in fixture changed: %s (err %v)", raw, err)
 	}
-	m := readDefs(t, dir)
-	if len(m.Layered)+len(m.Auth) != 0 || len(m.Indexes) != 1 {
-		t.Fatalf("indexes.json was not rewritten with definitions: %+v", m)
-	}
-	if d := m.Indexes[0]; d.Family != familyAuth || d.Key != "donate.amount" || !d.Continuous {
-		t.Fatalf("indexes.json defines %+v, want the continuous ALI on donate.amount", d)
+	if m := readDefs(t, dir); len(m) != 0 {
+		t.Fatalf("indexes.json was not rewritten with the chain's definitions: %+v", m)
 	}
 	reads := blockReads()
 	replayed, err := Open(Config{Dir: dir, DisableCheckpointLoad: true})

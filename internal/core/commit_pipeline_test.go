@@ -34,13 +34,14 @@ func donateTx(t testing.TB, e *Engine, i int) *types.Transaction {
 // TestCommitPipelineEquivalence is the pipeline's correctness anchor: a
 // serial engine (Parallelism 1) and a pipelined engine (Parallelism 8)
 // fed the identical transaction stream, and a third engine that receives
-// the serial engine's blocks through ApplyBlock, must produce
+// the serial engine's blocks through ApplyBlock — its indexes built from
+// the serial engine's _index records — must produce
 // byte-identical blocks, identical header hashes, identical answers
 // from every index family including the ALIs' verified results, the
 // same checkpoints on disk, and — both doors sharing one install stage —
 // one observation per block in every commit-stage histogram.
 func TestCommitPipelineEquivalence(t *testing.T) {
-	const nonBlockPublishes = 4 // Open, then one per index creation
+	const nonBlockPublishes = 1 // Open; an index creation publishes with its record's block
 	indexes := func(e *Engine) {
 		if err := e.CreateIndex("donate", "amount"); err != nil {
 			t.Fatal(err)
@@ -56,11 +57,9 @@ func TestCommitPipelineEquivalence(t *testing.T) {
 		return testEngine(t, Config{BlockMaxTxs: 4, Parallelism: par, Clock: clock.Fixed(1),
 			CheckpointInterval: 5, Obs: obs.NewRegistry(clock.Fixed(1))})
 	}
-	var indexedAt uint64
 	build := func(par int) *Engine {
 		e := open(par)
 		seedDonation(t, e, 60, 4)
-		indexedAt = e.Height()
 		indexes(e)
 		// A post-index tail so index maintenance (not only backfill) runs
 		// on both engines.
@@ -78,9 +77,6 @@ func TestCommitPipelineEquivalence(t *testing.T) {
 	serial, piped := build(1), build(8)
 	applied := open(8)
 	for h := uint64(0); h < serial.Height(); h++ {
-		if h == indexedAt {
-			indexes(applied)
-		}
 		b, err := serial.store.Block(h)
 		if err != nil {
 			t.Fatal(err)
@@ -206,8 +202,8 @@ func TestCommitPipelineRaceStress(t *testing.T) {
 	if err := leader.CreateAuthIndex("donate", "donor"); err != nil {
 		t.Fatal(err)
 	}
-	// Bring the follower to the leader's tip, then mirror its indexes so
-	// the apply path maintains them too.
+	// Bring the follower to the leader's tip: the leader's index records
+	// give it the same indexes, which the apply path then maintains too.
 	for h := uint64(0); h < leader.Height(); h++ {
 		b, err := leader.store.Block(h)
 		if err != nil {
@@ -217,11 +213,8 @@ func TestCommitPipelineRaceStress(t *testing.T) {
 			t.Fatalf("apply block %d: %v", h, err)
 		}
 	}
-	if err := follower.CreateIndex("donate", "amount"); err != nil {
-		t.Fatal(err)
-	}
-	if err := follower.CreateAuthIndex("donate", "donor"); err != nil {
-		t.Fatal(err)
+	if v := follower.CurrentView(); v.Layered("donate", "amount") == nil || v.AuthIndex("donate", "donor") == nil {
+		t.Fatal("the follower did not build the leader's indexes")
 	}
 
 	const rounds = 40

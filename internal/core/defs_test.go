@@ -19,7 +19,7 @@ import (
 )
 
 func emptyDefs() chainDefs {
-	return chainDefs{tables: map[string]*schema.Table{}, contracts: map[string]*contract.Contract{}}
+	return chainDefs{tables: map[string]*schema.Table{}, contracts: map[string]*contract.Contract{}, indexes: map[string]*indexDef{}}
 }
 
 func testTable(t *testing.T, name string, cols ...schema.Column) *schema.Table {
@@ -326,10 +326,44 @@ func TestRestoreRefusesConflictingDefinitions(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesIndexesOffTheChain: a checkpoint frame must hold
+// exactly the user indexes the chain's _index records define. One with
+// an index the chain does not define — as a build that kept definitions
+// off the chain wrote them — or without one the chain defines is refused
+// before anything is restored; the frame as written restores.
+func TestRestoreRefusesIndexesOffTheChain(t *testing.T) {
+	e := testEngine(t, Config{BlockMaxTxs: 4})
+	seedDonation(t, e, 16, 4)
+	if err := e.CreateAuthIndex("donate", "amount"); err != nil {
+		t.Fatal(err)
+	}
+	c, err := e.BuildCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	offChain := c.ALIs[0]
+	offChain.Key = ".senid"
+	for name, alis := range map[string][]snapshot.IndexState{
+		"an index the chain does not define": {c.ALIs[0], offChain},
+		"no index for the chain's record":    nil,
+	} {
+		bad := *c
+		bad.ALIs = alis
+		if err := newEngine(e.cfg, e.store, e.snapDir).restoreCheckpoint(&bad); err == nil {
+			t.Errorf("restored a frame with %s", name)
+		}
+	}
+	if err := newEngine(e.cfg, e.store, e.snapDir).restoreCheckpoint(c); err != nil {
+		t.Errorf("the frame as written: %v", err)
+	}
+}
+
 // TestDefinitionsRace defines tables and contracts while other
 // goroutines insert and invoke through the view, create indexes and
 // build checkpoints. Under -race it checks that the definition maps are
-// written only under e.mu and read elsewhere only through views.
+// written only under e.mu and read elsewhere only through views. Two of
+// the goroutines create the same index at once: the chain must get one
+// record, and neither creation may fail a block.
 func TestDefinitionsRace(t *testing.T) {
 	e := testEngine(t, Config{BlockMaxTxs: 4, Parallelism: 4})
 	seedDonation(t, e, 8, 4)
@@ -360,6 +394,12 @@ func TestDefinitionsRace(t *testing.T) {
 			_, err := e.BuildCheckpoint()
 			return err
 		},
+		func(i int) error {
+			if i == rounds/2 {
+				return e.CreateIndex("donate", "amount")
+			}
+			return nil
+		},
 	}
 	var wg sync.WaitGroup
 	for _, step := range steps {
@@ -379,6 +419,21 @@ func TestDefinitionsRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := e.CurrentView()
+	records := 0
+	for h := uint64(0); h < v.Height(); h++ {
+		b, err := e.Block(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tx := range b.Txs {
+			if tx.Tname == indexTable {
+				records++
+			}
+		}
+	}
+	if records != 1 || v.Layered("donate", "amount") == nil {
+		t.Errorf("the chain holds %d index records", records)
+	}
 	for i := 0; i < rounds; i++ {
 		if !v.HasTable(fmt.Sprintf("t%d", i)) {
 			t.Errorf("table t%d missing", i)

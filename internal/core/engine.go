@@ -9,6 +9,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"crypto/ed25519"
 	"errors"
@@ -222,9 +223,9 @@ type Engine struct {
 	ckptSem   chan struct{}
 	ckptEpoch uint64
 
-	// metaSem is a one-slot semaphore held across each indexes.json
-	// rewrite, from reading the index maps to the rename.
-	metaSem chan struct{}
+	// createMu serialises index creations, so a second creation of one
+	// index finds the first's instead of proposing a conflicting record.
+	createMu sync.Mutex
 
 	mempool []*types.Transaction
 	acl     *accessctl.Controller
@@ -283,10 +284,10 @@ type Engine struct {
 // time went.
 func Open(cfg Config) (*Engine, error) {
 	cfg.fill()
-	if cfg.HistogramDepth-1 > maxPeerBounds {
-		// Every definition is held to maxPeerBounds, this node's own
-		// indexes.json included (checkIndexDefs).
-		return nil, fmt.Errorf("core: HistogramDepth %d is above %d", cfg.HistogramDepth, maxPeerBounds+1)
+	if cfg.HistogramDepth-1 > maxIndexBounds {
+		// Every index definition is held to maxIndexBounds (check), so a
+		// deeper histogram could only propose records every node refuses.
+		return nil, fmt.Errorf("core: HistogramDepth %d is above %d", cfg.HistogramDepth, maxIndexBounds+1)
 	}
 	tctx, root := obs.NewTrace(context.Background(), cfg.Obs, "recovery")
 	e, err := openTraced(tctx, cfg)
@@ -382,40 +383,35 @@ func openTraced(ctx context.Context, cfg Config) (*Engine, error) {
 	// checkpoint seeded state): definitions, indexes and counters. Blocks are
 	// decoded ahead by the worker pool; indexing itself stays on this
 	// goroutine in height order (Tids, bitmaps and layered appends all
-	// assume blocks arrive in order). The persisted user index
-	// definitions are registered first, so the replay feeds them with
-	// every other index: each block is decoded once.
+	// assume blocks arrive in order). The cached index definitions are
+	// registered first, so the replay feeds them with every other index
+	// and each block is decoded once; the chain's records decide which of
+	// them stay (replayBlock, dropPending).
 	_, repSpan := obs.StartSpan(ctx, "recovery.replay")
 	defer repSpan.Finish()
-	meta, err := e.readIndexMeta()
+	cached, cacheRaw := e.readIndexCache()
+	pending, err := e.preRegister(cached, base)
 	if err != nil {
-		return nil, err
-	}
-	if err := e.registerDefs(meta.Indexes, base); err != nil {
 		return nil, err
 	}
 	n := uint64(st.Count())
 	err = parallel.Ordered(e.Parallelism(), int(n-base),
 		func(i int) (*types.Block, error) { return st.Block(base + uint64(i)) },
-		func(_ int, b *types.Block) error { return e.indexBlock(b) })
+		func(_ int, b *types.Block) error { return e.replayBlock(b, pending) })
 	if err != nil {
 		return nil, err
 	}
+	e.dropPending(pending, nil)
 	cfg.Obs.Counter("sebdb_snapshot_suffix_blocks").Add(n - base)
 	repSpan.AddCounter("suffix_blocks", int64(n-base))
 	// Publish the recovered state as the first real view: replay does not
 	// publish per block (nobody can read mid-recovery), so this is where
-	// readers first see the chain. The persisted definitions are then held
-	// to it as a peer's would be, and a names-only file's indexes are
-	// created over it.
+	// readers first see the chain.
 	e.mu.Lock()
 	e.publishViewLocked()
 	e.mu.Unlock()
-	if err := e.CurrentView().checkIndexDefs(meta.Indexes); err != nil {
-		return nil, fmt.Errorf("core: index meta: %w", err)
-	}
-	if err := e.createLegacy(meta); err != nil {
-		return nil, err
+	if raw, err := renderIndexCache(e.defs); err == nil && !bytes.Equal(raw, cacheRaw) && (len(e.defs.indexes) > 0 || cacheRaw != nil) {
+		e.saveIndexCache()
 	}
 	return e, nil
 }
@@ -427,7 +423,8 @@ func newEngine(cfg Config, st *storage.Store, snapDir *snapshot.Dir) *Engine {
 		store:    st,
 		offDB:    rdbms.New(),
 		tableIdx: bitmap.NewTableIndex(),
-		defs:     chainDefs{tables: map[string]*schema.Table{}, contracts: map[string]*contract.Contract{}},
+		defs: chainDefs{tables: map[string]*schema.Table{}, contracts: map[string]*contract.Contract{},
+			indexes: map[string]*indexDef{}},
 		// The global track-trace indexes on the system columns are always
 		// present (§V-A: "the layered indices on column SenID and Tname
 		// are pre-created ... on all tables for all historical
@@ -443,7 +440,6 @@ func newEngine(cfg Config, st *storage.Store, snapDir *snapshot.Dir) *Engine {
 		log:        cfg.Log.With("core"),
 		snapDir:    snapDir,
 		ckptSem:    make(chan struct{}, 1),
-		metaSem:    make(chan struct{}, 1),
 		mPrepare:   cfg.Obs.Histogram(`sebdb_stage_micros{stage="commit.prepare"}`),
 		mAppend:    cfg.Obs.Histogram(`sebdb_stage_micros{stage="commit.append"}`),
 		mIndex:     cfg.Obs.Histogram(`sebdb_stage_micros{stage="commit.index"}`),
@@ -660,12 +656,16 @@ func (e *Engine) Flush() error { return e.FlushAt(e.nowMicro()) }
 // with the given timestamp (clamped to stay monotonic). Deterministic
 // loaders — the benchmark's data generator — use it to control the
 // chain's time axis.
-func (e *Engine) FlushAt(ts int64) error {
+func (e *Engine) FlushAt(ts int64) error { return e.flush(ts) }
+
+// flush is FlushAt with txs submitted as the mempool is taken, so no
+// other flush carries them off: on return they are committed or failed.
+func (e *Engine) flush(ts int64, txs ...*types.Transaction) error {
 	if e.follower.Load() {
 		return ErrFollower
 	}
 	e.mu.Lock()
-	pending := e.mempool
+	pending := append(e.mempool, txs...)
 	e.mempool = nil
 	e.mu.Unlock()
 	if len(pending) == 0 {
@@ -776,23 +776,24 @@ func (e *Engine) applyOne(b *types.Block) error {
 // prepare/validate stage began.
 //
 // The block is admitted before the append: a block whose tids do not
-// continue the chain's, whose _schema or _contract transaction fails to
-// decode or conflicts with an existing definition, or whose tuple does
-// not fit its table, is refused whole while the segment store, the
-// indexes and the published view are still untouched; a block appended
-// first and refused while indexing would stay on disk and fail every
-// later Open's replay.
+// continue the chain's, whose _schema, _contract or _index transaction
+// fails to decode or check or conflicts with an existing definition, or
+// whose tuple does not fit its table, is refused whole while the segment
+// store, the indexes and the published view are still untouched; a
+// block appended first and refused while indexing would stay on disk
+// and fail every later Open's replay. An index the block defines is
+// built first (admit), and a new one rewrites indexes.json.
 func (e *Engine) install(b *types.Block, start int64, event string) error {
 	prepared := e.cfg.Obs.Now()
 	e.mPrepare.Observe(prepared - start)
 
 	e.mu.Lock()
-	defs, err := e.admit(b)
+	defs, built, err := e.admit(b, nil)
 	if err == nil {
 		// Indexes read tuples by column position: a block carrying a
 		// short or mistyped tuple would append and then fail to index,
 		// and a NaN has no place in any index's order. Replay
-		// (indexBlock) skips this, so chains already on disk open as
+		// (replayBlock) skips this, so chains already on disk open as
 		// before.
 		err = schema.CheckTuples(defs.tables, b.Txs)
 	}
@@ -806,12 +807,15 @@ func (e *Engine) install(b *types.Block, start int64, event string) error {
 		return err
 	}
 	appended := e.cfg.Obs.Now()
-	if err := e.indexBlockLocked(b, defs); err != nil {
+	if err := e.indexBlockLocked(b, defs, built); err != nil {
 		e.mu.Unlock()
 		return err
 	}
 	e.publishViewLocked()
 	e.mu.Unlock()
+	if len(built) > 0 {
+		e.saveIndexCache()
+	}
 	e.mAppend.Observe(appended - prepared)
 	e.mIndex.Observe(e.cfg.Obs.Now() - appended)
 	e.log.Debug(event, "height", b.Header.Height, "txs", len(b.Txs),
@@ -849,15 +853,21 @@ func (e *Engine) prepareBlock(txs []*types.Transaction, ts int64) *types.Block {
 	return b
 }
 
-// indexBlock locks and indexes (used during replay).
-func (e *Engine) indexBlock(b *types.Block) error {
+// replayBlock indexes one block of Open's replay. pending are the
+// cached indexes no record has settled yet (unbuilt); one whose table
+// the block defines is checked before any of the table's tuples reach
+// it.
+func (e *Engine) replayBlock(b *types.Block, pending map[string]*indexDef) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	defs, err := e.admit(b)
+	defs, built, err := e.admit(b, pending)
 	if err != nil {
 		return err
 	}
-	return e.indexBlockLocked(b, defs)
+	if len(defs.tables) != len(e.defs.tables) {
+		e.dropPending(pending, defs.tables)
+	}
+	return e.indexBlockLocked(b, defs, built)
 }
 
 // admit checks b against the engine's state without changing it, and
@@ -865,23 +875,43 @@ func (e *Engine) indexBlock(b *types.Block) error {
 // non-empty block's first tid must continue the commit cursor —
 // Validate has made its tids consecutive — so the store's tid cursors
 // rise with height and the block-level index can bisect them. Its
-// _schema and _contract transactions are resolved against the engine's
+// reserved-table transactions are resolved against the engine's
 // definitions and each other. Callers hold e.mu exclusively — every
 // definition is installed under it — so what resolves here is still
 // current when indexBlockLocked installs it.
-func (e *Engine) admit(b *types.Block) (chainDefs, error) {
+// For each index definition b adds that no registered index serves
+// (unbuilt) admit builds the index, fed the blocks below b with e.mu
+// released: readers never wait on a backfill, and commitMu, or owning
+// the engine during Open, keeps any block from landing in between.
+func (e *Engine) admit(b *types.Block, pending map[string]*indexDef) (chainDefs, []func(), error) {
 	if b.Header.TxCount > 0 && b.Header.FirstTid != e.lastTid+1 {
-		return chainDefs{}, fmt.Errorf("core: block %d starts at tid %d, the chain continues at %d",
+		return chainDefs{}, nil, fmt.Errorf("core: block %d starts at tid %d, the chain continues at %d",
 			b.Header.Height, b.Header.FirstTid, e.lastTid+1)
 	}
-	return e.defs.resolve(b.Txs)
+	defs, err := e.defs.resolve(b.Txs)
+	if err != nil {
+		return defs, nil, err
+	}
+	fresh := e.unbuilt(defs, pending)
+	if len(fresh) == 0 {
+		return defs, nil, nil
+	}
+	e.mu.Unlock()
+	built, err := e.buildIndexes(fresh, defs.tables, b.Header.Height)
+	e.mu.Lock()
+	if err == nil {
+		// submitDDL may have registered a table or contract meanwhile.
+		defs, err = e.defs.resolve(b.Txs)
+	}
+	return defs, built, err
 }
 
 // indexBlockLocked installs a newly appended block's resolved
-// definitions and updates counters and all indexes. Callers hold e.mu.
-func (e *Engine) indexBlockLocked(b *types.Block, defs chainDefs) error {
+// definitions and the indexes built for them, and updates counters and
+// all indexes. Callers hold e.mu.
+func (e *Engine) indexBlockLocked(b *types.Block, defs chainDefs, built []func()) error {
 	bid := b.Header.Height
-	e.installDefs(defs)
+	e.installDefs(defs, built)
 	for _, tx := range b.Txs {
 		if tx.Tid > e.lastTid {
 			e.lastTid = tx.Tid
@@ -1063,7 +1093,7 @@ func withEntry[V any](m map[string]V, key string, v V) map[string]V {
 }
 
 // withoutEntry returns a copy of m without key: withEntry's inverse,
-// for submitDDL's rollback.
+// for submitDDL's rollback and Open's dropped cache entries.
 func withoutEntry[V any](m map[string]V, key string) map[string]V {
 	out := maps.Clone(m)
 	delete(out, key)

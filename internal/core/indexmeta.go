@@ -1,93 +1,103 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
-	"strconv"
+	"slices"
 
 	"sebdb/internal/auth"
 	"sebdb/internal/faultfs"
 	"sebdb/internal/index/layered"
 	"sebdb/internal/mbtree"
+	"sebdb/internal/schema"
 	"sebdb/internal/types"
 )
 
-// Index definitions are node-local configuration, not chain state, but
-// an operator expects them to survive restarts. The engine records every
-// user index in a small JSON file in the data directory as a full
-// definition — family, key, and for a continuous index the histogram
-// §IV-B fixes when the index is created — and Open registers each one
-// before replaying the chain, so one pass over the blocks feeds every
-// index. The indexes' contents are derived state, rebuilt from the
-// chain; their histograms are not, and come only from this file, a
-// checkpoint, or — on a bootstrapping node — the source's definitions
-// (ParseIndexDefs, AdoptIndexDefs).
+// Index definitions are chain state: an _index record holds a user
+// index's family, key, and for a continuous index the histogram §IV-B
+// fixes at creation, and every node builds the index in the install
+// stage of the block that carries the record, so all bucket alike.
+// indexes.json caches the definitions so that a full-replay Open feeds
+// every index in its one pass; the chain decides what stays.
+
+// indexTable is the reserved transaction type that carries index
+// definitions on chain.
+const indexTable = "_index"
 
 const indexMetaFile = "indexes.json"
 
-// Index families as indexes.json names them.
+// Index families as definitions name them.
 const (
 	familyLayered = "layered"
 	familyAuth    = "auth"
 )
 
-type indexMeta struct {
-	// Indexes lists every user index's definition: the layered indexes,
-	// then the ALIs, each in key order.
-	Indexes []indexDef `json:"indexes"`
-	// Layered and Auth are the names-only form of a file written before
-	// definitions carried their histogram: "table.col" keys ("" table = a
-	// system column). Open creates those indexes after the replay, as
-	// CreateIndex would, and rewrites the file with their definitions.
-	Layered []string `json:"layered,omitempty"`
-	Auth    []string `json:"auth,omitempty"`
-}
-
-// indexDef is one user index's persisted definition.
+// indexDef is one user index's definition. Its encoding (encode) is the
+// payload of its _index record and its entry in indexes.json alike.
 type indexDef struct {
 	Family     string `json:"family"`
 	Key        string `json:"key"`
 	Continuous bool   `json:"continuous"`
 	// Bounds are a continuous index's inner histogram boundaries,
-	// ascending, each as its IEEE-754 bit pattern.
-	Bounds []floatBits `json:"bounds,omitempty"`
+	// ascending, each as its IEEE-754 bit pattern: a JSON number cannot
+	// carry NaN or ±Inf, and a decimal rendering need not keep −0, while
+	// every node must bucket values exactly as the proposer did.
+	Bounds []uint64 `json:"bounds,omitempty"`
 }
 
-// floatBits persists a float64 as the 16 hex digits of its bit pattern:
-// encoding/json refuses NaN and ±Inf, and a decimal rendering need not
-// keep −0 or a NaN payload, while every route that rebuilds an index
-// must bucket values exactly as its creator did.
-type floatBits uint64
-
-func (b floatBits) MarshalJSON() ([]byte, error) {
-	return []byte(fmt.Sprintf(`"%016x"`, uint64(b))), nil
-}
-
-func (b *floatBits) UnmarshalJSON(raw []byte) error {
-	var s string
-	if err := json.Unmarshal(raw, &s); err != nil {
-		return err
-	}
-	v, err := strconv.ParseUint(s, 16, 64)
-	if err != nil || len(s) != 16 {
-		return fmt.Errorf("histogram bound %q is not 16 hex digits", s)
-	}
-	*b = floatBits(v)
-	return nil
-}
-
-func defOf(family, key string, hist *layered.Histogram) indexDef {
-	d := indexDef{Family: family, Key: key, Continuous: hist != nil}
+func defOf(family, key string, hist *layered.Histogram) *indexDef {
+	d := &indexDef{Family: family, Key: key, Continuous: hist != nil}
 	if hist != nil {
 		for _, f := range hist.Bounds() {
-			d.Bounds = append(d.Bounds, floatBits(math.Float64bits(f)))
+			d.Bounds = append(d.Bounds, math.Float64bits(f))
 		}
 	}
 	return d
+}
+
+// id names the definition: a layered index and an ALI may share a key.
+func (d *indexDef) id() string { return d.Family + ":" + d.Key }
+
+// Equal reports whether d and o define the same index, bit for bit.
+func (d *indexDef) Equal(o *indexDef) bool {
+	return d.Family == o.Family && d.Key == o.Key && d.Continuous == o.Continuous && slices.Equal(d.Bounds, o.Bounds)
+}
+
+// encode renders the definition's one byte form.
+func (d *indexDef) encode() ([]byte, error) { return json.Marshal(d) }
+
+// parseIndexDef decodes a definition from its encoding, which must be
+// canonical — exactly the bytes encode renders — so one definition has
+// one byte form on every node.
+func parseIndexDef(raw []byte) (*indexDef, error) {
+	var d indexDef
+	if err := json.Unmarshal(raw, &d); err != nil {
+		return nil, fmt.Errorf("index definition: %w", err)
+	}
+	if enc, err := d.encode(); err != nil || !bytes.Equal(enc, raw) {
+		return nil, errors.New("index definition: not in canonical form")
+	}
+	return &d, nil
+}
+
+// decodeIndexRecord decodes an _index transaction's payload — one
+// string, the definition's encoding — and checks the definition against
+// tables.
+func decodeIndexRecord(args []types.Value, tables map[string]*schema.Table) (*indexDef, error) {
+	if len(args) != 1 || args[0].Kind != types.KindString {
+		return nil, fmt.Errorf("index: malformed record payload of %d values", len(args))
+	}
+	d, err := parseIndexDef([]byte(args[0].S))
+	if err == nil {
+		if err = d.check(tables); err != nil {
+			err = fmt.Errorf("index: %s index %q: %w", d.Family, d.Key, err)
+		}
+	}
+	return d, err
 }
 
 // histogram rebuilds a continuous definition's first level; nil for a
@@ -98,250 +108,213 @@ func (d *indexDef) histogram() *layered.Histogram {
 	}
 	bounds := make([]float64, len(d.Bounds))
 	for i, b := range d.Bounds {
-		bounds[i] = math.Float64frombits(uint64(b))
+		bounds[i] = math.Float64frombits(b)
 	}
 	return layered.FromBounds(bounds)
 }
 
-func (e *Engine) indexMetaPath() string {
-	return filepath.Join(e.cfg.Dir, indexMetaFile)
-}
-
-// readIndexMeta reads the persisted index definitions; a missing file
-// means none.
-func (e *Engine) readIndexMeta() (*indexMeta, error) {
-	var m indexMeta
-	raw, err := e.cfg.FS.ReadFile(e.indexMetaPath())
-	if errors.Is(err, os.ErrNotExist) {
-		return &m, nil
-	}
-	if err == nil {
-		err = json.Unmarshal(raw, &m)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: index meta: %w", err)
-	}
-	return &m, nil
-}
-
-// registerDefs installs, before the replay, every definition the
-// restored state lacks — all of them after a full-replay start — and
-// feeds each the blocks [0, base) the checkpoint already covered (none
-// on a full replay). The replay then feeds them the rest along with
-// every other index. It runs during Open, before the engine is shared.
-func (e *Engine) registerDefs(defs []indexDef, base uint64) error {
-	for i := range defs {
-		d := &defs[i]
-		hist := d.histogram()
-		var feed blockFeed
-		switch d.Family {
-		case familyLayered:
-			if _, ok := e.lidx[d.Key]; ok {
-				continue
-			}
-			idx := newLayered(splitKey(d.Key).col, hist)
-			e.lidx, feed = withEntry(e.lidx, d.Key, idx), e.layeredFeed(d.Key, idx)
-		case familyAuth:
-			if _, ok := e.alis[d.Key]; ok {
-				continue
-			}
-			ali := newALI(splitKey(d.Key).col, hist)
-			e.alis, feed = withEntry(e.alis, d.Key, ali), e.aliFeed(d.Key, ali)
-		default:
-			return fmt.Errorf("core: index meta: %q has unknown family %q", d.Key, d.Family)
-		}
-		e.idxEpoch++
-		if err := e.backfill(feed, e.defs.tables, 0, base); err != nil {
-			return fmt.Errorf("core: backfilling %s index %q: %w", d.Family, d.Key, err)
-		}
-	}
-	return nil
-}
-
-// createLegacy creates the indexes a names-only file lists, sampling and
-// backfilling each as CreateIndex does, then rewrites the file with
-// their definitions, so the next Open is one pass.
-func (e *Engine) createLegacy(m *indexMeta) error {
-	if len(m.Layered) == 0 && len(m.Auth) == 0 {
-		return nil
-	}
-	for _, key := range m.Layered {
-		spec := splitKey(key)
-		if _, err := e.createLayered(spec.table, spec.col); err != nil {
-			return fmt.Errorf("core: replaying layered index %q: %w", key, err)
-		}
-	}
-	for _, key := range m.Auth {
-		spec := splitKey(key)
-		if _, err := e.createAuth(spec.table, spec.col); err != nil {
-			return fmt.Errorf("core: replaying auth index %q: %w", key, err)
-		}
-	}
-	return e.saveIndexMeta()
-}
-
-// saveIndexMeta writes every user index's definition through the
-// engine's filesystem: a tmp file, written and fsynced, renamed over the
-// old one, so a crash leaves the old definitions or the new ones, never
-// a torn file. Callers hold no lock; metaSem orders concurrent saves, so
-// the last rename carries the newest set.
-func (e *Engine) saveIndexMeta() error {
-	e.metaSem <- struct{}{}
-	defer func() { <-e.metaSem }()
-	raw, err := e.IndexDefs()
-	if err != nil {
-		return err
-	}
-	if err := faultfs.WriteAtomic(e.cfg.FS, e.indexMetaPath(), raw); err != nil {
-		return fmt.Errorf("core: index meta: %w", err)
-	}
-	return nil
-}
-
-// IndexDefs renders every user index's definition as indexes.json
-// holds it — the bytes a node serves to a peer that bootstraps from it.
-func (e *Engine) IndexDefs() ([]byte, error) {
-	m := indexMeta{Indexes: []indexDef{}}
-	e.mu.RLock()
-	for _, key := range sortedKeys(e.lidx) {
-		if key == ".senid" || key == ".tname" {
-			continue // the global system indexes always exist
-		}
-		m.Indexes = append(m.Indexes, defOf(familyLayered, key, e.lidx[key].Histogram()))
-	}
-	for _, key := range sortedKeys(e.alis) {
-		m.Indexes = append(m.Indexes, defOf(familyAuth, key, e.alis[key].Histogram()))
-	}
-	e.mu.RUnlock()
-	raw, err := json.MarshalIndent(&m, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(raw, '\n'), nil
-}
-
-// maxPeerBounds caps the histogram bounds one adopted definition may
-// carry. Bounds become this node's first level: every block keeps a
-// bitmap over the buckets and every range probe builds one, so their
-// count multiplies into per-block memory and per-query work, and a peer
+// maxIndexBounds caps the histogram bounds one definition may carry.
+// Bounds become every node's first level: every block keeps a bitmap
+// over the buckets and every range probe builds one, so their count
+// multiplies into per-block memory and per-query work, and a proposer
 // must not choose it freely. An equal-depth histogram has at most
 // Config.HistogramDepth-1 bounds (99 by default); 4,096 leaves room for
 // any depth an operator plausibly sets, and Open refuses a deeper one.
-const maxPeerBounds = 4096
+const maxIndexBounds = 4096
 
-// PeerIndexDefs are index definitions from another node that passed
-// ParseIndexDefs against this node's tables; AdoptIndexDefs registers
-// them.
-type PeerIndexDefs struct{ defs []indexDef }
+// errNoTable is check's verdict on a definition whose table tables lack.
+var errNoTable = errors.New("no such table")
 
-// ParseIndexDefs is the validating parse of a peer's index definitions
-// (the bytes IndexDefs renders): malformed JSON, a names-only file and
-// whatever checkIndexDefs refuses are refused. It changes nothing.
-func (e *Engine) ParseIndexDefs(raw []byte) (PeerIndexDefs, error) {
-	var m indexMeta
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return PeerIndexDefs{}, fmt.Errorf("core: peer index definitions: %w", err)
-	}
-	if len(m.Layered) != 0 || len(m.Auth) != 0 {
-		return PeerIndexDefs{}, errors.New("core: peer index definitions carry no histograms")
-	}
-	if err := e.CurrentView().checkIndexDefs(m.Indexes); err != nil {
-		return PeerIndexDefs{}, fmt.Errorf("core: peer %w", err)
-	}
-	return PeerIndexDefs{defs: m.Indexes}, nil
-}
-
-// checkIndexDefs is the one check for index definitions, a peer's
-// (ParseIndexDefs) and indexes.json's (Open, after the replay) alike. It
-// holds them to the view's tables, and refuses an unknown family, a key
-// whose table or column the view lacks, a continuous flag the column's
-// kind does not allow, bounds that are not strictly ascending (a NaN can
-// only be a sole bound, as in layered.NewEqualDepth), more than
-// maxPeerBounds bounds, and a key listed twice in one family.
-func (v *View) checkIndexDefs(defs []indexDef) error {
-	seen := make(map[[2]string]bool, len(defs))
-	for i := range defs {
-		d := &defs[i]
-		if err := v.checkIndexDef(d); err != nil {
-			return fmt.Errorf("%s index %q: %w", d.Family, d.Key, err)
-		}
-		if seen[[2]string{d.Family, d.Key}] {
-			return fmt.Errorf("%s index %q listed twice", d.Family, d.Key)
-		}
-		seen[[2]string{d.Family, d.Key}] = true
-	}
-	return nil
-}
-
-// checkIndexDef holds one definition to the view's tables.
-func (v *View) checkIndexDef(d *indexDef) error {
+// check is the one check for an index definition, held to the tables
+// defined where it stands on the chain: it refuses an unknown family, a
+// discrete index with bounds, more than maxIndexBounds bounds, a NaN or
+// a bound not above the one before, a key whose table (errNoTable) or
+// column tables lack, and a continuous flag the column's kind forbids.
+func (d *indexDef) check(tables map[string]*schema.Table) error {
 	if d.Family != familyLayered && d.Family != familyAuth {
 		return errors.New("unknown family")
-	}
-	spec := splitKey(d.Key)
-	var kind types.Kind
-	switch {
-	case spec.table == "" && d.Family == familyAuth:
-		// A system-column ALI is always discrete (createAuth).
-		if _, err := types.SystemColumnKind(spec.col); err != nil {
-			return err
-		}
-		kind = types.KindString
-	default:
-		tbl, err := v.Table(spec.table)
-		if err != nil {
-			return err
-		}
-		if tbl.Name != spec.table {
-			return fmt.Errorf("table is named %q here", tbl.Name)
-		}
-		if kind, _, err = tbl.ColumnKind(spec.col); err != nil {
-			return err
-		}
-	}
-	if d.Continuous != continuousKind(kind) {
-		return fmt.Errorf("continuous=%v does not fit a %v column", d.Continuous, kind)
 	}
 	if !d.Continuous && len(d.Bounds) != 0 {
 		return errors.New("a discrete index carries histogram bounds")
 	}
-	if len(d.Bounds) > maxPeerBounds {
-		return fmt.Errorf("%d histogram bounds, at most %d", len(d.Bounds), maxPeerBounds)
+	if len(d.Bounds) > maxIndexBounds {
+		return fmt.Errorf("%d histogram bounds, at most %d", len(d.Bounds), maxIndexBounds)
 	}
-	for i := 1; i < len(d.Bounds); i++ {
-		if !(math.Float64frombits(uint64(d.Bounds[i])) > math.Float64frombits(uint64(d.Bounds[i-1]))) {
+	for i, b := range d.Bounds {
+		f := math.Float64frombits(b)
+		if math.IsNaN(f) {
+			return fmt.Errorf("histogram bound %d is NaN", i)
+		}
+		if i > 0 && !(f > math.Float64frombits(d.Bounds[i-1])) {
 			return fmt.Errorf("histogram bound %d does not exceed bound %d", i, i-1)
 		}
+	}
+	kind, err := columnKind(tables, d.Family, splitKey(d.Key))
+	if err == nil && d.Continuous != continuousKind(kind) {
+		err = fmt.Errorf("continuous=%v does not fit a %v column", d.Continuous, kind)
+	}
+	return err
+}
+
+// columnKind returns the kind of the column an index of family on spec
+// reads from tables.
+func columnKind(tables map[string]*schema.Table, family string, spec indexSpec) (types.Kind, error) {
+	if spec.table == "" {
+		// The system-column layered indexes are built in; a system-column
+		// ALI is always discrete.
+		if family == familyLayered {
+			return 0, errors.New("a layered index needs a table")
+		}
+		_, err := types.SystemColumnKind(spec.col)
+		return types.KindString, err
+	}
+	tbl, ok := tables[spec.table]
+	if !ok {
+		return 0, errNoTable
+	}
+	kind, _, err := tbl.ColumnKind(spec.col)
+	return kind, err
+}
+
+// buildIndexes builds an index for each definition, fed the blocks
+// [0, h), and returns for each the step that registers it under its key
+// (installDefs); tables are the tables defined at h.
+func (e *Engine) buildIndexes(defs []*indexDef, tables map[string]*schema.Table, h uint64) ([]func(), error) {
+	regs := make([]func(), len(defs))
+	for i, d := range defs {
+		var feed blockFeed
+		col, hist := splitKey(d.Key).col, d.histogram()
+		if d.Family == familyLayered {
+			idx := newLayered(col, hist)
+			feed, regs[i] = e.layeredFeed(d.Key, idx), func() { e.lidx = withEntry(e.lidx, d.Key, idx) }
+		} else {
+			ali := newALI(col, hist)
+			feed, regs[i] = e.aliFeed(d.Key, ali), func() { e.alis = withEntry(e.alis, d.Key, ali) }
+		}
+		if err := e.backfill(feed, tables, 0, h); err != nil {
+			return nil, err
+		}
+	}
+	return regs, nil
+}
+
+// unbuilt returns the index definitions d adds to the engine's that no
+// registered index serves — all but those pending from the cache with
+// an equal definition — and settles every pending index d defines.
+// Callers hold e.mu, or own the engine during Open.
+func (e *Engine) unbuilt(d chainDefs, pending map[string]*indexDef) []*indexDef {
+	if len(d.indexes) == len(e.defs.indexes) {
+		return nil // definitions only ever add
+	}
+	var out []*indexDef
+	for _, id := range sortedKeys(d.indexes) {
+		if _, ok := e.defs.indexes[id]; ok {
+			continue
+		}
+		if p, ok := pending[id]; !ok || !p.Equal(d.indexes[id]) {
+			out = append(out, d.indexes[id])
+		}
+		delete(pending, id)
+	}
+	return out
+}
+
+// indexCache is indexes.json: the chain's index definitions, in id
+// order, each rendered as its record carries it.
+type indexCache struct {
+	Indexes []*indexDef `json:"indexes"`
+}
+
+// readIndexCache returns the definitions indexes.json lists, none for a
+// missing or torn file, and the file's bytes.
+func (e *Engine) readIndexCache() ([]*indexDef, []byte) {
+	raw, err := e.cfg.FS.ReadFile(filepath.Join(e.cfg.Dir, indexMetaFile))
+	var c indexCache
+	if err != nil || json.Unmarshal(raw, &c) != nil {
+		return nil, raw
+	}
+	return c.Indexes, raw
+}
+
+func renderIndexCache(d chainDefs) ([]byte, error) {
+	c := indexCache{Indexes: []*indexDef{}}
+	for _, id := range sortedKeys(d.indexes) {
+		c.Indexes = append(c.Indexes, d.indexes[id])
+	}
+	raw, err := json.Marshal(&c)
+	return append(raw, '\n'), err
+}
+
+// saveIndexCache rewrites indexes.json through the engine's filesystem:
+// a tmp file, written and fsynced, renamed over the old one, so a crash
+// leaves the old cache or the new one, never a torn file. Callers hold
+// commitMu, or own the engine during Open. A failed save costs the next
+// full-replay Open one more pass and nothing else, so it is logged.
+func (e *Engine) saveIndexCache() {
+	raw, err := renderIndexCache(e.CurrentView().defs)
+	if err == nil {
+		err = faultfs.WriteAtomic(e.cfg.FS, filepath.Join(e.cfg.Dir, indexMetaFile), raw)
+	}
+	if err != nil {
+		e.log.Warn("index cache not written", "err", err)
+	}
+}
+
+// preRegister registers, before the replay, each cached definition the
+// restored state lacks, fed the blocks [0, base) a checkpoint covered,
+// so the replay feeds it with every other index. It returns them by id,
+// pending until the replay meets their record; one whose table is not
+// defined yet is checked once it is (dropPending). It runs during Open.
+func (e *Engine) preRegister(cached []*indexDef, base uint64) (map[string]*indexDef, error) {
+	pending := map[string]*indexDef{}
+	var defs []*indexDef
+	for _, d := range cached {
+		if d == nil || e.defs.indexes[d.id()] != nil || pending[d.id()] != nil || unfit(d, e.defs.tables) != nil {
+			continue
+		}
+		pending[d.id()] = d
+		defs = append(defs, d)
+	}
+	regs, err := e.buildIndexes(defs, e.defs.tables, base)
+	if err != nil {
+		return nil, fmt.Errorf("core: backfilling cached indexes: %w", err)
+	}
+	e.installDefs(e.defs, regs)
+	return pending, nil
+}
+
+// unfit is check's verdict on a cached definition, but for a table
+// tables lack, which a later block may define; nil tables, once the
+// replay is done, leave no chance.
+func unfit(d *indexDef, tables map[string]*schema.Table) error {
+	if tables == nil {
+		return errors.New("the chain does not define it")
+	}
+	if err := d.check(tables); !errors.Is(err, errNoTable) {
+		return err
 	}
 	return nil
 }
 
-// AdoptIndexDefs registers every parsed peer definition this node
-// lacks — histogram bounds included, bit for bit, so both nodes bucket
-// the first level alike and serve equal ALI digests — backfills each
-// over the local chain through the same creation protocol CreateIndex
-// uses, and persists the definitions.
-func (e *Engine) AdoptIndexDefs(p PeerIndexDefs) error {
-	created := false
-	for i := range p.defs {
-		ok, err := e.adoptDef(&p.defs[i])
-		if err != nil {
-			return fmt.Errorf("core: adopting %s index %q: %w", p.defs[i].Family, p.defs[i].Key, err)
+// dropPending drops, with a warning each, the pending indexes unfit
+// refuses against tables: indexes the chain does not define. It runs
+// during Open.
+func (e *Engine) dropPending(pending map[string]*indexDef, tables map[string]*schema.Table) {
+	for _, id := range sortedKeys(pending) {
+		d := pending[id]
+		err := unfit(d, tables)
+		if err == nil {
+			continue
 		}
-		created = created || ok
+		delete(pending, id)
+		if d.Family == familyLayered {
+			e.lidx = withoutEntry(e.lidx, d.Key)
+		} else {
+			e.alis = withoutEntry(e.alis, d.Key)
+		}
+		e.idxEpoch++
+		e.log.Warn("cached index dropped", "family", d.Family, "key", d.Key, "err", err)
 	}
-	return e.persistIfCreated(created, nil)
-}
-
-// adoptDef is AdoptIndexDefs for one definition, without the persist.
-func (e *Engine) adoptDef(d *indexDef) (bool, error) {
-	col, hist := splitKey(d.Key).col, d.histogram()
-	if d.Family == familyLayered {
-		return createIndex(e, &e.lidx, d.Key, e.layeredFeed,
-			func() (*layered.Index, error) { return newLayered(col, hist), nil })
-	}
-	return createIndex(e, &e.alis, d.Key, e.aliFeed,
-		func() (*auth.ALI, error) { return newALI(col, hist), nil })
 }
 
 // newLayered and newALI build an empty index of either family over attr:

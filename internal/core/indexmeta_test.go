@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -16,18 +17,26 @@ import (
 	"sebdb/internal/types"
 )
 
-// readDefs parses dir's indexes.json.
-func readDefs(t *testing.T, dir string) indexMeta {
+// readDefs parses dir's indexes.json, entry by entry.
+func readDefs(t *testing.T, dir string) []*indexDef {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join(dir, indexMetaFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m indexMeta
+	var m struct{ Indexes []json.RawMessage }
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatalf("indexes.json does not parse: %v", err)
 	}
-	return m
+	var defs []*indexDef
+	for _, entry := range m.Indexes {
+		d, err := parseIndexDef(entry)
+		if err != nil {
+			t.Fatalf("indexes.json entry %s: %v", entry, err)
+		}
+		defs = append(defs, d)
+	}
+	return defs
 }
 
 func boundBits(h *layered.Histogram) []uint64 {
@@ -110,11 +119,12 @@ func TestIndexBoundsSurviveBitForBit(t *testing.T) {
 }
 
 // TestIndexMetaCrashMatrix crashes the filesystem at every mutating
-// operation of an open, CreateAuthIndex, close cycle — the definition
-// rewrite is a tmp file written, fsynced and renamed over indexes.json —
-// and reboots cleanly: Open succeeds, and the file holds either the
-// definitions from before the creation or those from after, never a torn
-// mix, with the ALI rebuilt exactly when its definition landed.
+// operation of an open, CreateAuthIndex, close cycle — the record's
+// block append, then the cache rewrite, a tmp file written, fsynced and
+// renamed over indexes.json — and reboots cleanly: Open succeeds, the
+// file holds either the definitions from before the creation or those
+// from after, never a torn mix, and the ALI exists exactly when its
+// record reached the chain, whatever the cache said.
 func TestIndexMetaCrashMatrix(t *testing.T) {
 	seed := t.TempDir()
 	boot, err := Open(Config{Dir: seed, BlockMaxTxs: 4})
@@ -129,6 +139,7 @@ func TestIndexMetaCrashMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := readDefs(t, seed)
+	seedHeight := boot.Height()
 
 	cycle := func(dir string, inj *faultfs.Injector) {
 		e, err := Open(Config{Dir: dir, BlockMaxTxs: 4, FS: inj})
@@ -157,23 +168,20 @@ func TestIndexMetaCrashMatrix(t *testing.T) {
 			if !inj.Crashed() {
 				t.Fatalf("crash point %d never reached", k)
 			}
+			if got := readDefs(t, dir); !reflect.DeepEqual(got, before) && !reflect.DeepEqual(got, after) {
+				t.Fatalf("indexes.json holds neither the old nor the new definitions: %+v", got)
+			}
 			e, err := Open(Config{Dir: dir, DisableCheckpointLoad: true})
 			if err != nil {
 				t.Fatalf("reboot: %v", err)
 			}
 			defer e.Close()
-			got := readDefs(t, dir)
-			switch {
-			case reflect.DeepEqual(got, before):
-				if e.CurrentView().AuthIndex("donate", "amount") != nil {
-					t.Error("the ALI came back without its definition")
-				}
-			case reflect.DeepEqual(got, after):
-				if e.CurrentView().AuthIndex("donate", "amount") == nil {
-					t.Error("the ALI's definition landed but the ALI was not rebuilt")
-				}
-			default:
-				t.Fatalf("indexes.json holds neither the old nor the new definitions: %+v", got)
+			onChain := e.Height() > seedHeight
+			if got := e.CurrentView().AuthIndex("donate", "amount") != nil; got != onChain {
+				t.Errorf("ALI present = %v, its record on the chain = %v", got, onChain)
+			}
+			if want := map[bool][]*indexDef{false: before, true: after}[onChain]; !reflect.DeepEqual(readDefs(t, dir), want) {
+				t.Errorf("after the reboot indexes.json holds %+v, want %+v", readDefs(t, dir), want)
 			}
 		})
 	}
@@ -289,43 +297,177 @@ func TestDefinitionAfterCheckpointBackfillsItsPrefix(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesBadLocalIndexDefs: indexes.json is held to the check a
-// peer's definitions get (checkIndexDefs), so Open refuses a definition
-// ParseIndexDefs would refuse instead of building the index.
+// TestOpenRefusesBadLocalIndexDefs: an indexes.json entry is held to
+// the check an _index record gets, and one it refuses is never built —
+// Open succeeds, and answers as it does with no cache at all, which also
+// replaces the file.
 func TestOpenRefusesBadLocalIndexDefs(t *testing.T) {
-	bits := func(f float64) string { return fmt.Sprintf(`"%016x"`, math.Float64bits(f)) }
+	bits := func(f float64) string { return fmt.Sprint(math.Float64bits(f)) }
+	dir := t.TempDir()
+	e, err := Open(Config{Dir: dir, BlockMaxTxs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedDonation(t, e, 8, 4)
+	if err := e.CreateAuthIndex("donate", "amount"); err != nil {
+		t.Fatal(err)
+	}
+	want, wantFrame := recoveryFingerprint(t, e), frameDigest(t, e)
+	good, err := os.ReadFile(filepath.Join(dir, indexMetaFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
 	for name, def := range map[string]string{
 		"continuous string": `{"family":"layered","key":"donate.donor","continuous":true}`,
 		"descending bounds": `{"family":"auth","key":"donate.amount","continuous":true,"bounds":[` + bits(2) + `,` + bits(1) + `]}`,
 		"unknown column":    `{"family":"layered","key":"donate.nosuch","continuous":false}`,
 	} {
 		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			e, err := Open(Config{Dir: dir, BlockMaxTxs: 4})
+			if _, err := parseIndexDef([]byte(def)); err != nil {
+				t.Fatalf("fixture: %v", err)
+			}
+			d := emptyDefs()
+			if _, err := d.resolve(indexRecords(def)); err == nil {
+				t.Fatal("fixture: resolve accepts the definition")
+			}
+			dir2 := t.TempDir()
+			copyTree(t, dir, dir2)
+			if err := os.WriteFile(filepath.Join(dir2, indexMetaFile), []byte(`{"indexes":[`+def+`]}`), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			r, err := Open(Config{Dir: dir2, BlockMaxTxs: 4, DisableCheckpointLoad: true})
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("Open refused indexes.json holding %s: %v", def, err)
 			}
-			seedDonation(t, e, 8, 4)
-			if err := e.Close(); err != nil {
-				t.Fatal(err)
+			defer r.Close()
+			if got := recoveryFingerprint(t, r); got != want {
+				t.Errorf("reopened with %s it answers\n%s, want\n%s", def, got, want)
 			}
-			raw := []byte(`{"indexes":[` + def + `]}`)
-			if _, err := e.ParseIndexDefs(raw); err == nil {
-				t.Fatal("fixture: ParseIndexDefs accepts the definition")
+			if got := frameDigest(t, r); got != wantFrame {
+				t.Errorf("reopened with %s its frame is %s, want %s", def, got, wantFrame)
 			}
-			if err := os.WriteFile(filepath.Join(dir, indexMetaFile), raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if r, err := Open(Config{Dir: dir, BlockMaxTxs: 4}); err == nil {
-				r.Close()
-				t.Fatalf("Open accepted indexes.json holding %s", def)
+			if got, err := os.ReadFile(filepath.Join(dir2, indexMetaFile)); err != nil || !bytes.Equal(got, good) {
+				t.Errorf("indexes.json is now %s, want %s (err %v)", got, good, err)
 			}
 		})
 	}
-	// A histogram deeper than the check allows could only write
-	// definitions the next Open refuses, so the depth is refused at once.
-	if e, err := Open(Config{Dir: t.TempDir(), HistogramDepth: maxPeerBounds + 2}); err == nil {
+	// A histogram deeper than the check allows could only propose records
+	// every node refuses, so the depth is refused at once.
+	if e, err := Open(Config{Dir: t.TempDir(), HistogramDepth: maxIndexBounds + 2}); err == nil {
 		e.Close()
 		t.Error("Open accepted a histogram depth whose bounds the check refuses")
+	}
+}
+
+// TestIndexCacheNeverChangesState: indexes.json only saves work. A
+// full-replay reopen with no cache, a torn one, one listing an index the
+// chain does not define, one whose bounds differ from the chain's, or a
+// names-only file an older build wrote answers exactly as a reopen with
+// the correct cache does — same fingerprint, same checkpoint frame — and
+// leaves the correct cache behind.
+func TestIndexCacheNeverChangesState(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(Config{Dir: dir, BlockMaxTxs: 4, HistogramDepth: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedDonation(t, e, 40, 4)
+	if err := e.CreateIndex("donate", "amount"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 100; i < 120; i += 4 {
+		batch := make([]*types.Transaction, 4)
+		for j := range batch {
+			batch[j] = donateTx(t, e, i+j)
+		}
+		if _, err := e.CommitBlock(batch, int64(i+4)*1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.CreateAuthIndex("donate", "amount"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CreateAuthIndex("donate", "donor"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(filepath.Join(dir, indexMetaFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopen := func(t *testing.T, dir string) (string, string) {
+		t.Helper()
+		r, err := Open(Config{Dir: dir, DisableCheckpointLoad: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		return recoveryFingerprint(t, r), frameDigest(t, r)
+	}
+	want, wantFrame := reopen(t, dir)
+
+	defs := readDefs(t, dir)
+	render := func(defs ...*indexDef) []byte {
+		d := emptyDefs()
+		for _, x := range defs {
+			d.indexes[x.id()] = x
+		}
+		raw, err := renderIndexCache(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	shifted := func(x *indexDef) *indexDef {
+		y := *x
+		y.Bounds = nil
+		for _, b := range x.Bounds {
+			y.Bounds = append(y.Bounds, math.Float64bits(math.Float64frombits(b)+0.5))
+		}
+		return &y
+	}
+	var rebounded []*indexDef
+	for _, x := range defs {
+		if x.Continuous {
+			x = shifted(x)
+		}
+		rebounded = append(rebounded, x)
+	}
+	for name, cache := range map[string][]byte{
+		"none":           nil,
+		"torn":           good[:len(good)/2],
+		"extra index":    render(append(defs, &indexDef{Family: familyLayered, Key: "donate.project"})...),
+		"other bounds":   render(rebounded...),
+		"names only":     []byte(`{"layered":["donate.amount"],"auth":["donate.amount","donate.donor","donate.project"]}`),
+		"only the extra": render(&indexDef{Family: familyAuth, Key: ".senid"}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir2 := t.TempDir()
+			copyTree(t, dir, dir2)
+			path := filepath.Join(dir2, indexMetaFile)
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+			if cache != nil {
+				if err := os.WriteFile(path, cache, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, gotFrame := reopen(t, dir2)
+			if got != want {
+				t.Errorf("reopened it answers\n%s, with the correct cache\n%s", got, want)
+			}
+			if gotFrame != wantFrame {
+				t.Errorf("reopened its frame is %s, with the correct cache %s", gotFrame, wantFrame)
+			}
+			if raw, err := os.ReadFile(path); err != nil || !bytes.Equal(raw, good) {
+				t.Errorf("indexes.json is now %s, want %s (err %v)", raw, good, err)
+			}
+		})
 	}
 }

@@ -1,15 +1,19 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"sebdb/internal/clock"
+	"sebdb/internal/schema"
 	"sebdb/internal/types"
 )
 
@@ -60,9 +64,10 @@ func replicaOf(t *testing.T, src *Engine) *Engine {
 	return e
 }
 
-// TestAdoptedDefinitionsBitForBit: a node that adopts another's
-// definitions buckets with the same bounds — −0, +Inf and a sole −Inf
-// included — for layered indexes and ALIs alike, and persists them.
+// TestAdoptedDefinitionsBitForBit: a node that applies another's blocks
+// takes its index definitions from their _index records and buckets with
+// the same bounds — −0, +Inf and a sole −Inf included — for layered
+// indexes and ALIs alike, and caches the same definitions.
 func TestAdoptedDefinitionsBitForBit(t *testing.T) {
 	src, err := Open(Config{Dir: t.TempDir(), BlockMaxTxs: 8, HistogramDepth: 4})
 	if err != nil {
@@ -81,19 +86,8 @@ func TestAdoptedDefinitionsBitForBit(t *testing.T) {
 	if err := src.CreateAuthIndex("", "tname"); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := src.IndexDefs()
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	dst := replicaOf(t, src)
-	defs, err := dst.ParseIndexDefs(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.AdoptIndexDefs(defs); err != nil {
-		t.Fatal(err)
-	}
 	for key, idx := range src.lidx {
 		got := dst.lidx[key]
 		if got == nil {
@@ -115,23 +109,25 @@ func TestAdoptedDefinitionsBitForBit(t *testing.T) {
 	if got, want := aliRoots(dst), aliRoots(src); got != want {
 		t.Errorf("MB-roots differ after adoption:\n%s---\n%s", got, want)
 	}
-	if back, err := dst.IndexDefs(); err != nil || string(back) != string(raw) {
-		t.Errorf("adopted definitions render as\n%s\nsource renders\n%s(err %v)", back, raw, err)
+	want, err := os.ReadFile(filepath.Join(src.cfg.Dir, indexMetaFile))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := readDefs(t, dst.cfg.Dir); len(got.Indexes) != 7 {
-		t.Errorf("indexes.json holds %d definitions, want 7", len(got.Indexes))
+	if got, err := os.ReadFile(filepath.Join(dst.cfg.Dir, indexMetaFile)); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("the replica caches\n%s\nthe source caches\n%s(err %v)", got, want, err)
+	}
+	if got := readDefs(t, dst.cfg.Dir); len(got) != 7 {
+		t.Errorf("indexes.json holds %d definitions, want 7", len(got))
 	}
 }
 
-// TestPeerDefinitionsRefused: definitions from a peer are outside
-// input. Each malformed or inconsistent set is refused whole by the
-// validating parse, before anything registers: the node keeps its
-// height, gains no index and writes no indexes.json.
-func TestPeerDefinitionsRefused(t *testing.T) {
+// malformedIndexRecords are _index record payloads a node must refuse,
+// as one block's records each, over oddChain's odd table.
+func malformedIndexRecords() map[string][]string {
 	bits := func(fs ...float64) string {
 		var q []string
 		for _, f := range fs {
-			q = append(q, fmt.Sprintf(`"%016x"`, math.Float64bits(f)))
+			q = append(q, fmt.Sprint(math.Float64bits(f)))
 		}
 		return "[" + strings.Join(q, ",") + "]"
 	}
@@ -142,75 +138,156 @@ func TestPeerDefinitionsRefused(t *testing.T) {
 		}
 		return s + "}"
 	}
-	set := func(defs ...string) string { return `{"indexes":[` + strings.Join(defs, ",") + `]}` }
 	good := def("layered", "odd.a", true, bits(0, 1))
-	many := make([]float64, maxPeerBounds+1)
+	many := make([]float64, maxIndexBounds+1)
 	for i := range many {
 		many[i] = float64(i)
 	}
+	one := func(raw string) []string { return []string{raw} }
+	return map[string][]string{
+		"malformed JSON":        one(`{"indexes":[`),
+		"not JSON":              one(`indexes`),
+		"bound not hex":         one(def("layered", "odd.a", true, `["1.5"]`)),
+		"unknown family":        one(def("btree", "odd.a", true, "")),
+		"unknown table":         one(def("layered", "nosuch.a", true, "")),
+		"unknown column":        one(def("auth", "odd.nosuch", true, "")),
+		"table in another case": one(def("layered", "ODD.a", true, "")),
+		"layered system column": one(def("layered", ".tname", false, "")),
+		"unknown system column": one(def("auth", ".nosuch", false, "")),
+		"continuous string":     one(def("layered", "odd.s", true, "")),
+		"discrete number":       one(def("auth", "odd.a", false, "")),
+		"continuous system":     one(def("auth", ".ts", true, "")),
+		"discrete with bounds":  one(def("layered", "odd.s", false, bits(1))),
+		"descending bounds":     one(def("layered", "odd.a", true, bits(2, 1))),
+		"repeated bound":        one(def("auth", "odd.a", true, bits(1, 1))),
+		"NaN beside a bound":    one(def("layered", "odd.b", true, bits(math.NaN(), 1))),
+		"bound beside a NaN":    one(def("layered", "odd.b", true, bits(1, math.NaN()))),
+		"sole NaN bound":        one(def("auth", "odd.b", true, bits(math.NaN()))),
+		"too many bounds":       one(def("layered", "odd.a", true, bits(many...))),
+		"listed twice":          {good, def("layered", "odd.a", true, bits(0, 2))},
+		"names only":            one(`{"layered":["odd.a"]}`),
+		"good then bad":         {good, def("auth", "odd.nosuch", true, "")},
+		"not canonical":         one(` ` + good),
+	}
+}
 
-	for name, raw := range map[string]string{
-		"malformed JSON":        `{"indexes":[`,
-		"not JSON":              `indexes`,
-		"bound not hex":         set(def("layered", "odd.a", true, `["1.5"]`)),
-		"unknown family":        set(def("btree", "odd.a", true, "")),
-		"unknown table":         set(def("layered", "nosuch.a", true, "")),
-		"unknown column":        set(def("auth", "odd.nosuch", true, "")),
-		"table in another case": set(def("layered", "ODD.a", true, "")),
-		"layered system column": set(def("layered", ".tname", false, "")),
-		"unknown system column": set(def("auth", ".nosuch", false, "")),
-		"continuous string":     set(def("layered", "odd.s", true, "")),
-		"discrete number":       set(def("auth", "odd.a", false, "")),
-		"continuous system":     set(def("auth", ".ts", true, "")),
-		"discrete with bounds":  set(def("layered", "odd.s", false, bits(1))),
-		"descending bounds":     set(def("layered", "odd.a", true, bits(2, 1))),
-		"repeated bound":        set(def("auth", "odd.a", true, bits(1, 1))),
-		"NaN beside a bound":    set(def("layered", "odd.b", true, bits(math.NaN(), 1))),
-		"bound beside a NaN":    set(def("layered", "odd.b", true, bits(1, math.NaN()))),
-		"too many bounds":       set(def("layered", "odd.a", true, bits(many...))),
-		"listed twice":          set(good, def("layered", "odd.a", true, bits(0, 2))),
-		"names only":            `{"layered":["odd.a"]}`,
-		"good then bad":         set(good, def("auth", "odd.nosuch", true, "")),
-	} {
+func indexRecords(payloads ...string) []*types.Transaction {
+	txs := make([]*types.Transaction, len(payloads))
+	for i, p := range payloads {
+		txs[i] = &types.Transaction{Ts: 3, SenID: "mallory", Tname: indexTable, Args: []types.Value{types.Str(p)}}
+	}
+	return txs
+}
+
+// TestPeerDefinitionsRefused: an index definition from a peer is outside
+// input, and reaches a node only as an _index record in a block. A block
+// carrying a malformed or inconsistent definition is refused whole by
+// both doors of the install stage: the node keeps its height, gains no
+// index and writes no indexes.json. The well-formed record the cases
+// vary is accepted by both.
+func TestPeerDefinitionsRefused(t *testing.T) {
+	doors := map[string]func(e *Engine, txs []*types.Transaction) error{
+		"CommitBlock": func(e *Engine, txs []*types.Transaction) error {
+			_, err := e.CommitBlock(txs, 3)
+			return err
+		},
+		// A foreign block: well-formed, signed and linked to the tip, as a
+		// peer would deliver it.
+		"ApplyBlock": func(e *Engine, txs []*types.Transaction) error {
+			return e.ApplyBlock(e.prepareBlock(txs, 3))
+		},
+	}
+	open := func(t *testing.T) *Engine {
+		e, err := Open(Config{Dir: t.TempDir(), BlockMaxTxs: 8, HistogramDepth: 4, Clock: clock.Fixed(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		oddChain(t, e)
+		return e
+	}
+	for name, payloads := range malformedIndexRecords() {
 		t.Run(name, func(t *testing.T) {
-			e, err := Open(Config{Dir: t.TempDir(), BlockMaxTxs: 8, HistogramDepth: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			oddChain(t, e)
-			height := e.Height()
-			defs, err := e.ParseIndexDefs([]byte(raw))
-			if err == nil {
-				t.Fatalf("accepted %s", raw)
-			}
-			// What a caller that ignored the refusal could register is
-			// nothing: the zero set adopts nothing.
-			if err := e.AdoptIndexDefs(defs); err != nil {
-				t.Fatal(err)
-			}
-			if e.Height() != height {
-				t.Errorf("height %d, want %d", e.Height(), height)
-			}
-			v := e.CurrentView()
-			if len(v.lidx) != 2 || len(v.alis) != 0 { // the two system indexes
-				t.Errorf("registered indexes: %d layered, %d ALIs", len(v.lidx), len(v.alis))
-			}
-			if _, err := os.Stat(filepath.Join(e.cfg.Dir, indexMetaFile)); !errors.Is(err, os.ErrNotExist) {
-				t.Errorf("indexes.json written (stat err %v)", err)
+			for door, deliver := range doors {
+				e := open(t)
+				height := e.Height()
+				if err := deliver(e, indexRecords(payloads...)); err == nil {
+					t.Fatalf("%s accepted %s", door, payloads)
+				}
+				if e.Height() != height {
+					t.Errorf("%s: height %d, want %d", door, e.Height(), height)
+				}
+				v := e.CurrentView()
+				if len(v.lidx) != 2 || len(v.alis) != 0 || len(v.defs.indexes) != 0 { // the two system indexes
+					t.Errorf("%s: registered %d layered, %d ALIs, %d definitions", door, len(v.lidx), len(v.alis), len(v.defs.indexes))
+				}
+				if _, err := os.Stat(filepath.Join(e.cfg.Dir, indexMetaFile)); !errors.Is(err, os.ErrNotExist) {
+					t.Errorf("%s: indexes.json written (stat err %v)", door, err)
+				}
 			}
 		})
 	}
+	good := fmt.Sprintf(`{"family":"layered","key":"odd.a","continuous":true,"bounds":[%d,%d]}`,
+		math.Float64bits(0), math.Float64bits(1))
+	for door, deliver := range doors {
+		e := open(t)
+		if err := deliver(e, indexRecords(good, good)); err != nil {
+			t.Fatalf("%s refused a well-formed record, repeated: %v", door, err)
+		}
+		if idx := e.CurrentView().Layered("odd", "a"); idx == nil || !reflect.DeepEqual(idx.Histogram().Bounds(), []float64{0, 1}) {
+			t.Errorf("%s: the record did not build its index", door)
+		}
+	}
+}
 
-	// The bounds rule is the one layered.NewEqualDepth keeps, so a sole
-	// NaN bound is accepted.
-	e, err := Open(Config{Dir: t.TempDir(), BlockMaxTxs: 8, HistogramDepth: 4})
+// allocated returns the bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzIndexRecord feeds arbitrary bytes to the one door a peer's index
+// definition has, an _index record's payload resolved against the odd
+// table. It must never panic and never allocate beyond a multiple of
+// the input, and whatever it accepts must re-encode to the very bytes
+// it was given: every node keeps a definition in one byte form.
+func FuzzIndexRecord(f *testing.F) {
+	for _, payloads := range malformedIndexRecords() {
+		for _, p := range payloads {
+			f.Add([]byte(p))
+		}
+	}
+	f.Add([]byte(fmt.Sprintf(`{"family":"auth","key":"odd.b","continuous":true,"bounds":[%d]}`, math.Float64bits(math.Inf(-1)))))
+	f.Add([]byte(`{"family":"auth","key":".senid","continuous":false}`))
+	odd, err := schema.NewTable("odd", []schema.Column{
+		{Name: "a", Kind: types.KindDecimal}, {Name: "b", Kind: types.KindDecimal}, {Name: "s", Kind: types.KindString}})
 	if err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
 	}
-	defer e.Close()
-	oddChain(t, e)
-	if _, err := e.ParseIndexDefs([]byte(set(good, def("auth", "odd.b", true, bits(math.NaN()))))); err != nil {
-		t.Errorf("a sole NaN bound refused: %v", err)
-	}
+	d0 := emptyDefs()
+	d0.tables = map[string]*schema.Table{"odd": odd}
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		limit := uint64(64*len(raw) + 1<<16)
+		txs := indexRecords(string(raw))
+		var d chainDefs
+		var err error
+		if n := allocated(func() { d, err = d0.resolve(txs) }); n > limit {
+			t.Fatalf("a %d-byte record made resolve allocate %d bytes", len(raw), n)
+		}
+		if err != nil {
+			return
+		}
+		if len(d.indexes) != 1 {
+			t.Fatalf("an accepted record defined %d indexes", len(d.indexes))
+		}
+		for _, x := range d.indexes {
+			if enc, err := x.encode(); err != nil || !bytes.Equal(enc, raw) {
+				t.Fatalf("an accepted record re-encodes as %q (err %v)", enc, err)
+			}
+		}
+	})
 }

@@ -127,15 +127,19 @@ func (e *Engine) execCreate(sender string, s *sqlparser.CreateTable) (*Result, e
 // the rollback the node would claim a definition the chain never makes,
 // forever diverging from every peer. The one exception: when the block
 // committed and only the fsync failed, the transaction is chain state
-// and the registration stays. register and unregister derive the
-// definitions with and without this one; they are installed under e.mu
-// like every other definition (see admit).
+// and the registration stays; nor is there anything to roll back when
+// the registration was an identical re-definition, which added nothing.
+// register and unregister derive the definitions with and without this
+// one; they are installed under e.mu like every other definition (see
+// admit).
 func (e *Engine) submitDDL(sender, metaTable string, args []types.Value, what, name string,
 	register func(chainDefs) (chainDefs, error), unregister func(chainDefs) chainDefs) error {
 	e.mu.Lock()
 	defs, err := register(e.defs)
+	// A registration adds one entry or, re-defining, none.
+	added := len(defs.tables)+len(defs.contracts) != len(e.defs.tables)+len(e.defs.contracts)
 	if err == nil {
-		e.installDefs(defs)
+		e.installDefs(defs, nil)
 		e.publishViewLocked()
 	}
 	e.mu.Unlock()
@@ -145,9 +149,9 @@ func (e *Engine) submitDDL(sender, metaTable string, args []types.Value, what, n
 	tx := &types.Transaction{Ts: e.nowMicro(), SenID: sender, Tname: metaTable, Args: args}
 	e.signFor(tx, sender)
 	if err := e.Submit(tx); err != nil {
-		if !e.txCommitted(tx) {
+		if added && !e.txCommitted(tx) {
 			e.mu.Lock()
-			e.installDefs(unregister(e.defs))
+			e.installDefs(unregister(e.defs), nil)
 			e.publishViewLocked()
 			e.mu.Unlock()
 			e.log.Warn(what+" rolled back", what, name, "err", err)

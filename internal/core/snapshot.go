@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 
 	"sebdb/internal/auth"
@@ -253,14 +254,38 @@ func (e *Engine) restoreCheckpoint(c *snapshot.Checkpoint) error {
 			return fmt.Errorf("core: checkpoint contracts: %w", err)
 		}
 	}
-	e.installDefs(defs)
-	e.lastTid = c.LastTid
-	e.lastTs = c.LastTs
 	for k, ids := range c.TableIdx {
 		for _, b := range ids {
 			e.tableIdx.Mark(k, int(b))
 		}
 	}
+	// The index definitions are the chain's, resolved from the few blocks
+	// below the checkpoint that carry _index records (the table bitmap
+	// names them); the checkpoint must hold exactly their indexes, beside
+	// the two built-in ones.
+	for _, bid := range e.tableIdx.Blocks(indexTable, int(c.Height)).Slice() {
+		b, err := e.store.Block(uint64(bid))
+		if err == nil {
+			defs, err = defs.resolve(b.Txs)
+		}
+		if err != nil {
+			return fmt.Errorf("core: checkpoint index records: %w", err)
+		}
+	}
+	held := map[string]*indexDef{}
+	for family, states := range map[string][]snapshot.IndexState{familyLayered: c.Indexes, familyAuth: c.ALIs} {
+		for i := range states {
+			if d := defOf(family, states[i].Key, stateHistogram(&states[i])); family == familyAuth || splitKey(d.Key).table != "" {
+				held[d.id()] = d
+			}
+		}
+	}
+	if !reflect.DeepEqual(held, defs.indexes) {
+		return fmt.Errorf("core: the checkpoint's indexes are not the ones the chain defines")
+	}
+	e.installDefs(defs, nil)
+	e.lastTid = c.LastTid
+	e.lastTs = c.LastTs
 	// Indexes are independent of one another, so each is rebuilt by its
 	// own worker — the layered ones from their entries, the ALIs (one
 	// task, sharing each block read) from the block files.

@@ -262,6 +262,48 @@ func TestDeployContractRollsBackWhenAppendFails(t *testing.T) {
 	}
 }
 
+// TestRepeatedDefinitionKeptWhenAppendFails: a CREATE or a deployment
+// that repeats one the chain already holds adds nothing when it
+// registers, so when its own append fails there is nothing to roll
+// back — the table and the contract stay, as the chain defines them.
+func TestRepeatedDefinitionKeptWhenAppendFails(t *testing.T) {
+	const ddl = `CREATE donate (donor string, project string, amount decimal)`
+	statements := []string{`INSERT INTO donate ($sender, $1, $2)`}
+	setup := func(e *Engine) {
+		mustExec(t, e, ddl)
+		if err := e.DeployContract("charity", "give", statements); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for what, repeat := range map[string]func(e *Engine) error{
+		"CREATE": func(e *Engine) error { _, err := e.Execute(ddl); return err },
+		"DeployContract": func(e *Engine) error {
+			return e.DeployContract("charity", "give", statements)
+		},
+	} {
+		m0, m1 := rehearseMutationWindow(t, setup, func(e *Engine) {
+			if err := repeat(e); err != nil {
+				t.Fatal(err)
+			}
+		})
+		for k := m0; k < m1; k++ {
+			inj := faultfs.New(faultfs.Options{OpsBeforeCrash: k})
+			e := testEngine(t, Config{BlockMaxTxs: 1, FS: inj, Clock: clock.Fixed(1)})
+			setup(e)
+			if err := repeat(e); err == nil {
+				t.Fatalf("%s k=%d: the repeat succeeded through a crashed append", what, k)
+			}
+			v := e.CurrentView()
+			if !v.HasTable("donate") {
+				t.Errorf("%s k=%d: the view lost the table the chain defines", what, k)
+			}
+			if _, err := v.Contract("give"); err != nil {
+				t.Errorf("%s k=%d: the view lost the contract the chain defines", what, k)
+			}
+		}
+	}
+}
+
 // TestCreateKeptWhenOnlyFsyncFails pins the other half of the rollback
 // condition: when the block committed and only the group fsync failed,
 // the transaction is on the chain, so the local registration must stay

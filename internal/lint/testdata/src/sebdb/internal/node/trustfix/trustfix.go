@@ -1,13 +1,10 @@
 // Package trustfix seeds trusttaint violations: it reconstructs the
 // removed Dir.Install path, where a checkpoint fetched from a peer was
-// decoded and installed into local state with no verification, and a
-// bootstrap that registers a peer's index definitions without the
-// validating parse. The sanitized variants model the hardened flow and
-// stay clean.
+// decoded and installed into local state with no verification. The
+// unregistered handler models trusted input and stays clean.
 package trustfix
 
 import (
-	"sebdb/internal/core"
 	"sebdb/internal/network"
 	"sebdb/internal/snapshot"
 )
@@ -16,7 +13,6 @@ import (
 type Syncer struct {
 	cli *network.Client
 	dir *snapshot.Dir
-	eng *core.Engine
 }
 
 // InstallUnverified is the removed bug: peer bytes flow through Decode
@@ -31,31 +27,6 @@ func (s *Syncer) InstallUnverified() error {
 		return err
 	}
 	return s.dir.Write(ck) // want:trusttaint
-}
-
-// AdoptUnverified registers a peer's index definitions as they came
-// off the wire.
-func (s *Syncer) AdoptUnverified() error {
-	raw, err := s.cli.Call(11, nil)
-	if err != nil {
-		return err
-	}
-	return s.eng.AdoptIndexDefs(core.PeerIndexDefs{Raw: raw}) // want:trusttaint
-}
-
-// AdoptVerified holds the peer's definitions to the local catalog
-// before registering them: the ParseIndexDefs sanitizer clears the
-// taint.
-func (s *Syncer) AdoptVerified() error {
-	raw, err := s.cli.Call(11, nil)
-	if err != nil {
-		return err
-	}
-	defs, err := s.eng.ParseIndexDefs(raw)
-	if err != nil {
-		return err
-	}
-	return s.eng.AdoptIndexDefs(defs)
 }
 
 // Gate models the serving side: a handler registered with the network

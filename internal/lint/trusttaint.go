@@ -12,11 +12,10 @@ import (
 
 // TrustTaint enforces the catch-up trust model interprocedurally: no
 // peer-derived value (bytes off the wire, decoded wire messages) may
-// reach engine-state installation — checkpoint persist, table and
-// contract installation, index creation and definition adoption, index/ALI
-// appends, chain appends — without passing a verification sanitizer
-// (signature check, block validation, Merkle/CRC comparison, the
-// validating parse of a peer's index definitions). This is the bug
+// reach engine-state installation — checkpoint persist, definition
+// installation, index creation, index/ALI appends, chain appends —
+// without passing a verification sanitizer (signature check, block
+// validation, Merkle/CRC comparison). This is the bug
 // class of installing a peer's checkpoint unverified
 // (snapshot.Dir.Install, since removed by hand); the analyzer keeps it
 // from coming back.
@@ -41,7 +40,6 @@ var taintSanitizers = []funcSpec{
 	{"sebdb/internal/types", "Block", "Validate"},
 	{"sebdb/internal/types", "Block", "ValidateWorkers"},
 	{"sebdb/internal/core", "Engine", "ApplyBlock"},
-	{"sebdb/internal/core", "Engine", "ParseIndexDefs"},
 	{"sebdb/internal/merkle", "", "Root"},
 	{"hash/crc32", "", "ChecksumIEEE"},
 }
@@ -52,7 +50,6 @@ var taintSinks = []funcSpec{
 	{"sebdb/internal/core", "Engine", "restoreCheckpoint"},
 	{"sebdb/internal/core", "Engine", "CreateIndex"},
 	{"sebdb/internal/core", "Engine", "CreateAuthIndex"},
-	{"sebdb/internal/core", "Engine", "AdoptIndexDefs"},
 	{"sebdb/internal/core", "Engine", "installDefs"},
 	{"sebdb/internal/storage", "Store", "AppendNoSync"},
 	{"sebdb/internal/storage", "", "OpenWithMeta"},

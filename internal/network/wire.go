@@ -25,11 +25,10 @@ const (
 	KindAuthQuery  uint8 = 4 // req/resp: auth payloads (node package)
 	KindAuthDigest uint8 = 5
 	KindSQL        uint8 = 6 // req: sql string       resp: encoded result
-	// Kinds 7 and 8 are retired and stay unassigned: a peer still
+	// Kinds 7, 8 and 11 are retired and stay unassigned: a peer still
 	// sending them gets UnknownKindMsg.
 	KindSubscribe uint8 = 9  // req: uint64 cursor    -> stream of KindBlockPush frames (replica package)
 	KindBlockPush uint8 = 10 // push: uint64 leader height + block bytes (empty = heartbeat)
-	KindIndexDefs uint8 = 11 // req: empty            resp: the node's index definitions (indexes.json bytes)
 	KindError     uint8 = 0xFF
 )
 

@@ -1,7 +1,7 @@
 // Package node assembles a SEBDB full node: the core engine and a TCP
-// service answering peers (the replica package's block stream and index
-// definitions, height/block/header reads) and thin clients (SQL and the
-// two-phase authenticated query protocol of §VI).
+// service answering peers (the replica package's block stream,
+// height/block/header reads) and thin clients (SQL and the two-phase
+// authenticated query protocol of §VI).
 package node
 
 import (
@@ -23,9 +23,9 @@ type FullNode struct {
 	server   *network.Server
 	listener net.Listener
 
-	// leader is the replication service (wire kinds KindSubscribe and
-	// KindIndexDefs); every full node offers it, so any node can feed
-	// read replicas and bootstrap fresh nodes.
+	// leader is the replication service (wire kind KindSubscribe); every
+	// full node offers it, so any node can feed read replicas and
+	// bootstrap fresh nodes.
 	leader *replica.Leader
 }
 

@@ -132,8 +132,8 @@ func TestTCPAuthProtocol(t *testing.T) {
 }
 
 // TestGossipBetweenNodes: a fresh node joins through the one catch-up
-// path — the verified block stream, then the source's index
-// definitions — and answers like its source.
+// path — the verified block stream, the source's index definitions
+// among its records — and answers like its source.
 func TestGossipBetweenNodes(t *testing.T) {
 	source := seededNode(t, 6, 5)
 	e2, err := core.Open(core.Config{Dir: t.TempDir()})
@@ -146,7 +146,7 @@ func TestGossipBetweenNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := replica.Bootstrap(e2, addr); err != nil {
+	if err := replica.CatchUp(e2, addr); err != nil {
 		t.Fatal(err)
 	}
 	if e2.Height() != source.Engine.Height() {
@@ -160,7 +160,7 @@ func TestGossipBetweenNodes(t *testing.T) {
 	if len(res.Rows) != 6 {
 		t.Errorf("fresh node query rows = %d", len(res.Rows))
 	}
-	// It adopted both of the source's ALIs.
+	// It built both of the source's ALIs from their records.
 	v := e2.CurrentView()
 	if v.AuthIndex("donate", "amount") == nil || v.AuthIndex("", "tname") == nil {
 		t.Error("fresh node lacks the source's ALIs")
@@ -172,8 +172,8 @@ func TestGossipBetweenNodes(t *testing.T) {
 }
 
 // TestRetiredKindsUnknown: the kinds fast checkpoint transfer used (7
-// and 8) are unassigned, so a served node answers them as it answers
-// any unknown kind.
+// and 8) and the one that served index definitions (11) are unassigned,
+// so a served node answers them as it answers any unknown kind.
 func TestRetiredKindsUnknown(t *testing.T) {
 	fn := seededNode(t, 1, 1)
 	addr, err := fn.Serve("127.0.0.1:0")
@@ -185,7 +185,7 @@ func TestRetiredKindsUnknown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	for _, kind := range []uint8{7, 8} {
+	for _, kind := range []uint8{7, 8, 11} {
 		if _, err := cl.Call(kind, nil); err == nil || err.Error() != network.UnknownKindMsg {
 			t.Errorf("kind %d reply = %v, want %q", kind, err, network.UnknownKindMsg)
 		}

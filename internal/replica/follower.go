@@ -82,10 +82,9 @@ type Follower struct {
 
 // StartFollower spawns the tail loop over an engine already switched to
 // follower mode (core.Engine.SetFollower) and returns immediately. The
-// loop takes its cursor from the engine height — a fresh node runs
-// Bootstrap first to adopt the leader's index definitions — and
-// survives leader restarts by redialing with exponential backoff and
-// resuming from the cursor.
+// loop takes its cursor from the engine height and survives leader
+// restarts by redialing with exponential backoff and resuming from the
+// cursor.
 func StartFollower(eng *core.Engine, cfg FollowerConfig) *Follower {
 	f := newFollower(eng, cfg)
 	go f.run()

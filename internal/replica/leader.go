@@ -4,18 +4,18 @@
 // stream, re-verifies every block against the signed header chain and
 // applies it through the engine's ApplyBlock pipeline. A Follower runs
 // that session forever; CatchUp runs it until the node is level with
-// the height its peer advertised; Bootstrap is CatchUp from a fresh
-// node plus the peer's index definitions.
+// the height its peer advertised, which is also how a fresh node
+// bootstraps.
 //
 // A node NEVER installs peer state. Every pushed block must carry a
 // valid packager signature (BlockHeader.VerifySig) and extend the
 // node's locally verified chain (height + PrevHash linkage, enforced
 // again by the store on append), and all derived state — tables,
-// contracts, bitmaps, layered indexes, ALIs — is rebuilt locally by ApplyBlock,
-// which also Merkle-checks the body against the header. The one thing
-// adopted from a peer is its index definitions, and only after
-// core.Engine.ParseIndexDefs has held them to the local tables. A peer
-// that lies can only stall a node, never corrupt it.
+// contracts, index definitions, bitmaps, layered indexes, ALIs — is
+// rebuilt locally by ApplyBlock, which also Merkle-checks the body
+// against the header and holds every definition record to the tables
+// the chain defines. A peer that lies can only stall a node, never
+// corrupt it.
 //
 // The wire protocol is one KindSubscribe request frame carrying a uint64
 // height cursor ("I have blocks [0, cursor)"), answered by an open-ended
@@ -23,8 +23,7 @@
 // block bytes, with an empty blob serving as a heartbeat so followers
 // can detect a dead leader and measure lag while idle. The first frame
 // of every session is a heartbeat, so a subscriber learns the leader's
-// height at once. KindIndexDefs answers with the node's index
-// definitions.
+// height at once.
 package replica
 
 import (
@@ -99,11 +98,10 @@ func (l *Leader) SetHeartbeat(d time.Duration) {
 	}
 }
 
-// Register installs the KindSubscribe stream handler and the
-// KindIndexDefs handler on the wire server.
+// Register installs the KindSubscribe stream handler on the wire
+// server.
 func (l *Leader) Register(srv *network.Server) {
 	srv.HandleStream(network.KindSubscribe, l.serve)
-	srv.Handle(network.KindIndexDefs, func([]byte) ([]byte, error) { return l.eng.IndexDefs() })
 }
 
 // Close ends every subscription session. Idempotent.

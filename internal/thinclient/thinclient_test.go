@@ -60,30 +60,37 @@ func cluster(t testing.TB, k, nBlocks, txPerBlock int) ([]*node.FullNode, []node
 			t.Fatal(err)
 		}
 	}
-	for h := uint64(0); h < e0.Height(); h++ {
-		blk, err := e0.Block(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i < k; i++ {
-			if err := nodes[i].Engine.ApplyBlock(blk); err != nil {
-				t.Fatal(err)
-			}
-		}
+	// The ALIs' definitions ride node 0's chain as records.
+	if err := e0.CreateAuthIndex("donate", "amount"); err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < k; i++ {
-		if err := nodes[i].Engine.CreateAuthIndex("donate", "amount"); err != nil {
-			t.Fatal(err)
-		}
-		if err := nodes[i].Engine.CreateAuthIndex("", "tname"); err != nil {
-			t.Fatal(err)
-		}
+	if err := e0.CreateAuthIndex("", "tname"); err != nil {
+		t.Fatal(err)
 	}
+	replicate(t, nodes, 0)
 	tc := thinclient.New(1)
 	if err := tc.SyncHeaders(qn[0]); err != nil {
 		t.Fatal(err)
 	}
 	return nodes, qn, tc
+}
+
+// replicate applies node 0's blocks from height from on to every other
+// node.
+func replicate(t testing.TB, nodes []*node.FullNode, from uint64) {
+	t.Helper()
+	e0 := nodes[0].Engine
+	for h := from; h < e0.Height(); h++ {
+		blk, err := e0.Block(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range nodes[1:] {
+			if err := n.Engine.ApplyBlock(blk); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }
 
 func TestAuthQueryHappyPath(t *testing.T) {
@@ -206,7 +213,8 @@ func TestSyncHeadersRejectsForks(t *testing.T) {
 	if err := tc.SyncHeaders(qn[1]); err != nil {
 		t.Errorf("re-sync from identical chain: %v", err)
 	}
-	// A diverged node (different chain) is rejected.
+	// A diverged node (different chain) taller than the client's is
+	// rejected.
 	e, err := core.Open(core.Config{Dir: t.TempDir(), Signer: "evil", BlockMaxTxs: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +222,7 @@ func TestSyncHeadersRejectsForks(t *testing.T) {
 	defer e.Close()
 	e.Execute(`CREATE other (a int)`)
 	e.FlushAt(1)
-	for i := 0; i < 10; i++ {
+	for i := 0; e.Height() <= tc.Height(); i++ {
 		e.Execute(fmt.Sprintf(`INSERT INTO other (%d)`, i))
 	}
 	e.FlushAt(2)
@@ -281,11 +289,11 @@ func TestBasicQueryBaseline(t *testing.T) {
 
 func TestAuthTrack(t *testing.T) {
 	nodes, qn, tc := cluster(t, 4, 5, 8)
-	for _, n := range nodes {
-		if err := n.Engine.CreateAuthIndex("", "senid"); err != nil {
-			t.Fatal(err)
-		}
+	from := nodes[0].Engine.Height()
+	if err := nodes[0].Engine.CreateAuthIndex("", "senid"); err != nil {
+		t.Fatal(err)
 	}
+	replicate(t, nodes, from)
 	// One dimension: all of org1's transactions.
 	txs, st, err := tc.AuthTrack(qn[0], qn[1:], "org1", "", 0, 0, thinclient.Options{M: 2})
 	if err != nil {

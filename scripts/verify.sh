@@ -93,7 +93,10 @@ echo "== fuzz (10 s per target) =="
 # held to Compare's sign, and every key must come back bit for bit.
 # Every peer block enters through one decoder, the replica stream's push
 # frame and the block decoder behind it, so that pair gets the same
-# bounds and decode∘encode identity on arbitrary bytes.
+# bounds and decode∘encode identity on arbitrary bytes. An index
+# definition enters only as an _index record's payload, resolved and
+# checked against a table: no panic, the same allocation bound, and an
+# accepted record re-encodes to the very bytes it came in as.
 # Minimization is off: the engine's minimizer stalls on multi-KB inputs.
 go test -run '^$' -fuzz '^FuzzDecodeVerifyVO$' -fuzztime 10s -fuzzminimizetime 0 ./internal/mbtree
 go test -run '^$' -fuzz '^FuzzVerifyAnswer$' -fuzztime 10s -fuzzminimizetime 0 ./internal/auth
@@ -106,6 +109,7 @@ go test -run '^$' -fuzz '^FuzzFilterBlock$' -fuzztime 10s -fuzzminimizetime 0 ./
 go test -run '^$' -fuzz '^FuzzBlockIndex$' -fuzztime 10s -fuzzminimizetime 0 ./internal/index/blockindex
 go test -run '^$' -fuzz '^FuzzRunKeyOrder$' -fuzztime 10s -fuzzminimizetime 0 ./internal/index/layered
 go test -run '^$' -fuzz '^FuzzDecodePush$' -fuzztime 10s -fuzzminimizetime 0 ./internal/replica
+go test -run '^$' -fuzz '^FuzzIndexRecord$' -fuzztime 10s -fuzzminimizetime 0 ./internal/core
 
 echo "== bchainbench -json smoke =="
 # The table driver end to end: fig 12 for the JSON output, fig storage
