@@ -20,9 +20,8 @@ import (
 // level is the layered index's per-block filter, the second level one
 // MB-tree per block. Each block height is a verifiable snapshot.
 type ALI struct {
-	// attr and fanout are fixed at construction; first carries its own
-	// internal lock.
-	attr   string
+	// fanout is fixed at construction; first carries its own internal
+	// lock.
 	first  *layered.Index
 	fanout int
 
@@ -34,17 +33,14 @@ type ALI struct {
 // NewDiscrete creates an ALI over a discrete attribute (e.g. Tname for
 // authenticated tracking).
 func NewDiscrete(attr string, fanout int) *ALI {
-	return &ALI{attr: attr, first: layered.NewDiscrete(attr), fanout: fanout}
+	return &ALI{first: layered.NewDiscrete(attr), fanout: fanout}
 }
 
 // NewContinuous creates an ALI over a continuous attribute with the
 // given first-level histogram.
 func NewContinuous(attr string, hist *layered.Histogram, fanout int) *ALI {
-	return &ALI{attr: attr, first: layered.NewContinuous(attr, hist), fanout: fanout}
+	return &ALI{first: layered.NewContinuous(attr, hist), fanout: fanout}
 }
-
-// Attr returns the indexed attribute name.
-func (a *ALI) Attr() string { return a.attr }
 
 // Continuous reports whether the first level uses histogram bucketing.
 func (a *ALI) Continuous() bool { return a.first.Continuous() }

@@ -18,7 +18,7 @@ import (
 // produced it. The frame records every layered index block by block as
 // its (key, pos) sequence in key order, so a change to how a block's
 // second level is stored must leave this value alone.
-const seededFrameDigest = "970f7cc66b744ccd3c4ad8c0351169a0a0a0162125b96ab27f133be6fd4238d7"
+const seededFrameDigest = "91a0673d87b3196dcfa9dbb9b0108d618b576b150c7b859b2bc8709eb4450717"
 
 // pinnedChain builds the seeded chain TestCheckpointFramePinned pins: a
 // continuous and a discrete layered index and a discrete ALI created

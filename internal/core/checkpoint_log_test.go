@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"math/rand/v2"
@@ -283,69 +284,94 @@ func TestBadFrameCostsItsSuffix(t *testing.T) {
 	}
 }
 
-// TestV2CheckpointOpensByFullReplay: testdata/v2-datadir is a data
-// directory written by the last release of the monolithic format — a
+// TestV2CheckpointOpensByFullReplay: the testdata directories were
+// written by releases of older checkpoint formats. v2-datadir holds a
 // three-block chain with snapshots/ckpt-000000000003.snap and a
-// version-2 MANIFEST. There is one checkpoint format and one decoder:
-// the old files read as "no checkpoint", the chain replays in full,
-// and the next checkpoint sweeps them away.
+// version-2 MANIFEST, from the monolithic format; v3-datadir a
+// seven-block chain with a layered index, an ALI and a contract, whose
+// two-frame index-000001.log restates the definitions in every frame.
+// There is one checkpoint format and one decoder: the old files read as
+// "no checkpoint", the chain replays in full to the state a fresh full
+// replay reaches, and the next checkpoint starts a new generation — one
+// whole-state frame — and sweeps the old files away.
 func TestV2CheckpointOpensByFullReplay(t *testing.T) {
-	dir := t.TempDir()
-	copyTree(t, filepath.Join("testdata", "v2-datadir"), dir)
-	reg := obs.NewRegistry(clock.UnixMicro)
-	e, err := Open(Config{Dir: dir, Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if got := reg.Counter("sebdb_snapshot_suffix_blocks").Value(); e.Height() != 3 || got != 3 {
-		t.Fatalf("opened at height %d replaying %d blocks, want 3 and 3", e.Height(), got)
-	}
-	if res := mustExec(t, e, `SELECT * FROM donate WHERE amount >= 1`); len(res.Rows) != 3 {
-		t.Fatalf("replayed chain answers %d rows, want 3", len(res.Rows))
-	}
-	// The fixture's indexes.json names an ALI the chain never defined:
-	// the release that wrote it kept index definitions off the chain.
-	// Open drops it and rewrites the copy with the chain's definitions —
-	// none — so the next full-replay Open reads each block once; the
-	// fixture stays as it was.
-	if e.CurrentView().AuthIndex("donate", "amount") != nil {
-		t.Fatal("the ALI named only in indexes.json was built")
-	}
-	if raw, err := os.ReadFile(filepath.Join("testdata", "v2-datadir", indexMetaFile)); err != nil || !strings.Contains(string(raw), `"auth": [`) {
-		t.Fatalf("the checked-in fixture changed: %s (err %v)", raw, err)
-	}
-	if m := readDefs(t, dir); len(m) != 0 {
-		t.Fatalf("indexes.json was not rewritten with the chain's definitions: %+v", m)
-	}
-	reads := blockReads()
-	replayed, err := Open(Config{Dir: dir, DisableCheckpointLoad: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := blockReads() - reads; got != replayed.Height() {
-		t.Errorf("reopening from the rewritten definitions read %d blocks of %d", got, replayed.Height())
-	}
-	if got, want := recoveryFingerprint(t, replayed), recoveryFingerprint(t, e); got != want {
-		t.Errorf("reopened from the definitions:\n%s--- the engine that wrote them:\n%s", got, want)
-	}
-	if err := replayed.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.WriteCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(e.snapDir.Path())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, en := range entries {
-		if strings.HasSuffix(en.Name(), ".snap") {
-			t.Errorf("%s survived the first new-format checkpoint", en.Name())
-		}
-	}
-	if suffix, _ := sameByEveryRoute(t, dir); suffix != 0 {
-		t.Errorf("reopen after the new checkpoint replayed %d blocks", suffix)
+	for _, fixture := range []struct {
+		dir    string
+		height uint64
+		rows   int // rows with amount >= 1
+	}{{"v2-datadir", 3, 3}, {"v3-datadir", 7, 8}} {
+		t.Run(fixture.dir, func(t *testing.T) {
+			dir := t.TempDir()
+			copyTree(t, filepath.Join("testdata", fixture.dir), dir)
+			reg := obs.NewRegistry(clock.UnixMicro)
+			e, err := Open(Config{Dir: dir, Obs: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			if got := reg.Counter("sebdb_snapshot_suffix_blocks").Value(); e.Height() != fixture.height || got != fixture.height {
+				t.Fatalf("opened at height %d replaying %d blocks, want %d and %d", e.Height(), got, fixture.height, fixture.height)
+			}
+			if res := mustExec(t, e, `SELECT * FROM donate WHERE amount >= 1`); len(res.Rows) != fixture.rows {
+				t.Fatalf("replayed chain answers %d rows, want %d", len(res.Rows), fixture.rows)
+			}
+			if fixture.dir == "v2-datadir" {
+				// The fixture's indexes.json names an ALI the chain never
+				// defined: the release that wrote it kept index definitions
+				// off the chain. Open drops it and rewrites the copy with the
+				// chain's definitions — none — so the next full-replay Open
+				// reads each block once; the fixture stays as it was.
+				if e.CurrentView().AuthIndex("donate", "amount") != nil {
+					t.Fatal("the ALI named only in indexes.json was built")
+				}
+				if raw, err := os.ReadFile(filepath.Join("testdata", fixture.dir, indexMetaFile)); err != nil || !strings.Contains(string(raw), `"auth": [`) {
+					t.Fatalf("the checked-in fixture changed: %s (err %v)", raw, err)
+				}
+				if m := readDefs(t, dir); len(m) != 0 {
+					t.Fatalf("indexes.json was not rewritten with the chain's definitions: %+v", m)
+				}
+			}
+			reads := blockReads()
+			replayed, err := Open(Config{Dir: dir, DisableCheckpointLoad: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := blockReads() - reads; got != replayed.Height() {
+				t.Errorf("reopening from the chain's definitions read %d blocks of %d", got, replayed.Height())
+			}
+			if got, want := recoveryFingerprint(t, e), recoveryFingerprint(t, replayed); got != want {
+				t.Errorf("opened past the old checkpoint:\n%s--- a fresh full replay:\n%s", got, want)
+			}
+			if err := replayed.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.WriteCheckpoint(); err != nil {
+				t.Fatal(err)
+			}
+			m, payload, err := pinnedLog(dir)
+			if err != nil || m == nil {
+				t.Fatalf("pinned log after the first new-format checkpoint = %v, %v", m, err)
+			}
+			whole, err := e.BuildCheckpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(payload, whole.Encode()) {
+				t.Error("the first new-format checkpoint is not one whole-state frame")
+			}
+			entries, err := os.ReadDir(e.snapDir.Path())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, en := range entries {
+				if en.Name() != "MANIFEST" && en.Name() != m.File {
+					t.Errorf("%s survived the first new-format checkpoint", en.Name())
+				}
+			}
+			if suffix, _ := sameByEveryRoute(t, dir); suffix != 0 {
+				t.Errorf("reopen after the new checkpoint replayed %d blocks", suffix)
+			}
+		})
 	}
 }
 

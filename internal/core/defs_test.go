@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
 	"sebdb/internal/clock"
 	"sebdb/internal/contract"
 	"sebdb/internal/exec"
+	"sebdb/internal/obs"
 	"sebdb/internal/schema"
 	"sebdb/internal/snapshot"
 	"sebdb/internal/sqlparser"
@@ -121,9 +121,10 @@ func TestResolveDefs(t *testing.T) {
 	}
 }
 
-// TestCheckpointFrameDeterministicWithContracts: a frame lists tables
-// and contracts in name order, so building it again over an unchanged
-// engine gives the same bytes, and so does a full-replay reopen.
+// TestCheckpointFrameDeterministicWithContracts: on a chain with
+// contracts deployed out of name order, building the frame again over an
+// unchanged engine gives the same bytes, and so does a full-replay
+// reopen, which defines every contract from its record.
 func TestCheckpointFrameDeterministicWithContracts(t *testing.T) {
 	cfg := Config{Dir: t.TempDir(), BlockMaxTxs: 4, Clock: clock.Fixed(1)}
 	e, err := Open(cfg)
@@ -304,28 +305,6 @@ func TestNaNRefusedAtTheDoor(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesConflictingDefinitions: a checkpoint frame that
-// names one table or one contract twice with different definitions is
-// refused before anything is restored.
-func TestRestoreRefusesConflictingDefinitions(t *testing.T) {
-	donate := testTable(t, "donate", schema.Column{Name: "amount", Kind: types.KindDecimal})
-	other := testTable(t, "donate", schema.Column{Name: "x", Kind: types.KindInt})
-	give := testContract(t, "give", `SELECT * FROM t`)
-	body := testContract(t, "give", `SELECT * FROM other`)
-	for want, c := range map[string]*snapshot.Checkpoint{
-		"checkpoint tables":    {Tables: []*schema.Table{donate, other}},
-		"checkpoint contracts": {Contracts: []*contract.Contract{give, body}},
-	} {
-		e := testEngine(t, Config{})
-		if err := e.restoreCheckpoint(c); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("restoring a frame with two different %s: %v", want, err)
-		}
-		if len(e.defs.tables) != 0 || len(e.defs.contracts) != 0 {
-			t.Errorf("refused frame installed %d tables, %d contracts", len(e.defs.tables), len(e.defs.contracts))
-		}
-	}
-}
-
 // TestRestoreRefusesIndexesOffTheChain: a checkpoint frame must hold
 // exactly the user indexes the chain's _index records define. One with
 // an index the chain does not define — as a build that kept definitions
@@ -355,6 +334,85 @@ func TestRestoreRefusesIndexesOffTheChain(t *testing.T) {
 	}
 	if err := newEngine(e.cfg, e.store, e.snapDir).restoreCheckpoint(c); err != nil {
 		t.Errorf("the frame as written: %v", err)
+	}
+}
+
+// TestCheckpointHoldsNoUnflushedDefinitions: a table or contract
+// submitDDL registered while its _schema or _contract transaction is
+// still in the mempool is engine state, not chain state. A checkpoint
+// cut then must not make it chain state on reopen: the checkpoint
+// restore and a full replay both lack it, answer alike and encode the
+// same frame.
+func TestCheckpointHoldsNoUnflushedDefinitions(t *testing.T) {
+	for name, define := range map[string]func(e *Engine) error{
+		"table": func(e *Engine) error {
+			_, err := e.Execute(`CREATE ghost (x int)`)
+			return err
+		},
+		"contract": func(e *Engine) error {
+			return e.DeployContract("org1", "ghost", []string{`INSERT INTO donate ($sender, $1, $2)`})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{Dir: t.TempDir(), BlockMaxTxs: 64, Clock: clock.Fixed(1)}
+			e, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustExec(t, e, `CREATE donate (donor string, project string, amount decimal)`)
+			if err := e.FlushAt(1); err != nil {
+				t.Fatal(err)
+			}
+			if err := define(e); err != nil {
+				t.Fatal(err)
+			}
+			tx, err := e.NewTransaction("org1", "donate", []types.Value{types.Str("donor003"), types.Str("education"), types.Dec(7)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.CommitBlock([]*types.Transaction{tx}, 2000); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.WriteCheckpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var fingerprints []string
+			var frames [][]byte
+			for _, disable := range []bool{false, true} {
+				reg := obs.NewRegistry(clock.UnixMicro)
+				cfg.Obs, cfg.DisableCheckpointLoad = reg, disable
+				r, err := Open(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if suffix := reg.Counter("sebdb_snapshot_suffix_blocks").Value(); !disable && suffix != 0 {
+					t.Fatalf("the checkpoint reopen replayed %d blocks", suffix)
+				}
+				v := r.CurrentView()
+				_, noContract := v.Contract("ghost")
+				if v.HasTable("ghost") || noContract == nil {
+					t.Errorf("DisableCheckpointLoad=%v: the unflushed %s is defined after reopen", disable, name)
+				}
+				c, err := r.BuildCheckpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				fingerprints = append(fingerprints, recoveryFingerprint(t, r))
+				frames = append(frames, c.Encode())
+				if err := r.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if fingerprints[0] != fingerprints[1] {
+				t.Errorf("checkpoint reopen:\n%s--- full replay:\n%s", fingerprints[0], fingerprints[1])
+			}
+			if !bytes.Equal(frames[0], frames[1]) {
+				t.Error("the checkpoint reopen and the full replay encode different frames")
+			}
+		})
 	}
 }
 

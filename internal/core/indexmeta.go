@@ -60,7 +60,10 @@ func defOf(family, key string, hist *layered.Histogram) *indexDef {
 }
 
 // id names the definition: a layered index and an ALI may share a key.
-func (d *indexDef) id() string { return d.Family + ":" + d.Key }
+func (d *indexDef) id() string { return indexID(d.Family, d.Key) }
+
+// indexID is the id of family's index under key.
+func indexID(family, key string) string { return family + ":" + key }
 
 // Equal reports whether d and o define the same index, bit for bit.
 func (d *indexDef) Equal(o *indexDef) bool {
@@ -101,9 +104,9 @@ func decodeIndexRecord(args []types.Value, tables map[string]*schema.Table) (*in
 }
 
 // histogram rebuilds a continuous definition's first level; nil for a
-// discrete one.
+// discrete one, or for none (a built-in index).
 func (d *indexDef) histogram() *layered.Histogram {
-	if !d.Continuous {
+	if d == nil || !d.Continuous {
 		return nil
 	}
 	bounds := make([]float64, len(d.Bounds))

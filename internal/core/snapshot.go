@@ -2,26 +2,29 @@ package core
 
 import (
 	"fmt"
-	"reflect"
+	"slices"
 	"sort"
 
 	"sebdb/internal/auth"
+	"sebdb/internal/contract"
 	"sebdb/internal/index/layered"
 	"sebdb/internal/mbtree"
 	"sebdb/internal/parallel"
+	"sebdb/internal/schema"
 	"sebdb/internal/snapshot"
 	"sebdb/internal/storage"
 	"sebdb/internal/types"
 )
 
 // Checkpoint integration: the engine persists its derived state —
-// storage metadata, tables, contracts, table bitmaps, layered indexes
-// and ALIs — as windows of an append-only log (internal/snapshot), one
-// frame per checkpoint covering the blocks since the previous one, and
-// seeds itself from the log on Open so only the post-checkpoint suffix
-// needs replaying. The chain stays the sole source of truth: a frame
-// that fails any verification ends the usable log and Open replays from
-// there.
+// storage metadata, table bitmaps, layered indexes and ALIs — as
+// windows of an append-only log (internal/snapshot), one frame per
+// checkpoint covering the blocks since the previous one, and seeds
+// itself from the log on Open so only the post-checkpoint suffix needs
+// replaying. Definitions are not derived state: restore resolves them
+// from their chain records, as replay does. The chain stays the sole
+// source of truth: a frame that fails any verification ends the usable
+// log and Open replays from there.
 
 // WriteCheckpoint persists the engine's derived state at the current
 // height: as one more window when the log already tiles the chain up to
@@ -164,15 +167,9 @@ func (e *Engine) collectLocked(lo, h uint64) (*snapshot.Checkpoint, error) {
 		Store:    m,
 		TableIdx: e.tableIdx.Range(int(lo), int(h)),
 	}
-	for _, name := range sortedKeys(e.defs.tables) {
-		c.Tables = append(c.Tables, e.defs.tables[name])
-	}
-	for _, name := range sortedKeys(e.defs.contracts) {
-		c.Contracts = append(c.Contracts, e.defs.contracts[name])
-	}
 	for _, key := range sortedKeys(e.lidx) {
 		idx := e.lidx[key]
-		st := indexState(key, idx.Attr(), idx.Histogram(), h-lo)
+		st := snapshot.IndexState{Key: key, Blocks: make([][]layered.Entry, h-lo)}
 		for bid := lo; bid < h; bid++ {
 			st.Blocks[bid-lo] = idx.BlockEntries(bid)
 		}
@@ -180,7 +177,7 @@ func (e *Engine) collectLocked(lo, h uint64) (*snapshot.Checkpoint, error) {
 	}
 	for _, key := range sortedKeys(e.alis) {
 		ali := e.alis[key]
-		st := indexState(key, ali.Attr(), ali.Histogram(), h-lo)
+		st := snapshot.IndexState{Key: key, Blocks: make([][]layered.Entry, h-lo)}
 		for bid := lo; bid < h; bid++ {
 			if st.Blocks[bid-lo], err = aliEntries(ali.BlockRecords(bid), m.Headers[bid-lo].FirstTid); err != nil {
 				return nil, fmt.Errorf("core: checkpointing auth index %q, block %d: %w", key, bid, err)
@@ -189,23 +186,6 @@ func (e *Engine) collectLocked(lo, h uint64) (*snapshot.Checkpoint, error) {
 		c.ALIs = append(c.ALIs, st)
 	}
 	return c, nil
-}
-
-// stateHistogram is a checkpointed index's first level: its histogram
-// when continuous, nil when discrete.
-func stateHistogram(st *snapshot.IndexState) *layered.Histogram {
-	if !st.Continuous {
-		return nil
-	}
-	return layered.FromBounds(st.Bounds)
-}
-
-func indexState(key, attr string, hist *layered.Histogram, blocks uint64) snapshot.IndexState {
-	st := snapshot.IndexState{Key: key, Attr: attr, Continuous: hist != nil, Blocks: make([][]layered.Entry, blocks)}
-	if hist != nil {
-		st.Bounds = hist.Bounds()
-	}
-	return st
 }
 
 // aliEntries names one block's MB-tree records by key and transaction:
@@ -242,45 +222,42 @@ func sortedKeys[V any](m map[string]V) []string {
 // shared, so no locking is needed. Any inconsistency is an error; the
 // caller discards the engine and falls back to full replay.
 func (e *Engine) restoreCheckpoint(c *snapshot.Checkpoint) error {
-	defs := e.defs
-	var err error
-	for _, t := range c.Tables {
-		if defs, err = defs.withTable(t); err != nil {
-			return fmt.Errorf("core: checkpoint tables: %w", err)
-		}
-	}
-	for _, ct := range c.Contracts {
-		if defs, err = defs.withContract(ct); err != nil {
-			return fmt.Errorf("core: checkpoint contracts: %w", err)
-		}
-	}
 	for k, ids := range c.TableIdx {
 		for _, b := range ids {
 			e.tableIdx.Mark(k, int(b))
 		}
 	}
-	// The index definitions are the chain's, resolved from the few blocks
-	// below the checkpoint that carry _index records (the table bitmap
-	// names them); the checkpoint must hold exactly their indexes, beside
-	// the two built-in ones.
-	for _, bid := range e.tableIdx.Blocks(indexTable, int(c.Height)).Slice() {
+	// Every definition is the chain's, resolved as replay resolves it from
+	// the few blocks below the checkpoint that carry _schema, _contract or
+	// _index records (the table bitmap names them). The checkpoint must
+	// hold exactly the indexes they define, beside the built-in ones the
+	// fresh engine holds.
+	h := int(c.Height)
+	defs := e.defs
+	marked := e.tableIdx.Blocks(schema.MetaTable, h).Or(e.tableIdx.Blocks(contract.MetaTable, h)).Or(e.tableIdx.Blocks(indexTable, h))
+	for _, bid := range marked.Slice() {
 		b, err := e.store.Block(uint64(bid))
 		if err == nil {
 			defs, err = defs.resolve(b.Txs)
 		}
 		if err != nil {
-			return fmt.Errorf("core: checkpoint index records: %w", err)
+			return fmt.Errorf("core: checkpoint definitions: %w", err)
 		}
 	}
-	held := map[string]*indexDef{}
-	for family, states := range map[string][]snapshot.IndexState{familyLayered: c.Indexes, familyAuth: c.ALIs} {
-		for i := range states {
-			if d := defOf(family, states[i].Key, stateHistogram(&states[i])); family == familyAuth || splitKey(d.Key).table != "" {
-				held[d.id()] = d
-			}
-		}
+	want := sortedKeys(defs.indexes)
+	for key := range e.lidx {
+		want = append(want, indexID(familyLayered, key))
 	}
-	if !reflect.DeepEqual(held, defs.indexes) {
+	var held []string
+	for _, st := range c.Indexes {
+		held = append(held, indexID(familyLayered, st.Key))
+	}
+	for _, st := range c.ALIs {
+		held = append(held, indexID(familyAuth, st.Key))
+	}
+	slices.Sort(want)
+	slices.Sort(held)
+	if !slices.Equal(held, want) {
 		return fmt.Errorf("core: the checkpoint's indexes are not the ones the chain defines")
 	}
 	e.installDefs(defs, nil)
@@ -290,7 +267,7 @@ func (e *Engine) restoreCheckpoint(c *snapshot.Checkpoint) error {
 	// own worker — the layered ones from their entries, the ALIs (one
 	// task, sharing each block read) from the block files.
 	idxs := make([]*layered.Index, len(c.Indexes))
-	err = parallel.Ordered(e.Parallelism(), len(c.Indexes)+1,
+	err := parallel.Ordered(e.Parallelism(), len(c.Indexes)+1,
 		func(i int) (struct{}, error) {
 			if i == len(c.Indexes) {
 				return struct{}{}, e.restoreALIs(c)
@@ -299,7 +276,7 @@ func (e *Engine) restoreCheckpoint(c *snapshot.Checkpoint) error {
 			if uint64(len(st.Blocks)) != c.Height {
 				return struct{}{}, fmt.Errorf("core: checkpoint index %q covers %d of %d blocks", st.Key, len(st.Blocks), c.Height)
 			}
-			idxs[i] = newLayered(st.Attr, stateHistogram(st))
+			idxs[i] = newLayered(splitKey(st.Key).col, defs.indexes[indexID(familyLayered, st.Key)].histogram())
 			for bid, entries := range st.Blocks {
 				idxs[i].AppendBlock(uint64(bid), entries)
 			}
@@ -311,12 +288,6 @@ func (e *Engine) restoreCheckpoint(c *snapshot.Checkpoint) error {
 	}
 	for i, st := range c.Indexes {
 		e.lidx = withEntry(e.lidx, st.Key, idxs[i])
-	}
-	if _, ok := e.lidx[".senid"]; !ok {
-		return fmt.Errorf("core: checkpoint misses the system index .senid")
-	}
-	if _, ok := e.lidx[".tname"]; !ok {
-		return fmt.Errorf("core: checkpoint misses the system index .tname")
 	}
 	return nil
 }
@@ -335,7 +306,7 @@ func (e *Engine) restoreALIs(c *snapshot.Checkpoint) error {
 		if uint64(len(st.Blocks)) != c.Height {
 			return fmt.Errorf("core: checkpoint auth index %q covers %d of %d blocks", st.Key, len(st.Blocks), c.Height)
 		}
-		alis[i] = newALI(st.Attr, stateHistogram(&st))
+		alis[i] = newALI(splitKey(st.Key).col, e.defs.indexes[indexID(familyAuth, st.Key)].histogram())
 		e.alis = withEntry(e.alis, st.Key, alis[i])
 	}
 	if n := uint64(e.store.Count()); n < c.Height {

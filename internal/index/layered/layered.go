@@ -77,13 +77,10 @@ func Key(v types.Value) types.Value {
 
 // mayHold reports whether the values folded into Key k can lie in
 // [lo, hi]. A numeric key stands for an Int, a Dec and a Timestamp
-// alike, which order by value against a numeric bound but by kind tag
-// against any other, so only numeric bounds rule it out.
+// alike, which types.Compare orders alike against every bound; nanKey
+// stands for every NaN, which compares equal to every number.
 func mayHold(k, lo, hi types.Value) bool {
-	if !k.Numeric() {
-		return types.Compare(k, lo) >= 0 && types.Compare(k, hi) <= 0
-	}
-	return k == nanKey || !(lo.Numeric() && k.F < lo.Float()) && !(hi.Numeric() && k.F > hi.Float())
+	return k == nanKey || types.Compare(k, lo) >= 0 && types.Compare(k, hi) <= 0
 }
 
 // bucket places v on the histogram, or in bucket dflt when v — Null, a

@@ -410,8 +410,9 @@ func TestCandidateBlocksDiscreteRange(t *testing.T) {
 			t.Errorf("CandidateBlocks(%v, %v) = %v, want %v", c.lo, c.hi, got, c.want)
 		}
 	}
-	// Numeric values fold kinds; a numeric bound prunes them by value, a
-	// bound of another kind orders by kind tag and prunes none.
+	// Numeric values fold kinds; a numeric bound prunes them by value. A
+	// bound of another kind orders every numeric kind alike — above
+	// strings, below Bools — so it prunes all of them or none.
 	n := NewDiscrete("code")
 	n.AppendBlock(0, []Entry{{types.Int(1), 0}})
 	n.AppendBlock(1, []Entry{{types.Time(5), 0}})
@@ -422,7 +423,8 @@ func TestCandidateBlocksDiscreteRange(t *testing.T) {
 	}{
 		{types.Dec(2), types.Int(9), []int{1, 2}},
 		{types.Int(0), types.Dec(4.5), []int{0}},
-		{types.Bool(true), types.Value{Kind: types.KindTimestamp + 100}, []int{0, 1, 2}},
+		{types.Bool(true), types.Value{Kind: types.KindTimestamp + 100}, nil},
+		{types.Str("z"), types.Bool(false), []int{0, 1, 2}},
 	} {
 		if got := n.CandidateBlocks(c.lo, c.hi).Slice(); !slices.Equal(got, c.want) {
 			t.Errorf("CandidateBlocks(%v, %v) = %v, want %v", c.lo, c.hi, got, c.want)

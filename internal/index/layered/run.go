@@ -30,9 +30,6 @@ type Run struct {
 	words []uint64
 	kinds []types.Kind
 	raw   []uint64
-	// times and others record whether the run holds a Timestamp and an
-	// Int or Dec: a Bool orders above the latter but below the former.
-	times, others bool
 
 	// String column: key i is arena[ends[i]:ends[i+1]], after nulls
 	// (0 or 1) leading Null keys with empty spans.
@@ -135,8 +132,6 @@ func (r *Run) add(k types.Value, sb *strings.Builder) {
 		w := uint64(0)
 		if k.Kind != types.KindNull {
 			w = keyWord(k.Float())
-			r.times = r.times || k.Kind == types.KindTimestamp
-			r.others = r.others || k.Kind != types.KindTimestamp
 		}
 		b := rawBits(k)
 		if r.raw == nil && wordBits(k.Kind, w) != b {
@@ -246,8 +241,8 @@ func (r *Run) str(i int) string { return r.arena[r.ends[i]:r.ends[i+1]] }
 func (r *Run) span(lo, hi types.Value) (i, j int) {
 	switch r.col {
 	case numericCol:
-		wl, okl := r.boundWord(lo)
-		wh, okh := r.boundWord(hi)
+		wl, okl := boundWord(lo)
+		wh, okh := boundWord(hi)
 		if okl && okh {
 			i = searchWords(r.words, wl, false)
 			return i, i + searchWords(r.words[i:], wh, true)
@@ -263,22 +258,18 @@ func (r *Run) span(lo, hi types.Value) (i, j int) {
 
 // boundWord places a query bound among the words of a numeric run: a
 // key compares with v as its word does with the result. ok is false
-// when no word can stand for v — a NaN, or a Bool on a run that holds a
-// Timestamp beside an Int or Dec, since by kind tag a Bool sorts above
-// Int and Dec but below Timestamp.
-func (r *Run) boundWord(v types.Value) (w uint64, ok bool) {
+// when no word can stand for v: a NaN.
+func boundWord(v types.Value) (w uint64, ok bool) {
 	switch {
 	case v.Kind == types.KindNull:
 		return 0, true
 	case v.Numeric():
 		f := v.Float()
 		return keyWord(f), f == f
-	case v.Kind == types.KindBool && r.times && r.others:
-		return 0, false
-	case v.Kind < types.KindInt || v.Kind == types.KindBool && r.times:
+	case v.Kind < types.KindInt:
 		return 1, true // above Null, below every number
 	}
-	return math.MaxUint64, true
+	return math.MaxUint64, true // a Bool or exec's past-the-end sentinel
 }
 
 // searchWords returns the number of words below w or, with orEqual,

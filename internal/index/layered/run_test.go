@@ -93,29 +93,19 @@ func decodeFuzzBlocks(data []byte) (lo, hi types.Value, blocks [][]Entry) {
 // ordered reports whether types.Compare is a total preorder on vals,
 // which a sorted run and the brute-force sort it is held to both need.
 // It is not once a NaN meets another number, since a NaN compares equal
-// to every number, nor once a Bool meets a Timestamp and an Int or Dec:
-// by kind tag a Bool sorts above Int and Dec and below Timestamp, while
-// the numbers sort among themselves by value.
+// to every number.
 func ordered(vals []types.Value) bool {
 	var nans, numbers int
-	var bools, times, others bool
 	for _, v := range vals {
 		switch {
-		case v.Kind == types.KindBool:
-			bools = true
 		case !v.Numeric():
-			continue
 		case v.Float() != v.Float():
 			nans++
 		default:
 			numbers++
 		}
-		if v.Numeric() {
-			times = times || v.Kind == types.KindTimestamp
-			others = others || v.Kind != types.KindTimestamp
-		}
 	}
-	return (nans == 0 || numbers == 0) && !(bools && times && others)
+	return nans == 0 || numbers == 0
 }
 
 // inRange filters key-sorted entries to those with lo <= key <= hi.
@@ -429,7 +419,7 @@ func FuzzRunKeyOrder(f *testing.F) {
 		}
 		if r.col == numericCol {
 			for _, v := range vals {
-				w, ok := r.boundWord(v)
+				w, ok := boundWord(v)
 				if !ok {
 					continue
 				}

@@ -94,13 +94,13 @@ type Dir struct {
 	path string
 
 	// pin is the log prefix the next window continues — what Load
-	// folded or the last Write pinned — and defs the index definitions
+	// folded or the last Write pinned — and keys the encoded index keys
 	// of that log generation. A nil pin means the log's state is unknown
 	// (nothing loaded, a write failed, the engine discarded what Load
 	// returned): the next Write must carry the whole state and starts a
 	// new generation.
 	pin  *Manifest
-	defs []byte
+	keys []byte
 }
 
 // NewDir returns a Dir over <dataDir>/snapshots using fs (nil means
@@ -154,7 +154,7 @@ func (d *Dir) Write(c *Checkpoint) error {
 		d.pin = nil
 		return err
 	}
-	d.pin, d.defs = m, indexDefs(c)
+	d.pin, d.keys = m, indexKeys(c)
 	mWrites.Inc()
 	mWriteBytes.Add(uint64(len(frame)))
 	if c.Lo == 0 {
@@ -170,7 +170,7 @@ func (d *Dir) Write(c *Checkpoint) error {
 func (d *Dir) appendFrame(c *Checkpoint, frame []byte) (*Manifest, error) {
 	pin := d.pin
 	if pin == nil || c.Lo != pin.Height || c.Height <= c.Lo ||
-		c.Store.Headers[0].PrevHash != pin.Anchor || !bytes.Equal(indexDefs(c), d.defs) {
+		c.Store.Headers[0].PrevHash != pin.Anchor || !bytes.Equal(indexKeys(c), d.keys) {
 		return nil, fmt.Errorf("snapshot: window [%d,%d) does not continue the log pinned at %d", c.Lo, c.Height, d.Height())
 	}
 	logPath := filepath.Join(d.path, pin.File)
@@ -302,7 +302,7 @@ func (d *Dir) Load() (*Checkpoint, error) {
 	default:
 		mLoadOK.Inc()
 	}
-	d.pin, d.defs = m, indexDefs(c)
+	d.pin, d.keys = m, indexKeys(c)
 	mLoadBytes.Add(uint64(used))
 	return c, nil
 }

@@ -1,11 +1,13 @@
 // Package snapshot implements SEBDB's checkpoint subsystem: a
 // CRC-framed, append-only log of the engine's derived state — storage
-// segment metadata, tables, contracts, table-level bitmaps,
-// layered indexes and ALIs — pinned to a block height and an anchor
-// block hash. Every index the paper defines is per block and immutable
-// once the block is sealed, so each frame carries the state of one
-// block window [Lo, Height) and a checkpoint costs what was committed
-// since the previous one, not what the chain holds. The chain remains
+// segment metadata, table-level bitmaps, layered indexes and ALIs —
+// pinned to a block height and an anchor block hash. A frame holds no
+// definitions: tables, contracts and index definitions are chain
+// records, which the engine resolves from the blocks, so a frame names
+// each index by its key alone. Every index the paper defines is per
+// block and immutable once the block is sealed, so each frame carries
+// the state of one block window [Lo, Height) and a checkpoint costs
+// what was committed since the previous one, not what the chain holds. The chain remains
 // the only source of truth: a checkpoint merely lets Engine.Open seed
 // state for blocks [0, Height) and replay only the suffix, and any
 // corrupt or stale frame ends the usable prefix in favour of replay
@@ -32,9 +34,7 @@ import (
 	"math"
 	"sort"
 
-	"sebdb/internal/contract"
 	"sebdb/internal/index/layered"
-	"sebdb/internal/schema"
 	"sebdb/internal/storage"
 	"sebdb/internal/types"
 )
@@ -42,11 +42,12 @@ import (
 const (
 	frameMagic    = 0x5EBD_C4B8
 	manifestMagic = 0x5EBD_3A1F
-	// version 3 is the windowed log frame. Version 2 was one monolithic
-	// file per checkpoint under another magic; its manifest fails the
-	// version check, which callers treat as "no checkpoint" and fall
-	// back to full replay.
-	version = 3
+	// version 4 is the windowed log frame without definitions. Version 3
+	// restated tables, contracts and index definitions in every frame;
+	// version 2 was one monolithic file per checkpoint under another
+	// magic. An older manifest fails the version check, which callers
+	// treat as "no checkpoint" and fall back to full replay.
+	version = 4
 
 	// A frame is magic, payload length, payload and the payload's
 	// CRC-32 — the segment store's record framing.
@@ -59,12 +60,13 @@ const (
 var ErrCorrupt = errors.New("snapshot: corrupt checkpoint")
 
 // IndexState is the serialised form of one layered index or ALI: its
-// identity, first-level histogram bounds (continuous only) and the
-// per-block second-level entries. Replaying a layered index's entries
-// through layered.Index.AppendBlock reproduces it exactly. An ALI's
-// entries name the indexed transactions only: their encodings — the
-// authenticated payloads — are already in the block files, so restore
-// slices them out of the block body, rebuilds every MB-tree and
+// key and the per-block second-level entries. Its definition — column,
+// kind, histogram bounds — is the chain's _index record (built in for
+// the system keys), and replaying the entries through AppendBlock of
+// the index that definition builds reproduces the index exactly. An
+// ALI's entries name the indexed transactions only: their encodings —
+// the authenticated payloads — are already in the block files, so
+// restore slices them out of the block body, rebuilds every MB-tree and
 // re-derives every root. No tuple is stored twice and no digest is
 // persisted, so a tampered checkpoint cannot forge authentication
 // state.
@@ -72,12 +74,6 @@ type IndexState struct {
 	// Key is the engine's registry key (e.g. "donate.money" or the
 	// system keys ".senid"/".tname").
 	Key string
-	// Attr is the indexed attribute name.
-	Attr string
-	// Continuous selects histogram bucketing; Bounds are its inner
-	// boundaries.
-	Continuous bool
-	Bounds     []float64
 	// Blocks holds, per block of the window, the entries in key order
 	// (nil for blocks without indexed rows). A layered index's Pos is
 	// the transaction's position in its block; an ALI's is its Tid
@@ -105,10 +101,6 @@ type Checkpoint struct {
 	// for all of [0, Height) — recompression rewrites those for old
 	// blocks, so every frame restates them (storage.Store.MetaWindow).
 	Store *storage.Meta
-	// Tables are the user table schemas, in name order.
-	Tables []*schema.Table
-	// Contracts are the deployed contracts, in name order.
-	Contracts []*contract.Contract
 	// TableIdx maps table-index keys (Tname and "senid:"-prefixed
 	// SenID values) to the sorted ids of the window's blocks containing
 	// them.
@@ -135,14 +127,6 @@ func (c *Checkpoint) Encode() []byte {
 	e.Int64(c.LastTs)
 
 	// Head: small, restated by every frame.
-	e.Count(len(c.Tables))
-	for _, t := range c.Tables {
-		e.Values(t.EncodeDDL())
-	}
-	e.Count(len(c.Contracts))
-	for _, ct := range c.Contracts {
-		e.Values(ct.EncodeDeploy())
-	}
 	e.Count(len(c.Store.Locs))
 	for i, loc := range c.Store.Locs {
 		e.Uvarint(uint64(loc.Segment))
@@ -150,7 +134,7 @@ func (c *Checkpoint) Encode() []byte {
 		e.Uvarint(uint64(c.Store.Stored[i]))
 		e.Uint8(b2u(c.Store.Comp[i]))
 	}
-	encodeIndexDefs(e, c)
+	encodeIndexKeys(e, c)
 
 	// Window: the per-block state of [Lo, Height).
 	for i := range c.Store.Headers {
@@ -199,31 +183,21 @@ func b2u(b bool) uint8 {
 	return 0
 }
 
-// encodeIndexDefs renders the definitions — not the contents — of
-// every index and ALI. One log generation holds one index set; Dir
-// compares these bytes to refuse a window that would change it.
-func encodeIndexDefs(e *types.Encoder, c *Checkpoint) {
+// encodeIndexKeys renders the keys — not the contents — of every index
+// and ALI. One log generation holds one index set; Dir compares these
+// bytes to refuse a window that would change it.
+func encodeIndexKeys(e *types.Encoder, c *Checkpoint) {
 	for _, states := range [][]IndexState{c.Indexes, c.ALIs} {
 		e.Count(len(states))
 		for i := range states {
-			encodeIndexDef(e, &states[i])
+			e.Str(states[i].Key)
 		}
 	}
 }
 
-func encodeIndexDef(e *types.Encoder, x *IndexState) {
-	e.Str(x.Key)
-	e.Str(x.Attr)
-	e.Uint8(b2u(x.Continuous))
-	e.Count(len(x.Bounds))
-	for _, b := range x.Bounds {
-		e.Float64(b)
-	}
-}
-
-func indexDefs(c *Checkpoint) []byte {
+func indexKeys(c *Checkpoint) []byte {
 	e := types.NewEncoder(256)
-	encodeIndexDefs(e, c)
+	encodeIndexKeys(e, c)
 	return e.Bytes()
 }
 
@@ -295,11 +269,10 @@ func (c *Checkpoint) extend(f *Checkpoint) error {
 	if f.Lo != c.Height || f.Store.Headers[0].PrevHash != c.Anchor {
 		return fmt.Errorf("%w: frame [%d,%d) does not continue the log at %d", ErrCorrupt, f.Lo, f.Height, c.Height)
 	}
-	if !bytes.Equal(indexDefs(f), indexDefs(c)) {
+	if !bytes.Equal(indexKeys(f), indexKeys(c)) {
 		return fmt.Errorf("%w: frame [%d,%d) changes the index set", ErrCorrupt, f.Lo, f.Height)
 	}
 	c.Height, c.Anchor, c.LastTid, c.LastTs = f.Height, f.Anchor, f.LastTid, f.LastTs
-	c.Tables, c.Contracts = f.Tables, f.Contracts
 	c.Store.Headers = append(c.Store.Headers, f.Store.Headers...)
 	c.Store.Lens = append(c.Store.Lens, f.Store.Lens...)
 	c.Store.TxOffs = append(c.Store.TxOffs, f.Store.TxOffs...)
@@ -351,35 +324,6 @@ func decodeFrame(buf []byte) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		vs, err := d.Values()
-		if err != nil {
-			return nil, corrupt(err)
-		}
-		t, err := schema.DecodeDDL(vs)
-		if err != nil {
-			return nil, corrupt(err)
-		}
-		c.Tables = append(c.Tables, t)
-	}
-	if n, err = count(d); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		vs, err := d.Values()
-		if err != nil {
-			return nil, corrupt(err)
-		}
-		ct, err := contract.DecodeDeploy(vs)
-		if err != nil {
-			return nil, corrupt(err)
-		}
-		c.Contracts = append(c.Contracts, ct)
-	}
-
-	if n, err = count(d); err != nil {
-		return nil, err
-	}
 	if uint64(n) != c.Height {
 		return nil, fmt.Errorf("%w: geometry covers %d of %d blocks", ErrCorrupt, n, c.Height)
 	}
@@ -411,11 +355,11 @@ func decodeFrame(buf []byte) (*Checkpoint, error) {
 			return nil, err
 		}
 		for i := 0; i < n; i++ {
-			x, err := decodeIndexDef(d)
+			key, err := d.Str()
 			if err != nil {
-				return nil, err
+				return nil, corrupt(err)
 			}
-			*states = append(*states, x)
+			*states = append(*states, IndexState{Key: key})
 		}
 	}
 
@@ -489,33 +433,6 @@ func decodeFrame(buf []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, d.Remaining())
 	}
 	return c, nil
-}
-
-func decodeIndexDef(d *types.Decoder) (x IndexState, err error) {
-	if x.Key, err = d.Str(); err != nil {
-		return x, corrupt(err)
-	}
-	if x.Attr, err = d.Str(); err != nil {
-		return x, corrupt(err)
-	}
-	b, err := d.Uint8()
-	if err != nil || b > 1 {
-		return x, fmt.Errorf("%w: bad index kind flag", ErrCorrupt)
-	}
-	x.Continuous = b == 1
-	n, err := count(d)
-	if err != nil {
-		return x, err
-	}
-	if n > 0 {
-		x.Bounds = make([]float64, n)
-		for i := range x.Bounds {
-			if x.Bounds[i], err = d.Float64(); err != nil {
-				return x, corrupt(err)
-			}
-		}
-	}
-	return x, nil
 }
 
 func decodeIndexBlocks(d *types.Decoder, nb int) ([][]layered.Entry, error) {

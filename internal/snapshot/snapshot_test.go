@@ -10,10 +10,8 @@ import (
 	"reflect"
 	"testing"
 
-	"sebdb/internal/contract"
 	"sebdb/internal/faultfs"
 	"sebdb/internal/index/layered"
-	"sebdb/internal/schema"
 	"sebdb/internal/storage"
 	"sebdb/internal/types"
 )
@@ -55,35 +53,16 @@ func mkWindow(t testing.TB, s *storage.Store, lo, hi uint64) *Checkpoint {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := schema.NewTable("donate", []schema.Column{
-		{Name: "uname", Kind: types.KindString},
-		{Name: "money", Kind: types.KindDecimal},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := contract.Parse("pay", []string{"INSERT INTO donate VALUES ($1, $2)"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	c := &Checkpoint{
-		Lo:        lo,
-		Height:    hi,
-		Anchor:    m.Headers[hi-lo-1].Hash(),
-		LastTid:   hi,
-		LastTs:    int64(hi) * 1000,
-		Store:     m,
-		Tables:    []*schema.Table{tbl},
-		Contracts: []*contract.Contract{ct},
-		TableIdx:  map[string][]uint32{},
-		Indexes: []IndexState{
-			{Key: ".senid", Attr: "senid"},
-			{Key: ".tname", Attr: "tname"},
-			{Key: "donate.money", Attr: "money", Continuous: true, Bounds: []float64{10, 20}},
-		},
-		ALIs: []IndexState{
-			{Key: "donate.money", Attr: "money", Continuous: true, Bounds: []float64{10, 20}},
-		},
+		Lo:       lo,
+		Height:   hi,
+		Anchor:   m.Headers[hi-lo-1].Hash(),
+		LastTid:  hi,
+		LastTs:   int64(hi) * 1000,
+		Store:    m,
+		TableIdx: map[string][]uint32{},
+		Indexes:  []IndexState{{Key: ".senid"}, {Key: ".tname"}, {Key: "donate.money"}},
+		ALIs:     []IndexState{{Key: "donate.money"}},
 	}
 	for b := lo; b < hi; b++ {
 		c.TableIdx["donate"] = append(c.TableIdx["donate"], uint32(b))
@@ -128,12 +107,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Store, ck.Store) {
 		t.Fatal("store meta mismatch")
-	}
-	if len(got.Tables) != 1 || got.Tables[0].Name != "donate" || len(got.Tables[0].Columns) != 2 {
-		t.Fatalf("tables mismatch: %+v", got.Tables)
-	}
-	if len(got.Contracts) != 1 || got.Contracts[0].Name != "pay" {
-		t.Fatalf("contracts mismatch: %+v", got.Contracts)
 	}
 	if !reflect.DeepEqual(got.TableIdx, ck.TableIdx) {
 		t.Fatalf("table idx mismatch: %v", got.TableIdx)

@@ -44,11 +44,28 @@ func (c *Client) Header(h uint64) (types.BlockHeader, error) {
 
 // SyncHeaders pulls headers the client is missing from a full node,
 // checking chain linkage as it appends — a header that does not extend
-// the verified prefix is rejected.
+// the verified prefix is rejected. A client that holds headers asks from
+// its tip, and the node must return that very header first: a node on
+// another chain, forked at or below the client's height, is refused
+// rather than read as having nothing new.
 func (c *Client) SyncHeaders(n node.QueryNode) error {
-	hs, err := n.Headers(uint64(len(c.headers)))
+	from := uint64(len(c.headers))
+	if from > 0 {
+		from--
+	}
+	hs, err := n.Headers(from)
 	if err != nil {
 		return err
+	}
+	if len(c.headers) > 0 {
+		if len(hs) == 0 || hs[0].Hash() != c.headers[from].Hash() {
+			nh, err := n.Height()
+			if err != nil {
+				return fmt.Errorf("thinclient: node lacks the client's tip %d: %w", from, err)
+			}
+			return fmt.Errorf("thinclient: node at height %d does not hold the client's tip (client at height %d)", nh, len(c.headers))
+		}
+		hs = hs[1:]
 	}
 	for _, h := range hs {
 		if len(c.headers) > 0 {

@@ -3,6 +3,7 @@ package thinclient_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -204,32 +205,47 @@ func TestAuthQueryDetectsWithholdingFullNode(t *testing.T) {
 }
 
 func TestSyncHeadersRejectsForks(t *testing.T) {
-	nodes, qn, tc := cluster(t, 2, 3, 4)
-	_ = nodes
-	if tc.Height() == 0 {
-		t.Fatal("no headers synced")
+	_, qn, tc := cluster(t, 2, 3, 4)
+	if tc.Height() < 2 {
+		t.Fatalf("%d headers synced", tc.Height())
 	}
 	// A second sync from an identical node is a no-op.
-	if err := tc.SyncHeaders(qn[1]); err != nil {
-		t.Errorf("re-sync from identical chain: %v", err)
+	height := tc.Height()
+	if err := tc.SyncHeaders(qn[1]); err != nil || tc.Height() != height {
+		t.Errorf("re-sync from identical chain: %v, height %d → %d", err, height, tc.Height())
 	}
-	// A diverged node (different chain) taller than the client's is
-	// rejected.
-	e, err := core.Open(core.Config{Dir: t.TempDir(), Signer: "evil", BlockMaxTxs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	e.Execute(`CREATE other (a int)`)
-	e.FlushAt(1)
-	for i := 0; e.Height() <= tc.Height(); i++ {
-		e.Execute(fmt.Sprintf(`INSERT INTO other (%d)`, i))
-	}
-	e.FlushAt(2)
-	evil := node.New(e)
-	defer evil.Close()
-	if err := tc.SyncHeaders(&node.Local{Node: evil, Name: "evil"}); err == nil {
-		t.Error("forked header chain accepted")
+	// A diverged node (different chain) is rejected whether it is lower
+	// than the client's, as tall or taller, with both heights named.
+	for _, forkHeight := range []uint64{height - 1, height, height + 1} {
+		e, err := core.Open(core.Config{Dir: t.TempDir(), Signer: "evil", BlockMaxTxs: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		if _, err := e.Execute(`CREATE other (a int)`); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; e.Height() < forkHeight; i++ {
+			if i > 0 {
+				if _, err := e.Execute(fmt.Sprintf(`INSERT INTO other (%d)`, i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.FlushAt(int64(i + 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		evil := node.New(e)
+		defer evil.Close()
+		err = tc.SyncHeaders(&node.Local{Node: evil, Name: "evil"})
+		if err == nil {
+			t.Errorf("forked header chain of height %d accepted", forkHeight)
+		} else if msg := err.Error(); !strings.Contains(msg, fmt.Sprint(forkHeight)) || !strings.Contains(msg, fmt.Sprint(height)) {
+			t.Errorf("refusing a fork of height %d: %q names not both heights", forkHeight, msg)
+		}
+		if tc.Height() != height {
+			t.Fatalf("a refused sync moved the client to height %d", tc.Height())
+		}
 	}
 }
 

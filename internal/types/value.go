@@ -182,7 +182,7 @@ func Compare(a, b Value) int {
 	if a.Kind != b.Kind {
 		// Different, non-comparable kinds: order by kind tag so sorting is
 		// still total (needed by sort-merge join on mixed data).
-		return int(a.Kind) - int(b.Kind)
+		return int(a.orderTag()) - int(b.orderTag())
 	}
 	switch a.Kind {
 	case KindString:
@@ -192,6 +192,17 @@ func Compare(a, b Value) int {
 	default:
 		return 0
 	}
+}
+
+// orderTag is the kind tag Compare orders v by against a value of
+// another kind. Every numeric kind shares KindInt's, so the numbers —
+// which order among themselves by value — sit together between strings
+// and Bools.
+func (v Value) orderTag() Kind {
+	if v.Numeric() {
+		return KindInt
+	}
+	return v.Kind
 }
 
 // Equal reports whether two values compare equal.

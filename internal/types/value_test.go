@@ -86,6 +86,13 @@ func TestCompareOrdering(t *testing.T) {
 		{Str("b"), Str("a"), 1},
 		{Str("a"), Str("a"), 0},
 		{Bool(false), Bool(true), -1},
+		// Against another kind every number carries one tag: numbers sit
+		// between strings and Bools, whatever their numeric kind, so
+		// Int(9) > Time(5) > Bool and Bool > Int(9) cannot all hold.
+		{Str("z"), Time(0), -1},
+		{Time(5), Bool(false), -1},
+		{Dec(9), Bool(false), -1},
+		{Int(9), Bool(false), -1},
 	}
 	for _, c := range cases {
 		got := Compare(c.a, c.b)
