@@ -289,7 +289,10 @@ func TestBadFrameCostsItsSuffix(t *testing.T) {
 // three-block chain with snapshots/ckpt-000000000003.snap and a
 // version-2 MANIFEST, from the monolithic format; v3-datadir a
 // seven-block chain with a layered index, an ALI and a contract, whose
-// two-frame index-000001.log restates the definitions in every frame.
+// two-frame index-000001.log restates the definitions in every frame;
+// v4-datadir an eight-block chain with a layered index and an ALI, whose
+// two-frame index-000001.log restates the block store's geometry and the
+// window's headers, body lengths and transaction offsets in every frame.
 // There is one checkpoint format and one decoder: the old files read as
 // "no checkpoint", the chain replays in full to the state a fresh full
 // replay reaches, and the next checkpoint starts a new generation — one
@@ -299,7 +302,7 @@ func TestV2CheckpointOpensByFullReplay(t *testing.T) {
 		dir    string
 		height uint64
 		rows   int // rows with amount >= 1
-	}{{"v2-datadir", 3, 3}, {"v3-datadir", 7, 8}} {
+	}{{"v2-datadir", 3, 3}, {"v3-datadir", 7, 8}, {"v4-datadir", 8, 17}} {
 		t.Run(fixture.dir, func(t *testing.T) {
 			dir := t.TempDir()
 			copyTree(t, filepath.Join("testdata", fixture.dir), dir)
@@ -461,9 +464,107 @@ func TestCheckpointLogProperty(t *testing.T) {
 	}
 }
 
+// intervalChain opens an engine that checkpoints every iv blocks, over
+// a donate table with a layered index and an ALI on amount, and grows
+// it to chain blocks of cfg.BlockMaxTxs rows each; commit appends more
+// such blocks, and logSize reads the checkpoint log's pinned length.
+func intervalChain(tb testing.TB, cfg Config, chain int) (e *Engine, commit func(blocks int), logSize func() int64) {
+	tb.Helper()
+	e = testEngine(tb, cfg)
+	mustExec(tb, e, `CREATE donate (donor string, project string, amount decimal)`)
+	if err := e.FlushAt(1); err != nil {
+		tb.Fatal(err)
+	}
+	if err := e.CreateIndex("donate", "amount"); err != nil {
+		tb.Fatal(err)
+	}
+	if err := e.CreateAuthIndex("donate", "amount"); err != nil {
+		tb.Fatal(err)
+	}
+	row := 0
+	commit = func(blocks int) {
+		for ; blocks > 0; blocks-- {
+			batch := make([]*types.Transaction, cfg.BlockMaxTxs)
+			for j := range batch {
+				batch[j] = donateTx(tb, e, row)
+				row++
+			}
+			if _, err := e.CommitBlock(batch, int64(row)*1000); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	commit(chain - int(e.Height()))
+	logSize = func() int64 {
+		m, err := e.snapDir.Manifest()
+		if err != nil || m == nil {
+			tb.Fatalf("no checkpoint log: %v", err)
+		}
+		return int64(m.Size)
+	}
+	return e, commit, logSize
+}
+
+// TestIntervalCheckpointCostsTheInterval: the frame one interval
+// appends holds the interval's blocks and nothing per block of the
+// chain below them, so it has the same length on a 200-block chain as
+// on a 2,000-block one.
+func TestIntervalCheckpointCostsTheInterval(t *testing.T) {
+	const iv = 50
+	var appended []int64
+	for _, chain := range []int{200, 2000} {
+		_, commit, logSize := intervalChain(t, Config{BlockMaxTxs: 3, CheckpointInterval: iv, CacheMode: CacheNone}, chain)
+		before := logSize()
+		commit(iv)
+		appended = append(appended, logSize()-before)
+	}
+	if appended[0] != appended[1] {
+		t.Errorf("one %d-block interval appended %d B at chain 200 and %d B at chain 2,000", iv, appended[0], appended[1])
+	}
+}
+
+// TestCheckpointFrameIgnoresBlockLayout: a frame is a function of the
+// chain alone. Recompressing the sealed segments under an engine, or
+// applying the same blocks to an engine with another segment size,
+// leaves the whole-state frame byte for byte as it was.
+func TestCheckpointFrameIgnoresBlockLayout(t *testing.T) {
+	frame := func(e *Engine) []byte {
+		c, err := e.BuildCheckpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Encode()
+	}
+	e := pinnedChain(t, Config{Dir: t.TempDir(), BlockMaxTxs: 16, Clock: clock.Fixed(1), SegmentSize: 2048})
+	defer e.Close()
+	want := frame(e)
+	if err := e.CompressSealed(1); err != nil {
+		t.Fatal(err)
+	}
+	if comp, err := e.store.Compressed(0); err != nil || !comp {
+		t.Fatalf("block 0 was not recompressed (%v)", err)
+	}
+	if !bytes.Equal(frame(e), want) {
+		t.Error("recompression changed the checkpoint frame")
+	}
+	other := testEngine(t, Config{BlockMaxTxs: 16, Clock: clock.Fixed(1)})
+	for h := uint64(0); h < e.Height(); h++ {
+		b, err := e.store.Block(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := other.ApplyBlock(b); err != nil {
+			t.Fatalf("apply block %d: %v", h, err)
+		}
+	}
+	if !bytes.Equal(frame(other), want) {
+		t.Error("the same blocks in segments of another size checkpoint to another frame")
+	}
+}
+
 // BenchmarkIntervalCheckpoint shows that an interval checkpoint costs
-// the interval, not the chain: the k-th checkpoint appends about the
-// same bytes and holds e.mu about as long on a 200-block chain as on a
+// the interval, not the chain: the k-th checkpoint appends the same
+// bytes and holds e.mu about as long on a 200-block chain as on a
 // 2,000-block one (the whole-state format scaled both tenfold).
 //
 //	go test -run '^$' -bench IntervalCheckpoint -benchtime 5x ./internal/core
@@ -472,38 +573,7 @@ func BenchmarkIntervalCheckpoint(b *testing.B) {
 	for _, chain := range []int{200, 2000} {
 		b.Run(fmt.Sprintf("chain=%d", chain), func(b *testing.B) {
 			reg := obs.NewRegistry(clock.UnixMicro)
-			e := testEngine(b, Config{BlockMaxTxs: blockTxs, CheckpointInterval: iv, Obs: reg, CacheMode: CacheNone})
-			mustExec(b, e, `CREATE donate (donor string, project string, amount decimal)`)
-			if err := e.FlushAt(1); err != nil {
-				b.Fatal(err)
-			}
-			if err := e.CreateIndex("donate", "amount"); err != nil {
-				b.Fatal(err)
-			}
-			if err := e.CreateAuthIndex("donate", "amount"); err != nil {
-				b.Fatal(err)
-			}
-			row := 0
-			commit := func(blocks int) {
-				for ; blocks > 0; blocks-- {
-					batch := make([]*types.Transaction, blockTxs)
-					for j := range batch {
-						batch[j] = donateTx(b, e, row)
-						row++
-					}
-					if _, err := e.CommitBlock(batch, int64(row)*1000); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			commit(chain - int(e.Height()))
-			logSize := func() int64 {
-				m, err := e.snapDir.Manifest()
-				if err != nil || m == nil {
-					b.Fatalf("no checkpoint log: %v", err)
-				}
-				return int64(m.Size)
-			}
+			e, commit, logSize := intervalChain(b, Config{BlockMaxTxs: blockTxs, CheckpointInterval: iv, Obs: reg, CacheMode: CacheNone}, chain)
 			hold := func() obs.HistSnapshot { return reg.Histograms()["sebdb_snapshot_build_micros"] }
 			size0, hold0 := logSize(), hold()
 			b.ResetTimer()

@@ -309,10 +309,10 @@ func openTraced(ctx context.Context, cfg Config) (*Engine, error) {
 	sopts := storage.Options{SegmentSize: cfg.SegmentSize, Sync: cfg.Sync, FS: cfg.FS,
 		Mmap: cfg.Mmap, Log: cfg.Log.With("storage")}
 
-	// Phase 1: checkpoint. Fold the pinned log, fast-open the segment
-	// store with the metadata it carries, and seed the derived state from
-	// it. Every failure mode drops back to replay — never wrong answers,
-	// only slower ones.
+	// Phase 1: checkpoint. Fold the pinned log, open the segment store
+	// by its scan, and seed the derived state from the log when its
+	// anchor is on the chain the scan found. Every failure mode drops
+	// back to replay — never wrong answers, only slower ones.
 	_, ckSpan := obs.StartSpan(ctx, "recovery.checkpoint")
 	defer ckSpan.Finish()
 	var ck *snapshot.Checkpoint
@@ -323,34 +323,14 @@ func openTraced(ctx context.Context, cfg Config) (*Engine, error) {
 		}
 		ck = c
 	}
-	var st *storage.Store
+	st, err := storage.Open(cfg.Dir, sopts)
+	if err != nil {
+		return nil, err
+	}
 	if ck != nil {
-		s, err := storage.OpenWithMeta(cfg.Dir, sopts, ck.Store)
-		if err != nil && !errors.Is(err, storage.ErrMetaMismatch) {
-			return nil, err
-		}
-		st = s
-	}
-	openScanning := func() (err error) {
-		st, err = storage.Open(cfg.Dir, sopts)
-		return err
-	}
-	if st == nil {
-		if err := openScanning(); err != nil {
-			return nil, err
-		}
-		// The checkpoint's segment geometry is node-local and goes stale
-		// whenever the compactor rewrites a segment; its index state is
-		// chain-derived and location-independent. So after scanning the
-		// segments instead, the checkpoint still seeds the indexes as long
-		// as its anchor is on the chain the scan found.
-		if ck != nil {
-			if h, err := st.Header(ck.Height - 1); err != nil || h.Hash() != ck.Anchor {
-				cfg.Obs.Counter("sebdb_snapshot_anchor_mismatch_total").Inc()
-				ck = nil
-			} else {
-				cfg.Obs.Counter("sebdb_snapshot_stale_geometry_total").Inc()
-			}
+		if h, err := st.Header(ck.Height - 1); err != nil || h.Hash() != ck.Anchor {
+			cfg.Obs.Counter("sebdb_snapshot_anchor_mismatch_total").Inc()
+			ck = nil
 		}
 	}
 	e := newEngine(cfg, st, snapDir)
@@ -358,14 +338,9 @@ func openTraced(ctx context.Context, cfg Config) (*Engine, error) {
 	if ck != nil {
 		if err := e.restoreCheckpoint(ck); err != nil {
 			// The checkpoint decoded but disagrees with itself or the
-			// chain; rebuild everything from the chain instead.
+			// chain; rebuild everything from the chain instead. Restore
+			// only reads the store, so the scanned store serves the replay.
 			cfg.Obs.Counter("sebdb_snapshot_restore_errors_total").Inc()
-			if cerr := st.Close(); cerr != nil {
-				return nil, cerr
-			}
-			if err := openScanning(); err != nil {
-				return nil, err
-			}
 			e = newEngine(cfg, st, snapDir)
 			ck = nil
 		} else {

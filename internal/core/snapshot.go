@@ -17,12 +17,13 @@ import (
 )
 
 // Checkpoint integration: the engine persists its derived state —
-// storage metadata, table bitmaps, layered indexes and ALIs — as
-// windows of an append-only log (internal/snapshot), one frame per
-// checkpoint covering the blocks since the previous one, and seeds
-// itself from the log on Open so only the post-checkpoint suffix needs
-// replaying. Definitions are not derived state: restore resolves them
-// from their chain records, as replay does. The chain stays the sole
+// table bitmaps, layered indexes and ALIs — as windows of an
+// append-only log (internal/snapshot), one frame per checkpoint
+// covering the blocks since the previous one, and seeds itself from the
+// log on Open so only the post-checkpoint suffix needs replaying.
+// Definitions are not derived state: restore resolves them from their
+// chain records, as replay does; nor is the block store's layout, which
+// the store rebuilds by its own scan. The chain stays the sole
 // source of truth: a frame that fails any verification ends the usable
 // log and Open replays from there.
 
@@ -151,21 +152,20 @@ func (e *Engine) cutWindow() (*snapshot.Checkpoint, error) {
 // current height. The work follows the window, not the chain — sealed
 // blocks' index state never changes, so earlier frames already hold it.
 func (e *Engine) collectLocked(lo, h uint64) (*snapshot.Checkpoint, error) {
-	if h == 0 {
-		return nil, fmt.Errorf("core: cannot checkpoint an empty chain")
-	}
-	m, err := e.store.MetaWindow(lo, h)
-	if err != nil {
-		return nil, err
+	headers, _ := e.store.Prefix()
+	if h == 0 || h > uint64(len(headers)) {
+		return nil, fmt.Errorf("core: cannot checkpoint %d blocks of a %d-block chain", h, len(headers))
 	}
 	c := &snapshot.Checkpoint{
 		Lo:       lo,
 		Height:   h,
-		Anchor:   m.Headers[h-lo-1].Hash(),
+		Anchor:   headers[h-1].Hash(),
 		LastTid:  e.lastTid,
 		LastTs:   e.lastTs,
-		Store:    m,
 		TableIdx: e.tableIdx.Range(int(lo), int(h)),
+	}
+	if lo > 0 {
+		c.Prev = headers[lo-1].Hash()
 	}
 	for _, key := range sortedKeys(e.lidx) {
 		idx := e.lidx[key]
@@ -179,7 +179,8 @@ func (e *Engine) collectLocked(lo, h uint64) (*snapshot.Checkpoint, error) {
 		ali := e.alis[key]
 		st := snapshot.IndexState{Key: key, Blocks: make([][]layered.Entry, h-lo)}
 		for bid := lo; bid < h; bid++ {
-			if st.Blocks[bid-lo], err = aliEntries(ali.BlockRecords(bid), m.Headers[bid-lo].FirstTid); err != nil {
+			var err error
+			if st.Blocks[bid-lo], err = aliEntries(ali.BlockRecords(bid), headers[bid].FirstTid); err != nil {
 				return nil, fmt.Errorf("core: checkpointing auth index %q, block %d: %w", key, bid, err)
 			}
 		}
@@ -293,10 +294,11 @@ func (e *Engine) restoreCheckpoint(c *snapshot.Checkpoint) error {
 }
 
 // restoreALIs rebuilds the authenticated indexes. The checkpoint names
-// each block's indexed transactions; their encodings — the MB-tree
-// payloads — come out of the block files, read once per block by the
-// worker pool while the trees are rebuilt (and every root re-derived)
-// in height order on the calling goroutine.
+// each block's indexed transactions by their offset from the block's
+// FirstTid, which the store's header gives; their encodings — the
+// MB-tree payloads — come out of the block files, read once per block
+// by the worker pool while the trees are rebuilt (and every root
+// re-derived) in height order on the calling goroutine.
 func (e *Engine) restoreALIs(c *snapshot.Checkpoint) error {
 	if len(c.ALIs) == 0 {
 		return nil
@@ -309,12 +311,13 @@ func (e *Engine) restoreALIs(c *snapshot.Checkpoint) error {
 		alis[i] = newALI(splitKey(st.Key).col, e.defs.indexes[indexID(familyAuth, st.Key)].histogram())
 		e.alis = withEntry(e.alis, st.Key, alis[i])
 	}
-	if n := uint64(e.store.Count()); n < c.Height {
+	headers, _ := e.store.Prefix()
+	if n := uint64(len(headers)); n < c.Height {
 		return fmt.Errorf("core: checkpoint covers %d blocks, the store holds %d", c.Height, n)
 	}
 	return parallel.Ordered(e.Parallelism(), int(c.Height),
 		func(bid int) ([][]mbtree.Record, error) {
-			return aliRecords(e.store, c.ALIs, uint64(bid), c.Store.Headers[bid].FirstTid)
+			return aliRecords(e.store, c.ALIs, uint64(bid), headers[bid].FirstTid)
 		},
 		func(bid int, recs [][]mbtree.Record) error {
 			for i, ali := range alis {

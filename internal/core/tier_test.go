@@ -192,12 +192,12 @@ func TestBackfillRacesCompression(t *testing.T) {
 
 // TestCheckpointStaleAfterCompression writes a checkpoint, then
 // recompresses the chain underneath it — what the background compactor
-// does soon after every interval. The checkpoint's segment geometry is
-// now stale, but its index state is chain-derived and does not care
-// where blocks sit: the restart scans the segments and still seeds
-// catalog, indexes and ALIs from the checkpoint, replaying only the
-// suffix. Only a checkpoint whose anchor is not on the chain at all is
-// thrown away for a full replay.
+// does soon after every interval. A frame holds no block-store state
+// and its index state is chain-derived, so where blocks sit does not
+// matter: the restart scans the segments and seeds indexes and ALIs
+// from the checkpoint, replaying only the suffix. Only a checkpoint
+// whose anchor is not on the chain at all is thrown away for a full
+// replay.
 func TestCheckpointStaleAfterCompression(t *testing.T) {
 	cfg := Config{SegmentSize: 2048, BlockMaxTxs: 5}
 	build := func(dir string, rows int) (fingerprint string, ckptHeight, height uint64) {
@@ -216,7 +216,7 @@ func TestCheckpointStaleAfterCompression(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Invalidate the checkpoint's segment geometry after the fact.
+		// Move the checkpointed blocks after the fact.
 		if err := e.CompressSealed(1); err != nil {
 			t.Fatal(err)
 		}
@@ -235,17 +235,14 @@ func TestCheckpointStaleAfterCompression(t *testing.T) {
 	fpBefore, ckptHeight, height := build(dir, 60)
 	re, reg := reopen(dir)
 	if got := recoveryFingerprint(t, re); got != fpBefore {
-		t.Error("restart over a stale-geometry checkpoint diverged from the live engine")
-	}
-	if got := reg.Counter("sebdb_snapshot_stale_geometry_total").Value(); got != 1 {
-		t.Errorf("stale-geometry restarts counted = %d, want 1", got)
+		t.Error("restart over a checkpoint of since-recompressed blocks diverged from the live engine")
 	}
 	if got, want := reg.Counter("sebdb_snapshot_suffix_blocks").Value(), height-ckptHeight; got != want {
 		t.Errorf("replayed %d blocks, want the %d-block suffix past the checkpoint", got, want)
 	}
 
 	// A checkpoint cut from another chain of the same height: its
-	// geometry fails just the same, and so does its anchor.
+	// anchor is not on this chain.
 	other := t.TempDir()
 	build(other, 59)
 	if err := os.RemoveAll(filepath.Join(dir, snapshot.DirName)); err != nil {
@@ -264,8 +261,8 @@ func TestCheckpointStaleAfterCompression(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTripCompressed checks the v2 checkpoint written
-// AFTER recompression seeds a store over the mixed segments directly.
+// TestCheckpointRoundTripCompressed checks a checkpoint written after
+// recompression seeds an engine over the mixed segments.
 func TestCheckpointRoundTripCompressed(t *testing.T) {
 	dir := t.TempDir()
 	e := testEngine(t, Config{Dir: dir, SegmentSize: 2048, BlockMaxTxs: 5})

@@ -52,7 +52,6 @@ var taintSinks = []funcSpec{
 	{"sebdb/internal/core", "Engine", "CreateAuthIndex"},
 	{"sebdb/internal/core", "Engine", "installDefs"},
 	{"sebdb/internal/storage", "Store", "AppendNoSync"},
-	{"sebdb/internal/storage", "", "OpenWithMeta"},
 	{"sebdb/internal/index/layered", "Index", "AppendBlock"},
 	{"sebdb/internal/index/bitmap", "TableIndex", "Mark"},
 	{"sebdb/internal/auth", "ALI", "AppendBlock"},

@@ -10,11 +10,11 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, KindBlock, []byte("payload")); err != nil {
+	if err := WriteFrame(&buf, KindSQL, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	kind, payload, err := ReadFrame(&buf)
-	if err != nil || kind != KindBlock || string(payload) != "payload" {
+	if err != nil || kind != KindSQL || string(payload) != "payload" {
 		t.Errorf("frame = %d %q %v", kind, payload, err)
 	}
 	// Empty payload.

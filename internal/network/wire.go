@@ -20,12 +20,11 @@ import (
 // Frame kinds of the wire protocol.
 const (
 	KindHeight     uint8 = 1 // req: empty            resp: uint64 height
-	KindBlock      uint8 = 2 // req: uint64 height    resp: encoded block
 	KindHeaders    uint8 = 3 // req: uint64 from      resp: count + headers
 	KindAuthQuery  uint8 = 4 // req/resp: auth payloads (node package)
 	KindAuthDigest uint8 = 5
 	KindSQL        uint8 = 6 // req: sql string       resp: encoded result
-	// Kinds 7, 8 and 11 are retired and stay unassigned: a peer still
+	// Kinds 2, 7, 8 and 11 are retired and stay unassigned: a peer still
 	// sending them gets UnknownKindMsg.
 	KindSubscribe uint8 = 9  // req: uint64 cursor    -> stream of KindBlockPush frames (replica package)
 	KindBlockPush uint8 = 10 // push: uint64 leader height + block bytes (empty = heartbeat)

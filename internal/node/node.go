@@ -34,7 +34,6 @@ func New(engine *core.Engine) *FullNode {
 	n := &FullNode{Engine: engine}
 	n.server = network.NewServer()
 	n.server.Handle(network.KindHeight, n.handleHeight)
-	n.server.Handle(network.KindBlock, n.handleBlock)
 	n.server.Handle(network.KindHeaders, n.handleHeaders)
 	n.server.Handle(network.KindAuthQuery, n.handleAuthQuery)
 	n.server.Handle(network.KindAuthDigest, n.handleAuthDigest)
@@ -77,18 +76,6 @@ func (n *FullNode) handleHeight([]byte) ([]byte, error) {
 	e := types.NewEncoder(8)
 	e.Uint64(n.Engine.Height())
 	return e.Bytes(), nil
-}
-
-func (n *FullNode) handleBlock(payload []byte) ([]byte, error) {
-	h, err := types.NewDecoder(payload).Uint64()
-	if err != nil {
-		return nil, err
-	}
-	b, err := n.Engine.Block(h)
-	if err != nil {
-		return nil, err
-	}
-	return b.EncodeBytes(), nil
 }
 
 func (n *FullNode) handleHeaders(payload []byte) ([]byte, error) {

@@ -73,10 +73,6 @@ func TestTCPQueryRoundTrip(t *testing.T) {
 	if err != nil || h != fn.Engine.Height() {
 		t.Errorf("Height = %d, %v", h, err)
 	}
-	b, err := remote.BlockAt(2)
-	if err != nil || b.Header.Height != 2 {
-		t.Errorf("BlockAt: %v, %v", b, err)
-	}
 	hs, err := remote.Headers(3)
 	if err != nil || len(hs) != int(h)-3 {
 		t.Errorf("Headers: %d, %v", len(hs), err)
@@ -171,9 +167,10 @@ func TestGossipBetweenNodes(t *testing.T) {
 	}
 }
 
-// TestRetiredKindsUnknown: the kinds fast checkpoint transfer used (7
-// and 8) and the one that served index definitions (11) are unassigned,
-// so a served node answers them as it answers any unknown kind.
+// TestRetiredKindsUnknown: the kind that served one block by height
+// (2), the kinds fast checkpoint transfer used (7 and 8) and the one
+// that served index definitions (11) are unassigned, so a served node
+// answers them as it answers any unknown kind.
 func TestRetiredKindsUnknown(t *testing.T) {
 	fn := seededNode(t, 1, 1)
 	addr, err := fn.Serve("127.0.0.1:0")
@@ -185,7 +182,7 @@ func TestRetiredKindsUnknown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	for _, kind := range []uint8{7, 8, 11} {
+	for _, kind := range []uint8{2, 7, 8, 11} {
 		if _, err := cl.Call(kind, nil); err == nil || err.Error() != network.UnknownKindMsg {
 			t.Errorf("kind %d reply = %v, want %q", kind, err, network.UnknownKindMsg)
 		}
@@ -205,17 +202,11 @@ func TestWireProtocolErrorPaths(t *testing.T) {
 	defer cl.Close()
 
 	// Malformed payloads must come back as errors, not kill the server.
-	for _, kind := range []uint8{network.KindBlock, network.KindHeaders,
+	for _, kind := range []uint8{network.KindHeaders,
 		network.KindAuthQuery, network.KindAuthDigest} {
 		if _, err := cl.Call(kind, []byte{0x01}); err == nil {
 			t.Errorf("kind %d accepted garbage payload", kind)
 		}
-	}
-	// Out-of-range block height.
-	e := types.NewEncoder(8)
-	e.Uint64(999)
-	if _, err := cl.Call(network.KindBlock, e.Bytes()); err == nil {
-		t.Error("missing block served")
 	}
 	// Headers beyond the tip return an empty set, not an error.
 	e2 := types.NewEncoder(8)

@@ -15,7 +15,6 @@ import (
 type QueryNode interface {
 	ID() string
 	Height() (uint64, error)
-	BlockAt(h uint64) (*types.Block, error)
 	Headers(from uint64) ([]types.BlockHeader, error)
 	AuthQuery(r *AuthRequest) (*auth.Answer, error)
 	AuthDigest(r *AuthRequest) ([32]byte, error)
@@ -59,17 +58,6 @@ func (r *Remote) Height() (uint64, error) {
 		return 0, err
 	}
 	return types.NewDecoder(resp).Uint64()
-}
-
-// BlockAt fetches one block.
-func (r *Remote) BlockAt(h uint64) (*types.Block, error) {
-	e := types.NewEncoder(8)
-	e.Uint64(h)
-	resp, err := r.client.Call(network.KindBlock, e.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	return types.DecodeBlock(types.NewDecoder(resp))
 }
 
 // Headers fetches headers starting at height from.
@@ -141,9 +129,6 @@ func (l *Local) ID() string { return l.Name }
 
 // Height returns the local chain height.
 func (l *Local) Height() (uint64, error) { return l.Node.Engine.Height(), nil }
-
-// BlockAt reads a local block.
-func (l *Local) BlockAt(h uint64) (*types.Block, error) { return l.Node.Engine.Block(h) }
 
 // Headers returns local headers from the given height.
 func (l *Local) Headers(from uint64) ([]types.BlockHeader, error) {

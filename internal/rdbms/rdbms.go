@@ -13,7 +13,7 @@ import (
 	"strings"
 	"sync"
 
-	"sebdb/internal/index/bptree"
+	"sebdb/internal/rdbms/bptree"
 	"sebdb/internal/types"
 )
 

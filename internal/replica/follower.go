@@ -32,6 +32,8 @@ type FollowerConfig struct {
 	// DefaultHeartbeat.
 	Heartbeat time.Duration
 	// Backoff/MaxBackoff bound the reconnect loop's exponential pause.
+	// Unset values default to DefaultBackoff/DefaultMaxBackoff, and a
+	// MaxBackoff below Backoff is raised to it.
 	Backoff    time.Duration
 	MaxBackoff time.Duration
 	// Log receives subscribe/resume/lag/rejection events; nil is fine.
@@ -45,7 +47,7 @@ func (c *FollowerConfig) fill() {
 	if c.Backoff <= 0 {
 		c.Backoff = DefaultBackoff
 	}
-	if c.MaxBackoff < c.Backoff {
+	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = DefaultMaxBackoff
 	}
 	if c.MaxBackoff < c.Backoff {

@@ -170,7 +170,7 @@ func (d *Dir) Write(c *Checkpoint) error {
 func (d *Dir) appendFrame(c *Checkpoint, frame []byte) (*Manifest, error) {
 	pin := d.pin
 	if pin == nil || c.Lo != pin.Height || c.Height <= c.Lo ||
-		c.Store.Headers[0].PrevHash != pin.Anchor || !bytes.Equal(indexKeys(c), d.keys) {
+		c.Prev != pin.Anchor || !bytes.Equal(indexKeys(c), d.keys) {
 		return nil, fmt.Errorf("snapshot: window [%d,%d) does not continue the log pinned at %d", c.Lo, c.Height, d.Height())
 	}
 	logPath := filepath.Join(d.path, pin.File)

@@ -3,7 +3,10 @@ package snapshot
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"testing"
+
+	"sebdb/internal/types"
 )
 
 // allocated returns the bytes fn allocates.
@@ -25,10 +28,9 @@ func allocated(fn func()) uint64 {
 // CRC keeps a mutator from reaching the structural checks, so the input
 // is also offered as a bare frame payload, behind the CRC.
 func FuzzDecodeCheckpointLog(f *testing.F) {
-	s := buildChain(f, f.TempDir(), 7)
-	defer s.Close()
-	whole := mkCheckpoint(f, s).Encode()
-	first, second, third := mkWindow(f, s, 0, 3).Encode(), mkWindow(f, s, 3, 4).Encode(), mkWindow(f, s, 4, 7).Encode()
+	s := buildChain(7)
+	whole := mkCheckpoint(s).Encode()
+	first, second, third := mkWindow(s, 0, 3).Encode(), mkWindow(s, 3, 4).Encode(), mkWindow(s, 4, 7).Encode()
 	log := bytes.Join([][]byte{first, second, third}, nil)
 	f.Add(whole)
 	f.Add(log)
@@ -51,8 +53,13 @@ func FuzzDecodeCheckpointLog(f *testing.F) {
 			t.Fatalf("a %d-byte log made the decoder allocate %d bytes", len(data), n)
 		}
 		if err == nil {
-			if c.Lo != 0 || c.Height == 0 || uint64(c.Store.Count()) != c.Height {
-				t.Fatalf("accepted a log that is not a whole state: [%d,%d) over %d headers", c.Lo, c.Height, c.Store.Count())
+			if c.Lo != 0 || c.Height == 0 || c.Prev != (types.Hash{}) {
+				t.Fatalf("accepted a log that is not a whole state: [%d,%d) after %x", c.Lo, c.Height, c.Prev)
+			}
+			for _, st := range append(slices.Clone(c.Indexes), c.ALIs...) {
+				if uint64(len(st.Blocks)) != c.Height {
+					t.Fatalf("accepted a log whose index %q covers %d of %d blocks", st.Key, len(st.Blocks), c.Height)
+				}
 			}
 			enc := c.Encode()
 			again, err := Decode(enc)

@@ -1,17 +1,19 @@
 // Package snapshot implements SEBDB's checkpoint subsystem: a
-// CRC-framed, append-only log of the engine's derived state — storage
-// segment metadata, table-level bitmaps, layered indexes and ALIs —
-// pinned to a block height and an anchor block hash. A frame holds no
-// definitions: tables, contracts and index definitions are chain
-// records, which the engine resolves from the blocks, so a frame names
-// each index by its key alone. Every index the paper defines is per
-// block and immutable once the block is sealed, so each frame carries
-// the state of one block window [Lo, Height) and a checkpoint costs
-// what was committed since the previous one, not what the chain holds. The chain remains
-// the only source of truth: a checkpoint merely lets Engine.Open seed
-// state for blocks [0, Height) and replay only the suffix, and any
-// corrupt or stale frame ends the usable prefix in favour of replay
-// (never wrong answers, only slower ones).
+// CRC-framed, append-only log of the engine's derived state — table-level
+// bitmaps, layered indexes and ALIs — pinned to a block height and an
+// anchor block hash. A frame holds no definitions: tables, contracts and
+// index definitions are chain records, which the engine resolves from
+// the blocks, so a frame names each index by its key alone. Nor does it
+// hold block-store state: the store opens by its own scan, and the
+// engine holds the frame's anchor to the chain that scan found. Every
+// index the paper defines is per block and immutable once the block is
+// sealed, so each frame carries the state of one block window
+// [Lo, Height) and a checkpoint costs what was committed since the
+// previous one, not what the chain holds. The chain remains the only
+// source of truth: a checkpoint merely lets Engine.Open seed state for
+// blocks [0, Height) and replay only the suffix, and any corrupt or
+// stale frame ends the usable prefix in favour of replay (never wrong
+// answers, only slower ones).
 //
 // On-disk layout, inside <data-dir>/snapshots/:
 //
@@ -35,19 +37,16 @@ import (
 	"sort"
 
 	"sebdb/internal/index/layered"
-	"sebdb/internal/storage"
 	"sebdb/internal/types"
 )
 
 const (
 	frameMagic    = 0x5EBD_C4B8
 	manifestMagic = 0x5EBD_3A1F
-	// version 4 is the windowed log frame without definitions. Version 3
-	// restated tables, contracts and index definitions in every frame;
-	// version 2 was one monolithic file per checkpoint under another
-	// magic. An older manifest fails the version check, which callers
-	// treat as "no checkpoint" and fall back to full replay.
-	version = 4
+	// version 5 is the windowed log frame without definitions or
+	// block-store state. An older manifest fails the version check,
+	// which callers treat as "no checkpoint" and fall back to full replay.
+	version = 5
 
 	// A frame is magic, payload length, payload and the payload's
 	// CRC-32 — the segment store's record framing.
@@ -89,6 +88,9 @@ type Checkpoint struct {
 	// Lo and Height bound the window: per-block state covers blocks
 	// [Lo, Height); everything else reflects the chain at Height.
 	Lo, Height uint64
+	// Prev is the hash of block Lo-1 (zero when Lo is 0): a frame
+	// continues the log only when Prev is the anchor of the frame before.
+	Prev types.Hash
 	// Anchor is the hash of block Height-1, pinning the checkpoint to
 	// one specific chain.
 	Anchor types.Hash
@@ -96,11 +98,6 @@ type Checkpoint struct {
 	// block-timestamp high-water marks.
 	LastTid uint64
 	LastTs  int64
-	// Store is the segment metadata: the chain-derived Headers, Lens
-	// and TxOffs for the window, the node-local Locs, Stored and Comp
-	// for all of [0, Height) — recompression rewrites those for old
-	// blocks, so every frame restates them (storage.Store.MetaWindow).
-	Store *storage.Meta
 	// TableIdx maps table-index keys (Tname and "senid:"-prefixed
 	// SenID values) to the sorted ids of the window's blocks containing
 	// them.
@@ -122,31 +119,13 @@ func (c *Checkpoint) Encode() []byte {
 	e.Uint32(version)
 	e.Uint64(c.Lo)
 	e.Uint64(c.Height)
+	e.Bytes32(c.Prev)
 	e.Bytes32(c.Anchor)
 	e.Uint64(c.LastTid)
 	e.Int64(c.LastTs)
-
-	// Head: small, restated by every frame.
-	e.Count(len(c.Store.Locs))
-	for i, loc := range c.Store.Locs {
-		e.Uvarint(uint64(loc.Segment))
-		e.Uvarint(uint64(loc.Offset))
-		e.Uvarint(uint64(c.Store.Stored[i]))
-		e.Uint8(b2u(c.Store.Comp[i]))
-	}
 	encodeIndexKeys(e, c)
 
 	// Window: the per-block state of [Lo, Height).
-	for i := range c.Store.Headers {
-		c.Store.Headers[i].Encode(e)
-		e.Uvarint(uint64(c.Store.Lens[i]))
-		e.Count(len(c.Store.TxOffs[i]))
-		prev := uint32(0)
-		for _, o := range c.Store.TxOffs[i] {
-			e.Uvarint(uint64(o - prev))
-			prev = o
-		}
-	}
 	keys := make([]string, 0, len(c.TableIdx))
 	for k := range c.TableIdx {
 		keys = append(keys, k)
@@ -174,13 +153,6 @@ func (c *Checkpoint) Encode() []byte {
 	binary.BigEndian.PutUint32(e.Bytes()[4:], uint32(n))
 	e.Uint32(crc32.ChecksumIEEE(e.Bytes()[frameHeader:]))
 	return e.Bytes()
-}
-
-func b2u(b bool) uint8 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // encodeIndexKeys renders the keys — not the contents — of every index
@@ -263,20 +235,16 @@ func decodeLog(buf []byte) (c *Checkpoint, used int, err error) {
 }
 
 // extend folds the next frame onto c. The frame must continue c — its
-// window starts at c's height, its first header links to c's anchor —
-// and keep the generation's index set.
+// window starts at c's height, its Prev is c's anchor — and keep the
+// generation's index set.
 func (c *Checkpoint) extend(f *Checkpoint) error {
-	if f.Lo != c.Height || f.Store.Headers[0].PrevHash != c.Anchor {
+	if f.Lo != c.Height || f.Prev != c.Anchor {
 		return fmt.Errorf("%w: frame [%d,%d) does not continue the log at %d", ErrCorrupt, f.Lo, f.Height, c.Height)
 	}
 	if !bytes.Equal(indexKeys(f), indexKeys(c)) {
 		return fmt.Errorf("%w: frame [%d,%d) changes the index set", ErrCorrupt, f.Lo, f.Height)
 	}
 	c.Height, c.Anchor, c.LastTid, c.LastTs = f.Height, f.Anchor, f.LastTid, f.LastTs
-	c.Store.Headers = append(c.Store.Headers, f.Store.Headers...)
-	c.Store.Lens = append(c.Store.Lens, f.Store.Lens...)
-	c.Store.TxOffs = append(c.Store.TxOffs, f.Store.TxOffs...)
-	c.Store.Locs, c.Store.Stored, c.Store.Comp = f.Store.Locs, f.Store.Stored, f.Store.Comp
 	for k, ids := range f.TableIdx {
 		c.TableIdx[k] = append(c.TableIdx[k], ids...)
 	}
@@ -290,9 +258,8 @@ func (c *Checkpoint) extend(f *Checkpoint) error {
 }
 
 // decodeFrame parses one frame payload. Every count is held to the
-// bytes that remain before anything is allocated for it, and the
-// embedded headers must number [Lo, Height), link to each other and end
-// at the anchor.
+// bytes that remain before anything is allocated for it, and a window
+// starting at block 0 follows no block.
 func decodeFrame(buf []byte) (*Checkpoint, error) {
 	d := types.NewDecoder(buf)
 	ver, err := d.Uint32()
@@ -306,10 +273,17 @@ func decodeFrame(buf []byte) (*Checkpoint, error) {
 	if c.Height, err = d.Uint64(); err != nil {
 		return nil, corrupt(err)
 	}
-	if c.Height <= c.Lo || c.Height-c.Lo > uint64(d.Remaining()) {
+	// Block ids are uint32 throughout the indexes.
+	if c.Height <= c.Lo || c.Height > math.MaxUint32 {
 		return nil, fmt.Errorf("%w: implausible window [%d,%d)", ErrCorrupt, c.Lo, c.Height)
 	}
 	nb := int(c.Height - c.Lo)
+	if c.Prev, err = d.Bytes32(); err != nil {
+		return nil, corrupt(err)
+	}
+	if c.Lo == 0 && c.Prev != (types.Hash{}) {
+		return nil, fmt.Errorf("%w: a window at block 0 names a previous block", ErrCorrupt)
+	}
 	if c.Anchor, err = d.Bytes32(); err != nil {
 		return nil, corrupt(err)
 	}
@@ -319,39 +293,9 @@ func decodeFrame(buf []byte) (*Checkpoint, error) {
 	if c.LastTs, err = d.Int64(); err != nil {
 		return nil, corrupt(err)
 	}
-
-	n, err := count(d)
-	if err != nil {
-		return nil, err
-	}
-	if uint64(n) != c.Height {
-		return nil, fmt.Errorf("%w: geometry covers %d of %d blocks", ErrCorrupt, n, c.Height)
-	}
-	c.Store = &storage.Meta{
-		Locs:   make([]storage.Location, n),
-		Stored: make([]int64, n),
-		Comp:   make([]bool, n),
-	}
-	for i := 0; i < n; i++ {
-		seg, err := d.Uvarint()
-		if err != nil || seg > math.MaxUint32 {
-			return nil, fmt.Errorf("%w: bad segment number", ErrCorrupt)
-		}
-		c.Store.Locs[i].Segment = uint32(seg)
-		if c.Store.Locs[i].Offset, err = length(d); err != nil {
-			return nil, err
-		}
-		if c.Store.Stored[i], err = length(d); err != nil {
-			return nil, err
-		}
-		cf, err := d.Uint8()
-		if err != nil || cf > 1 {
-			return nil, fmt.Errorf("%w: bad compression flag", ErrCorrupt)
-		}
-		c.Store.Comp[i] = cf == 1
-	}
 	for _, states := range []*[]IndexState{&c.Indexes, &c.ALIs} {
-		if n, err = count(d); err != nil {
+		n, err := count(d)
+		if err != nil {
 			return nil, err
 		}
 		for i := 0; i < n; i++ {
@@ -363,41 +307,8 @@ func decodeFrame(buf []byte) (*Checkpoint, error) {
 		}
 	}
 
-	for i := 0; i < nb; i++ {
-		h, err := types.DecodeBlockHeader(d)
-		if err != nil {
-			return nil, corrupt(err)
-		}
-		if h.Height != c.Lo+uint64(i) || (i > 0 && h.PrevHash != c.Store.Headers[i-1].Hash()) {
-			return nil, fmt.Errorf("%w: embedded header %d breaks the chain", ErrCorrupt, c.Lo+uint64(i))
-		}
-		bl, err := length(d)
-		if err != nil {
-			return nil, err
-		}
-		no, err := count(d)
-		if err != nil {
-			return nil, err
-		}
-		offs := make([]uint32, no)
-		at := uint64(0)
-		for j := range offs {
-			delta, err := d.Uvarint()
-			if err != nil || delta > math.MaxUint32 || at+delta > math.MaxUint32 {
-				return nil, fmt.Errorf("%w: bad tx offset", ErrCorrupt)
-			}
-			at += delta
-			offs[j] = uint32(at)
-		}
-		c.Store.Headers = append(c.Store.Headers, h)
-		c.Store.Lens = append(c.Store.Lens, bl)
-		c.Store.TxOffs = append(c.Store.TxOffs, offs)
-	}
-	if c.Store.Headers[nb-1].Hash() != c.Anchor {
-		return nil, fmt.Errorf("%w: anchor disagrees with embedded tip header", ErrCorrupt)
-	}
-
-	if n, err = count(d); err != nil {
+	n, err := count(d)
+	if err != nil {
 		return nil, err
 	}
 	for i := 0; i < n; i++ {
@@ -412,7 +323,7 @@ func decodeFrame(buf []byte) (*Checkpoint, error) {
 		ids := make([]uint32, ni)
 		for j := range ids {
 			rel, err := d.Uvarint()
-			if err != nil || rel >= uint64(nb) || c.Lo+rel > math.MaxUint32 {
+			if err != nil || rel >= uint64(nb) {
 				return nil, fmt.Errorf("%w: table-index mark outside the window", ErrCorrupt)
 			}
 			ids[j] = uint32(c.Lo + rel)
@@ -476,15 +387,6 @@ func count(d *types.Decoder) (int, error) {
 		return 0, fmt.Errorf("%w: count %d exceeds %d remaining bytes", ErrCorrupt, n, d.Remaining())
 	}
 	return int(n), nil
-}
-
-// length reads a non-negative byte length or file offset.
-func length(d *types.Decoder) (int64, error) {
-	v, err := d.Uvarint()
-	if err != nil || v > math.MaxInt64 {
-		return 0, fmt.Errorf("%w: bad length", ErrCorrupt)
-	}
-	return int64(v), nil
 }
 
 func corrupt(err error) error { return fmt.Errorf("%w: %v", ErrCorrupt, err) }

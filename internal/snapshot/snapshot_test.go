@@ -12,57 +12,44 @@ import (
 
 	"sebdb/internal/faultfs"
 	"sebdb/internal/index/layered"
-	"sebdb/internal/storage"
 	"sebdb/internal/types"
 )
 
 var testKey = ed25519.NewKeyFromSeed(make([]byte, ed25519.SeedSize))
 
-// buildChain appends n tiny blocks to a fresh store in dir and returns
-// the store (left open).
-func buildChain(t testing.TB, dir string, n int) *storage.Store {
-	t.Helper()
-	s, err := storage.Open(dir, storage.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+// buildChain returns the headers of a chain of n tiny signed blocks.
+func buildChain(n int) []types.BlockHeader {
+	var hs []types.BlockHeader
 	var prev *types.BlockHeader
-	tid := uint64(1)
 	for i := 0; i < n; i++ {
 		tx := &types.Transaction{
-			Tid: tid, Ts: int64(i+1) * 1000, SenID: "org1", Tname: "donate",
+			Tid: uint64(i + 1), Ts: int64(i+1) * 1000, SenID: "org1", Tname: "donate",
 			Args: []types.Value{types.Str("Jack"), types.Dec(float64(i))},
 		}
 		b := types.NewBlock(prev, []*types.Transaction{tx}, int64(i+1)*1000, "node0")
 		b.Header.Sign(testKey)
-		if _, err := s.AppendNoSync(b); err != nil {
-			t.Fatal(err)
-		}
-		prev = &b.Header
-		tid++
+		hs = append(hs, b.Header)
+		prev = &hs[i]
 	}
-	return s
+	return hs
 }
 
-// mkWindow assembles the checkpoint window [lo, hi) over the chain in
-// s with one of every state family populated: every block holds one
+// mkWindow assembles the checkpoint window [lo, hi) over the chain hs
+// with one of every state family populated: every block holds one
 // donate row by org1 whose money is the block height.
-func mkWindow(t testing.TB, s *storage.Store, lo, hi uint64) *Checkpoint {
-	t.Helper()
-	m, err := s.MetaWindow(lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
+func mkWindow(hs []types.BlockHeader, lo, hi uint64) *Checkpoint {
 	c := &Checkpoint{
 		Lo:       lo,
 		Height:   hi,
-		Anchor:   m.Headers[hi-lo-1].Hash(),
+		Anchor:   hs[hi-1].Hash(),
 		LastTid:  hi,
 		LastTs:   int64(hi) * 1000,
-		Store:    m,
 		TableIdx: map[string][]uint32{},
 		Indexes:  []IndexState{{Key: ".senid"}, {Key: ".tname"}, {Key: "donate.money"}},
 		ALIs:     []IndexState{{Key: "donate.money"}},
+	}
+	if lo > 0 {
+		c.Prev = hs[lo-1].Hash()
 	}
 	for b := lo; b < hi; b++ {
 		c.TableIdx["donate"] = append(c.TableIdx["donate"], uint32(b))
@@ -79,9 +66,9 @@ func mkWindow(t testing.TB, s *storage.Store, lo, hi uint64) *Checkpoint {
 	return c
 }
 
-// mkCheckpoint is the whole-state checkpoint over the chain in s.
-func mkCheckpoint(t testing.TB, s *storage.Store) *Checkpoint {
-	return mkWindow(t, s, 0, uint64(s.Count()))
+// mkCheckpoint is the whole-state checkpoint over the chain hs.
+func mkCheckpoint(hs []types.BlockHeader) *Checkpoint {
+	return mkWindow(hs, 0, uint64(len(hs)))
 }
 
 // reframe recomputes a frame's CRC trailer after its payload was
@@ -94,19 +81,15 @@ func reframe(frame []byte) []byte {
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
-	s := buildChain(t, t.TempDir(), 3)
-	defer s.Close()
-	ck := mkCheckpoint(t, s)
+	s := buildChain(3)
+	ck := mkCheckpoint(s)
 	got, err := Decode(ck.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Lo != 0 || got.Height != ck.Height || got.Anchor != ck.Anchor ||
+	if got.Lo != 0 || got.Height != ck.Height || got.Prev != (types.Hash{}) || got.Anchor != ck.Anchor ||
 		got.LastTid != ck.LastTid || got.LastTs != ck.LastTs {
 		t.Fatalf("pin mismatch: %+v", got)
-	}
-	if !reflect.DeepEqual(got.Store, ck.Store) {
-		t.Fatal("store meta mismatch")
 	}
 	if !reflect.DeepEqual(got.TableIdx, ck.TableIdx) {
 		t.Fatalf("table idx mismatch: %v", got.TableIdx)
@@ -122,17 +105,16 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // TestLogFoldsWindows: a log of consecutive windows decodes to the very
 // checkpoint one whole-state frame at the same height decodes to.
 func TestLogFoldsWindows(t *testing.T) {
-	s := buildChain(t, t.TempDir(), 7)
-	defer s.Close()
+	s := buildChain(7)
 	var log []byte
 	for _, w := range [][2]uint64{{0, 3}, {3, 4}, {4, 7}} {
-		log = append(log, mkWindow(t, s, w[0], w[1]).Encode()...)
+		log = append(log, mkWindow(s, w[0], w[1]).Encode()...)
 	}
 	folded, err := Decode(log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole, err := Decode(mkCheckpoint(t, s).Encode())
+	whole, err := Decode(mkCheckpoint(s).Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,9 +127,8 @@ func TestLogFoldsWindows(t *testing.T) {
 }
 
 func TestDecodeRejectsTampering(t *testing.T) {
-	s := buildChain(t, t.TempDir(), 5)
-	defer s.Close()
-	good := mkCheckpoint(t, s).Encode()
+	s := buildChain(5)
+	good := mkCheckpoint(s).Encode()
 
 	if _, err := Decode(nil); err == nil {
 		t.Fatal("empty payload must fail")
@@ -163,16 +144,22 @@ func TestDecodeRejectsTampering(t *testing.T) {
 	if _, err := Decode(bad); err == nil {
 		t.Fatal("a flipped byte must fail the frame CRC")
 	}
-	// Flip the anchor and repair the CRC: the embedded tip header no
-	// longer hashes to it.
+	// A window at block 0 follows no block: a Prev there is refused.
 	bad = bytes.Clone(good)
-	bad[frameHeader+4+8+8] ^= 0xFF // first anchor byte (after version, lo, hi)
+	bad[frameHeader+4+8+8] ^= 0xFF // first Prev byte (after version, lo, hi)
 	if _, err := Decode(reframe(bad)); err == nil {
-		t.Fatal("anchor tamper must fail")
+		t.Fatal("a whole-state frame naming a previous block must fail")
 	}
 
 	// A log must start at block 0 and every frame continue the last.
-	first, second, third := mkWindow(t, s, 0, 2).Encode(), mkWindow(t, s, 2, 3).Encode(), mkWindow(t, s, 3, 5).Encode()
+	first, second, third := mkWindow(s, 0, 2).Encode(), mkWindow(s, 2, 3).Encode(), mkWindow(s, 3, 5).Encode()
+	// Flip the first frame's anchor and repair the CRC: the next frame's
+	// Prev no longer names it.
+	bad = bytes.Clone(first)
+	bad[frameHeader+4+8+8+32] ^= 0xFF // first anchor byte (after version, lo, hi, prev)
+	if _, err := Decode(append(reframe(bad), second...)); err == nil {
+		t.Fatal("a frame that does not follow the anchor before it must fail")
+	}
 	for name, log := range map[string][]byte{
 		"starts late": second,
 		"gap":         append(bytes.Clone(first), third...),
@@ -183,7 +170,7 @@ func TestDecodeRejectsTampering(t *testing.T) {
 		}
 	}
 	// A frame over another index set does not continue the generation.
-	other := mkWindow(t, s, 2, 3)
+	other := mkWindow(s, 2, 3)
 	other.ALIs = nil
 	if _, err := Decode(append(bytes.Clone(first), other.Encode()...)); err == nil {
 		t.Error("a frame that changes the index set must fail")
@@ -211,17 +198,16 @@ func dirFiles(t *testing.T, d *Dir) []string {
 // them, and a new generation replaces the file.
 func TestDirAppendsWindows(t *testing.T) {
 	dataDir := t.TempDir()
-	s := buildChain(t, dataDir, 9)
-	defer s.Close()
+	s := buildChain(9)
 	d := NewDir(nil, dataDir)
 
 	if ck, err := d.Load(); err != nil || ck != nil {
 		t.Fatalf("Load on empty dir = %v, %v", ck, err)
 	}
-	if err := d.Write(mkWindow(t, s, 3, 5)); err == nil {
+	if err := d.Write(mkWindow(s, 3, 5)); err == nil {
 		t.Fatal("a window must not be written into a directory without a log")
 	}
-	if err := d.Write(mkWindow(t, s, 0, 3)); err != nil {
+	if err := d.Write(mkWindow(s, 0, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if got := dirFiles(t, d); !reflect.DeepEqual(got, []string{"MANIFEST", logName(1)}) {
@@ -236,7 +222,7 @@ func TestDirAppendsWindows(t *testing.T) {
 	}
 	for _, w := range [][2]uint64{{3, 5}, {5, 6}} {
 		before := size()
-		win := mkWindow(t, s, w[0], w[1])
+		win := mkWindow(s, w[0], w[1])
 		if err := d.Write(win); err != nil {
 			t.Fatal(err)
 		}
@@ -244,20 +230,20 @@ func TestDirAppendsWindows(t *testing.T) {
 			t.Fatalf("window %v grew the log by %d bytes, its frame has %d", w, grew, len(win.Encode()))
 		}
 	}
-	if err := d.Write(mkWindow(t, s, 7, 9)); err == nil {
+	if err := d.Write(mkWindow(s, 7, 9)); err == nil {
 		t.Fatal("a window leaving a gap must be refused")
 	}
 
 	// A fresh Dir (a restart) folds the three frames and continues them.
 	d = NewDir(nil, dataDir)
-	if err := d.Write(mkWindow(t, s, 3, 5)); err == nil {
+	if err := d.Write(mkWindow(s, 3, 5)); err == nil {
 		t.Fatal("a Dir that loaded nothing must refuse to append")
 	}
 	got, err := d.Load()
 	if err != nil || got == nil {
 		t.Fatalf("Load = %v, %v", got, err)
 	}
-	want, err := Decode(mkWindow(t, s, 0, 6).Encode())
+	want, err := Decode(mkWindow(s, 0, 6).Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,12 +253,12 @@ func TestDirAppendsWindows(t *testing.T) {
 	if d.Height() != 6 {
 		t.Fatalf("pinned height = %d", d.Height())
 	}
-	if err := d.Write(mkWindow(t, s, 6, 9)); err != nil {
+	if err := d.Write(mkWindow(s, 6, 9)); err != nil {
 		t.Fatal(err)
 	}
 
 	// A whole-state write starts generation 2 and sweeps generation 1.
-	if err := d.Write(mkCheckpoint(t, s)); err != nil {
+	if err := d.Write(mkCheckpoint(s)); err != nil {
 		t.Fatal(err)
 	}
 	if got := dirFiles(t, d); !reflect.DeepEqual(got, []string{"MANIFEST", logName(2)}) {
@@ -290,11 +276,11 @@ func TestDirLoadBadFrame(t *testing.T) {
 	for _, damage := range []string{"flip", "truncate"} {
 		for frame := 0; frame < 3; frame++ {
 			dataDir := t.TempDir()
-			s := buildChain(t, dataDir, 7)
+			s := buildChain(7)
 			d := NewDir(nil, dataDir)
 			var ends []int
 			for _, w := range [][2]uint64{{0, 3}, {3, 5}, {5, 7}} {
-				win := mkWindow(t, s, w[0], w[1])
+				win := mkWindow(s, w[0], w[1])
 				if err := d.Write(win); err != nil {
 					t.Fatal(err)
 				}
@@ -332,7 +318,7 @@ func TestDirLoadBadFrame(t *testing.T) {
 					t.Fatalf("%s frame %d: Load = %+v, want the prefix at %d", damage, frame, got, wantHeight)
 				}
 				// The next window replaces the damaged tail.
-				if err := d.Write(mkWindow(t, s, wantHeight, 7)); err != nil {
+				if err := d.Write(mkWindow(s, wantHeight, 7)); err != nil {
 					t.Fatal(err)
 				}
 				re, err := NewDir(nil, dataDir).Load()
@@ -340,15 +326,13 @@ func TestDirLoadBadFrame(t *testing.T) {
 					t.Fatalf("%s frame %d: reload after repair = %v, %v", damage, frame, re, err)
 				}
 			}
-			s.Close()
 		}
 	}
 
 	dataDir := t.TempDir()
-	s := buildChain(t, dataDir, 3)
-	defer s.Close()
+	s := buildChain(3)
 	d := NewDir(nil, dataDir)
-	if err := d.Write(mkCheckpoint(t, s)); err != nil {
+	if err := d.Write(mkCheckpoint(s)); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(d.Path(), manifestName), []byte("garbage"), 0o644); err != nil {
@@ -373,27 +357,27 @@ func TestDirWriteCrashMatrix(t *testing.T) {
 		// setup leaves a log pinned at oldHeight — with the torn tail of an
 		// earlier crashed append behind it, so the append protocol's
 		// truncate step is in the matrix — and returns the next write.
-		setup := func(t *testing.T) (dataDir string, s *storage.Store, next *Checkpoint) {
+		setup := func(t *testing.T) (dataDir string, s []types.BlockHeader, next *Checkpoint) {
 			dataDir = t.TempDir()
-			s = buildChain(t, dataDir, chain)
+			s = buildChain(chain)
 			d := NewDir(nil, dataDir)
-			if err := d.Write(mkWindow(t, s, 0, oldHeight)); err != nil {
+			if err := d.Write(mkWindow(s, 0, oldHeight)); err != nil {
 				t.Fatal(err)
 			}
 			f, err := os.OpenFile(filepath.Join(d.Path(), logName(1)), os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := f.Write(mkWindow(t, s, oldHeight, newHeight).Encode()[:40]); err != nil {
+			if _, err := f.Write(mkWindow(s, oldHeight, newHeight).Encode()[:40]); err != nil {
 				t.Fatal(err)
 			}
 			if err := f.Close(); err != nil {
 				t.Fatal(err)
 			}
 			if mode == "append" {
-				return dataDir, s, mkWindow(t, s, oldHeight, newHeight)
+				return dataDir, s, mkWindow(s, oldHeight, newHeight)
 			}
-			return dataDir, s, mkWindow(t, s, 0, newHeight)
+			return dataDir, s, mkWindow(s, 0, newHeight)
 		}
 		write := func(fs faultfs.FS, dataDir string, next *Checkpoint) error {
 			d := NewDir(fs, dataDir)
@@ -403,12 +387,11 @@ func TestDirWriteCrashMatrix(t *testing.T) {
 			return d.Write(next)
 		}
 
-		dataDir, s, next := setup(t)
+		dataDir, _, next := setup(t)
 		rehearse := faultfs.New(faultfs.Options{OpsBeforeCrash: -1})
 		if err := write(rehearse, dataDir, next); err != nil {
 			t.Fatal(err)
 		}
-		s.Close()
 		total := rehearse.Mutations()
 		if total < 7 { // truncate + write + sync, or create + write + sync + rename; then the manifest's four
 			t.Fatalf("%s: implausible mutation count %d", mode, total)
@@ -433,11 +416,11 @@ func TestDirWriteCrashMatrix(t *testing.T) {
 			if got.Height != oldHeight && got.Height != newHeight {
 				t.Fatalf("%s: crash at op %d: recovered height %d, want %d or %d", mode, k, got.Height, oldHeight, newHeight)
 			}
-			if want := mkWindow(t, s, 0, got.Height); got.Anchor != want.Anchor {
+			if want := mkWindow(s, 0, got.Height); got.Anchor != want.Anchor {
 				t.Fatalf("%s: crash at op %d: anchor mismatch at height %d", mode, k, got.Height)
 			}
 			// The next interval's window continues whatever survived.
-			if err := d.Write(mkWindow(t, s, got.Height, chain)); err != nil {
+			if err := d.Write(mkWindow(s, got.Height, chain)); err != nil {
 				t.Fatalf("%s: crash at op %d: write after reboot: %v", mode, k, err)
 			}
 			m, payload, err := pinnedLog(NewDir(nil, dataDir))
@@ -451,7 +434,6 @@ func TestDirWriteCrashMatrix(t *testing.T) {
 			if err != nil || re.Height != chain {
 				t.Fatalf("%s: crash at op %d: repaired log = %v, %v", mode, k, re, err)
 			}
-			s.Close()
 		}
 	}
 }
@@ -481,13 +463,12 @@ func pinnedLog(d *Dir) (*Manifest, []byte, error) {
 
 func TestRawPayloadRoundTrip(t *testing.T) {
 	srcDir := t.TempDir()
-	s := buildChain(t, srcDir, 5)
-	defer s.Close()
+	s := buildChain(5)
 	src := NewDir(nil, srcDir)
-	if err := src.Write(mkWindow(t, s, 0, 3)); err != nil {
+	if err := src.Write(mkWindow(s, 0, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.Write(mkWindow(t, s, 3, 5)); err != nil {
+	if err := src.Write(mkWindow(s, 3, 5)); err != nil {
 		t.Fatal(err)
 	}
 	m, payload, err := pinnedLog(src)
@@ -498,7 +479,7 @@ func TestRawPayloadRoundTrip(t *testing.T) {
 		t.Fatal("pinned log disagrees with its manifest")
 	}
 
-	ck := mkCheckpoint(t, s)
+	ck := mkCheckpoint(s)
 	got, err := Decode(payload)
 	if err != nil {
 		t.Fatal(err)
@@ -525,9 +506,8 @@ func TestManifestAlone(t *testing.T) {
 	if m, err := d.Manifest(); err != nil || m != nil {
 		t.Fatalf("Manifest on empty dir = %v, %v", m, err)
 	}
-	s := buildChain(t, dir, 2)
-	defer s.Close()
-	ck := mkCheckpoint(t, s)
+	s := buildChain(2)
+	ck := mkCheckpoint(s)
 	if err := d.Write(ck); err != nil {
 		t.Fatal(err)
 	}

@@ -163,30 +163,20 @@ func TestChunkedRoundTrip(t *testing.T) {
 	}
 	sameReads(t, plain, cold)
 
-	// Recovery scan over the chunked records, then a checkpoint-seeded
-	// open over the same files.
-	meta, err := cold.MetaWindow(0, uint64(cold.Count()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The recovery scan over the chunked records.
 	if err := cold.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for name, open := range map[string]func() (*Store, error){
-		"scan": func() (*Store, error) { return Open(dir, Options{SegmentSize: opts.SegmentSize, Mmap: true}) },
-		"meta": func() (*Store, error) { return OpenWithMeta(dir, opts, meta) },
-	} {
-		re, err := open()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		sameReads(t, plain, re)
-		if again := re.CompressTargets(1); len(again) != 0 {
-			t.Errorf("%s: reopen forgot recompressed segments: %v", name, again)
-		}
-		if err := re.Close(); err != nil {
-			t.Fatal(err)
-		}
+	re, err := Open(dir, Options{SegmentSize: opts.SegmentSize, Mmap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameReads(t, plain, re)
+	if again := re.CompressTargets(1); len(again) != 0 {
+		t.Errorf("reopen forgot recompressed segments: %v", again)
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

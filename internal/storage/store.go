@@ -73,13 +73,6 @@ var ErrNoBlock = errors.New("storage: no such block")
 // current tip.
 var ErrNotLinked = errors.New("storage: block does not link to tip")
 
-// ErrMetaMismatch is returned by OpenWithMeta when the supplied
-// checkpoint metadata does not match the segment files on disk
-// (wrong anchor, missing segments, malformed metadata, or a segment
-// recompressed after the checkpoint was taken). Callers fall back to a
-// full-replay Open: never wrong answers, only slower ones.
-var ErrMetaMismatch = errors.New("storage: checkpoint metadata does not match segments")
-
 // Location identifies where a block lives on disk.
 type Location struct {
 	// Segment is the segment file number.
@@ -175,12 +168,11 @@ type record struct {
 }
 
 // Open opens (creating if necessary) a block store in dir and recovers
-// its state by scanning existing segments.
-func Open(dir string, opts Options) (*Store, error) { return open(dir, opts, nil) }
-
-// open opens the store in dir and recovers it, seeded from checkpoint
-// metadata when m is non-nil (see recover).
-func open(dir string, opts Options, m *Meta) (*Store, error) {
+// its state by scanning every segment from byte zero: each record's
+// framing and CRC is checked and each header's linkage to the one
+// before, on every open. Only the store knows its record layout, so
+// this scan is the one way in.
+func Open(dir string, opts Options) (*Store, error) {
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = DefaultSegmentSize
 	}
@@ -200,7 +192,7 @@ func open(dir string, opts Options, m *Meta) (*Store, error) {
 		compacted: make(map[uint32]bool),
 	}
 	s.handles = newHandleCache(opts.MaxOpenSegments, s.openSegment)
-	if err := s.recover(m); err != nil {
+	if err := s.recover(); err != nil {
 		s.Close() //sebdb:ignore-err releasing partially opened handles on the error path
 		return nil, err
 	}
@@ -308,40 +300,20 @@ func (s *Store) repairTail(n uint32, valid int64) error {
 	return nil
 }
 
-// recover rebuilds the in-memory state. Checkpoint metadata m, when
-// given, is verified against the segments and seeds the blocks it
-// covers (seed); one scan then validates every record after them — the
-// whole chain when m is nil — and truncates a torn final record. With
-// metadata, a failure to list or scan the segments is ErrMetaMismatch:
-// the caller falls back to a full scan, which reports it for real.
-func (s *Store) recover(m *Meta) error {
-	fail := func(err error) error {
-		if m != nil {
-			return fmt.Errorf("%w: %v", ErrMetaMismatch, err)
-		}
-		return err
-	}
+// recover rebuilds the in-memory state: one scan validates every
+// record of every segment and truncates a torn final record.
+func (s *Store) recover() error {
 	if err := s.removeLeftoverTmp(); err != nil {
 		return err
 	}
 	segs, err := s.listSegs()
 	if err != nil {
-		return fail(err)
+		return err
 	}
-	var from Location // the first byte m does not cover
-	if m != nil {
-		if from, err = s.seed(m, len(segs)); err != nil {
-			return err
-		}
-	}
-	for _, n := range segs[from.Segment:] {
-		base := int64(0)
-		if n == from.Segment {
-			base = from.Offset
-		}
-		valid, err := s.scanSegment(n, base)
+	for _, n := range segs {
+		valid, err := s.scanSegment(n)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		// A torn write can only be at the tail of the last segment.
 		if int(n) == len(segs)-1 {
@@ -359,11 +331,11 @@ func (s *Store) recover(m *Meta) error {
 	return nil
 }
 
-// scanSegment reads segment seg's records from byte offset base to the
-// end of the file, appending each valid one to the in-memory state, and
-// returns the offset of the first invalid byte (the valid length).
-// Plain and compressed records may be mixed within one segment.
-func (s *Store) scanSegment(seg uint32, base int64) (int64, error) {
+// scanSegment reads segment seg's records from the start of the file,
+// appending each valid one to the in-memory state, and returns the
+// offset of the first invalid byte (the valid length). Plain and
+// compressed records may be mixed within one segment.
+func (s *Store) scanSegment(seg uint32) (int64, error) {
 	path := s.segPath(seg)
 	fi, err := s.fs.Stat(path)
 	if err != nil {
@@ -374,10 +346,10 @@ func (s *Store) scanSegment(seg uint32, base int64) (int64, error) {
 		return 0, fmt.Errorf("storage: %w", err)
 	}
 	defer f.Close() //sebdb:ignore-err read-only handle
-	r := io.NewSectionReader(f, base, fi.Size()-base)
+	r := io.NewSectionReader(f, 0, fi.Size())
 	c := inflaters.Get().(*inflater)
 	defer inflaters.Put(c)
-	off := base
+	off := int64(0)
 	for {
 		rec, h, ok, err := s.nextRecord(c, r, seg, off, fi.Size())
 		if err != nil || !ok {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"errors"
 	"os"
@@ -144,10 +145,6 @@ func TestPrefixCursors(t *testing.T) {
 		}
 	}
 	check("appended", s)
-	m, err := s.MetaWindow(0, uint64(len(want)))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -155,14 +152,8 @@ func TestPrefixCursors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer scanned.Close()
 	check("scanned", scanned)
-	scanned.Close()
-	seeded, err := OpenWithMeta(dir, Options{}, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seeded.Close()
-	check("seeded", seeded)
 }
 
 func TestRecoveryAfterReopen(t *testing.T) {
@@ -256,57 +247,45 @@ func TestTornTailTruncated(t *testing.T) {
 
 // TestTornLengthAllocatesNothingOfIt: a record whose length field
 // claims more bytes than its segment holds is a torn tail, found
-// before the scan sizes a buffer from that field — on a full recovery
-// and on the suffix scan past a checkpoint's metadata.
+// before the recovery scan sizes a buffer from that field.
 func TestTornLengthAllocatesNothingOfIt(t *testing.T) {
-	for _, withMeta := range []bool{false, true} {
-		dir := t.TempDir()
-		s, err := Open(dir, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		appendChain(t, s, 2, 2)
-		m, err := s.MetaWindow(0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		second := s.recs[1].loc.Offset
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		f, err := os.OpenFile(filepath.Join(dir, "blocks-000000.seg"), os.O_WRONLY, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.WriteAt([]byte{0xff, 0xff, 0xff, 0xf0}, second+4); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendChain(t, s, 2, 2)
+	second := s.recs[1].loc.Offset
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "blocks-000000.seg"), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0xff, 0xff, 0xff, 0xf0}, second+4); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		var s2 *Store
-		if withMeta {
-			s2, err = OpenWithMeta(dir, Options{}, m)
-		} else {
-			s2, err = Open(dir, Options{})
-		}
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatalf("meta=%v: %v", withMeta, err)
-		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
-			t.Errorf("meta=%v: Open allocated %d MB", withMeta, got>>20)
-		}
-		if s2.Count() != 1 || s2.curSize != second {
-			t.Errorf("meta=%v: %d blocks, segment of %d bytes; want 1 block, the torn record cut at %d",
-				withMeta, s2.Count(), s2.curSize, second)
-		}
-		if err := s2.Close(); err != nil {
-			t.Fatal(err)
-		}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s2, err := Open(dir, Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+		t.Errorf("Open allocated %d MB", got>>20)
+	}
+	if s2.Count() != 1 || s2.curSize != second {
+		t.Errorf("%d blocks, segment of %d bytes; want 1 block, the torn record cut at %d",
+			s2.Count(), s2.curSize, second)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -521,4 +500,44 @@ func TestOffsetWalkAllocatesOnlyOffsets(t *testing.T) {
 			t.Fatalf("transaction %d: offsets cut %d bytes that are not its encoding", i, len(got))
 		}
 	}
+}
+
+// TestBodySlicesTransactions: Body hands out the raw body whose tx
+// offsets slice it into the transactions' canonical encodings — on the
+// plain tier and the compressed one.
+func TestBodySlicesTransactions(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{SegmentSize: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	blocks := appendChain(t, s, 12, 5)
+	check := func(tier string) {
+		for h, b := range blocks {
+			err := s.Body(uint64(h), func(body []byte, txOffs []uint32) error {
+				if len(txOffs) != len(b.Txs)+1 {
+					t.Fatalf("%s block %d: %d offsets for %d txs", tier, h, len(txOffs), len(b.Txs))
+				}
+				for i, tx := range b.Txs {
+					if !bytes.Equal(body[txOffs[i]:txOffs[i+1]], tx.EncodeBytes()) {
+						t.Fatalf("%s block %d tx %d: body slice is not the tx encoding", tier, h, i)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Body(12, func([]byte, []uint32) error { return nil }); !errors.Is(err, ErrNoBlock) {
+			t.Fatalf("%s: Body beyond the tip err = %v", tier, err)
+		}
+	}
+	check("plain")
+	for _, seg := range s.CompressTargets(1) {
+		if err := s.CompressSegment(seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("compressed")
 }

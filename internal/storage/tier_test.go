@@ -3,7 +3,6 @@ package storage
 import (
 	"bytes"
 	"crypto/sha256"
-	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -218,43 +217,6 @@ func TestCompressedReadTxMatchesBlock(t *testing.T) {
 				t.Fatalf("ReadTx(%d, %d) diverges from Block", i, pos)
 			}
 		}
-	}
-}
-
-func TestStaleCheckpointAfterCompression(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{SegmentSize: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendChain(t, s, 16, 3)
-	want := chainDigest(t, s)
-	stale, err := s.MetaWindow(0, uint64(s.Count()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	compressAll(t, s)
-	fresh, err := s.MetaWindow(0, uint64(s.Count()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A checkpoint taken before the rewrite carries dead offsets; the
-	// per-segment anchors must reject it rather than serve garbage.
-	if _, err := OpenWithMeta(dir, Options{SegmentSize: 1024}, stale); !errors.Is(err, ErrMetaMismatch) {
-		t.Fatalf("stale checkpoint: err = %v, want ErrMetaMismatch", err)
-	}
-	// The post-rewrite checkpoint seeds a working store.
-	re, err := OpenWithMeta(dir, Options{SegmentSize: 1024}, fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if got := chainDigest(t, re); got != want {
-		t.Error("checkpoint-seeded store returned different bytes")
 	}
 }
 

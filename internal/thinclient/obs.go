@@ -3,12 +3,10 @@ package thinclient
 import "sebdb/internal/obs"
 
 // Thin-client metrics, reported to the default registry. VO bytes are
-// the answer sizes the client shipped (Fig. 17's axis), split by
-// protocol; verify time covers the client-side VO reconstruction.
+// the answer sizes the client shipped (Fig. 17's axis); verify time
+// covers the client-side VO reconstruction.
 var (
 	mVOBytesAuth  = obs.Default.Counter(`sebdb_thinclient_vo_bytes_total{proto="auth"}`)
-	mVOBytesBasic = obs.Default.Counter(`sebdb_thinclient_vo_bytes_total{proto="basic"}`)
 	mQueriesAuth  = obs.Default.Counter(`sebdb_thinclient_queries_total{proto="auth"}`)
-	mQueriesBasic = obs.Default.Counter(`sebdb_thinclient_queries_total{proto="basic"}`)
 	mVerifyMicros = obs.Default.Histogram("sebdb_thinclient_verify_micros")
 )

@@ -20,7 +20,6 @@ type scriptNode struct {
 
 func (s *scriptNode) ID() string                                  { return s.id }
 func (s *scriptNode) Height() (uint64, error)                     { return 0, nil }
-func (s *scriptNode) BlockAt(uint64) (*types.Block, error)        { return nil, errors.New("n/a") }
 func (s *scriptNode) Headers(uint64) ([]types.BlockHeader, error) { return nil, nil }
 func (s *scriptNode) AuthQuery(*node.AuthRequest) (*auth.Answer, error) {
 	return nil, errors.New("n/a")

@@ -230,36 +230,6 @@ func (c *Client) AuthQuery(full node.QueryNode, auxiliaries []node.QueryNode,
 	return txs, st, nil
 }
 
-// BasicQuery is the baseline: fetch every block from the node, verify
-// each against the stored headers, and filter matching transactions
-// client-side. Stats carry the shipped bytes for Fig. 17's comparison.
-func (c *Client) BasicQuery(n node.QueryNode, match func(*types.Transaction) bool) ([]*types.Transaction, Stats, error) {
-	var st Stats
-	height, err := n.Height()
-	if err != nil {
-		return nil, st, err
-	}
-	if height > uint64(len(c.headers)) {
-		height = uint64(len(c.headers))
-	}
-	ans := &auth.BasicAnswer{Height: height}
-	for h := uint64(0); h < height; h++ {
-		b, err := n.BlockAt(h)
-		if err != nil {
-			return nil, st, err
-		}
-		ans.Blocks = append(ans.Blocks, b)
-	}
-	st.VOSize = ans.Size()
-	st.BlocksInAnswer = len(ans.Blocks)
-	mQueriesBasic.Inc()
-	mVOBytesBasic.Add(uint64(st.VOSize))
-	verifyStart := obs.Default.Now()
-	txs, err := auth.BasicVerify(ans, c.headers, match)
-	mVerifyMicros.Observe(obs.Default.Now() - verifyStart)
-	return txs, st, err
-}
-
 // AuthTrack runs an authenticated track-trace query (paper §VI's
 // Example 4 generalised to both dimensions): the operator dimension is
 // answered through the ALI on SenID with full soundness and

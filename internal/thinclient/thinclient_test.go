@@ -279,30 +279,6 @@ func TestVerifyMembership(t *testing.T) {
 	}
 }
 
-func TestBasicQueryBaseline(t *testing.T) {
-	_, qn, tc := cluster(t, 2, 5, 8)
-	match := func(tx *types.Transaction) bool {
-		return tx.Tname == "donate" && tx.Args[2].Float() < 10
-	}
-	txs, st, err := tc.BasicQuery(qn[0], match)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(txs) != 10 {
-		t.Errorf("basic query rows = %d", len(txs))
-	}
-	// The baseline ships every block; its VO size dwarfs ALI's.
-	req := &node.AuthRequest{Table: "donate", Col: "amount",
-		Lo: types.Dec(0), Hi: types.Dec(9)}
-	_, aliStats, err := tc.AuthQuery(qn[0], qn[1:], req, thinclient.Options{M: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if aliStats.VOSize >= st.VOSize {
-		t.Errorf("ALI VO (%d) not smaller than basic (%d)", aliStats.VOSize, st.VOSize)
-	}
-}
-
 func TestAuthTrack(t *testing.T) {
 	nodes, qn, tc := cluster(t, 4, 5, 8)
 	from := nodes[0].Engine.Height()

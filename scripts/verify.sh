@@ -69,8 +69,10 @@ echo "== fuzz (10 s per target) =="
 # peer-supplied bytes get a short real run: the two VO verifiers (never
 # panic, allocation bounded by input length, accept => the rows are a
 # brute-force filter of the chain), the compressed-record reader and the
-# checkpoint log decoder (same bounds, decode∘encode identity, a log
-# that does not tile the chain refused). The layered index's per-block
+# checkpoint log decoder (same bounds, decode∘encode identity byte for
+# byte, a log whose frames do not each start at the last one's height
+# and name its anchor as their Prev refused, every index of an accepted
+# log covering every block). The layered index's per-block
 # run gets the same treatment against a brute-force stable sort: every
 # second-level read equals it, and neither first level drops a block
 # the second level matches. The transaction skip walk the block store
