@@ -62,16 +62,31 @@ func (a *ALI) BlockRecords(bid uint64) []mbtree.Record {
 	return t.Records()
 }
 
-// AppendBlock indexes a newly chained block: the MB-tree is built over
-// the records and the first level marked with their keys. Blocks must
-// be appended in height order; pass nil records for blocks without
-// relevant rows.
+// AppendBlock indexes a newly chained block: BuildTree, then
+// AppendTree.
 func (a *ALI) AppendBlock(bid uint64, recs []mbtree.Record) {
-	var t *mbtree.Tree
+	a.AppendTree(bid, a.BuildTree(recs))
+}
+
+// BuildTree builds the MB-tree of a block with the given records — nil
+// for none — at the ALI's fanout, hashing it through to its root: the
+// half of an append that does the work, safe to run for many blocks at
+// once and ahead of their turn.
+func (a *ALI) BuildTree(recs []mbtree.Record) *mbtree.Tree {
+	if len(recs) == 0 {
+		return nil
+	}
+	return mbtree.Build(recs, a.fanout)
+}
+
+// AppendTree installs block bid's tree, built by BuildTree, and marks
+// the first level with its keys. Blocks must be appended in height
+// order; pass a nil tree for blocks without relevant rows.
+func (a *ALI) AppendTree(bid uint64, t *mbtree.Tree) {
 	var root mbtree.Hash
-	if len(recs) > 0 {
-		t = mbtree.Build(recs, a.fanout)
-		root = t.Root()
+	n := 0
+	if t != nil {
+		root, n = t.Root(), t.Len()
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -81,8 +96,8 @@ func (a *ALI) AppendBlock(bid uint64, recs []mbtree.Record) {
 	}
 	a.trees[bid], a.roots[bid] = t, root
 	// The tree hands its keys over sorted, so equal ones are marked once;
-	// without records there is no tree and no key is asked for.
-	a.first.MarkBlock(bid, len(recs), t.Key)
+	// without a tree no key is asked for.
+	a.first.MarkBlock(bid, n, t.Key)
 }
 
 // Blocks returns the number of block slots the ALI covers.

@@ -255,8 +255,8 @@ func continuousKind(kind types.Kind) bool {
 }
 
 // backfill feeds the blocks of [lo, hi) to an index, decoding and
-// extracting ahead with the worker pool; the appends run on this
-// goroutine in height order, as the indexes require. tables are the
+// building ahead with the worker pool; the links run on this goroutine
+// in height order, as the indexes require. tables are the
 // tables defined at hi.
 func (e *Engine) backfill(feed blockFeed, tables map[string]*schema.Table, lo, hi uint64) error {
 	if lo >= hi {
@@ -270,8 +270,8 @@ func (e *Engine) backfill(feed blockFeed, tables map[string]*schema.Table, lo, h
 			}
 			return feed(b, tables)
 		},
-		func(_ int, appendIt func()) error {
-			appendIt()
+		func(_ int, link func()) error {
+			link()
 			return nil
 		})
 }

@@ -60,6 +60,18 @@ func (d chainDefs) resolve(txs []*types.Transaction) (chainDefs, error) {
 	return d, nil
 }
 
+// definesAny reports whether txs hold a reserved-table transaction —
+// one resolve would read.
+func definesAny(txs []*types.Transaction) bool {
+	for _, tx := range txs {
+		switch tx.Tname {
+		case schema.MetaTable, contract.MetaTable, indexTable:
+			return true
+		}
+	}
+	return false
+}
+
 // withTable returns d with t defined. Re-defining an identical table
 // returns d as it is; a different table under the same name is an error.
 func (d chainDefs) withTable(t *schema.Table) (chainDefs, error) {

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -355,13 +356,15 @@ func openTraced(ctx context.Context, cfg Config) (*Engine, error) {
 	ckSpan.Finish()
 
 	// Phase 2: replay the remaining suffix (the whole chain when no
-	// checkpoint seeded state): definitions, indexes and counters. Blocks are
-	// decoded ahead by the worker pool; indexing itself stays on this
-	// goroutine in height order (Tids, bitmaps and layered appends all
-	// assume blocks arrive in order). The cached index definitions are
-	// registered first, so the replay feeds them with every other index
-	// and each block is decoded once; the chain's records decide which of
-	// them stay (replayBlock, dropPending).
+	// checkpoint seeded state): definitions, indexes and counters. The
+	// worker pool reads ahead: it decodes each block and builds its runs
+	// and MB-trees for every registered index (readAhead); this goroutine
+	// admits the blocks and links what was built in height order (Tids,
+	// bitmaps and index appends all assume blocks arrive in order). The
+	// cached index definitions are registered first, so the replay feeds
+	// them with every other index and each block is decoded once; the
+	// chain's records decide which of them stay (replayBlock,
+	// dropPending).
 	_, repSpan := obs.StartSpan(ctx, "recovery.replay")
 	defer repSpan.Finish()
 	cached, cacheRaw := e.readIndexCache()
@@ -371,8 +374,8 @@ func openTraced(ctx context.Context, cfg Config) (*Engine, error) {
 	}
 	n := uint64(st.Count())
 	err = parallel.Ordered(e.Parallelism(), int(n-base),
-		func(i int) (*types.Block, error) { return st.Block(base + uint64(i)) },
-		func(_ int, b *types.Block) error { return e.replayBlock(b, pending) })
+		func(i int) (*builtBlock, error) { return e.readAhead(base + uint64(i)) },
+		func(_ int, bb *builtBlock) error { return e.replayBlock(bb, pending) })
 	if err != nil {
 		return nil, err
 	}
@@ -782,7 +785,7 @@ func (e *Engine) install(b *types.Block, start int64, event string) error {
 		return err
 	}
 	appended := e.cfg.Obs.Now()
-	if err := e.indexBlockLocked(b, defs, built); err != nil {
+	if err := e.indexBlockLocked(b, defs, built, nil); err != nil {
 		e.mu.Unlock()
 		return err
 	}
@@ -828,21 +831,74 @@ func (e *Engine) prepareBlock(txs []*types.Transaction, ts int64) *types.Block {
 	return b
 }
 
+// builtBlock is one block of Open's replay as the read-ahead leaves it:
+// decoded, and built for every index registered when it was read.
+type builtBlock struct {
+	b *types.Block
+	// built says the block was built ahead; links are the feeds' links,
+	// in feedsLocked order, up to the first that failed, whose error is
+	// err. epoch and tables are the index epoch and the tables the build
+	// read.
+	built  bool
+	links  []func()
+	err    error
+	epoch  uint64
+	tables map[string]*schema.Table
+}
+
+// readAhead is the produce stage of Open's replay: it reads block h and
+// runs the build half of every registered index's feed on it, off the
+// engine lock, against the definitions current when it reads the block.
+// A block carrying a reserved-table transaction is not built: what it
+// defines decides what its indexes are and read. A build error is held,
+// not returned: the result may turn out stale (current).
+func (e *Engine) readAhead(h uint64) (*builtBlock, error) {
+	b, err := e.store.Block(h)
+	if err != nil || definesAny(b.Txs) {
+		return &builtBlock{b: b}, err
+	}
+	bb := &builtBlock{b: b, built: true}
+	e.mu.RLock()
+	bb.epoch, bb.tables = e.idxEpoch, e.defs.tables
+	feeds := e.feedsLocked()
+	e.mu.RUnlock()
+	bb.links = make([]func(), 0, len(feeds))
+	for _, feed := range feeds {
+		link, err := feed(b, bb.tables)
+		if err != nil {
+			bb.err = err
+			break
+		}
+		bb.links = append(bb.links, link)
+	}
+	return bb, nil
+}
+
+// current reports whether what the read-ahead built for bb's block is
+// what indexBlockLocked would build under the lock: the index set is the
+// one it fed (no creation or drop moved idxEpoch since) and the block's
+// resolved tables are the ones it read. The maps are copy-on-write, so
+// one map is one set of definitions. Callers hold e.mu.
+func (bb *builtBlock) current(e *Engine, tables map[string]*schema.Table) bool {
+	return bb != nil && bb.built && bb.epoch == e.idxEpoch &&
+		reflect.ValueOf(bb.tables).UnsafePointer() == reflect.ValueOf(tables).UnsafePointer()
+}
+
 // replayBlock indexes one block of Open's replay. pending are the
 // cached indexes no record has settled yet (unbuilt); one whose table
 // the block defines is checked before any of the table's tuples reach
 // it.
-func (e *Engine) replayBlock(b *types.Block, pending map[string]*indexDef) error {
+func (e *Engine) replayBlock(bb *builtBlock, pending map[string]*indexDef) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	defs, built, err := e.admit(b, pending)
+	defs, built, err := e.admit(bb.b, pending)
 	if err != nil {
 		return err
 	}
 	if len(defs.tables) != len(e.defs.tables) {
 		e.dropPending(pending, defs.tables)
 	}
-	return e.indexBlockLocked(b, defs, built)
+	return e.indexBlockLocked(bb.b, defs, built, bb)
 }
 
 // admit checks b against the engine's state without changing it, and
@@ -883,8 +939,10 @@ func (e *Engine) admit(b *types.Block, pending map[string]*indexDef) (chainDefs,
 
 // indexBlockLocked installs a newly appended block's resolved
 // definitions and the indexes built for them, and updates counters and
-// all indexes. Callers hold e.mu.
-func (e *Engine) indexBlockLocked(b *types.Block, defs chainDefs, built []func()) error {
+// all indexes. ahead is what Open's read-ahead built for the block, or
+// nil; when it is current its links are all that is left to run, and
+// otherwise the block is built here. Callers hold e.mu.
+func (e *Engine) indexBlockLocked(b *types.Block, defs chainDefs, built []func(), ahead *builtBlock) error {
 	bid := b.Header.Height
 	e.installDefs(defs, built)
 	for _, tx := range b.Txs {
@@ -899,13 +957,32 @@ func (e *Engine) indexBlockLocked(b *types.Block, defs chainDefs, built []func()
 	// Table-level bitmaps on Tname and SenID.
 	e.tableIdx.MarkAll(tableKeys(b.Txs), int(bid))
 
+	if ahead.current(e, defs.tables) {
+		for _, link := range ahead.links {
+			link()
+		}
+		return ahead.err
+	}
 	// Layered indexes and ALIs: the global system ones plus any user
-	// indexes. Each index is self-contained, so the per-index extract +
-	// append work fans out to the worker pool; the join happens before
-	// e.mu is released, so readers never see a block half-indexed and
-	// crash/replay fingerprints are identical to the serial walk. Keys
-	// are sorted so a failure is always reported for the same index
-	// regardless of scheduling.
+	// indexes. Each index is self-contained, so the per-index build fans
+	// out to the worker pool and the links follow in feed order; all run
+	// before e.mu is released, so readers never see a block half-indexed
+	// and crash/replay fingerprints are identical to the serial walk. The
+	// feeds are in a fixed order so a failure is always reported for the
+	// same index regardless of scheduling.
+	feeds := e.feedsLocked()
+	return parallel.Ordered(e.Parallelism(), len(feeds),
+		func(i int) (func(), error) { return feeds[i](b, defs.tables) },
+		func(_ int, link func()) error {
+			link()
+			return nil
+		})
+}
+
+// feedsLocked returns the feed of every registered index: the layered
+// ones, then the ALIs, each by key — the order the install stage
+// reports a failing feed in. Callers hold e.mu.
+func (e *Engine) feedsLocked() []blockFeed {
 	feeds := make([]blockFeed, 0, len(e.lidx)+len(e.alis))
 	for _, key := range sortedKeys(e.lidx) {
 		feeds = append(feeds, e.layeredFeed(key, e.lidx[key]))
@@ -913,15 +990,7 @@ func (e *Engine) indexBlockLocked(b *types.Block, defs chainDefs, built []func()
 	for _, key := range sortedKeys(e.alis) {
 		feeds = append(feeds, e.aliFeed(key, e.alis[key]))
 	}
-	return parallel.Ordered(e.Parallelism(), len(feeds),
-		func(i int) (struct{}, error) {
-			appendIt, err := feeds[i](b, defs.tables)
-			if err == nil {
-				appendIt()
-			}
-			return struct{}{}, err
-		},
-		func(int, struct{}) error { return nil })
+	return feeds
 }
 
 // tableKeys returns the distinct table-level bitmap keys of a block's
@@ -944,12 +1013,15 @@ func tableKeys(txs []*types.Transaction) []string {
 	return keys
 }
 
-// blockFeed is the write side every index family shares: extract one
-// block's input for the index — the fallible, order-free half, safe to
-// run ahead on the worker pool — and return the append that installs it
-// under the block's height, which must run in height order. tables are
-// the tables defined once b is chain state.
-type blockFeed func(b *types.Block, tables map[string]*schema.Table) (appendIt func(), err error)
+// blockFeed is the write side every index family shares, in two
+// halves. The call is the build: extract one block's input for the
+// index and build the block's second level from it — a layered run, or
+// an MB-tree hashed to its root. It is the fallible, order-free half and
+// touches no index, so it may run ahead on the worker pool. The link it
+// returns installs what was built under the block's height and the
+// first-level marks; links must run in height order. tables are the
+// tables defined once b is chain state.
+type blockFeed func(b *types.Block, tables map[string]*schema.Table) (link func(), err error)
 
 // layeredFeed feeds the layered index registered under key ("table.col"
 // or ".senid"/".tname").
@@ -958,7 +1030,11 @@ func (e *Engine) layeredFeed(key string, idx *layered.Index) blockFeed {
 		entries, err := extract(key, tables, b, func(v types.Value, pos int, _ *types.Transaction) layered.Entry {
 			return layered.Entry{Key: v, Pos: uint32(pos)}
 		})
-		return func() { idx.AppendBlock(b.Header.Height, entries) }, err
+		if err != nil {
+			return nil, err
+		}
+		r := layered.BuildRun(entries)
+		return func() { idx.AppendRun(b.Header.Height, r) }, nil
 	}
 }
 
@@ -970,12 +1046,18 @@ func (e *Engine) aliFeed(key string, ali *auth.ALI) blockFeed {
 		recs, err := extract(key, tables, b, func(v types.Value, _ int, tx *types.Transaction) mbtree.Record {
 			return mbtree.Record{Key: v, Payload: tx.EncodeBytes()}
 		})
-		return func() { ali.AppendBlock(b.Header.Height, recs) }, err
+		if err != nil {
+			return nil, err
+		}
+		t := ali.BuildTree(recs)
+		return func() { ali.AppendTree(b.Header.Height, t) }, nil
 	}
 }
 
 // extract collects, for the index identified by key, one item per
-// transaction of b that carries the indexed column.
+// transaction of b that carries the indexed column. The slice is
+// allocated at the first such transaction, for all the block has left:
+// the build that reads it drops it.
 func extract[T any](key string, tables map[string]*schema.Table, b *types.Block, item func(v types.Value, pos int, tx *types.Transaction) T) ([]T, error) {
 	value := extractorFor(key, tables)
 	var out []T
@@ -985,6 +1067,9 @@ func extract[T any](key string, tables map[string]*schema.Table, b *types.Block,
 			return nil, err
 		}
 		if ok {
+			if out == nil {
+				out = make([]T, 0, len(b.Txs)-pos)
+			}
 			out = append(out, item(v, pos, tx))
 		}
 	}

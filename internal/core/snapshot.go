@@ -297,8 +297,8 @@ func (e *Engine) restoreCheckpoint(c *snapshot.Checkpoint) error {
 // each block's indexed transactions by their offset from the block's
 // FirstTid, which the store's header gives; their encodings — the
 // MB-tree payloads — come out of the block files, read once per block
-// by the worker pool while the trees are rebuilt (and every root
-// re-derived) in height order on the calling goroutine.
+// by the worker pool, which also rebuilds the trees (and re-derives
+// every root); the calling goroutine links them in height order.
 func (e *Engine) restoreALIs(c *snapshot.Checkpoint) error {
 	if len(c.ALIs) == 0 {
 		return nil
@@ -316,12 +316,20 @@ func (e *Engine) restoreALIs(c *snapshot.Checkpoint) error {
 		return fmt.Errorf("core: checkpoint covers %d blocks, the store holds %d", c.Height, n)
 	}
 	return parallel.Ordered(e.Parallelism(), int(c.Height),
-		func(bid int) ([][]mbtree.Record, error) {
-			return aliRecords(e.store, c.ALIs, uint64(bid), headers[bid].FirstTid)
-		},
-		func(bid int, recs [][]mbtree.Record) error {
+		func(bid int) ([]*mbtree.Tree, error) {
+			recs, err := aliRecords(e.store, c.ALIs, uint64(bid), headers[bid].FirstTid)
+			if err != nil {
+				return nil, err
+			}
+			trees := make([]*mbtree.Tree, len(alis))
 			for i, ali := range alis {
-				ali.AppendBlock(uint64(bid), recs[i])
+				trees[i] = ali.BuildTree(recs[i])
+			}
+			return trees, nil
+		},
+		func(bid int, trees []*mbtree.Tree) error {
+			for i, ali := range alis {
+				ali.AppendTree(uint64(bid), trees[i])
 			}
 			return nil
 		})

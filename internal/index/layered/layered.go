@@ -102,15 +102,28 @@ func (x *Index) grow(bid uint64) {
 }
 
 // AppendBlock indexes the relevant entries of a newly chained block:
-// the second-level run is built and the first level updated once per
-// distinct key, with no rebalancing of earlier blocks (§IV-B benefit
-// (i)). Blocks must be appended in height order; a block with no
-// relevant rows may be skipped or passed with empty entries.
+// BuildRun, then AppendRun.
 func (x *Index) AppendBlock(bid uint64, entries []Entry) {
-	var r *Run
-	if len(entries) > 0 {
-		r = newRun(entries)
+	x.AppendRun(bid, BuildRun(entries))
+}
+
+// BuildRun builds the second level of a block with the given entries —
+// nil for none — off any index: the half of an append that does the
+// work (sort, key column), safe to run for many blocks at once and
+// ahead of their turn.
+func BuildRun(entries []Entry) *Run {
+	if len(entries) == 0 {
+		return nil
 	}
+	return newRun(entries)
+}
+
+// AppendRun installs block bid's run, built by BuildRun: the pointer,
+// then the first level once per distinct key, with no rebalancing of
+// earlier blocks (§IV-B benefit (i)). Blocks must be appended in height
+// order; a block with no relevant rows may be skipped or passed a nil
+// run.
+func (x *Index) AppendRun(bid uint64, r *Run) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.grow(bid)
@@ -265,7 +278,7 @@ func (x *Index) BlockRange(bid uint64, lo, hi types.Value, fn func(key types.Val
 //
 // The walk takes the read lock once, to copy the runs slice, and reads
 // it unlocked, with fn free to do anything. That is safe because
-// AppendBlock installs blocks in height order: after the copy it writes
+// AppendRun installs blocks in height order: after the copy it writes
 // only slots at or past the length copied, and the runs below it never
 // change. The candidates a query passes are below its pinned view's
 // height, whose runs were installed before the view was published.

@@ -1,10 +1,12 @@
 package layered
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"sebdb/internal/types"
 )
@@ -57,34 +59,59 @@ const (
 	mixedCol
 )
 
-// newRun builds the run of a non-empty block. Sorted input — a
-// checkpoint restores blocks that way — is not sorted again. Neighbours
-// merge only when identical to the bit: Dec(-0) and Dec(+0) compare
-// equal but encode apart.
+// newRun builds the run of a non-empty block. The keys' kinds choose
+// the column and with it the sort, each a stable sort by types.Compare:
+// a numeric run sorts (word, input index) pairs, a string run ranks its
+// distinct strings and places the entries by rank, and only a mixed run
+// sorts whole values with Compare. Input already in order — a checkpoint
+// restores blocks that way — is found so without allocating and not
+// sorted again. Neighbours merge only when identical to the bit: Dec(-0)
+// and Dec(+0) compare equal but encode apart.
 func newRun(entries []Entry) *Run {
-	byKey := func(a, b Entry) int { return types.Compare(a.Key, b.Key) }
-	if !slices.IsSortedFunc(entries, byKey) {
-		entries = slices.Clone(entries)
-		slices.SortStableFunc(entries, byKey)
+	col := columnOf(entries)
+	// order lists the entries in key order by input index; nil when the
+	// input is in key order already.
+	var order []uint32
+	var sc *sortScratch
+	switch col {
+	case numericCol:
+		if !wordsSorted(entries) {
+			sc = scratchPool.Get().(*sortScratch)
+			order = sc.byWord(entries)
+		}
+	case stringCol:
+		if !stringsSorted(entries) {
+			sc = scratchPool.Get().(*sortScratch)
+			order = sc.byRank(entries)
+		}
+	default:
+		byKey := func(a, b Entry) int { return types.Compare(a.Key, b.Key) }
+		if !slices.IsSortedFunc(entries, byKey) {
+			entries = slices.Clone(entries)
+			slices.SortStableFunc(entries, byKey)
+		}
+	}
+	at := func(j int) *Entry {
+		if order != nil {
+			return &entries[order[j]]
+		}
+		return &entries[j]
 	}
 	distinct, arena := 0, 0
-	numeric, text := true, true
-	for i := 0; i < len(entries); i++ {
-		k := entries[i].Key
-		if i > 0 && identical(entries[i-1].Key, k) {
+	for j := 0; j < len(entries); j++ {
+		k := at(j).Key
+		if j > 0 && identical(at(j-1).Key, k) {
 			continue
 		}
-		numeric = numeric && wordKey(k)
-		text = text && (stringKey(k) || distinct == 0 && k == types.Null)
 		arena += len(k.S)
 		distinct++
 	}
 	r := &Run{offs: make([]uint32, 0, distinct+1), pos: make([]uint32, len(entries))}
 	var sb strings.Builder
 	switch {
-	case numeric:
+	case col == numericCol:
 		r.words, r.kinds = make([]uint64, 0, distinct), make([]types.Kind, 0, distinct)
-	case text && uint64(arena) <= math.MaxUint32:
+	case col == stringCol && uint64(arena) <= math.MaxUint32:
 		r.col = stringCol
 		r.ends = append(make([]uint32, 0, distinct+1), 0)
 		sb.Grow(arena)
@@ -92,16 +119,204 @@ func newRun(entries []Entry) *Run {
 		r.col = mixedCol
 		r.keys = make([]types.Value, 0, distinct)
 	}
-	for i, e := range entries {
-		if i == 0 || !identical(entries[i-1].Key, e.Key) {
+	for j := range entries {
+		e := at(j)
+		if j == 0 || !identical(at(j-1).Key, e.Key) {
 			r.add(e.Key, &sb)
-			r.offs = append(r.offs, uint32(i))
+			r.offs = append(r.offs, uint32(j))
 		}
-		r.pos[i] = e.Pos
+		r.pos[j] = e.Pos
 	}
 	r.offs = append(r.offs, uint32(len(entries)))
 	r.arena = sb.String()
+	if sc != nil {
+		sc.release()
+	}
 	return r
+}
+
+// columnOf returns the column the keys' kinds allow: numeric when every
+// key is a wordKey, string when every key is a stringKey or Null, mixed
+// otherwise. A string run may still go mixed when its arena would not
+// fit a uint32 offset.
+func columnOf(entries []Entry) column {
+	numeric, text := true, true
+	for i := range entries {
+		k := &entries[i].Key
+		numeric = numeric && wordKey(*k)
+		text = text && (stringKey(*k) || *k == types.Null)
+		if !numeric && !text {
+			return mixedCol
+		}
+	}
+	if numeric {
+		return numericCol
+	}
+	return stringCol
+}
+
+// entryWord is a numeric-column key's word: 0 for Null, which sorts
+// below every number.
+func entryWord(k types.Value) uint64 {
+	if k.Kind == types.KindNull {
+		return 0
+	}
+	return keyWord(k.Float())
+}
+
+// wordsSorted reports whether the keys of a numeric column are in
+// types.Compare order already, which is the order of their words.
+func wordsSorted(entries []Entry) bool {
+	prev := uint64(0)
+	for i := range entries {
+		w := entryWord(entries[i].Key)
+		if w < prev {
+			return false
+		}
+		prev = w
+	}
+	return true
+}
+
+// stringsSorted reports whether the keys of a string column are in
+// types.Compare order already: the Nulls, then the strings in byte
+// order.
+func stringsSorted(entries []Entry) bool {
+	for i := 1; i < len(entries); i++ {
+		a, b := &entries[i-1].Key, &entries[i].Key
+		if b.Kind == types.KindNull && a.Kind != types.KindNull || a.Kind == types.KindString && b.Kind == types.KindString && a.S > b.S {
+			return false
+		}
+	}
+	return true
+}
+
+// sortScratch is the memory of one unsorted run's sort, pooled: a
+// block's build runs on whichever worker reads it, and its scratch
+// outlives nothing but the call.
+type sortScratch struct {
+	order []uint32
+	pairs []wordPos
+	ids   []uint32          // string column: each entry's name id
+	names []string          // the distinct strings, by id
+	slot  map[string]uint32 // name -> id, once names outgrow a linear scan
+	rank  []uint32          // id -> rank, then rank -> next free slot
+}
+
+// wordPos is one numeric-column entry's sort key: its word, then its
+// input index, which makes the sort stable.
+type wordPos struct {
+	w uint64
+	i uint32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
+
+// release returns sc to the pool, dropping the strings it refers to so
+// that a pooled scratch keeps no block's keys alive.
+func (sc *sortScratch) release() {
+	clear(sc.names)
+	sc.names = sc.names[:0]
+	clear(sc.slot)
+	scratchPool.Put(sc)
+}
+
+// byWord returns the key order of a numeric column's entries.
+func (sc *sortScratch) byWord(entries []Entry) []uint32 {
+	sc.pairs = sc.pairs[:0]
+	for i := range entries {
+		sc.pairs = append(sc.pairs, wordPos{entryWord(entries[i].Key), uint32(i)})
+	}
+	slices.SortFunc(sc.pairs, func(a, b wordPos) int {
+		if a.w != b.w {
+			return cmp.Compare(a.w, b.w)
+		}
+		return cmp.Compare(a.i, b.i)
+	})
+	sc.order = sc.order[:0]
+	for _, p := range sc.pairs {
+		sc.order = append(sc.order, p.i)
+	}
+	return sc.order
+}
+
+// linearNames is how many distinct strings byRank looks up by a scan
+// before it builds a map: a block's table names, a handful, never pay
+// for hashing.
+const linearNames = 8
+
+// byRank returns the key order of a string column's entries: it gives
+// each distinct string an id, ranks the ids by their strings, and places
+// the entries by rank in input order — a stable counting sort. Nulls
+// take rank 0, below every string.
+func (sc *sortScratch) byRank(entries []Entry) []uint32 {
+	sc.ids = sc.ids[:0]
+	for i := range entries {
+		k := &entries[i].Key
+		if k.Kind == types.KindNull {
+			sc.ids = append(sc.ids, 0)
+			continue
+		}
+		sc.ids = append(sc.ids, sc.nameID(k.S))
+	}
+	// rank[id] is the id's rank, 1-based past the Nulls' 0.
+	n := len(sc.names) + 1
+	sc.rank = slices.Grow(sc.rank[:0], 2*n)[:2*n]
+	byName := sc.rank[n:]
+	for i := range byName[:n-1] {
+		byName[i] = uint32(i)
+	}
+	slices.SortFunc(byName[:n-1], func(a, b uint32) int { return strings.Compare(sc.names[a], sc.names[b]) })
+	sc.rank[0] = 0
+	for r, id := range byName[:n-1] {
+		sc.rank[id+1] = uint32(r + 1)
+	}
+	// Count per rank, then turn the counts into each rank's first slot.
+	count := byName[:n]
+	clear(count)
+	for _, id := range sc.ids {
+		count[sc.rank[id]]++
+	}
+	next := uint32(0)
+	for r, c := range count {
+		count[r] = next
+		next += c
+	}
+	sc.order = slices.Grow(sc.order[:0], len(entries))[:len(entries)]
+	for i, id := range sc.ids {
+		r := sc.rank[id]
+		sc.order[count[r]] = uint32(i)
+		count[r]++
+	}
+	return sc.order
+}
+
+// nameID returns the id of string s, 1-based, adding it when new.
+func (sc *sortScratch) nameID(s string) uint32 {
+	if len(sc.names) > linearNames {
+		id, ok := sc.slot[s]
+		if !ok {
+			sc.names = append(sc.names, s)
+			id = uint32(len(sc.names))
+			sc.slot[s] = id
+		}
+		return id
+	}
+	for j, name := range sc.names {
+		if name == s {
+			return uint32(j + 1)
+		}
+	}
+	sc.names = append(sc.names, s)
+	if len(sc.names) > linearNames {
+		if sc.slot == nil {
+			sc.slot = make(map[string]uint32)
+		}
+		for j, name := range sc.names {
+			sc.slot[name] = uint32(j + 1)
+		}
+	}
+	return uint32(len(sc.names))
 }
 
 // wordKey reports whether k can live in a numeric column: Null, or an

@@ -509,3 +509,137 @@ func BenchmarkRunSpan(b *testing.B) {
 		})
 	}
 }
+
+// runShapes are the blocks BenchmarkNewRun and TestSortedRunAllocatesOnlyTheRun
+// build: a donate.amount block (140 distinct decimals), a senid block
+// (200 strings over 50 Zipf-distributed senders) and a tname block (200
+// strings over 3 table names), each in the input order a block gives
+// them, every string a fresh copy as a decoded transaction carries it.
+func runShapes() []struct {
+	name    string
+	col     column
+	entries []Entry
+} {
+	rng := rand.New(rand.NewPCG(5, 6))
+	amounts := make([]Entry, 140)
+	for i := range amounts {
+		amounts[i] = Entry{Key: types.Dec(float64(500_000 + rng.IntN(1000))), Pos: uint32(i)}
+	}
+	zipf := rand.NewZipf(rng, 1.1, 1, 49)
+	senders := make([]Entry, 200)
+	for i := range senders {
+		senders[i] = Entry{Key: types.Str(fmt.Sprintf("org-sender-%03d", zipf.Uint64())), Pos: uint32(i)}
+	}
+	names := []string{"donate", "transfer", "distribute"}
+	tnames := make([]Entry, 200)
+	for i := range tnames {
+		tnames[i] = Entry{Key: types.Str(strings.Clone(names[rng.IntN(len(names))])), Pos: uint32(i)}
+	}
+	return []struct {
+		name    string
+		col     column
+		entries []Entry
+	}{{"numeric140", numericCol, amounts}, {"senders200x50", stringCol, senders}, {"tnames200x3", stringCol, tnames}}
+}
+
+// BenchmarkNewRun times building one block's run, the sort included,
+// from the block's input order and from key order — the order a
+// checkpoint restores a block in.
+func BenchmarkNewRun(b *testing.B) {
+	for _, s := range runShapes() {
+		sorted := newRun(s.entries)
+		if sorted.col != s.col {
+			b.Fatalf("%s built column %d, want %d", s.name, sorted.col, s.col)
+		}
+		inOrder := make([]Entry, 0, len(s.entries))
+		sorted.each(0, sorted.keyCount(), func(k types.Value, ref uint64) bool {
+			inOrder = append(inOrder, Entry{Key: k, Pos: uint32(ref)})
+			return true
+		})
+		for _, in := range []struct {
+			order   string
+			entries []Entry
+		}{{"block", s.entries}, {"sorted", inOrder}} {
+			b.Run(s.name+"/"+in.order, func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					newRun(in.entries)
+				}
+			})
+		}
+	}
+}
+
+// TestSortedRunAllocatesOnlyTheRun pins that newRun on input already in
+// key order — every block a checkpoint restores — allocates the run and
+// its columns and nothing else: no copy of the entries, no sort scratch.
+// A numeric run is the Run, offs, pos, words and kinds; a string run the
+// Run, offs, pos, ends and the arena.
+func TestSortedRunAllocatesOnlyTheRun(t *testing.T) {
+	for _, s := range runShapes() {
+		r := newRun(s.entries)
+		in := make([]Entry, 0, len(s.entries))
+		r.each(0, r.keyCount(), func(k types.Value, ref uint64) bool {
+			in = append(in, Entry{Key: k, Pos: uint32(ref)})
+			return true
+		})
+		if got := testing.AllocsPerRun(20, func() { newRun(in) }); got != 5 {
+			t.Errorf("%s: newRun on sorted input allocates %.0f times, want 5 (the run's own memory)", s.name, got)
+		}
+	}
+}
+
+// TestNewRunMatchesStableSort holds each column's sort — words, string
+// ranks (by a scan and, past linearNames distinct strings, by a map),
+// and Compare — to a brute-force stable sort, on random blocks rich in
+// duplicates, cross-kind ties, signed zeros and Nulls.
+func TestNewRunMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 8))
+	keys := map[string]func(distinct int) types.Value{
+		"numeric": func(d int) types.Value {
+			switch v := rng.IntN(d); rng.IntN(5) {
+			case 0:
+				return types.Null
+			case 1:
+				return types.Int(int64(v))
+			case 2:
+				return types.Dec(math.Copysign(0, -1))
+			default:
+				return types.Dec(float64(v))
+			}
+		},
+		"string": func(d int) types.Value {
+			if rng.IntN(8) == 0 {
+				return types.Null
+			}
+			return types.Str(fmt.Sprintf("k%d", rng.IntN(d)))
+		},
+		"mixed": func(d int) types.Value {
+			if rng.IntN(2) == 0 {
+				return types.Str(fmt.Sprintf("k%d", rng.IntN(d)))
+			}
+			return types.Int(int64(rng.IntN(d)))
+		},
+	}
+	for name, key := range keys {
+		for _, distinct := range []int{1, 3, linearNames, linearNames + 1, 60} {
+			for trial := 0; trial < 20; trial++ {
+				es := make([]Entry, 1+rng.IntN(200))
+				for i := range es {
+					es[i] = Entry{Key: key(distinct), Pos: uint32(i)}
+				}
+				want := slices.Clone(es)
+				sort.SliceStable(want, func(i, j int) bool { return types.Compare(want[i].Key, want[j].Key) < 0 })
+				r := newRun(es)
+				var got []Entry
+				r.each(0, r.keyCount(), func(k types.Value, ref uint64) bool {
+					got = append(got, Entry{Key: k, Pos: uint32(ref)})
+					return true
+				})
+				if !sameEntries(got, want) {
+					t.Fatalf("%s, %d distinct: run holds %v, want %v", name, distinct, got, want)
+				}
+			}
+		}
+	}
+}

@@ -53,8 +53,10 @@ var taintSinks = []funcSpec{
 	{"sebdb/internal/core", "Engine", "installDefs"},
 	{"sebdb/internal/storage", "Store", "AppendNoSync"},
 	{"sebdb/internal/index/layered", "Index", "AppendBlock"},
+	{"sebdb/internal/index/layered", "Index", "AppendRun"},
 	{"sebdb/internal/index/bitmap", "TableIndex", "Mark"},
 	{"sebdb/internal/auth", "ALI", "AppendBlock"},
+	{"sebdb/internal/auth", "ALI", "AppendTree"},
 }
 
 // handlerRegistrars take a peer-facing handler function whose first

@@ -34,10 +34,16 @@ func Default() int { return runtime.GOMAXPROCS(0) }
 // consumers that require sequential input (chain-order merges, index
 // appends, deterministic statistics) need no locking of their own.
 //
+// The workers are long-lived for the run: each takes the next index
+// from a dispatcher until none is left, so a run of n produce calls
+// starts workers goroutines, not n, and each keeps the stack it grew.
+// At most workers results wait for consume beyond the ones in flight.
+//
 // Error semantics are deterministic regardless of scheduling: the
 // error of the lowest failing index is returned, and consume sees
 // exactly the results of the indexes before it. A consume error stops
 // the run the same way; returning Stop stops it with a nil error.
+// Ordered returns only once every produce call it started has returned.
 // workers <= 1 degenerates to a plain sequential loop.
 func Ordered[T any](workers, n int, produce func(i int) (T, error), consume func(i int, v T) error) error {
 	if n <= 0 {
@@ -67,36 +73,47 @@ func Ordered[T any](workers, n int, produce func(i int) (T, error), consume func
 		v   T
 		err error
 	}
+	type task struct {
+		i   int
+		fut chan result
+	}
 	mRuns.Inc()
 	var stop atomic.Bool
 	// futures carries one buffered channel per index, in index order;
-	// the buffer lets workers complete out of order without blocking.
+	// the buffer lets workers complete out of order without blocking,
+	// and its capacity is the window of results waiting for consume.
 	futures := make(chan chan result, workers)
+	// tasks hands indexes to the workers; unbuffered, so the dispatcher
+	// issues an index only to a worker ready to run it.
+	tasks := make(chan task)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for t := range tasks {
+				if stop.Load() {
+					var zero T
+					t.fut <- result{zero, errCanceled}
+					continue
+				}
+				mTasksPar.Inc()
+				mInflight.Add(1)
+				v, err := produce(t.i)
+				mInflight.Add(-1)
+				t.fut <- result{v, err}
+			}
+		}()
+	}
 	go func() {
 		defer close(futures)
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
 		for i := 0; i < n && !stop.Load(); i++ {
 			fut := make(chan result, 1)
 			mQueueDepth.Add(1)
 			futures <- fut
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(i int, fut chan result) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				if stop.Load() {
-					var zero T
-					fut <- result{zero, errCanceled}
-					return
-				}
-				mTasksPar.Inc()
-				mInflight.Add(1)
-				v, err := produce(i)
-				mInflight.Add(-1)
-				fut <- result{v, err}
-			}(i, fut)
+			tasks <- task{i, fut}
 		}
+		close(tasks)
 		wg.Wait()
 	}()
 
