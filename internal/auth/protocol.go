@@ -102,13 +102,35 @@ func candidates(ali *ALI, height uint64, eligible *bitmap.Bitmap, lo, hi types.V
 // query [lo, hi] over the ALI at the given snapshot height and returns
 // the answer with one VO per candidate block. eligible restricts the
 // block set (time window); nil means all blocks. Every VO is written
-// straight into the reply buffer.
+// straight into the reply buffer. A candidate whose MB-tree is not
+// built yet is built now; one that cannot be built is left out, which
+// the client's verification refuses (ServeStrict reports it instead).
 func Serve(ali *ALI, height uint64, eligible *bitmap.Bitmap, lo, hi types.Value) *Answer {
+	return serve(ali, height, eligible, lo, hi, nil)
+}
+
+// ServeStrict is Serve for a node answering a request: a candidate
+// block whose tree cannot be built — its body unreadable — fails the
+// request with the store's error.
+func ServeStrict(ali *ALI, height uint64, eligible *bitmap.Bitmap, lo, hi types.Value) (*Answer, error) {
+	var err error
+	ans := serve(ali, height, eligible, lo, hi, &err)
+	return ans, err
+}
+
+// serve writes the answer. With failed nil a candidate whose tree cannot
+// be built is left out; otherwise the first such error is stored there
+// and serve returns nil.
+func serve(ali *ALI, height uint64, eligible *bitmap.Bitmap, lo, hi types.Value, failed *error) *Answer {
 	e := types.NewEncoder(4096)
 	e.Uint8(answerVersion)
 	e.Uvarint(height)
 	for _, bid := range candidates(ali, height, eligible, lo, hi) {
-		t := ali.Tree(uint64(bid))
+		t, err := ali.tree(uint64(bid))
+		if err != nil && failed != nil {
+			*failed = err
+			return nil
+		}
 		if t == nil {
 			continue
 		}
@@ -129,20 +151,42 @@ func Serve(ali *ALI, height uint64, eligible *bitmap.Bitmap, lo, hi types.Value)
 // the candidate set for the query at height h and hashes the visited
 // MB-roots, bound to their block ids, into a single digest (paper §VI:
 // "generates digest by hashing the concatenation of merkle roots of
-// second level index in blocks that the query needs to visit").
+// second level index in blocks that the query needs to visit"). Trees
+// not built yet are built now; a block whose tree cannot be built is
+// left out, so the digest disagrees with every honest node's
+// (DigestStrict reports it instead).
 func Digest(ali *ALI, height uint64, eligible *bitmap.Bitmap, lo, hi types.Value) [32]byte {
+	return digest(ali, height, eligible, lo, hi, nil)
+}
+
+// DigestStrict is Digest for a node answering a request: a candidate
+// block whose tree cannot be built fails the request with the store's
+// error.
+func DigestStrict(ali *ALI, height uint64, eligible *bitmap.Bitmap, lo, hi types.Value) ([32]byte, error) {
+	var err error
+	d := digest(ali, height, eligible, lo, hi, &err)
+	return d, err
+}
+
+// digest hashes the visited roots; failed is as for serve.
+func digest(ali *ALI, height uint64, eligible *bitmap.Bitmap, lo, hi types.Value, failed *error) [32]byte {
 	h := sha256.New()
 	var buf [8]byte
+	var out [32]byte
 	for _, bid := range candidates(ali, height, eligible, lo, hi) {
-		root, ok := ali.Root(uint64(bid))
-		if !ok {
+		t, err := ali.tree(uint64(bid))
+		if err != nil && failed != nil {
+			*failed = err
+			return out
+		}
+		if t == nil {
 			continue
 		}
+		root := t.Root()
 		binary.BigEndian.PutUint64(buf[:], uint64(bid))
 		h.Write(buf[:])
 		h.Write(root[:])
 	}
-	var out [32]byte
 	h.Sum(out[:0])
 	return out
 }

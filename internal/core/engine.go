@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -29,7 +30,6 @@ import (
 	"sebdb/internal/index/bitmap"
 	"sebdb/internal/index/blockindex"
 	"sebdb/internal/index/layered"
-	"sebdb/internal/mbtree"
 	"sebdb/internal/merkle"
 	"sebdb/internal/obs"
 	"sebdb/internal/parallel"
@@ -308,7 +308,7 @@ func Open(cfg Config) (*Engine, error) {
 func openTraced(ctx context.Context, cfg Config) (*Engine, error) {
 	snapDir := snapshot.NewDir(cfg.FS, cfg.Dir)
 	sopts := storage.Options{SegmentSize: cfg.SegmentSize, Sync: cfg.Sync, FS: cfg.FS,
-		Mmap: cfg.Mmap, Log: cfg.Log.With("storage")}
+		Mmap: cfg.Mmap, Log: cfg.Log.With("storage"), Parallelism: max(cfg.Parallelism, 1)}
 
 	// Phase 1: checkpoint. Fold the pinned log, open the segment store
 	// by its scan, and seed the derived state from the log when its
@@ -357,8 +357,8 @@ func openTraced(ctx context.Context, cfg Config) (*Engine, error) {
 
 	// Phase 2: replay the remaining suffix (the whole chain when no
 	// checkpoint seeded state): definitions, indexes and counters. The
-	// worker pool reads ahead: it decodes each block and builds its runs
-	// and MB-trees for every registered index (readAhead); this goroutine
+	// worker pool reads ahead: it decodes each block and builds its run
+	// for every registered index (readAhead); this goroutine
 	// admits the blocks and links what was built in height order (Tids,
 	// bitmaps and index appends all assume blocks arrive in order). The
 	// cached index definitions are registered first, so the replay feeds
@@ -1015,8 +1015,9 @@ func tableKeys(txs []*types.Transaction) []string {
 
 // blockFeed is the write side every index family shares, in two
 // halves. The call is the build: extract one block's input for the
-// index and build the block's second level from it — a layered run, or
-// an MB-tree hashed to its root. It is the fallible, order-free half and
+// index and build the block's run from it — a layered index's second
+// level, or the entries an ALI builds an MB-tree from when a query
+// first needs it. It is the fallible, order-free half and
 // touches no index, so it may run ahead on the worker pool. The link it
 // returns installs what was built under the block's height and the
 // first-level marks; links must run in height order. tables are the
@@ -1038,19 +1039,26 @@ func (e *Engine) layeredFeed(key string, idx *layered.Index) blockFeed {
 	}
 }
 
-// aliFeed feeds the ALI registered under key. Transactions sealed by
-// the commit pipeline contribute their cached encoding as the payload —
-// the same bytes an unsealed re-encode would produce.
+// aliFeed feeds the ALI registered under key: the block's run of
+// (key, Tid offset) entries, the state the ALI keeps per block. Its
+// MB-tree is built from the block's body when a query first needs it
+// (aliRecords), so the feed neither encodes nor hashes.
 func (e *Engine) aliFeed(key string, ali *auth.ALI) blockFeed {
 	return func(b *types.Block, tables map[string]*schema.Table) (func(), error) {
-		recs, err := extract(key, tables, b, func(v types.Value, _ int, tx *types.Transaction) mbtree.Record {
-			return mbtree.Record{Key: v, Payload: tx.EncodeBytes()}
+		first, wide := b.Header.FirstTid, false
+		entries, err := extract(key, tables, b, func(v types.Value, _ int, tx *types.Transaction) layered.Entry {
+			off := tx.Tid - first
+			wide = wide || tx.Tid < first || off > math.MaxUint32
+			return layered.Entry{Key: v, Pos: uint32(off)}
 		})
+		if err == nil && wide {
+			err = fmt.Errorf("core: block %d holds a tid below its first tid %d or 2^32 above it", b.Header.Height, first)
+		}
 		if err != nil {
 			return nil, err
 		}
-		t := ali.BuildTree(recs)
-		return func() { ali.AppendTree(b.Header.Height, t) }, nil
+		r := layered.BuildRun(entries)
+		return func() { ali.AppendRun(b.Header.Height, r) }, nil
 	}
 }
 

@@ -191,7 +191,7 @@ func (e *Engine) buildIndexes(defs []*indexDef, tables map[string]*schema.Table,
 			idx := newLayered(col, hist)
 			feed, regs[i] = e.layeredFeed(d.Key, idx), func() { e.lidx = withEntry(e.lidx, d.Key, idx) }
 		} else {
-			ali := newALI(col, hist)
+			ali := e.newALI(col, hist)
 			feed, regs[i] = e.aliFeed(d.Key, ali), func() { e.alis = withEntry(e.alis, d.Key, ali) }
 		}
 		if err := e.backfill(feed, tables, 0, h); err != nil {
@@ -329,9 +329,11 @@ func newLayered(attr string, hist *layered.Histogram) *layered.Index {
 	return layered.NewDiscrete(attr)
 }
 
-func newALI(attr string, hist *layered.Histogram) *auth.ALI {
+// newALI creates an ALI whose trees are built from the engine's block
+// store the first time a query needs them (aliRecords).
+func (e *Engine) newALI(attr string, hist *layered.Histogram) *auth.ALI {
 	if hist != nil {
-		return auth.NewContinuous(attr, hist, mbtree.DefaultFanout)
+		return auth.NewContinuous(attr, hist, mbtree.DefaultFanout).WithSource(e.aliRecords)
 	}
-	return auth.NewDiscrete(attr, mbtree.DefaultFanout)
+	return auth.NewDiscrete(attr, mbtree.DefaultFanout).WithSource(e.aliRecords)
 }

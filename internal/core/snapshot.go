@@ -12,7 +12,6 @@ import (
 	"sebdb/internal/parallel"
 	"sebdb/internal/schema"
 	"sebdb/internal/snapshot"
-	"sebdb/internal/storage"
 	"sebdb/internal/types"
 )
 
@@ -175,38 +174,20 @@ func (e *Engine) collectLocked(lo, h uint64) (*snapshot.Checkpoint, error) {
 		}
 		c.Indexes = append(c.Indexes, st)
 	}
+	// An ALI's entries name each indexed transaction by key and by its
+	// Tid's offset from the block's FirstTid: the payload a record carries
+	// is the transaction's encoding, which the block file already holds.
+	// The run lists them by key, then Tid — the order of the block's
+	// MB-tree, whose ties fall to the payload and so to its leading Tid.
 	for _, key := range sortedKeys(e.alis) {
 		ali := e.alis[key]
 		st := snapshot.IndexState{Key: key, Blocks: make([][]layered.Entry, h-lo)}
 		for bid := lo; bid < h; bid++ {
-			var err error
-			if st.Blocks[bid-lo], err = aliEntries(ali.BlockRecords(bid), headers[bid].FirstTid); err != nil {
-				return nil, fmt.Errorf("core: checkpointing auth index %q, block %d: %w", key, bid, err)
-			}
+			st.Blocks[bid-lo] = ali.BlockEntries(bid)
 		}
 		c.ALIs = append(c.ALIs, st)
 	}
 	return c, nil
-}
-
-// aliEntries names one block's MB-tree records by key and transaction:
-// the payload of a record is the transaction's encoding, which the
-// block file already holds, so the checkpoint keeps only how to find it
-// again — the Tid (the encoding's first field) as an offset from the
-// block's FirstTid.
-func aliEntries(recs []mbtree.Record, firstTid uint64) ([]layered.Entry, error) {
-	if len(recs) == 0 {
-		return nil, nil
-	}
-	out := make([]layered.Entry, len(recs))
-	for i, r := range recs {
-		tid, err := types.EncodedTid(r.Payload)
-		if err != nil || tid < firstTid || tid-firstTid > 1<<32-1 {
-			return nil, fmt.Errorf("record payload is not a transaction of the block (tid %d, first %d)", tid, firstTid)
-		}
-		out[i] = layered.Entry{Key: r.Key, Pos: uint32(tid - firstTid)}
-	}
-	return out, nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -265,21 +246,29 @@ func (e *Engine) restoreCheckpoint(c *snapshot.Checkpoint) error {
 	e.lastTid = c.LastTid
 	e.lastTs = c.LastTs
 	// Indexes are independent of one another, so each is rebuilt by its
-	// own worker — the layered ones from their entries, the ALIs (one
-	// task, sharing each block read) from the block files.
+	// own worker from its entries: the layered indexes' runs, and the
+	// ALIs' runs of (key, Tid offset), whose MB-trees are built from the
+	// block files when a query first needs them — restore reads no body.
+	states := append(slices.Clone(c.Indexes), c.ALIs...)
 	idxs := make([]*layered.Index, len(c.Indexes))
-	err := parallel.Ordered(e.Parallelism(), len(c.Indexes)+1,
+	alis := make([]*auth.ALI, len(c.ALIs))
+	err := parallel.Ordered(e.Parallelism(), len(states),
 		func(i int) (struct{}, error) {
-			if i == len(c.Indexes) {
-				return struct{}{}, e.restoreALIs(c)
-			}
-			st := &c.Indexes[i]
+			st := &states[i]
 			if uint64(len(st.Blocks)) != c.Height {
 				return struct{}{}, fmt.Errorf("core: checkpoint index %q covers %d of %d blocks", st.Key, len(st.Blocks), c.Height)
 			}
-			idxs[i] = newLayered(splitKey(st.Key).col, defs.indexes[indexID(familyLayered, st.Key)].histogram())
+			col := splitKey(st.Key).col
+			var appendRun func(uint64, *layered.Run)
+			if i < len(idxs) {
+				idxs[i] = newLayered(col, defs.indexes[indexID(familyLayered, st.Key)].histogram())
+				appendRun = idxs[i].AppendRun
+			} else {
+				ali := e.newALI(col, defs.indexes[indexID(familyAuth, st.Key)].histogram())
+				alis[i-len(idxs)], appendRun = ali, ali.AppendRun
+			}
 			for bid, entries := range st.Blocks {
-				idxs[i].AppendBlock(uint64(bid), entries)
+				appendRun(uint64(bid), layered.BuildRun(entries))
 			}
 			return struct{}{}, nil
 		},
@@ -290,93 +279,45 @@ func (e *Engine) restoreCheckpoint(c *snapshot.Checkpoint) error {
 	for i, st := range c.Indexes {
 		e.lidx = withEntry(e.lidx, st.Key, idxs[i])
 	}
+	for i, st := range c.ALIs {
+		e.alis = withEntry(e.alis, st.Key, alis[i])
+	}
 	return nil
 }
 
-// restoreALIs rebuilds the authenticated indexes. The checkpoint names
-// each block's indexed transactions by their offset from the block's
-// FirstTid, which the store's header gives; their encodings — the
-// MB-tree payloads — come out of the block files, read once per block
-// by the worker pool, which also rebuilds the trees (and re-derives
-// every root); the calling goroutine links them in height order.
-func (e *Engine) restoreALIs(c *snapshot.Checkpoint) error {
-	if len(c.ALIs) == 0 {
-		return nil
+// aliRecords is every ALI's Source: it reads block bid's body once and
+// turns the entries of the block's run back into MB-tree records,
+// copying each payload — the encoding of the transaction an entry names
+// by its Tid offset — out of the body.
+func (e *Engine) aliRecords(bid uint64, entries []layered.Entry) ([]mbtree.Record, error) {
+	h, err := e.store.Header(bid)
+	if err != nil {
+		return nil, err
 	}
-	alis := make([]*auth.ALI, len(c.ALIs))
-	for i, st := range c.ALIs {
-		if uint64(len(st.Blocks)) != c.Height {
-			return fmt.Errorf("core: checkpoint auth index %q covers %d of %d blocks", st.Key, len(st.Blocks), c.Height)
-		}
-		alis[i] = newALI(splitKey(st.Key).col, e.defs.indexes[indexID(familyAuth, st.Key)].histogram())
-		e.alis = withEntry(e.alis, st.Key, alis[i])
-	}
-	headers, _ := e.store.Prefix()
-	if n := uint64(len(headers)); n < c.Height {
-		return fmt.Errorf("core: checkpoint covers %d blocks, the store holds %d", c.Height, n)
-	}
-	return parallel.Ordered(e.Parallelism(), int(c.Height),
-		func(bid int) ([]*mbtree.Tree, error) {
-			recs, err := aliRecords(e.store, c.ALIs, uint64(bid), headers[bid].FirstTid)
+	var recs []mbtree.Record
+	err = e.store.Body(bid, func(body []byte, txOffs []uint32) error {
+		spans := make([][2]uint32, len(entries))
+		total := 0
+		for j, en := range entries {
+			pos, err := txAt(body, txOffs, h.FirstTid+uint64(en.Pos), int(en.Pos))
 			if err != nil {
-				return nil, err
+				return err
 			}
-			trees := make([]*mbtree.Tree, len(alis))
-			for i, ali := range alis {
-				trees[i] = ali.BuildTree(recs[i])
-			}
-			return trees, nil
-		},
-		func(bid int, trees []*mbtree.Tree) error {
-			for i, ali := range alis {
-				ali.AppendTree(uint64(bid), trees[i])
-			}
-			return nil
-		})
-}
-
-// aliRecords turns block bid's checkpointed ALI entries back into
-// MB-tree records, one slice per ALI, copying each payload out of the
-// block body. A block no ALI indexes is not read at all.
-func aliRecords(st *storage.Store, states []snapshot.IndexState, bid, firstTid uint64) ([][]mbtree.Record, error) {
-	out := make([][]mbtree.Record, len(states))
-	indexed := false
-	for i := range states {
-		indexed = indexed || len(states[i].Blocks[bid]) > 0
-	}
-	if !indexed {
-		return out, nil
-	}
-	err := st.Body(bid, func(body []byte, txOffs []uint32) error {
-		for i := range states {
-			entries := states[i].Blocks[bid]
-			if len(entries) == 0 {
-				continue
-			}
-			spans := make([][2]uint32, len(entries))
-			total := 0
-			for j, en := range entries {
-				pos, err := txAt(body, txOffs, firstTid+uint64(en.Pos), int(en.Pos))
-				if err != nil {
-					return fmt.Errorf("core: checkpoint auth index %q, block %d: %w", states[i].Key, bid, err)
-				}
-				spans[j] = [2]uint32{txOffs[pos], txOffs[pos+1]}
-				total += int(spans[j][1] - spans[j][0])
-			}
-			// One allocation holds the block's payloads for this ALI; the
-			// body itself is a pooled buffer and cannot be kept.
-			buf := make([]byte, 0, total)
-			recs := make([]mbtree.Record, len(entries))
-			for j, en := range entries {
-				at := len(buf)
-				buf = append(buf, body[spans[j][0]:spans[j][1]]...)
-				recs[j] = mbtree.Record{Key: en.Key, Payload: buf[at:len(buf):len(buf)]}
-			}
-			out[i] = recs
+			spans[j] = [2]uint32{txOffs[pos], txOffs[pos+1]}
+			total += int(spans[j][1] - spans[j][0])
+		}
+		// One allocation holds the block's payloads; the body itself is a
+		// pooled buffer and cannot be kept.
+		buf := make([]byte, 0, total)
+		recs = make([]mbtree.Record, len(entries))
+		for j, en := range entries {
+			at := len(buf)
+			buf = append(buf, body[spans[j][0]:spans[j][1]]...)
+			recs[j] = mbtree.Record{Key: en.Key, Payload: buf[at:len(buf):len(buf)]}
 		}
 		return nil
 	})
-	return out, err
+	return recs, err
 }
 
 // txAt finds the position of the transaction with the given Tid in an

@@ -31,6 +31,9 @@ type Options struct {
 // ErrMmap is the injected Mmap failure.
 var ErrMmap = errors.New("faultfs: injected mmap error")
 
+// ErrRead is the injected read failure (FailReads).
+var ErrRead = errors.New("faultfs: injected read error")
+
 // Injector is an FS wrapper that injects faults into the real
 // filesystem. After the simulated crash fires, every operation —
 // including reads — returns ErrCrashed; the test then "reboots" by
@@ -40,9 +43,10 @@ type Injector struct {
 	opts Options
 	// ops counts mutating operations observed so far; syncs counts just
 	// the Sync calls among them.
-	ops     int
-	syncs   int
-	crashed bool
+	ops       int
+	syncs     int
+	crashed   bool
+	failReads bool
 }
 
 // New returns a fault injector over the real filesystem.
@@ -81,6 +85,29 @@ func (in *Injector) down() error {
 	defer in.mu.Unlock()
 	if in.crashed {
 		return ErrCrashed
+	}
+	return nil
+}
+
+// FailReads makes every read of a file — opened before or after — fail
+// with ErrRead while on, without crashing: a disk that stops returning
+// data a running node needs.
+func (in *Injector) FailReads(on bool) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	in.failReads = on
+}
+
+// readable reports ErrCrashed once the crash fired and ErrRead while
+// reads fail.
+func (in *Injector) readable() error {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	switch {
+	case in.crashed:
+		return ErrCrashed
+	case in.failReads:
+		return ErrRead
 	}
 	return nil
 }
@@ -225,7 +252,7 @@ type injectFile struct {
 }
 
 func (w *injectFile) Read(p []byte) (int, error) {
-	if err := w.in.down(); err != nil {
+	if err := w.in.readable(); err != nil {
 		return 0, err
 	}
 	if n := w.in.opts.ShortReads; n > 0 && len(p) > n {
@@ -235,7 +262,7 @@ func (w *injectFile) Read(p []byte) (int, error) {
 }
 
 func (w *injectFile) ReadAt(p []byte, off int64) (int, error) {
-	if err := w.in.down(); err != nil {
+	if err := w.in.readable(); err != nil {
 		return 0, err
 	}
 	return w.f.ReadAt(p, off)

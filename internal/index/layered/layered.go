@@ -136,9 +136,10 @@ func (x *Index) AppendRun(bid uint64, r *Run) {
 }
 
 // MarkBlock updates the first level alone with the n keys of block bid,
-// for an index whose second level lives elsewhere: the ALI keeps one
-// MB-tree per block where this index would keep a run. Runs of
-// identical keys are marked once, so sorted input is cheapest.
+// for an index whose second level lives elsewhere: an ALI block
+// appended with its payloads keeps an MB-tree where this index would
+// keep a run. Runs of identical keys are marked once, so sorted input
+// is cheapest.
 func (x *Index) MarkBlock(bid uint64, n int, key func(i int) types.Value) {
 	x.mu.Lock()
 	defer x.mu.Unlock()

@@ -56,7 +56,7 @@ var taintSinks = []funcSpec{
 	{"sebdb/internal/index/layered", "Index", "AppendRun"},
 	{"sebdb/internal/index/bitmap", "TableIndex", "Mark"},
 	{"sebdb/internal/auth", "ALI", "AppendBlock"},
-	{"sebdb/internal/auth", "ALI", "AppendTree"},
+	{"sebdb/internal/auth", "ALI", "AppendRun"},
 }
 
 // handlerRegistrars take a peer-facing handler function whose first

@@ -189,7 +189,11 @@ func (n *FullNode) handleAuthQuery(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return auth.Serve(ali, height, eligible, r.Lo, r.Hi).Wire(), nil
+	ans, err := auth.ServeStrict(ali, height, eligible, r.Lo, r.Hi)
+	if err != nil {
+		return nil, err
+	}
+	return ans.Wire(), nil
 }
 
 func (n *FullNode) handleAuthDigest(payload []byte) ([]byte, error) {
@@ -201,7 +205,10 @@ func (n *FullNode) handleAuthDigest(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := auth.Digest(ali, height, eligible, r.Lo, r.Hi)
+	d, err := auth.DigestStrict(ali, height, eligible, r.Lo, r.Hi)
+	if err != nil {
+		return nil, err
+	}
 	return d[:], nil
 }
 

@@ -280,3 +280,45 @@ func TestAuthRequestSystemColumnOverWire(t *testing.T) {
 		}
 	}
 }
+
+// TestAuthQueryBuildsItsCandidates: the MB-trees a node holds are those
+// its verified queries touched. One AuthQuery builds exactly its
+// candidate blocks' trees; asking again, or for the digest of the same
+// query, builds none.
+func TestAuthQueryBuildsItsCandidates(t *testing.T) {
+	fn := seededNode(t, 8, 10)
+	local := &node.Local{Node: fn, Name: "local"}
+	v := fn.Engine.CurrentView()
+	ali := v.AuthIndex("donate", "amount")
+	if n := ali.TreesBuilt(); n != 0 {
+		t.Fatalf("%d trees built before any query", n)
+	}
+	req := &node.AuthRequest{Table: "donate", Col: "amount", Lo: types.Dec(25), Hi: types.Dec(41)}
+	ans, err := local.AuthQuery(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cand := 0
+	ali.CandidateBlocks(req.Lo, req.Hi).ForEach(func(bid int) bool {
+		if uint64(bid) < ans.Height {
+			cand++
+		}
+		return true
+	})
+	if cand == 0 || cand >= int(ans.Height)-2 {
+		t.Fatalf("%d candidates of %d blocks: the query does not single any out", cand, ans.Height)
+	}
+	if got := ali.TreesBuilt(); got != cand || len(ans.Blocks) != cand {
+		t.Errorf("built %d trees and answered %d blocks for %d candidates", got, len(ans.Blocks), cand)
+	}
+	req.Height = ans.Height
+	if _, err := local.AuthQuery(req); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := local.AuthDigest(req); err != nil {
+		t.Fatal(err)
+	}
+	if got := ali.TreesBuilt(); got != cand {
+		t.Errorf("asking again built %d more trees", got-cand)
+	}
+}

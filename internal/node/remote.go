@@ -145,7 +145,7 @@ func (l *Local) AuthQuery(r *AuthRequest) (*auth.Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return auth.Serve(ali, height, eligible, r.Lo, r.Hi), nil
+	return auth.ServeStrict(ali, height, eligible, r.Lo, r.Hi)
 }
 
 // AuthDigest serves phase two locally.
@@ -154,7 +154,7 @@ func (l *Local) AuthDigest(r *AuthRequest) ([32]byte, error) {
 	if err != nil {
 		return [32]byte{}, err
 	}
-	return auth.Digest(ali, height, eligible, r.Lo, r.Hi), nil
+	return auth.DigestStrict(ali, height, eligible, r.Lo, r.Hi)
 }
 
 // SQL executes locally.

@@ -39,6 +39,7 @@ import (
 
 	"sebdb/internal/faultfs"
 	"sebdb/internal/obs"
+	"sebdb/internal/parallel"
 	"sebdb/internal/types"
 )
 
@@ -103,6 +104,9 @@ type Options struct {
 	// Log receives structured storage events (segment rolls, torn-tail
 	// truncation, recompression). Nil disables them.
 	Log *obs.Logger
+	// Parallelism bounds how many segments Open scans at once. Zero
+	// means GOMAXPROCS.
+	Parallelism int
 }
 
 // Store is an append-only block store over a directory of segment files.
@@ -301,7 +305,10 @@ func (s *Store) repairTail(n uint32, valid int64) error {
 }
 
 // recover rebuilds the in-memory state: one scan validates every
-// record of every segment and truncates a torn final record.
+// record of every segment and truncates a torn final record. Segments
+// are scanned on Options.Parallelism workers; each one's records are
+// linked, pushed and — for the last — tail-repaired in segment order on
+// the caller, so the outcome, errors included, is the serial scan's.
 func (s *Store) recover() error {
 	if err := s.removeLeftoverTmp(); err != nil {
 		return err
@@ -310,18 +317,38 @@ func (s *Store) recover() error {
 	if err != nil {
 		return err
 	}
-	for _, n := range segs {
-		valid, err := s.scanSegment(n)
-		if err != nil {
-			return err
-		}
-		// A torn write can only be at the tail of the last segment.
-		if int(n) == len(segs)-1 {
-			if err := s.repairTail(n, valid); err != nil {
-				return err
+	workers := s.opts.Parallelism
+	if workers <= 0 {
+		workers = parallel.Default()
+	}
+	err = parallel.Ordered(workers, len(segs),
+		func(i int) (*segScan, error) { return s.scanSegment(segs[i]) },
+		func(i int, sc *segScan) error {
+			n := segs[i]
+			for j := range sc.recs {
+				if err := s.checkLinkage(&sc.headers[j]); err != nil {
+					return err // mid-chain corruption is not recoverable silently
+				}
+				s.recs = append(s.recs, sc.recs[j])
+				s.pushHeader(&sc.headers[j])
+				if sc.recs[j].comp {
+					s.compacted[n] = true
+				}
 			}
-			s.curSeg, s.curSize = n, valid
-		}
+			if sc.err != nil {
+				return sc.err
+			}
+			// A torn write can only be at the tail of the last segment.
+			if i == len(segs)-1 {
+				if err := s.repairTail(n, sc.valid); err != nil {
+					return err
+				}
+				s.curSeg, s.curSize = n, sc.valid
+			}
+			return nil
+		})
+	if err != nil {
+		return err
 	}
 	f, err := s.fs.OpenFile(s.segPath(s.curSeg), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -331,39 +358,45 @@ func (s *Store) recover() error {
 	return nil
 }
 
-// scanSegment reads segment seg's records from the start of the file,
-// appending each valid one to the in-memory state, and returns the
-// offset of the first invalid byte (the valid length). Plain and
-// compressed records may be mixed within one segment.
-func (s *Store) scanSegment(seg uint32) (int64, error) {
+// segScan is what the scan of one segment found: its valid records and
+// their headers in order, the offset of the first byte past them (the
+// valid length), and the error that ended the scan, if one did.
+type segScan struct {
+	recs    []record
+	headers []types.BlockHeader
+	valid   int64
+	err     error
+}
+
+// scanSegment reads segment seg's records from the start of the file
+// up to the first invalid byte. Plain and compressed records may be
+// mixed within one segment. It touches no store state, so segments may
+// be scanned at once; the error it returns is the file's, before any
+// record was read.
+func (s *Store) scanSegment(seg uint32) (*segScan, error) {
 	path := s.segPath(seg)
 	fi, err := s.fs.Stat(path)
 	if err != nil {
-		return 0, fmt.Errorf("storage: %w", err)
+		return nil, fmt.Errorf("storage: %w", err)
 	}
 	f, err := s.fs.Open(path)
 	if err != nil {
-		return 0, fmt.Errorf("storage: %w", err)
+		return nil, fmt.Errorf("storage: %w", err)
 	}
 	defer f.Close() //sebdb:ignore-err read-only handle
 	r := io.NewSectionReader(f, 0, fi.Size())
 	c := inflaters.Get().(*inflater)
 	defer inflaters.Put(c)
-	off := int64(0)
+	sc := &segScan{}
 	for {
-		rec, h, ok, err := s.nextRecord(c, r, seg, off, fi.Size())
+		rec, h, ok, err := s.nextRecord(c, r, seg, sc.valid, fi.Size())
 		if err != nil || !ok {
-			return off, err
+			sc.err = err
+			return sc, nil
 		}
-		if err := s.checkLinkage(&h); err != nil {
-			return 0, err // mid-chain corruption is not recoverable silently
-		}
-		s.recs = append(s.recs, rec)
-		s.pushHeader(&h)
-		if rec.comp {
-			s.compacted[seg] = true
-		}
-		off += headerSize + rec.stored + trailerSize
+		sc.recs = append(sc.recs, rec)
+		sc.headers = append(sc.headers, h)
+		sc.valid += headerSize + rec.stored + trailerSize
 	}
 }
 

@@ -3,11 +3,13 @@ package storage
 import (
 	"bytes"
 	"crypto/ed25519"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"sebdb/internal/types"
@@ -540,4 +542,69 @@ func TestBodySlicesTransactions(t *testing.T) {
 		}
 	}
 	check("compressed")
+}
+
+// TestParallelScanKeepsSerialErrors: Open scans segments at once but
+// must fail as the one-at-a-time scan does. Segment 0 holds a corrupt
+// record (its scan stops there without an error, dropping the rest), and
+// segment 1 a record in the retired format, first or after valid
+// records: the serial scan reports whichever of segment 1's record
+// formats and linkage it meets first, and so must every worker count —
+// never the retired record alone because its segment finished first.
+func TestParallelScanKeepsSerialErrors(t *testing.T) {
+	for _, at := range []string{"first", "last"} {
+		t.Run("retired record "+at, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, Options{SegmentSize: 2048})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendChain(t, s, 20, 3)
+			s.Close()
+			seg := func(n uint32) string { return s.segPath(n) }
+			if _, err := os.Stat(seg(2)); err != nil {
+				t.Fatalf("want at least three segments: %v", err)
+			}
+			// Corrupt a byte of segment 0's second record, keeping its frame.
+			data, err := os.ReadFile(seg(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := headerSize + int(binary.BigEndian.Uint32(data[4:])) + trailerSize
+			data[first+headerSize+10] ^= 0xFF
+			if err := os.WriteFile(seg(0), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// A retired-format record in segment 1.
+			data, err = os.ReadFile(seg(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			retired := encodeRecord(recordMagicZ, []byte("retired"))
+			if at == "first" {
+				data = append(retired, data...)
+			} else {
+				data = append(data, retired...)
+			}
+			if err := os.WriteFile(seg(1), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var errs []string
+			for _, workers := range []int{1, 2, 4} {
+				s, err := Open(dir, Options{SegmentSize: 2048, Parallelism: workers})
+				if err == nil {
+					s.Close()
+					t.Fatalf("Parallelism %d: Open accepted a corrupt store", workers)
+				}
+				errs = append(errs, err.Error())
+			}
+			if errs[1] != errs[0] || errs[2] != errs[0] {
+				t.Errorf("errors differ by worker count:\n%s", strings.Join(errs, "\n"))
+			}
+			wantLinkage := at == "last"
+			if got := strings.Contains(errs[0], ErrNotLinked.Error()); got != wantLinkage {
+				t.Errorf("serial error %q: linkage failure %v, want %v", errs[0], got, wantLinkage)
+			}
+		})
+	}
 }

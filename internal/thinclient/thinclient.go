@@ -83,12 +83,17 @@ func (c *Client) SyncHeaders(n node.QueryNode) error {
 
 // VerifyMembership checks a transaction's Merkle proof against the
 // stored header of its block — the simple SPV-style authenticated query
-// existing blockchains stop at.
+// existing blockchains stop at. The leaf is hashed over a fresh encoding
+// of tx: EncodeBytes may return a seal cached under the same Tid and Ts,
+// which a copy of a committed transaction carries whatever its fields
+// now say.
 func (c *Client) VerifyMembership(tx *types.Transaction, blockHeight uint64, proof merkle.Proof) bool {
 	if blockHeight >= uint64(len(c.headers)) {
 		return false
 	}
-	leaf := merkle.HashLeaf(tx.EncodeBytes())
+	e := types.NewEncoder(96 + 16*len(tx.Args))
+	tx.Encode(e)
+	leaf := merkle.HashLeaf(e.Bytes())
 	return merkle.Verify(leaf, proof, c.headers[blockHeight].TransRoot)
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"sebdb/internal/auth"
 	"sebdb/internal/core"
+	"sebdb/internal/faultfs"
 	"sebdb/internal/merkle"
 	"sebdb/internal/network"
 	"sebdb/internal/node"
@@ -20,10 +21,21 @@ import (
 // ALIs on donate.amount and tname, plus a thin client synced to node 0.
 func cluster(t testing.TB, k, nBlocks, txPerBlock int) ([]*node.FullNode, []node.QueryNode, *thinclient.Client) {
 	t.Helper()
+	return clusterOn(t, nil, k, nBlocks, txPerBlock)
+}
+
+// clusterOn is cluster with node 0's files on fs0 (nil: the real
+// filesystem).
+func clusterOn(t testing.TB, fs0 faultfs.FS, k, nBlocks, txPerBlock int) ([]*node.FullNode, []node.QueryNode, *thinclient.Client) {
+	t.Helper()
 	var nodes []*node.FullNode
 	var qn []node.QueryNode
 	for i := 0; i < k; i++ {
-		e, err := core.Open(core.Config{Dir: t.TempDir(), HistogramDepth: 10, Signer: fmt.Sprintf("node%d", i)})
+		cfg := core.Config{Dir: t.TempDir(), HistogramDepth: 10, Signer: fmt.Sprintf("node%d", i)}
+		if i == 0 {
+			cfg.FS = fs0
+		}
+		e, err := core.Open(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,6 +288,68 @@ func TestVerifyMembership(t *testing.T) {
 	}
 	if tc.VerifyMembership(blk.Txs[2], 99, proof) {
 		t.Error("unknown height accepted")
+	}
+}
+
+// TestVerifyMembershipRefusesForgedSealedCopy: a transaction committed
+// through CommitBlock is sealed — it caches its encoding under its Tid
+// and Ts — and a struct copy carries that cache. A copy with changed
+// Args must not verify on the strength of the cached bytes.
+func TestVerifyMembershipRefusesForgedSealedCopy(t *testing.T) {
+	nodes, _, tc := cluster(t, 1, 1, 4)
+	e := nodes[0].Engine
+	var batch []*types.Transaction
+	for i := 0; i < 4; i++ {
+		tx, err := e.NewTransaction("org1", "donate", []types.Value{types.Str("jack"), types.Str("edu"), types.Dec(float64(10 + i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch = append(batch, tx)
+	}
+	blk, err := e.CommitBlock(batch, 1<<40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.SyncHeaders(&node.Local{Node: nodes[0], Name: "node0"}); err != nil {
+		t.Fatal(err)
+	}
+	proof, err := merkle.Prove(types.TxLeaves(blk.Txs), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := blk.Header.Height
+	if !tc.VerifyMembership(blk.Txs[2], h, proof) {
+		t.Fatal("valid membership rejected")
+	}
+	forged := *blk.Txs[2]
+	forged.Args = append([]types.Value(nil), forged.Args...)
+	forged.Args[2] = types.Dec(9999)
+	if tc.VerifyMembership(&forged, h, proof) {
+		t.Error("a sealed copy with changed Args verified")
+	}
+}
+
+// TestTreeBuildReadErrorReachesClient: node 0 cannot read its block
+// files when a query first touches the candidates' MB-trees. The thin
+// client gets the store's error back instead of an answer with blocks
+// left out, and once reads work again the same query is answered and
+// verified.
+func TestTreeBuildReadErrorReachesClient(t *testing.T) {
+	inj := faultfs.New(faultfs.Options{OpsBeforeCrash: -1})
+	_, qn, tc := clusterOn(t, inj, 4, 6, 10)
+	req := &node.AuthRequest{Table: "donate", Col: "amount", Lo: types.Dec(15), Hi: types.Dec(30)}
+	opts := thinclient.Options{M: 2}
+	inj.FailReads(true)
+	if txs, _, err := tc.AuthQuery(qn[0], qn[1:], req, opts); !errors.Is(err, faultfs.ErrRead) {
+		t.Fatalf("AuthQuery with unreadable blocks = %d txs, %v; want the injected read error", len(txs), err)
+	}
+	inj.FailReads(false)
+	txs, _, err := tc.AuthQuery(qn[0], qn[1:], req, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(txs) != 16 {
+		t.Errorf("got %d txs, want 16", len(txs))
 	}
 }
 
