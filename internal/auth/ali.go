@@ -19,18 +19,17 @@ import (
 )
 
 // Source reads what block bid's MB-tree is built from. entries are the
-// block's run in key order, each a key and its transaction's Tid offset
-// from the block's FirstTid; the records come back one per entry, in
-// the same order, each carrying the named transaction's encoding as its
-// payload.
+// block's run in key order, each a key and its transaction's position
+// in the block; the records come back one per entry, in the same order,
+// each carrying the named transaction's encoding as its payload.
 type Source func(bid uint64, entries []layered.Entry) ([]mbtree.Record, error)
 
 // ALI is an authenticated layered index on one attribute: the first
 // level is the layered index's per-block filter, the second level one
 // MB-tree per block. Each block height is a verifiable snapshot.
 //
-// A block appended by AppendRun is held as its run of (key, Tid
-// offset) entries — a layered run, the form a checkpoint frame stores —
+// A block appended by AppendRun is held as its run of (key, position)
+// entries — a layered run, the form a checkpoint frame stores —
 // and its MB-tree is built from the block's body, read through the
 // Source, the first time a query needs it; a tree once built is kept.
 // A block appended by AppendBlock brings its payloads and is built at
@@ -101,7 +100,7 @@ func (a *ALI) AppendBlock(bid uint64, recs []mbtree.Record) {
 }
 
 // AppendRun links block bid's run, built by layered.BuildRun from the
-// block's (key, Tid offset) entries — nil for none: the run and its
+// block's (key, position) entries — nil for none: the run and its
 // first-level marks. No tree is built; the first query that needs the
 // block's builds it. Blocks must be appended in height order.
 func (a *ALI) AppendRun(bid uint64, r *layered.Run) {

@@ -189,10 +189,10 @@ func (e *Engine) buildIndexes(defs []*indexDef, tables map[string]*schema.Table,
 		col, hist := splitKey(d.Key).col, d.histogram()
 		if d.Family == familyLayered {
 			idx := newLayered(col, hist)
-			feed, regs[i] = e.layeredFeed(d.Key, idx), func() { e.lidx = withEntry(e.lidx, d.Key, idx) }
+			feed, regs[i] = layeredFeed(d.Key, idx.AppendRun), func() { e.lidx = withEntry(e.lidx, d.Key, idx) }
 		} else {
 			ali := e.newALI(col, hist)
-			feed, regs[i] = e.aliFeed(d.Key, ali), func() { e.alis = withEntry(e.alis, d.Key, ali) }
+			feed, regs[i] = layeredFeed(d.Key, ali.AppendRun), func() { e.alis = withEntry(e.alis, d.Key, ali) }
 		}
 		if err := e.backfill(feed, tables, 0, h); err != nil {
 			return nil, err
