@@ -292,7 +292,11 @@ func TestBadFrameCostsItsSuffix(t *testing.T) {
 // two-frame index-000001.log restates the definitions in every frame;
 // v4-datadir an eight-block chain with a layered index and an ALI, whose
 // two-frame index-000001.log restates the block store's geometry and the
-// window's headers, body lengths and transaction offsets in every frame.
+// window's headers, body lengths and transaction offsets in every frame;
+// v5-datadir an eleven-block chain with a layered index, an ALI, a
+// contract and a _schema record in its second frame's window, whose
+// two-frame index-000001.log carries the table-level bitmaps beside the
+// built-in Tname and SenID indexes that hold the same bits.
 // There is one checkpoint format and one decoder: the old files read as
 // "no checkpoint", the chain replays in full to the state a fresh full
 // replay reaches, and the next checkpoint starts a new generation — one
@@ -302,7 +306,7 @@ func TestV2CheckpointOpensByFullReplay(t *testing.T) {
 		dir    string
 		height uint64
 		rows   int // rows with amount >= 1
-	}{{"v2-datadir", 3, 3}, {"v3-datadir", 7, 8}, {"v4-datadir", 8, 17}} {
+	}{{"v2-datadir", 3, 3}, {"v3-datadir", 7, 8}, {"v4-datadir", 8, 17}, {"v5-datadir", 11, 10}} {
 		t.Run(fixture.dir, func(t *testing.T) {
 			dir := t.TempDir()
 			copyTree(t, filepath.Join("testdata", fixture.dir), dir)

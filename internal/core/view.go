@@ -18,7 +18,7 @@ import (
 )
 
 // View is an immutable, height-pinned snapshot of everything a read
-// needs: tables, contracts, block/table/layered indexes, ALIs and the
+// needs: tables, contracts, block and layered indexes, ALIs and the
 // chain tip, all consistent with one height. The engine
 // publishes a fresh view at the end of every commit's index window (and
 // after DDL, contract deployment and index creation), swapping an
@@ -36,11 +36,12 @@ import (
 //     replaces a map instead of changing it, so a view shares the maps
 //     current at publish time. The view is the only way to read them
 //     outside e.mu.
-//   - The table bitmaps, layered indexes and ALIs are the live objects.
-//     Each carries its own internal lock, and appends only ever add
-//     state for blocks at or beyond the view's height, so cutting every
-//     answer at the height reproduces the structure as it was at
-//     publish time.
+//   - The layered indexes — the table-level bitmaps among them, as the
+//     first level of the built-in Tname index — and the ALIs are the
+//     live objects. Each carries its own internal lock, and appends only
+//     ever add state for blocks at or beyond the view's height, so
+//     cutting every answer at the height reproduces the structure as it
+//     was at publish time.
 type View struct {
 	e     *Engine
 	epoch uint64
@@ -177,10 +178,12 @@ func (v *View) Tx(bid uint64, pos uint32) (*types.Transaction, error) {
 // BlockIdx returns the view's block-level index over its pinned prefix.
 func (v *View) BlockIdx() blockindex.Index { return v.bidx }
 
-// TableBlocks returns the view's table-level bitmap for a table name or
-// a "senid:<id>" key: the live bitmap cut at the pinned height.
+// TableBlocks returns the view's table-level bitmap for a table name
+// (§IV-B): the name's bitmap in the first level of the built-in Tname
+// layered index, cut at the pinned height — the live bitmap may already
+// hold blocks appended after the view was published.
 func (v *View) TableBlocks(name string) *bitmap.Bitmap {
-	return v.e.tableIdx.Blocks(name, v.NumBlocks())
+	return v.lidx[".tname"].ValueBlocks(types.Str(name)).And(bitmap.Upto(v.NumBlocks()))
 }
 
 // Layered returns the layered index on table.col as of the view, or

@@ -46,13 +46,18 @@ func trackImpl(c Chain, q *sqlparser.Trace, m Method) ([]*types.Transaction, Sta
 	case MethodScan, MethodBitmap:
 		blocks := windowBlocks(c, q.Window)
 		if m == MethodBitmap {
-			// The table-level index can be keyed by Tname and by SenID
-			// (§IV-B: "The index can also be created on SenID").
+			// The table-level index is keyed by Tname and by SenID (§IV-B:
+			// "The index can also be created on SenID"); the SenID one is
+			// the first level of the built-in SenID layered index.
 			if q.HasOperation {
 				blocks.And(c.TableBlocks(q.Operation))
 			}
 			if q.HasOperator {
-				blocks.And(c.TableBlocks("senid:" + q.Operator))
+				idx := c.Layered("", "senid")
+				if idx == nil {
+					return nil, st, fmt.Errorf("%w: system senid", ErrNoIndex)
+				}
+				blocks.And(idx.ValueBlocks(types.Str(q.Operator)))
 			}
 		}
 		keep := func(tx *types.Transaction) (bool, error) { return trackMatch(tx, q), nil }

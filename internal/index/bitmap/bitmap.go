@@ -1,7 +1,8 @@
-// Package bitmap provides the dense bitmaps used by SEBDB's table-level
-// index and by the first level of the layered index (paper §IV-B): one
-// bit per block, set when the block contains rows relevant to the
-// bitmap's key (a table name, a SenID, or a histogram bucket).
+// Package bitmap provides the dense bitmaps of the layered index's first
+// level (paper §IV-B) — among them the table-level index, which is the
+// first level of the built-in Tname and SenID layered indexes: one bit
+// per block, set when the block contains rows relevant to the bitmap's
+// key (a table name, a SenID, or a histogram bucket).
 package bitmap
 
 import (

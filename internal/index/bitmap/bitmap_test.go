@@ -1,8 +1,6 @@
 package bitmap
 
 import (
-	"reflect"
-	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -145,57 +143,6 @@ func TestDeMorganQuick(t *testing.T) {
 	}
 }
 
-func TestTableIndex(t *testing.T) {
-	ti := NewTableIndex()
-	ti.Mark("donate", 0)
-	ti.Mark("donate", 5)
-	ti.Mark("transfer", 5)
-	if !ti.Contains("donate", 5) || ti.Contains("donate", 1) {
-		t.Error("Contains misbehaves")
-	}
-	if ti.Contains("ghost", 0) {
-		t.Error("unknown key contains block")
-	}
-	got := ti.Blocks("donate", 10).Slice()
-	if len(got) != 2 || got[0] != 0 || got[1] != 5 {
-		t.Errorf("Blocks = %v", got)
-	}
-	if !ti.Blocks("ghost", 10).Empty() {
-		t.Error("unknown key bitmap not empty")
-	}
-	// Returned bitmap is a copy.
-	ti.Blocks("donate", 10).Set(9)
-	if ti.Contains("donate", 9) {
-		t.Error("Blocks returned aliased bitmap")
-	}
-	keys := ti.Keys()
-	if len(keys) != 2 || keys[0] != "donate" || keys[1] != "transfer" {
-		t.Errorf("Keys = %v", keys)
-	}
-}
-
-// TestTableIndexBlocksCut: Blocks(key, n) holds exactly the marks below
-// n, wherever n falls relative to the 64-block words.
-func TestTableIndexBlocksCut(t *testing.T) {
-	ti := NewTableIndex()
-	var marks []int
-	for b := 0; b < 150; b += 7 {
-		ti.Mark("donate", b)
-		marks = append(marks, b)
-	}
-	for n := 0; n <= 200; n++ {
-		var want []int
-		for _, b := range marks {
-			if b < n {
-				want = append(want, b)
-			}
-		}
-		if got := ti.Blocks("donate", n).Slice(); !slices.Equal(got, want) {
-			t.Fatalf("Blocks(donate, %d) = %v, want %v", n, got, want)
-		}
-	}
-}
-
 // TestSpan: Span(lo, hi) sets exactly [lo, hi).
 func TestSpan(t *testing.T) {
 	for lo := 0; lo <= 130; lo++ {
@@ -207,41 +154,6 @@ func TestSpan(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestTableIndexRange: the marks of consecutive windows concatenate to
-// each key's whole bitmap, wherever the cuts fall relative to the
-// 64-block words.
-func TestTableIndexRange(t *testing.T) {
-	ti := NewTableIndex()
-	for b := 0; b < 200; b++ {
-		if b%3 == 0 {
-			ti.Mark("donate", b)
-		}
-		if b%64 == 63 || b%64 == 0 {
-			ti.Mark("edges", b)
-		}
-	}
-	ti.Mark("early", 2)
-	got := make(map[string][]int)
-	for _, w := range [][2]int{{0, 1}, {1, 63}, {63, 64}, {64, 130}, {130, 130}, {130, 200}} {
-		for k, ids := range ti.Range(w[0], w[1]) {
-			for _, id := range ids {
-				if int(id) < w[0] || int(id) >= w[1] {
-					t.Fatalf("Range(%d, %d) returned block %d for %q", w[0], w[1], id, k)
-				}
-				got[k] = append(got[k], int(id))
-			}
-		}
-	}
-	for _, k := range ti.Keys() {
-		if want := ti.Blocks(k, 200).Slice(); !reflect.DeepEqual(got[k], want) {
-			t.Errorf("%s: windows give %v, the bitmap holds %v", k, got[k], want)
-		}
-	}
-	if r := ti.Range(3, 64); r["early"] != nil {
-		t.Errorf("a key without marks in the window is listed: %v", r["early"])
 	}
 }
 

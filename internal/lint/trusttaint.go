@@ -54,7 +54,6 @@ var taintSinks = []funcSpec{
 	{"sebdb/internal/storage", "Store", "AppendNoSync"},
 	{"sebdb/internal/index/layered", "Index", "AppendBlock"},
 	{"sebdb/internal/index/layered", "Index", "AppendRun"},
-	{"sebdb/internal/index/bitmap", "TableIndex", "Mark"},
 	{"sebdb/internal/auth", "ALI", "AppendBlock"},
 	{"sebdb/internal/auth", "ALI", "AppendRun"},
 }

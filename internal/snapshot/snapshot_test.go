@@ -39,21 +39,18 @@ func buildChain(n int) []types.BlockHeader {
 // donate row by org1 whose money is the block height.
 func mkWindow(hs []types.BlockHeader, lo, hi uint64) *Checkpoint {
 	c := &Checkpoint{
-		Lo:       lo,
-		Height:   hi,
-		Anchor:   hs[hi-1].Hash(),
-		LastTid:  hi,
-		LastTs:   int64(hi) * 1000,
-		TableIdx: map[string][]uint32{},
-		Indexes:  []IndexState{{Key: ".senid"}, {Key: ".tname"}, {Key: "donate.money"}},
-		ALIs:     []IndexState{{Key: "donate.money"}},
+		Lo:      lo,
+		Height:  hi,
+		Anchor:  hs[hi-1].Hash(),
+		LastTid: hi,
+		LastTs:  int64(hi) * 1000,
+		Indexes: []IndexState{{Key: ".senid"}, {Key: ".tname"}, {Key: "donate.money"}},
+		ALIs:    []IndexState{{Key: "donate.money"}},
 	}
 	if lo > 0 {
 		c.Prev = hs[lo-1].Hash()
 	}
 	for b := lo; b < hi; b++ {
-		c.TableIdx["donate"] = append(c.TableIdx["donate"], uint32(b))
-		c.TableIdx["senid:org1"] = append(c.TableIdx["senid:org1"], uint32(b))
 		c.Indexes[0].Blocks = append(c.Indexes[0].Blocks, []layered.Entry{{Key: types.Str("org1")}})
 		c.Indexes[1].Blocks = append(c.Indexes[1].Blocks, []layered.Entry{{Key: types.Str("donate")}})
 		var money []layered.Entry // odd blocks carry no indexed row
@@ -90,9 +87,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if got.Lo != 0 || got.Height != ck.Height || got.Prev != (types.Hash{}) || got.Anchor != ck.Anchor ||
 		got.LastTid != ck.LastTid || got.LastTs != ck.LastTs {
 		t.Fatalf("pin mismatch: %+v", got)
-	}
-	if !reflect.DeepEqual(got.TableIdx, ck.TableIdx) {
-		t.Fatalf("table idx mismatch: %v", got.TableIdx)
 	}
 	if !reflect.DeepEqual(got.Indexes, ck.Indexes) {
 		t.Fatalf("indexes mismatch: %+v", got.Indexes)
