@@ -113,12 +113,6 @@ func (t *Transaction) Seal() []byte {
 	return t.enc
 }
 
-// EncodedTid reads the Tid out of a transaction's canonical encoding —
-// its first field — without decoding the rest.
-func EncodedTid(enc []byte) (uint64, error) {
-	return NewDecoder(enc).Uint64()
-}
-
 // DecodeTransaction reads one transaction from d.
 func DecodeTransaction(d *Decoder) (*Transaction, error) {
 	t := &Transaction{}
