@@ -143,9 +143,9 @@ func TestTrackingStatsOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// org1 sends only donate rows (every 4th block): the bitmap on
-	// senid:org1 prunes the same blocks, and the layered path touches
-	// only org1's transactions.
+	// org1 sends only donate rows (every 4th block): org1's SenID
+	// bitmap prunes the same blocks, and the layered path touches only
+	// org1's transactions.
 	if !(sLay.TxsExamined <= sBm.TxsExamined && sBm.TxsExamined <= sScan.TxsExamined) {
 		t.Errorf("tx work not ordered: layered %d, bitmap %d, scan %d",
 			sLay.TxsExamined, sBm.TxsExamined, sScan.TxsExamined)
