@@ -71,7 +71,6 @@ func main() {
 	compressAfter := flag.Int("compress-after", 0, "recompress sealed block segments at least N segments behind the active tail in the background (0 = disabled)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/traces, /debug/log and /debug/pprof on this address (empty = disabled)")
 	ckptInterval := flag.Int("checkpoint-interval", 0, "write a derived-state checkpoint every N blocks (0 = disabled)")
-	noCkptLoad := flag.Bool("no-checkpoint-load", false, "ignore existing checkpoints on startup and rebuild by full replay")
 	traceSample := flag.Int("trace-sample", 1, "trace one statement in every N (1 = every statement)")
 	slowMicros := flag.Int64("slow-query-micros", 100_000, "capture any statement at or above this latency into the slow-query ring regardless of sampling (0 = disabled)")
 	logLevel := flag.String("log-level", "info", "structured event log floor: debug | info | warn | error")
@@ -101,8 +100,7 @@ func main() {
 	}
 
 	engine, err := core.Open(core.Config{Dir: *dir, Signer: *signer, CacheMode: mode, Parallelism: *par,
-		Sync: *sync, CheckpointInterval: *ckptInterval, DisableCheckpointLoad: *noCkptLoad,
-		Mmap: *mmap, CompressAfter: *compressAfter,
+		Sync: *sync, CheckpointInterval: *ckptInterval, Mmap: *mmap, CompressAfter: *compressAfter,
 		Recorder: recorder, Log: logger})
 	if err != nil {
 		log.Error("engine open failed", "dir", *dir, "err", err)

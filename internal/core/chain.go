@@ -206,46 +206,47 @@ func (e *Engine) CreateAuthIndex(table, col string) error {
 // index already makes it a no-op on any node; a follower without it gets
 // ErrFollower. Otherwise a continuous column's first level is sampled
 // once (§IV-B: "created by sampling historical transactions during index
-// creating") and the record submitted and flushed in one step.
+// creating") and the record flushed with the mempool. All of it runs
+// under the writer lock, so a second creation of the same index finds
+// the first's record installed instead of proposing a conflicting one.
 func (e *Engine) createIndex(family, table, col string) error {
-	e.createMu.Lock()
-	defer e.createMu.Unlock()
-	v := e.CurrentView()
-	spec := indexSpec{table: table, col: col}
-	if table != "" {
-		tbl, err := v.Table(table)
+	return e.writePipeline(func() error {
+		v := e.CurrentView()
+		spec := indexSpec{table: table, col: col}
+		if table != "" {
+			tbl, err := v.Table(table)
+			if err != nil {
+				return err
+			}
+			spec.table = tbl.Name
+		}
+		kind, err := columnKind(v.defs.tables, family, spec)
+		if err != nil {
+			return fmt.Errorf("core: %s index on %q: %w", family, spec.key(), err)
+		}
+		d := &indexDef{Family: family, Key: spec.key(), Continuous: continuousKind(kind)}
+		if _, ok := v.defs.indexes[d.id()]; ok {
+			return nil
+		}
+		if e.follower.Load() {
+			return ErrFollower
+		}
+		if d.Continuous {
+			sample, err := e.sampleColumn(spec, v.defs.tables, 100_000)
+			if err != nil {
+				return err
+			}
+			d = defOf(family, d.Key, layered.NewEqualDepth(sample, e.cfg.HistogramDepth))
+		}
+		enc, err := d.encode()
 		if err != nil {
 			return err
 		}
-		spec.table = tbl.Name
-	}
-	kind, err := columnKind(v.defs.tables, family, spec)
-	if err != nil {
-		return fmt.Errorf("core: %s index on %q: %w", family, spec.key(), err)
-	}
-	d := &indexDef{Family: family, Key: spec.key(), Continuous: continuousKind(kind)}
-	if _, ok := v.defs.indexes[d.id()]; ok {
-		return nil
-	}
-	if e.follower.Load() {
-		return ErrFollower
-	}
-	if d.Continuous {
-		sample, err := e.sampleColumn(spec, v.defs.tables, 100_000)
-		if err != nil {
-			return err
-		}
-		d = defOf(family, d.Key, layered.NewEqualDepth(sample, e.cfg.HistogramDepth))
-	}
-	enc, err := d.encode()
-	if err != nil {
-		return err
-	}
-	tx := &types.Transaction{Ts: e.nowMicro(), SenID: e.cfg.DefaultSender, Tname: indexTable,
-		Args: []types.Value{types.Str(string(enc))}}
-	e.signFor(tx, tx.SenID)
-	//sebdb:ignore-lockio reason: createMu serialises index creations and nothing else takes it, so only a second creation waits behind this commit
-	return e.flush(e.nowMicro(), tx)
+		tx := &types.Transaction{Ts: e.nowMicro(), SenID: e.cfg.DefaultSender, Tname: indexTable,
+			Args: []types.Value{types.Str(string(enc))}}
+		e.signFor(tx, tx.SenID)
+		return e.commitPool(e.takePool(tx), e.nowMicro())
+	})
 }
 
 // continuousKind reports whether a column of kind gets a histogram

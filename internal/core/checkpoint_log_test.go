@@ -142,9 +142,9 @@ func TestOneWindowPerPipeline(t *testing.T) {
 	for i := 0; i < 3*iv*blockTxs; i++ {
 		pending = append(pending, donateTx(t, lead, 200+i))
 	}
-	lead.mu.Lock()
+	lead.poolMu.Lock()
 	lead.mempool = pending
-	lead.mu.Unlock()
+	lead.poolMu.Unlock()
 	if err := lead.FlushAt(900_000); err != nil {
 		t.Fatal(err)
 	}
@@ -442,9 +442,9 @@ func TestCheckpointLogProperty(t *testing.T) {
 							pending = append(pending, tx)
 							next++
 						}
-						e.mu.Lock()
+						e.poolMu.Lock()
 						e.mempool = pending
-						e.mu.Unlock()
+						e.poolMu.Unlock()
 						err = e.FlushAt(int64(next) * 1000)
 					case op < 7:
 						err = e.WriteCheckpoint()

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"sebdb/internal/clock"
 	"sebdb/internal/contract"
@@ -162,9 +163,9 @@ func TestCommitPipelineFlushGroupFsync(t *testing.T) {
 	for i := range txs {
 		txs[i] = donateTx(t, e, i)
 	}
-	e.mu.Lock()
+	e.poolMu.Lock()
 	e.mempool = append(e.mempool, txs...)
-	e.mu.Unlock()
+	e.poolMu.Unlock()
 
 	base := inj.Syncs()
 	if err := e.FlushAt(20_000); err != nil {
@@ -185,6 +186,39 @@ func TestCommitPipelineFlushGroupFsync(t *testing.T) {
 	}
 	if got := inj.Syncs() - base; got != 3 {
 		t.Fatalf("3 standalone commits issued %d fsyncs, want 3", got)
+	}
+}
+
+// TestSubmitDoesNotWaitOnTheWriterLock: a Submit below BlockMaxTxs
+// takes only the pool lock, so it returns while a writer holds e.mu —
+// an INSERT stream never queues behind an install, a backfill or a
+// group fsync.
+func TestSubmitDoesNotWaitOnTheWriterLock(t *testing.T) {
+	e := testEngine(t, Config{BlockMaxTxs: 10})
+	mustExec(t, e, `CREATE donate (donor string, project string, amount decimal)`)
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tx := donateTx(t, e, 0)
+	done := make(chan error, 1)
+	e.mu.Lock()
+	go func() { done <- e.Submit(tx) }()
+	select {
+	case err := <-done:
+		e.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		e.mu.Unlock()
+		<-done
+		t.Fatal("Submit below BlockMaxTxs waited on the writer lock")
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustExec(t, e, `SELECT * FROM donate`).Rows; len(got) != 1 {
+		t.Errorf("submitted transaction committed %d rows, want 1", len(got))
 	}
 }
 
@@ -309,9 +343,9 @@ func groupFsyncCycle(t testing.TB, e *Engine) error {
 	for i := range txs {
 		txs[i] = donateTx(t, e, 18+i)
 	}
-	e.mu.Lock()
+	e.poolMu.Lock()
 	e.mempool = append(e.mempool, txs...)
-	e.mu.Unlock()
+	e.poolMu.Unlock()
 	return e.FlushAt(100_000)
 }
 

@@ -177,29 +177,28 @@ type Engine struct {
 	// queries and commits run.
 	par atomic.Int32
 
-	// commitMu serialises writers through the staged commit pipeline:
-	// the prepare stage (Tid assignment against the cursor, parallel
-	// transaction sealing and Merkle hashing, header signing, and
-	// foreign-block validation) runs under commitMu alone, so readers —
-	// which take only e.mu — never wait behind hashing. The short
-	// commit+index stages then take e.mu; the group fsync runs after it
-	// is released again. Lock order: commitMu before e.mu, never the
-	// reverse.
-	commitMu sync.Mutex
-
-	// mu guards the definition and index maps and the write path. The
-	// maps are copy-on-write: a definition or a creation replaces the map
-	// (withEntry), never changes it, because published views share it.
+	// mu is the one writer lock. A writer holds it for its whole
+	// critical section: writePipeline (prepare, install, the checkpoint
+	// window cut and the group fsync), createIndex (view check, sampling
+	// and the flush of its record), submitDDL (registration and rollback)
+	// and Open's replay. Reads take no engine lock — they run on the
+	// published View — so nothing a writer does under mu stalls a query.
+	// It guards the definition and index maps, the commit cursor and the
+	// index epochs. The maps are copy-on-write: a definition or a
+	// creation replaces the map (withEntry), never changes it, because
+	// published views share it.
 	mu      sync.RWMutex
 	defs    chainDefs
 	lidx    map[string]*layered.Index
 	alis    map[string]*auth.ALI
 	lastTid uint64
 	lastTs  int64
-	// idxEpoch counts index creations. The checkpoint log holds one
-	// index set per generation, so a window cut under a newer epoch than
-	// the log's starts a new generation.
-	idxEpoch uint64
+	// idxEpoch counts index creations; ckptEpoch is the idxEpoch the
+	// checkpoint log's current generation was cut under. The log holds
+	// one index set per generation, so a window cut under a newer epoch
+	// starts a new generation.
+	idxEpoch  uint64
+	ckptEpoch uint64
 
 	// snapDir is the checkpoint directory; ckptErr the outcome of the
 	// last automatic checkpoint; recovery the finished Open span tree,
@@ -211,19 +210,18 @@ type Engine struct {
 	// ckptSem is the checkpoint token, a one-slot semaphore held from
 	// cutting a log window to the end of its Write: a window starts where
 	// the log's pin ends, so the pin must not move in between. The
-	// persist runs outside e.mu and commitMu — commits and reads never
-	// stall behind its fsyncs — and a commit that finds the token taken
-	// skips its checkpoint rather than wait. The token also guards
-	// ckptEpoch, the idxEpoch the current log generation was cut under.
-	ckptSem   chan struct{}
-	ckptEpoch uint64
+	// persist runs outside e.mu — commits never stall behind its fsyncs —
+	// and a commit that finds the token taken skips its checkpoint rather
+	// than wait.
+	ckptSem chan struct{}
 
-	// createMu serialises index creations, so a second creation of one
-	// index finds the first's instead of proposing a conflicting record.
-	createMu sync.Mutex
-
+	// poolMu guards the standalone mempool and nothing else. It is a
+	// leaf: no lock is taken while it is held, so Submit, which takes it
+	// alone, never waits on a writer.
+	poolMu  sync.Mutex
 	mempool []*types.Transaction
-	acl     *accessctl.Controller
+
+	acl *accessctl.Controller
 
 	// log is the engine's component logger (Config.Log tagged "core");
 	// nil — and therefore a no-op — when event logging is off.
@@ -530,18 +528,12 @@ func (e *Engine) signFor(tx *types.Transaction, sender string) {
 }
 
 // txCommitted reports whether tx landed on the chain: a committed
-// transaction has a Tid assigned at or below the commit cursor. The DDL
-// rollback paths use it to distinguish an append failure (tx never
+// transaction has a Tid assigned at or below the published view's. The
+// DDL rollback paths use it to distinguish an append failure (tx never
 // committed — roll the local registration back) from a sync failure
 // after the commit (tx is chain state — keep the registration).
 func (e *Engine) txCommitted(tx *types.Transaction) bool {
-	if tx.Tid == 0 {
-		return false
-	}
-	e.mu.RLock()
-	last := e.lastTid
-	e.mu.RUnlock()
-	return tx.Tid <= last
+	return tx.Tid != 0 && tx.Tid <= e.CurrentView().LastTid()
 }
 
 // NewTransaction builds (and signs, when the sender has a registered
@@ -576,9 +568,6 @@ var ErrFollower = errors.New("core: engine is a follower; writes go to the leade
 // blocks) stays open, as do all reads.
 func (e *Engine) SetFollower(on bool) { e.follower.Store(on) }
 
-// IsFollower reports whether the engine is in follower mode.
-func (e *Engine) IsFollower() bool { return e.follower.Load() }
-
 // HeightSignal returns a channel closed the next time a new view
 // publishes (commit, apply, DDL, index creation). Waiters select on it,
 // then call Height/CurrentView and re-arm by calling HeightSignal again.
@@ -609,10 +598,10 @@ func (e *Engine) Submit(tx *types.Transaction) error {
 	if e.follower.Load() {
 		return ErrFollower
 	}
-	e.mu.Lock()
+	e.poolMu.Lock()
 	e.mempool = append(e.mempool, tx)
 	full := len(e.mempool) >= e.cfg.BlockMaxTxs
-	e.mu.Unlock()
+	e.poolMu.Unlock()
 	if full {
 		return e.Flush()
 	}
@@ -626,51 +615,59 @@ func (e *Engine) Flush() error { return e.FlushAt(e.nowMicro()) }
 // FlushAt packages all pending mempool transactions into blocks stamped
 // with the given timestamp (clamped to stay monotonic). Deterministic
 // loaders — the benchmark's data generator — use it to control the
-// chain's time axis.
-func (e *Engine) FlushAt(ts int64) error { return e.flush(ts) }
-
-// flush is FlushAt with txs submitted as the mempool is taken, so no
-// other flush carries them off: on return they are committed or failed.
-func (e *Engine) flush(ts int64, txs ...*types.Transaction) error {
+// chain's time axis. The pool is taken before the writer lock, so a
+// Submit arriving meanwhile waits on nothing.
+func (e *Engine) FlushAt(ts int64) error {
 	if e.follower.Load() {
 		return ErrFollower
 	}
-	e.mu.Lock()
-	pending := append(e.mempool, txs...)
-	e.mempool = nil
-	e.mu.Unlock()
+	pending := e.takePool()
 	if len(pending) == 0 {
 		return nil
 	}
-	// All blocks of one flush run through the pipeline back to back; the
-	// single group fsync at the end makes the whole batch durable.
-	return e.writePipeline(func() (err error) {
-		for len(pending) > 0 && err == nil {
-			n := min(len(pending), e.cfg.BlockMaxTxs)
-			_, err = e.commitOne(pending[:n], ts)
-			pending = pending[n:]
-		}
-		return err
-	})
+	return e.writePipeline(func() error { return e.commitPool(pending, ts) })
 }
 
-// writePipeline is the one writer critical section FlushAt, CommitBlock
-// and ApplyBlock share: run the commits under commitMu, cut one
+// takePool empties the mempool and returns what it held with txs
+// appended, so no other flush carries them off: whoever commits the
+// result holds every one of them.
+func (e *Engine) takePool(txs ...*types.Transaction) []*types.Transaction {
+	e.poolMu.Lock()
+	pending := append(e.mempool, txs...)
+	e.mempool = nil
+	e.poolMu.Unlock()
+	return pending
+}
+
+// commitPool packages pending into blocks of at most BlockMaxTxs and
+// commits them back to back; the caller's one group fsync makes the
+// whole batch durable. Callers hold e.mu.
+func (e *Engine) commitPool(pending []*types.Transaction, ts int64) (err error) {
+	for len(pending) > 0 && err == nil {
+		n := min(len(pending), e.cfg.BlockMaxTxs)
+		_, err = e.commitOne(pending[:n], ts)
+		pending = pending[n:]
+	}
+	return err
+}
+
+// writePipeline is the one writer critical section FlushAt, CommitBlock,
+// ApplyBlock and createIndex share: under e.mu, run the commits, cut one
 // checkpoint window after the last of them if they crossed an interval
-// boundary, make whatever they appended durable, and persist the window
-// once every lock is released, so neither reads nor the next commit
-// stall behind checkpoint I/O.
+// boundary, and make whatever they appended durable; then persist the
+// window once the lock is released, so the next writer does not stall
+// behind checkpoint I/O. Reads never wait on any of it: they take no
+// engine lock.
 //
 // Durability is one group fsync covering every block appended with
-// AppendNoSync since the last one. It runs outside e.mu (readers
-// proceed; commitMu still serialises writers), which is safe because a
-// crash before the fsync can only lose an unsynced suffix of appended
-// blocks — recovery's torn-tail truncate restores the last durable
-// prefix, never a chain with a gap. A sync failure is reported to the
-// committer; the blocks stay applied in memory, since they are valid
-// chain state that consensus has already replicated.
+// AppendNoSync since the last one. A crash before it can only lose an
+// unsynced suffix of appended blocks — recovery's torn-tail truncate
+// restores the last durable prefix, never a chain with a gap. A sync
+// failure is reported to the committer; the blocks stay applied in
+// memory, since they are valid chain state that consensus has already
+// replicated.
 func (e *Engine) writePipeline(commits func() error) error {
-	e.commitMu.Lock()
+	e.mu.Lock()
 	// A node that never checkpoints does no checkpoint work in here, not
 	// even the store-lock round trip of reading the height: dueCheckpoint
 	// returns at once for it.
@@ -681,12 +678,12 @@ func (e *Engine) writePipeline(commits func() error) error {
 	err := commits()
 	ck := e.dueCheckpoint(before)
 	if e.cfg.Sync {
-		//sebdb:ignore-lockio reason: the group fsync runs under commitMu by design — writers queue behind durability, readers never take commitMu
+		//sebdb:ignore-lockio reason: the group fsync runs under the writer lock by design — writers queue behind durability, reads run on views and take no engine lock
 		if serr := e.store.SyncBatch(); err == nil {
 			err = serr
 		}
 	}
-	e.commitMu.Unlock()
+	e.mu.Unlock()
 	e.finishCheckpoint(ck)
 	return err
 }
@@ -695,12 +692,11 @@ func (e *Engine) writePipeline(commits func() error) error {
 // appends it durably and updates every index. It assigns Tids in order
 // and is the single entry point consensus uses to apply a decided batch.
 //
-// The commit is a staged pipeline. The prepare stage — timestamp clamp,
-// Tid assignment, sealing and Merkle-hashing every transaction with the
-// worker pool, header chain and signature — runs under commitMu only,
-// so concurrent readers are never stalled behind hashing. The install
-// stage then takes e.mu for the DDL pre-check, the segment append and
-// the fanned-out index maintenance; see install.
+// The commit is a staged pipeline under the writer lock. The prepare
+// stage — timestamp clamp, Tid assignment, sealing and Merkle-hashing
+// every transaction with the worker pool, header chain and signature —
+// is followed by the install stage: the DDL pre-check, the segment
+// append and the fanned-out index maintenance; see install.
 func (e *Engine) CommitBlock(txs []*types.Transaction, ts int64) (b *types.Block, err error) {
 	if e.follower.Load() {
 		return nil, ErrFollower
@@ -716,7 +712,7 @@ func (e *Engine) CommitBlock(txs []*types.Transaction, ts int64) (b *types.Block
 }
 
 // commitOne is the local door into the install stage: prepare, then
-// install. Callers hold commitMu.
+// install. Callers hold e.mu.
 func (e *Engine) commitOne(txs []*types.Transaction, ts int64) (*types.Block, error) {
 	start := e.cfg.Obs.Now()
 	b := e.prepareBlock(txs, ts)
@@ -726,13 +722,13 @@ func (e *Engine) commitOne(txs []*types.Transaction, ts int64) (*types.Block, er
 // ApplyBlock validates and installs a block produced elsewhere
 // (received via consensus or the replication stream): the same
 // pipeline as CommitBlock with validation — the foreign-block
-// equivalent of prepare — fanned out off the engine lock.
+// equivalent of prepare — fanned out to the worker pool.
 func (e *Engine) ApplyBlock(b *types.Block) error {
 	return e.writePipeline(func() error { return e.applyOne(b) })
 }
 
 // applyOne is the foreign door into the install stage: validate, then
-// install. Callers hold commitMu.
+// install. Callers hold e.mu.
 func (e *Engine) applyOne(b *types.Block) error {
 	start := e.cfg.Obs.Now()
 	if err := b.ValidateWorkers(e.Parallelism()); err != nil {
@@ -743,7 +739,7 @@ func (e *Engine) applyOne(b *types.Block) error {
 
 // install is the write path's one install stage: every block, locally
 // prepared or foreign and validated, becomes chain state here and
-// nowhere else. Callers hold commitMu; start is when the block's
+// nowhere else. Callers hold e.mu; start is when the block's
 // prepare/validate stage began.
 //
 // The block is admitted before the append: a block whose tids do not
@@ -758,7 +754,6 @@ func (e *Engine) install(b *types.Block, start int64, event string) error {
 	prepared := e.cfg.Obs.Now()
 	e.mPrepare.Observe(prepared - start)
 
-	e.mu.Lock()
 	defs, built, err := e.admit(b, nil)
 	if err == nil {
 		// Indexes read tuples by column position: a block carrying a
@@ -769,21 +764,16 @@ func (e *Engine) install(b *types.Block, start int64, event string) error {
 		err = schema.CheckTuples(defs.tables, b.Txs)
 	}
 	if err != nil {
-		e.mu.Unlock()
 		return err
 	}
-	//sebdb:ignore-lockio reason: AppendNoSync is a buffered segment append — it fsyncs only on segment roll, an audited rarity; the per-block fsync is outside e.mu
 	if _, err := e.store.AppendNoSync(b); err != nil {
-		e.mu.Unlock()
 		return err
 	}
 	appended := e.cfg.Obs.Now()
 	if err := e.indexBlockLocked(b, defs, built, nil); err != nil {
-		e.mu.Unlock()
 		return err
 	}
 	e.publishViewLocked()
-	e.mu.Unlock()
 	if len(built) > 0 {
 		e.saveIndexCache()
 	}
@@ -794,16 +784,13 @@ func (e *Engine) install(b *types.Block, start int64, event string) error {
 	return nil
 }
 
-// prepareBlock is the pipeline's lock-free stage: it stamps the batch
+// prepareBlock is the pipeline's prepare stage: it stamps the batch
 // against the commit cursor, seals and leaf-hashes every transaction
 // with the worker pool, reduces the Merkle root in parallel, and builds
-// the signed header. Callers hold commitMu, which makes the cursor read
-// stable — commitMu holders are the only writers of lastTid/lastTs and
-// the tip — while e.mu is held only for the brief cursor read.
+// the signed header. Callers hold e.mu, which keeps the cursor and the
+// tip still until the block is installed.
 func (e *Engine) prepareBlock(txs []*types.Transaction, ts int64) *types.Block {
-	e.mu.RLock()
 	lastTid, lastTs := e.lastTid, e.lastTs
-	e.mu.RUnlock()
 	// Monotonic block timestamps keep the block-level index's time
 	// lookups well-defined.
 	if ts <= lastTs {
@@ -904,9 +891,8 @@ func (e *Engine) replayBlock(bb *builtBlock, pending map[string]*indexDef) error
 // definition is installed under it — so what resolves here is still
 // current when indexBlockLocked installs it.
 // For each index definition b adds that no registered index serves
-// (unbuilt) admit builds the index, fed the blocks below b with e.mu
-// released: readers never wait on a backfill, and commitMu, or owning
-// the engine during Open, keeps any block from landing in between.
+// (unbuilt) admit builds the index, fed the blocks below b; readers
+// never wait on the backfill, since they take no engine lock.
 func (e *Engine) admit(b *types.Block, pending map[string]*indexDef) (chainDefs, []func(), error) {
 	if b.Header.TxCount > 0 && b.Header.FirstTid != e.lastTid+1 {
 		return chainDefs{}, nil, fmt.Errorf("core: block %d starts at tid %d, the chain continues at %d",
@@ -920,13 +906,7 @@ func (e *Engine) admit(b *types.Block, pending map[string]*indexDef) (chainDefs,
 	if len(fresh) == 0 {
 		return defs, nil, nil
 	}
-	e.mu.Unlock()
 	built, err := e.buildIndexes(fresh, defs.tables, b.Header.Height)
-	e.mu.Lock()
-	if err == nil {
-		// submitDDL may have registered a table or contract meanwhile.
-		defs, err = e.defs.resolve(b.Txs)
-	}
 	return defs, built, err
 }
 

@@ -525,7 +525,7 @@ func TestExplain(t *testing.T) {
 	if err := e.CreateIndex("donate", "amount"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Explain(`SELECT * FROM donate WHERE amount BETWEEN 10 AND 12`)
+	res, err := e.Execute(`EXPLAIN SELECT * FROM donate WHERE amount BETWEEN 10 AND 12`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,17 +533,17 @@ func TestExplain(t *testing.T) {
 		t.Errorf("selective query explained as %v", res.Rows[0][0])
 	}
 	// Without a usable index the planner falls back to bitmap/scan.
-	res, err = e.Explain(`SELECT * FROM donate WHERE donor = "donor001"`)
+	res, err = e.Execute(`EXPLAIN SELECT * FROM donate WHERE donor = "donor001"`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rows[0][0] == types.Str("layered") {
 		t.Error("unindexed predicate explained as layered")
 	}
-	if _, err := e.Explain(`TRACE OPERATOR = "x"`); err == nil {
+	if _, err := e.Execute(`EXPLAIN TRACE OPERATOR = "x"`); err == nil {
 		t.Error("EXPLAIN of TRACE accepted")
 	}
-	if _, err := e.Explain(`SELECT * FROM ghost`); err == nil {
+	if _, err := e.Execute(`EXPLAIN SELECT * FROM ghost`); err == nil {
 		t.Error("EXPLAIN of missing table accepted")
 	}
 }

@@ -6,29 +6,9 @@ import (
 	"strings"
 
 	"sebdb/internal/obs"
-	"sebdb/internal/plan"
 	"sebdb/internal/sqlparser"
 	"sebdb/internal/types"
 )
-
-// Explain parses a SELECT (with or without an EXPLAIN prefix) and
-// reports the planner's access-path decision with the estimated costs
-// of Equations 1-3. The SQL form `EXPLAIN [ANALYZE] <stmt>` goes
-// through Execute; this method is the programmatic shortcut.
-func (e *Engine) Explain(sql string) (*Result, error) {
-	st, err := sqlparser.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	if ex, ok := st.(*sqlparser.Explain); ok {
-		st = ex.Stmt
-	}
-	s, ok := st.(*sqlparser.Select)
-	if !ok {
-		return nil, fmt.Errorf("core: EXPLAIN supports single-table SELECT, got %T", st)
-	}
-	return e.explainSelect(s)
-}
 
 // explainSelect reports the plan.Choose decision for one on-chain
 // SELECT without executing it, planning against the current view just
@@ -42,10 +22,7 @@ func (e *Engine) explainSelect(s *sqlparser.Select) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := v.NumBlocks()
-	k := v.TableBlocks(tbl.Name).Count()
-	p, _ := v.estimateLayered(tbl, s.Where)
-	ch := plan.Choose(plan.DefaultCostModel(), n, k, p)
+	sp := v.planSelect(tbl, s.Where)
 	cost := func(c float64) types.Value {
 		if c < 0 {
 			return types.Null
@@ -56,13 +33,13 @@ func (e *Engine) explainSelect(s *sqlparser.Select) (*Result, error) {
 		Columns: []string{"method", "blocks", "table_blocks", "est_rows",
 			"cost_scan", "cost_bitmap", "cost_layered"},
 		Rows: [][]types.Value{{
-			types.Str(ch.Method.String()),
-			types.Int(int64(n)),
-			types.Int(int64(k)),
-			types.Int(int64(p)),
-			cost(ch.CostScan),
-			cost(ch.CostBitmap),
-			cost(ch.CostLayered),
+			types.Str(sp.Method.String()),
+			types.Int(int64(sp.n)),
+			types.Int(int64(sp.k)),
+			types.Int(int64(sp.p)),
+			cost(sp.CostScan),
+			cost(sp.CostBitmap),
+			cost(sp.CostLayered),
 		}},
 	}, nil
 }

@@ -251,7 +251,7 @@ func renderIndexCache(d chainDefs) ([]byte, error) {
 // saveIndexCache rewrites indexes.json through the engine's filesystem:
 // a tmp file, written and fsynced, renamed over the old one, so a crash
 // leaves the old cache or the new one, never a torn file. Callers hold
-// commitMu, or own the engine during Open. A failed save costs the next
+// e.mu, or own the engine during Open. A failed save costs the next
 // full-replay Open one more pass and nothing else, so it is logged.
 func (e *Engine) saveIndexCache() {
 	raw, err := renderIndexCache(e.CurrentView().defs)

@@ -208,19 +208,16 @@ func (e *Engine) execSelect(ctx context.Context, s *sqlparser.Select) (*Result, 
 		return nil, err
 	}
 	_, planSp := obs.StartSpan(ctx, "plan")
-	n := v.NumBlocks()
-	k := v.TableBlocks(tbl.Name).Count()
-	p, probe := v.estimateLayered(tbl, s.Where)
-	choice := plan.Choose(plan.DefaultCostModel(), n, k, p)
-	planSp.SetCounter("blocks", int64(n))
-	planSp.SetCounter("table_blocks", int64(k))
-	planSp.SetCounter("est_rows", int64(p))
+	sp := v.planSelect(tbl, s.Where)
+	planSp.SetCounter("blocks", int64(sp.n))
+	planSp.SetCounter("table_blocks", int64(sp.k))
+	planSp.SetCounter("est_rows", int64(sp.p))
 	planSp.Finish()
 	var txs []*types.Transaction
-	if choice.Method == exec.MethodLayered {
-		txs, _, err = exec.SelectProbed(ctx, v, tbl.Name, s.Where, s.Window, probe)
+	if sp.Method == exec.MethodLayered {
+		txs, _, err = exec.SelectProbed(ctx, v, tbl.Name, s.Where, s.Window, sp.probe)
 	} else {
-		txs, _, err = exec.SelectCtx(ctx, v, tbl.Name, s.Where, s.Window, choice.Method)
+		txs, _, err = exec.SelectCtx(ctx, v, tbl.Name, s.Where, s.Window, sp.Method)
 	}
 	if err != nil {
 		return nil, err
@@ -262,6 +259,25 @@ func (e *Engine) execSelect(ctx context.Context, s *sqlparser.Select) (*Result, 
 		txs = txs[:s.Limit]
 	}
 	return e.projectTxs(tbl, s.Columns, txs)
+}
+
+// selectPlan is the access path plan.Choose picks for one on-chain
+// SELECT, with the inputs it picked from: the view's height n, the
+// table's block count k and the layered estimate p, whose walk probe
+// exec.SelectProbed reuses.
+type selectPlan struct {
+	plan.Choice
+	n, k, p int
+	probe   *exec.Probe
+}
+
+// planSelect is the one planning step SELECT and EXPLAIN share, so
+// EXPLAIN reports the path the statement would run.
+func (v *View) planSelect(tbl *schema.Table, where []sqlparser.Pred) selectPlan {
+	sp := selectPlan{n: v.NumBlocks(), k: v.TableBlocks(tbl.Name).Count()}
+	sp.p, sp.probe = v.estimateLayered(tbl, where)
+	sp.Choice = plan.Choose(plan.DefaultCostModel(), sp.n, sp.k, sp.p)
+	return sp
 }
 
 // orderLimitRows sorts full off-chain rows by the named column and

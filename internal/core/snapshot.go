@@ -29,15 +29,17 @@ import (
 // WriteCheckpoint persists the engine's derived state at the current
 // height: as one more window when the log already tiles the chain up to
 // some earlier height under the current index set, as a whole-state
-// frame opening a new log generation otherwise. Only collecting the
-// window happens under the engine lock (shared — readers proceed);
-// encoding, the append and its fsyncs run outside it. It is called
-// automatically whenever a commit crosses a Config.CheckpointInterval
-// boundary; operators and tests may also call it directly.
+// frame opening a new log generation otherwise. Only cutting the window
+// happens under the writer lock; encoding, the append and its fsyncs
+// run outside it. It is called automatically whenever a commit crosses
+// a Config.CheckpointInterval boundary; operators and tests may also
+// call it directly.
 func (e *Engine) WriteCheckpoint() error {
 	e.ckptSem <- struct{}{}
 	defer func() { <-e.ckptSem }()
+	e.mu.Lock()
 	c, err := e.cutWindow()
+	e.mu.Unlock()
 	if err != nil || c == nil {
 		return err
 	}
@@ -56,12 +58,12 @@ func (e *Engine) BuildCheckpoint() (*snapshot.Checkpoint, error) {
 
 // dueCheckpoint cuts the next log window when the commits of one
 // writePipeline took the chain across a checkpoint-interval boundary,
-// for the caller to hand to finishCheckpoint once commitMu is released.
+// for the caller to hand to finishCheckpoint once e.mu is released.
 // It runs once per pipeline, after the last install: a flush spanning
 // several intervals yields one window, not one build per boundary. A
 // non-nil result carries the checkpoint token with it. Checkpointing is
 // an optimisation, so failures never fail the commit; they are counted
-// and kept for CheckpointErr. Callers hold commitMu.
+// and kept for CheckpointErr. Callers hold e.mu.
 func (e *Engine) dueCheckpoint(before uint64) *snapshot.Checkpoint {
 	iv := uint64(max(e.cfg.CheckpointInterval, 0))
 	if iv == 0 || e.Height()/iv == before/iv {
@@ -120,14 +122,12 @@ func (e *Engine) CheckpointErr() error {
 // current height), or the whole chain when nothing is pinned or an
 // index was created since the log's generation began (one generation
 // holds one index set). It returns nil when the log already pins the
-// current height. Callers hold the checkpoint token, which is what
-// keeps the pin — and ckptEpoch — still between this cut and its Write.
-// The time under e.mu is observed as sebdb_snapshot_build_micros.
+// current height. Callers hold e.mu and the checkpoint token, which is
+// what keeps the pin still between this cut and its Write. The cut's
+// time is observed as sebdb_snapshot_build_micros.
 func (e *Engine) cutWindow() (*snapshot.Checkpoint, error) {
 	start := e.cfg.Obs.Now()
-	e.mu.RLock()
 	defer func() {
-		e.mu.RUnlock()
 		e.cfg.Obs.Histogram("sebdb_snapshot_build_micros").Observe(e.cfg.Obs.Now() - start)
 	}()
 	h := uint64(e.store.Count())

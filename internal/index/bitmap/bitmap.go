@@ -66,16 +66,6 @@ func (b *Bitmap) Count() int {
 	return n
 }
 
-// Empty reports whether no bit is set.
-func (b *Bitmap) Empty() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns an independent copy.
 func (b *Bitmap) Clone() *Bitmap {
 	out := &Bitmap{words: make([]uint64, len(b.words))}
@@ -105,18 +95,6 @@ func (b *Bitmap) Or(o *Bitmap) *Bitmap {
 	}
 	for i, w := range o.words {
 		b.words[i] |= w
-	}
-	return b
-}
-
-// AndNot clears from b every bit set in o, in place, and returns b.
-func (b *Bitmap) AndNot(o *Bitmap) *Bitmap {
-	n := len(b.words)
-	if len(o.words) < n {
-		n = len(o.words)
-	}
-	for i := 0; i < n; i++ {
-		b.words[i] &^= o.words[i]
 	}
 	return b
 }

@@ -136,7 +136,7 @@ func TestTimeWindow(t *testing.T) {
 	if n := x.TimeWindow(0, 0).Count(); n != 10 {
 		t.Errorf("open window covers %d blocks", n)
 	}
-	if !x.TimeWindow(9000, 9999).Empty() {
+	if x.TimeWindow(9000, 9999).Count() != 0 {
 		t.Error("future window not empty")
 	}
 	cases := []struct {
@@ -160,7 +160,7 @@ func TestTimeWindow(t *testing.T) {
 }
 
 func TestAllBlocks(t *testing.T) {
-	if !(Index{}).AllBlocks().Empty() {
+	if (Index{}).AllBlocks().Count() != 0 {
 		t.Error("empty index AllBlocks not empty")
 	}
 	x := buildIndex(3)

@@ -179,7 +179,7 @@ func TestDiscreteIndex(t *testing.T) {
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Errorf("ValueBlocks(org1) = %v", got)
 	}
-	if !x.ValueBlocks(types.Str("ghost")).Empty() {
+	if x.ValueBlocks(types.Str("ghost")).Count() != 0 {
 		t.Error("unknown value has blocks")
 	}
 	// Point CandidateBlocks equals ValueBlocks.
@@ -252,11 +252,11 @@ func TestDiscreteKeyNumericUnification(t *testing.T) {
 	x := NewDiscrete("code")
 	x.AppendBlock(0, []Entry{{types.Int(3), 0}})
 	// Dec(3) must find the block indexed under Int(3).
-	if x.ValueBlocks(types.Dec(3)).Empty() {
+	if x.ValueBlocks(types.Dec(3)).Count() == 0 {
 		t.Error("numeric keys not unified across kinds")
 	}
 	// But string "3" is a different key space.
-	if !x.ValueBlocks(types.Str("3")).Empty() {
+	if x.ValueBlocks(types.Str("3")).Count() != 0 {
 		t.Error("string key collided with numeric")
 	}
 }

@@ -76,7 +76,7 @@ func runLockCheck(p *Pass) []Finding {
 
 // collectGuardedStructs scans a file for structs with mutex fields and
 // records, per mutex, the sibling fields in its contiguous declaration
-// group. A struct may declare several guards (mu, commitMu, ckptMu);
+// group. A struct may declare several guards (mu, poolMu, keyMu);
 // each guards only its own group.
 func collectGuardedStructs(pkg *Package, f *ast.File, out map[string]map[string]string) {
 	ast.Inspect(f, func(n ast.Node) bool {

@@ -13,12 +13,13 @@ import (
 // no critical section of a guard (isGuard) may reach blocking
 // I/O — fsync, file create/rename/truncate, checkpoint encode or bulk
 // checkpoint load, network reads and writes — through any chain of
-// calls. The lock splits of the checkpoint and commit-pipeline work
-// (build under e.mu, encode+fsync outside; prepare under commitMu,
-// group fsync outside e.mu) stay machine-checked instead of relying on
-// review. Audited exceptions (the segment store serialising its own
-// I/O, commitMu existing precisely to cover the append+fsync pipeline) carry a
-// //sebdb:ignore-lockio reason: <why> directive.
+// calls. The checkpoint split (cut the window under the writer lock
+// e.mu, encode and persist outside it) stays machine-checked instead
+// of relying on review. Audited exceptions (the segment store
+// serialising its own I/O, the group fsync that e.mu, the one writer
+// lock, covers by design — reads take no engine lock, so only the next
+// writer queues behind it) carry a //sebdb:ignore-lockio reason: <why>
+// directive.
 var LockIO = &Analyzer{
 	Name: "lockio",
 	Doc:  "mutex-guarded critical sections must not reach blocking I/O through any call chain (escape: //sebdb:ignore-lockio reason: <why>)",
@@ -68,7 +69,7 @@ var lockIOSinks = []funcSpec{
 	{"sebdb/internal/faultfs", "FS", "OpenFile"},
 	{"sebdb/internal/faultfs", "FS", "MkdirAll"},
 	// Checkpoint encode and bulk checkpoint file I/O: the exact
-	// operations the PR-5 lock split moved out of e.mu.
+	// operations the checkpoint split keeps out of e.mu.
 	{"sebdb/internal/snapshot", "Checkpoint", "Encode"},
 	{"sebdb/internal/snapshot", "Dir", "Write"},
 	{"sebdb/internal/snapshot", "Dir", "Load"},

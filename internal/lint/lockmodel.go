@@ -13,7 +13,7 @@ import (
 
 // isGuard reports whether obj is a guard: a sync.Mutex or sync.RWMutex
 // (or a pointer to one) variable or field named mu or ending in Mu
-// (commitMu, ckptMu, ...).
+// (poolMu, connMu, ...).
 func isGuard(obj types.Object) bool {
 	v, ok := obj.(*types.Var)
 	return ok && (v.Name() == "mu" || strings.HasSuffix(v.Name(), "Mu")) && isNamed(v.Type(), "sync", "Mutex", "RWMutex")

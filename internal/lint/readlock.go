@@ -12,12 +12,13 @@ import (
 // ReadLock enforces the height-pinned read-view contract
 // interprocedurally: no function reachable from a query read entry
 // point — SELECT, TRACE, JOIN, GET BLOCK, EXPLAIN planning, thin-client
-// VO generation — may acquire the engine mutex (core.Engine.mu).
-// Reads run against the published core.View precisely so they never
-// contend with the commit pipeline; one e.mu acquisition smuggled into
-// a helper shared with the write path silently reintroduces the
-// contention the view removed, which no test notices until a profile
-// does. The analyzer walks the call graph forward from the entry
+// VO generation — may acquire the engine mutex (core.Engine.mu). It is
+// the one writer lock, held across a commit's prepare, install and
+// group fsync, an index creation's backfill and DDL registration. Reads
+// run against the published core.View precisely so they never wait on
+// it; one e.mu acquisition smuggled into a helper shared with the write
+// path would queue a read behind hashing, backfills and fsyncs, which
+// no test notices until a profile does. The analyzer walks the call graph forward from the entry
 // points and reports every engine-lock acquisition it can reach, with
 // the witness call chain.
 var ReadLock = &Analyzer{

@@ -227,8 +227,7 @@ func IsAppError(err error) bool {
 // transport failures, bounded by SetRetry; SetTimeout bounds each
 // write+read exchange so a stalled peer cannot block a caller forever.
 type Client struct {
-	// addr is the dial target, empty for NewClient-wrapped connections
-	// (those cannot redial). Immutable after construction.
+	// addr is the dial target. Immutable after construction.
 	addr string
 
 	// timeout/retries/backoff tune Call. timeout and backoff hold
@@ -261,25 +260,17 @@ const (
 	defaultCallBackoff = 50 * time.Millisecond
 )
 
-func newClient(conn net.Conn, addr string) *Client {
-	c := &Client{conn: conn, addr: addr}
-	c.retries.Store(defaultCallRetries)
-	c.backoff.Store(int64(defaultCallBackoff))
-	return c
-}
-
 // Dial connects to a server.
 func Dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return newClient(conn, addr), nil
+	c := &Client{conn: conn, addr: addr}
+	c.retries.Store(defaultCallRetries)
+	c.backoff.Store(int64(defaultCallBackoff))
+	return c, nil
 }
-
-// NewClient wraps an existing connection (tests use net.Pipe). Wrapped
-// clients cannot redial: a transport failure ends the client.
-func NewClient(conn net.Conn) *Client { return newClient(conn, "") }
 
 // SetTimeout bounds each write+read exchange of a Call; zero or negative
 // removes the bound.
@@ -307,9 +298,6 @@ func (c *Client) current() (net.Conn, error) {
 	}
 	if c.closed.Load() {
 		return nil, errors.New("network: client closed")
-	}
-	if c.addr == "" {
-		return nil, errors.New("network: connection lost and client cannot redial")
 	}
 	fresh, err := net.Dial("tcp", c.addr)
 	if err != nil {
@@ -391,7 +379,7 @@ func (c *Client) Call(kind uint8, payload []byte) ([]byte, error) {
 		conn, err := c.current()
 		if err != nil {
 			lastErr = err
-			if c.closed.Load() || c.addr == "" {
+			if c.closed.Load() {
 				break
 			}
 			continue
@@ -405,9 +393,6 @@ func (c *Client) Call(kind uint8, payload []byte) ([]byte, error) {
 		}
 		lastErr = err
 		c.drop(conn)
-		if c.addr == "" {
-			break // wrapped conn: nothing to redial
-		}
 	}
 	return nil, lastErr
 }

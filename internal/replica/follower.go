@@ -126,9 +126,6 @@ func (f *Follower) Stop() {
 	<-f.done
 }
 
-// Lag returns the last observed leader-height minus local-height gap.
-func (f *Follower) Lag() int64 { return f.gLag.Value() }
-
 // run is the reconnect loop: each tail session ends with an error
 // (stream severed, verification failure, leader gone) and the loop
 // redials with exponential backoff, resuming from the engine height.

@@ -41,9 +41,6 @@ func NewRouter(leader node.QueryNode, replicas ...node.QueryNode) *Router {
 // Leader returns the write target.
 func (r *Router) Leader() node.QueryNode { return r.leader }
 
-// Replicas returns the read fleet (possibly empty).
-func (r *Router) Replicas() []node.QueryNode { return r.replicas }
-
 // readVerbs are the statement-leading keywords the executor serves from
 // a read view; everything else mutates chain or catalog state.
 var readVerbs = map[string]bool{
